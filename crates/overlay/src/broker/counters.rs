@@ -1,7 +1,10 @@
 //! Pre-resolved protocol counters (the broker's milestone accounting).
 
 use netsim::engine::Context;
-use netsim::metrics::{MetricId, Metrics};
+use netsim::metrics::{GaugeId, MetricId, Metrics};
+use netsim::node::NodeId;
+
+use crate::footprint::FootprintBreakdown;
 
 use crate::message::OverlayMsg;
 
@@ -62,6 +65,38 @@ impl BrokerCounters {
             forwards_received: metrics.counter_id("overlay.forwards_received"),
             forwards_served: metrics.counter_id("overlay.forwards_served"),
             forwards_exhausted: metrics.counter_id("overlay.forwards_exhausted"),
+        }
+    }
+}
+
+/// Pre-resolved handles for the footprint gauges a federated broker
+/// publishes on its gossip cadence. Gauge names carry the broker's node
+/// index: gauges sum by name across shards, so unique-per-broker names
+/// reconstruct each broker's last-set value in the merged metrics, and
+/// the `registry.bytes.` prefix sums them fleet-wide. Resolved at the
+/// first gossip tick rather than at start, because resolving creates the
+/// gauge and a broker that never gossips must not grow zero-valued ones.
+pub(crate) struct FootprintGauges {
+    /// `registry.bytes.<node>`
+    pub(crate) bytes: GaugeId,
+    /// `registry.peers.<node>`
+    pub(crate) peers: GaugeId,
+    /// `registry.<component>_bytes.<node>`, in
+    /// [`FootprintBreakdown::components`] order.
+    pub(crate) components: [GaugeId; 6],
+}
+
+impl FootprintGauges {
+    pub(crate) fn resolve(metrics: &mut Metrics, broker: NodeId) -> Self {
+        let node = broker.index();
+        FootprintGauges {
+            bytes: metrics.gauge_id(&format!("registry.bytes.{node}")),
+            peers: metrics.gauge_id(&format!("registry.peers.{node}")),
+            components: FootprintBreakdown::default()
+                .components()
+                .map(|(component, _)| {
+                    metrics.gauge_id(&format!("registry.{component}_bytes.{node}"))
+                }),
         }
     }
 }

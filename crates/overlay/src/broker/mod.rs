@@ -54,7 +54,7 @@ use crate::records::RecordSink;
 use crate::selector::{PeerSelector, Purpose};
 use crate::task::TaskPhase;
 
-use counters::BrokerCounters;
+use counters::{BrokerCounters, FootprintGauges};
 use registry::PeerRegistry;
 use retry::RetryEngine;
 use schedule::CommandSchedule;
@@ -229,6 +229,7 @@ pub struct Broker {
     pub(crate) retries: RetryEngine,
     pub(crate) tasks: TaskBook,
     pub(crate) counters: Option<BrokerCounters>,
+    pub(crate) footprint_gauges: Option<FootprintGauges>,
     pub(crate) sink: RecordSink,
     /// Whether a scripted outage currently has this broker down: every
     /// inbound message is dropped and only the restart timer (plus the
@@ -255,6 +256,7 @@ impl Broker {
             retries: RetryEngine::new(),
             tasks: TaskBook::new(),
             counters: None,
+            footprint_gauges: None,
             sink,
             down: false,
             forward_rr: 0,
@@ -463,8 +465,9 @@ impl Actor<OverlayMsg> for Broker {
             OverlayMsg::BrokerGossip {
                 from_broker,
                 sent_at,
+                recipients,
                 roster,
-            } => self.on_broker_gossip(ctx, from_broker, sent_at, roster),
+            } => self.on_broker_gossip(ctx, from_broker, sent_at, recipients, roster),
             OverlayMsg::PetitionForward {
                 origin,
                 hops_left,

@@ -14,7 +14,14 @@
 //! to the *concurrent* population, not the total number of joins, and the
 //! entries stay cache-adjacent for the roster-snapshot scan that selection
 //! takes on every petition.
+//!
+//! The federation roster holds **shared** views: a gossip round builds one
+//! `Arc<CandidateView>` per local peer, every fellow broker's message
+//! carries the same roster allocation, and a receiver keeps the sender's
+//! pointer rather than a copy. A host → claimant index over those views
+//! makes a departure's purge a hash lookup instead of a scan.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -23,12 +30,15 @@ use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
-use crate::footprint::{map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint};
+use crate::footprint::{
+    map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint, ARC_HEADER_BYTES,
+};
 use crate::id::PeerId;
 use crate::message::OverlayMsg;
 use crate::selector::{CandidateView, InteractionHistory};
 use crate::stats::{PeerStats, StatsSnapshot};
 
+use super::counters::FootprintGauges;
 use super::Broker;
 
 /// Everything the broker tracks about one registered peer.
@@ -42,6 +52,29 @@ pub(crate) struct PeerEntry {
     pub(crate) history: InteractionHistory,
 }
 
+impl PeerEntry {
+    /// The candidate view selection and gossip see for this peer at `now`:
+    /// broker-side stats, with queue gauges overridden by the peer's own
+    /// latest report when available.
+    fn view(&self, now: SimTime, stats_k_hours: usize) -> CandidateView {
+        let mut snapshot = self.stats.snapshot(now, stats_k_hours);
+        if let Some(reported) = &self.reported {
+            snapshot.inbox_now = reported.inbox_now;
+            snapshot.inbox_avg = reported.inbox_avg;
+            snapshot.outbox_now = reported.outbox_now;
+            snapshot.outbox_avg = reported.outbox_avg;
+        }
+        CandidateView {
+            peer: self.adv.peer,
+            node: self.adv.node,
+            name: self.name.clone(),
+            cpu_gops: self.adv.cpu_gops,
+            snapshot,
+            history: self.history.clone(),
+        }
+    }
+}
+
 /// One published copy of a piece of content.
 #[derive(Debug, Clone)]
 pub(crate) struct Holding {
@@ -53,10 +86,92 @@ pub(crate) struct Holding {
 }
 
 /// A gossiped candidate plus the virtual time its sending broker took
-/// the snapshot, so selection can apply a staleness window.
+/// the snapshot, so selection can apply a staleness window. The view is
+/// the sender's allocation, shared with every other broker the roster
+/// went to.
 pub(crate) struct RemoteView {
-    pub(crate) view: CandidateView,
+    pub(crate) view: Arc<CandidateView>,
     pub(crate) as_of: SimTime,
+    /// This holder's share of the view allocation, in bytes (see the
+    /// once-only rule in [`crate::footprint`]). Fixed when the view is
+    /// learnt so the footprint pass never chases the pointer.
+    charge: u32,
+}
+
+/// Estimated heap bytes of one shared view allocation: the refcounted
+/// view plus the name bytes it pins.
+fn view_alloc_bytes(view: &CandidateView) -> u64 {
+    ARC_HEADER_BYTES + std::mem::size_of::<CandidateView>() as u64 + view.name.len() as u64
+}
+
+/// Which remote views claim each host — the index that lets a departure
+/// purge its host's rumors without scanning every remote view. A host
+/// nearly always has one claimant, kept inline in `first`; extras (a
+/// second-hand view of a peer on a host another remote peer has since
+/// taken) spill into `rest`. Each `(node, peer)` pair is stored once.
+#[derive(Default)]
+struct NodeClaims {
+    first: HashMap<NodeId, PeerId>,
+    rest: HashMap<NodeId, Vec<PeerId>>,
+}
+
+impl NodeClaims {
+    /// Records that `peer` claims `node`; the pair must not be present.
+    fn insert(&mut self, node: NodeId, peer: PeerId) {
+        match self.first.entry(node) {
+            Entry::Vacant(slot) => {
+                slot.insert(peer);
+            }
+            Entry::Occupied(_) => self.rest.entry(node).or_default().push(peer),
+        }
+    }
+
+    /// Forgets that `peer` claims `node`, promoting a spilled claimant
+    /// into the inline slot when the inline one goes.
+    fn remove(&mut self, node: NodeId, peer: PeerId) {
+        let spilled = self.rest.get_mut(&node);
+        if self.first.get(&node) == Some(&peer) {
+            match spilled.and_then(Vec::pop) {
+                Some(next) => self.first.insert(node, next),
+                None => self.first.remove(&node),
+            };
+        } else if let Some(rest) = spilled {
+            rest.retain(|p| *p != peer);
+        }
+        if self.rest.get(&node).is_some_and(Vec::is_empty) {
+            self.rest.remove(&node);
+        }
+    }
+
+    /// Removes and returns every claimant of `node`.
+    fn take(&mut self, node: NodeId) -> impl Iterator<Item = PeerId> {
+        let first = self.first.remove(&node);
+        let rest = self.rest.remove(&node).unwrap_or_default();
+        first.into_iter().chain(rest)
+    }
+
+    /// Number of `(node, peer)` pairs.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.first.len() + self.rest.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// Whether `peer` is recorded as claiming `node`.
+    #[cfg(test)]
+    fn contains(&self, node: NodeId, peer: PeerId) -> bool {
+        self.first.get(&node) == Some(&peer)
+            || self.rest.get(&node).is_some_and(|r| r.contains(&peer))
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        map_estimate::<NodeId, PeerId>(self.first.len())
+            + map_estimate::<NodeId, Vec<PeerId>>(self.rest.len())
+            + self
+                .rest
+                .values()
+                .map(|r| slots_estimate::<PeerId>(r.len()))
+                .sum::<u64>()
+    }
 }
 
 /// The membership layer: registered peers, their statistics, published
@@ -72,6 +187,8 @@ pub(crate) struct PeerRegistry {
     by_node: HashMap<NodeId, PeerId>,
     /// Candidate views learnt from fellow brokers, keyed by peer.
     remote_peers: HashMap<PeerId, RemoteView>,
+    /// Host → the `remote_peers` entries whose view claims it.
+    remote_claims: NodeClaims,
     /// Departure tombstones: peers this broker saw leave, and when. A
     /// gossiped view older than the tombstone is a stale echo and must
     /// not resurrect the peer; a newer one proves it rejoined elsewhere
@@ -119,11 +236,6 @@ impl PeerRegistry {
         self.by_node.get(&node).copied()
     }
 
-    /// Whether a registered peer currently occupies `node`.
-    pub(crate) fn node_occupied(&self, node: NodeId) -> bool {
-        self.by_node.contains_key(&node)
-    }
-
     /// Shared access to a registered peer's entry.
     pub(crate) fn entry(&self, peer: PeerId) -> Option<&PeerEntry> {
         self.index
@@ -165,19 +277,21 @@ impl PeerRegistry {
     /// a rejoin is indistinguishable from a duplicate-Join retransmission,
     /// so identity must survive. The peer also stops being a federation
     /// rumor: it is now first-hand knowledge.
-    pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) {
+    ///
+    /// A host runs one peer: a Join from a node that already carries a
+    /// *different* identity supersedes the old occupant (crash-rejoin
+    /// without a Leave), keeping by_node a bijection. The superseded
+    /// identity is returned so the caller can drop it from every other
+    /// membership table too.
+    pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let peer = adv.peer;
         let cpu = adv.cpu_gops;
-        self.remote_peers.remove(&peer);
+        self.forget_remote(peer);
         // First-hand readmission beats any departure we recorded earlier.
         self.departed.remove(&peer);
-        // A host runs one peer: a Join from a node that already carries a
-        // *different* identity supersedes the old occupant (crash-rejoin
-        // without a Leave), keeping by_node a bijection.
-        if let Some(&prev) = self.by_node.get(&adv.node) {
-            if prev != peer {
-                self.expel(prev);
-            }
+        let superseded = self.by_node.get(&adv.node).copied().filter(|&p| p != peer);
+        if let Some(prev) = superseded {
+            self.expel(prev);
         }
         if let Some(&slot) = self.index.get(&peer) {
             let old_node = self.entries[slot as usize]
@@ -195,7 +309,7 @@ impl PeerRegistry {
             }
             entry.adv = adv;
             entry.stats.cpu_gops = cpu;
-            return;
+            return superseded;
         }
         self.by_node.insert(adv.node, peer);
         let entry = PeerEntry {
@@ -216,6 +330,7 @@ impl PeerRegistry {
             }
         };
         self.index.insert(peer, slot);
+        superseded
     }
 
     /// Evicts a peer (voluntary leave), forgetting its entry and node
@@ -240,19 +355,52 @@ impl PeerRegistry {
     /// already saw depart. A view *newer* than the departure tombstone
     /// proves the peer rejoined elsewhere and clears it. Returns whether
     /// the view was stored.
-    pub(crate) fn learn_remote(&mut self, view: CandidateView, as_of: SimTime) -> bool {
-        if self.index.contains_key(&view.peer) || self.by_node.contains_key(&view.node) {
+    ///
+    /// A stored view shares the sender's allocation; `recipients` is how many
+    /// brokers that roster went to, which fixes this holder's share of it
+    /// in the footprint.
+    pub(crate) fn learn_remote(
+        &mut self,
+        view: &Arc<CandidateView>,
+        as_of: SimTime,
+        recipients: u32,
+    ) -> bool {
+        let (peer, node) = (view.peer, view.node);
+        if self.index.contains_key(&peer) || self.by_node.contains_key(&node) {
             return false;
         }
-        if let Some(&left_at) = self.departed.get(&view.peer) {
+        if let Some(&left_at) = self.departed.get(&peer) {
             if as_of <= left_at {
                 return false;
             }
-            self.departed.remove(&view.peer);
+            self.departed.remove(&peer);
         }
-        self.remote_peers
-            .insert(view.peer, RemoteView { view, as_of });
+        let remote = RemoteView {
+            view: Arc::clone(view),
+            as_of,
+            charge: view_alloc_bytes(view).div_ceil(u64::from(recipients.max(1))) as u32,
+        };
+        match self.remote_peers.entry(peer) {
+            Entry::Occupied(mut slot) => {
+                let old_node = slot.insert(remote).view.node;
+                if old_node != node {
+                    self.remote_claims.remove(old_node, peer);
+                    self.remote_claims.insert(node, peer);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(remote);
+                self.remote_claims.insert(node, peer);
+            }
+        }
         true
+    }
+
+    /// Drops the federation view of `peer`, if one is held.
+    fn forget_remote(&mut self, peer: PeerId) {
+        if let Some(old) = self.remote_peers.remove(&peer) {
+            self.remote_claims.remove(old.view.node, peer);
+        }
     }
 
     /// Records that `peer` left this broker at `now`, so later gossip
@@ -279,8 +427,10 @@ impl PeerRegistry {
     /// Forgets every federation view of `peer` and of anything claiming to
     /// live on `node` (a departed peer must not survive as a rumor).
     pub(crate) fn purge_remote(&mut self, peer: PeerId, node: NodeId) {
-        self.remote_peers.remove(&peer);
-        self.remote_peers.retain(|_, v| v.view.node != node);
+        self.forget_remote(peer);
+        for claimant in self.remote_claims.take(node) {
+            self.remote_peers.remove(&claimant);
+        }
     }
 
     /// Number of federation-learnt (non-local) candidate views.
@@ -329,25 +479,7 @@ impl PeerRegistry {
     ) -> Vec<CandidateView> {
         let mut views: Vec<CandidateView> = self
             .entries()
-            .map(|entry| {
-                // Broker-side stats, with queue gauges overridden by the
-                // peer's own latest report when available.
-                let mut snapshot = entry.stats.snapshot(now, stats_k_hours);
-                if let Some(reported) = &entry.reported {
-                    snapshot.inbox_now = reported.inbox_now;
-                    snapshot.inbox_avg = reported.inbox_avg;
-                    snapshot.outbox_now = reported.outbox_now;
-                    snapshot.outbox_avg = reported.outbox_avg;
-                }
-                CandidateView {
-                    peer: entry.adv.peer,
-                    node: entry.adv.node,
-                    name: entry.name.clone(),
-                    cpu_gops: entry.adv.cpu_gops,
-                    snapshot,
-                    history: entry.history.clone(),
-                }
-            })
+            .map(|entry| entry.view(now, stats_k_hours))
             .collect();
         // Merge federation-learnt peers that are not locally registered
         // and whose gossip snapshot is inside the staleness window.
@@ -360,10 +492,29 @@ impl PeerRegistry {
                     continue;
                 }
             }
-            views.push(remote.view.clone());
+            views.push(CandidateView::clone(&remote.view));
         }
         views.sort_by_key(|v| v.node);
         views
+    }
+
+    /// The roster a gossip round publishes: one shared view per
+    /// locally-registered peer, sorted by node. Federation-learnt views
+    /// are never relayed, so this is [`PeerRegistry::candidate_views`]
+    /// restricted to occupied hosts — remote views there are already
+    /// shadowed and `by_node` is a bijection — built without touching
+    /// the remote roster and without moving whole views through a sort.
+    pub(crate) fn local_roster(
+        &self,
+        now: SimTime,
+        stats_k_hours: usize,
+    ) -> Arc<[Arc<CandidateView>]> {
+        let mut entries: Vec<&PeerEntry> = self.entries().collect();
+        entries.sort_by_key(|e| e.adv.node);
+        entries
+            .into_iter()
+            .map(|e| Arc::new(e.view(now, stats_k_hours)))
+            .collect()
     }
 
     /// Structural invariants, checked by tests after every mutation:
@@ -392,12 +543,29 @@ impl PeerRegistry {
             let entry = self.entry(peer).expect("by_node points at a member");
             assert_eq!(entry.adv.node, node, "no stale node mapping");
         }
-        for remote in self.remote_peers.values() {
+        for (&peer, remote) in &self.remote_peers {
+            assert_eq!(remote.view.peer, peer, "remote view keyed by its peer");
             assert!(
-                !self.index.contains_key(&remote.view.peer),
+                !self.index.contains_key(&peer),
                 "a registered peer is never also a federation rumor"
             );
+            assert!(
+                self.remote_claims.contains(remote.view.node, peer),
+                "every remote view is indexed under the host it claims"
+            );
         }
+        assert_eq!(
+            self.remote_claims.len(),
+            self.remote_peers.len(),
+            "the claim index holds nothing but the remote views"
+        );
+        assert!(
+            self.remote_claims
+                .rest
+                .iter()
+                .all(|(node, r)| !r.is_empty() && self.remote_claims.first.contains_key(node)),
+            "spill lists are non-empty and only follow an inline claimant"
+        );
         for peer in self.departed.keys() {
             assert!(
                 !self.index.contains_key(peer),
@@ -411,7 +579,9 @@ impl MemoryFootprint for PeerRegistry {
     /// Length-based heap estimate (see [`crate::footprint`]): entry slots
     /// and id indexes under `roster`, windowed-ratio rings under `stats`,
     /// owned advertisement strings under `ads`, the content directory
-    /// under `content`, and federation views under `gossip`.
+    /// under `content`, and federation state under `gossip`: the remote
+    /// map's slots (key, pointer, timestamp), the host-claim index, and
+    /// this holder's share of each shared view allocation.
     fn memory_footprint(&self) -> FootprintBreakdown {
         let mut fp = FootprintBreakdown {
             roster: slots_estimate::<Option<PeerEntry>>(self.entries.len())
@@ -420,6 +590,7 @@ impl MemoryFootprint for PeerRegistry {
                 + map_estimate::<NodeId, PeerId>(self.by_node.len())
                 + map_estimate::<NodeId, Arc<str>>(self.names.len()),
             gossip: map_estimate::<PeerId, RemoteView>(self.remote_peers.len())
+                + self.remote_claims.heap_bytes()
                 + map_estimate::<PeerId, SimTime>(self.departed.len())
                 + map_estimate::<NodeId, SimTime>(self.broker_heartbeats.len()),
             ..FootprintBreakdown::default()
@@ -433,7 +604,7 @@ impl MemoryFootprint for PeerRegistry {
             fp.stats += entry.stats.message_window.heap_bytes();
         }
         for remote in self.remote_peers.values() {
-            fp.gossip += remote.view.name.len() as u64;
+            fp.gossip += u64::from(remote.charge);
         }
         for (key, holdings) in &self.content {
             fp.content += key.len() as u64 + slots_estimate::<Holding>(holdings.len());
@@ -454,7 +625,9 @@ impl Broker {
     ) {
         let now = ctx.now();
         let peer = adv.peer;
-        self.registry.admit(adv, now);
+        if let Some(superseded) = self.registry.admit(adv, now) {
+            self.groups.expel(superseded);
+        }
         let group = self.groups.admit(peer);
         ctx.send(from, OverlayMsg::JoinAck { group });
         self.bump(ctx, |c| c.joins);
@@ -539,14 +712,15 @@ impl Broker {
         ctx: &mut Context<OverlayMsg>,
         from_broker: NodeId,
         sent_at: SimTime,
-        roster: Vec<CandidateView>,
+        recipients: u32,
+        roster: Arc<[Arc<CandidateView>]>,
     ) {
         self.registry.note_broker_alive(from_broker, ctx.now());
         let mut dropped = 0u64;
-        for view in roster {
+        for view in roster.iter() {
             // Never shadow a locally-registered peer with a relay, and
             // never resurrect one this broker already saw depart.
-            if !self.registry.learn_remote(view, sent_at) {
+            if !self.registry.learn_remote(view, sent_at, recipients) {
                 dropped += 1;
             }
         }
@@ -556,429 +730,38 @@ impl Broker {
 
     pub(crate) fn on_gossip_timer(&mut self, ctx: &mut Context<OverlayMsg>) {
         let now = ctx.now();
-        let roster =
-            self.registry
-                .candidate_views(now, self.cfg.stats_k_hours, self.cfg.staleness_bound);
-        // Only gossip locally-registered peers (avoid relaying relays).
-        let local: Vec<CandidateView> = roster
-            .into_iter()
-            .filter(|v| self.registry.node_occupied(v.node))
-            .collect();
+        // Only locally-registered peers are gossiped (no relaying relays):
+        // one roster, shared by every fellow broker's copy of the message.
+        let roster = self.registry.local_roster(now, self.cfg.stats_k_hours);
         let me = ctx.self_id();
-        for &b in &self.cfg.peer_brokers.clone() {
+        let recipients = self.cfg.peer_brokers.len() as u32;
+        for &b in &self.cfg.peer_brokers {
             ctx.send(
                 b,
                 OverlayMsg::BrokerGossip {
                     from_broker: me,
                     sent_at: now,
-                    roster: local.clone(),
+                    recipients,
+                    roster: Arc::clone(&roster),
                 },
             );
         }
         // Publish the registry's estimated heap footprint on the gossip
-        // cadence. Gauge names carry this broker's node index: gauges sum
-        // by name across shards, so unique-per-broker names reconstruct
-        // each broker's last-set value in the merged metrics, and the
-        // `registry.bytes.` prefix sums them fleet-wide.
+        // cadence.
         let fp = self.registry.memory_footprint();
-        let node = ctx.self_id().index();
-        ctx.metrics()
-            .set_gauge(&format!("registry.bytes.{node}"), fp.total() as f64);
-        ctx.metrics().set_gauge(
-            &format!("registry.peers.{node}"),
-            self.registry.peer_count() as f64,
-        );
-        for (component, bytes) in fp.components() {
-            ctx.metrics()
-                .set_gauge(&format!("registry.{component}_bytes.{node}"), bytes as f64);
+        let gauges = self
+            .footprint_gauges
+            .get_or_insert_with(|| FootprintGauges::resolve(ctx.metrics(), me));
+        let metrics = ctx.metrics();
+        metrics.set_gauge_id(gauges.bytes, fp.total() as f64);
+        metrics.set_gauge_id(gauges.peers, self.registry.peer_count() as f64);
+        for (id, (_, bytes)) in gauges.components.into_iter().zip(fp.components()) {
+            metrics.set_gauge_id(id, bytes as f64);
         }
         ctx.schedule_timer(self.cfg.gossip_interval, super::GOSSIP_TAG);
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::advertisement::DEFAULT_LIFETIME;
-    use crate::id::IdGenerator;
-    use netsim::rng::SimRng;
-    use netsim::time::SimDuration;
-
-    fn adv(ids: &mut IdGenerator, node: u32, name: &str, now: SimTime) -> PeerAdvertisement {
-        PeerAdvertisement {
-            peer: PeerId::generate(ids),
-            node: NodeId(node),
-            name: name.to_string(),
-            cpu_gops: 1.0,
-            accepts_tasks: true,
-            published: now,
-            lifetime: DEFAULT_LIFETIME,
-        }
-    }
-
-    #[test]
-    fn admit_then_expel_evicts_both_indices() {
-        let mut ids = IdGenerator::new(1);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 1, "alpha", SimTime::ZERO);
-        let peer = a.peer;
-        reg.admit(a, SimTime::ZERO);
-        assert_eq!(reg.peer_count(), 1);
-        assert!(reg.has_peer(peer));
-        assert_eq!(reg.peer_of(NodeId(1)), Some(peer));
-        assert!(reg.expel(peer));
-        assert_eq!(reg.peer_count(), 0);
-        assert_eq!(reg.peer_of(NodeId(1)), None);
-        assert!(!reg.expel(peer), "double eviction is a no-op");
-    }
-
-    #[test]
-    fn memory_footprint_tracks_population() {
-        let mut ids = IdGenerator::new(11);
-        let mut reg = PeerRegistry::new();
-        let empty = reg.memory_footprint();
-        assert_eq!(empty.total(), 0, "an empty registry costs nothing");
-
-        let a = adv(&mut ids, 1, "alpha", SimTime::ZERO);
-        let b = adv(&mut ids, 2, "beta", SimTime::ZERO);
-        let peer_a = a.peer;
-        reg.admit(a, SimTime::ZERO);
-        reg.admit(b, SimTime::ZERO);
-        let two = reg.memory_footprint();
-        assert!(two.roster > 0, "entry slots and indexes are counted");
-        assert!(two.stats > 0, "windowed-ratio rings are counted");
-        assert!(two.ads > 0, "advertisement names are counted");
-        assert_eq!(two.content, 0, "nothing published yet");
-        assert!(two.total() > empty.total());
-
-        // Eviction returns the slot to the free list: roster shrinks but
-        // keeps the slab (the slot stays allocated, plus the free entry).
-        reg.expel(peer_a);
-        let one = reg.memory_footprint();
-        assert!(one.total() < two.total(), "footprint follows the roster");
-        assert!(one.roster > 0);
-    }
-
-    #[test]
-    fn readmission_keeps_the_original_entry() {
-        // A duplicate Join (retransmission) must not reset accumulated
-        // stats/history: `admit` refreshes identity fields only.
-        let mut ids = IdGenerator::new(2);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 3, "beta", SimTime::ZERO);
-        let peer = a.peer;
-        reg.admit(a.clone(), SimTime::ZERO);
-        reg.entry_mut(peer).unwrap().history.transfers_completed = 7;
-        reg.admit(a, SimTime::ZERO + SimDuration::from_secs(9));
-        assert_eq!(
-            reg.entry_mut(peer).unwrap().history.transfers_completed,
-            7,
-            "re-join must not clear history"
-        );
-        assert_eq!(reg.peer_count(), 1);
-    }
-
-    #[test]
-    fn readmission_refreshes_advertisement_and_node_index() {
-        // THE churn bug this PR fixes: a peer that left and rejoined from a
-        // different host (new node, new capacity) must be re-indexed. The
-        // old code's `or_insert_with` kept the stale entry, leaving a
-        // dangling `by_node` key on the old host and stale `cpu_gops`.
-        let mut ids = IdGenerator::new(7);
-        let mut reg = PeerRegistry::new();
-        let first = adv(&mut ids, 4, "gamma", SimTime::ZERO);
-        let peer = first.peer;
-        reg.admit(first, SimTime::ZERO);
-        reg.entry_mut(peer).unwrap().history.transfers_completed = 3;
-
-        let rejoin = PeerAdvertisement {
-            peer,
-            node: NodeId(9),
-            name: "gamma-prime".to_string(),
-            cpu_gops: 2.5,
-            accepts_tasks: false,
-            published: SimTime::ZERO + SimDuration::from_secs(60),
-            lifetime: DEFAULT_LIFETIME,
-        };
-        reg.admit(rejoin, SimTime::ZERO + SimDuration::from_secs(60));
-        reg.check_invariants();
-
-        let entry = reg.entry(peer).unwrap();
-        assert_eq!(entry.adv.node, NodeId(9), "advertisement refreshed");
-        assert_eq!(entry.adv.cpu_gops, 2.5, "capacity refreshed");
-        assert_eq!(entry.stats.cpu_gops, 2.5, "stats see the new capacity");
-        assert_eq!(&*entry.name, "gamma-prime", "interned name refreshed");
-        assert!(!entry.adv.accepts_tasks);
-        assert_eq!(
-            entry.history.transfers_completed, 3,
-            "history survives the move"
-        );
-        assert_eq!(reg.peer_of(NodeId(9)), Some(peer), "new host indexed");
-        assert_eq!(reg.peer_of(NodeId(4)), None, "old host unmapped");
-        assert_eq!(reg.peer_count(), 1);
-    }
-
-    #[test]
-    fn admit_forgets_the_federation_rumor() {
-        // Once a peer registers locally it must stop being served from the
-        // remote roster, even if gossip advertised it first.
-        let mut ids = IdGenerator::new(11);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 2, "delta", SimTime::ZERO);
-        assert!(reg.learn_remote(
-            CandidateView {
-                peer: a.peer,
-                node: NodeId(2),
-                name: "delta".into(),
-                cpu_gops: 1.0,
-                snapshot: StatsSnapshot::empty(1.0),
-                history: InteractionHistory::empty(),
-            },
-            SimTime::ZERO,
-        ));
-        assert_eq!(reg.remote_count(), 1);
-        reg.admit(a, SimTime::ZERO);
-        reg.check_invariants();
-        assert_eq!(reg.remote_count(), 0);
-        assert_eq!(reg.candidate_views(SimTime::ZERO, 24, None).len(), 1);
-    }
-
-    #[test]
-    fn gossip_cannot_resurrect_a_departed_peer() {
-        // The federation bug this PR fixes: a gossip snapshot taken before
-        // a peer's departure used to re-enter the remote roster after the
-        // local broker had already seen the Leave, so selection kept
-        // offering a peer known to be gone.
-        let mut ids = IdGenerator::new(21);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 6, "zeta", SimTime::ZERO);
-        let peer = a.peer;
-        let node = a.node;
-        let view = CandidateView {
-            peer,
-            node,
-            name: "zeta".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        reg.admit(a, SimTime::ZERO);
-        let t5 = SimTime::ZERO + SimDuration::from_secs(5);
-        reg.expel(peer);
-        reg.purge_remote(peer, node);
-        reg.note_departed(peer, t5);
-        reg.check_invariants();
-
-        // A stale echo (snapshot taken at t=3 < departure at t=5) must be
-        // rejected and leave the tombstone in place.
-        let t3 = SimTime::ZERO + SimDuration::from_secs(3);
-        assert!(!reg.learn_remote(view.clone(), t3), "stale echo rejected");
-        assert_eq!(reg.remote_count(), 0);
-        assert!(reg.candidate_views(t5, 24, None).is_empty());
-        reg.check_invariants();
-
-        // A snapshot taken *after* the departure proves the peer rejoined
-        // elsewhere: accepted, tombstone cleared.
-        let t6 = SimTime::ZERO + SimDuration::from_secs(6);
-        assert!(reg.learn_remote(view, t6), "newer view clears tombstone");
-        assert_eq!(reg.remote_count(), 1);
-        reg.check_invariants();
-    }
-
-    #[test]
-    fn candidate_views_apply_the_staleness_window() {
-        let mut ids = IdGenerator::new(23);
-        let mut reg = PeerRegistry::new();
-        let fresh = CandidateView {
-            peer: PeerId::generate(&mut ids),
-            node: NodeId(11),
-            name: "fresh".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        let stale = CandidateView {
-            peer: PeerId::generate(&mut ids),
-            node: NodeId(12),
-            name: "stale".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        let now = SimTime::ZERO + SimDuration::from_secs(300);
-        assert!(reg.learn_remote(fresh, now - SimDuration::from_secs(60)));
-        assert!(reg.learn_remote(stale, now - SimDuration::from_secs(250)));
-        let bounded = reg.candidate_views(now, 24, Some(SimDuration::from_secs(120)));
-        assert_eq!(bounded.len(), 1, "only the fresh view survives");
-        assert_eq!(bounded[0].node, NodeId(11));
-        let unbounded = reg.candidate_views(now, 24, None);
-        assert_eq!(unbounded.len(), 2, "no bound, no filtering");
-    }
-
-    #[test]
-    fn broker_heartbeats_drive_liveness() {
-        let mut reg = PeerRegistry::new();
-        let now = SimTime::ZERO + SimDuration::from_secs(500);
-        let bound = SimDuration::from_secs(120);
-        assert!(
-            reg.broker_alive(NodeId(1), now, bound),
-            "never-heard brokers are presumed alive"
-        );
-        reg.note_broker_alive(NodeId(1), now - SimDuration::from_secs(60));
-        assert!(reg.broker_alive(NodeId(1), now, bound));
-        reg.note_broker_alive(NodeId(2), now - SimDuration::from_secs(200));
-        assert!(!reg.broker_alive(NodeId(2), now, bound), "silent too long");
-    }
-
-    #[test]
-    fn expelled_slots_are_recycled() {
-        // Churn must not grow the slab: N sequential join/leave cycles
-        // keep capacity at the concurrent-population high-water mark.
-        let mut ids = IdGenerator::new(5);
-        let mut reg = PeerRegistry::new();
-        for round in 0..100 {
-            let a = adv(&mut ids, round % 3, "cycled", SimTime::ZERO);
-            let peer = a.peer;
-            reg.admit(a, SimTime::ZERO);
-            reg.check_invariants();
-            reg.expel(peer);
-            reg.check_invariants();
-        }
-        assert_eq!(reg.peer_count(), 0);
-        assert_eq!(reg.slab_capacity(), 1, "slots recycled, slab stayed flat");
-    }
-
-    #[test]
-    fn candidate_views_sorted_and_federation_merged() {
-        let mut ids = IdGenerator::new(3);
-        let mut reg = PeerRegistry::new();
-        reg.admit(adv(&mut ids, 5, "e", SimTime::ZERO), SimTime::ZERO);
-        reg.admit(adv(&mut ids, 2, "b", SimTime::ZERO), SimTime::ZERO);
-        // A remote peer on an unregistered node is merged…
-        let remote = CandidateView {
-            peer: PeerId::generate(&mut ids),
-            node: NodeId(9),
-            name: "remote".into(),
-            cpu_gops: 1.0,
-            snapshot: StatsSnapshot::empty(1.0),
-            history: InteractionHistory::empty(),
-        };
-        reg.learn_remote(remote.clone(), SimTime::ZERO);
-        // …but one shadowing a registered node is not.
-        let shadow = CandidateView {
-            node: NodeId(5),
-            ..remote.clone()
-        };
-        reg.learn_remote(
-            CandidateView {
-                peer: PeerId::generate(&mut ids),
-                ..shadow
-            },
-            SimTime::ZERO,
-        );
-        let views = reg.candidate_views(SimTime::ZERO, 24, None);
-        let nodes: Vec<u32> = views.iter().map(|v| v.node.0).collect();
-        assert_eq!(nodes, vec![2, 5, 9], "sorted by node, shadow dropped");
-    }
-
-    #[test]
-    fn reported_snapshot_overrides_queue_gauges() {
-        let mut ids = IdGenerator::new(4);
-        let mut reg = PeerRegistry::new();
-        let a = adv(&mut ids, 1, "g", SimTime::ZERO);
-        let peer = a.peer;
-        reg.admit(a, SimTime::ZERO);
-        let mut reported = StatsSnapshot::empty(1.0);
-        reported.inbox_now = 11.0;
-        reported.outbox_avg = 2.5;
-        reg.entry_mut(peer).unwrap().reported = Some(reported);
-        let views = reg.candidate_views(SimTime::ZERO, 24, None);
-        assert_eq!(views[0].snapshot.inbox_now, 11.0);
-        assert_eq!(views[0].snapshot.outbox_avg, 2.5);
-    }
-
-    #[test]
-    fn random_churn_preserves_registry_invariants() {
-        // Property test: a long random interleaving of join / leave /
-        // rejoin-elsewhere must keep the slab index, the peers↔by_node
-        // bijection, and every advertisement field coherent. Before the
-        // admit-refresh fix this trips within a handful of steps.
-        let mut rng = SimRng::new(0xC0FF_EE07);
-        let mut ids = IdGenerator::new(6);
-        let mut reg = PeerRegistry::new();
-        // Pool of identities that join, leave, and rejoin from new hosts.
-        let mut pool: Vec<PeerAdvertisement> = (0..24)
-            .map(|i| adv(&mut ids, 1000 + i, &format!("p{i}"), SimTime::ZERO))
-            .collect();
-        let mut member = vec![false; pool.len()];
-        for step in 0..2000u64 {
-            let now = SimTime::from_secs_f64(step as f64);
-            let i = rng.below(pool.len() as u64) as usize;
-            match rng.below(4) {
-                0 | 1 => {
-                    // (Re)join, usually from a brand-new host with fresh
-                    // capacity — the churn case that used to dangle.
-                    if rng.bernoulli(0.8) {
-                        pool[i].node = NodeId(2000 + rng.below(4000) as u32);
-                        pool[i].cpu_gops = 0.5 + rng.uniform() * 4.0;
-                        pool[i].name = format!("p{i}@{}", pool[i].node.0);
-                    }
-                    pool[i].published = now;
-                    reg.admit(pool[i].clone(), now);
-                    // Landing on an occupied host displaces its occupant.
-                    for j in 0..pool.len() {
-                        if j != i && member[j] && pool[j].node == pool[i].node {
-                            member[j] = false;
-                        }
-                    }
-                    member[i] = true;
-                }
-                2 => {
-                    assert_eq!(reg.expel(pool[i].peer), member[i]);
-                    if member[i] {
-                        // The broker's Leave path: purge + tombstone.
-                        reg.purge_remote(pool[i].peer, pool[i].node);
-                        reg.note_departed(pool[i].peer, now);
-                    }
-                    member[i] = false;
-                }
-                _ => {
-                    // Gossip about a random identity; the registry must
-                    // never let a rumor shadow or outlive membership. The
-                    // snapshot age varies so tombstones both hold and clear.
-                    let j = rng.below(pool.len() as u64) as usize;
-                    let as_of = now - SimDuration::from_secs(rng.below(20));
-                    reg.learn_remote(
-                        CandidateView {
-                            peer: pool[j].peer,
-                            node: pool[j].node,
-                            name: Arc::from(pool[j].name.as_str()),
-                            cpu_gops: pool[j].cpu_gops,
-                            snapshot: StatsSnapshot::empty(pool[j].cpu_gops),
-                            history: InteractionHistory::empty(),
-                        },
-                        as_of,
-                    );
-                    if member[j] {
-                        reg.purge_remote(pool[j].peer, pool[j].node);
-                    }
-                }
-            }
-            reg.check_invariants();
-            // No stale advertisement fields: what the registry serves for a
-            // member is exactly the latest thing that member advertised.
-            if member[i] {
-                let entry = reg.entry(pool[i].peer).unwrap();
-                assert_eq!(entry.adv.node, pool[i].node);
-                assert_eq!(entry.adv.cpu_gops, pool[i].cpu_gops);
-                assert_eq!(&*entry.name, pool[i].name.as_str());
-            }
-        }
-        assert!(
-            reg.slab_capacity() <= pool.len(),
-            "slab bounded by concurrent population ({} > {})",
-            reg.slab_capacity(),
-            pool.len()
-        );
-    }
-}
+#[path = "registry_tests.rs"]
+mod tests;

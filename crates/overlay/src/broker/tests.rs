@@ -5,6 +5,7 @@ use crate::client::{ClientCommand, ClientConfig, SimpleClient};
 use netsim::link::{AccessLink, PathSpec};
 use netsim::node::NodeSpec;
 use netsim::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Builds a broker + `n` clients on a simple star topology.
 fn star(
@@ -648,5 +649,166 @@ fn leave_cancels_deferred_commands_to_the_departed_node() {
     assert!(
         log.transfers.is_empty(),
         "cancelled command must not start a transfer"
+    );
+}
+
+/// A broker the test can still look into once the engine owns it.
+struct Watched(Arc<Mutex<Broker>>);
+
+impl Actor<OverlayMsg> for Watched {
+    fn on_start(&mut self, ctx: &mut Context<OverlayMsg>) {
+        self.0.lock().unwrap().on_start(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
+        self.0.lock().unwrap().on_message(ctx, from, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<OverlayMsg>, timer: TimerId, tag: u64) {
+        self.0.lock().unwrap().on_timer(ctx, timer, tag);
+    }
+}
+
+/// Sends a fixed list of messages to one host at start, then keeps
+/// whatever it is sent.
+struct Scripted {
+    to: NodeId,
+    send: Vec<OverlayMsg>,
+    inbox: Arc<Mutex<Vec<OverlayMsg>>>,
+}
+
+impl Actor<OverlayMsg> for Scripted {
+    fn on_start(&mut self, ctx: &mut Context<OverlayMsg>) {
+        for msg in self.send.drain(..) {
+            ctx.send(self.to, msg);
+        }
+    }
+    fn on_message(&mut self, _ctx: &mut Context<OverlayMsg>, _from: NodeId, msg: OverlayMsg) {
+        self.inbox.lock().unwrap().push(msg);
+    }
+}
+
+fn join_of(ids: &mut IdGenerator, node: NodeId, name: &str) -> OverlayMsg {
+    OverlayMsg::Join(crate::advertisement::PeerAdvertisement {
+        peer: crate::id::PeerId::generate(ids),
+        node,
+        name: name.to_string(),
+        cpu_gops: 1.0,
+        accepts_tasks: true,
+        published: SimTime::ZERO,
+        lifetime: crate::advertisement::DEFAULT_LIFETIME,
+    })
+}
+
+#[test]
+fn a_superseded_occupant_leaves_the_default_group_too() {
+    // Crash-rejoin without a Leave: a second identity joins from a host
+    // that still carries the first. The registry supersedes the old
+    // occupant; the group table used to keep it forever.
+    let mut topo = Topology::new();
+    let broker_node = topo.add_node(
+        NodeSpec::responsive("broker"),
+        AccessLink::symmetric_mbps(80.0, 0.0001),
+    );
+    let host = topo.add_node(
+        NodeSpec::responsive("host"),
+        AccessLink::symmetric_mbps(8.0, 0.0003),
+    );
+    topo.set_path_symmetric(broker_node, host, PathSpec::from_owd_ms(20.0, 0.0));
+    let mut cfg = BrokerConfig::new(5);
+    cfg.stop_when_idle = false;
+    let broker = Arc::new(Mutex::new(Broker::new(cfg, RecordSink::new())));
+    let mut ids = IdGenerator::new(9);
+    let mut engine = Engine::new(topo, TransportConfig::default(), 3);
+    engine.register(broker_node, Box::new(Watched(broker.clone())));
+    engine.register(
+        host,
+        Box::new(Scripted {
+            to: broker_node,
+            send: vec![
+                join_of(&mut ids, host, "before"),
+                join_of(&mut ids, host, "after"),
+            ],
+            inbox: Default::default(),
+        }),
+    );
+    engine.run_until(SimTime::from_secs_f64(10.0));
+    let broker = broker.lock().unwrap();
+    assert_eq!(broker.registry.peer_count(), 1);
+    assert_eq!(
+        broker.groups.default_group().len(),
+        1,
+        "the default group follows the registry"
+    );
+}
+
+#[test]
+fn one_gossip_round_shares_one_roster_between_recipients() {
+    let mut topo = Topology::new();
+    let broker_node = topo.add_node(
+        NodeSpec::responsive("broker"),
+        AccessLink::symmetric_mbps(80.0, 0.0001),
+    );
+    let fellows: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let n = topo.add_node(
+                NodeSpec::responsive(format!("fellow{i}")),
+                AccessLink::symmetric_mbps(80.0, 0.0001),
+            );
+            topo.set_path_symmetric(broker_node, n, PathSpec::from_owd_ms(10.0, 0.0));
+            n
+        })
+        .collect();
+    let mut cfg = BrokerConfig::new(5);
+    cfg.stop_when_idle = false;
+    cfg.peer_brokers = fellows.clone();
+    let mut ids = IdGenerator::new(9);
+    let mut engine = Engine::new(topo, TransportConfig::default(), 3);
+    engine.register(broker_node, Box::new(Broker::new(cfg, RecordSink::new())));
+    let inboxes: Vec<_> = fellows
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let inbox = Arc::new(Mutex::new(Vec::new()));
+            // The first fellow also stands in for a client host.
+            let send = if i == 0 {
+                vec![join_of(&mut ids, n, "member")]
+            } else {
+                Vec::new()
+            };
+            engine.register(
+                n,
+                Box::new(Scripted {
+                    to: broker_node,
+                    send,
+                    inbox: inbox.clone(),
+                }),
+            );
+            inbox
+        })
+        .collect();
+    // One gossip tick at 60 s.
+    engine.run_until(SimTime::from_secs_f64(100.0));
+    let rosters: Vec<_> = inboxes
+        .iter()
+        .map(|inbox| {
+            let inbox = inbox.lock().unwrap();
+            let gossip: Vec<_> = inbox
+                .iter()
+                .filter_map(|m| match m {
+                    OverlayMsg::BrokerGossip {
+                        recipients, roster, ..
+                    } => Some((*recipients, roster.clone())),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(gossip.len(), 1, "one roster per fellow per tick");
+            gossip[0].clone()
+        })
+        .collect();
+    assert_eq!(rosters[0].0, 2, "the roster says how many brokers share it");
+    assert_eq!(rosters[0].1.len(), 1);
+    assert_eq!(&*rosters[0].1[0].name, "member");
+    assert!(
+        Arc::ptr_eq(&rosters[0].1, &rosters[1].1),
+        "both messages carry the same allocation, not a copy each"
     );
 }

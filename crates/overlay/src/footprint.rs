@@ -10,12 +10,32 @@
 //! elements times their inline size plus owned string bytes, so the
 //! number tracks the data a layout change could shrink rather than
 //! allocator slack (which `psim profile` reports separately as the
-//! process RSS proxy). Shared allocations (`Arc<str>` names) are counted
-//! once per holder — a deliberate, slightly conservative overestimate
-//! that keeps the arithmetic local. Totals feed the `registry.bytes.*`
-//! gauges the broker publishes on its gossip cadence, which the
-//! time-series layer turns into `registry_bytes` / `bytes_per_peer`
-//! curves.
+//! process RSS proxy). Shared `Arc<str>` names are counted once per
+//! holder — a deliberate, slightly conservative overestimate that keeps
+//! the arithmetic local. Totals feed the `registry.bytes.*` gauges the
+//! broker publishes on its gossip cadence, which the time-series layer
+//! turns into `registry_bytes` / `bytes_per_peer` curves.
+//!
+//! # Shared gossip views are charged once, fleet-wide
+//!
+//! A gossiped candidate view is one `Arc` allocation, made by the broker
+//! the peer is registered at and kept by every broker its roster went
+//! to. Counting it once per holder would report memory that does not
+//! exist; counting only pointers would hide memory that does. The rule:
+//! **each holder charges `ceil(allocation / recipients)` bytes**, where
+//! the allocation is the `Arc` header, the view and the name bytes it
+//! pins, and `recipients` is how many brokers the sender addressed that
+//! round (it travels with the roster). A receiver's own map slot (key,
+//! pointer, timestamp, share) and its host-claim index entry are charged
+//! in full, to that receiver. Summed over the fleet the shares make one
+//! copy of each view — rounded up, so never less — for as long as every
+//! recipient keeps it, including views of peers that have since left
+//! their broker and that nothing evicts yet. A recipient that drops its
+//! pointer early (the peer registered there, or a local departure purged
+//! the host) or never stored it (it was down, or rejected the view)
+//! holds no share; the sum then reads low by that share until the next
+//! round replaces the view. The sender charges nothing: it keeps no
+//! roster between ticks.
 
 use std::ops::{Add, AddAssign};
 
@@ -80,6 +100,10 @@ pub trait MemoryFootprint {
     /// Estimated heap bytes, broken down per [`FootprintBreakdown`].
     fn memory_footprint(&self) -> FootprintBreakdown;
 }
+
+/// Heap bytes an `Arc` allocation carries besides its payload (the strong
+/// and weak counts).
+pub(crate) const ARC_HEADER_BYTES: u64 = 16;
 
 /// Length-based estimate of a slice-backed container's element storage.
 pub fn slots_estimate<T>(len: usize) -> u64 {

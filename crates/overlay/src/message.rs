@@ -199,8 +199,15 @@ pub enum OverlayMsg {
         /// When the sender took this roster snapshot, so the receiver can
         /// apply its staleness window.
         sent_at: SimTime,
-        /// Candidate views of the sender's registered peers.
-        roster: Vec<crate::selector::CandidateView>,
+        /// How many brokers this round's roster went to. Host-side
+        /// bookkeeping only: each receiver charges `1 / recipients` of
+        /// every view allocation it keeps to its memory footprint (see
+        /// [`crate::footprint`]). Not part of the simulated wire format.
+        recipients: u32,
+        /// Candidate views of the sender's registered peers, sorted by
+        /// node. Built once per round: every recipient's message shares
+        /// the list, and a receiver keeps the per-view pointers it wants.
+        roster: Arc<[Arc<crate::selector::CandidateView>]>,
     },
     /// Broker → broker: a `Selected` file petition the origin broker could
     /// not place locally, handed to a fellow broker under a hop budget.
@@ -431,6 +438,35 @@ mod tests {
     fn kinds_are_stable_labels() {
         assert_eq!(OverlayMsg::DiscoverPeers.kind(), "discover");
         assert_eq!(OverlayMsg::Instant { text: "hi".into() }.kind(), "instant");
+    }
+
+    #[test]
+    fn gossip_wire_size_counts_every_shared_view() {
+        // Sharing the roster allocation is a host-side economy: on the
+        // simulated wire each view still costs 200 bytes plus its name.
+        let mut g = IdGenerator::new(4);
+        let roster: Arc<[Arc<crate::selector::CandidateView>]> = ["a", "bcd", "efghij"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| {
+                Arc::new(crate::selector::CandidateView {
+                    peer: PeerId::generate(&mut g),
+                    node: netsim::node::NodeId(i as u32),
+                    name: name.into(),
+                    cpu_gops: 1.0,
+                    snapshot: StatsSnapshot::empty(1.0),
+                    history: crate::selector::InteractionHistory::empty(),
+                })
+            })
+            .collect();
+        let gossip = |recipients| OverlayMsg::BrokerGossip {
+            from_broker: netsim::node::NodeId(9),
+            sent_at: SimTime::ZERO,
+            recipients,
+            roster: roster.clone(),
+        };
+        assert_eq!(gossip(1).wire_size(), 24 + 3 * 200 + 10);
+        assert_eq!(gossip(7).wire_size(), gossip(1).wire_size());
     }
 
     #[test]
