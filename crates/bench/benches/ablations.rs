@@ -30,6 +30,7 @@ fn blind_transfer_cfg(transport: TransportConfig) -> ScenarioConfig {
 fn mean_transfer_secs(cfg: &ScenarioConfig, seed: u64) -> f64 {
     let r = run_scenario(cfg, seed);
     let ts: Vec<f64> = r
+        .run
         .log
         .transfers
         .iter()
@@ -141,6 +142,7 @@ fn ablation_selection_models(c: &mut Criterion) {
         let cfg = selected_transfer_cfg(mk());
         let r = run_scenario(&cfg, 1);
         let secs = r
+            .run
             .log
             .transfers
             .iter()
@@ -158,7 +160,7 @@ fn ablation_selection_models(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let cfg = selected_transfer_cfg(mk());
-                run_scenario(&cfg, seed).elapsed.as_nanos()
+                run_scenario(&cfg, seed).run.elapsed.as_nanos()
             })
         });
     }
@@ -179,7 +181,7 @@ fn ablation_granularity(c: &mut Criterion) {
             },
         );
         let r = run_scenario(&cfg, 1);
-        let secs = r.log.transfers[0].total_secs().unwrap_or(f64::NAN);
+        let secs = r.run.log.transfers[0].total_secs().unwrap_or(f64::NAN);
         println!("  {parts:>3} parts  {:>8.2} min", secs / 60.0);
     }
     let mut g = c.benchmark_group("ablation_granularity");
@@ -199,7 +201,7 @@ fn ablation_granularity(c: &mut Criterion) {
                         label: "gran".into(),
                     },
                 );
-                run_scenario(&cfg, seed).elapsed.as_nanos()
+                run_scenario(&cfg, seed).run.elapsed.as_nanos()
             })
         });
     }
@@ -243,7 +245,8 @@ fn ablation_receiver_discipline(c: &mut Criterion) {
             .expect("valid scenario");
         let r = run_scenario(&cfg, 1);
         let secs = |label: &str| {
-            r.log
+            r.run
+                .log
                 .transfers
                 .iter()
                 .find(|t| t.label == label)

@@ -18,11 +18,11 @@ fn bench_attribute_trace(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(5));
     for name in ["fig2", "fig234", "fig5-lossy"] {
         let cfg = ScenarioConfig::named(name).expect("known scenario");
-        let run = run_traced(&cfg, 1);
-        assert_eq!(run.result.trace.dropped(), 0);
+        let run = run_traced(&cfg, 1).expect("one shard always runs");
+        assert_eq!(run.result.run.trace.dropped(), 0);
         group.bench_with_input(
             BenchmarkId::from_parameter(name),
-            &run.result.trace,
+            &run.result.run.trace,
             |b, trace| {
                 b.iter(|| attribute_trace(trace).len());
             },
@@ -37,8 +37,8 @@ fn bench_exposition(c: &mut Criterion) {
     let mut group = c.benchmark_group("attribution/export");
     group.measurement_time(Duration::from_secs(5));
     let cfg = ScenarioConfig::named("fig5").expect("known scenario");
-    let run = run_traced(&cfg, 1);
-    let attrs = attribute_trace(&run.result.trace);
+    let run = run_traced(&cfg, 1).expect("one shard always runs");
+    let attrs = attribute_trace(&run.result.run.trace);
     let label = |node: NodeId| format!("n{}", node.0);
     group.bench_function("csv", |b| {
         b.iter(|| phase_table_csv(&breakdown_by_peer(&attrs, &label)).len());

@@ -26,12 +26,17 @@
 //!    incorporated by the coordinator alone at the barrier — identical
 //!    regardless of which thread produced them or in what real-time order.
 //!
-//! Note that a sharded run is its own model, not a bit-replay of the
+//! A run over two or more shards is its own model, not a bit-replay of the
 //! serial engine: shards draw from per-shard RNG streams and receiver-side
 //! queueing for cross-shard messages is applied at the barrier. What is
 //! invariant is the run given `(topology, config, seed, map)` — the same
-//! contract the sweep layer offers at the cell level, pushed inside one
-//! run.
+//! contract the sweep layer offers at the cell level, pushed inside one run.
+//!
+//! A **lone shard is the serial engine**: it runs on the master seed itself
+//! (not `shard_seed(seed, 0)`), its single inclusive window is
+//! [`Engine::run_until`], and an installed recorder is sampled inside that
+//! event loop — trace, metrics, outcome and series are bit-identical to a
+//! plain [`Engine`], so no caller ever picks between two engine types.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -125,6 +130,20 @@ struct RoundResult<M: Payload> {
     busy: Duration,
 }
 
+impl<M: Payload> RoundJob<M> {
+    /// Executes the window on the calling thread, timing it.
+    fn execute(mut self) -> RoundResult<M> {
+        let t0 = Instant::now();
+        let outcome = self.engine.run_window(self.end, self.exclusive);
+        RoundResult {
+            shard: self.shard,
+            engine: self.engine,
+            outcome,
+            busy: t0.elapsed(),
+        }
+    }
+}
+
 /// The parallel discrete-event engine: a fixed shard map over one
 /// topology, one [`Engine`] per shard, conservative-lookahead windows.
 ///
@@ -143,8 +162,8 @@ pub struct ShardedEngine<M: Payload + Send> {
 
 impl<M: Payload + Send> ShardedEngine<M> {
     /// Creates a sharded engine over `topo` with `map.num_shards()` shard
-    /// domains run by up to `workers` threads (clamped to the shard
-    /// count; 0 means 1). Shard `s` is seeded with `shard_seed(seed, s)`.
+    /// domains run by up to `workers` threads (clamped to the shard count;
+    /// 0 means 1). Shard `s` runs on `shard_seed(seed, s)`, a lone shard on `seed`.
     pub fn new(
         topo: Topology,
         config: TransportConfig,
@@ -159,20 +178,18 @@ impl<M: Payload + Send> ShardedEngine<M> {
             });
         }
         let table = map.lookahead(&topo);
-        if map.num_shards() > 1 {
-            let min = table.min_cross_delay().expect("multi-shard table");
-            if min <= SimDuration::ZERO {
-                return Err(ParallelError::ZeroLookahead);
-            }
+        if table.min_cross_delay() == Some(SimDuration::ZERO) {
+            return Err(ParallelError::ZeroLookahead);
         }
         let assignment = Arc::new(map.assignment().to_vec());
         let topo = Arc::new(topo);
         let mut engines = Vec::with_capacity(map.num_shards());
-        for s in 0..map.num_shards() {
-            let mut e =
-                Engine::new_shared(topo.clone(), config.clone(), shard_seed(seed, s as u64));
-            e.set_shard(assignment.clone(), s);
-            e.set_timer_base((s as u64) << 48);
+        let lone = map.num_shards() == 1;
+        for s in 0..map.num_shards() as u64 {
+            let seed = if lone { seed } else { shard_seed(seed, s) };
+            let mut e = Engine::new_shared(topo.clone(), config.clone(), seed);
+            e.set_shard(assignment.clone(), s as usize);
+            e.set_timer_base(s << 48);
             engines.push(Some(e));
         }
         Ok(ShardedEngine {
@@ -197,7 +214,7 @@ impl<M: Payload + Send> ShardedEngine<M> {
         self.profiler.as_ref()
     }
 
-    /// Installs a windowed time-series recorder. The sharded run samples
+    /// Installs a windowed time-series recorder. Two or more shards sample
     /// at barrier rounds: a boundary is emitted at the first barrier whose
     /// minimum shard clock passes it, from metrics merged in shard order —
     /// deterministic at any worker count because the barrier schedule is.
@@ -279,8 +296,8 @@ impl<M: Payload + Send> ShardedEngine<M> {
 
     /// Merged metrics across shards, in shard order.
     pub fn metrics(&self) -> Metrics {
-        let mut merged = Metrics::new();
-        for s in 0..self.engines.len() {
+        let mut merged = self.engine(0).metrics().clone();
+        for s in 1..self.engines.len() {
             merged.merge(self.engine(s).metrics());
         }
         merged
@@ -311,21 +328,15 @@ impl<M: Payload + Send> ShardedEngine<M> {
     /// Precedence at the barrier mirrors the serial engine: stop, then
     /// event limit, then queue-empty, then horizon.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+        // A lone shard samples in its own event loop (see the module docs).
+        let lone = self.engines.len() == 1;
+        if let Some(rec) = self.recorder.take_if(|_| lone) {
+            self.engine_mut(0).install_recorder(rec);
+        }
         let workers = self.workers;
         let outcome = if workers == 1 {
             self.window_loop(horizon, &mut |jobs: Vec<RoundJob<M>>| {
-                jobs.into_iter()
-                    .map(|mut job| {
-                        let t0 = Instant::now();
-                        let outcome = job.engine.run_window(job.end, job.exclusive);
-                        RoundResult {
-                            shard: job.shard,
-                            engine: job.engine,
-                            outcome,
-                            busy: t0.elapsed(),
-                        }
-                    })
-                    .collect()
+                jobs.into_iter().map(RoundJob::execute).collect()
             })
         } else {
             std::thread::scope(|scope| {
@@ -335,16 +346,8 @@ impl<M: Payload + Send> ShardedEngine<M> {
                     let (tx, rx) = mpsc::channel::<RoundJob<M>>();
                     let result_tx = result_tx.clone();
                     scope.spawn(move || {
-                        while let Ok(mut job) = rx.recv() {
-                            let t0 = Instant::now();
-                            let outcome = job.engine.run_window(job.end, job.exclusive);
-                            let done = RoundResult {
-                                shard: job.shard,
-                                engine: job.engine,
-                                outcome,
-                                busy: t0.elapsed(),
-                            };
-                            if result_tx.send(done).is_err() {
+                        while let Ok(job) = rx.recv() {
+                            if result_tx.send(job.execute()).is_err() {
                                 break;
                             }
                         }
@@ -372,14 +375,14 @@ impl<M: Payload + Send> ShardedEngine<M> {
         for s in 0..self.engines.len() {
             self.engine_mut(s).flush_run_metrics();
         }
-        if self.recorder.is_some() {
+        if lone {
+            self.recorder = self.engine_mut(0).take_recorder();
+        }
+        if let Some(mut rec) = self.recorder.take() {
             // The run is over: every event at or before the final clock has
             // been processed, so boundaries up to it (inclusive) are done.
-            let end = self.now().min(horizon);
-            let merged = self.metrics();
-            if let Some(rec) = &mut self.recorder {
-                rec.sample_up_to(end, &merged);
-            }
+            rec.sample_up_to(self.now().min(horizon), &self.metrics());
+            self.recorder = Some(rec);
         }
         outcome
     }
@@ -393,11 +396,9 @@ impl<M: Payload + Send> ShardedEngine<M> {
             .map(|s| self.engine(s).now())
             .min()
             .unwrap_or(SimTime::ZERO);
-        if self.recorder.as_ref().is_some_and(|r| r.due(min)) {
-            let merged = self.metrics();
-            if let Some(rec) = &mut self.recorder {
-                rec.sample_before(min, &merged);
-            }
+        if let Some(mut rec) = self.recorder.take_if(|r| r.due(min)) {
+            rec.sample_before(min, &self.metrics());
+            self.recorder = Some(rec);
         }
     }
 
@@ -728,13 +729,12 @@ mod tests {
 
     #[test]
     fn single_shard_degenerate_matches_serial_engine() {
-        // One shard runs the serial code path inside the window loop; the
-        // history must match a plain Engine with the shard-0 seed.
+        // A lone shard is the serial engine: same seed, same history.
         let topo = two_region_topo();
         let map = ShardMap::single(topo.len());
         let mut sharded =
             ShardedEngine::new(topo.clone(), TransportConfig::default(), 9, map, 1).unwrap();
-        let mut serial = Engine::new(topo, TransportConfig::default(), shard_seed(9, 0));
+        let mut serial = Engine::new(topo, TransportConfig::default(), 9);
         let itinerary: Vec<NodeId> = (0..6).map(|j| NodeId((j * 5 + 1) % 6)).collect();
         for (i, node) in (0..6).map(NodeId).enumerate() {
             let make = || Bouncer {

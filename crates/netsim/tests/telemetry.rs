@@ -128,6 +128,39 @@ fn serial_engine_emits_rows_and_final_horizon_boundary() {
 }
 
 #[test]
+fn lone_shard_series_matches_the_serial_engine() {
+    // A lone shard has exactly one barrier, so barrier-time sampling would
+    // read every boundary off the end-of-run metrics (a flat series). It is
+    // the serial engine instead: same seed, in-loop sampling, same bytes.
+    let horizon = SimTime::from_secs_f64(10.0);
+    let mut serial = Engine::new(two_region_topo(), TransportConfig::default(), 42);
+    register_bouncers(|node, actor| serial.register(node, actor));
+    serial.install_recorder(series_recorder());
+    serial.run_until(horizon);
+    let expected = serial.take_recorder().expect("recorder installed");
+
+    let mut lone = ShardedEngine::new(
+        two_region_topo(),
+        TransportConfig::default(),
+        42,
+        ShardMap::single(6),
+        1,
+    )
+    .expect("a lone shard needs no lookahead");
+    register_bouncers(|node, actor| lone.register(node, actor));
+    lone.install_recorder(series_recorder());
+    lone.run_until(horizon);
+    let rec = lone.take_recorder().expect("recorder installed");
+
+    assert_eq!(rec.to_csv(), expected.to_csv());
+    let rates: Vec<f64> = rec.rows().iter().map(|r| r.values[1]).collect();
+    assert!(
+        rates.iter().filter(|&&r| r > 0.0).count() > 1,
+        "deliveries must spread over several windows, got {rates:?}"
+    );
+}
+
+#[test]
 fn sharded_series_exports_are_worker_count_invariant() {
     let horizon = SimTime::from_secs_f64(10.0);
     let mut exports = Vec::new();

@@ -39,7 +39,6 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::scenario::ScenarioError;
 use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
 use crate::telemetry::churn_series;
 
@@ -315,8 +314,8 @@ pub fn summary_json(cfg: &ChurnConfig, seed: u64, result: &ChurnResult) -> Strin
 /// Runs one churn replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
 /// shard counts and degenerate topologies surface as
-/// [`ScenarioError`]s instead of panics.
-pub fn run_churn(cfg: &ChurnConfig, seed: u64) -> Result<ChurnResult, ScenarioError> {
+/// [`HarnessError`]s instead of panics.
+pub fn run_churn(cfg: &ChurnConfig, seed: u64) -> Result<ChurnResult, HarnessError> {
     let harness = WorkloadBuilder::new()
         .horizon(cfg.horizon)
         .shard_workers(cfg.shard_workers)

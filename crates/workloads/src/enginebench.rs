@@ -190,9 +190,9 @@ pub fn broker_scenario(rounds: u32, seed: u64) -> EngineBenchResult {
     let result = run_scenario(&cfg, seed);
     let wall_secs = start.elapsed().as_secs_f64();
     EngineBenchResult {
-        events: result.events_processed,
+        events: result.run.events_processed,
         wall_secs,
-        peak_queue_len: result.peak_queue_len,
+        peak_queue_len: result.run.peak_queue_len,
     }
 }
 

@@ -73,6 +73,7 @@ fn blind_mean_secs(transport: &TransportConfig, seed: u64) -> f64 {
         .expect("ablation scenario is valid");
     let r = run_scenario(&cfg, seed);
     let ts: Vec<f64> = r
+        .run
         .log
         .transfers
         .iter()
@@ -96,7 +97,7 @@ fn sc4_transfer_min(transport: &TransportConfig, parts: u32, seed: u64) -> f64 {
         .build()
         .expect("ablation scenario is valid");
     let r = run_scenario(&cfg, seed);
-    r.log.transfers[0]
+    r.run.log.transfers[0]
         .total_secs()
         .map(|s| s / 60.0)
         .unwrap_or(f64::NAN)

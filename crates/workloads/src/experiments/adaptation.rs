@@ -98,6 +98,7 @@ fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
     for r in 0..ROUNDS {
         let label = format!("round-{r:02}");
         if let Some(secs) = result
+            .run
             .log
             .transfers
             .iter()

@@ -75,6 +75,7 @@ pub mod scaling {
         }
         let result = run_scenario(&cfg, seed);
         let ts: Vec<f64> = result
+            .run
             .log
             .transfers
             .iter()
@@ -169,12 +170,14 @@ pub mod churn {
         }
         let result = run_scenario(&cfg, seed);
         let started = result
+            .run
             .log
             .transfers
             .iter()
             .filter(|t| t.label.starts_with("churn-"))
             .count();
         let completed = result
+            .run
             .log
             .transfers
             .iter()
@@ -183,6 +186,7 @@ pub mod churn {
         let leave_time = netsim::time::SimTime::ZERO + leave_at;
         let leaver = result.testbed.sc(4);
         let leaver_chosen_after_departure = result
+            .run
             .log
             .selections
             .iter()
@@ -247,6 +251,7 @@ pub mod request {
             .with_selector(factory(model));
         let result = run_scenario(&cfg, seed);
         let ts: Vec<f64> = result
+            .run
             .log
             .transfers
             .iter()
@@ -385,6 +390,7 @@ pub mod profiles {
         }
         let result = run_scenario(&cfg, seed);
         let xfers: Vec<_> = result
+            .run
             .log
             .transfers
             .iter()
@@ -410,6 +416,7 @@ pub mod profiles {
         }
         let result = run_scenario(&cfg, seed);
         let tasks: Vec<_> = result
+            .run
             .log
             .tasks
             .iter()
@@ -434,6 +441,7 @@ pub mod profiles {
         }
         let result = run_scenario(&cfg, seed);
         let xfers: Vec<_> = result
+            .run
             .log
             .transfers
             .iter()
@@ -442,6 +450,7 @@ pub mod profiles {
         let rate = xfers.iter().filter(|t| t.completed_at.is_some()).count() as f64
             / xfers.len().max(1) as f64;
         let picks = result
+            .run
             .log
             .selections
             .iter()

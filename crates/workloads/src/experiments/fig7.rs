@@ -36,6 +36,7 @@ fn per_sc_task_minutes(result: &ScenarioResult, label: &str) -> Vec<f64> {
         .iter()
         .map(|&sc| {
             let vals: Vec<f64> = result
+                .run
                 .log
                 .tasks
                 .iter()

@@ -40,6 +40,7 @@ pub(crate) fn per_sc_transfer_metric(
         .iter()
         .map(|&sc| {
             let vals: Vec<f64> = result
+                .run
                 .log
                 .transfers
                 .iter()

@@ -77,7 +77,9 @@ pub fn run(spec: &ExperimentSpec) -> TransferStudy {
                 label: LABEL.into(),
             },
         );
-        let result = run_traced(&cfg, seed).result;
+        let result = run_traced(&cfg, seed)
+            .expect("the measurement setup runs on one shard")
+            .result;
         let petition = result
             .testbed
             .scs
@@ -90,7 +92,7 @@ pub fn run(spec: &ExperimentSpec) -> TransferStudy {
         let total_min =
             per_sc_transfer_metric(&result, LABEL, |t| t.total_secs().map(|s| s / 60.0));
         let last_mb = per_sc_transfer_metric(&result, LABEL, |t| t.last_part_secs());
-        let attrs = attribute_trace(&result.trace);
+        let attrs = attribute_trace(&result.run.trace);
         let wakeup = per_sc_phase(&result.testbed.scs, &attrs, Phase::Wakeup, 1.0);
         let transmission_min =
             per_sc_phase(&result.testbed.scs, &attrs, Phase::Transmission, 1.0 / 60.0);

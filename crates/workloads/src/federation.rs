@@ -43,7 +43,6 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::scenario::ScenarioError;
 use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
 use crate::telemetry::federation_series;
 
@@ -465,11 +464,8 @@ pub fn summary_json(cfg: &FederationConfig, seed: u64, result: &FederationResult
 /// Runs one federation replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
 /// shard counts, degenerate topologies, and rejected federation
-/// parameters surface as [`ScenarioError`]s instead of panics.
-pub fn run_federation(
-    cfg: &FederationConfig,
-    seed: u64,
-) -> Result<FederationResult, ScenarioError> {
+/// parameters surface as [`HarnessError`]s instead of panics.
+pub fn run_federation(cfg: &FederationConfig, seed: u64) -> Result<FederationResult, HarnessError> {
     let harness = WorkloadBuilder::new()
         .horizon(cfg.horizon)
         .shard_workers(cfg.shard_workers)

@@ -1,15 +1,16 @@
 //! The workload harness: one typed pipeline under every driver.
 //!
-//! `run_churn`, `run_multiregion`, `run_federation`, and `run_streaming`
-//! all execute the same sequence — build a testbed and its shard map,
-//! hand out per-shard [`RecordSink`]s, wire the brokers into a
-//! [`Federation`], construct the actor fleet, assemble a
+//! The paper scenarios, `run_churn`, `run_multiregion`, `run_federation`,
+//! and `run_streaming` all execute the same sequence — build a testbed
+//! and its shard map, hand out per-shard [`RecordSink`]s, wire the
+//! brokers into a [`Federation`], construct the actor fleet, assemble a
 //! [`ShardedEngine`] with tracing / time-series / profiling plumbing,
 //! run to the horizon, and drain everything back into merged,
-//! worker-count-invariant results. Before this module each driver
-//! hand-rolled that sequence (and their defaults drifted); now a driver
-//! is a [`Workload`] implementation — what testbed, which actors, which
-//! series columns, what summary line — and the harness owns the rest.
+//! worker-count-invariant results. A driver is a [`Workload`]
+//! implementation — what testbed, which actors, which series columns,
+//! what summary line — and the harness owns the rest, including the only
+//! engine construction in this crate: one shard is the serial engine
+//! (`netsim::parallel`), so no driver chooses an engine type.
 //!
 //! Determinism contract: the harness adds no randomness of its own. It
 //! threads the caller's seed through untouched, builds sinks/federation
@@ -275,6 +276,12 @@ pub trait Workload {
         FederationSpec::default()
     }
 
+    /// The transport model the engine plans messages with. Defaults to
+    /// the loss-free [`TransportConfig::default`].
+    fn transport(&self) -> TransportConfig {
+        TransportConfig::default()
+    }
+
     /// Constructs the actor fleet. Registration order is exactly the
     /// returned order, so it must be a deterministic function of the
     /// config and seed.
@@ -448,7 +455,7 @@ impl Harness {
         });
 
         let mut engine: ShardedEngine<OverlayMsg> =
-            ShardedEngine::new(topo, TransportConfig::default(), seed, map, p.shard_workers)?;
+            ShardedEngine::new(topo, workload.transport(), seed, map, p.shard_workers)?;
         if let Some(capacity) = p.trace_capacity {
             engine.enable_trace(capacity);
         }
@@ -729,5 +736,33 @@ mod tests {
         ));
         // The healthy mode runs, so the fixture itself isn't vacuous.
         assert!(harness.run(&Degenerate(FaultMode::None), 7).is_ok());
+
+        // The paper scenarios run on this pipeline too and hand its errors
+        // on wrapped, from the builder and from the engine alike.
+        use crate::scenario::{ScenarioConfig, ScenarioError};
+        use planetlab::builder::TestbedConfig;
+        let cfg = ScenarioConfig::measurement_setup();
+        let zero_interval = cfg.harness().series_interval(Some(SimDuration::ZERO));
+        assert_eq!(
+            cfg.run_with(zero_interval, 7).err(),
+            Some(ScenarioError::Harness(HarnessError::ZeroSeriesInterval))
+        );
+        let mut colocated = TestbedConfig::measurement_setup();
+        colocated.rtt.floor_ms = 0.0;
+        colocated.rtt.path_inflation = 0.0;
+        let cfg = ScenarioConfig::builder()
+            .testbed(colocated)
+            .shards(3)
+            .build()
+            .expect("a valid config the engine will refuse to shard");
+        assert_eq!(
+            cfg.run_with(cfg.harness(), 7).err(),
+            Some(ScenarioError::Harness(HarnessError::Parallel(
+                ParallelError::ZeroLookahead
+            )))
+        );
+        assert!(cfg
+            .sharded(1, 1)
+            .is_ok_and(|c| c.run_with(c.harness(), 7).is_ok()));
     }
 }

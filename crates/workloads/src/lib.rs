@@ -3,7 +3,8 @@
 //! Reproduces every table and figure of the paper's evaluation:
 //!
 //! * [`spec`] — units and the paper's 5-repetition methodology.
-//! * [`scenario`] — wiring: testbed → engine → broker/clients → records.
+//! * [`scenario`] — the paper's experiment (one broker, the SC peers) as a
+//!   [`harness::Workload`], its validating builder, and the named table.
 //! * [`runner`] — parallel replication over seeds (std scoped threads).
 //! * [`report`] — paper-vs-measured table rendering and shape statistics.
 //! * [`attribution`] — per-transfer latency phase decomposition over traces.

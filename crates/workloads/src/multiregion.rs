@@ -44,7 +44,6 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::scenario::ScenarioError;
 use crate::telemetry::overlay_series;
 
 /// Parameters of one multi-region run. All fields are public so callers
@@ -297,11 +296,11 @@ impl Workload for MultiRegionWorkload<'_> {
 /// (one shard per region, `cfg.shard_workers` threads). For a fixed
 /// config and seed the result is byte-identical at any worker count.
 /// Degenerate configs (zero regions, zero inter-region delay) surface as
-/// [`ScenarioError`]s from shard-map or engine construction.
+/// [`HarnessError`]s from shard-map or engine construction.
 pub fn run_multiregion(
     cfg: &MultiRegionConfig,
     seed: u64,
-) -> Result<MultiRegionResult, ScenarioError> {
+) -> Result<MultiRegionResult, HarnessError> {
     let harness = WorkloadBuilder::new()
         .horizon(cfg.horizon)
         .shard_workers(cfg.shard_workers)

@@ -7,7 +7,7 @@
 
 use netsim::metrics::RunningStat;
 
-use crate::scenario::{run_scenario_traced, ScenarioConfig, ScenarioResult};
+use crate::scenario::{ScenarioConfig, ScenarioError, ScenarioResult};
 
 /// Default trace ring-buffer size for [`run_traced`]: large enough to hold
 /// every event of the paper's single-transfer scenarios.
@@ -26,17 +26,16 @@ pub struct TracedRun {
 
 /// Runs one replication of `cfg` under `seed` with tracing forced on
 /// (`cfg.trace_capacity`, or [`DEFAULT_TRACE_CAPACITY`] when unset) and
-/// exports the trace as deterministic JSONL.
-pub fn run_traced(cfg: &ScenarioConfig, seed: u64) -> TracedRun {
+/// exports the trace as deterministic JSONL. Errors when the engine
+/// refuses the config's shard layout.
+pub fn run_traced(cfg: &ScenarioConfig, seed: u64) -> Result<TracedRun, ScenarioError> {
     let capacity = cfg.trace_capacity().unwrap_or(DEFAULT_TRACE_CAPACITY);
-    let result = run_scenario_traced(cfg, seed, capacity);
-    let jsonl = result.trace.to_jsonl();
-    let digest = result.trace.digest();
-    TracedRun {
-        jsonl,
-        digest,
+    let result = cfg.run_with(cfg.harness().trace_capacity(Some(capacity)), seed)?;
+    Ok(TracedRun {
+        jsonl: result.run.trace.to_jsonl(),
+        digest: result.run.trace.digest(),
         result,
-    }
+    })
 }
 
 /// Runs `f` once per seed, in parallel, returning results in seed order.

@@ -1,20 +1,18 @@
-//! Scenario wiring: testbed → engine → broker + clients → run → records.
+//! The paper's scenario — one broker, the SC peers — as a harness
+//! [`Workload`]: config, validation, the named table, and the fleet.
 
-use netsim::engine::{Actor, Engine, RunOutcome};
-use netsim::metrics::Metrics;
+use netsim::engine::Actor;
 use netsim::node::NodeId;
-use netsim::parallel::{ParallelError, ShardedEngine};
-use netsim::profile::ExecutionProfile;
-use netsim::shard::{ShardMap, ShardMapError};
-use netsim::time::{SimDuration, SimTime};
+use netsim::shard::ShardMap;
+use netsim::time::SimDuration;
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
-use netsim::trace::Trace;
 use netsim::transport::TransportConfig;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, RetryPolicy, TargetSpec};
 use overlay::client::{ClientCommand, ClientConfig, SimpleClient};
 use overlay::message::OverlayMsg;
-use overlay::records::{RecordSink, RunLog};
 use planetlab::builder::{build, Testbed, TestbedConfig};
+
+use crate::harness::{BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder};
 
 pub use overlay::selector::SelectorFactory;
 
@@ -28,7 +26,8 @@ pub use overlay::selector::SelectorFactory;
 /// config's whole life. The only post-build mutators are the invariant-safe
 /// conveniences [`at`](ScenarioConfig::at),
 /// [`with_selector`](ScenarioConfig::with_selector) and
-/// [`traced`](ScenarioConfig::traced).
+/// [`traced`](ScenarioConfig::traced), plus
+/// [`sharded`](ScenarioConfig::sharded), which re-checks its invariant.
 pub struct ScenarioConfig {
     /// Which testbed to build.
     testbed: TestbedConfig,
@@ -58,12 +57,11 @@ pub struct ScenarioConfig {
     /// transports; `None` = no retries).
     retry: Option<RetryPolicy>,
     /// When `Some(n)`, the engine records the last `n` typed trace events
-    /// and [`ScenarioResult::trace`] carries them out. `None` (the default)
-    /// keeps the allocation-free disabled path.
+    /// and the run's `trace` carries them out. `None` (the default) keeps
+    /// the allocation-free disabled path.
     trace_capacity: Option<usize>,
-    /// Shard domains for the parallel engine: 1 (the default) runs the
-    /// serial engine; > 1 partitions nodes round-robin over this many
-    /// shards and runs the conservative-lookahead windowed engine.
+    /// Shard domains: nodes are dealt round-robin over this many shards.
+    /// 1 (the default) is the serial engine — a lone shard *is* it.
     shards: usize,
     /// Worker threads for a sharded run (clamped to the shard count).
     /// Deterministic by construction: any worker count yields the same
@@ -71,7 +69,8 @@ pub struct ScenarioConfig {
     shard_workers: usize,
 }
 
-/// Why a [`ScenarioBuilder::build`] was rejected.
+/// Why a scenario was rejected, at [`ScenarioBuilder::build`] or by the
+/// harness that runs it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// A scripted client command or shared file named an SC outside 1..=8.
@@ -88,13 +87,6 @@ pub enum ScenarioError {
         /// The offending value.
         value: f64,
     },
-    /// The virtual-time horizon was zero: the engine would stop at t=0.
-    NonPositiveHorizon,
-    /// `shards` or `shard_workers` was zero; both must be at least 1.
-    ZeroParallelism {
-        /// Which knob was zero (`"shards"` or `"shard_workers"`).
-        what: &'static str,
-    },
     /// `stop_when_idle` was left on while a scripted client generates its
     /// own work (`RequestFile`/`SubmitJob`): the broker cannot see that
     /// work and would stop the run underneath it. Disable idle-stop and
@@ -109,71 +101,15 @@ pub enum ScenarioError {
         /// The SC with the inverted churn window.
         sc: u8,
     },
-    /// The shard count cannot partition this testbed (zero, or more
-    /// shards than regions for region-major workloads).
-    InvalidShardCount {
-        /// The rejected shard count.
-        num_shards: usize,
-        /// How many regions the testbed has.
-        regions: usize,
-    },
-    /// The node → shard assignment was rejected by the shard-map layer.
-    ShardMap(ShardMapError),
-    /// The sharded engine rejected the topology / shard-map pair (e.g.
-    /// a zero cross-shard lookahead would deadlock the window schedule).
-    Parallel(ParallelError),
-    /// A telemetry series interval of zero virtual time was requested;
-    /// the window schedule would never advance.
-    ZeroSeriesInterval,
-    /// The broker-federation parameters were rejected by
-    /// [`overlay::federation::FederationBuilder`].
-    Federation(overlay::federation::FederationError),
+    /// A run parameter every harness workload shares (horizon, shard and
+    /// worker counts, series interval) or the engine's own check of the
+    /// shard layout was rejected.
+    Harness(HarnessError),
 }
 
-impl From<ShardMapError> for ScenarioError {
-    fn from(e: ShardMapError) -> Self {
-        ScenarioError::ShardMap(e)
-    }
-}
-
-impl From<ParallelError> for ScenarioError {
-    fn from(e: ParallelError) -> Self {
-        ScenarioError::Parallel(e)
-    }
-}
-
-impl From<TimeSeriesError> for ScenarioError {
-    fn from(e: TimeSeriesError) -> Self {
-        match e {
-            TimeSeriesError::ZeroInterval => ScenarioError::ZeroSeriesInterval,
-        }
-    }
-}
-
-impl From<overlay::federation::FederationError> for ScenarioError {
-    fn from(e: overlay::federation::FederationError) -> Self {
-        ScenarioError::Federation(e)
-    }
-}
-
-impl From<crate::harness::HarnessError> for ScenarioError {
-    fn from(e: crate::harness::HarnessError) -> Self {
-        use crate::harness::HarnessError;
-        match e {
-            HarnessError::NonPositiveHorizon => ScenarioError::NonPositiveHorizon,
-            HarnessError::ZeroParallelism { what } => ScenarioError::ZeroParallelism { what },
-            HarnessError::InvalidShardCount {
-                num_shards,
-                regions,
-            } => ScenarioError::InvalidShardCount {
-                num_shards,
-                regions,
-            },
-            HarnessError::ShardMap(e) => ScenarioError::ShardMap(e),
-            HarnessError::Parallel(e) => ScenarioError::Parallel(e),
-            HarnessError::ZeroSeriesInterval => ScenarioError::ZeroSeriesInterval,
-            HarnessError::Federation(e) => ScenarioError::Federation(e),
-        }
+impl From<HarnessError> for ScenarioError {
+    fn from(e: HarnessError) -> Self {
+        ScenarioError::Harness(e)
     }
 }
 
@@ -186,12 +122,6 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::ProbabilityOutOfRange { what, value } => {
                 write!(f, "{what}: probability {value} outside [0, 1]")
             }
-            ScenarioError::NonPositiveHorizon => {
-                write!(f, "horizon must be positive virtual time")
-            }
-            ScenarioError::ZeroParallelism { what } => {
-                write!(f, "{what} must be at least 1")
-            }
             ScenarioError::IdleStopWithScriptedClients { sc } => write!(
                 f,
                 "stop_when_idle with a work-generating scripted client on SC{sc}: \
@@ -202,20 +132,7 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "churn pair on SC{sc}: the rejoin must come strictly after the leave"
             ),
-            ScenarioError::InvalidShardCount {
-                num_shards,
-                regions,
-            } => write!(
-                f,
-                "num_shards {num_shards} cannot partition a {regions}-region testbed \
-                 (need 1 <= num_shards <= regions)"
-            ),
-            ScenarioError::ShardMap(e) => write!(f, "shard assignment rejected: {e:?}"),
-            ScenarioError::Parallel(e) => write!(f, "sharded engine rejected: {e:?}"),
-            ScenarioError::ZeroSeriesInterval => {
-                write!(f, "telemetry series interval must be positive virtual time")
-            }
-            ScenarioError::Federation(e) => write!(f, "federation rejected: {e}"),
+            ScenarioError::Harness(e) => e.fmt(f),
         }
     }
 }
@@ -264,7 +181,7 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Number of shard domains (1 = serial engine; validated ≥ 1 at build).
+    /// Number of shard domains (1 = the serial engine; validated ≥ 1 at build).
     pub fn shards(mut self, shards: usize) -> Self {
         self.cfg.shards = shards;
         self
@@ -387,17 +304,7 @@ impl ScenarioBuilder {
             }
         }
         let cfg = self.cfg;
-        if cfg.horizon == SimDuration::ZERO {
-            return Err(ScenarioError::NonPositiveHorizon);
-        }
-        if cfg.shards == 0 {
-            return Err(ScenarioError::ZeroParallelism { what: "shards" });
-        }
-        if cfg.shard_workers == 0 {
-            return Err(ScenarioError::ZeroParallelism {
-                what: "shard_workers",
-            });
-        }
+        cfg.check_run_params()?;
         let check_prob = |what: String, value: f64| {
             if !(0.0..=1.0).contains(&value) {
                 return Err(ScenarioError::ProbabilityOutOfRange { what, value });
@@ -654,7 +561,7 @@ impl ScenarioConfig {
         self.trace_capacity
     }
 
-    /// Number of shard domains (1 = serial engine).
+    /// Number of shard domains (1 = the serial engine).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -664,12 +571,46 @@ impl ScenarioConfig {
         self.shard_workers
     }
 
-    /// Sets the shard/worker axis post-build (invariant-free apart from
-    /// being non-zero, which this clamps). 1 shard = the serial engine.
-    pub fn sharded(mut self, shards: usize, workers: usize) -> Self {
-        self.shards = shards.max(1);
-        self.shard_workers = workers.max(1);
-        self
+    /// Sets the shard/worker axis post-build, under the same non-zero
+    /// rule [`ScenarioBuilder::build`] applies.
+    pub fn sharded(mut self, shards: usize, workers: usize) -> Result<Self, ScenarioError> {
+        self.shards = shards;
+        self.shard_workers = workers;
+        self.check_run_params()?;
+        Ok(self)
+    }
+
+    /// The harness parameters this config asks for. Drivers that want
+    /// more — a forced trace, a time series, the execution profiler — set
+    /// it on the returned builder and hand it to [`run_with`](Self::run_with).
+    pub fn harness(&self) -> WorkloadBuilder {
+        WorkloadBuilder::new()
+            .horizon(self.horizon)
+            .shard_workers(self.shard_workers)
+            .trace_capacity(self.trace_capacity)
+    }
+
+    /// The run parameters the harness owns, checked by the harness's own
+    /// rules, plus the one it cannot see (the shard count lives here).
+    fn check_run_params(&self) -> Result<(), HarnessError> {
+        if self.shards == 0 {
+            return Err(HarnessError::ZeroParallelism { what: "shards" });
+        }
+        self.harness().build().map(drop)
+    }
+
+    /// Runs one replication under `seed` on `harness`, surfacing a rejected
+    /// run parameter or shard layout as a [`ScenarioError::Harness`].
+    pub fn run_with(
+        &self,
+        harness: WorkloadBuilder,
+        seed: u64,
+    ) -> Result<ScenarioResult, ScenarioError> {
+        let run = harness.build()?.run(self, seed)?;
+        // The engine consumed the topology it ran on; report code gets the
+        // same testbed rebuilt (a pure function of the config).
+        let testbed = build(&self.testbed);
+        Ok(ScenarioResult { run, testbed })
     }
 }
 
@@ -678,224 +619,108 @@ pub fn named_scenario_list() -> Vec<&'static str> {
     NAMED_SCENARIOS.iter().map(|s| s.name).collect()
 }
 
-/// The observable outputs of one replication.
-pub struct ScenarioResult {
-    /// Drained run log (transfers, tasks, selections).
-    pub log: RunLog,
-    /// Engine metrics.
-    pub metrics: Metrics,
-    /// Final virtual time.
-    pub elapsed: SimTime,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Events the engine processed.
-    pub events_processed: u64,
-    /// Largest number of simultaneously pending events.
-    pub peak_queue_len: usize,
-    /// The testbed (for node-id → SC mapping in report code).
-    pub testbed: Testbed,
-    /// The run's typed trace (empty and disabled unless
-    /// [`ScenarioConfig::trace_capacity`] was set).
-    pub trace: Trace,
-    /// Windowed time-series rows, when a recorder was attached via
-    /// [`TelemetryOptions::series`].
-    pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution profile, when requested via
-    /// [`TelemetryOptions::profile_execution`] on a sharded run. Always
-    /// `None` for serial runs (there are no barrier rounds to account).
-    pub exec_profile: Option<ExecutionProfile>,
-}
-
-/// Optional telemetry attachments for one scenario replication.
-#[derive(Default)]
-pub struct TelemetryOptions {
-    /// A pre-registered time-series recorder driven through the run and
-    /// handed back (with its rows) in [`ScenarioResult::series`].
-    pub series: Option<TimeSeriesRecorder>,
-    /// Record per-shard, per-barrier-round execution accounting
-    /// (sharded runs only; ignored by the serial engine).
-    pub profile_execution: bool,
-}
-
-/// Runs one replication of `cfg` under `seed`.
-///
-/// Panics if the testbed cannot be sharded as configured; use
-/// [`try_run_scenario`] to handle that as an error instead.
-pub fn run_scenario(cfg: &ScenarioConfig, seed: u64) -> ScenarioResult {
-    try_run_scenario(cfg, seed).unwrap_or_else(|e| panic!("scenario run failed: {e}"))
-}
-
-/// Runs one replication of `cfg` under `seed`, surfacing shard-map and
-/// engine-construction failures as [`ScenarioError`]s.
-pub fn try_run_scenario(cfg: &ScenarioConfig, seed: u64) -> Result<ScenarioResult, ScenarioError> {
-    run_scenario_inner(cfg, seed, cfg.trace_capacity, TelemetryOptions::default())
-}
-
-/// Runs one replication with tracing forced on at `capacity` events,
-/// regardless of `cfg.trace_capacity`. Used by the traced runner so callers
-/// don't have to mutate a shared config.
-pub fn run_scenario_traced(cfg: &ScenarioConfig, seed: u64, capacity: usize) -> ScenarioResult {
-    run_scenario_inner(cfg, seed, Some(capacity), TelemetryOptions::default())
-        .unwrap_or_else(|e| panic!("scenario run failed: {e}"))
-}
-
-/// Runs one replication with telemetry attached: an optional windowed
-/// time-series recorder and/or the per-shard execution profiler.
-pub fn run_scenario_telemetry(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    telemetry: TelemetryOptions,
-) -> Result<ScenarioResult, ScenarioError> {
-    run_scenario_inner(cfg, seed, cfg.trace_capacity, telemetry)
-}
-
-fn run_scenario_inner(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    trace_capacity: Option<usize>,
-    telemetry: TelemetryOptions,
-) -> Result<ScenarioResult, ScenarioError> {
-    let testbed = build(&cfg.testbed);
-    // One record sink per shard: actors of a shard share a sink, so a
-    // threaded run never interleaves records across threads. The serial
-    // path is the single-shard special case of the same layout.
-    let map = ShardMap::modulo(testbed.len(), cfg.shards);
-    let sinks: Vec<RecordSink> = (0..map.num_shards()).map(|_| RecordSink::new()).collect();
-    let sink_of = |node: NodeId| sinks[map.shard_of(node)].clone();
-
-    let mut broker_cfg = BrokerConfig::new(seed ^ 0x0B20_CE12);
-    broker_cfg.commands = cfg.commands.clone();
-    broker_cfg.transfer_timeout = cfg.transfer_timeout;
-    broker_cfg.stop_when_idle = cfg.stop_when_idle;
-    broker_cfg.retry = cfg.retry;
-    if let Some(factory) = &cfg.selector {
-        broker_cfg.selector = Some(factory(seed));
+/// The fleet of the paper's experiment: one non-federated [`Broker`] and a
+/// [`SimpleClient`] on every other node. `planetlab::builder::build`
+/// numbers the broker first, then SC1…SC8, then the other slice members —
+/// [`Testbed::clients`] order — so client `i < 8` is SC`i + 1`.
+impl Workload for ScenarioConfig {
+    fn name(&self) -> &'static str {
+        "scenario"
     }
 
-    let mut actors: Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> = vec![(
-        testbed.broker,
-        Box::new(Broker::new(broker_cfg, sink_of(testbed.broker))),
-    )];
-    for (i, node) in testbed.clients().into_iter().enumerate() {
-        let mut client_cfg = ClientConfig::new(testbed.broker);
-        if let Some(accept) = &cfg.task_accept_by_sc {
-            if i < 8 {
-                client_cfg.task_accept_probability = accept[i];
-            }
+    fn topology(&self, _seed: u64) -> Result<TopologyPlan, HarnessError> {
+        let testbed = build(&self.testbed);
+        Ok(TopologyPlan {
+            map: ShardMap::modulo(testbed.len(), self.shards),
+            brokers: vec![testbed.broker],
+            topo: testbed.topology,
+        })
+    }
+
+    fn transport(&self) -> TransportConfig {
+        self.transport.clone()
+    }
+
+    fn actors(&self, cx: &BuildCtx<'_>) -> Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> {
+        let seed = cx.seed;
+        let broker = cx.brokers[0];
+        let mut broker_cfg = BrokerConfig::new(seed ^ 0x0B20_CE12);
+        broker_cfg.commands = self.commands.clone();
+        broker_cfg.transfer_timeout = self.transfer_timeout;
+        broker_cfg.stop_when_idle = self.stop_when_idle;
+        broker_cfg.retry = self.retry;
+        if let Some(factory) = &self.selector {
+            broker_cfg.selector = Some(factory(seed));
         }
-        if let Some(refuse) = &cfg.transfer_refuse_by_sc {
+
+        let mut actors: Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> = vec![(
+            broker,
+            Box::new(Broker::new(broker_cfg, cx.sink_of(broker))),
+        )];
+        let clients = cx.topo.node_ids().filter(|&node| node != broker);
+        for (i, node) in clients.enumerate() {
+            let mut client_cfg = ClientConfig::new(broker);
             if i < 8 {
-                client_cfg.transfer_refuse_probability = refuse[i];
-            }
-        }
-        if i < 8 {
-            let sc = i as u8 + 1;
-            if let Some(commands) = &cfg.client_commands_by_sc {
-                for (target, delay, cmd) in commands {
+                let sc = i as u8 + 1;
+                if let Some(accept) = &self.task_accept_by_sc {
+                    client_cfg.task_accept_probability = accept[i];
+                }
+                if let Some(refuse) = &self.transfer_refuse_by_sc {
+                    client_cfg.transfer_refuse_probability = refuse[i];
+                }
+                for (target, delay, cmd) in self.client_commands_by_sc.iter().flatten() {
                     if *target == sc {
                         client_cfg.commands.push((*delay, cmd.clone()));
                     }
                 }
-            }
-            if let Some(shared) = &cfg.shared_files_by_sc {
-                for (target, name, bytes) in shared {
+                for (target, name, bytes) in self.shared_files_by_sc.iter().flatten() {
                     if *target == sc {
                         client_cfg.shared_files.push((name.clone(), *bytes));
                     }
                 }
             }
+            actors.push((
+                node,
+                Box::new(
+                    SimpleClient::new(client_cfg, seed.wrapping_mul(31).wrapping_add(i as u64))
+                        .with_sink(cx.sink_of(node)),
+                ),
+            ));
         }
-        actors.push((
-            node,
-            Box::new(
-                SimpleClient::new(client_cfg, seed.wrapping_mul(31).wrapping_add(i as u64))
-                    .with_sink(sink_of(node)),
-            ),
-        ));
+        actors
     }
 
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let (outcome, metrics, elapsed, events_processed, peak_queue_len, trace, series, exec_profile) =
-        if map.num_shards() == 1 {
-            let mut engine: Engine<OverlayMsg> =
-                Engine::new(testbed.topology.clone(), cfg.transport.clone(), seed);
-            if let Some(capacity) = trace_capacity {
-                engine.enable_trace(capacity);
-            }
-            if let Some(recorder) = telemetry.series {
-                engine.install_recorder(recorder);
-            }
-            for (node, actor) in actors {
-                engine.register(node, actor);
-            }
-            let outcome = engine.run_until(horizon);
-            (
-                outcome,
-                engine.metrics().clone(),
-                engine.now(),
-                engine.events_processed(),
-                engine.peak_queue_len(),
-                engine.trace().clone(),
-                engine.take_recorder(),
-                None,
-            )
-        } else {
-            let mut engine: ShardedEngine<OverlayMsg> = ShardedEngine::new(
-                testbed.topology.clone(),
-                cfg.transport.clone(),
-                seed,
-                map,
-                cfg.shard_workers,
-            )?;
-            if let Some(capacity) = trace_capacity {
-                engine.enable_trace(capacity);
-            }
-            if let Some(recorder) = telemetry.series {
-                engine.install_recorder(recorder);
-            }
-            if telemetry.profile_execution {
-                engine.enable_profiling();
-            }
-            for (node, actor) in actors {
-                engine.register(node, actor);
-            }
-            let outcome = engine.run_until(horizon);
-            let exec_profile = engine.execution_profile().cloned();
-            (
-                outcome,
-                engine.metrics(),
-                engine.now(),
-                engine.events_processed(),
-                engine.peak_queue_len(),
-                engine.trace(),
-                engine.take_recorder(),
-                exec_profile,
-            )
-        };
-
-    let mut log = RunLog::default();
-    for sink in &sinks {
-        log.absorb(sink.drain());
+    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
+        crate::telemetry::overlay_series(interval)
     }
-    Ok(ScenarioResult {
-        log,
-        metrics,
-        elapsed,
-        outcome,
-        events_processed,
-        peak_queue_len,
-        trace,
-        testbed,
-        series,
-        exec_profile,
-    })
+
+    fn summarize(&self, _seed: u64, _run: &HarnessRun) -> String {
+        String::new()
+    }
+}
+
+/// The observable outputs of one replication: what the harness drained,
+/// plus the testbed for node-id → SC mapping in report code.
+pub struct ScenarioResult {
+    /// Log, metrics, trace, outcome, clocks and telemetry of the run.
+    pub run: HarnessRun,
+    /// The testbed the run executed on.
+    pub testbed: Testbed,
+}
+
+/// Runs one replication of `cfg` under `seed` on the harness its own
+/// parameters describe. Panics if the engine refuses the shard layout;
+/// [`ScenarioConfig::run_with`] returns that as an error instead.
+pub fn run_scenario(cfg: &ScenarioConfig, seed: u64) -> ScenarioResult {
+    cfg.run_with(cfg.harness(), seed)
+        .unwrap_or_else(|e| panic!("scenario run failed: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::MB;
-    use overlay::broker::TargetSpec;
+    use netsim::engine::RunOutcome;
 
     #[test]
     fn scenario_runs_and_stops_when_idle() {
@@ -909,13 +734,13 @@ mod tests {
             },
         );
         let result = run_scenario(&cfg, 1);
-        assert_eq!(result.outcome, RunOutcome::Stopped);
-        assert_eq!(result.log.transfers.len(), 8, "one transfer per SC");
-        for t in &result.log.transfers {
+        assert_eq!(result.run.outcome, RunOutcome::Stopped);
+        assert_eq!(result.run.log.transfers.len(), 8, "one transfer per SC");
+        for t in &result.run.log.transfers {
             assert!(t.completed_at.is_some(), "{} incomplete", t.to_name);
         }
         assert_eq!(result.testbed.len(), 9);
-        assert!(result.metrics.counter("overlay.transfers_completed") == 8);
+        assert!(result.run.metrics.counter("overlay.transfers_completed") == 8);
     }
 
     #[test]
@@ -933,13 +758,13 @@ mod tests {
         };
         let a = run_scenario(&mk(), 7);
         let b = run_scenario(&mk(), 7);
-        assert_eq!(a.elapsed, b.elapsed);
-        let times_a: Vec<_> = a.log.transfers.iter().map(|t| t.completed_at).collect();
-        let times_b: Vec<_> = b.log.transfers.iter().map(|t| t.completed_at).collect();
+        assert_eq!(a.run.elapsed, b.run.elapsed);
+        let times_a: Vec<_> = a.run.log.transfers.iter().map(|t| t.completed_at).collect();
+        let times_b: Vec<_> = b.run.log.transfers.iter().map(|t| t.completed_at).collect();
         assert_eq!(times_a, times_b);
         // Different seed → different timings (jitter, service samples).
         let c = run_scenario(&mk(), 8);
-        let times_c: Vec<_> = c.log.transfers.iter().map(|t| t.completed_at).collect();
+        let times_c: Vec<_> = c.run.log.transfers.iter().map(|t| t.completed_at).collect();
         assert_ne!(times_a, times_c);
     }
 
@@ -1014,13 +839,46 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_horizon() {
-        let err = ScenarioConfig::builder()
-            .horizon(SimDuration::ZERO)
-            .build()
-            .err()
-            .expect("expected a build error");
-        assert_eq!(err, ScenarioError::NonPositiveHorizon);
+    fn run_parameters_fall_under_the_harness_rules() {
+        let rejected = |builder: ScenarioBuilder| match builder.build() {
+            Err(ScenarioError::Harness(e)) => e,
+            _ => panic!("expected a harness rejection"),
+        };
+        assert_eq!(
+            rejected(ScenarioConfig::builder().horizon(SimDuration::ZERO)),
+            HarnessError::NonPositiveHorizon
+        );
+        assert_eq!(
+            rejected(ScenarioConfig::builder().shards(0)),
+            HarnessError::ZeroParallelism { what: "shards" }
+        );
+        assert_eq!(
+            rejected(ScenarioConfig::builder().shard_workers(0)),
+            HarnessError::ZeroParallelism {
+                what: "shard_workers"
+            }
+        );
+        // The post-build axis setter is held to the same rule.
+        assert!(ScenarioConfig::measurement_setup().sharded(0, 1).is_err());
+        assert!(ScenarioConfig::measurement_setup().sharded(3, 2).is_ok());
+    }
+
+    /// `actors` reads the roster off node ids; this pins the numbering it
+    /// relies on to the testbed builder's.
+    #[test]
+    fn every_node_but_the_broker_is_a_client_in_id_order() {
+        for cfg in [
+            TestbedConfig::measurement_setup(),
+            TestbedConfig::full_slice(),
+        ] {
+            let testbed = build(&cfg);
+            let by_id: Vec<NodeId> = testbed
+                .topology
+                .node_ids()
+                .filter(|&node| node != testbed.broker)
+                .collect();
+            assert_eq!(by_id, testbed.clients());
+        }
     }
 
     #[test]
@@ -1041,14 +899,16 @@ mod tests {
     fn named_churn_scenario_round_trips_a_rejoin() {
         let cfg = ScenarioConfig::named("churn").expect("churn is a named scenario");
         let result = run_scenario(&cfg, 3);
-        assert_eq!(result.outcome, RunOutcome::Stopped);
+        assert_eq!(result.run.outcome, RunOutcome::Stopped);
         let pre = result
+            .run
             .log
             .transfers
             .iter()
             .filter(|t| t.label == "churn-pre")
             .count();
         let post: Vec<_> = result
+            .run
             .log
             .transfers
             .iter()

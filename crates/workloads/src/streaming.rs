@@ -43,7 +43,6 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::scenario::ScenarioError;
 use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
 use crate::telemetry::streaming_series;
 
@@ -462,9 +461,9 @@ pub fn summary_json(cfg: &StreamingConfig, seed: u64, result: &StreamingResult) 
 
 /// Runs one streaming replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
-/// shard counts and degenerate parameters surface as [`ScenarioError`]s
+/// shard counts and degenerate parameters surface as [`HarnessError`]s
 /// instead of panics.
-pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<StreamingResult, ScenarioError> {
+pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<StreamingResult, HarnessError> {
     let harness = WorkloadBuilder::new()
         .horizon(cfg.horizon)
         .shard_workers(cfg.shard_workers)
@@ -614,6 +613,6 @@ mod tests {
         )
         .err()
         .expect("nine shards over four regions must be rejected");
-        assert!(matches!(err, ScenarioError::InvalidShardCount { .. }));
+        assert!(matches!(err, HarnessError::InvalidShardCount { .. }));
     }
 }

@@ -645,11 +645,12 @@ fn run_cell_rep(spec: &SweepSpec, cfg: &ScenarioConfig, seed: u64) -> RepOutcome
             RepOutcome {
                 values: sc_labels().into_iter().zip(minutes).collect(),
                 chosen: String::new(),
-                metrics: result.metrics,
+                metrics: result.run.metrics,
             }
         }
         CellWorkload::SelectedTransfer { .. } => {
             let secs = result
+                .run
                 .log
                 .transfers
                 .iter()
@@ -657,6 +658,7 @@ fn run_cell_rep(spec: &SweepSpec, cfg: &ScenarioConfig, seed: u64) -> RepOutcome
                 .and_then(|t| t.total_secs())
                 .unwrap_or(f64::NAN);
             let chosen = result
+                .run
                 .log
                 .selections
                 .first()
@@ -665,7 +667,7 @@ fn run_cell_rep(spec: &SweepSpec, cfg: &ScenarioConfig, seed: u64) -> RepOutcome
             RepOutcome {
                 values: vec![("selected".to_string(), secs)],
                 chosen,
-                metrics: result.metrics,
+                metrics: result.run.metrics,
             }
         }
         CellWorkload::Federation { .. } => unreachable!("dispatched to run_federation_rep"),

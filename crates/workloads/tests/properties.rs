@@ -99,7 +99,7 @@ proptest! {
 
         let result = run_scenario(&cfg, seed);
         for t in result
-            .log
+            .run.log
             .transfers
             .iter()
             .filter(|t| t.completed_at.is_some() && !t.cancelled)
@@ -403,9 +403,9 @@ proptest! {
             .build()
             .expect("valid scenario");
 
-        let run = run_traced(&cfg, seed);
-        prop_assert_eq!(run.result.trace.dropped(), 0);
-        for a in attribute_trace(&run.result.trace) {
+        let run = run_traced(&cfg, seed).expect("one shard always runs");
+        prop_assert_eq!(run.result.run.trace.dropped(), 0);
+        for a in attribute_trace(&run.result.run.trace) {
             let sum: SimDuration = a.phases.iter().copied().sum();
             prop_assert_eq!(
                 sum,

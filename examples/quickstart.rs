@@ -32,6 +32,7 @@ fn main() {
     );
     for (i, &sc) in result.testbed.scs.iter().enumerate() {
         let rec = result
+            .run
             .log
             .transfers
             .iter()
@@ -48,8 +49,8 @@ fn main() {
     }
     println!(
         "\nsimulated {:.1} s of virtual time; {} messages on the wire",
-        result.elapsed.as_secs_f64(),
-        result.metrics.counter("net.messages_sent")
+        result.run.elapsed.as_secs_f64(),
+        result.run.metrics.counter("net.messages_sent")
     );
     println!("note the outlier: SC7 (planetlab1.itwm.fhg.de), the paper's bottleneck peer.");
 }

@@ -51,6 +51,7 @@ fn run_model(name: &'static str, seed: u64) -> (f64, Vec<(String, usize)>) {
     let result = run_scenario(&cfg, seed);
     let mean_secs = {
         let done: Vec<f64> = result
+            .run
             .log
             .transfers
             .iter()
@@ -60,7 +61,7 @@ fn run_model(name: &'static str, seed: u64) -> (f64, Vec<(String, usize)>) {
     };
     // Pick distribution.
     let mut counts: Vec<(String, usize)> = Vec::new();
-    for sel in &result.log.selections {
+    for sel in &result.run.log.selections {
         let short = sel
             .chosen_name
             .split('.')

@@ -57,6 +57,7 @@ fn campaign(model: &'static str, seed: u64) -> (f64, f64, usize) {
     }
     let result = run_scenario(&cfg, seed);
     let done: Vec<&overlay::records::TaskRecord> = result
+        .run
         .log
         .tasks
         .iter()

@@ -44,8 +44,8 @@ use workloads::experiments::{
     self, ablation, adaptation, extensions, fig5, fig6, fig7, table1, transfer_study,
 };
 use workloads::report::{metrics_snapshot_json, render_timelines, transfer_timelines};
-use workloads::runner::{default_workers, run_traced};
-use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig};
+use workloads::runner::{default_workers, run_traced, TracedRun};
+use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig, ScenarioError};
 use workloads::spec::{ExperimentSpec, MB, PAPER_REPETITIONS};
 use workloads::sweep::{named_grid, named_grid_list, run_campaign};
 
@@ -365,7 +365,7 @@ fn cmd_transfer(flags: &Flags) {
         "{:<28} {:>12} {:>12} {:>10} {:>9}",
         "peer", "petition(s)", "total(s)", "MB/s", "status"
     );
-    for t in result.log.transfers.iter().filter(|t| t.label == "cli") {
+    for t in result.run.log.transfers.iter().filter(|t| t.label == "cli") {
         println!(
             "{:<28} {:>12.2} {:>12.2} {:>10.2} {:>9}",
             t.to_name,
@@ -381,7 +381,7 @@ fn cmd_transfer(flags: &Flags) {
             }
         );
     }
-    for s in &result.log.selections {
+    for s in &result.run.log.selections {
         println!("selected by {}: {}", s.model, s.chosen_name);
     }
 }
@@ -426,7 +426,13 @@ fn cmd_task(flags: &Flags) {
         "{:<28} {:>10} {:>12} {:>12} {:>8}",
         "peer", "exec(min)", "total(min)", "xfer(min)", "ok"
     );
-    for t in result.log.tasks.iter().filter(|t| t.label == "cli-task") {
+    for t in result
+        .run
+        .log
+        .tasks
+        .iter()
+        .filter(|t| t.label == "cli-task")
+    {
         let xfer = t
             .input_done_at
             .map(|d| d.duration_since(t.submitted_at).as_secs_f64() / 60.0);
@@ -526,23 +532,35 @@ fn cmd_multiregion(flags: &Flags) {
 }
 
 /// Resolves the positional scenario-name argument for `trace`/`report`/
-/// `attribute`, exiting with the valid list when missing or unknown, and
-/// applies the shared `--shards`/`--shard-workers` axis. Any worker count
-/// yields byte-identical output for a fixed shard count and seed — the CI
-/// shard-determinism job diffs exactly that.
+/// `attribute`/`profile`, exiting with the valid list when missing or
+/// unknown, and applies the shared `--shards`/`--shard-workers` axis
+/// (`--shards 0` is a usage error). Any worker count yields byte-identical
+/// output for a fixed shard count and seed — the CI shard-determinism job
+/// diffs exactly that.
 fn named_scenario_or_exit(flags: &Flags) -> ScenarioConfig {
     let valid = named_scenario_list().join(", ");
     let Some(name) = flags.positional.as_deref() else {
         eprintln!("missing scenario name; valid scenarios: {valid}");
         std::process::exit(2);
     };
-    match ScenarioConfig::named(name) {
-        Some(cfg) => cfg.sharded(flags.usize("shards"), flags.usize("shard-workers")),
-        None => {
-            eprintln!("unknown scenario `{name}`; valid scenarios: {valid}");
-            std::process::exit(2);
-        }
-    }
+    let Some(cfg) = ScenarioConfig::named(name) else {
+        eprintln!("unknown scenario `{name}`; valid scenarios: {valid}");
+        std::process::exit(2);
+    };
+    cfg.sharded(flags.usize("shards"), flags.usize("shard-workers").max(1))
+        .unwrap_or_else(|e| scenario_error_exit(&e))
+}
+
+/// The typed-error exit of the scenario commands: message on stderr, 2.
+fn scenario_error_exit(e: &ScenarioError) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+/// One traced replication of the named scenario the flags select.
+fn traced_scenario_or_exit(flags: &Flags) -> TracedRun {
+    let cfg = named_scenario_or_exit(flags);
+    run_traced(&cfg, flags.u64("seed")).unwrap_or_else(|e| scenario_error_exit(&e))
 }
 
 /// Surfaces trace-ring drops: anything derived from a truncated trace
@@ -564,10 +582,8 @@ fn check_trace_drops(trace: &Trace, strict: bool) {
 }
 
 fn cmd_trace(flags: &Flags) {
-    let cfg = named_scenario_or_exit(flags);
-    let seed = flags.u64("seed");
-    let run = run_traced(&cfg, seed);
-    let trace = &run.result.trace;
+    let run = traced_scenario_or_exit(flags);
+    let trace = &run.result.run.trace;
     match flags.get("out") {
         Some(path) => write_or_exit(path, &run.jsonl),
         None => print!("{}", run.jsonl),
@@ -577,35 +593,33 @@ fn cmd_trace(flags: &Flags) {
         trace.len(),
         trace.dropped(),
         run.digest,
-        run.result.elapsed.as_secs_f64(),
+        run.result.run.elapsed.as_secs_f64(),
     );
     check_trace_drops(trace, flags.has("strict"));
 }
 
 fn cmd_report(flags: &Flags) {
-    let cfg = named_scenario_or_exit(flags);
-    let seed = flags.u64("seed");
-    let run = run_traced(&cfg, seed);
-    let timelines = transfer_timelines(&run.result.trace);
-    println!("{}", metrics_snapshot_json(&run.result.metrics));
+    let run = traced_scenario_or_exit(flags);
+    let trace = &run.result.run.trace;
+    let timelines = transfer_timelines(trace);
+    println!("{}", metrics_snapshot_json(&run.result.run.metrics));
     println!();
     print!("{}", render_timelines(&timelines));
     eprintln!(
         "report: {} transfers reconstructed from {} trace events, digest {:016x}",
         timelines.len(),
-        run.result.trace.len(),
+        trace.len(),
         run.digest,
     );
-    check_trace_drops(&run.result.trace, flags.has("strict"));
+    check_trace_drops(trace, flags.has("strict"));
 }
 
 fn cmd_attribute(flags: &Flags) {
-    let cfg = named_scenario_or_exit(flags);
-    let seed = flags.u64("seed");
-    let run = run_traced(&cfg, seed);
-    check_trace_drops(&run.result.trace, flags.has("strict"));
+    let run = traced_scenario_or_exit(flags);
+    let trace = &run.result.run.trace;
+    check_trace_drops(trace, flags.has("strict"));
 
-    let attrs = attribute_trace(&run.result.trace);
+    let attrs = attribute_trace(trace);
     let scs = run.result.testbed.scs;
     let label_of = |node: NodeId| {
         scs.iter()
@@ -622,14 +636,14 @@ fn cmd_attribute(flags: &Flags) {
     if let Some(path) = flags.get("prom") {
         // The exposition carries the run's engine metrics plus the
         // attribution histograms, one deterministic text artifact.
-        let mut metrics = run.result.metrics.clone();
+        let mut metrics = run.result.run.metrics.clone();
         metrics.merge(&aggregate_metrics(&attrs, label_of));
         write_or_exit(path, &metrics.render_prometheus("psim"));
     }
     eprintln!(
         "attribute: {} transfers attributed from {} trace events, digest {:016x}",
         attrs.len(),
-        run.result.trace.len(),
+        trace.len(),
         run.digest,
     );
 }

@@ -11,7 +11,8 @@
 //!   this stream at 1 vs 4 workers.
 //! * **`--series-csv` / `--chrome-trace`** — the same series CSV and a
 //!   Chrome `trace_event` JSON of the barrier-round schedule (sim-time
-//!   spans only; load it in Perfetto or `chrome://tracing`).
+//!   spans only; load it in Perfetto or `chrome://tracing`). Every run
+//!   has one: a lone shard's schedule is a single round to the horizon.
 //! * **`--out` (`BENCH_profile.json`)** — the non-deterministic wall-
 //!   clock summary: RSS proxy, per-shard busy/wait seconds, plus the
 //!   registry memory breakdown read back from the final gauges.
@@ -21,11 +22,9 @@ use netsim::profile::ExecutionProfile;
 use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::TimeSeriesRecorder;
 use workloads::churn::ChurnConfig;
-use workloads::scenario::{run_scenario_telemetry, TelemetryOptions};
-use workloads::telemetry::overlay_series;
 
 use crate::churn::{churn_config, rss_bytes, run_churn_or_exit};
-use crate::{named_scenario_or_exit, write_or_exit, Flags};
+use crate::{named_scenario_or_exit, scenario_error_exit, write_or_exit, Flags};
 
 /// The workload-independent outputs `cmd_profile` renders.
 struct ProfileRun {
@@ -34,7 +33,7 @@ struct ProfileRun {
     regions: usize,
     num_shards: usize,
     series: TimeSeriesRecorder,
-    exec_profile: Option<ExecutionProfile>,
+    exec_profile: ExecutionProfile,
     metrics: Metrics,
     events: u64,
     elapsed: SimTime,
@@ -42,11 +41,12 @@ struct ProfileRun {
 
 /// Sum of all gauges whose name starts with `prefix` — reconstructs a
 /// fleet-wide total from the per-broker `registry.*.<node>` gauges.
+/// Folds from `0.0`: `Iterator::sum` over no `f64`s is `-0.0`, which a
+/// run without registry gauges would print as `-0`.
 fn gauge_prefix_sum(m: &Metrics, prefix: &str) -> f64 {
     m.gauges_sorted()
         .filter(|(name, _)| name.starts_with(prefix))
-        .map(|(_, v)| v)
-        .sum()
+        .fold(0.0, |sum, (_, v)| sum + v)
 }
 
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
@@ -66,7 +66,7 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
         regions: cfg.topo.regions,
         num_shards: cfg.num_shards,
         series: result.series.expect("series_interval was set"),
-        exec_profile: result.exec_profile,
+        exec_profile: result.exec_profile.expect("profile_execution was set"),
         metrics: result.metrics,
         events: result.events_processed,
         elapsed: result.elapsed,
@@ -75,28 +75,23 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
 
 fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = named_scenario_or_exit(flags);
-    let recorder = overlay_series(interval).unwrap_or_else(|e| {
-        eprintln!("profile: {e:?}");
-        std::process::exit(2);
-    });
-    let telemetry = TelemetryOptions {
-        series: Some(recorder),
-        profile_execution: true,
-    };
-    let result = run_scenario_telemetry(&cfg, seed, telemetry).unwrap_or_else(|e| {
-        eprintln!("profile: {e}");
-        std::process::exit(2);
-    });
+    let harness = cfg
+        .harness()
+        .series_interval(Some(interval))
+        .profile_execution(true);
+    let result = cfg
+        .run_with(harness, seed)
+        .unwrap_or_else(|e| scenario_error_exit(&e));
     ProfileRun {
         workload: flags.positional.clone().unwrap_or_default(),
         peers: result.testbed.len().saturating_sub(1),
         regions: 1,
         num_shards: cfg.shards(),
-        series: result.series.expect("recorder was attached"),
-        exec_profile: result.exec_profile,
-        metrics: result.metrics,
-        events: result.events_processed,
-        elapsed: result.elapsed,
+        series: result.run.series.expect("series_interval was set"),
+        exec_profile: result.run.exec_profile.expect("profile_execution was set"),
+        metrics: result.run.metrics,
+        events: result.run.events_processed,
+        elapsed: result.run.elapsed,
     }
 }
 
@@ -121,12 +116,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         write_or_exit(path, &csv);
     }
     if let Some(path) = flags.get("chrome-trace") {
-        match &run.exec_profile {
-            Some(profile) => write_or_exit(path, &profile.chrome_trace_json()),
-            None => {
-                eprintln!("profile: no execution profile on a serial run; skipping --chrome-trace")
-            }
-        }
+        write_or_exit(path, &run.exec_profile.chrome_trace_json());
     }
 
     let registry_bytes = gauge_prefix_sum(&run.metrics, "registry.bytes.");
@@ -145,11 +135,6 @@ pub(crate) fn cmd_profile(flags: &Flags) {
             )
         })
         .collect();
-    let profiler_json = run
-        .exec_profile
-        .as_ref()
-        .map(|p| p.wall_clock_json())
-        .unwrap_or_else(|| "null".into());
     let json = format!(
         "{{\n  \"bench\": \"profile\",\n  \"workload\": \"{}\",\n  \"peers\": {},\n  \
          \"regions\": {},\n  \"num_shards\": {},\n  \"shard_workers\": {},\n  \
@@ -173,7 +158,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         bytes_per_peer,
         components.join(", "),
         run.series.len(),
-        profiler_json,
+        run.exec_profile.wall_clock_json(),
     );
     let out = flags.get("out").expect("table default").to_string();
     write_or_exit(&out, &json);

@@ -14,13 +14,13 @@ use workloads::scenario::ScenarioConfig;
 
 fn attributed(name: &str, seed: u64) -> Vec<TransferAttribution> {
     let cfg = ScenarioConfig::named(name).expect("known scenario");
-    let run = run_traced(&cfg, seed);
+    let run = run_traced(&cfg, seed).expect("one shard always runs");
     assert_eq!(
-        run.result.trace.dropped(),
+        run.result.run.trace.dropped(),
         0,
         "trace ring dropped events; the attribution below would be partial"
     );
-    attribute_trace(&run.result.trace)
+    attribute_trace(&run.result.run.trace)
 }
 
 /// Acceptance property: for every completed transfer of a traced fig5 run,

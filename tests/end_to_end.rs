@@ -24,10 +24,15 @@ fn full_slice_boot_and_broadcast() {
         .build()
         .expect("valid scenario");
     let result = run_scenario(&cfg, 3);
-    assert_eq!(result.outcome, RunOutcome::Stopped);
+    assert_eq!(result.run.outcome, RunOutcome::Stopped);
     assert_eq!(result.testbed.len(), 26);
-    assert_eq!(result.log.transfers.len(), 25, "one transfer per client");
+    assert_eq!(
+        result.run.log.transfers.len(),
+        25,
+        "one transfer per client"
+    );
     let completed = result
+        .run
         .log
         .transfers
         .iter()
@@ -66,11 +71,11 @@ fn mixed_workload_transfers_and_tasks() {
             },
         );
     let result = run_scenario(&cfg, 9);
-    assert_eq!(result.outcome, RunOutcome::Stopped);
+    assert_eq!(result.run.outcome, RunOutcome::Stopped);
     // 8 file transfers + 8 task-input transfers.
-    assert_eq!(result.log.transfers.len(), 16);
-    assert_eq!(result.log.tasks.len(), 8);
-    for task in &result.log.tasks {
+    assert_eq!(result.run.log.transfers.len(), 16);
+    assert_eq!(result.run.log.tasks.len(), 8);
+    for task in &result.run.log.tasks {
         assert!(task.success, "task on {} failed", task.on_name);
         assert!(task.exec_secs.unwrap() > 0.0);
         assert!(task.input_done_at.is_some());
@@ -118,12 +123,13 @@ fn selection_on_real_testbed_avoids_the_bottleneck_peer() {
             )
             .with_selector(factory);
         let result = run_scenario(&cfg, 11);
-        let pick = &result.log.selections[0];
+        let pick = &result.run.log.selections[0];
         assert_ne!(
             &*pick.chosen_name, "planetlab1.itwm.fhg.de",
             "{name} must not pick SC7"
         );
         let selected = result
+            .run
             .log
             .transfers
             .iter()
@@ -133,6 +139,7 @@ fn selection_on_real_testbed_avoids_the_bottleneck_peer() {
         // A selected transfer beats the blind mean.
         let blind_mean: f64 = {
             let ts: Vec<f64> = result
+                .run
                 .log
                 .transfers
                 .iter()

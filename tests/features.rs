@@ -39,6 +39,7 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
         .expect("valid scenario");
     let result = run_scenario(&cfg, 3);
     let served: Vec<_> = result
+        .run
         .log
         .transfers
         .iter()
@@ -49,7 +50,10 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
         assert_eq!(t.to, result.testbed.sc(1));
         assert!(t.completed_at.is_some(), "request unserved");
     }
-    assert_eq!(result.metrics.counter("overlay.file_requests_served"), 2);
+    assert_eq!(
+        result.run.metrics.counter("overlay.file_requests_served"),
+        2
+    );
 }
 
 #[test]
@@ -75,8 +79,8 @@ fn client_job_runs_remotely_with_selection() {
             Box::new(Scored::new(EconomicModel::new()))
         }));
     let result = run_scenario(&cfg, 5);
-    assert_eq!(result.log.jobs.len(), 1);
-    let job = &result.log.jobs[0];
+    assert_eq!(result.run.log.jobs.len(), 1);
+    let job = &result.run.log.jobs[0];
     assert!(job.success);
     assert_eq!(job.submitter, result.testbed.sc(5));
     assert_ne!(job.executor, result.testbed.sc(5));
