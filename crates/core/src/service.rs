@@ -102,8 +102,7 @@ impl std::error::Error for UnknownModelError {}
 
 /// Resolves a streaming piece-policy name, or reports the valid list —
 /// the same one-table discipline as [`try_factory_for`], so the psim
-/// CLI, the sweep axes, and the bench drivers accept identical
-/// spellings.
+/// CLI and the sweep axes accept identical spellings.
 pub fn try_piece_policy_for(name: &str) -> Result<PiecePolicy, UnknownPiecePolicyError> {
     PiecePolicy::parse(name).ok_or_else(|| UnknownPiecePolicyError {
         policy: name.to_string(),

@@ -87,7 +87,7 @@ impl std::fmt::Display for ParallelError {
 
 impl std::error::Error for ParallelError {}
 
-/// Wall-clock accounting of a sharded run, for the parallel bench.
+/// Wall-clock accounting of a sharded run.
 ///
 /// Workers time the span they spend executing each window
 /// (`std::time::Instant`, outside the simulation's virtual clock). Per

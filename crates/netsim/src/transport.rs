@@ -19,7 +19,7 @@
 //!    in the JVM and collapse on multi-ten-MB payloads (the effect behind
 //!    the paper's Fig 5 "sending the file whole is not worth it"). Modelled
 //!    as a throughput divisor `1 + (size/threshold)^alpha` above a threshold.
-//!    This knob is independently switchable for the ablation bench.
+//!    This knob is independently switchable for the ablation study.
 
 use crate::link::AccessLink;
 use crate::node::NodeId;
@@ -36,7 +36,7 @@ pub enum ReceiverDiscipline {
     Fifo,
     /// Processor-sharing approximation: arrivals start immediately but each
     /// active transfer's service stretches with the number of concurrent
-    /// transfers at plan time. Used by the ablation benches to show which
+    /// transfers at plan time. Used by the ablation tests to show which
     /// findings depend on the queueing discipline.
     ProcessorSharing,
 }

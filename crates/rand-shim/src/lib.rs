@@ -3,8 +3,8 @@
 //! The build environment has no network access, so the real rand cannot be
 //! fetched. This crate vendors the tiny subset the workspace uses: the
 //! [`RngCore`] trait (implemented by `netsim::SimRng`), the [`Error`] type
-//! its `try_fill_bytes` signature requires, and [`rngs::mock::StepRng`]
-//! used by benches. The simulator's own generators do all the real random
+//! its `try_fill_bytes` signature requires, and the [`rngs::mock::StepRng`]
+//! mock. The simulator's own generators do all the real random
 //! number work; this crate only supplies the trait vocabulary.
 
 use std::fmt;

@@ -296,8 +296,8 @@ fn render_summary(
     )
 }
 
-/// Renders the worker-invariant summary JSON `psim churn` and
-/// `psim bench-churn` embed (no trailing newline).
+/// Renders the worker-invariant summary JSON `psim churn` embeds (no
+/// trailing newline).
 pub fn summary_json(cfg: &ChurnConfig, seed: u64, result: &ChurnResult) -> String {
     render_summary(
         cfg,

@@ -1,12 +1,12 @@
 //! Testable transport-model ablations.
 //!
-//! DESIGN.md commits to ablating the simulator's design choices; the bench
-//! harness times them, and this module *asserts* them: each transport knob
-//! is switched off in turn and the effect on the paper's headline numbers
-//! is measured. The key claim — "sending the file whole is not worth it"
-//! exists *because* JXTA pipes degrade on huge messages — is visible here:
-//! without the large-message penalty, whole-file transfer matches chunked
-//! transfer (minus per-part overhead).
+//! DESIGN.md commits to ablating the simulator's design choices, and this
+//! module *asserts* them: each transport knob is switched off in turn and
+//! the effect on the paper's headline numbers is measured. The key claim —
+//! "sending the file whole is not worth it" exists *because* JXTA pipes
+//! degrade on huge messages — is visible here: without the large-message
+//! penalty, whole-file transfer matches chunked transfer (minus per-part
+//! overhead).
 
 use netsim::transport::TransportConfig;
 use overlay::broker::{BrokerCommand, TargetSpec};
@@ -189,6 +189,54 @@ mod tests {
         let no_ss = by_name("no slow start");
         // Chunked transfers pay slow start per part; removing it helps.
         assert!(no_ss.chunked_secs < full.chunked_secs);
+    }
+
+    /// The Fig 6 contention scenario under both receiver disciplines: the
+    /// quick-peer contention penalty is a property of sharing a bottleneck,
+    /// not of the queueing discipline, so a second 10 MB transfer to SC4
+    /// launched one second after the first is slower than the same transfer
+    /// alone under FIFO and under processor sharing alike.
+    #[test]
+    fn contention_slows_the_second_transfer_under_either_discipline() {
+        use netsim::time::SimDuration;
+        use netsim::transport::ReceiverDiscipline;
+
+        let second_secs = |discipline, starts: &[u64]| {
+            let mut builder = ScenarioConfig::builder().transport(TransportConfig {
+                receiver_discipline: discipline,
+                ..TransportConfig::default()
+            });
+            for &at in starts {
+                builder = builder.at(
+                    SimDuration::from_secs(at),
+                    BrokerCommand::DistributeFile {
+                        target: TargetSpec::Node(netsim::node::NodeId(4)),
+                        size_bytes: 10 * MB,
+                        num_parts: 10,
+                        label: format!("t{at}"),
+                    },
+                );
+            }
+            let r = run_scenario(&builder.build().expect("valid scenario"), 1);
+            let transfers = &r.run.log.transfers;
+            assert_eq!(transfers.len(), starts.len());
+            transfers
+                .iter()
+                .find(|t| t.label == "t61")
+                .and_then(|t| t.total_secs())
+                .expect("the transfer launched at 61 s completes")
+        };
+        for discipline in [
+            ReceiverDiscipline::Fifo,
+            ReceiverDiscipline::ProcessorSharing,
+        ] {
+            let alone = second_secs(discipline, &[61]);
+            let contended = second_secs(discipline, &[60, 61]);
+            assert!(
+                contended > alone,
+                "{discipline:?}: contended {contended} s vs alone {alone} s"
+            );
+        }
     }
 
     #[test]

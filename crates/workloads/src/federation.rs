@@ -444,8 +444,8 @@ fn render_summary(
     )
 }
 
-/// Renders the worker-invariant summary JSON `psim federate` and
-/// `psim bench-federation` embed (no trailing newline).
+/// Renders the worker-invariant summary JSON `psim federate` embeds (no
+/// trailing newline).
 pub fn summary_json(cfg: &FederationConfig, seed: u64, result: &FederationResult) -> String {
     render_summary(
         cfg,

@@ -14,17 +14,15 @@
 //! * [`synthtopo`] — procedural million-peer testbeds (blocked topologies,
 //!   haversine inter-region delays, power-law capacities).
 //! * [`churn`] — scripted join/leave/rejoin workload over a synthetic
-//!   testbed (`psim churn`, `psim bench-churn`).
+//!   testbed (`psim churn`).
 //! * [`federation`] — multi-broker federation workload: homing, petition
-//!   forwarding, broker failover (`psim federate`, `psim bench-federation`).
+//!   forwarding, broker failover (`psim federate`, `psim sweep federation`).
 //! * [`streaming`] — streaming-on-demand workload: playback buffers,
 //!   piece-selection policies, rebuffering metrics (`psim stream`,
-//!   `psim bench-streaming`).
+//!   `psim sweep streaming`).
 //! * [`telemetry`] — the standard windowed time-series column sets the
 //!   workloads record (`psim profile`).
 //! * [`sweep`] — grid-sweep campaigns over typed axes (`psim sweep`).
-//! * [`sweepbench`] — sweep-pool scaling measurement (`BENCH_sweep.json`).
-//! * [`enginebench`] — engine throughput measurement (`BENCH_engine.json`).
 //! * [`experiments`] — one module per artifact: `table1`, `fig2`…`fig7`.
 //!
 //! ```no_run
@@ -39,7 +37,6 @@
 
 pub mod attribution;
 pub mod churn;
-pub mod enginebench;
 pub mod experiments;
 pub mod federation;
 pub mod harness;
@@ -50,6 +47,5 @@ pub mod scenario;
 pub mod spec;
 pub mod streaming;
 pub mod sweep;
-pub mod sweepbench;
 pub mod synthtopo;
 pub mod telemetry;

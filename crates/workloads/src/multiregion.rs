@@ -17,9 +17,8 @@
 //! stdout-artifact tail is the attribution phase CSV ([`phase_csv`])
 //! rather than a summary JSON line.
 //!
-//! Used by `psim bench-parallel-engine` (throughput vs. worker count), the
-//! worker-count-invariance property test, and the CI workload-determinism
-//! job.
+//! Used by `psim multiregion`, the worker-count-invariance property test,
+//! and the CI workload-determinism job.
 
 use std::sync::Arc;
 
@@ -47,7 +46,7 @@ use crate::harness::{
 use crate::telemetry::overlay_series;
 
 /// Parameters of one multi-region run. All fields are public so callers
-/// (bench, property test, CI) can shape the workload; [`Default`] is a
+/// (CLI, property test, CI) can shape the workload; [`Default`] is a
 /// 3-region × 4-client setup sized for CI.
 #[derive(Debug, Clone)]
 pub struct MultiRegionConfig {

@@ -51,10 +51,8 @@ where
 /// [`std::thread::available_parallelism`] (cgroup/affinity-aware), fall back
 /// to counting `processor` entries in `/proc/cpuinfo` (containers that mask
 /// the syscall but mount procfs), and report 1 when both fail rather than
-/// guessing high. Scaling benches key their `saturated` annotation off this
-/// value, so a CPU-bound 0.95–1.0× point on a saturated host reads as the
-/// expected outcome instead of a regression.
-pub fn detect_host_parallelism() -> usize {
+/// guessing high.
+fn detect_host_parallelism() -> usize {
     if let Ok(n) = std::thread::available_parallelism() {
         return n.get();
     }
@@ -238,6 +236,16 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
         }
+    }
+
+    /// Two tasks rendezvous on a barrier: the call can only return if the
+    /// pool really runs them at the same time (a pool that ran them one
+    /// after the other would park the first forever). No clock involved.
+    #[test]
+    fn run_indexed_overlaps_tasks() {
+        let rendezvous = std::sync::Barrier::new(2);
+        let leaders = run_indexed(2, 2, |_| rendezvous.wait().is_leader());
+        assert_eq!(leaders.iter().filter(|&&l| l).count(), 1);
     }
 
     #[test]

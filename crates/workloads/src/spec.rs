@@ -36,7 +36,7 @@ impl ExperimentSpec {
         }
     }
 
-    /// A quick variant for unit tests and smoke benches (fewer reps).
+    /// A quick variant for unit tests and smoke runs (fewer reps).
     pub fn quick() -> Self {
         ExperimentSpec {
             seeds: vec![1, 2],

@@ -1,5 +1,5 @@
 //! Streaming-on-demand workload: playback buffers over piece exchange
-//! at testbed scale (`psim stream`, `psim bench-streaming`).
+//! at testbed scale (`psim stream`, `psim sweep streaming`).
 //!
 //! Every peer of a [`synthtopo`](crate::synthtopo) testbed is a
 //! [`StreamingClient`] viewer: it joins its region broker, then pulls a
@@ -14,8 +14,8 @@
 //! The driver is a [`Workload`] on the [`harness`](crate::harness):
 //! topology plan, gossip-only federation, the viewer fleet, the
 //! [`streaming_series`] schema, and a summary JSON whose startup-delay
-//! quantiles and rebuffering totals are the figures `psim
-//! bench-streaming` sweeps across the policy × window grid.
+//! quantiles and rebuffering totals are the figures `psim sweep
+//! streaming` sweeps across the policy × window × upload grid.
 //!
 //! Determinism contract: arrivals, identities, and capacities derive
 //! from the master seed and node id only; piece → owner assignment and
@@ -444,8 +444,8 @@ fn render_summary(
     )
 }
 
-/// Renders the worker-invariant summary JSON `psim stream` and
-/// `psim bench-streaming` embed (no trailing newline).
+/// Renders the worker-invariant summary JSON `psim stream` embeds (no
+/// trailing newline).
 pub fn summary_json(cfg: &StreamingConfig, seed: u64, result: &StreamingResult) -> String {
     render_summary(
         cfg,

@@ -61,8 +61,8 @@ pub fn fig67_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
 }
 
 /// The federation grid: mean petition latency across broker count × the
-/// gossip/staleness cadence — the `psim bench-federation` axes as a sweep
-/// campaign, so replications and CSV/JSON rendering come for free.
+/// gossip/staleness cadence as a sweep campaign, so replications and
+/// CSV/JSON rendering come for free.
 pub fn federation_grid(seeds: SeedScheme) -> SweepSpec {
     SweepSpec {
         name: "federation".into(),

@@ -185,82 +185,6 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
         help: "write every figure's series as CSV",
     },
     CommandDef {
-        name: "bench-engine",
-        positional: None,
-        flags: &[
-            FlagDef {
-                name: "messages",
-                takes_value: true,
-                default: Some("1000000"),
-                help: "ping-pong message count",
-            },
-            FlagDef {
-                name: "out",
-                takes_value: true,
-                default: Some("BENCH_engine.json"),
-                help: "output file",
-            },
-        ],
-        help: "measure engine throughput, write BENCH_engine.json",
-    },
-    CommandDef {
-        name: "bench-sweep",
-        positional: None,
-        flags: &[
-            FlagDef {
-                name: "tasks",
-                takes_value: true,
-                default: Some("16"),
-                help: "wait-bound cells in the pool mode",
-            },
-            FlagDef {
-                name: "cell-ms",
-                takes_value: true,
-                default: Some("25"),
-                help: "per-cell wait in milliseconds",
-            },
-            FlagDef {
-                name: "out",
-                takes_value: true,
-                default: Some("BENCH_sweep.json"),
-                help: "output file",
-            },
-        ],
-        help: "measure sweep cells/second vs workers, write BENCH_sweep.json",
-    },
-    CommandDef {
-        name: "bench-parallel-engine",
-        positional: None,
-        flags: &[
-            FlagDef {
-                name: "regions",
-                takes_value: true,
-                default: Some("4"),
-                help: "shard regions in the multi-region workload",
-            },
-            FlagDef {
-                name: "clients",
-                takes_value: true,
-                default: Some("8"),
-                help: "clients per region",
-            },
-            FlagDef {
-                name: "rounds",
-                takes_value: true,
-                default: Some("6"),
-                help: "distribution rounds per broker",
-            },
-            SEED,
-            FlagDef {
-                name: "out",
-                takes_value: true,
-                default: Some("BENCH_parallel_engine.json"),
-                help: "output file",
-            },
-        ],
-        help: "measure sharded-engine events/s at 1,2,4 workers",
-    },
-    CommandDef {
         name: "churn",
         positional: None,
         flags: &[
@@ -292,44 +216,6 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
             SHARD_WORKERS,
         ],
         help: "churn run on a synthetic testbed -> trace JSONL + metrics + summary",
-    },
-    CommandDef {
-        name: "bench-churn",
-        positional: None,
-        flags: &[
-            FlagDef {
-                name: "regions",
-                takes_value: true,
-                default: Some("8"),
-                help: "synthetic regions (one broker each)",
-            },
-            FlagDef {
-                name: "peers",
-                takes_value: true,
-                default: Some("20000"),
-                help: "lifecycle peers across all regions",
-            },
-            FlagDef {
-                name: "horizon-secs",
-                takes_value: true,
-                default: Some("1800"),
-                help: "virtual-time horizon in seconds",
-            },
-            FlagDef {
-                name: "num-shards",
-                takes_value: true,
-                default: Some("4"),
-                help: "shard domains (fixed across worker counts)",
-            },
-            SEED,
-            FlagDef {
-                name: "out",
-                takes_value: true,
-                default: Some("BENCH_churn.json"),
-                help: "output file",
-            },
-        ],
-        help: "measure churn events/s at 1,2,4 workers, write BENCH_churn.json",
     },
     CommandDef {
         name: "profile",
@@ -380,14 +266,14 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
             FlagDef {
                 name: "out",
                 takes_value: true,
-                default: Some("BENCH_profile.json"),
-                help: "wall-clock summary output file",
+                default: None,
+                help: "write the wall-clock summary JSON to FILE",
             },
             SEED,
             SHARDS,
             SHARD_WORKERS,
         ],
-        help: "telemetry run -> series CSV + Prometheus on stdout, BENCH_profile.json",
+        help: "telemetry run -> series CSV + Prometheus exposition on stdout",
     },
     CommandDef {
         name: "trace",
@@ -532,38 +418,6 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
         help: "federated run -> JSONL + metrics + summary (worker-invariant)",
     },
     CommandDef {
-        name: "bench-federation",
-        positional: None,
-        flags: &[
-            FlagDef {
-                name: "peers",
-                takes_value: true,
-                default: Some("120"),
-                help: "peers across the federation",
-            },
-            FlagDef {
-                name: "horizon-secs",
-                takes_value: true,
-                default: Some("900"),
-                help: "virtual run length per point",
-            },
-            FlagDef {
-                name: "kill-at-secs",
-                takes_value: true,
-                default: Some("300"),
-                help: "failover point: crash a broker at this second",
-            },
-            FlagDef {
-                name: "out",
-                takes_value: true,
-                default: Some("BENCH_federation.json"),
-                help: "output file",
-            },
-            SEED,
-        ],
-        help: "petition latency vs brokers x staleness + failover recovery",
-    },
-    CommandDef {
         name: "stream",
         positional: None,
         flags: &[
@@ -619,67 +473,5 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
             SHARD_WORKERS,
         ],
         help: "streaming run -> JSONL + metrics + summary (worker-invariant)",
-    },
-    CommandDef {
-        name: "bench-streaming",
-        positional: None,
-        flags: &[
-            FlagDef {
-                name: "regions",
-                takes_value: true,
-                default: Some("4"),
-                help: "regions (one broker and one shard each)",
-            },
-            FlagDef {
-                name: "peers",
-                takes_value: true,
-                default: Some("32"),
-                help: "streaming viewers across all regions",
-            },
-            FlagDef {
-                name: "policy",
-                takes_value: true,
-                default: Some("sequential"),
-                help: "ignored for the grid; fixes the base config",
-            },
-            FlagDef {
-                name: "window",
-                takes_value: true,
-                default: Some("8"),
-                help: "ignored for the grid; fixes the base config",
-            },
-            FlagDef {
-                name: "upload",
-                takes_value: true,
-                default: Some("home"),
-                help: "peer uplink distribution: home|mixed|campus",
-            },
-            FlagDef {
-                name: "pieces",
-                takes_value: true,
-                default: Some("48"),
-                help: "pieces the stream is divided into",
-            },
-            FlagDef {
-                name: "horizon-secs",
-                takes_value: true,
-                default: Some("900"),
-                help: "virtual run length per point",
-            },
-            FlagDef {
-                name: "num-shards",
-                takes_value: true,
-                default: Some("4"),
-                help: "shard domains (capped at --regions)",
-            },
-            FlagDef {
-                name: "out",
-                takes_value: true,
-                default: Some("BENCH_streaming.json"),
-                help: "output file",
-            },
-            SEED,
-        ],
-        help: "startup delay + rebuffering across the policy x window grid",
     },
 ];

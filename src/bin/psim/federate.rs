@@ -1,8 +1,6 @@
-//! The federation subcommands: `psim federate` (determinism artifact)
-//! and `psim bench-federation` (petition latency vs broker count and
-//! gossip staleness, plus failover recovery → `BENCH_federation.json`).
+//! `psim federate`: one federated run as a determinism artifact.
 //!
-//! `psim federate` writes only worker-count-invariant bytes to stdout —
+//! It writes only worker-count-invariant bytes to stdout —
 //! trace JSONL, metrics snapshot, summary JSON — so the CI
 //! federation-determinism job can byte-diff two runs that differ only in
 //! `--shard-workers`, including a `--kill-broker-at` run. Wall-clock
@@ -11,12 +9,12 @@
 use netsim::time::SimDuration;
 use overlay::federation::HomingPolicy;
 use workloads::federation::{
-    run_federation, summary_json, BrokerOutage, FederationConfig, FederationResult, LatencySummary,
+    run_federation, summary_json, BrokerOutage, FederationConfig, FederationResult,
 };
 use workloads::harness::stdout_artifact;
 use workloads::synthtopo::SynthTopoConfig;
 
-use crate::{write_or_exit, Flags};
+use crate::Flags;
 
 /// Parses `--homing` (region|hash), exiting 2 on anything else.
 fn homing_or_exit(flags: &Flags) -> HomingPolicy {
@@ -30,9 +28,8 @@ fn homing_or_exit(flags: &Flags) -> HomingPolicy {
     }
 }
 
-/// Builds the [`FederationConfig`] shared by both subcommands from the
-/// common flag set.
-pub(crate) fn federation_config(flags: &Flags) -> FederationConfig {
+/// Builds the [`FederationConfig`] from the flag set.
+fn federation_config(flags: &Flags) -> FederationConfig {
     let brokers = flags.usize("brokers").max(1);
     let peers = flags.usize("peers").max(brokers);
     let num_shards = flags.usize("num-shards").max(1).min(brokers);
@@ -132,111 +129,4 @@ pub(crate) fn cmd_federate(flags: &Flags) {
             ),
         }
     }
-}
-
-/// `psim bench-federation`: petition latency and forwarding volume as the
-/// broker count and the gossip/staleness cadence vary, plus one scripted
-/// failover run for the recovery-time distribution. Writes
-/// `BENCH_federation.json`.
-pub(crate) fn cmd_bench_federation(flags: &Flags) {
-    let peers = flags.usize("peers").max(8);
-    let horizon = SimDuration::from_secs(flags.u64("horizon-secs").max(1));
-    let seed = flags.u64("seed");
-    let out = flags.get("out").expect("table default").to_string();
-
-    // The grid couples gossip interval and staleness bound (staleness =
-    // cadence): a slow cadence is what leaves brokers blind between
-    // rounds, so it is the axis that actually moves forwarding volume.
-    let broker_counts = [2usize, 4];
-    let staleness_secs = [30u64, 240];
-    eprintln!(
-        "bench-federation: {peers} peers, horizon {:.0}s, brokers {broker_counts:?} x \
-         gossip/staleness {staleness_secs:?}s ...",
-        horizon.as_secs_f64()
-    );
-
-    let base = |brokers: usize| FederationConfig {
-        topo: SynthTopoConfig {
-            regions: brokers,
-            peers,
-            ..SynthTopoConfig::default()
-        },
-        num_shards: brokers,
-        horizon,
-        // One region's peers arrive late: its broker faces scheduled
-        // rounds with an empty local registry, so slow gossip forces
-        // cross-broker forwarding while fast gossip serves remote views.
-        late_region: Some((1, SimDuration::from_secs_f64(horizon.as_secs_f64() * 0.6))),
-        trace_capacity: None,
-        ..FederationConfig::default()
-    };
-
-    let mut points = Vec::new();
-    for &brokers in &broker_counts {
-        for &s in &staleness_secs {
-            let cfg = FederationConfig {
-                gossip_interval: SimDuration::from_secs(s),
-                staleness_bound: Some(SimDuration::from_secs(s)),
-                ..base(brokers)
-            };
-            let result = run_federation_or_exit(&cfg, seed);
-            let petition = LatencySummary::from_samples(&result.petition_latencies());
-            let mean = petition.map(|p| p.mean_s).unwrap_or(0.0);
-            let d = result.dynamics;
-            eprintln!(
-                "  {brokers} brokers, staleness {s:>3}s: {} transfers, petition mean \
-                 {mean:.3}s, {} forwarded / {} served remote",
-                result.log.transfers.len(),
-                d.petitions_forwarded,
-                d.forwards_served,
-            );
-            points.push(format!(
-                "{{\"brokers\":{brokers},\"gossip_secs\":{s},\"staleness_secs\":{s},\
-                 \"transfers\":{},\"petition_latency_mean_s\":{mean},\
-                 \"forwarded\":{},\"served_remote\":{}}}",
-                result.log.transfers.len(),
-                d.petitions_forwarded,
-                d.forwards_served,
-            ));
-        }
-    }
-
-    // The failover run: four brokers, one killed mid-run, recovery times
-    // from the traced re-home events.
-    let kill_at = flags.u64("kill-at-secs").max(1);
-    let failover_cfg = FederationConfig {
-        kill: Some(BrokerOutage {
-            region: 0,
-            down_at: SimDuration::from_secs(kill_at),
-            restart_at: None,
-        }),
-        late_region: None,
-        trace_capacity: Some(1 << 16),
-        ..base(4)
-    };
-    let failover = run_federation_or_exit(&failover_cfg, seed);
-    let recovery = failover.recovery;
-    eprintln!(
-        "  failover: kill at {kill_at}s -> {} re-homes, recovery mean {:.1}s / max {:.1}s",
-        failover.dynamics.rehomes,
-        recovery.map(|r| r.mean_s).unwrap_or(0.0),
-        recovery.map(|r| r.max_s).unwrap_or(0.0),
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"federation\",\n  \"peers\": {},\n  \"horizon_secs\": {},\n  \
-         \"seed\": {},\n  \"rss_bytes\": {},\n  \"points\": [{}],\n  \
-         \"failover\": {{\"brokers\": 4, \"kill_at_secs\": {}, \"rehomes\": {}, \
-         \"recovery_mean_s\": {}, \"recovery_max_s\": {}}}\n}}\n",
-        peers,
-        horizon.as_secs_f64(),
-        seed,
-        crate::churn::rss_bytes(),
-        points.join(", "),
-        kill_at,
-        failover.dynamics.rehomes,
-        recovery.map(|r| r.mean_s).unwrap_or(0.0),
-        recovery.map(|r| r.max_s).unwrap_or(0.0),
-    );
-    write_or_exit(&out, &json);
 }

@@ -11,10 +11,8 @@
 //! psim sweep fig67 --quick --json out.json  # machine-readable campaign
 //! psim csv --out target/figures --quick     # machine-readable series
 //! psim churn --peers 100000 --regions 16    # churn run on a synthetic testbed
-//! psim bench-churn --peers 20000            # churn throughput → BENCH_churn.json
 //! psim federate --brokers 4 --homing hash   # multi-broker federated run
 //! psim federate --kill-broker-at 300        # broker crash + client re-homing
-//! psim bench-federation                     # federation → BENCH_federation.json
 //! psim profile churn --peers 100000         # windowed series + Chrome trace
 //! ```
 //!
@@ -22,7 +20,6 @@
 //! the `--help` text, and the flag validation all derive from that table,
 //! so a flag cannot exist without documentation or vice versa.
 
-mod bench;
 mod churn;
 mod commands;
 mod federate;
@@ -149,17 +146,17 @@ fn main() {
     let (command, rest) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => {
-            usage();
+            print!("{}", usage());
             return;
         }
     };
     if matches!(command, "help" | "--help" | "-h") {
-        usage();
+        print!("{}", usage());
         return;
     }
     let Some(cmd) = COMMANDS.iter().find(|c| c.name == command) else {
-        eprintln!("unknown command: {command}\n");
-        usage();
+        // A usage error's help is a diagnostic, not an artifact: stderr.
+        eprint!("unknown command: {command}\n\n{}", usage());
         std::process::exit(2);
     };
     let flags = parse_flags(cmd, rest);
@@ -177,16 +174,10 @@ fn main() {
         "task" => cmd_task(&flags),
         "sweep" => cmd_sweep(&flags),
         "csv" => cmd_csv(&flags, &spec),
-        "bench-engine" => bench::cmd_bench_engine(&flags),
-        "bench-sweep" => bench::cmd_bench_sweep(&flags),
-        "bench-parallel-engine" => bench::cmd_bench_parallel_engine(&flags),
         "multiregion" => cmd_multiregion(&flags),
         "churn" => churn::cmd_churn(&flags),
-        "bench-churn" => churn::cmd_bench_churn(&flags),
         "federate" => federate::cmd_federate(&flags),
-        "bench-federation" => federate::cmd_bench_federation(&flags),
         "stream" => stream::cmd_stream(&flags),
-        "bench-streaming" => stream::cmd_bench_streaming(&flags),
         "profile" => profile::cmd_profile(&flags),
         "trace" => cmd_trace(&flags),
         "report" => cmd_report(&flags),
@@ -197,15 +188,19 @@ fn main() {
 
 /// `--help` is generated from [`COMMANDS`], so it cannot drift from the
 /// parser: every command, flag, default, and the exit-code contract.
-fn usage() {
-    println!("psim — peer selection study (ICPPW'07 reproduction)\n");
-    println!("commands:");
+/// Returned rather than printed so the caller picks the stream: stdout
+/// for `psim help`, stderr after a usage error.
+fn usage() -> String {
+    use std::fmt::Write;
+
+    let mut out =
+        String::from("psim — peer selection study (ICPPW'07 reproduction)\n\ncommands:\n");
     for cmd in COMMANDS {
         let head = match cmd.positional {
             Some(p) => format!("{} {}", cmd.name, p),
             None => cmd.name.to_string(),
         };
-        println!("  {head:<27} {}", cmd.help);
+        let _ = writeln!(out, "  {head:<27} {}", cmd.help);
         for f in cmd.flags {
             let flag = if f.takes_value {
                 format!("--{} <v>", f.name)
@@ -216,22 +211,24 @@ fn usage() {
                 Some(d) => format!(" (default: {d})"),
                 None => String::new(),
             };
-            println!("     {flag:<24} {}{default}", f.help);
+            let _ = writeln!(out, "     {flag:<24} {}{default}", f.help);
         }
     }
-    println!("  {:<27} this text", "help");
-    println!(
+    let _ = writeln!(out, "  {:<27} this text", "help");
+    let _ = writeln!(
+        out,
         "\nscenarios: {}\ngrids:     {}",
         named_scenario_list().join(", "),
         named_grid_list().join(", ")
     );
-    println!(
+    out.push_str(
         "\nexit codes:\n\
          \x20 0  success\n\
          \x20 1  I/O error (cannot write an output file)\n\
          \x20 2  usage error (unknown command, flag, figure, model, scenario, or grid)\n\
-         \x20 3  --strict violation (truncated trace)"
+         \x20 3  --strict violation (truncated trace)\n",
     );
+    out
 }
 
 /// Writes `content` to `path`, honouring the exit-code contract (1 = I/O).

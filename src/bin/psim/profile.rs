@@ -13,9 +13,10 @@
 //!   Chrome `trace_event` JSON of the barrier-round schedule (sim-time
 //!   spans only; load it in Perfetto or `chrome://tracing`). Every run
 //!   has one: a lone shard's schedule is a single round to the horizon.
-//! * **`--out` (`BENCH_profile.json`)** — the non-deterministic wall-
-//!   clock summary: RSS proxy, per-shard busy/wait seconds, plus the
-//!   registry memory breakdown read back from the final gauges.
+//! * **`--out`** — the non-deterministic wall-clock summary JSON: RSS
+//!   proxy, per-shard busy/wait seconds, plus the registry memory
+//!   breakdown read back from the final gauges. Written only when asked
+//!   for, like the other two files.
 
 use netsim::metrics::Metrics;
 use netsim::profile::ExecutionProfile;
@@ -23,7 +24,7 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::TimeSeriesRecorder;
 use workloads::churn::ChurnConfig;
 
-use crate::churn::{churn_config, rss_bytes, run_churn_or_exit};
+use crate::churn::{churn_config, run_churn_or_exit};
 use crate::{named_scenario_or_exit, scenario_error_exit, write_or_exit, Flags};
 
 /// The workload-independent outputs `cmd_profile` renders.
@@ -49,11 +50,25 @@ fn gauge_prefix_sum(m: &Metrics, prefix: &str) -> f64 {
         .fold(0.0, |sum, (_, v)| sum + v)
 }
 
+/// Resident-set proxy from `/proc/self/statm` (pages × 4 KiB); 0 when the
+/// proc filesystem is unavailable (non-Linux hosts).
+fn rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|s| {
+            s.split_whitespace()
+                .nth(1)
+                .and_then(|v| v.parse::<u64>().ok())
+        })
+        .map(|pages| pages * 4096)
+        .unwrap_or(0)
+}
+
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = ChurnConfig {
         shard_workers: flags.usize("shard-workers").max(1),
         // The profiler measures the engine and the registry, not the
-        // trace ring; tracing stays off like in bench-churn.
+        // trace ring, so tracing stays off.
         trace_capacity: None,
         series_interval: Some(interval),
         profile_execution: true,
@@ -96,7 +111,7 @@ fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileR
 }
 
 /// `psim profile [churn|<scenario>]`: deterministic telemetry artifacts
-/// on stdout, wall-clock summary in `BENCH_profile.json`.
+/// on stdout, wall-clock summary JSON in `--out` when given.
 pub(crate) fn cmd_profile(flags: &Flags) {
     let seed = flags.u64("seed");
     let interval = SimDuration::from_secs(flags.u64("interval-secs").max(1));
@@ -160,8 +175,9 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         run.series.len(),
         run.exec_profile.wall_clock_json(),
     );
-    let out = flags.get("out").expect("table default").to_string();
-    write_or_exit(&out, &json);
+    if let Some(path) = flags.get("out") {
+        write_or_exit(path, &json);
+    }
 
     eprintln!(
         "profile: {} — {} events to t={:.1}s, {} series rows, registry {:.0} bytes \

@@ -1,8 +1,6 @@
-//! The streaming subcommands: `psim stream` (determinism artifact) and
-//! `psim bench-streaming` (startup delay and rebuffering across the
-//! piece-policy × window grid → `BENCH_streaming.json`).
+//! `psim stream`: one streaming run as a determinism artifact.
 //!
-//! `psim stream` writes only worker-count-invariant bytes to stdout —
+//! It writes only worker-count-invariant bytes to stdout —
 //! trace JSONL, metrics snapshot, summary JSON — so the CI
 //! workload-determinism job can byte-diff two runs that differ only in
 //! `--shard-workers`. Wall-clock numbers and diagnostics go to stderr.
@@ -16,7 +14,7 @@ use workloads::streaming::{
 };
 use workloads::synthtopo::SynthTopoConfig;
 
-use crate::{write_or_exit, Flags};
+use crate::Flags;
 
 /// Parses `--policy` through the shared `peer_selection::service` table,
 /// exiting with the valid list on anything else.
@@ -41,9 +39,8 @@ fn upload_or_exit(flags: &Flags) -> UploadProfile {
     })
 }
 
-/// Builds the [`StreamingConfig`] shared by both subcommands from the
-/// common flag set.
-pub(crate) fn streaming_config(flags: &Flags) -> StreamingConfig {
+/// Builds the [`StreamingConfig`] from the flag set.
+fn streaming_config(flags: &Flags) -> StreamingConfig {
     let regions = flags.usize("regions").max(1);
     let peers = flags.usize("peers").max(regions);
     let num_shards = flags.usize("num-shards").max(1).min(regions);
@@ -120,75 +117,4 @@ pub(crate) fn cmd_stream(flags: &Flags) {
             s.streams
         ),
     }
-}
-
-/// `psim bench-streaming`: startup delay and rebuffering across the
-/// piece-policy × window grid (the sequential rows double as a
-/// window-insensitivity baseline). Writes `BENCH_streaming.json`.
-pub(crate) fn cmd_bench_streaming(flags: &Flags) {
-    let base = streaming_config(flags);
-    let seed = flags.u64("seed");
-    let out = flags.get("out").expect("table default").to_string();
-    let windows = [2u32, 8];
-
-    eprintln!(
-        "bench-streaming: {} viewers / {} regions, {} pieces, upload `{}`, \
-         policies {:?} x windows {windows:?} ...",
-        base.topo.peers,
-        base.topo.regions,
-        base.total_pieces,
-        base.upload,
-        PiecePolicy::ALL.map(|p| p.name()),
-    );
-    let mut points = Vec::new();
-    for policy in PiecePolicy::ALL {
-        for &window in &windows {
-            let cfg = StreamingConfig {
-                policy,
-                window,
-                // The bench reads playback records, not the trace.
-                trace_capacity: None,
-                ..base.clone()
-            };
-            let result = run_streaming_or_exit(&cfg, seed);
-            let s = result.stats;
-            let q = StartupQuantiles::from_samples(&result.startup_delays());
-            let (p50, p90, max) = q.map(|q| (q.p50_s, q.p90_s, q.max_s)).unwrap_or_default();
-            eprintln!(
-                "  {policy:>13} w={window}: startup p50 {p50:.2}s / p90 {p90:.2}s, \
-                 {} rebuffers ({:.1}s), {} completed",
-                s.rebuffer_events, s.rebuffer_secs, s.completions,
-            );
-            points.push(format!(
-                "{{\"policy\":\"{policy}\",\"window\":{window},\
-                 \"effective_window\":{},\"streams\":{},\"playbacks_started\":{},\
-                 \"completions\":{},\"startup_p50_s\":{p50},\"startup_p90_s\":{p90},\
-                 \"startup_max_s\":{max},\"rebuffer_events\":{},\
-                 \"rebuffering_seconds\":{}}}",
-                policy.effective_window(window),
-                s.streams,
-                s.playbacks_started,
-                s.completions,
-                s.rebuffer_events,
-                s.rebuffer_secs,
-            ));
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"streaming\",\n  \"peers\": {},\n  \"regions\": {},\n  \
-         \"num_shards\": {},\n  \"horizon_secs\": {},\n  \"pieces\": {},\n  \
-         \"upload\": \"{}\",\n  \"seed\": {},\n  \"rss_bytes\": {},\n  \
-         \"points\": [{}]\n}}\n",
-        base.topo.peers,
-        base.topo.regions,
-        base.num_shards,
-        base.horizon.as_secs_f64(),
-        base.total_pieces,
-        base.upload,
-        seed,
-        crate::churn::rss_bytes(),
-        points.join(", "),
-    );
-    write_or_exit(&out, &json);
 }

@@ -55,3 +55,58 @@ fn profile_of_a_run_without_registry_gauges_prints_no_negative_zero() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("registry 0 bytes over 0 peers"), "{stderr}");
 }
+
+/// The `psim bench-*` commands are retired (`benchmark/` is the one place
+/// that times the simulator): each old name is an ordinary unknown command,
+/// and an unknown command's help goes to stderr — stdout is the artifact.
+#[test]
+fn retired_bench_commands_are_unknown_and_keep_stdout_clean() {
+    for name in [
+        "bench-engine",
+        "bench-sweep",
+        "bench-parallel-engine",
+        "bench-churn",
+        "bench-federation",
+        "bench-streaming",
+    ] {
+        let out = psim(&[name]);
+        assert_eq!(out.status.code(), Some(2), "{name} must exit 2");
+        assert!(out.stdout.is_empty(), "{name} must print nothing on stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command: {name}")),
+            "{name} stderr: {stderr}"
+        );
+        assert!(stderr.contains("commands:"), "{name} stderr lacks the help");
+    }
+}
+
+#[test]
+fn help_goes_to_stdout_and_mentions_no_retired_bench_surface() {
+    let out = psim(&["help"]);
+    assert!(out.status.success());
+    assert!(out.stderr.is_empty(), "plain help keeps stderr empty");
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("commands:") && help.contains("exit codes:"));
+    assert!(!help.contains("bench-"), "{help}");
+    assert!(!help.contains("BENCH_"), "{help}");
+}
+
+#[test]
+fn profile_without_out_writes_no_file() {
+    let cwd = std::env::temp_dir().join(format!("psim-cli-{}-cwd", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp cwd");
+    let out = Command::new(env!("CARGO_BIN_EXE_psim"))
+        .args(["profile", "smoke"])
+        .current_dir(&cwd)
+        .output()
+        .expect("psim runs");
+    let left_behind: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("temp cwd readable")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&cwd).ok();
+    assert!(out.status.success(), "profile smoke failed: {out:?}");
+    assert!(!out.stdout.is_empty(), "series CSV + exposition on stdout");
+    assert!(left_behind.is_empty(), "files left in cwd: {left_behind:?}");
+}
