@@ -167,6 +167,7 @@ struct LifecycleCounters {
     refused_petitions: MetricId,
     refused_tasks: MetricId,
     rehomes: MetricId,
+    script_bytes: MetricId,
 }
 
 impl LifecycleCounters {
@@ -178,6 +179,7 @@ impl LifecycleCounters {
             refused_petitions: metrics.counter_id("churn.refused_petitions"),
             refused_tasks: metrics.counter_id("churn.refused_tasks"),
             rehomes: metrics.counter_id("churn.rehomes"),
+            script_bytes: metrics.counter_id("churn.script_bytes"),
         }
     }
 }
@@ -262,12 +264,17 @@ impl LifecyclePeer {
         self.cfg.brokers[self.home_idx % self.cfg.brokers.len()]
     }
 
-    fn bump(&mut self, ctx: &mut Context<OverlayMsg>, which: fn(&LifecycleCounters) -> MetricId) {
+    fn bump(
+        &mut self,
+        ctx: &mut Context<OverlayMsg>,
+        which: fn(&LifecycleCounters) -> MetricId,
+        delta: u64,
+    ) {
         let ids = self
             .counters
             .get_or_insert_with(|| LifecycleCounters::resolve(ctx.metrics()));
         let id = which(ids);
-        ctx.metrics().incr_id(id, 1);
+        ctx.metrics().incr_id(id, delta);
     }
 
     /// Sends this session's advertisement to the current home and awaits
@@ -290,9 +297,9 @@ impl LifecyclePeer {
     fn send_join(&mut self, ctx: &mut Context<OverlayMsg>, session: usize) {
         self.send_advert(ctx, session);
         if session == 0 {
-            self.bump(ctx, |c| c.joins);
+            self.bump(ctx, |c| c.joins, 1);
         } else {
-            self.bump(ctx, |c| c.rejoins);
+            self.bump(ctx, |c| c.rejoins, 1);
         }
     }
 
@@ -317,7 +324,7 @@ impl LifecyclePeer {
             self.home_idx += 1;
             let to = self.broker();
             ctx.trace_event(TraceEventKind::PeerRehomed { from, to });
-            self.bump(ctx, |c| c.rehomes);
+            self.bump(ctx, |c| c.rehomes, 1);
             // Grace: the new home gets a full timeout before judgment.
             self.last_ok = now;
             // In-flight receive state belonged to transfers the dead
@@ -357,7 +364,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
         // counted once, up front; summed across peers by the metrics
         // merge, this is the fleet's script-storage bill.
         let script_bytes = self.memory_footprint().scripts;
-        ctx.metrics().incr("churn.script_bytes", script_bytes);
+        self.bump(ctx, |c| c.script_bytes, script_bytes);
         // Arm every session's join and leave absolutely, up front: the
         // whole life is decided before the first event fires.
         for i in 0..self.cfg.script.sessions.len() {
@@ -398,7 +405,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
                         .insert(transfer, InboundTransfer::new(transfer, num_parts, now));
                 }
                 if !accepted {
-                    self.bump(ctx, |c| c.refused_petitions);
+                    self.bump(ctx, |c| c.refused_petitions, 1);
                 }
                 ctx.send(
                     from,
@@ -442,7 +449,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
                     );
                     ctx.schedule_timer(exec, tag);
                 } else {
-                    self.bump(ctx, |c| c.refused_tasks);
+                    self.bump(ctx, |c| c.refused_tasks, 1);
                     ctx.send(from, OverlayMsg::TaskReject { task: task.id });
                 }
             }
@@ -485,7 +492,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
             // Leave of session `session`: drop receive state mid-flight.
             if self.state == LifecycleState::Connected || self.state == LifecycleState::Identified {
                 ctx.send(self.broker(), OverlayMsg::Leave { peer: self.peer_id });
-                self.bump(ctx, |c| c.leaves);
+                self.bump(ctx, |c| c.leaves, 1);
             }
             self.state = LifecycleState::Departed;
             self.inbound.clear();

@@ -9,8 +9,10 @@
 //!
 //! The driver is a [`Workload`] on the [`harness`](crate::harness): this
 //! module contributes the testbed plan, the broker/peer fleet, the
-//! [`churn_series`] schema, and the summary JSON; engine assembly and
-//! artifact plumbing are the harness's.
+//! [`churn_series`] schema, and the summary JSON; engine assembly, the
+//! result ([`HarnessRun`]) and artifact plumbing are the harness's.
+//! [`SwapDynamics::from_metrics`] reads the population movement back out
+//! of a run.
 //!
 //! Determinism contract: per-peer scripts are sampled **before** the run
 //! from seeds derived only from the master seed and the peer's node id,
@@ -20,26 +22,22 @@
 //! `shard_workers`. The CI workload-determinism job diffs `psim churn`
 //! output at 1 vs 4 workers to hold this line.
 
-use netsim::engine::{Actor, RunOutcome};
+use netsim::engine::Actor;
 use netsim::metrics::Metrics;
 use netsim::node::NodeId;
-use netsim::parallel::ParallelProfile;
-use netsim::profile::ExecutionProfile;
 use netsim::rng::SimRng;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
-use netsim::trace::Trace;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::lifecycle::{ChurnProfile, LifecycleConfig, LifecyclePeer, LifecycleScript};
 use overlay::message::OverlayMsg;
-use overlay::records::RunLog;
 use overlay::selector::RoundRobinSelector;
 
 use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
+use crate::synthtopo::{build_synth_topo, peer_seed, SynthTopoConfig};
 use crate::telemetry::churn_series;
 
 /// Parameters of one churn run.
@@ -69,13 +67,6 @@ pub struct ChurnConfig {
     pub gossip_interval: SimDuration,
     /// Typed-trace ring capacity; `None` keeps tracing disabled.
     pub trace_capacity: Option<usize>,
-    /// When `Some`, a windowed time-series recorder ([`churn_series`])
-    /// samples merged metrics at this sim-time interval; rows come back
-    /// in [`ChurnResult::series`].
-    pub series_interval: Option<SimDuration>,
-    /// Record per-shard, per-barrier-round execution accounting
-    /// ([`ChurnResult::exec_profile`]).
-    pub profile_execution: bool,
 }
 
 impl Default for ChurnConfig {
@@ -92,9 +83,19 @@ impl Default for ChurnConfig {
             file_parts: 4,
             gossip_interval: defaults::SOAK_GOSSIP_INTERVAL,
             trace_capacity: Some(defaults::TRACE_CAPACITY),
-            series_interval: None,
-            profile_execution: false,
         }
+    }
+}
+
+impl ChurnConfig {
+    /// The harness parameters this config asks for; callers that want a
+    /// time series or the execution profiler set it on the returned
+    /// builder.
+    pub fn harness(&self) -> WorkloadBuilder {
+        WorkloadBuilder::new()
+            .horizon(self.horizon)
+            .shard_workers(self.shard_workers)
+            .trace_capacity(self.trace_capacity)
     }
 }
 
@@ -125,39 +126,6 @@ impl SwapDynamics {
             refused_tasks: m.counter("churn.refused_tasks"),
         }
     }
-}
-
-/// Outputs of one churn run.
-pub struct ChurnResult {
-    /// Merged run log (shard order, worker-count invariant).
-    pub log: RunLog,
-    /// Merged engine metrics.
-    pub metrics: Metrics,
-    /// Merged typed trace (empty unless tracing was enabled).
-    pub trace: Trace,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Final virtual time.
-    pub elapsed: SimTime,
-    /// Events processed across all shards.
-    pub events_processed: u64,
-    /// Largest per-shard backlog (diagnostic; not worker-invariant).
-    pub peak_queue_len: usize,
-    /// Window/occupancy profile of the parallel run.
-    pub profile: ParallelProfile,
-    /// Population movement totals.
-    pub swap: SwapDynamics,
-    /// Windowed time-series rows, when `series_interval` was set.
-    pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution accounting, when `profile_execution` was set.
-    pub exec_profile: Option<ExecutionProfile>,
-}
-
-/// The seed a peer's script and identity derive from: master seed plus
-/// node id, nothing else — so scripts survive any re-sharding unchanged.
-fn peer_seed(seed: u64, node: NodeId) -> u64 {
-    seed.wrapping_mul(6364136223846793005)
-        .wrapping_add(node.index() as u64)
 }
 
 /// The churn driver as a harness [`Workload`].
@@ -242,102 +210,40 @@ impl Workload for ChurnWorkload<'_> {
     }
 
     fn summarize(&self, seed: u64, run: &HarnessRun) -> String {
-        let mut tail = render_summary(
-            self.cfg,
+        let cfg = self.cfg;
+        let SwapDynamics {
+            joins,
+            rejoins,
+            leaves,
+            refused_petitions,
+            refused_tasks,
+        } = SwapDynamics::from_metrics(&run.metrics);
+        format!(
+            "{{\"workload\":\"churn\",\"regions\":{},\"peers\":{},\"num_shards\":{},\
+             \"horizon_secs\":{},\"seed\":{},\"outcome\":\"{:?}\",\"elapsed_secs\":{},\
+             \"events\":{},\"trace_digest\":\"{:016x}\",\"transfers\":{},\
+             \"swap\":{{\"joins\":{joins},\"rejoins\":{rejoins},\"leaves\":{leaves},\
+             \"refused_petitions\":{refused_petitions},\"refused_tasks\":{refused_tasks}}}}}\n",
+            cfg.topo.regions,
+            cfg.topo.peers,
+            cfg.num_shards,
+            cfg.horizon.as_secs_f64(),
             seed,
             run.outcome,
-            run.elapsed,
+            run.elapsed.as_secs_f64(),
             run.events_processed,
             run.trace.digest(),
             run.log.transfers.len(),
-            SwapDynamics::from_metrics(&run.metrics),
-        );
-        tail.push('\n');
-        tail
+        )
     }
-}
-
-/// The summary JSON shared by [`Workload::summarize`] and
-/// [`summary_json`] — one format string, two result shapes.
-#[allow(clippy::too_many_arguments)]
-fn render_summary(
-    cfg: &ChurnConfig,
-    seed: u64,
-    outcome: RunOutcome,
-    elapsed: SimTime,
-    events: u64,
-    digest: u64,
-    transfers: usize,
-    swap: SwapDynamics,
-) -> String {
-    let SwapDynamics {
-        joins,
-        rejoins,
-        leaves,
-        refused_petitions,
-        refused_tasks,
-    } = swap;
-    format!(
-        "{{\"workload\":\"churn\",\"regions\":{},\"peers\":{},\"num_shards\":{},\
-         \"horizon_secs\":{},\"seed\":{},\"outcome\":\"{:?}\",\"elapsed_secs\":{},\
-         \"events\":{},\"trace_digest\":\"{:016x}\",\"transfers\":{},\
-         \"swap\":{{\"joins\":{joins},\"rejoins\":{rejoins},\"leaves\":{leaves},\
-         \"refused_petitions\":{refused_petitions},\"refused_tasks\":{refused_tasks}}}}}",
-        cfg.topo.regions,
-        cfg.topo.peers,
-        cfg.num_shards,
-        cfg.horizon.as_secs_f64(),
-        seed,
-        outcome,
-        elapsed.as_secs_f64(),
-        events,
-        digest,
-        transfers,
-    )
-}
-
-/// Renders the worker-invariant summary JSON `psim churn` embeds (no
-/// trailing newline).
-pub fn summary_json(cfg: &ChurnConfig, seed: u64, result: &ChurnResult) -> String {
-    render_summary(
-        cfg,
-        seed,
-        result.outcome,
-        result.elapsed,
-        result.events_processed,
-        result.trace.digest(),
-        result.log.transfers.len(),
-        result.swap,
-    )
 }
 
 /// Runs one churn replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
 /// shard counts and degenerate topologies surface as
 /// [`HarnessError`]s instead of panics.
-pub fn run_churn(cfg: &ChurnConfig, seed: u64) -> Result<ChurnResult, HarnessError> {
-    let harness = WorkloadBuilder::new()
-        .horizon(cfg.horizon)
-        .shard_workers(cfg.shard_workers)
-        .trace_capacity(cfg.trace_capacity)
-        .series_interval(cfg.series_interval)
-        .profile_execution(cfg.profile_execution)
-        .build()?;
-    let run = harness.run(&ChurnWorkload { cfg }, seed)?;
-    let swap = SwapDynamics::from_metrics(&run.metrics);
-    Ok(ChurnResult {
-        log: run.log,
-        metrics: run.metrics,
-        trace: run.trace,
-        outcome: run.outcome,
-        elapsed: run.elapsed,
-        events_processed: run.events_processed,
-        peak_queue_len: run.peak_queue_len,
-        profile: run.profile,
-        swap,
-        series: run.series,
-        exec_profile: run.exec_profile,
-    })
+pub fn run_churn(cfg: &ChurnConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+    cfg.harness().build()?.run(&ChurnWorkload { cfg }, seed)
 }
 
 #[cfg(test)]
@@ -376,7 +282,7 @@ mod tests {
 
     #[test]
     fn churn_run_is_worker_count_invariant() {
-        let runs: Vec<ChurnResult> = [1, 2, 4]
+        let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
                 run_churn(
@@ -396,7 +302,10 @@ mod tests {
             assert_eq!(r.elapsed, runs[0].elapsed);
             assert_eq!(r.events_processed, runs[0].events_processed);
             assert_eq!(r.metrics.render(), runs[0].metrics.render());
-            assert_eq!(r.swap, runs[0].swap);
+            assert_eq!(
+                SwapDynamics::from_metrics(&r.metrics),
+                SwapDynamics::from_metrics(&runs[0].metrics)
+            );
             assert_eq!(r.log.transfers.len(), runs[0].log.transfers.len());
         }
     }
@@ -404,11 +313,12 @@ mod tests {
     #[test]
     fn population_actually_churns() {
         let result = run_churn(&small(), 99).expect("small config is valid");
+        let swap = SwapDynamics::from_metrics(&result.metrics);
         let peers = small().topo.peers as u64;
         // Arrivals are capped at half the horizon, so every peer joined.
-        assert_eq!(result.swap.joins, peers, "every peer joins once");
-        assert!(result.swap.leaves > 0, "sessions end inside the horizon");
-        assert!(result.swap.rejoins > 0, "short sessions force rejoins");
+        assert_eq!(swap.joins, peers, "every peer joins once");
+        assert!(swap.leaves > 0, "sessions end inside the horizon");
+        assert!(swap.rejoins > 0, "short sessions force rejoins");
         assert!(result.events_processed > 0);
         // The Selected-target rounds actually chose someone and moved data.
         assert!(!result.log.selections.is_empty(), "no selections recorded");
@@ -428,25 +338,12 @@ mod tests {
         )
         .expect("single-shard config is valid");
         let four = run_churn(&small(), 7).expect("small config is valid");
-        assert_eq!(one.swap.joins, four.swap.joins);
-        assert_eq!(one.swap.rejoins, four.swap.rejoins);
-        assert_eq!(one.swap.leaves, four.swap.leaves);
-    }
-
-    #[test]
-    fn summarize_matches_summary_json() {
-        let cfg = small();
-        let harness = WorkloadBuilder::new()
-            .horizon(cfg.horizon)
-            .trace_capacity(cfg.trace_capacity)
-            .build()
-            .expect("valid");
-        let workload = ChurnWorkload { cfg: &cfg };
-        let run = harness.run(&workload, 3).expect("valid");
-        let result = run_churn(&cfg, 3).expect("valid");
-        assert_eq!(
-            workload.summarize(3, &run),
-            format!("{}\n", summary_json(&cfg, 3, &result))
+        let (one, four) = (
+            SwapDynamics::from_metrics(&one.metrics),
+            SwapDynamics::from_metrics(&four.metrics),
         );
+        assert_eq!(one.joins, four.joins);
+        assert_eq!(one.rejoins, four.rejoins);
+        assert_eq!(one.leaves, four.leaves);
     }
 }

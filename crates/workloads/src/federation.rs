@@ -12,7 +12,9 @@
 //! The driver is a [`Workload`] on the [`harness`](crate::harness): it
 //! contributes the testbed plan, the full federation spec (homing,
 //! staleness, outage), the fleet, the [`federation_series`] schema, and
-//! the summary JSON.
+//! the summary JSON. A run comes back as the harness's [`HarnessRun`];
+//! [`FederationDynamics::from_metrics`], [`petition_latencies`] and
+//! [`recovery_summary`] read the federation's figures out of it.
 //!
 //! Determinism contract matches [`churn`](crate::churn): peer scripts and
 //! arrival instants derive only from the master seed and node id, the
@@ -22,11 +24,9 @@
 //! workload-determinism job diffs `psim federate` output at 1 vs 4
 //! workers (including a `--kill-broker-at` run) to hold this line.
 
-use netsim::engine::{Actor, RunOutcome};
+use netsim::engine::Actor;
 use netsim::metrics::Metrics;
 use netsim::node::NodeId;
-use netsim::parallel::ParallelProfile;
-use netsim::profile::ExecutionProfile;
 use netsim::rng::{DelayDistribution, SimRng};
 use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
@@ -43,7 +43,7 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
+use crate::synthtopo::{build_synth_topo, peer_seed, SynthTopoConfig};
 use crate::telemetry::federation_series;
 
 /// Parameters of one federation run.
@@ -87,11 +87,6 @@ pub struct FederationConfig {
     pub kill: Option<BrokerOutage>,
     /// Typed-trace ring capacity; `None` keeps tracing disabled.
     pub trace_capacity: Option<usize>,
-    /// When `Some`, a [`federation_series`] recorder samples merged
-    /// metrics at this sim-time interval.
-    pub series_interval: Option<SimDuration>,
-    /// Record per-shard execution accounting.
-    pub profile_execution: bool,
 }
 
 impl Default for FederationConfig {
@@ -114,9 +109,19 @@ impl Default for FederationConfig {
             late_region: None,
             kill: None,
             trace_capacity: Some(defaults::TRACE_CAPACITY),
-            series_interval: None,
-            profile_execution: false,
         }
+    }
+}
+
+impl FederationConfig {
+    /// The harness parameters this config asks for; callers that want a
+    /// time series or the execution profiler set it on the returned
+    /// builder.
+    pub fn harness(&self) -> WorkloadBuilder {
+        WorkloadBuilder::new()
+            .horizon(self.horizon)
+            .shard_workers(self.shard_workers)
+            .trace_capacity(self.trace_capacity)
     }
 }
 
@@ -198,58 +203,19 @@ impl LatencySummary {
     }
 }
 
-/// Outputs of one federation run.
-pub struct FederationResult {
-    /// Merged run log (shard order, worker-count invariant).
-    pub log: RunLog,
-    /// Merged engine metrics.
-    pub metrics: Metrics,
-    /// Merged typed trace (empty unless tracing was enabled).
-    pub trace: Trace,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Final virtual time.
-    pub elapsed: SimTime,
-    /// Events processed across all shards.
-    pub events_processed: u64,
-    /// Largest per-shard backlog (diagnostic; not worker-invariant).
-    pub peak_queue_len: usize,
-    /// Window/occupancy profile of the parallel run.
-    pub profile: ParallelProfile,
-    /// Federation movement totals.
-    pub dynamics: FederationDynamics,
-    /// Re-home delays after the scripted crash (crash instant → each
-    /// `PeerRehomed` trace event), when an outage was scripted and
-    /// tracing was on.
-    pub recovery: Option<LatencySummary>,
-    /// Windowed time-series rows, when `series_interval` was set.
-    pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution accounting, when `profile_execution` was set.
-    pub exec_profile: Option<ExecutionProfile>,
-}
-
-impl FederationResult {
-    /// Receiver-observed petition latencies of every handled petition,
-    /// seconds, in merged-log order.
-    pub fn petition_latencies(&self) -> Vec<f64> {
-        self.log
-            .transfers
-            .iter()
-            .filter_map(|t| t.petition_latency_secs())
-            .collect()
-    }
-}
-
-/// The seed a peer's script and identity derive from: master seed plus
-/// node id, nothing else (same construction as the churn workload).
-fn peer_seed(seed: u64, node: NodeId) -> u64 {
-    seed.wrapping_mul(6364136223846793005)
-        .wrapping_add(node.index() as u64)
+/// Receiver-observed petition latencies of every handled petition,
+/// seconds, in merged-log order.
+pub fn petition_latencies(log: &RunLog) -> Vec<f64> {
+    log.transfers
+        .iter()
+        .filter_map(|t| t.petition_latency_secs())
+        .collect()
 }
 
 /// Re-home delays after a scripted crash: crash instant → each
-/// `PeerRehomed` trace event at or after it.
-fn recovery_summary(trace: &Trace, kill: Option<BrokerOutage>) -> Option<LatencySummary> {
+/// `PeerRehomed` trace event at or after it. `None` without a scripted
+/// outage, a trace, or a single re-home.
+pub fn recovery_summary(trace: &Trace, kill: Option<BrokerOutage>) -> Option<LatencySummary> {
     kill.and_then(|kill| {
         let down_at = SimTime::ZERO + kill.down_at;
         let samples: Vec<f64> = trace
@@ -362,26 +328,39 @@ impl Workload for FederationWorkload<'_> {
     }
 
     fn summarize(&self, seed: u64, run: &HarnessRun) -> String {
-        let petition: Vec<f64> = run
-            .log
-            .transfers
-            .iter()
-            .filter_map(|t| t.petition_latency_secs())
-            .collect();
-        let mut tail = render_summary(
-            self.cfg,
+        let cfg = self.cfg;
+        let d = FederationDynamics::from_metrics(&run.metrics);
+        format!(
+            "{{\"workload\":\"federation\",\"brokers\":{},\"peers\":{},\"num_shards\":{},\
+             \"horizon_secs\":{},\"seed\":{},\"homing\":\"{:?}\",\"gossip_secs\":{},\
+             \"outcome\":\"{:?}\",\"elapsed_secs\":{},\"events\":{},\
+             \"trace_digest\":\"{:016x}\",\"transfers\":{},\
+             \"dynamics\":{{\"joins\":{},\"rehomes\":{},\"petitions_forwarded\":{},\
+             \"forwards_received\":{},\"forwards_served\":{},\"forwards_exhausted\":{},\
+             \"stale_views_dropped\":{}}},\
+             \"petition_latency\":{},\"recovery\":{}}}\n",
+            cfg.topo.regions,
+            cfg.topo.peers,
+            cfg.num_shards,
+            cfg.horizon.as_secs_f64(),
             seed,
+            cfg.homing,
+            cfg.gossip_interval.as_secs_f64(),
             run.outcome,
-            run.elapsed,
+            run.elapsed.as_secs_f64(),
             run.events_processed,
             run.trace.digest(),
             run.log.transfers.len(),
-            FederationDynamics::from_metrics(&run.metrics),
-            LatencySummary::from_samples(&petition),
-            recovery_summary(&run.trace, self.cfg.kill),
-        );
-        tail.push('\n');
-        tail
+            d.joins,
+            d.rehomes,
+            d.petitions_forwarded,
+            d.forwards_received,
+            d.forwards_served,
+            d.forwards_exhausted,
+            d.stale_views_dropped,
+            summary_fragment(LatencySummary::from_samples(&petition_latencies(&run.log))),
+            summary_fragment(recovery_summary(&run.trace, cfg.kill)),
+        )
     }
 }
 
@@ -396,100 +375,14 @@ fn summary_fragment(summary: Option<LatencySummary>) -> String {
     }
 }
 
-/// The summary JSON shared by [`Workload::summarize`] and
-/// [`summary_json`] — one format string, two result shapes.
-#[allow(clippy::too_many_arguments)]
-fn render_summary(
-    cfg: &FederationConfig,
-    seed: u64,
-    outcome: RunOutcome,
-    elapsed: SimTime,
-    events: u64,
-    digest: u64,
-    transfers: usize,
-    d: FederationDynamics,
-    petition: Option<LatencySummary>,
-    recovery: Option<LatencySummary>,
-) -> String {
-    format!(
-        "{{\"workload\":\"federation\",\"brokers\":{},\"peers\":{},\"num_shards\":{},\
-         \"horizon_secs\":{},\"seed\":{},\"homing\":\"{:?}\",\"gossip_secs\":{},\
-         \"outcome\":\"{:?}\",\"elapsed_secs\":{},\"events\":{},\
-         \"trace_digest\":\"{:016x}\",\"transfers\":{},\
-         \"dynamics\":{{\"joins\":{},\"rehomes\":{},\"petitions_forwarded\":{},\
-         \"forwards_received\":{},\"forwards_served\":{},\"forwards_exhausted\":{},\
-         \"stale_views_dropped\":{}}},\
-         \"petition_latency\":{},\"recovery\":{}}}",
-        cfg.topo.regions,
-        cfg.topo.peers,
-        cfg.num_shards,
-        cfg.horizon.as_secs_f64(),
-        seed,
-        cfg.homing,
-        cfg.gossip_interval.as_secs_f64(),
-        outcome,
-        elapsed.as_secs_f64(),
-        events,
-        digest,
-        transfers,
-        d.joins,
-        d.rehomes,
-        d.petitions_forwarded,
-        d.forwards_received,
-        d.forwards_served,
-        d.forwards_exhausted,
-        d.stale_views_dropped,
-        summary_fragment(petition),
-        summary_fragment(recovery),
-    )
-}
-
-/// Renders the worker-invariant summary JSON `psim federate` embeds (no
-/// trailing newline).
-pub fn summary_json(cfg: &FederationConfig, seed: u64, result: &FederationResult) -> String {
-    render_summary(
-        cfg,
-        seed,
-        result.outcome,
-        result.elapsed,
-        result.events_processed,
-        result.trace.digest(),
-        result.log.transfers.len(),
-        result.dynamics,
-        LatencySummary::from_samples(&result.petition_latencies()),
-        result.recovery,
-    )
-}
-
 /// Runs one federation replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
 /// shard counts, degenerate topologies, and rejected federation
 /// parameters surface as [`HarnessError`]s instead of panics.
-pub fn run_federation(cfg: &FederationConfig, seed: u64) -> Result<FederationResult, HarnessError> {
-    let harness = WorkloadBuilder::new()
-        .horizon(cfg.horizon)
-        .shard_workers(cfg.shard_workers)
-        .trace_capacity(cfg.trace_capacity)
-        .series_interval(cfg.series_interval)
-        .profile_execution(cfg.profile_execution)
-        .build()?;
-    let run = harness.run(&FederationWorkload { cfg }, seed)?;
-    let dynamics = FederationDynamics::from_metrics(&run.metrics);
-    let recovery = recovery_summary(&run.trace, cfg.kill);
-    Ok(FederationResult {
-        log: run.log,
-        metrics: run.metrics,
-        trace: run.trace,
-        outcome: run.outcome,
-        elapsed: run.elapsed,
-        events_processed: run.events_processed,
-        peak_queue_len: run.peak_queue_len,
-        profile: run.profile,
-        dynamics,
-        recovery,
-        series: run.series,
-        exec_profile: run.exec_profile,
-    })
+pub fn run_federation(cfg: &FederationConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+    cfg.harness()
+        .build()?
+        .run(&FederationWorkload { cfg }, seed)
 }
 
 #[cfg(test)]
@@ -522,7 +415,7 @@ mod tests {
 
     #[test]
     fn forwarded_petitions_are_worker_count_invariant() {
-        let runs: Vec<FederationResult> = [1, 2, 4]
+        let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
                 run_federation(
@@ -536,13 +429,13 @@ mod tests {
             })
             .collect();
         assert_ne!(runs[0].trace.len(), 0, "trace must not be empty");
+        let dynamics = FederationDynamics::from_metrics(&runs[0].metrics);
         assert!(
-            runs[0].dynamics.petitions_forwarded > 0,
-            "the late region's rounds must forward: {:?}",
-            runs[0].dynamics
+            dynamics.petitions_forwarded > 0,
+            "the late region's rounds must forward: {dynamics:?}"
         );
         assert!(
-            runs[0].dynamics.forwards_served > 0,
+            dynamics.forwards_served > 0,
             "some forwarded petition must land on a live candidate"
         );
         for r in &runs[1..] {
@@ -551,35 +444,34 @@ mod tests {
             assert_eq!(r.elapsed, runs[0].elapsed);
             assert_eq!(r.events_processed, runs[0].events_processed);
             assert_eq!(r.metrics.render(), runs[0].metrics.render());
-            assert_eq!(r.dynamics, runs[0].dynamics);
+            assert_eq!(FederationDynamics::from_metrics(&r.metrics), dynamics);
             assert_eq!(r.log.transfers.len(), runs[0].log.transfers.len());
-            assert_eq!(r.petition_latencies(), runs[0].petition_latencies());
+            assert_eq!(petition_latencies(&r.log), petition_latencies(&runs[0].log));
         }
     }
 
     #[test]
     fn failover_rehomes_clients_without_double_confirms() {
         let peers_in_killed_region = 6; // 18 peers / 3 regions
-        let result = run_federation(
-            &FederationConfig {
-                kill: Some(BrokerOutage {
-                    region: 0,
-                    down_at: SimDuration::from_secs(400),
-                    restart_at: None,
-                }),
-                horizon: SimDuration::from_secs(1200),
-                late_region: None,
-                ..small()
-            },
-            77,
-        )
-        .expect("failover config is valid");
+        let cfg = FederationConfig {
+            kill: Some(BrokerOutage {
+                region: 0,
+                down_at: SimDuration::from_secs(400),
+                restart_at: None,
+            }),
+            horizon: SimDuration::from_secs(1200),
+            late_region: None,
+            ..small()
+        };
+        let result = run_federation(&cfg, 77).expect("failover config is valid");
+        let rehomes = FederationDynamics::from_metrics(&result.metrics).rehomes;
         assert_eq!(
-            result.dynamics.rehomes, peers_in_killed_region,
+            rehomes, peers_in_killed_region,
             "every client of the dead broker re-homes exactly once"
         );
-        let recovery = result.recovery.expect("rehomes leave trace events");
-        assert_eq!(recovery.count as u64, result.dynamics.rehomes);
+        let recovery =
+            recovery_summary(&result.trace, cfg.kill).expect("rehomes leave trace events");
+        assert_eq!(recovery.count as u64, rehomes);
         assert!(
             recovery.min_s > 0.0,
             "re-homing cannot precede the crash it reacts to"
@@ -615,10 +507,11 @@ mod tests {
         };
         let one = run_federation(&cfg(1), 9).expect("valid");
         let four = run_federation(&cfg(4), 9).expect("valid");
-        assert!(one.dynamics.rehomes > 0, "the crash must strand clients");
+        let dynamics = FederationDynamics::from_metrics(&one.metrics);
+        assert!(dynamics.rehomes > 0, "the crash must strand clients");
         assert_eq!(one.trace.digest(), four.trace.digest());
         assert_eq!(one.metrics.render(), four.metrics.render());
-        assert_eq!(one.dynamics, four.dynamics);
+        assert_eq!(FederationDynamics::from_metrics(&four.metrics), dynamics);
     }
 
     #[test]
@@ -632,7 +525,8 @@ mod tests {
             5,
         )
         .expect("hash homing is valid");
-        assert_eq!(result.dynamics.joins, 18, "every peer joins");
-        assert!(result.dynamics.transfers_completed > 0);
+        let dynamics = FederationDynamics::from_metrics(&result.metrics);
+        assert_eq!(dynamics.joins, 18, "every peer joins");
+        assert!(dynamics.transfers_completed > 0);
     }
 }

@@ -1,24 +1,28 @@
-//! The workload harness: one typed pipeline under every driver.
+//! The workload harness: one typed pipeline, and one result shape,
+//! under every driver.
 //!
-//! The paper scenarios, `run_churn`, `run_multiregion`, `run_federation`,
-//! and `run_streaming` all execute the same sequence — build a testbed
-//! and its shard map, hand out per-shard [`RecordSink`]s, wire the
-//! brokers into a [`Federation`], construct the actor fleet, assemble a
+//! The paper scenarios, churn, multiregion, federation and streaming
+//! all execute the same sequence — build a testbed and its shard map,
+//! hand out per-shard [`RecordSink`]s, wire the brokers into a
+//! [`Federation`], construct the actor fleet, assemble a
 //! [`ShardedEngine`] with tracing / time-series / profiling plumbing,
-//! run to the horizon, and drain everything back into merged,
-//! worker-count-invariant results. A driver is a [`Workload`]
+//! run to the horizon, and drain everything back into a merged,
+//! worker-count-invariant [`HarnessRun`]. A driver is a [`Workload`]
 //! implementation — what testbed, which actors, which series columns,
-//! what summary line — and the harness owns the rest, including the only
-//! engine construction in this crate: one shard is the serial engine
-//! (`netsim::parallel`), so no driver chooses an engine type.
+//! what summary line — plus a config whose `harness()` hands out the
+//! [`WorkloadBuilder`] its horizon, workers and trace ring imply; time
+//! series and execution profiling are set on that builder, never on a
+//! config. The harness owns the rest, including the only engine
+//! construction in this crate (one shard is the serial engine, so no
+//! driver chooses an engine type) and the stdout artifact `psim` prints
+//! ([`Harness::run_with_artifact`]).
 //!
 //! Determinism contract: the harness adds no randomness of its own. It
 //! threads the caller's seed through untouched, builds sinks/federation
 //! in a fixed order, and registers actors in exactly the order the
 //! workload returned them, so for a fixed `(workload, config, seed,
-//! num_shards)` the artifact bytes are identical at any worker count.
-//! The pre-refactor drivers were migrated onto this module against
-//! byte-identical goldens (`tests/goldens/`) at 1, 2, and 4 workers.
+//! num_shards)` the artifact bytes are identical at any worker count;
+//! `tests/goldens/` pins them at 1, 2, and 4 workers.
 
 use std::sync::Arc;
 
@@ -329,19 +333,12 @@ impl HarnessRun {
     /// metrics snapshot line, then `tail` (the workload's
     /// [`Workload::summarize`] output) verbatim.
     pub fn artifact(&self, tail: &str) -> String {
-        stdout_artifact(&self.trace, &self.metrics, tail)
+        let mut out = self.trace.to_jsonl();
+        out.push_str(&metrics_snapshot_json(&self.metrics));
+        out.push('\n');
+        out.push_str(tail);
+        out
     }
-}
-
-/// Renders the stdout artifact from its three invariant sections. Free
-/// function so drivers with pre-harness result structs emit the exact
-/// same bytes.
-pub fn stdout_artifact(trace: &Trace, metrics: &Metrics, tail: &str) -> String {
-    let mut out = trace.to_jsonl();
-    out.push_str(&metrics_snapshot_json(metrics));
-    out.push('\n');
-    out.push_str(tail);
-    out
 }
 
 /// Builder for a [`Harness`]: the only way to set the validated run
@@ -602,11 +599,12 @@ mod tests {
 
     #[test]
     fn stdout_artifact_orders_sections() {
-        let metrics = Metrics::new();
-        let trace = Trace::disabled();
-        let artifact = stdout_artifact(&trace, &metrics, "tail\n");
-        let expected = format!("{}\ntail\n", metrics_snapshot_json(&metrics));
-        assert_eq!(artifact, expected);
+        let harness = WorkloadBuilder::new().build().expect("defaults are valid");
+        let (run, artifact) = harness
+            .run_with_artifact(&Degenerate(FaultMode::None), 7)
+            .expect("the healthy mode runs");
+        let expected = format!("{}\ntail\n", metrics_snapshot_json(&run.metrics));
+        assert_eq!(artifact, expected, "an untraced run has no JSONL section");
     }
 
     /// Which layer a [`Degenerate`] workload sabotages, so each wrapped
@@ -673,7 +671,7 @@ mod tests {
         }
 
         fn summarize(&self, _seed: u64, _run: &HarnessRun) -> String {
-            String::new()
+            "tail\n".to_string()
         }
     }
 

@@ -13,30 +13,27 @@
 //! `r*(K+1) .. (r+1)*(K+1)`, broker first — so the shard map is a simple
 //! region assignment and record sinks can be handed out per shard.
 //!
-//! The driver is a [`Workload`] on the [`harness`](crate::harness); its
-//! stdout-artifact tail is the attribution phase CSV ([`phase_csv`])
-//! rather than a summary JSON line.
+//! The driver is a [`Workload`] on the [`harness`](crate::harness) and
+//! a run comes back as its [`HarnessRun`]; the stdout-artifact tail is
+//! the attribution phase CSV ([`phase_csv`]) rather than a summary JSON
+//! line.
 //!
 //! Used by `psim multiregion`, the worker-count-invariance property test,
 //! and the CI workload-determinism job.
 
 use std::sync::Arc;
 
-use netsim::engine::{Actor, RunOutcome};
+use netsim::engine::Actor;
 use netsim::link::{AccessLink, PathSpec};
-use netsim::metrics::Metrics;
 use netsim::node::{NodeId, NodeSpec};
-use netsim::parallel::ParallelProfile;
-use netsim::profile::ExecutionProfile;
 use netsim::shard::ShardMap;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use netsim::topology::Topology;
 use netsim::trace::Trace;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::client::{ClientConfig, SimpleClient};
 use overlay::message::OverlayMsg;
-use overlay::records::RunLog;
 
 use crate::attribution::{attribute_trace, breakdown_by_peer, phase_table_csv};
 use crate::harness::{
@@ -81,13 +78,6 @@ pub struct MultiRegionConfig {
     pub shard_workers: usize,
     /// Typed-trace ring capacity; `None` keeps tracing disabled.
     pub trace_capacity: Option<usize>,
-    /// When `Some`, a windowed time-series recorder
-    /// ([`overlay_series`]) samples merged metrics at this sim-time
-    /// interval; rows come back in [`MultiRegionResult::series`].
-    pub series_interval: Option<SimDuration>,
-    /// Record per-shard, per-barrier-round execution accounting
-    /// ([`MultiRegionResult::exec_profile`]).
-    pub profile_execution: bool,
 }
 
 impl Default for MultiRegionConfig {
@@ -107,13 +97,21 @@ impl Default for MultiRegionConfig {
             horizon: SimDuration::from_secs(900),
             shard_workers: 1,
             trace_capacity: None,
-            series_interval: None,
-            profile_execution: false,
         }
     }
 }
 
 impl MultiRegionConfig {
+    /// The harness parameters this config asks for; callers that want a
+    /// time series or the execution profiler set it on the returned
+    /// builder.
+    pub fn harness(&self) -> WorkloadBuilder {
+        WorkloadBuilder::new()
+            .horizon(self.horizon)
+            .shard_workers(self.shard_workers)
+            .trace_capacity(self.trace_capacity)
+    }
+
     /// Total node count: `(1 broker + K clients) × R` regions.
     pub fn num_nodes(&self) -> usize {
         self.regions * (self.clients_per_region + 1)
@@ -160,33 +158,6 @@ impl MultiRegionConfig {
         }
         topo
     }
-}
-
-/// Outputs of one multi-region run.
-pub struct MultiRegionResult {
-    /// Merged run log (shard order, so identical for any worker count).
-    pub log: RunLog,
-    /// Merged engine metrics (shard order).
-    pub metrics: Metrics,
-    /// Merged typed trace (empty unless `trace_capacity` was set).
-    pub trace: Trace,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Final virtual time (max over shard clocks).
-    pub elapsed: SimTime,
-    /// Events processed across all shards.
-    pub events_processed: u64,
-    /// Largest per-shard pending-event backlog.
-    pub peak_queue_len: usize,
-    /// Window/occupancy profile of the parallel run.
-    pub profile: ParallelProfile,
-    /// Display name per node, indexed by `NodeId::index()` — the
-    /// `label_of` input for attribution breakdowns.
-    pub node_names: Vec<Arc<str>>,
-    /// Windowed time-series rows, when `series_interval` was set.
-    pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution accounting, when `profile_execution` was set.
-    pub exec_profile: Option<ExecutionProfile>,
 }
 
 /// The per-peer attribution phase CSV — the worker-invariant tail of the
@@ -296,31 +267,10 @@ impl Workload for MultiRegionWorkload<'_> {
 /// config and seed the result is byte-identical at any worker count.
 /// Degenerate configs (zero regions, zero inter-region delay) surface as
 /// [`HarnessError`]s from shard-map or engine construction.
-pub fn run_multiregion(
-    cfg: &MultiRegionConfig,
-    seed: u64,
-) -> Result<MultiRegionResult, HarnessError> {
-    let harness = WorkloadBuilder::new()
-        .horizon(cfg.horizon)
-        .shard_workers(cfg.shard_workers)
-        .trace_capacity(cfg.trace_capacity)
-        .series_interval(cfg.series_interval)
-        .profile_execution(cfg.profile_execution)
-        .build()?;
-    let run = harness.run(&MultiRegionWorkload { cfg }, seed)?;
-    Ok(MultiRegionResult {
-        log: run.log,
-        metrics: run.metrics,
-        trace: run.trace,
-        outcome: run.outcome,
-        elapsed: run.elapsed,
-        events_processed: run.events_processed,
-        peak_queue_len: run.peak_queue_len,
-        profile: run.profile,
-        node_names: run.node_names,
-        series: run.series,
-        exec_profile: run.exec_profile,
-    })
+pub fn run_multiregion(cfg: &MultiRegionConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+    cfg.harness()
+        .build()?
+        .run(&MultiRegionWorkload { cfg }, seed)
 }
 
 #[cfg(test)]
@@ -340,7 +290,7 @@ mod tests {
 
     #[test]
     fn multiregion_run_is_worker_count_invariant() {
-        let runs: Vec<MultiRegionResult> = [1, 2, 4]
+        let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
                 let cfg = MultiRegionConfig {

@@ -15,7 +15,9 @@
 //! topology plan, gossip-only federation, the viewer fleet, the
 //! [`streaming_series`] schema, and a summary JSON whose startup-delay
 //! quantiles and rebuffering totals are the figures `psim sweep
-//! streaming` sweeps across the policy × window × upload grid.
+//! streaming` sweeps across the policy × window × upload grid. A run
+//! comes back as the harness's [`HarnessRun`]; [`StreamingStats::from_log`]
+//! and [`startup_delays`] read the playback figures out of its log.
 //!
 //! Determinism contract: arrivals, identities, and capacities derive
 //! from the master seed and node id only; piece → owner assignment and
@@ -24,15 +26,11 @@
 
 use std::sync::Arc;
 
-use netsim::engine::{Actor, RunOutcome};
-use netsim::metrics::Metrics;
+use netsim::engine::Actor;
 use netsim::node::NodeId;
-use netsim::parallel::ParallelProfile;
-use netsim::profile::ExecutionProfile;
 use netsim::rng::SimRng;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
-use netsim::trace::Trace;
 use overlay::broker::{Broker, BrokerConfig};
 use overlay::message::OverlayMsg;
 use overlay::records::RunLog;
@@ -43,7 +41,7 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::synthtopo::{build_synth_topo, SynthTopoConfig};
+use crate::synthtopo::{build_synth_topo, peer_seed, SynthTopoConfig};
 use crate::telemetry::streaming_series;
 
 /// The Pareto family peer uplinks are drawn from — the workload's
@@ -129,11 +127,6 @@ pub struct StreamingConfig {
     pub arrival_spread: SimDuration,
     /// Typed-trace ring capacity; `None` keeps tracing disabled.
     pub trace_capacity: Option<usize>,
-    /// When `Some`, a [`streaming_series`] recorder samples merged
-    /// metrics at this sim-time interval.
-    pub series_interval: Option<SimDuration>,
-    /// Record per-shard execution accounting.
-    pub profile_execution: bool,
 }
 
 impl Default for StreamingConfig {
@@ -153,13 +146,21 @@ impl Default for StreamingConfig {
             startup_pieces: 4,
             arrival_spread: SimDuration::from_secs(30),
             trace_capacity: Some(defaults::TRACE_CAPACITY),
-            series_interval: None,
-            profile_execution: false,
         }
     }
 }
 
 impl StreamingConfig {
+    /// The harness parameters this config asks for; callers that want a
+    /// time series or the execution profiler set it on the returned
+    /// builder.
+    pub fn harness(&self) -> WorkloadBuilder {
+        WorkloadBuilder::new()
+            .horizon(self.horizon)
+            .shard_workers(self.shard_workers)
+            .trace_capacity(self.trace_capacity)
+    }
+
     /// The testbed with the upload profile's Pareto knobs applied.
     fn effective_topo(&self) -> SynthTopoConfig {
         let (xm, alpha) = self.upload.pareto();
@@ -240,49 +241,13 @@ impl StreamingStats {
     }
 }
 
-/// Outputs of one streaming run.
-pub struct StreamingResult {
-    /// Merged run log (shard order, worker-count invariant).
-    pub log: RunLog,
-    /// Merged engine metrics.
-    pub metrics: Metrics,
-    /// Merged typed trace (empty unless tracing was enabled).
-    pub trace: Trace,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Final virtual time.
-    pub elapsed: SimTime,
-    /// Events processed across all shards.
-    pub events_processed: u64,
-    /// Largest per-shard backlog (diagnostic; not worker-invariant).
-    pub peak_queue_len: usize,
-    /// Window/occupancy profile of the parallel run.
-    pub profile: ParallelProfile,
-    /// Playback movement totals.
-    pub stats: StreamingStats,
-    /// Windowed time-series rows, when `series_interval` was set.
-    pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution accounting, when `profile_execution` was set.
-    pub exec_profile: Option<ExecutionProfile>,
-}
-
-impl StreamingResult {
-    /// Startup delays of every playback that started, seconds, in
-    /// merged-log order.
-    pub fn startup_delays(&self) -> Vec<f64> {
-        self.log
-            .streams
-            .iter()
-            .filter_map(|s| s.startup_delay_secs)
-            .collect()
-    }
-}
-
-/// The seed a viewer's arrival, identity, and capacity derive from:
-/// master seed plus node id, nothing else.
-fn peer_seed(seed: u64, node: NodeId) -> u64 {
-    seed.wrapping_mul(6364136223846793005)
-        .wrapping_add(node.index() as u64)
+/// Startup delays of every playback that started, seconds, in
+/// merged-log order.
+pub fn startup_delays(log: &RunLog) -> Vec<f64> {
+    log.streams
+        .iter()
+        .filter_map(|s| s.startup_delay_secs)
+        .collect()
 }
 
 /// The streaming driver as a harness [`Workload`].
@@ -366,25 +331,38 @@ impl Workload for StreamingWorkload<'_> {
     }
 
     fn summarize(&self, seed: u64, run: &HarnessRun) -> String {
+        let cfg = self.cfg;
         let stats = StreamingStats::from_log(&run.log);
-        let delays: Vec<f64> = run
-            .log
-            .streams
-            .iter()
-            .filter_map(|s| s.startup_delay_secs)
-            .collect();
-        let mut tail = render_summary(
-            self.cfg,
+        format!(
+            "{{\"workload\":\"streaming\",\"regions\":{},\"peers\":{},\"num_shards\":{},\
+             \"horizon_secs\":{},\"seed\":{},\"policy\":\"{}\",\"window\":{},\
+             \"upload\":\"{}\",\"pieces\":{},\"piece_bytes\":{},\
+             \"outcome\":\"{:?}\",\"elapsed_secs\":{},\"events\":{},\
+             \"trace_digest\":\"{:016x}\",\"streams\":{},\
+             \"playbacks\":{{\"started\":{},\"completed\":{}}},\
+             \"startup_delay\":{},\
+             \"rebuffering\":{{\"events\":{},\"total_secs\":{}}}}}\n",
+            cfg.topo.regions,
+            cfg.topo.peers,
+            cfg.num_shards,
+            cfg.horizon.as_secs_f64(),
             seed,
+            cfg.policy,
+            cfg.policy.effective_window(cfg.window),
+            cfg.upload,
+            cfg.total_pieces,
+            cfg.piece_bytes,
             run.outcome,
-            run.elapsed,
+            run.elapsed.as_secs_f64(),
             run.events_processed,
             run.trace.digest(),
-            stats,
-            StartupQuantiles::from_samples(&delays),
-        );
-        tail.push('\n');
-        tail
+            stats.streams,
+            stats.playbacks_started,
+            stats.completions,
+            quantiles_fragment(StartupQuantiles::from_samples(&startup_delays(&run.log))),
+            stats.rebuffer_events,
+            stats.rebuffer_secs,
+        )
     }
 }
 
@@ -399,93 +377,12 @@ fn quantiles_fragment(q: Option<StartupQuantiles>) -> String {
     }
 }
 
-/// The summary JSON shared by [`Workload::summarize`] and
-/// [`summary_json`] — one format string, two result shapes.
-#[allow(clippy::too_many_arguments)]
-fn render_summary(
-    cfg: &StreamingConfig,
-    seed: u64,
-    outcome: RunOutcome,
-    elapsed: SimTime,
-    events: u64,
-    digest: u64,
-    stats: StreamingStats,
-    startup: Option<StartupQuantiles>,
-) -> String {
-    format!(
-        "{{\"workload\":\"streaming\",\"regions\":{},\"peers\":{},\"num_shards\":{},\
-         \"horizon_secs\":{},\"seed\":{},\"policy\":\"{}\",\"window\":{},\
-         \"upload\":\"{}\",\"pieces\":{},\"piece_bytes\":{},\
-         \"outcome\":\"{:?}\",\"elapsed_secs\":{},\"events\":{},\
-         \"trace_digest\":\"{:016x}\",\"streams\":{},\
-         \"playbacks\":{{\"started\":{},\"completed\":{}}},\
-         \"startup_delay\":{},\
-         \"rebuffering\":{{\"events\":{},\"total_secs\":{}}}}}",
-        cfg.topo.regions,
-        cfg.topo.peers,
-        cfg.num_shards,
-        cfg.horizon.as_secs_f64(),
-        seed,
-        cfg.policy,
-        cfg.policy.effective_window(cfg.window),
-        cfg.upload,
-        cfg.total_pieces,
-        cfg.piece_bytes,
-        outcome,
-        elapsed.as_secs_f64(),
-        events,
-        digest,
-        stats.streams,
-        stats.playbacks_started,
-        stats.completions,
-        quantiles_fragment(startup),
-        stats.rebuffer_events,
-        stats.rebuffer_secs,
-    )
-}
-
-/// Renders the worker-invariant summary JSON `psim stream` embeds (no
-/// trailing newline).
-pub fn summary_json(cfg: &StreamingConfig, seed: u64, result: &StreamingResult) -> String {
-    render_summary(
-        cfg,
-        seed,
-        result.outcome,
-        result.elapsed,
-        result.events_processed,
-        result.trace.digest(),
-        result.stats,
-        StartupQuantiles::from_samples(&result.startup_delays()),
-    )
-}
-
 /// Runs one streaming replication of `cfg` under `seed` on the harness.
 /// Byte-identical for any `shard_workers` at fixed shards. Invalid
 /// shard counts and degenerate parameters surface as [`HarnessError`]s
 /// instead of panics.
-pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<StreamingResult, HarnessError> {
-    let harness = WorkloadBuilder::new()
-        .horizon(cfg.horizon)
-        .shard_workers(cfg.shard_workers)
-        .trace_capacity(cfg.trace_capacity)
-        .series_interval(cfg.series_interval)
-        .profile_execution(cfg.profile_execution)
-        .build()?;
-    let run = harness.run(&StreamingWorkload { cfg }, seed)?;
-    let stats = StreamingStats::from_log(&run.log);
-    Ok(StreamingResult {
-        log: run.log,
-        metrics: run.metrics,
-        trace: run.trace,
-        outcome: run.outcome,
-        elapsed: run.elapsed,
-        events_processed: run.events_processed,
-        peak_queue_len: run.peak_queue_len,
-        profile: run.profile,
-        stats,
-        series: run.series,
-        exec_profile: run.exec_profile,
-    })
+pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+    cfg.harness().build()?.run(&StreamingWorkload { cfg }, seed)
 }
 
 #[cfg(test)]
@@ -527,24 +424,24 @@ mod tests {
     #[test]
     fn viewers_stream_and_playback_completes() {
         let result = run_streaming(&small(), 2026).expect("small config is valid");
-        assert_eq!(result.stats.streams, 16, "every viewer starts a stream");
+        let stats = StreamingStats::from_log(&result.log);
+        assert_eq!(stats.streams, 16, "every viewer starts a stream");
         assert_eq!(
-            result.stats.playbacks_started, 16,
+            stats.playbacks_started, 16,
             "every playback starts inside the horizon"
         );
         assert!(
-            result.stats.completions > 0,
-            "some viewer finishes the stream: {:?}",
-            result.stats
+            stats.completions > 0,
+            "some viewer finishes the stream: {stats:?}"
         );
-        let q = StartupQuantiles::from_samples(&result.startup_delays()).expect("playbacks");
+        let q = StartupQuantiles::from_samples(&startup_delays(&result.log)).expect("playbacks");
         assert!(q.p50_s > 0.0 && q.p50_s <= q.p90_s && q.p90_s <= q.max_s);
-        assert!(result.stats.rebuffer_secs >= 0.0);
+        assert!(stats.rebuffer_secs >= 0.0);
     }
 
     #[test]
     fn streaming_is_worker_count_invariant() {
-        let runs: Vec<StreamingResult> = [1, 2, 4]
+        let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
                 run_streaming(
@@ -566,9 +463,11 @@ mod tests {
             assert_eq!(r.elapsed, runs[0].elapsed);
             assert_eq!(r.events_processed, runs[0].events_processed);
             assert_eq!(r.metrics.render(), runs[0].metrics.render());
-            assert_eq!(r.stats, runs[0].stats);
-            assert_eq!(r.log.streams.len(), runs[0].log.streams.len());
-            assert_eq!(r.startup_delays(), runs[0].startup_delays());
+            assert_eq!(
+                StreamingStats::from_log(&r.log),
+                StreamingStats::from_log(&runs[0].log)
+            );
+            assert_eq!(startup_delays(&r.log), startup_delays(&runs[0].log));
         }
     }
 
@@ -587,8 +486,8 @@ mod tests {
         };
         let seq = run(PiecePolicy::Sequential, 1);
         let win = run(PiecePolicy::Windowed, 8);
-        let seq_q = StartupQuantiles::from_samples(&seq.startup_delays()).expect("playbacks");
-        let win_q = StartupQuantiles::from_samples(&win.startup_delays()).expect("playbacks");
+        let seq_q = StartupQuantiles::from_samples(&startup_delays(&seq.log)).expect("playbacks");
+        let win_q = StartupQuantiles::from_samples(&startup_delays(&win.log)).expect("playbacks");
         assert_ne!(
             seq_q, win_q,
             "the policy axis must move the startup figures"

@@ -26,12 +26,13 @@ pub use overlay::selector::ModelKind;
 use planetlab::builder::TestbedConfig;
 
 use crate::experiments::{fig6, per_sc_transfer_metric, sc_labels};
-use crate::federation::{run_federation, FederationConfig, LatencySummary};
+use crate::federation::{petition_latencies, run_federation, FederationConfig, LatencySummary};
 use crate::runner::run_indexed;
 use crate::scenario::{run_scenario, ScenarioBuilder, ScenarioConfig, ScenarioError};
 use crate::spec::MB;
 use crate::streaming::{
-    run_streaming, PiecePolicy, StartupQuantiles, StreamingConfig, StreamingStats, UploadProfile,
+    run_streaming, startup_delays, PiecePolicy, StartupQuantiles, StreamingConfig, StreamingStats,
+    UploadProfile,
 };
 use crate::synthtopo::SynthTopoConfig;
 
@@ -584,7 +585,7 @@ fn run_federation_rep(cell: &Cell, peers: usize, seed: u64) -> RepOutcome {
     let cfg = federation_for_cell(cell, peers);
     let result =
         run_federation(&cfg, seed).expect("axis validation guarantees a well-formed federation");
-    let mean = LatencySummary::from_samples(&result.petition_latencies())
+    let mean = LatencySummary::from_samples(&petition_latencies(&result.log))
         .map(|s| s.mean_s)
         .unwrap_or(f64::NAN);
     RepOutcome {
@@ -621,8 +622,8 @@ fn run_streaming_rep(cell: &Cell, viewers: usize, seed: u64) -> RepOutcome {
     let cfg = streaming_for_cell(cell, viewers);
     let result =
         run_streaming(&cfg, seed).expect("axis validation guarantees a well-formed stream");
-    let StreamingStats { rebuffer_secs, .. } = result.stats;
-    let startup_p50 = StartupQuantiles::from_samples(&result.startup_delays())
+    let StreamingStats { rebuffer_secs, .. } = StreamingStats::from_log(&result.log);
+    let startup_p50 = StartupQuantiles::from_samples(&startup_delays(&result.log))
         .map(|q| q.p50_s)
         .unwrap_or(f64::NAN);
     RepOutcome {

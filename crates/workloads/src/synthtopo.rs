@@ -133,6 +133,14 @@ impl SynthTopoConfig {
     }
 }
 
+/// The seed a peer's script, identity and capacity derive from: master
+/// seed plus node id, nothing else — so they survive any re-sharding
+/// unchanged.
+pub(crate) fn peer_seed(seed: u64, node: NodeId) -> u64 {
+    seed.wrapping_mul(6364136223846793005)
+        .wrapping_add(node.index() as u64)
+}
+
 /// A generated testbed: the blocked topology plus the sampled geography.
 pub struct SynthTopo {
     /// The region-blocked topology, ready for `Engine` / `ShardedEngine`.

@@ -4,7 +4,7 @@ use netsim::time::SimDuration;
 use overlay::broker::{BrokerCommand, RetryPolicy, TargetSpec};
 use proptest::prelude::*;
 use workloads::attribution::{attribute_trace, breakdown_by_peer, phase_table_csv};
-use workloads::multiregion::{run_multiregion, MultiRegionConfig};
+use workloads::multiregion::{run_multiregion, MultiRegionConfig, MultiRegionWorkload};
 use workloads::report::{argmax, argmin, metrics_snapshot_json, spearman, FigureReport, SeriesRow};
 use workloads::runner::{run_replications, run_traced, SeriesAggregate};
 use workloads::scenario::{run_scenario, ScenarioConfig};
@@ -266,14 +266,18 @@ proptest! {
             rounds: 1,
             horizon: SimDuration::from_secs(300),
             trace_capacity: None,
-            series_interval: Some(SimDuration::from_secs(30)),
             ..MultiRegionConfig::default()
         };
+        let harness = base.harness().series_interval(Some(SimDuration::from_secs(30)));
         let exports: Vec<(String, String)> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
-                let cfg = MultiRegionConfig { shard_workers: w, ..base.clone() };
-                let run = run_multiregion(&cfg, seed).expect("generated config is valid");
+                let run = harness
+                    .clone()
+                    .shard_workers(w)
+                    .build()
+                    .and_then(|h| h.run(&MultiRegionWorkload { cfg: &base }, seed))
+                    .expect("generated config is valid");
                 let series = run.series.expect("series_interval was set");
                 (series.to_csv(), series.to_jsonl())
             })
@@ -296,7 +300,7 @@ proptest! {
         peers in 12usize..32,
         seed in any::<u64>(),
     ) {
-        use workloads::churn::{run_churn, ChurnConfig};
+        use workloads::churn::{ChurnConfig, ChurnWorkload};
         use workloads::synthtopo::SynthTopoConfig;
         let base = ChurnConfig {
             topo: SynthTopoConfig {
@@ -308,14 +312,18 @@ proptest! {
             rounds: 1,
             horizon: SimDuration::from_secs(900),
             trace_capacity: None,
-            series_interval: Some(SimDuration::from_secs(60)),
             ..ChurnConfig::default()
         };
+        let harness = base.harness().series_interval(Some(SimDuration::from_secs(60)));
         let exports: Vec<(String, String)> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
-                let cfg = ChurnConfig { shard_workers: w, ..base.clone() };
-                let run = run_churn(&cfg, seed).expect("generated config is valid");
+                let run = harness
+                    .clone()
+                    .shard_workers(w)
+                    .build()
+                    .and_then(|h| h.run(&ChurnWorkload { cfg: &base }, seed))
+                    .expect("generated config is valid");
                 let series = run.series.expect("series_interval was set");
                 (series.to_csv(), series.to_jsonl())
             })
@@ -342,8 +350,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use overlay::streaming::PiecePolicy;
-        use workloads::harness::stdout_artifact;
-        use workloads::streaming::{run_streaming, summary_json, StreamingConfig};
+        use workloads::streaming::{StreamingConfig, StreamingWorkload};
         use workloads::synthtopo::SynthTopoConfig;
         let base = StreamingConfig {
             topo: SynthTopoConfig {
@@ -362,11 +369,12 @@ proptest! {
         let artifacts: Vec<String> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
-                let cfg = StreamingConfig { shard_workers: w, ..base.clone() };
-                let run = run_streaming(&cfg, seed).expect("generated config is valid");
-                let mut tail = summary_json(&cfg, seed, &run);
-                tail.push('\n');
-                stdout_artifact(&run.trace, &run.metrics, &tail)
+                base.harness()
+                    .shard_workers(w)
+                    .build()
+                    .and_then(|h| h.run_with_artifact(&StreamingWorkload { cfg: &base }, seed))
+                    .expect("generated config is valid")
+                    .1
             })
             .collect();
         prop_assert!(!artifacts[0].is_empty(), "artifact must not be empty (seed {seed})");

@@ -410,7 +410,7 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 name: "num-shards",
                 takes_value: true,
                 default: Some("4"),
-                help: "shard domains (capped at --brokers)",
+                help: "shard domains (at most --brokers)",
             },
             SEED,
             SHARD_WORKERS,
@@ -467,7 +467,7 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 name: "num-shards",
                 takes_value: true,
                 default: Some("4"),
-                help: "shard domains (capped at --regions)",
+                help: "shard domains (at most --regions)",
             },
             SEED,
             SHARD_WORKERS,

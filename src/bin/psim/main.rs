@@ -40,6 +40,7 @@ use workloads::attribution::{
 use workloads::experiments::{
     self, ablation, adaptation, extensions, fig5, fig6, fig7, table1, transfer_study,
 };
+use workloads::harness::{HarnessError, HarnessRun, Workload, WorkloadBuilder};
 use workloads::report::{metrics_snapshot_json, render_timelines, transfer_timelines};
 use workloads::runner::{default_workers, run_traced, TracedRun};
 use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig, ScenarioError};
@@ -491,41 +492,58 @@ fn cmd_sweep(flags: &Flags) {
     }
 }
 
-/// `psim multiregion`: one traced multi-region run on the sharded engine,
-/// emitting the three determinism artifacts (trace JSONL, metrics snapshot,
-/// attribution phase CSV) concatenated on stdout. The CI shard-determinism
-/// job byte-diffs this output between `--shard-workers 1` and `4`.
+/// The typed-error exit of the harness commands: message on stderr, 2.
+fn harness_error_exit(name: &str, e: &HarnessError) -> ! {
+    eprintln!("{name}: {e}");
+    std::process::exit(2);
+}
+
+/// Where `churn`, `federate`, `stream` and `multiregion` all end: one run
+/// of `workload` on `harness` at `--seed` / `--shard-workers`, the
+/// harness-rendered determinism artifact (trace JSONL, metrics snapshot,
+/// the workload's summary tail) on stdout — byte-identical at any worker
+/// count, which the CI workload-determinism job diffs — and the shared
+/// human summary line on stderr. A rejected configuration is a usage
+/// error with stdout left empty.
+fn workload_artifact_or_exit(
+    flags: &Flags,
+    harness: WorkloadBuilder,
+    workload: &dyn Workload,
+) -> HarnessRun {
+    let name = workload.name();
+    let workers = flags.usize("shard-workers");
+    let (run, artifact) = harness
+        .shard_workers(workers)
+        .build()
+        .and_then(|h| h.run_with_artifact(workload, flags.u64("seed")))
+        .unwrap_or_else(|e| harness_error_exit(name, &e));
+    print!("{artifact}");
+    eprintln!(
+        "{name}: {:?} at t={:.1}s, {} events in {} windows, {} trace events ({} dropped), \
+         digest {:016x}, {workers} workers",
+        run.outcome,
+        run.elapsed.as_secs_f64(),
+        run.events_processed,
+        run.profile.rounds,
+        run.trace.len(),
+        run.trace.dropped(),
+        run.trace.digest(),
+    );
+    run
+}
+
+/// `psim multiregion`: one traced multi-region run on the sharded engine;
+/// the artifact's tail is the attribution phase CSV.
 fn cmd_multiregion(flags: &Flags) {
-    use workloads::harness::stdout_artifact;
-    use workloads::multiregion::{phase_csv, run_multiregion, MultiRegionConfig};
+    use workloads::multiregion::{MultiRegionConfig, MultiRegionWorkload};
 
     let cfg = MultiRegionConfig {
         regions: flags.usize("regions").max(1),
         clients_per_region: flags.usize("clients").max(1),
-        shard_workers: flags.usize("shard-workers").max(1),
         trace_capacity: Some(1 << 16),
         ..MultiRegionConfig::default()
     };
-    let seed = flags.u64("seed");
-    let result = run_multiregion(&cfg, seed).unwrap_or_else(|e| {
-        eprintln!("multiregion: {e}");
-        std::process::exit(2);
-    });
-
-    let tail = phase_csv(&result.trace, &result.node_names);
-    print!("{}", stdout_artifact(&result.trace, &result.metrics, &tail));
-    eprintln!(
-        "multiregion: {:?} at t={:.1}s, {} events, {} trace events ({} dropped), \
-         digest {:016x}, {} windows, {} workers",
-        result.outcome,
-        result.elapsed.as_secs_f64(),
-        result.events_processed,
-        result.trace.len(),
-        result.trace.dropped(),
-        result.trace.digest(),
-        result.profile.rounds,
-        cfg.shard_workers,
-    );
+    workload_artifact_or_exit(flags, cfg.harness(), &MultiRegionWorkload { cfg: &cfg });
 }
 
 /// Resolves the positional scenario-name argument for `trace`/`report`/
@@ -544,7 +562,7 @@ fn named_scenario_or_exit(flags: &Flags) -> ScenarioConfig {
         eprintln!("unknown scenario `{name}`; valid scenarios: {valid}");
         std::process::exit(2);
     };
-    cfg.sharded(flags.usize("shards"), flags.usize("shard-workers").max(1))
+    cfg.sharded(flags.usize("shards"), flags.usize("shard-workers"))
         .unwrap_or_else(|e| scenario_error_exit(&e))
 }
 
@@ -646,8 +664,11 @@ fn cmd_attribute(flags: &Flags) {
 }
 
 fn cmd_csv(flags: &Flags, spec: &ExperimentSpec) {
-    let out = flags.get("out").expect("table default").to_string();
-    std::fs::create_dir_all(&out).expect("create output dir");
+    let out = flags.get("out").expect("table default");
+    if let Err(e) = std::fs::create_dir_all(out) {
+        eprintln!("error: cannot create {out}: {e}");
+        std::process::exit(1);
+    }
     let study = transfer_study::run(spec);
     let reports = vec![
         ("fig2", experiments::fig2::report(&study)),
@@ -658,9 +679,7 @@ fn cmd_csv(flags: &Flags, spec: &ExperimentSpec) {
         ("fig7", fig7::run(spec)),
     ];
     for (name, report) in reports {
-        let path = format!("{out}/{name}.csv");
-        std::fs::write(&path, report.to_csv()).expect("write csv");
-        println!("wrote {path}");
+        write_or_exit(&format!("{out}/{name}.csv"), &report.to_csv());
     }
 }
 

@@ -19,25 +19,24 @@
 //!   for, like the other two files.
 
 use netsim::metrics::Metrics;
-use netsim::profile::ExecutionProfile;
-use netsim::time::{SimDuration, SimTime};
-use netsim::timeseries::TimeSeriesRecorder;
-use workloads::churn::ChurnConfig;
+use netsim::time::SimDuration;
+use workloads::churn::{ChurnConfig, ChurnWorkload};
+use workloads::harness::HarnessRun;
 
-use crate::churn::{churn_config, run_churn_or_exit};
-use crate::{named_scenario_or_exit, scenario_error_exit, write_or_exit, Flags};
+use crate::churn::churn_config;
+use crate::{
+    harness_error_exit, named_scenario_or_exit, scenario_error_exit, write_or_exit, Flags,
+};
 
-/// The workload-independent outputs `cmd_profile` renders.
+/// One profiled run and the shape of the workload it ran, as
+/// `cmd_profile` reports them.
 struct ProfileRun {
     workload: String,
     peers: usize,
     regions: usize,
     num_shards: usize,
-    series: TimeSeriesRecorder,
-    exec_profile: ExecutionProfile,
-    metrics: Metrics,
-    events: u64,
-    elapsed: SimTime,
+    horizon: SimDuration,
+    run: HarnessRun,
 }
 
 /// Sum of all gauges whose name starts with `prefix` — reconstructs a
@@ -66,25 +65,26 @@ fn rss_bytes() -> u64 {
 
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = ChurnConfig {
-        shard_workers: flags.usize("shard-workers").max(1),
+        shard_workers: flags.usize("shard-workers"),
         // The profiler measures the engine and the registry, not the
         // trace ring, so tracing stays off.
         trace_capacity: None,
-        series_interval: Some(interval),
-        profile_execution: true,
         ..churn_config(flags)
     };
-    let result = run_churn_or_exit(&cfg, seed);
+    let run = cfg
+        .harness()
+        .series_interval(Some(interval))
+        .profile_execution(true)
+        .build()
+        .and_then(|h| h.run(&ChurnWorkload { cfg: &cfg }, seed))
+        .unwrap_or_else(|e| harness_error_exit("churn", &e));
     ProfileRun {
         workload: "churn".into(),
         peers: cfg.topo.peers,
         regions: cfg.topo.regions,
         num_shards: cfg.num_shards,
-        series: result.series.expect("series_interval was set"),
-        exec_profile: result.exec_profile.expect("profile_execution was set"),
-        metrics: result.metrics,
-        events: result.events_processed,
-        elapsed: result.elapsed,
+        horizon: cfg.horizon,
+        run,
     }
 }
 
@@ -102,11 +102,8 @@ fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileR
         peers: result.testbed.len().saturating_sub(1),
         regions: 1,
         num_shards: cfg.shards(),
-        series: result.run.series.expect("series_interval was set"),
-        exec_profile: result.run.exec_profile.expect("profile_execution was set"),
-        metrics: result.run.metrics,
-        events: result.run.events_processed,
-        elapsed: result.run.elapsed,
+        horizon: cfg.horizon(),
+        run: result.run,
     }
 }
 
@@ -117,13 +114,16 @@ pub(crate) fn cmd_profile(flags: &Flags) {
     let interval = SimDuration::from_secs(flags.u64("interval-secs").max(1));
     let workload = flags.positional.as_deref().unwrap_or("churn");
 
-    let run = if workload == "churn" {
+    let profiled = if workload == "churn" {
         profile_churn(flags, interval, seed)
     } else {
         profile_scenario(flags, interval, seed)
     };
+    let run = &profiled.run;
+    let series = run.series.as_ref().expect("a series interval was set");
+    let exec_profile = run.exec_profile.as_ref().expect("profiling was on");
 
-    let csv = run.series.to_csv();
+    let csv = series.to_csv();
     print!("{csv}");
     print!("{}", run.metrics.render_prometheus("psim_profile"));
 
@@ -131,7 +131,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         write_or_exit(path, &csv);
     }
     if let Some(path) = flags.get("chrome-trace") {
-        write_or_exit(path, &run.exec_profile.chrome_trace_json());
+        write_or_exit(path, &exec_profile.chrome_trace_json());
     }
 
     let registry_bytes = gauge_prefix_sum(&run.metrics, "registry.bytes.");
@@ -157,23 +157,23 @@ pub(crate) fn cmd_profile(flags: &Flags) {
          \"events\": {},\n  \"elapsed_secs\": {},\n  \"rss_bytes\": {},\n  \
          \"registry\": {{\"bytes\": {}, \"peers\": {}, \"bytes_per_peer\": {}, \
          \"components\": {{{}}}}},\n  \"series_rows\": {},\n  \"profiler\": {}\n}}\n",
-        run.workload,
-        run.peers,
-        run.regions,
-        run.num_shards,
-        flags.usize("shard-workers").max(1),
-        flags.u64("horizon-secs"),
+        profiled.workload,
+        profiled.peers,
+        profiled.regions,
+        profiled.num_shards,
+        flags.usize("shard-workers"),
+        profiled.horizon.as_secs_f64(),
         interval.as_secs_f64(),
         seed,
-        run.events,
+        run.events_processed,
         run.elapsed.as_secs_f64(),
         rss_bytes(),
         registry_bytes,
         registry_peers,
         bytes_per_peer,
         components.join(", "),
-        run.series.len(),
-        run.exec_profile.wall_clock_json(),
+        series.len(),
+        exec_profile.wall_clock_json(),
     );
     if let Some(path) = flags.get("out") {
         write_or_exit(path, &json);
@@ -182,10 +182,10 @@ pub(crate) fn cmd_profile(flags: &Flags) {
     eprintln!(
         "profile: {} — {} events to t={:.1}s, {} series rows, registry {:.0} bytes \
          over {:.0} peers ({:.1} B/peer), rss {} MiB",
-        run.workload,
-        run.events,
+        profiled.workload,
+        run.events_processed,
         run.elapsed.as_secs_f64(),
-        run.series.len(),
+        series.len(),
         registry_bytes,
         registry_peers,
         bytes_per_peer,

@@ -1,20 +1,16 @@
-//! `psim stream`: one streaming run as a determinism artifact.
-//!
-//! It writes only worker-count-invariant bytes to stdout —
-//! trace JSONL, metrics snapshot, summary JSON — so the CI
-//! workload-determinism job can byte-diff two runs that differ only in
-//! `--shard-workers`. Wall-clock numbers and diagnostics go to stderr.
+//! `psim stream`: one streaming run as a determinism artifact (trace
+//! JSONL, metrics snapshot, summary JSON on stdout; wall-clock numbers
+//! and diagnostics on stderr).
 
 use netsim::time::SimDuration;
 use peer_selection::service::try_piece_policy_for;
-use workloads::harness::stdout_artifact;
 use workloads::streaming::{
-    run_streaming, summary_json, PiecePolicy, StartupQuantiles, StreamingConfig, StreamingResult,
-    UploadProfile,
+    startup_delays, PiecePolicy, StartupQuantiles, StreamingConfig, StreamingStats,
+    StreamingWorkload, UploadProfile,
 };
 use workloads::synthtopo::SynthTopoConfig;
 
-use crate::Flags;
+use crate::{workload_artifact_or_exit, Flags};
 
 /// Parses `--policy` through the shared `peer_selection::service` table,
 /// exiting with the valid list on anything else.
@@ -43,7 +39,6 @@ fn upload_or_exit(flags: &Flags) -> UploadProfile {
 fn streaming_config(flags: &Flags) -> StreamingConfig {
     let regions = flags.usize("regions").max(1);
     let peers = flags.usize("peers").max(regions);
-    let num_shards = flags.usize("num-shards").max(1).min(regions);
     StreamingConfig {
         topo: SynthTopoConfig {
             regions,
@@ -54,52 +49,20 @@ fn streaming_config(flags: &Flags) -> StreamingConfig {
         window: flags.u64("window").max(1) as u32,
         upload: upload_or_exit(flags),
         horizon: SimDuration::from_secs(flags.u64("horizon-secs").max(1)),
-        num_shards,
+        num_shards: flags.usize("num-shards"),
         total_pieces: flags.u64("pieces").max(1) as u32,
         trace_capacity: Some(1 << 16),
         ..StreamingConfig::default()
     }
 }
 
-/// Runs one streaming replication, exiting with a flag diagnostic when
-/// the configuration is rejected instead of panicking.
-fn run_streaming_or_exit(cfg: &StreamingConfig, seed: u64) -> StreamingResult {
-    run_streaming(cfg, seed).unwrap_or_else(|e| {
-        eprintln!("stream: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// `psim stream`: one streaming run; stdout carries the determinism
-/// artifact (trace JSONL + metrics snapshot + summary JSON), stderr the
-/// human summary. Byte-identical stdout for any `--shard-workers`.
+/// `psim stream`: one streaming run, plus the playback figures on
+/// stderr.
 pub(crate) fn cmd_stream(flags: &Flags) {
-    let cfg = StreamingConfig {
-        shard_workers: flags.usize("shard-workers").max(1),
-        ..streaming_config(flags)
-    };
-    let seed = flags.u64("seed");
-    let result = run_streaming_or_exit(&cfg, seed);
-
-    let mut tail = summary_json(&cfg, seed, &result);
-    tail.push('\n');
-    print!("{}", stdout_artifact(&result.trace, &result.metrics, &tail));
-    eprintln!(
-        "stream: {:?} at t={:.1}s, {} viewers / {} regions / {} shards, {} events, \
-         {} trace events ({} dropped), digest {:016x}, {} workers",
-        result.outcome,
-        result.elapsed.as_secs_f64(),
-        cfg.topo.peers,
-        cfg.topo.regions,
-        cfg.num_shards,
-        result.events_processed,
-        result.trace.len(),
-        result.trace.dropped(),
-        result.trace.digest(),
-        cfg.shard_workers,
-    );
-    let s = result.stats;
-    match StartupQuantiles::from_samples(&result.startup_delays()) {
+    let cfg = streaming_config(flags);
+    let run = workload_artifact_or_exit(flags, cfg.harness(), &StreamingWorkload { cfg: &cfg });
+    let s = StreamingStats::from_log(&run.log);
+    match StartupQuantiles::from_samples(&startup_delays(&run.log)) {
         Some(q) => eprintln!(
             "playback: {} streams, {} started ({} completed), startup p50 {:.2}s / \
              p90 {:.2}s / max {:.2}s, {} rebuffers ({:.1}s stalled)",

@@ -110,3 +110,94 @@ fn profile_without_out_writes_no_file() {
     assert!(!out.stdout.is_empty(), "series CSV + exposition on stdout");
     assert!(left_behind.is_empty(), "files left in cwd: {left_behind:?}");
 }
+
+/// The harness commands hand a bad `--num-shards` / `--shard-workers` to
+/// the harness's own validation instead of clamping it: exit 2, nothing
+/// on stdout, and the scenario commands follow the same rule.
+#[test]
+fn zero_or_oversized_parallelism_is_a_usage_error() {
+    let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    for cmd in ["churn", "federate", "stream", "multiregion"] {
+        cases.push((
+            vec![cmd, "--shard-workers", "0"],
+            "shard_workers must be at least 1",
+        ));
+    }
+    for (cmd, regions_flag) in [
+        ("churn", "--regions"),
+        ("federate", "--brokers"),
+        ("stream", "--regions"),
+    ] {
+        cases.push((
+            vec![cmd, "--num-shards", "0"],
+            "num_shards 0 cannot partition",
+        ));
+        cases.push((
+            vec![cmd, regions_flag, "4", "--num-shards", "9"],
+            "num_shards 9 cannot partition a 4-region testbed",
+        ));
+    }
+    cases.push((
+        vec!["profile", "churn", "--peers", "40", "--num-shards", "0"],
+        "num_shards 0 cannot partition",
+    ));
+    cases.push((
+        vec!["trace", "smoke", "--shard-workers", "0"],
+        "shard_workers must be at least 1",
+    ));
+    for (args, message) in cases {
+        let out = psim(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?} stderr: {stderr}");
+    }
+}
+
+/// `--horizon-secs` is a churn flag; a profiled scenario reports the
+/// horizon it ran to, not that flag's default.
+#[test]
+fn profile_scenario_reports_its_own_horizon() {
+    let horizon_of = |args: &[&str], tag: &str| {
+        let file = std::env::temp_dir().join(format!("psim-cli-{}-{tag}.json", std::process::id()));
+        let mut args = args.to_vec();
+        args.extend(["--out", file.to_str().expect("utf-8 temp path")]);
+        let out = psim(&args);
+        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        let json = std::fs::read_to_string(&file).expect("summary written");
+        std::fs::remove_file(&file).ok();
+        let line = json
+            .lines()
+            .find(|l| l.contains("\"horizon_secs\""))
+            .unwrap_or_else(|| panic!("no horizon_secs in {json}"));
+        line.trim().trim_end_matches(',').to_string()
+    };
+    assert_eq!(
+        horizon_of(&["profile", "fig5"], "fig5"),
+        "\"horizon_secs\": 36000"
+    );
+    assert_eq!(
+        horizon_of(
+            &["profile", "churn", "--peers", "40", "--horizon-secs", "300"],
+            "churn"
+        ),
+        "\"horizon_secs\": 300"
+    );
+}
+
+/// An output directory that cannot be created is an I/O error (exit 1,
+/// message on stderr), not a panic — and it is found before any figure
+/// is computed.
+#[test]
+fn csv_to_an_unwritable_dir_exits_1() {
+    let blocker = std::env::temp_dir().join(format!("psim-cli-{}-blocker", std::process::id()));
+    std::fs::write(&blocker, "a file, not a directory").expect("temp file");
+    let out_dir = blocker.join("figures");
+    let out = psim(&["csv", "--quick", "--out", out_dir.to_str().expect("utf-8")]);
+    std::fs::remove_file(&blocker).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing was written: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: cannot create"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -1,24 +1,25 @@
 //! Pins the stdout artifacts of the harness-hosted drivers to goldens
-//! captured from the pre-harness implementations.
+//! first captured from the pre-harness implementations.
 //!
-//! The `workloads::harness` refactor moved testbed construction,
-//! federation wiring, engine assembly, and artifact rendering out of the
-//! individual drivers; its contract is that not one byte of the churn,
-//! multiregion, or federation determinism artifacts moved. These tests
-//! rebuild each artifact exactly as `psim churn` / `psim multiregion` /
-//! `psim federate` do — same configs as the golden capture commands —
-//! and byte-compare against `tests/goldens/*.txt` at 1, 2, and 4
-//! workers, so they pin worker-count invariance and the refactor's
-//! byte-compatibility in one assertion.
+//! Every refactor of the run pipeline since has had one contract: not
+//! one byte of the churn, multiregion, or federation determinism
+//! artifacts moves. These tests render each artifact with
+//! [`Harness::run_with_artifact`] — the function `psim churn` /
+//! `psim multiregion` / `psim federate` print the result of — under the
+//! same configs as the golden capture commands, and byte-compare against
+//! `tests/goldens/*.txt` at 1, 2, and 4 workers, so they pin
+//! worker-count invariance and byte-compatibility in one assertion.
 //!
 //! If a golden diff is ever *intended* (a deliberate artifact change),
 //! re-capture with the commands documented on each constant.
+//!
+//! [`Harness::run_with_artifact`]: workloads::harness::Harness::run_with_artifact
 
 use netsim::time::SimDuration;
-use workloads::churn::{run_churn, ChurnConfig};
-use workloads::federation::{run_federation, BrokerOutage, FederationConfig};
-use workloads::harness::stdout_artifact;
-use workloads::multiregion::{phase_csv, run_multiregion, MultiRegionConfig};
+use workloads::churn::{ChurnConfig, ChurnWorkload};
+use workloads::federation::{BrokerOutage, FederationConfig, FederationWorkload};
+use workloads::harness::{Workload, WorkloadBuilder};
+use workloads::multiregion::{MultiRegionConfig, MultiRegionWorkload};
 use workloads::synthtopo::SynthTopoConfig;
 
 /// `psim churn --regions 4 --peers 24 --num-shards 4 --horizon-secs 600
@@ -60,9 +61,19 @@ fn assert_matches_golden(name: &str, workers: usize, artifact: &str, golden: &st
     );
 }
 
+/// The bytes `psim` prints for `workload` on `harness` at `workers`.
+fn artifact(harness: WorkloadBuilder, workload: &dyn Workload, workers: usize) -> String {
+    harness
+        .shard_workers(workers)
+        .build()
+        .and_then(|h| h.run_with_artifact(workload, SEED))
+        .expect("golden config is valid")
+        .1
+}
+
 #[test]
 fn churn_artifact_matches_pre_harness_golden() {
-    let base = ChurnConfig {
+    let cfg = ChurnConfig {
         topo: SynthTopoConfig {
             regions: 4,
             peers: 24,
@@ -74,31 +85,21 @@ fn churn_artifact_matches_pre_harness_golden() {
         ..ChurnConfig::default()
     };
     for workers in [1usize, 2, 4] {
-        let cfg = ChurnConfig {
-            shard_workers: workers,
-            ..base.clone()
-        };
-        let result = run_churn(&cfg, SEED).expect("golden config is valid");
-        let mut tail = workloads::churn::summary_json(&cfg, SEED, &result);
-        tail.push('\n');
-        let artifact = stdout_artifact(&result.trace, &result.metrics, &tail);
+        let artifact = artifact(cfg.harness(), &ChurnWorkload { cfg: &cfg }, workers);
         assert_matches_golden("churn", workers, &artifact, CHURN_GOLDEN);
     }
 }
 
 #[test]
 fn multiregion_artifact_matches_pre_harness_golden() {
+    let cfg = MultiRegionConfig {
+        regions: 3,
+        clients_per_region: 2,
+        trace_capacity: Some(1 << 16),
+        ..MultiRegionConfig::default()
+    };
     for workers in [1usize, 2, 4] {
-        let cfg = MultiRegionConfig {
-            regions: 3,
-            clients_per_region: 2,
-            shard_workers: workers,
-            trace_capacity: Some(1 << 16),
-            ..MultiRegionConfig::default()
-        };
-        let result = run_multiregion(&cfg, SEED).expect("golden config is valid");
-        let tail = phase_csv(&result.trace, &result.node_names);
-        let artifact = stdout_artifact(&result.trace, &result.metrics, &tail);
+        let artifact = artifact(cfg.harness(), &MultiRegionWorkload { cfg: &cfg }, workers);
         assert_matches_golden("multiregion", workers, &artifact, MULTIREGION_GOLDEN);
     }
 }
@@ -119,47 +120,35 @@ fn federate_base() -> FederationConfig {
     }
 }
 
-fn federate_artifact(cfg: &FederationConfig) -> String {
-    let result = run_federation(cfg, SEED).expect("golden config is valid");
-    let mut tail = workloads::federation::summary_json(cfg, SEED, &result);
-    tail.push('\n');
-    stdout_artifact(&result.trace, &result.metrics, &tail)
-}
-
 #[test]
 fn federation_artifact_matches_pre_harness_golden() {
+    let cfg = FederationConfig {
+        horizon: SimDuration::from_secs(600),
+        ..federate_base()
+    };
     for workers in [1usize, 2, 4] {
-        let cfg = FederationConfig {
-            horizon: SimDuration::from_secs(600),
-            shard_workers: workers,
-            ..federate_base()
-        };
-        assert_matches_golden(
-            "federation",
-            workers,
-            &federate_artifact(&cfg),
-            FEDERATION_GOLDEN,
-        );
+        let artifact = artifact(cfg.harness(), &FederationWorkload { cfg: &cfg }, workers);
+        assert_matches_golden("federation", workers, &artifact, FEDERATION_GOLDEN);
     }
 }
 
 #[test]
 fn federation_failover_artifact_matches_pre_harness_golden() {
+    let cfg = FederationConfig {
+        horizon: SimDuration::from_secs(900),
+        kill: Some(BrokerOutage {
+            region: 0,
+            down_at: SimDuration::from_secs(300),
+            restart_at: None,
+        }),
+        ..federate_base()
+    };
     for workers in [1usize, 2, 4] {
-        let cfg = FederationConfig {
-            horizon: SimDuration::from_secs(900),
-            kill: Some(BrokerOutage {
-                region: 0,
-                down_at: SimDuration::from_secs(300),
-                restart_at: None,
-            }),
-            shard_workers: workers,
-            ..federate_base()
-        };
+        let artifact = artifact(cfg.harness(), &FederationWorkload { cfg: &cfg }, workers);
         assert_matches_golden(
             "federation_kill",
             workers,
-            &federate_artifact(&cfg),
+            &artifact,
             FEDERATION_KILL_GOLDEN,
         );
     }
