@@ -27,6 +27,15 @@ fn reward(outcome: &SelectionOutcome) -> f64 {
     }
 }
 
+/// Whether the incumbent value strictly beats the challenger. An arm is
+/// replaced unless it does, so of several equal maxima the last one wins
+/// and an incomparable (NaN) value never holds its place — the rule
+/// `Iterator::max_by` applies, with each arm evaluated once. A sweep
+/// starts from a NaN incumbent, which the first arm always replaces.
+fn beats(incumbent: f64, challenger: f64) -> bool {
+    incumbent.partial_cmp(&challenger) == Some(std::cmp::Ordering::Greater)
+}
+
 /// ε-greedy bandit: explore a uniformly random peer with probability ε,
 /// otherwise exploit the best observed mean reward.
 pub struct EpsilonGreedySelector {
@@ -61,26 +70,23 @@ impl PeerSelector for EpsilonGreedySelector {
         if n == 0 {
             return None;
         }
-        // Try every arm once before exploiting.
-        if let Some(i) = req
-            .candidates
-            .iter()
-            .position(|c| !self.means.contains_key(&c.node))
-        {
-            return Some(i);
+        // One probe per arm: the first untried arm goes before anything
+        // else; otherwise the sweep has already found the best mean.
+        let mut best = (0, f64::NAN);
+        for (i, c) in req.candidates.iter().enumerate() {
+            match self.means.get(&c.node) {
+                None => return Some(i),
+                Some(&(mean, _)) => {
+                    if !beats(best.1, mean) {
+                        best = (i, mean);
+                    }
+                }
+            }
         }
         if self.rng.bernoulli(self.epsilon) {
             return Some(self.rng.below(n as u64) as usize);
         }
-        req.candidates
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                let ma = self.means[&a.node].0;
-                let mb = self.means[&b.node].0;
-                ma.partial_cmp(&mb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
+        Some(best.0)
     }
 
     fn on_outcome(&mut self, outcome: &SelectionOutcome) {
@@ -133,15 +139,14 @@ impl PeerSelector for Ucb1Selector {
         if req.candidates.is_empty() {
             return None;
         }
-        req.candidates
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                self.ucb(a.node)
-                    .partial_cmp(&self.ucb(b.node))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
+        let mut best = (0, f64::NAN);
+        for (i, c) in req.candidates.iter().enumerate() {
+            let ucb = self.ucb(c.node);
+            if !beats(best.1, ucb) {
+                best = (i, ucb);
+            }
+        }
+        Some(best.0)
     }
 
     fn on_outcome(&mut self, outcome: &SelectionOutcome) {
@@ -158,7 +163,7 @@ mod tests {
     use super::*;
     use netsim::time::SimTime;
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     fn candidates(n: usize) -> Vec<CandidateView> {
@@ -175,7 +180,7 @@ mod tests {
             .collect()
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 << 20 },
@@ -271,8 +276,89 @@ mod tests {
     #[test]
     fn empty_candidates_handled() {
         let mut e = EpsilonGreedySelector::new(0.1, 1);
-        assert_eq!(e.select(&req(&[])), None);
+        assert_eq!(e.select(&req(&Vec::new())), None);
         let mut u = Ucb1Selector::new(1.0, 1.0);
-        assert_eq!(u.select(&req(&[])), None);
+        assert_eq!(u.select(&req(&Vec::new())), None);
+    }
+
+    /// ε-greedy as it was: a scan for an untried arm, the exploration
+    /// draw, then `max_by` probing the table for both sides of every
+    /// comparison.
+    fn eps_greedy_two_probe(s: &mut EpsilonGreedySelector, c: &[CandidateView]) -> Option<usize> {
+        if c.is_empty() {
+            return None;
+        }
+        if let Some(i) = c.iter().position(|c| !s.means.contains_key(&c.node)) {
+            return Some(i);
+        }
+        if s.rng.bernoulli(s.epsilon) {
+            return Some(s.rng.below(c.len() as u64) as usize);
+        }
+        c.iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| {
+                let ma = s.means[&a.node].0;
+                let mb = s.means[&b.node].0;
+                ma.partial_cmp(&mb).unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .map(|(i, _)| i)
+    }
+
+    /// UCB1 as it was: `ucb()` evaluated for both sides of every
+    /// `max_by` comparison.
+    fn ucb1_two_probe(s: &Ucb1Selector, c: &[CandidateView]) -> Option<usize> {
+        c.iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| {
+                s.ucb(a.node)
+                    .partial_cmp(&s.ucb(b.node))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn one_probe_per_arm_picks_what_two_probes_per_comparison_did() {
+        // Rewards come in a few round values so means tie, some arms are
+        // never pulled (UCB1: +inf, tied; ε-greedy: taken first), and the
+        // roster offered changes from call to call.
+        let all = candidates(12);
+        let mut rng = SimRng::new(0xBA7D17);
+        let mut eps = (
+            EpsilonGreedySelector::new(0.2, 9),
+            EpsilonGreedySelector::new(0.2, 9),
+        );
+        let mut ucb = Ucb1Selector::new(std::f64::consts::SQRT_2, 2e6);
+        for round in 0..600 {
+            let offered: Vec<CandidateView> = all
+                .iter()
+                .filter(|_| round % 7 == 0 || rng.below(3) > 0)
+                .cloned()
+                .collect();
+            let pick = eps.0.select(&req(&offered));
+            assert_eq!(
+                pick,
+                eps_greedy_two_probe(&mut eps.1, &offered),
+                "round {round}"
+            );
+            let ucb_pick = ucb.select(&req(&offered));
+            assert_eq!(ucb_pick, ucb1_two_probe(&ucb, &offered), "round {round}");
+            // Feed back on a random arm, not the pick, so untried arms last.
+            if let Some(i) = pick.or(ucb_pick) {
+                let node = offered[(i + rng.below(2) as usize) % offered.len()].node.0 % 11;
+                let feedback = outcome(node, 250_000.0 * (1 + rng.below(3)) as f64);
+                eps.0.on_outcome(&feedback);
+                eps.1.on_outcome(&feedback);
+                ucb.on_outcome(&feedback);
+            }
+        }
+        // Every maximum tied: the last one wins, as `max_by` has it.
+        let mut tied = Ucb1Selector::new(1.0, 1e6);
+        assert_eq!(tied.select(&req(&all)), Some(all.len() - 1), "all untried");
+        for node in 0..12 {
+            tied.on_outcome(&outcome(node, 500_000.0));
+        }
+        assert_eq!(tied.select(&req(&all)), Some(all.len() - 1), "all equal");
+        assert_eq!(ucb1_two_probe(&tied, &all), Some(all.len() - 1));
     }
 }

@@ -85,7 +85,7 @@ mod tests {
     use netsim::node::NodeId;
     use netsim::time::SimTime;
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     struct Fixed(&'static str, Vec<f64>);
@@ -112,7 +112,7 @@ mod tests {
             .collect()
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 << 20 },

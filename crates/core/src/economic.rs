@@ -97,7 +97,7 @@ mod tests {
     use netsim::node::NodeId;
     use netsim::time::{SimDuration, SimTime};
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     fn cand(node: u32, cpu: f64, history: InteractionHistory) -> CandidateView {
@@ -112,7 +112,7 @@ mod tests {
         }
     }
 
-    fn file_req(c: &[CandidateView], bytes: u64) -> SelectionRequest<'_> {
+    fn file_req(c: &dyn Roster, bytes: u64) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO + SimDuration::from_secs(1000),
             purpose: Purpose::FileTransfer { bytes },

@@ -13,7 +13,9 @@
 use overlay::selector::SelectionRequest;
 use overlay::stats::Criterion;
 
-use crate::model::{min_max_normalize, ScoringModel};
+use crate::model::ScoringModel;
+
+const CRITERIA: usize = Criterion::ALL.len();
 
 /// A weighting of the §2.2 criteria.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,36 +130,57 @@ impl ScoringModel for DataEvaluatorModel {
         &self.name
     }
 
+    /// Two sweeps over the roster, touching each candidate once per
+    /// sweep: the first gathers every criterion's finite minimum and
+    /// maximum, the second normalizes, polarity-corrects, weights and
+    /// sums. Each candidate's score is accumulated criterion by criterion
+    /// in profile order, so it is the same sequence of floating-point
+    /// operations as normalizing one column per criterion.
     fn scores(&mut self, req: &SelectionRequest<'_>) -> Vec<f64> {
         let n = req.candidates.len();
         let total_weight = self.profile.total_weight();
         if n == 0 || total_weight <= 0.0 {
             return vec![0.0; n];
         }
-        let mut scores = vec![0.0; n];
-        for &(criterion, weight) in self.profile.weights() {
-            // Raw values; missing history marked NaN so normalization skips it.
-            let mut column: Vec<f64> = req
-                .candidates
-                .iter()
-                .map(|c| c.snapshot.value(criterion).unwrap_or(f64::NAN))
-                .collect();
-            min_max_normalize(&mut column);
-            for (i, v) in column.into_iter().enumerate() {
-                let goodness = if v.is_nan() {
-                    self.neutral
-                } else if criterion.higher_is_better() {
-                    v
-                } else {
-                    1.0 - v
-                };
-                scores[i] += weight * goodness;
+        let (mut lo, mut hi) = ([f64::INFINITY; CRITERIA], [f64::NEG_INFINITY; CRITERIA]);
+        for c in req.candidates.iter() {
+            for (k, v) in c.snapshot.values().into_iter().enumerate() {
+                if let Some(v) = v.filter(|v| v.is_finite()) {
+                    lo[k] = lo[k].min(v);
+                    hi[k] = hi[k].max(v);
+                }
             }
         }
-        for s in &mut scores {
-            *s /= total_weight;
-        }
-        scores
+        let span: [f64; CRITERIA] = std::array::from_fn(|k| hi[k] - lo[k]);
+        req.candidates
+            .iter()
+            .map(|c| {
+                let values = c.snapshot.values();
+                let mut score = 0.0;
+                for &(criterion, weight) in self.profile.weights() {
+                    let k = criterion as usize;
+                    // Missing history is NaN: neutral, not zero. Other
+                    // non-finite values pass through un-normalized.
+                    let raw = values[k].unwrap_or(f64::NAN);
+                    let v = if !raw.is_finite() {
+                        raw
+                    } else if span[k] <= 0.0 {
+                        0.5 // constant column: all equally good
+                    } else {
+                        (raw - lo[k]) / span[k]
+                    };
+                    let goodness = if v.is_nan() {
+                        self.neutral
+                    } else if criterion.higher_is_better() {
+                        v
+                    } else {
+                        1.0 - v
+                    };
+                    score += weight * goodness;
+                }
+                score / total_weight
+            })
+            .collect()
     }
 }
 
@@ -168,7 +191,7 @@ mod tests {
     use netsim::node::NodeId;
     use netsim::time::SimTime;
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     fn cand(node: u32, snapshot: StatsSnapshot) -> CandidateView {
@@ -183,7 +206,7 @@ mod tests {
         }
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 << 20 },
@@ -313,5 +336,105 @@ mod tests {
         let scores =
             DataEvaluatorModel::with_profile("none", WeightProfile::empty()).scores(&req(&c));
         assert_eq!(scores, vec![0.0]);
+    }
+
+    /// The column-wise evaluation the single-sweep `scores` replaced: one
+    /// raw column per criterion, min-max normalized on its own, then
+    /// polarity-corrected, weighted and added into the score vector.
+    fn column_wise_scores(model: &DataEvaluatorModel, req: &SelectionRequest<'_>) -> Vec<f64> {
+        let n = req.candidates.len();
+        let total_weight = model.profile.total_weight();
+        if n == 0 || total_weight <= 0.0 {
+            return vec![0.0; n];
+        }
+        let mut scores = vec![0.0; n];
+        for &(criterion, weight) in model.profile.weights() {
+            let mut column: Vec<f64> = req
+                .candidates
+                .iter()
+                .map(|c| c.snapshot.value(criterion).unwrap_or(f64::NAN))
+                .collect();
+            crate::model::min_max_normalize(&mut column);
+            for (i, v) in column.into_iter().enumerate() {
+                let goodness = if v.is_nan() {
+                    model.neutral
+                } else if criterion.higher_is_better() {
+                    v
+                } else {
+                    1.0 - v
+                };
+                scores[i] += weight * goodness;
+            }
+        }
+        for s in &mut scores {
+            *s /= total_weight;
+        }
+        scores
+    }
+
+    /// A snapshot whose criteria are each, by `shape`: absent, the same
+    /// for every candidate, or (mostly) random — with the odd non-finite
+    /// gauge thrown in.
+    fn random_snapshot(rng: &mut netsim::rng::SimRng, shape: &[u64; 16]) -> StatsSnapshot {
+        let mut pct = |k: usize| match shape[k] {
+            0 => None,
+            1 => Some(42.0),
+            _ if rng.below(5) == 0 => None,
+            _ => Some(rng.uniform_range(0.0, 100.0)),
+        };
+        let mut snapshot = StatsSnapshot::empty(1.0);
+        snapshot.msg_success_session = pct(0);
+        snapshot.msg_success_total = pct(1);
+        snapshot.msg_success_last_k = pct(2);
+        snapshot.task_exec_session = pct(7);
+        snapshot.task_exec_total = pct(8);
+        snapshot.task_accept_session = pct(9);
+        snapshot.task_accept_total = pct(10);
+        snapshot.files_sent_session = pct(11);
+        snapshot.files_sent_total = pct(12);
+        snapshot.cancel_session = pct(13);
+        snapshot.cancel_total = pct(14);
+        let mut gauge = |k: usize| match shape[k] {
+            0 | 1 => 3.0,
+            _ if rng.below(40) == 0 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][k % 3],
+            _ => rng.uniform_range(0.0, 20.0),
+        };
+        snapshot.outbox_now = gauge(3);
+        snapshot.outbox_avg = gauge(4);
+        snapshot.inbox_now = gauge(5);
+        snapshot.inbox_avg = gauge(6);
+        snapshot.pending_transfers = gauge(15);
+        snapshot
+    }
+
+    #[test]
+    fn single_sweep_scores_are_bit_identical_to_column_wise_normalization() {
+        let mut rng = netsim::rng::SimRng::new(0xE7A1);
+        let models = [
+            DataEvaluatorModel::same_priority(),
+            DataEvaluatorModel::with_profile("files", WeightProfile::file_oriented()),
+            DataEvaluatorModel::with_profile("tasks", WeightProfile::task_oriented()),
+            DataEvaluatorModel::with_profile("none", WeightProfile::empty()),
+        ];
+        for round in 0..300 {
+            // A single candidate, a pair, and rosters of up to 40.
+            let n = [1, 2, 1 + rng.below(40) as usize][round % 3];
+            let shape: [u64; 16] = std::array::from_fn(|_| rng.below(4));
+            let roster: Vec<CandidateView> = (0..n)
+                .map(|i| cand(i as u32, random_snapshot(&mut rng, &shape)))
+                .collect();
+            for model in &models {
+                let got = model.clone().scores(&req(&roster));
+                let want = column_wise_scores(model, &req(&roster));
+                assert_eq!(
+                    got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    "round {round}, {}: {got:?} vs {want:?}",
+                    model.name
+                );
+            }
+        }
+        let none: Vec<CandidateView> = Vec::new();
+        assert!(models[0].clone().scores(&req(&none)).is_empty());
     }
 }

@@ -98,13 +98,12 @@ impl<M: ScoringModel> PeerSelector for Scored<M> {
 /// Min-max normalizes a slice into `[0, 1]` in place; constant slices map
 /// to 0.5 (all equally good). Non-finite entries are left untouched.
 pub fn min_max_normalize(values: &mut [f64]) {
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        return;
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in values.iter().filter(|v| v.is_finite()) {
+        lo = lo.min(*v);
+        hi = hi.max(*v);
     }
-    let lo = finite.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let span = hi - lo;
+    let span = hi - lo; // -inf with no finite entry, and then nothing to map
     for v in values.iter_mut() {
         if v.is_finite() {
             *v = if span <= 0.0 { 0.5 } else { (*v - lo) / span };
@@ -118,7 +117,7 @@ mod tests {
     use netsim::node::NodeId;
     use netsim::time::SimTime;
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     pub(crate) fn mk_candidates(n: usize) -> Vec<CandidateView> {
@@ -145,7 +144,7 @@ mod tests {
         }
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 },
@@ -201,7 +200,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let mut s = Scored::new(Fixed(vec![]));
-        assert_eq!(s.select(&req(&[])), None);
+        assert_eq!(s.select(&req(&Vec::new())), None);
     }
 
     #[test]

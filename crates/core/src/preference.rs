@@ -105,7 +105,7 @@ mod tests {
     use netsim::node::NodeId;
     use netsim::time::{SimDuration, SimTime};
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, PeerSelector, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     fn cand(node: u32, name: &str, history: InteractionHistory) -> CandidateView {
@@ -120,7 +120,7 @@ mod tests {
         }
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 << 20 },

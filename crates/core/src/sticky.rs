@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use netsim::time::SimTime;
     use overlay::id::{IdGenerator, PeerId};
-    use overlay::selector::{CandidateView, InteractionHistory, Purpose};
+    use overlay::selector::{CandidateView, InteractionHistory, Purpose, Roster};
     use overlay::stats::StatsSnapshot;
 
     struct Scripted {
@@ -128,7 +128,7 @@ mod tests {
             .collect()
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 << 20 },
@@ -220,7 +220,7 @@ mod tests {
         let mut s = sticky(script, 0.2);
         let c = candidates(1);
         assert_eq!(s.select(&req(&c)), Some(0));
-        assert_eq!(s.select(&req(&[])), None);
+        assert_eq!(s.select(&req(&Vec::new())), None);
         assert_eq!(s.incumbent(), None);
     }
 

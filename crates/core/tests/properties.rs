@@ -152,7 +152,7 @@ proptest! {
         let empty = SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes },
-            candidates: &[],
+            candidates: &Vec::new(),
         };
         for m in &mut models {
             prop_assert_eq!(m.select(&empty), None);

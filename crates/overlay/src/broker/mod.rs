@@ -33,6 +33,7 @@
 pub(crate) mod counters;
 pub(crate) mod registry;
 pub(crate) mod retry;
+pub(crate) mod roster;
 pub(crate) mod schedule;
 pub(crate) mod selection;
 pub(crate) mod tasks;

@@ -11,15 +11,22 @@
 //! Storage is a **slab**: entries live in one contiguous `Vec`, freed slots
 //! are recycled LIFO, and a `PeerId → slot` index provides O(1) lookup.
 //! Under churn a million-peer roster therefore occupies memory proportional
-//! to the *concurrent* population, not the total number of joins, and the
-//! entries stay cache-adjacent for the roster-snapshot scan that selection
-//! takes on every petition.
+//! to the *concurrent* population, not the total number of joins. Each
+//! entry holds the [`CandidateView`] selection and gossip read **in
+//! place** — the live interaction history and a cached statistics
+//! snapshot — so a petition borrows the roster instead of copying it;
+//! [`PeerRegistry::entry_mut`] is the one way to change an entry and is
+//! what marks its cached snapshot for re-evaluation. The read side (cache
+//! refresh, node-sorted order index, the borrowed [`super::roster::RosterView`])
+//! lives in [`super::roster`].
 //!
 //! The federation roster holds **shared** views: a gossip round builds one
 //! `Arc<CandidateView>` per local peer, every fellow broker's message
 //! carries the same roster allocation, and a receiver keeps the sender's
 //! pointer rather than a copy. A host → claimant index over those views
-//! makes a departure's purge a hash lookup instead of a scan.
+//! makes a departure's purge a hash lookup instead of a scan, and a view
+//! its sender stopped refreshing is evicted once it outlives the
+//! staleness bound.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -39,24 +46,28 @@ use crate::selector::{CandidateView, InteractionHistory};
 use crate::stats::{PeerStats, StatsSnapshot};
 
 use super::counters::FootprintGauges;
+use super::roster::ReadIndex;
 use super::Broker;
 
 /// Everything the broker tracks about one registered peer.
 pub(crate) struct PeerEntry {
     pub(crate) adv: PeerAdvertisement,
-    /// The advertised hostname, interned once at admission so per-selection
-    /// roster snapshots clone a refcount instead of a string buffer.
-    pub(crate) name: Arc<str>,
     pub(crate) stats: PeerStats,
     pub(crate) reported: Option<StatsSnapshot>,
-    pub(crate) history: InteractionHistory,
+    /// What selection and gossip see of this peer, held in place. `peer`,
+    /// `node`, `name` (interned at admission, so recording a selection
+    /// clones a refcount) and `cpu_gops` follow the advertisement;
+    /// `history` is the live record the transfer and task paths update;
+    /// `snapshot` is a cache of [`PeerEntry::snapshot_at`], brought up to
+    /// date before any read.
+    pub(crate) view: CandidateView,
 }
 
 impl PeerEntry {
-    /// The candidate view selection and gossip see for this peer at `now`:
-    /// broker-side stats, with queue gauges overridden by the peer's own
-    /// latest report when available.
-    fn view(&self, now: SimTime, stats_k_hours: usize) -> CandidateView {
+    /// The statistics snapshot selection and gossip see for this peer at
+    /// `now`: broker-side stats, with queue gauges overridden by the
+    /// peer's own latest report when available.
+    pub(super) fn snapshot_at(&self, now: SimTime, stats_k_hours: usize) -> StatsSnapshot {
         let mut snapshot = self.stats.snapshot(now, stats_k_hours);
         if let Some(reported) = &self.reported {
             snapshot.inbox_now = reported.inbox_now;
@@ -64,14 +75,7 @@ impl PeerEntry {
             snapshot.outbox_now = reported.outbox_now;
             snapshot.outbox_avg = reported.outbox_avg;
         }
-        CandidateView {
-            peer: self.adv.peer,
-            node: self.adv.node,
-            name: self.name.clone(),
-            cpu_gops: self.adv.cpu_gops,
-            snapshot,
-            history: self.history.clone(),
-        }
+        snapshot
     }
 }
 
@@ -110,7 +114,7 @@ fn view_alloc_bytes(view: &CandidateView) -> u64 {
 /// second-hand view of a peer on a host another remote peer has since
 /// taken) spill into `rest`. Each `(node, peer)` pair is stored once.
 #[derive(Default)]
-struct NodeClaims {
+pub(super) struct NodeClaims {
     first: HashMap<NodeId, PeerId>,
     rest: HashMap<NodeId, Vec<PeerId>>,
 }
@@ -128,7 +132,7 @@ impl NodeClaims {
 
     /// Forgets that `peer` claims `node`, promoting a spilled claimant
     /// into the inline slot when the inline one goes.
-    fn remove(&mut self, node: NodeId, peer: PeerId) {
+    pub(super) fn remove(&mut self, node: NodeId, peer: PeerId) {
         let spilled = self.rest.get_mut(&node);
         if self.first.get(&node) == Some(&peer) {
             match spilled.and_then(Vec::pop) {
@@ -179,16 +183,19 @@ impl NodeClaims {
 #[derive(Default)]
 pub(crate) struct PeerRegistry {
     /// Entry slab; `None` marks a recyclable slot left by an eviction.
-    entries: Vec<Option<PeerEntry>>,
+    pub(super) entries: Vec<Option<PeerEntry>>,
     /// Free slot indices, reused LIFO so churn does not grow the slab.
     free: Vec<u32>,
     /// Registered peer → slab slot.
     index: HashMap<PeerId, u32>,
-    by_node: HashMap<NodeId, PeerId>,
+    pub(super) by_node: HashMap<NodeId, PeerId>,
     /// Candidate views learnt from fellow brokers, keyed by peer.
-    remote_peers: HashMap<PeerId, RemoteView>,
+    pub(super) remote_peers: HashMap<PeerId, RemoteView>,
     /// Host → the `remote_peers` entries whose view claims it.
-    remote_claims: NodeClaims,
+    pub(super) remote_claims: NodeClaims,
+    /// Read-side state: which cached snapshots are due, and the
+    /// node-sorted order a petition reads the roster through.
+    pub(super) read: ReadIndex,
     /// Departure tombstones: peers this broker saw leave, and when. A
     /// gossiped view older than the tombstone is a stale echo and must
     /// not resurrect the peer; a newer one proves it rejoined elsewhere
@@ -243,9 +250,11 @@ impl PeerRegistry {
             .and_then(|&slot| self.entries[slot as usize].as_ref())
     }
 
-    /// Mutable access to a registered peer's entry.
+    /// Mutable access to a registered peer's entry — the only way to
+    /// change one, so its cached snapshot is listed for re-evaluation.
     pub(crate) fn entry_mut(&mut self, peer: PeerId) -> Option<&mut PeerEntry> {
         let slot = *self.index.get(&peer)?;
+        self.touch(slot);
         self.entries[slot as usize].as_mut()
     }
 
@@ -286,6 +295,7 @@ impl PeerRegistry {
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let peer = adv.peer;
         let cpu = adv.cpu_gops;
+        self.invalidate_order();
         self.forget_remote(peer);
         // First-hand readmission beats any departure we recorded earlier.
         self.departed.remove(&peer);
@@ -303,21 +313,30 @@ impl PeerRegistry {
                 self.by_node.remove(&old_node);
             }
             self.by_node.insert(adv.node, peer);
+            self.touch(slot);
             let entry = self.entries[slot as usize].as_mut().expect("occupied");
-            if &*entry.name != adv.name.as_str() {
-                entry.name = Arc::from(adv.name.as_str());
+            if &*entry.view.name != adv.name.as_str() {
+                entry.view.name = Arc::from(adv.name.as_str());
             }
+            entry.view.node = adv.node;
+            entry.view.cpu_gops = cpu;
             entry.adv = adv;
             entry.stats.cpu_gops = cpu;
             return superseded;
         }
         self.by_node.insert(adv.node, peer);
         let entry = PeerEntry {
-            name: Arc::from(adv.name.as_str()),
+            view: CandidateView {
+                peer,
+                node: adv.node,
+                name: Arc::from(adv.name.as_str()),
+                cpu_gops: cpu,
+                snapshot: StatsSnapshot::empty(cpu),
+                history: InteractionHistory::empty(),
+            },
             adv,
             stats: PeerStats::new(now, cpu),
             reported: None,
-            history: InteractionHistory::empty(),
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -330,6 +349,7 @@ impl PeerRegistry {
             }
         };
         self.index.insert(peer, slot);
+        self.touch(slot);
         superseded
     }
 
@@ -340,6 +360,7 @@ impl PeerRegistry {
         let Some(slot) = self.index.remove(&peer) else {
             return false;
         };
+        self.invalidate_order();
         let entry = self.entries[slot as usize].take().expect("indexed slot");
         if self.by_node.get(&entry.adv.node) == Some(&peer) {
             self.by_node.remove(&entry.adv.node);
@@ -375,6 +396,7 @@ impl PeerRegistry {
             }
             self.departed.remove(&peer);
         }
+        self.invalidate_order();
         let remote = RemoteView {
             view: Arc::clone(view),
             as_of,
@@ -400,6 +422,7 @@ impl PeerRegistry {
     fn forget_remote(&mut self, peer: PeerId) {
         if let Some(old) = self.remote_peers.remove(&peer) {
             self.remote_claims.remove(old.view.node, peer);
+            self.invalidate_order();
         }
     }
 
@@ -430,6 +453,7 @@ impl PeerRegistry {
         self.forget_remote(peer);
         for claimant in self.remote_claims.take(node) {
             self.remote_peers.remove(&claimant);
+            self.invalidate_order();
         }
     }
 
@@ -467,56 +491,6 @@ impl PeerRegistry {
             .flat_map(|(_, holdings)| holdings.iter())
     }
 
-    /// Snapshot of every known candidate (registered + federation-learnt),
-    /// sorted by node for determinism. When `staleness` is set, gossiped
-    /// views older than that bound are left out: the stale-stat tolerance
-    /// window of the federation design.
-    pub(crate) fn candidate_views(
-        &self,
-        now: SimTime,
-        stats_k_hours: usize,
-        staleness: Option<SimDuration>,
-    ) -> Vec<CandidateView> {
-        let mut views: Vec<CandidateView> = self
-            .entries()
-            .map(|entry| entry.view(now, stats_k_hours))
-            .collect();
-        // Merge federation-learnt peers that are not locally registered
-        // and whose gossip snapshot is inside the staleness window.
-        for remote in self.remote_peers.values() {
-            if self.by_node.contains_key(&remote.view.node) {
-                continue;
-            }
-            if let Some(bound) = staleness {
-                if now - remote.as_of > bound {
-                    continue;
-                }
-            }
-            views.push(CandidateView::clone(&remote.view));
-        }
-        views.sort_by_key(|v| v.node);
-        views
-    }
-
-    /// The roster a gossip round publishes: one shared view per
-    /// locally-registered peer, sorted by node. Federation-learnt views
-    /// are never relayed, so this is [`PeerRegistry::candidate_views`]
-    /// restricted to occupied hosts — remote views there are already
-    /// shadowed and `by_node` is a bijection — built without touching
-    /// the remote roster and without moving whole views through a sort.
-    pub(crate) fn local_roster(
-        &self,
-        now: SimTime,
-        stats_k_hours: usize,
-    ) -> Arc<[Arc<CandidateView>]> {
-        let mut entries: Vec<&PeerEntry> = self.entries().collect();
-        entries.sort_by_key(|e| e.adv.node);
-        entries
-            .into_iter()
-            .map(|e| Arc::new(e.view(now, stats_k_hours)))
-            .collect()
-    }
-
     /// Structural invariants, checked by tests after every mutation:
     /// index↔slab agreement, peers↔by_node bijection, slot accounting.
     #[cfg(test)]
@@ -533,6 +507,12 @@ impl PeerRegistry {
                 .as_ref()
                 .expect("indexed slot occupied");
             assert_eq!(entry.adv.peer, peer, "slab slot agrees with index key");
+            assert_eq!(
+                (entry.view.peer, entry.view.node, &*entry.view.name),
+                (peer, entry.adv.node, entry.adv.name.as_str()),
+                "the in-place view follows the advertisement"
+            );
+            assert_eq!(entry.view.cpu_gops, entry.adv.cpu_gops);
             assert_eq!(
                 self.by_node.get(&entry.adv.node),
                 Some(&peer),
@@ -566,6 +546,7 @@ impl PeerRegistry {
                 .all(|(node, r)| !r.is_empty() && self.remote_claims.first.contains_key(node)),
             "spill lists are non-empty and only follow an inline claimant"
         );
+        self.read.check(&self.entries);
         for peer in self.departed.keys() {
             assert!(
                 !self.index.contains_key(peer),
@@ -577,7 +558,8 @@ impl PeerRegistry {
 
 impl MemoryFootprint for PeerRegistry {
     /// Length-based heap estimate (see [`crate::footprint`]): entry slots
-    /// and id indexes under `roster`, windowed-ratio rings under `stats`,
+    /// (each with its in-place candidate view), id indexes and the read
+    /// index under `roster`, windowed-ratio rings under `stats`,
     /// owned advertisement strings under `ads`, the content directory
     /// under `content`, and federation state under `gossip`: the remote
     /// map's slots (key, pointer, timestamp), the host-claim index, and
@@ -588,7 +570,8 @@ impl MemoryFootprint for PeerRegistry {
                 + slots_estimate::<u32>(self.free.len())
                 + map_estimate::<PeerId, u32>(self.index.len())
                 + map_estimate::<NodeId, PeerId>(self.by_node.len())
-                + map_estimate::<NodeId, Arc<str>>(self.names.len()),
+                + map_estimate::<NodeId, Arc<str>>(self.names.len())
+                + self.read.heap_bytes(),
             gossip: map_estimate::<PeerId, RemoteView>(self.remote_peers.len())
                 + self.remote_claims.heap_bytes()
                 + map_estimate::<PeerId, SimTime>(self.departed.len())
@@ -599,7 +582,7 @@ impl MemoryFootprint for PeerRegistry {
             fp.roster += name.len() as u64;
         }
         for entry in self.entries() {
-            fp.roster += entry.name.len() as u64;
+            fp.roster += entry.view.name.len() as u64;
             fp.ads += entry.adv.name.len() as u64;
             fp.stats += entry.stats.message_window.heap_bytes();
         }

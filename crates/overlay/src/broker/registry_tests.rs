@@ -3,9 +3,66 @@
 use super::*;
 use crate::advertisement::DEFAULT_LIFETIME;
 use crate::id::IdGenerator;
+use crate::selector::Roster;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
 use proptest::prelude::*;
+
+impl PeerEntry {
+    /// The candidate view of this peer at `now`, evaluated from scratch:
+    /// the oracle the cached in-place view must equal after a refresh.
+    fn view(&self, now: SimTime, stats_k_hours: usize) -> CandidateView {
+        CandidateView {
+            peer: self.adv.peer,
+            node: self.adv.node,
+            name: Arc::from(self.adv.name.as_str()),
+            cpu_gops: self.adv.cpu_gops,
+            snapshot: self.snapshot_at(now, stats_k_hours),
+            history: self.view.history.clone(),
+        }
+    }
+}
+
+impl PeerRegistry {
+    /// What a petition read before it borrowed the roster: an owned
+    /// snapshot of every known candidate (registered + federation-learnt)
+    /// inside the staleness window, sorted by node. Kept as the oracle
+    /// [`PeerRegistry::roster`] must match element for element.
+    fn candidate_views(
+        &self,
+        now: SimTime,
+        stats_k_hours: usize,
+        staleness: Option<SimDuration>,
+    ) -> Vec<CandidateView> {
+        let mut views: Vec<CandidateView> = self
+            .entries()
+            .map(|entry| entry.view(now, stats_k_hours))
+            .collect();
+        for remote in self.remote_peers.values() {
+            if self.by_node.contains_key(&remote.view.node) {
+                continue;
+            }
+            if staleness.is_some_and(|bound| now - remote.as_of > bound) {
+                continue;
+            }
+            views.push(CandidateView::clone(&remote.view));
+        }
+        views.sort_by_key(|v| (v.node, v.peer));
+        views
+    }
+
+    /// The borrowed roster, copied out so it can be compared.
+    fn roster_copy(
+        &mut self,
+        now: SimTime,
+        stats_k_hours: usize,
+        staleness: Option<SimDuration>,
+    ) -> Vec<CandidateView> {
+        let roster = self.roster(now, stats_k_hours, staleness);
+        let roster: &dyn Roster = &roster;
+        roster.iter().cloned().collect()
+    }
+}
 
 /// Learns `view` as if it arrived in a roster addressed to one broker.
 fn learn(reg: &mut PeerRegistry, view: CandidateView, as_of: SimTime) -> bool {
@@ -87,10 +144,18 @@ fn readmission_keeps_the_original_entry() {
     let a = adv(&mut ids, 3, "beta", SimTime::ZERO);
     let peer = a.peer;
     reg.admit(a.clone(), SimTime::ZERO);
-    reg.entry_mut(peer).unwrap().history.transfers_completed = 7;
+    reg.entry_mut(peer)
+        .unwrap()
+        .view
+        .history
+        .transfers_completed = 7;
     reg.admit(a, SimTime::ZERO + SimDuration::from_secs(9));
     assert_eq!(
-        reg.entry_mut(peer).unwrap().history.transfers_completed,
+        reg.entry_mut(peer)
+            .unwrap()
+            .view
+            .history
+            .transfers_completed,
         7,
         "re-join must not clear history"
     );
@@ -108,7 +173,11 @@ fn readmission_refreshes_advertisement_and_node_index() {
     let first = adv(&mut ids, 4, "gamma", SimTime::ZERO);
     let peer = first.peer;
     reg.admit(first, SimTime::ZERO);
-    reg.entry_mut(peer).unwrap().history.transfers_completed = 3;
+    reg.entry_mut(peer)
+        .unwrap()
+        .view
+        .history
+        .transfers_completed = 3;
 
     let rejoin = PeerAdvertisement {
         peer,
@@ -126,10 +195,12 @@ fn readmission_refreshes_advertisement_and_node_index() {
     assert_eq!(entry.adv.node, NodeId(9), "advertisement refreshed");
     assert_eq!(entry.adv.cpu_gops, 2.5, "capacity refreshed");
     assert_eq!(entry.stats.cpu_gops, 2.5, "stats see the new capacity");
-    assert_eq!(&*entry.name, "gamma-prime", "interned name refreshed");
+    assert_eq!(&*entry.view.name, "gamma-prime", "interned name refreshed");
+    assert_eq!(entry.view.node, NodeId(9), "the in-place view moved too");
+    assert_eq!(entry.view.cpu_gops, 2.5);
     assert!(!entry.adv.accepts_tasks);
     assert_eq!(
-        entry.history.transfers_completed, 3,
+        entry.view.history.transfers_completed, 3,
         "history survives the move"
     );
     assert_eq!(reg.peer_of(NodeId(9)), Some(peer), "new host indexed");
@@ -153,7 +224,7 @@ fn admit_forgets_the_federation_rumor() {
     reg.admit(a, SimTime::ZERO);
     reg.check_invariants();
     assert_eq!(reg.remote_count(), 0);
-    assert_eq!(reg.candidate_views(SimTime::ZERO, 24, None).len(), 1);
+    assert_eq!(reg.roster(SimTime::ZERO, 24, None).len(), 1);
 }
 
 #[test]
@@ -180,7 +251,7 @@ fn gossip_cannot_resurrect_a_departed_peer() {
     let t3 = SimTime::ZERO + SimDuration::from_secs(3);
     assert!(!learn(&mut reg, view.clone(), t3), "stale echo rejected");
     assert_eq!(reg.remote_count(), 0);
-    assert!(reg.candidate_views(t5, 24, None).is_empty());
+    assert!(reg.roster(t5, 24, None).is_empty());
     reg.check_invariants();
 
     // A snapshot taken *after* the departure proves the peer rejoined
@@ -200,11 +271,11 @@ fn candidate_views_apply_the_staleness_window() {
     let now = SimTime::ZERO + SimDuration::from_secs(300);
     assert!(learn(&mut reg, fresh, now - SimDuration::from_secs(60)));
     assert!(learn(&mut reg, stale, now - SimDuration::from_secs(250)));
-    let bounded = reg.candidate_views(now, 24, Some(SimDuration::from_secs(120)));
+    let unbounded = reg.roster_copy(now, 24, None);
+    assert_eq!(unbounded.len(), 2, "no bound, no filtering");
+    let bounded = reg.roster_copy(now, 24, Some(SimDuration::from_secs(120)));
     assert_eq!(bounded.len(), 1, "only the fresh view survives");
     assert_eq!(bounded[0].node, NodeId(11));
-    let unbounded = reg.candidate_views(now, 24, None);
-    assert_eq!(unbounded.len(), 2, "no bound, no filtering");
     reg.check_invariants();
 }
 
@@ -253,7 +324,7 @@ fn candidate_views_sorted_and_federation_merged() {
     // …but one shadowing a registered node is not.
     let shadow = remote_view(PeerId::generate(&mut ids), 5, "remote");
     learn(&mut reg, shadow, SimTime::ZERO);
-    let views = reg.candidate_views(SimTime::ZERO, 24, None);
+    let views = reg.roster_copy(SimTime::ZERO, 24, None);
     let nodes: Vec<u32> = views.iter().map(|v| v.node.0).collect();
     assert_eq!(nodes, vec![2, 5, 9], "sorted by node, shadow dropped");
     reg.check_invariants();
@@ -276,7 +347,7 @@ fn reported_snapshot_overrides_queue_gauges() {
     reported.inbox_now = 11.0;
     reported.outbox_avg = 2.5;
     reg.entry_mut(peer).unwrap().reported = Some(reported);
-    let views = reg.candidate_views(SimTime::ZERO, 24, None);
+    let views = reg.roster_copy(SimTime::ZERO, 24, None);
     assert_eq!(views[0].snapshot.inbox_now, 11.0);
     assert_eq!(views[0].snapshot.outbox_avg, 2.5);
 }
@@ -356,7 +427,7 @@ fn random_churn_preserves_registry_invariants() {
             let entry = reg.entry(pool[i].peer).unwrap();
             assert_eq!(entry.adv.node, pool[i].node);
             assert_eq!(entry.adv.cpu_gops, pool[i].cpu_gops);
-            assert_eq!(&*entry.name, pool[i].name.as_str());
+            assert_eq!(&*entry.view.name, pool[i].name.as_str());
         }
     }
     assert!(
@@ -456,6 +527,156 @@ fn shared_views_are_charged_once_across_their_holders() {
     assert!(7 * share >= view_alloc_bytes(&roster[0]));
 }
 
+#[test]
+fn a_silent_senders_views_are_evicted_after_the_staleness_bound() {
+    // The boundedness bug: a gossiped view whose sender stopped
+    // refreshing it (the peer left that broker, or the broker died) used
+    // to stay in `remote_peers` and `remote_claims` for the rest of the
+    // run, re-filtered on every read.
+    let mut ids = IdGenerator::new(47);
+    let mut reg = PeerRegistry::new();
+    let bound = Some(SimDuration::from_secs(60));
+    let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let [p, q] = [(); 2].map(|_| PeerId::generate(&mut ids));
+    assert!(learn(&mut reg, remote_view(p, 1, "p"), t(0)));
+    assert!(learn(&mut reg, remote_view(q, 2, "q"), t(0)));
+    assert_eq!(reg.roster(t(30), 24, bound).len(), 2);
+    // q's sender keeps refreshing it; p's falls silent.
+    assert!(learn(&mut reg, remote_view(q, 2, "q"), t(50)));
+    assert_eq!(
+        reg.roster(t(60), 24, bound).len(),
+        2,
+        "on the bound is not past it"
+    );
+    assert_eq!(reg.remote_count(), 2);
+    let roster = reg.roster_copy(t(61), 24, bound);
+    assert_eq!(roster.len(), 1);
+    assert_eq!(roster[0].peer, q);
+    assert_eq!(
+        reg.remote_count(),
+        1,
+        "the expired view is gone, not just hidden"
+    );
+    reg.check_invariants();
+    // A read that nothing but the clock separates from the last one.
+    assert!(reg.roster(t(111), 24, bound).is_empty());
+    assert_eq!(reg.remote_count(), 0);
+    reg.check_invariants();
+    // Eviction is no tombstone: the sender speaks again, the view is back.
+    assert!(learn(&mut reg, remote_view(p, 1, "p"), t(120)));
+    assert_eq!(reg.roster(t(121), 24, bound).len(), 1);
+    assert_eq!(reg.remote_count(), 1);
+    reg.check_invariants();
+    // No bound configured, no eviction.
+    assert_eq!(reg.roster(t(10_000), 24, None).len(), 1);
+    assert_eq!(reg.remote_count(), 1);
+}
+
+#[test]
+fn the_roster_is_read_in_place_and_follows_every_mutation() {
+    let mut ids = IdGenerator::new(53);
+    let mut reg = PeerRegistry::new();
+    let a = adv(&mut ids, 3, "a", SimTime::ZERO);
+    let peer = a.peer;
+    reg.admit(a, SimTime::ZERO);
+    reg.admit(adv(&mut ids, 1, "b", SimTime::ZERO), SimTime::ZERO);
+    let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    {
+        let roster = reg.roster(t(1), 24, None);
+        assert_eq!(roster.len(), 2);
+        assert_eq!(roster.get(1).peer, peer);
+        assert_eq!(roster.get(1).snapshot, StatsSnapshot::empty(1.0));
+    }
+    let in_place: *const CandidateView = &reg.entry(peer).unwrap().view;
+    // Several writes, one read: the cache catches up with all of them.
+    let entry = reg.entry_mut(peer).unwrap();
+    entry.stats.outbox.incr(t(2));
+    entry.stats.pending_transfers = 2;
+    reg.entry_mut(peer).unwrap().view.history.queued_bytes = 9;
+    {
+        let roster = reg.roster(t(4), 24, None);
+        let seen = roster.get(1);
+        assert!(std::ptr::eq(seen, in_place), "a read copies nothing");
+        assert_eq!(seen.history.queued_bytes, 9);
+        assert_eq!(seen.snapshot.pending_transfers, 2.0);
+        assert_eq!(seen.snapshot.outbox_now, 1.0);
+        assert_eq!(seen.snapshot.outbox_avg, 0.5, "one message for 2 s of 4");
+    }
+    // The gauge keeps integrating with no further write.
+    assert_eq!(reg.roster(t(8), 24, None).get(1).snapshot.outbox_avg, 0.75);
+    assert_eq!(
+        reg.roster_copy(t(8), 24, None),
+        reg.candidate_views(t(8), 24, None)
+    );
+    reg.check_invariants();
+}
+
+#[test]
+fn a_subset_is_found_by_node_and_keeps_roster_order() {
+    let mut ids = IdGenerator::new(59);
+    let mut reg = PeerRegistry::new();
+    for node in [8, 2, 6, 4] {
+        reg.admit(adv(&mut ids, node, "x", SimTime::ZERO), SimTime::ZERO);
+    }
+    // Two rumors claim host 5; they are both candidates there.
+    for _ in 0..2 {
+        let rumor = remote_view(PeerId::generate(&mut ids), 5, "r");
+        assert!(learn(&mut reg, rumor, SimTime::ZERO));
+    }
+    let roster = reg.roster(SimTime::ZERO, 24, None);
+    let subset = roster.restricted_to(&[NodeId(6), NodeId(5), NodeId(7), NodeId(2), NodeId(6)]);
+    let subset: &dyn Roster = &subset;
+    let nodes: Vec<u32> = subset.iter().map(|v| v.node.0).collect();
+    assert_eq!(
+        nodes,
+        vec![2, 5, 5, 6],
+        "absent and repeated hosts add nothing"
+    );
+    assert!(
+        subset[1].peer < subset[2].peer,
+        "same-host views order by peer"
+    );
+    assert!(roster.restricted_to(&[NodeId(7)]).is_empty());
+}
+
+#[test]
+fn footprint_counts_the_read_index_and_the_in_place_views() {
+    let mut ids = IdGenerator::new(61);
+    let mut reg = PeerRegistry::new();
+    for (node, name) in [(1, "ab"), (2, "abcd")] {
+        reg.admit(adv(&mut ids, node, name, SimTime::ZERO), SimTime::ZERO);
+    }
+    assert!(learn(
+        &mut reg,
+        remote_view(PeerId::generate(&mut ids), 3, "r"),
+        SimTime::ZERO
+    ));
+    // Unread: two slots wait on the dirty list, there is no order yet.
+    let unread = reg.memory_footprint();
+    assert_eq!(
+        reg.read.heap_bytes(),
+        2 * 4 + 2,
+        "two listed slots and their flags"
+    );
+    assert!(
+        std::mem::size_of::<PeerEntry>() >= std::mem::size_of::<CandidateView>(),
+        "an entry slot holds the view itself"
+    );
+    // A read settles the dirty list and builds a three-entry order.
+    reg.roster(SimTime::ZERO, 24, None);
+    let read = reg.memory_footprint();
+    assert_eq!(
+        read.roster - unread.roster,
+        3 * 16 - 2 * 4,
+        "16 B per order entry"
+    );
+    assert_eq!(read.total() - read.roster, unread.total() - unread.roster);
+    // A write empties the order (it pins no view it may no longer offer)
+    // and lists the slot again.
+    reg.expel(reg.peer_of(NodeId(1)).unwrap());
+    assert_eq!(reg.read.heap_bytes(), 2, "only the per-slot flags are left");
+}
+
 /// What `purge_remote` did before the claim index: one scan over every
 /// remote view. Kept here as the oracle the indexed purge must match.
 fn purge_by_scan(remote: &mut HashMap<PeerId, (NodeId, SimTime)>, peer: PeerId, node: NodeId) {
@@ -465,20 +686,29 @@ fn purge_by_scan(remote: &mut HashMap<PeerId, (NodeId, SimTime)>, peer: PeerId, 
 
 proptest! {
     /// Random join / leave / rejoin-elsewhere / gossip / purge sequences
-    /// over a few identities and fewer hosts (so hosts are contested):
-    /// the indexed purge leaves exactly the remote views the old scan
-    /// would, and the local-only roster is the full candidate snapshot
-    /// restricted to occupied hosts.
+    /// over a few identities and fewer hosts (so hosts are contested),
+    /// mixed with record mutations through `entry_mut`, peer stats
+    /// reports, and clock steps across a gauge interval, a staleness
+    /// expiry and an hour roll. After every step: the indexed purge and
+    /// the expiry eviction leave exactly the remote views a scan would,
+    /// the borrowed roster equals the owned from-scratch snapshot element
+    /// for element, and the local-only roster is that snapshot restricted
+    /// to occupied hosts.
     #[test]
     fn indexed_purge_and_local_roster_match_their_oracles(
-        ops in prop::collection::vec((0u8..5, 0usize..8, 0u32..5, 0u64..30), 1..120),
+        ops in prop::collection::vec((0u8..9, 0usize..8, 0u32..5, 0u64..30), 1..120),
     ) {
         let mut ids = IdGenerator::new(43);
         let pool: Vec<PeerId> = (0..8).map(|_| PeerId::generate(&mut ids)).collect();
         let mut reg = PeerRegistry::new();
         let mut oracle: HashMap<PeerId, (NodeId, SimTime)> = HashMap::new();
-        for (step, (op, i, host, age)) in ops.into_iter().enumerate() {
-            let now = SimTime::from_secs_f64(100.0 + step as f64);
+        let bound = SimDuration::from_secs(10);
+        // A two-hour window, so an hour roll or two ages records out.
+        const K_HOURS: usize = 2;
+        // Starts 40 s short of an hour boundary, so plain steps cross it.
+        let mut now = SimTime::from_secs_f64(3560.0);
+        for (op, i, host, age) in ops {
+            now += SimDuration::from_secs(1);
             let (peer, node) = (pool[i], NodeId(host));
             match op {
                 0 | 1 => {
@@ -510,31 +740,75 @@ proptest! {
                         oracle.insert(peer, (node, as_of));
                     }
                 }
-                _ => {
+                4 => {
                     reg.purge_remote(peer, node);
                     purge_by_scan(&mut oracle, peer, node);
                 }
+                5 | 6 => {
+                    // What the transfer and task paths do to a record: the
+                    // gauges start (or stop) integrating, ratios and the
+                    // live history move.
+                    if let Some(entry) = reg.entry_mut(peer) {
+                        match age % 5 {
+                            0 => {
+                                entry.stats.pending_transfers += 1;
+                                entry.stats.outbox.incr(now);
+                                entry.view.history.queued_bytes += 1 << 20;
+                            }
+                            1 => {
+                                entry.stats.outbox.decr(now);
+                                entry.stats.record_file_send(host % 2 == 0);
+                                entry.view.history.transfers_completed += 1;
+                                entry.view.history.observe_throughput(1e5 * (1 + host) as f64, 0.3);
+                            }
+                            2 => entry.stats.record_message(now, host % 3 != 0),
+                            3 => entry.stats.inbox.set(now, host),
+                            _ => entry.view.history.observe_petition(0.1 * age as f64, 0.5),
+                        }
+                    }
+                }
+                7 => {
+                    // A peer's own report overrides the queue gauges.
+                    if let Some(entry) = reg.entry_mut(peer) {
+                        let mut reported = StatsSnapshot::empty(1.0);
+                        reported.inbox_now = host as f64;
+                        reported.outbox_avg = age as f64 / 4.0;
+                        entry.reported = Some(reported);
+                        entry.stats.record_message(now, true);
+                    }
+                }
+                _ => {
+                    // The clock alone: past a gauge interval, past the
+                    // staleness bound, or into another hour.
+                    now += SimDuration::from_secs([3, 15, 3600][host as usize % 3]);
+                }
             }
             reg.check_invariants();
+
+            let roster = reg.roster_copy(now, K_HOURS, Some(bound));
+            reg.check_invariants();
+            oracle.retain(|_, (_, as_of)| now - *as_of <= bound);
             let held: HashMap<PeerId, (NodeId, SimTime)> = reg
                 .remote_peers
                 .iter()
                 .map(|(&p, r)| (p, (r.view.node, r.as_of)))
                 .collect();
             prop_assert_eq!(&held, &oracle);
+            let expected = reg.candidate_views(now, K_HOURS, Some(bound));
+            // `SelectionRecord::candidates` is this length.
+            prop_assert_eq!(roster.len(), expected.len());
+            prop_assert_eq!(&roster, &expected);
 
-            let staleness = Some(SimDuration::from_secs(10));
-            let expected: Vec<CandidateView> = reg
-                .candidate_views(now, 24, staleness)
-                .into_iter()
-                .filter(|v| reg.peer_of(v.node).is_some())
-                .collect();
-            let roster: Vec<CandidateView> = reg
-                .local_roster(now, 24)
+            let local: Vec<CandidateView> = reg
+                .local_roster(now, K_HOURS)
                 .iter()
                 .map(|v| CandidateView::clone(v))
                 .collect();
-            prop_assert_eq!(roster, expected);
+            let occupied: Vec<CandidateView> = expected
+                .into_iter()
+                .filter(|v| reg.peer_of(v.node).is_some())
+                .collect();
+            prop_assert_eq!(local, occupied);
         }
     }
 }

@@ -13,8 +13,9 @@ use netsim::time::SimTime;
 use netsim::trace::TraceEventKind;
 
 use crate::message::OverlayMsg;
+use crate::records::RecordSink;
 use crate::records::SelectionRecord;
-use crate::selector::{CandidateView, PeerSelector, Purpose, SelectionOutcome, SelectionRequest};
+use crate::selector::{PeerSelector, Purpose, Roster, SelectionOutcome, SelectionRequest};
 
 use super::{Broker, BrokerCommand, TargetSpec};
 
@@ -48,41 +49,15 @@ impl Broker {
             TargetSpec::AllClients => self.registry.registered_nodes(),
             TargetSpec::Selected => {
                 let now = ctx.now();
-                let candidates = self.registry.candidate_views(
-                    now,
-                    self.cfg.stats_k_hours,
-                    self.cfg.staleness_bound,
-                );
-                if candidates.is_empty() {
-                    return Vec::new();
-                }
+                let roster =
+                    self.registry
+                        .roster(now, self.cfg.stats_k_hours, self.cfg.staleness_bound);
                 let Some(selector) = self.selection.selector.as_mut() else {
                     return Vec::new();
                 };
-                let req = SelectionRequest {
-                    now,
-                    purpose,
-                    candidates: &candidates,
-                };
-                match selector.select(&req) {
-                    Some(i) if i < candidates.len() => {
-                        let chosen = &candidates[i];
-                        self.sink.with(|log| {
-                            log.selections.push(SelectionRecord {
-                                at: now,
-                                model: selector.name().to_string(),
-                                chosen: chosen.node,
-                                chosen_name: chosen.name.clone(),
-                                candidates: candidates.len(),
-                            })
-                        });
-                        if ctx.trace_enabled() {
-                            trace_selection(ctx, &mut **selector, &req, chosen.node);
-                        }
-                        vec![chosen.node]
-                    }
-                    _ => Vec::new(),
-                }
+                consult(ctx, &self.sink, &mut **selector, now, purpose, &roster)
+                    .into_iter()
+                    .collect()
             }
         }
     }
@@ -103,39 +78,18 @@ impl Broker {
         if nodes.len() == 1 {
             return Some(nodes[0]);
         }
-        let candidates: Vec<CandidateView> = self
+        let roster = self
             .registry
-            .candidate_views(now, self.cfg.stats_k_hours, self.cfg.staleness_bound)
-            .into_iter()
-            .filter(|v| nodes.contains(&v.node))
-            .collect();
+            .roster(now, self.cfg.stats_k_hours, self.cfg.staleness_bound);
+        let candidates = roster.restricted_to(nodes);
         if let Some(selector) = self.selection.selector.as_mut() {
-            if !candidates.is_empty() {
-                let req = SelectionRequest {
-                    now,
-                    purpose,
-                    candidates: &candidates,
-                };
-                if let Some(i) = selector.select(&req) {
-                    if i < candidates.len() {
-                        let chosen = &candidates[i];
-                        let record = SelectionRecord {
-                            at: now,
-                            model: selector.name().to_string(),
-                            chosen: chosen.node,
-                            chosen_name: chosen.name.clone(),
-                            candidates: candidates.len(),
-                        };
-                        self.sink.with(|log| log.selections.push(record));
-                        if ctx.trace_enabled() {
-                            trace_selection(ctx, &mut **selector, &req, chosen.node);
-                        }
-                        return Some(chosen.node);
-                    }
-                }
+            let chosen = consult(ctx, &self.sink, &mut **selector, now, purpose, &candidates);
+            if chosen.is_some() {
+                return chosen;
             }
         }
         // Fallback: least currently-pending transfers, lowest node id.
+        let candidates: &dyn Roster = &candidates;
         candidates
             .iter()
             .min_by(|a, b| {
@@ -148,6 +102,42 @@ impl Broker {
             .map(|v| v.node)
             .or_else(|| nodes.first().copied())
     }
+}
+
+/// Puts `candidates` to the model and, when it picks one, records the
+/// decision (and traces it when tracing is on). `None` when there is no
+/// candidate or the model refuses.
+fn consult(
+    ctx: &mut Context<OverlayMsg>,
+    sink: &RecordSink,
+    selector: &mut dyn PeerSelector,
+    now: SimTime,
+    purpose: Purpose,
+    candidates: &dyn Roster,
+) -> Option<NodeId> {
+    if candidates.is_empty() {
+        return None;
+    }
+    let req = SelectionRequest {
+        now,
+        purpose,
+        candidates,
+    };
+    let chosen = selector.select(&req).filter(|&i| i < candidates.len())?;
+    let chosen = &candidates[chosen];
+    sink.with(|log| {
+        log.selections.push(SelectionRecord {
+            at: now,
+            model: selector.name().to_string(),
+            chosen: chosen.node,
+            chosen_name: chosen.name.clone(),
+            candidates: candidates.len(),
+        })
+    });
+    if ctx.trace_enabled() {
+        trace_selection(ctx, selector, &req, chosen.node);
+    }
+    Some(chosen.node)
 }
 
 impl Broker {

@@ -215,6 +215,7 @@ impl Broker {
                     entry.stats.record_task_execution(success);
                     if success && exec_secs > 0.0 {
                         entry
+                            .view
                             .history
                             .observe_exec_rate(work_gops / exec_secs, self.cfg.ewma_alpha);
                     }

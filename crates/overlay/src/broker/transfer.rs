@@ -78,7 +78,7 @@ impl Broker {
             if let Some(entry) = self.registry.entry_mut(peer) {
                 entry.stats.pending_transfers += 1;
                 entry.stats.outbox.incr(now);
-                entry.history.queued_bytes += size_bytes;
+                entry.view.history.queued_bytes += size_bytes;
             }
             // Open the transfer's data pipe (the JXTA unicast channel the
             // parts notionally flow through); closed in finish_transfer.
@@ -216,14 +216,15 @@ impl Broker {
                 entry.stats.pending_transfers = entry.stats.pending_transfers.saturating_sub(1);
                 entry.stats.outbox.decr(now);
                 entry.stats.record_file_send(completed);
-                entry.history.queued_bytes = entry.history.queued_bytes.saturating_sub(size);
+                let history = &mut entry.view.history;
+                history.queued_bytes = history.queued_bytes.saturating_sub(size);
                 if completed {
-                    entry.history.transfers_completed += 1;
+                    history.transfers_completed += 1;
                     if let Some(bps) = throughput {
-                        entry.history.observe_throughput(bps, self.cfg.ewma_alpha);
+                        history.observe_throughput(bps, self.cfg.ewma_alpha);
                     }
                 } else {
-                    entry.history.transfers_cancelled += 1;
+                    history.transfers_cancelled += 1;
                 }
             }
         }
@@ -280,6 +281,7 @@ impl Broker {
             if let Some(peer) = self.registry.peer_of(from) {
                 if let Some(entry) = self.registry.entry_mut(peer) {
                     entry
+                        .view
                         .history
                         .observe_petition(petition_latency, self.cfg.ewma_alpha);
                     entry.stats.record_message(now, true);
@@ -393,13 +395,12 @@ impl Broker {
         if let Some(peer) = self.registry.peer_of(from) {
             if let Some(entry) = self.registry.entry_mut(peer) {
                 entry.stats.record_file_send(ok);
+                let history = &mut entry.view.history;
                 if ok && elapsed_secs > 0.0 {
-                    entry
-                        .history
-                        .observe_throughput(bytes as f64 / elapsed_secs, self.cfg.ewma_alpha);
-                    entry.history.transfers_completed += 1;
+                    history.observe_throughput(bytes as f64 / elapsed_secs, self.cfg.ewma_alpha);
+                    history.transfers_completed += 1;
                 } else if !ok {
-                    entry.history.transfers_cancelled += 1;
+                    history.transfers_cancelled += 1;
                 }
             }
         }

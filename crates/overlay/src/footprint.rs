@@ -30,12 +30,16 @@
 //! in full, to that receiver. Summed over the fleet the shares make one
 //! copy of each view — rounded up, so never less — for as long as every
 //! recipient keeps it, including views of peers that have since left
-//! their broker and that nothing evicts yet. A recipient that drops its
-//! pointer early (the peer registered there, or a local departure purged
-//! the host) or never stored it (it was down, or rejected the view)
-//! holds no share; the sum then reads low by that share until the next
-//! round replaces the view. The sender charges nothing: it keeps no
-//! roster between ticks.
+//! their broker, which a holder evicts at its first roster read after
+//! they outlive the staleness bound. A recipient that drops its
+//! pointer early (the peer registered there, a local departure purged
+//! the host, or it read its roster sooner than the others) or never
+//! stored it (it was down, or rejected the view) holds no share; the sum
+//! then reads low by that share until the next round replaces the view.
+//! The sender charges nothing for the roster it sent: it keeps none
+//! between ticks. What it does keep — each local peer's candidate view,
+//! in place in the entry slot, and the read index over them — is charged
+//! to `roster`.
 
 use std::ops::{Add, AddAssign};
 

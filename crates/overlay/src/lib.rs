@@ -26,7 +26,8 @@
 //!   [`federation::FederationBuilder`], client→broker homing policies,
 //!   and the failover knobs re-homing clients run with.
 //! * [`selector`] — the [`selector::PeerSelector`] trait the `peer-selection`
-//!   crate implements, plus blind baselines.
+//!   crate implements, the [`selector::Roster`] a request lends it (the
+//!   broker's own registry slots, read in place), plus blind baselines.
 //! * [`streaming`] — streaming-on-demand viewers: playback buffers over
 //!   piece exchange, with sequential / windowed / rarest-within-window
 //!   [`streaming::PiecePolicy`] selection.

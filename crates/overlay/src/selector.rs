@@ -109,6 +109,83 @@ pub enum Purpose {
     },
 }
 
+/// A candidate set a selector reads in place: `len` views, addressed by
+/// index, in ascending node order when the broker builds it.
+///
+/// The broker's registry implements this over its own slots, so a
+/// petition borrows the roster instead of copying it; an owned
+/// `Vec<CandidateView>` implements it too, and `&vec` coerces to
+/// `&dyn Roster` wherever a [`SelectionRequest`] is built. Model code
+/// reads a `&dyn Roster` like a slice: `len()`, `is_empty()`, `iter()`,
+/// `roster[i]`.
+pub trait Roster {
+    /// Number of candidates.
+    fn len(&self) -> usize;
+
+    /// The `i`-th candidate; panics when `i >= len()`.
+    fn get(&self, i: usize) -> &CandidateView;
+
+    /// Whether there is no candidate at all.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Roster for Vec<CandidateView> {
+    fn len(&self) -> usize {
+        <[CandidateView]>::len(self)
+    }
+
+    fn get(&self, i: usize) -> &CandidateView {
+        &self[i]
+    }
+}
+
+impl dyn Roster + '_ {
+    /// The candidates in index order.
+    pub fn iter(&self) -> RosterIter<'_> {
+        RosterIter {
+            roster: self,
+            range: 0..self.len(),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for dyn Roster + '_ {
+    type Output = CandidateView;
+
+    fn index(&self, i: usize) -> &CandidateView {
+        self.get(i)
+    }
+}
+
+impl std::fmt::Debug for dyn Roster + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`Roster`], in index order.
+#[derive(Debug, Clone)]
+pub struct RosterIter<'a> {
+    roster: &'a dyn Roster,
+    range: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for RosterIter<'a> {
+    type Item = &'a CandidateView;
+
+    fn next(&mut self) -> Option<&'a CandidateView> {
+        self.range.next().map(|i| self.roster.get(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RosterIter<'_> {}
+
 /// One selection request.
 #[derive(Debug, Clone)]
 pub struct SelectionRequest<'a> {
@@ -116,8 +193,10 @@ pub struct SelectionRequest<'a> {
     pub now: SimTime,
     /// What the chosen peer will be asked to do.
     pub purpose: Purpose,
-    /// The candidate set (never empty when the broker calls).
-    pub candidates: &'a [CandidateView],
+    /// The candidate set (never empty when the broker calls), borrowed
+    /// for the duration of the call — a model that wants to keep
+    /// anything past `select` copies that field out.
+    pub candidates: &'a dyn Roster,
 }
 
 /// Outcome feedback delivered to the selector after the work finishes,
@@ -140,7 +219,10 @@ pub trait PeerSelector: Send {
     fn name(&self) -> &str;
 
     /// Picks a candidate (by index into `req.candidates`), or `None` to
-    /// refuse (no viable peer).
+    /// refuse (no viable peer). The roster is borrowed from the broker's
+    /// registry, so the cost of a call is whatever the model reads: one
+    /// that looks at every candidate is O(roster), one that does not
+    /// (round-robin, random) is O(1).
     fn select(&mut self, req: &SelectionRequest<'_>) -> Option<usize>;
 
     /// Per-candidate cost estimates for observability, parallel to
@@ -304,7 +386,7 @@ mod tests {
             .collect()
     }
 
-    fn req(c: &[CandidateView]) -> SelectionRequest<'_> {
+    fn req(c: &dyn Roster) -> SelectionRequest<'_> {
         SelectionRequest {
             now: SimTime::ZERO,
             purpose: Purpose::FileTransfer { bytes: 1 << 20 },
@@ -342,7 +424,7 @@ mod tests {
     #[test]
     fn random_selector_empty_candidates() {
         let mut s = RandomSelector::new(2);
-        assert_eq!(s.select(&req(&[])), None);
+        assert_eq!(s.select(&req(&Vec::new())), None);
     }
 
     #[test]
@@ -351,7 +433,7 @@ mod tests {
         let mut s = RoundRobinSelector::new();
         let picks: Vec<usize> = (0..7).map(|_| s.select(&req(&c)).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(s.select(&req(&[])), None);
+        assert_eq!(s.select(&req(&Vec::new())), None);
     }
 
     #[test]

@@ -98,6 +98,13 @@ impl QueueGauge {
         self.current
     }
 
+    /// Whether [`QueueGauge::average`] still depends on when it is asked:
+    /// a gauge that is empty and always has been averages to zero at any
+    /// instant.
+    pub(crate) fn is_integrating(&self) -> bool {
+        self.current != 0 || self.integral != 0.0
+    }
+
     /// Time-weighted average length over the gauge's lifetime up to `now`.
     pub fn average(&self, now: SimTime) -> f64 {
         let total = now.duration_since(self.started).as_secs_f64();
@@ -139,7 +146,9 @@ impl WindowedRatio {
         (self.buckets.len() * std::mem::size_of::<RatioCounter>()) as u64
     }
 
-    fn hour_of(t: SimTime) -> u64 {
+    /// The absolute hour index `t` falls in — all a "last k hours" query
+    /// keeps of the instant it is asked at.
+    pub(crate) fn hour_of(t: SimTime) -> u64 {
         t.as_nanos() / SimDuration::from_secs(3600).as_nanos()
     }
 
@@ -447,6 +456,29 @@ impl StatsSnapshot {
         }
     }
 
+    /// Every criterion's value at once, indexed like [`Criterion::ALL`]
+    /// (`values()[c as usize] == value(c)`).
+    pub fn values(&self) -> [Option<f64>; Criterion::ALL.len()] {
+        [
+            self.msg_success_session,
+            self.msg_success_total,
+            self.msg_success_last_k,
+            Some(self.outbox_now),
+            Some(self.outbox_avg),
+            Some(self.inbox_now),
+            Some(self.inbox_avg),
+            self.task_exec_session,
+            self.task_exec_total,
+            self.task_accept_session,
+            self.task_accept_total,
+            self.files_sent_session,
+            self.files_sent_total,
+            self.cancel_session,
+            self.cancel_total,
+            Some(self.pending_transfers),
+        ]
+    }
+
     /// A neutral snapshot for a peer with no history at all.
     pub fn empty(cpu_gops: f64) -> Self {
         StatsSnapshot {
@@ -593,10 +625,16 @@ mod tests {
         s.inbox.set(t(1), 1);
         s.pending_transfers = 2;
         let snap = s.snapshot(t(2), 24);
-        for c in Criterion::ALL {
-            // Every criterion is either a value or explicitly None.
-            let _ = snap.value(c);
+        for (i, c) in Criterion::ALL.into_iter().enumerate() {
+            // Every criterion is either a value or explicitly None, and
+            // the all-at-once accessor agrees with the one-by-one one.
+            assert_eq!(c as usize, i, "ALL is in declaration order");
+            assert_eq!(snap.values()[i], snap.value(c));
         }
+        assert_eq!(
+            snap.values()[Criterion::TaskExecSession as usize],
+            Some(100.0)
+        );
         assert_eq!(snap.value(Criterion::OutboxNow), Some(3.0));
         assert_eq!(snap.value(Criterion::PendingTransfers), Some(2.0));
     }
