@@ -38,11 +38,17 @@ impl Fig5Result {
 pub fn run_experiment(spec: &ExperimentSpec) -> Fig5Result {
     let grid = fig345_grid(SeedScheme::Explicit(spec.seeds.clone()), spec.warmup);
     let campaign = run_campaign(&grid, default_workers()).expect("built-in fig345 grid is valid");
-    let per_granularity = campaign
-        .cells
-        .into_iter()
-        .map(|cell| SeriesAggregate {
-            stats: cell.rows.into_iter().map(|(_, stat)| stat).collect(),
+    let per_granularity = GRANULARITIES
+        .iter()
+        .map(|&parts| {
+            let cell = campaign
+                .cells
+                .iter()
+                .find(|c| c.cell.parts == parts)
+                .expect("the fig345 grid has a cell per granularity");
+            SeriesAggregate {
+                stats: cell.rows.iter().map(|(_, stat)| stat.clone()).collect(),
+            }
         })
         .collect();
     Fig5Result { per_granularity }

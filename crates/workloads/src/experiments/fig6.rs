@@ -110,16 +110,17 @@ pub struct Fig6Result {
 pub fn run_experiment(spec: &ExperimentSpec) -> Result<Fig6Result, UnknownModelError> {
     let grid = fig67_grid(SeedScheme::Explicit(spec.seeds.clone()), spec.warmup);
     let campaign = run_campaign(&grid, default_workers()).expect("built-in fig67 grid is valid");
-    // Cell order is model-major, parts fastest-varying: cell index =
-    // model_index * GRANULARITIES.len() + granularity_index.
-    let models = model_names();
     let mut seconds = Vec::new();
     let mut chosen = Vec::new();
-    for (gi, _) in GRANULARITIES.iter().enumerate() {
-        let mut stats = Vec::with_capacity(models.len());
-        let mut chosen_g = Vec::with_capacity(models.len());
-        for mi in 0..models.len() {
-            let cell = &campaign.cells[mi * GRANULARITIES.len() + gi];
+    for &parts in &GRANULARITIES {
+        let mut stats = Vec::with_capacity(MODELS.len());
+        let mut chosen_g = Vec::with_capacity(MODELS.len());
+        for &model in &MODELS {
+            let cell = campaign
+                .cells
+                .iter()
+                .find(|c| c.cell.model == model && c.cell.parts == parts)
+                .expect("the fig67 grid has a cell per (model, granularity)");
             let (_, stat) = cell
                 .rows
                 .first()
@@ -131,7 +132,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<Fig6Result, UnknownModelE
         chosen.push(chosen_g);
     }
     Ok(Fig6Result {
-        models,
+        models: model_names(),
         seconds,
         chosen,
     })

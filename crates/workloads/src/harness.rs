@@ -429,6 +429,24 @@ pub struct Harness {
 }
 
 impl Harness {
+    /// The part of a run that can be rejected before an engine exists:
+    /// the workload's testbed and shard map, and its federation wiring.
+    fn plan(
+        workload: &dyn Workload,
+        seed: u64,
+    ) -> Result<(TopologyPlan, Federation), HarnessError> {
+        let plan = workload.topology(seed)?;
+        let federation = workload.federation().build(plan.brokers.clone())?;
+        Ok((plan, federation))
+    }
+
+    /// Plans `workload` under `seed` without running it, so a caller
+    /// about to fan many runs out (a sweep campaign) can refuse a
+    /// malformed one first.
+    pub fn check(&self, workload: &dyn Workload, seed: u64) -> Result<(), HarnessError> {
+        Self::plan(workload, seed).map(|_| ())
+    }
+
     /// Runs `workload` under `seed`: plan the testbed, hand out
     /// per-shard sinks, wire the federation, build the fleet, assemble
     /// the sharded engine with the requested telemetry, run to the
@@ -436,12 +454,11 @@ impl Harness {
     /// `shard_workers` at fixed shards.
     pub fn run(&self, workload: &dyn Workload, seed: u64) -> Result<HarnessRun, HarnessError> {
         let p = &self.params;
-        let TopologyPlan { topo, map, brokers } = workload.topology(seed)?;
+        let (TopologyPlan { topo, map, brokers }, federation) = Self::plan(workload, seed)?;
         let node_names: Vec<Arc<str>> = (0..topo.len())
             .map(|i| Arc::from(topo.node(NodeId(i as u32)).name.as_str()))
             .collect();
         let sinks: Vec<RecordSink> = (0..map.num_shards()).map(|_| RecordSink::new()).collect();
-        let federation = workload.federation().build(brokers.clone())?;
         let actors = workload.actors(&BuildCtx {
             seed,
             topo: &topo,

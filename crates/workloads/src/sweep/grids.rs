@@ -1,4 +1,5 @@
-//! The named sweep grids: each paper-facing campaign as a [`SweepSpec`].
+//! The named sweep grids: each paper-facing campaign as a [`SweepSpec`]
+//! that lists only the axes it varies.
 //!
 //! Split out of `sweep` so the axis/expansion/rendering machinery and the
 //! concrete grid catalog stay separately auditable. `psim sweep` resolves
@@ -6,9 +7,7 @@
 
 use netsim::time::SimDuration;
 
-use super::{
-    CellWorkload, ModelKind, SeedScheme, SweepSpec, TestbedAxis, ACCEPT_ALL, FIG6_WARMUP_ACCEPT,
-};
+use super::{Axis, CellWorkload, SeedScheme, SweepSpec};
 use crate::experiments::{fig5, fig6};
 use crate::spec::ExperimentSpec;
 use crate::streaming::{PiecePolicy, UploadProfile};
@@ -21,16 +20,7 @@ pub fn fig345_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
         workload: CellWorkload::Distribute {
             size_bytes: fig5::FILE_SIZE,
         },
-        models: vec![ModelKind::Blind],
-        parts: fig5::GRANULARITIES.to_vec(),
-        drop_probabilities: vec![0.0],
-        testbeds: vec![TestbedAxis::Measurement],
-        accept_profiles: vec![ACCEPT_ALL],
-        brokers: vec![1],
-        gossip_staleness: vec![0.0],
-        piece_policies: vec![PiecePolicy::Sequential],
-        windows: vec![1],
-        uploads: vec![UploadProfile::Home],
+        axes: vec![Axis::Parts(fig5::GRANULARITIES.to_vec())],
         seeds,
         warmup,
     }
@@ -45,16 +35,10 @@ pub fn fig67_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
             measured_bytes: fig6::MEASURED_SIZE,
             background_bytes: fig6::BACKGROUND_SIZE,
         },
-        models: fig6::MODELS.to_vec(),
-        parts: fig6::GRANULARITIES.to_vec(),
-        drop_probabilities: vec![0.0],
-        testbeds: vec![TestbedAxis::Measurement],
-        accept_profiles: vec![FIG6_WARMUP_ACCEPT],
-        brokers: vec![1],
-        gossip_staleness: vec![0.0],
-        piece_policies: vec![PiecePolicy::Sequential],
-        windows: vec![1],
-        uploads: vec![UploadProfile::Home],
+        axes: vec![
+            Axis::Models(fig6::MODELS.to_vec()),
+            Axis::Parts(fig6::GRANULARITIES.to_vec()),
+        ],
         seeds,
         warmup,
     }
@@ -62,21 +46,16 @@ pub fn fig67_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
 
 /// The federation grid: mean petition latency across broker count × the
 /// gossip/staleness cadence as a sweep campaign, so replications and
-/// CSV/JSON rendering come for free.
+/// CSV/JSON rendering come for free. Every round splits its file in 4.
 pub fn federation_grid(seeds: SeedScheme) -> SweepSpec {
     SweepSpec {
         name: "federation".into(),
         workload: CellWorkload::Federation { peers: 64 },
-        models: vec![ModelKind::Blind],
-        parts: vec![4],
-        drop_probabilities: vec![0.0],
-        testbeds: vec![TestbedAxis::Measurement],
-        accept_profiles: vec![ACCEPT_ALL],
-        brokers: vec![2, 4],
-        gossip_staleness: vec![30.0, 240.0],
-        piece_policies: vec![PiecePolicy::Sequential],
-        windows: vec![1],
-        uploads: vec![UploadProfile::Home],
+        axes: vec![
+            Axis::Brokers(vec![2, 4]),
+            Axis::Staleness(vec![30.0, 240.0]),
+            Axis::Parts(vec![4]),
+        ],
         seeds,
         warmup: SimDuration::ZERO,
     }
@@ -89,24 +68,31 @@ pub fn streaming_grid(seeds: SeedScheme) -> SweepSpec {
     SweepSpec {
         name: "streaming".into(),
         workload: CellWorkload::Streaming { viewers: 16 },
-        models: vec![ModelKind::Blind],
-        parts: vec![1],
-        drop_probabilities: vec![0.0],
-        testbeds: vec![TestbedAxis::Measurement],
-        accept_profiles: vec![ACCEPT_ALL],
-        brokers: vec![1],
-        gossip_staleness: vec![0.0],
-        piece_policies: PiecePolicy::ALL.to_vec(),
-        windows: vec![2, 8],
-        uploads: vec![UploadProfile::Home, UploadProfile::Campus],
+        axes: vec![
+            Axis::Policies(PiecePolicy::ALL.to_vec()),
+            Axis::Windows(vec![2, 8]),
+            Axis::Uploads(vec![UploadProfile::Home, UploadProfile::Campus]),
+        ],
         seeds,
         warmup: SimDuration::ZERO,
     }
 }
 
+/// Builds a named grid from a seed scheme and the paper's warm-up.
+type GridBuilder = fn(SeedScheme, SimDuration) -> SweepSpec;
+
+/// Every named grid and its builder, in help order. The synthetic grids
+/// script nothing, so they take no warm-up.
+const NAMED_GRIDS: [(&str, GridBuilder); 4] = [
+    ("fig345", fig345_grid),
+    ("fig67", fig67_grid),
+    ("federation", |seeds, _| federation_grid(seeds)),
+    ("streaming", |seeds, _| streaming_grid(seeds)),
+];
+
 /// The grid names `psim sweep` accepts.
 pub fn named_grid_list() -> Vec<&'static str> {
-    vec!["fig345", "fig67", "federation", "streaming"]
+    NAMED_GRIDS.iter().map(|(name, _)| *name).collect()
 }
 
 /// Resolves a named grid with a derived seed scheme. `None` for unknown
@@ -116,14 +102,8 @@ pub fn named_grid(name: &str, campaign_seed: u64, replications: usize) -> Option
         campaign_seed,
         replications,
     };
-    let warmup = ExperimentSpec::paper_defaults().warmup;
-    match name {
-        "fig345" => Some(fig345_grid(seeds, warmup)),
-        "fig67" => Some(fig67_grid(seeds, warmup)),
-        "federation" => Some(federation_grid(seeds)),
-        "streaming" => Some(streaming_grid(seeds)),
-        _ => None,
-    }
+    let (_, grid) = NAMED_GRIDS.iter().find(|(n, _)| *n == name)?;
+    Some(grid(seeds, ExperimentSpec::paper_defaults().warmup))
 }
 
 #[cfg(test)]
@@ -170,7 +150,7 @@ mod tests {
                 replications: 1,
             });
             s.workload = CellWorkload::Federation { peers: 24 };
-            s.gossip_staleness = vec![240.0];
+            s.axes[1] = Axis::Staleness(vec![240.0]);
             s
         };
         let one = run_campaign(&mk(), 1).expect("valid grid");
@@ -198,9 +178,10 @@ mod tests {
                 replications: 1,
             });
             s.workload = CellWorkload::Streaming { viewers: 8 };
-            s.piece_policies = vec![PiecePolicy::Sequential, PiecePolicy::Windowed];
-            s.windows = vec![4];
-            s.uploads = vec![UploadProfile::Home];
+            s.axes = vec![
+                Axis::Policies(vec![PiecePolicy::Sequential, PiecePolicy::Windowed]),
+                Axis::Windows(vec![4]),
+            ];
             s
         };
         let one = run_campaign(&mk(), 1).expect("valid grid");
@@ -221,6 +202,67 @@ mod tests {
             one.cells[1].rows[0].1.mean(),
             "startup medians differ across policies"
         );
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(grid, FNV-1a of to_csv(), of to_json(), of render())` at the
+    /// `psim sweep <grid> --quick --seed 1` settings, recorded on the
+    /// ten-`Vec`-field `SweepSpec` with its hand-written `for` nest and
+    /// format strings, before either became a list of axes and columns.
+    const QUICK_CAMPAIGN_DIGESTS: [(&str, u64, u64, u64); 4] = [
+        (
+            "fig345",
+            0x1f25bf328a9069dc,
+            0x4a240828e18d655d,
+            0xa62189f94d6fa0f3,
+        ),
+        (
+            "fig67",
+            0x2341f8eabdf0a04b,
+            0x3e4a48f2d433500c,
+            0xec3e9114e1e7b90b,
+        ),
+        (
+            "federation",
+            0x37a09f508e080a9c,
+            0xcc32b3a4b5eaea3e,
+            0x183722855303ed56,
+        ),
+        (
+            "streaming",
+            0x46e922f3bde7458d,
+            0xaee74e5db4ccc810,
+            0xe2f4bcd8296dfaec,
+        ),
+    ];
+
+    #[test]
+    fn quick_campaigns_render_the_recorded_bytes_at_any_worker_count() {
+        assert_eq!(
+            QUICK_CAMPAIGN_DIGESTS.map(|(name, ..)| name).to_vec(),
+            named_grid_list()
+        );
+        for (name, csv, json, summary) in QUICK_CAMPAIGN_DIGESTS {
+            for workers in [1, 4] {
+                let spec = named_grid(name, 1, 2).expect("listed grid resolves");
+                let campaign = run_campaign(&spec, workers).expect("valid grid");
+                let rendered = [
+                    fnv1a(&campaign.to_csv()),
+                    fnv1a(&campaign.to_json()),
+                    fnv1a(&campaign.render()),
+                ];
+                assert_eq!(
+                    rendered,
+                    [csv, json, summary],
+                    "{name} at {workers} workers: got {rendered:#018x?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -163,25 +163,13 @@ proptest! {
         campaign_seed in any::<u64>(),
         size_mb in 2u64..5,
     ) {
-        use overlay::selector::ModelKind;
-        use workloads::sweep::{
-            run_campaign, CellWorkload, SeedScheme, SweepSpec, TestbedAxis, ACCEPT_ALL,
-        };
+        use workloads::sweep::{run_campaign, Axis, CellWorkload, SeedScheme, SweepSpec};
         let spec = SweepSpec {
             name: "prop-grid".into(),
             workload: CellWorkload::Distribute {
                 size_bytes: size_mb * MB,
             },
-            models: vec![ModelKind::Blind],
-            parts: vec![1, 4],
-            drop_probabilities: vec![0.0],
-            testbeds: vec![TestbedAxis::Measurement],
-            accept_profiles: vec![ACCEPT_ALL],
-            brokers: vec![1],
-            gossip_staleness: vec![0.0],
-            piece_policies: vec![workloads::streaming::PiecePolicy::Sequential],
-            windows: vec![1],
-            uploads: vec![workloads::streaming::UploadProfile::Home],
+            axes: vec![Axis::Parts(vec![1, 4])],
             seeds: SeedScheme::Derived {
                 campaign_seed,
                 replications: 2,

@@ -11,14 +11,14 @@ use crate::{workload_artifact_or_exit, Flags};
 /// from the common flag set (`--regions`, `--peers`, `--horizon-secs`,
 /// `--num-shards`).
 pub(crate) fn churn_config(flags: &Flags) -> ChurnConfig {
-    let regions = flags.usize("regions").max(1);
+    let regions = flags.at_least("regions", 1);
     ChurnConfig {
         topo: SynthTopoConfig {
-            regions,
-            peers: flags.usize("peers").max(regions),
+            regions: regions as usize,
+            peers: flags.at_least("peers", regions) as usize,
             ..SynthTopoConfig::default()
         },
-        horizon: netsim::time::SimDuration::from_secs(flags.u64("horizon-secs").max(1)),
+        horizon: netsim::time::SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
         trace_capacity: Some(1 << 16),
         ..ChurnConfig::default()

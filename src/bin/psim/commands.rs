@@ -168,7 +168,7 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 help: "write cell-tagged metrics exposition to FILE",
             },
         ],
-        help: "run a named grid campaign (fig345, fig67); CSV on stdout",
+        help: "run a named grid campaign (`grids:` below); CSV on stdout",
     },
     CommandDef {
         name: "csv",

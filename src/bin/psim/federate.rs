@@ -26,12 +26,12 @@ fn homing_or_exit(flags: &Flags) -> HomingPolicy {
 
 /// Builds the [`FederationConfig`] from the flag set.
 fn federation_config(flags: &Flags) -> FederationConfig {
-    let brokers = flags.usize("brokers").max(1);
-    let peers = flags.usize("peers").max(brokers);
-    let gossip = SimDuration::from_millis(flags.u64("gossip-ms").max(1));
+    let brokers = flags.at_least("brokers", 1);
+    let peers = flags.at_least("peers", brokers) as usize;
+    let gossip = SimDuration::from_millis(flags.at_least("gossip-ms", 1));
     let staleness = flags
         .has("staleness-ms")
-        .then(|| SimDuration::from_millis(flags.u64("staleness-ms").max(1)));
+        .then(|| SimDuration::from_millis(flags.at_least("staleness-ms", 1)));
     let kill = flags.has("kill-broker-at").then(|| BrokerOutage {
         region: flags.usize("kill-region"),
         down_at: SimDuration::from_secs_f64(flags.f64("kill-broker-at").max(0.0)),
@@ -41,7 +41,7 @@ fn federation_config(flags: &Flags) -> FederationConfig {
     });
     FederationConfig {
         topo: SynthTopoConfig {
-            regions: brokers,
+            regions: brokers as usize,
             peers,
             ..SynthTopoConfig::default()
         },
@@ -49,7 +49,7 @@ fn federation_config(flags: &Flags) -> FederationConfig {
         gossip_interval: gossip,
         staleness_bound: staleness,
         forward_hops: flags.u64("forward-hops") as u32,
-        horizon: SimDuration::from_secs(flags.u64("horizon-secs").max(1)),
+        horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
         kill,
         trace_capacity: Some(1 << 16),

@@ -75,6 +75,18 @@ impl Flags {
         self.parse(name)
     }
 
+    /// A count or duration that must be at least `min`: anything smaller
+    /// is a usage error, not a value to clamp into something the user did
+    /// not ask for.
+    fn at_least(&self, name: &str, min: u64) -> u64 {
+        let value = self.u64(name);
+        if value < min {
+            eprintln!("invalid value `{value}` for --{name} (must be at least {min})");
+            std::process::exit(2);
+        }
+        value
+    }
+
     fn parse<T: std::str::FromStr>(&self, name: &str) -> T {
         let raw = self.values.get(name).unwrap_or_else(|| {
             panic!("flag --{name} read without a table default");

@@ -37,20 +37,20 @@ fn upload_or_exit(flags: &Flags) -> UploadProfile {
 
 /// Builds the [`StreamingConfig`] from the flag set.
 fn streaming_config(flags: &Flags) -> StreamingConfig {
-    let regions = flags.usize("regions").max(1);
-    let peers = flags.usize("peers").max(regions);
+    let regions = flags.at_least("regions", 1);
+    let peers = flags.at_least("peers", regions) as usize;
     StreamingConfig {
         topo: SynthTopoConfig {
-            regions,
+            regions: regions as usize,
             peers,
             ..SynthTopoConfig::default()
         },
         policy: policy_or_exit(flags),
-        window: flags.u64("window").max(1) as u32,
+        window: flags.at_least("window", 1) as u32,
         upload: upload_or_exit(flags),
-        horizon: SimDuration::from_secs(flags.u64("horizon-secs").max(1)),
+        horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
-        total_pieces: flags.u64("pieces").max(1) as u32,
+        total_pieces: flags.at_least("pieces", 1) as u32,
         trace_capacity: Some(1 << 16),
         ..StreamingConfig::default()
     }

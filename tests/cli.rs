@@ -154,6 +154,103 @@ fn zero_or_oversized_parallelism_is_a_usage_error() {
     }
 }
 
+/// Counts and durations the workload commands used to clamp up to 1 (and
+/// `--peers` up to the region count) are usage errors: the run the user
+/// asked for does not exist, and a different one is not an answer.
+#[test]
+fn zero_counts_and_durations_are_usage_errors_not_clamped() {
+    let cases: [(&[&str], &str); 14] = [
+        (&["churn", "--regions", "0"], "--regions"),
+        (&["churn", "--horizon-secs", "0"], "--horizon-secs"),
+        (&["churn", "--regions", "4", "--peers", "3"], "--peers"),
+        (&["profile", "churn", "--peers", "0"], "--peers"),
+        (&["federate", "--brokers", "0"], "--brokers"),
+        (&["federate", "--brokers", "4", "--peers", "3"], "--peers"),
+        (&["federate", "--gossip-ms", "0"], "--gossip-ms"),
+        (&["federate", "--staleness-ms", "0"], "--staleness-ms"),
+        (&["federate", "--horizon-secs", "0"], "--horizon-secs"),
+        (&["stream", "--regions", "0"], "--regions"),
+        (&["stream", "--regions", "4", "--peers", "0"], "--peers"),
+        (&["stream", "--window", "0"], "--window"),
+        (&["stream", "--pieces", "0"], "--pieces"),
+        (&["stream", "--horizon-secs", "0"], "--horizon-secs"),
+    ];
+    for (args, flag) in cases {
+        let out = psim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("invalid value") && stderr.contains(flag),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+}
+
+/// `psim sweep` names every grid it knows when it is given none or a wrong
+/// one, and `psim help` lists the same names.
+#[test]
+fn sweep_without_a_known_grid_lists_all_four() {
+    let grids = ["fig345", "fig67", "federation", "streaming"];
+    for args in [vec!["sweep"], vec!["sweep", "nope"]] {
+        let out = psim(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for grid in grids {
+            assert!(stderr.contains(grid), "{args:?} stderr: {stderr}");
+        }
+    }
+    let help = String::from_utf8_lossy(&psim(&["help"]).stdout).into_owned();
+    let listed = help
+        .lines()
+        .find(|l| l.starts_with("grids:"))
+        .expect("help has a grids line");
+    for grid in grids {
+        assert!(listed.contains(grid), "{listed}");
+    }
+}
+
+/// A sweep campaign's numbers must not depend on the worker count: the
+/// same grid run serially and on four workers emits byte-identical CSV
+/// and JSON. Guards the seed-derivation scheme (per-cell streams), the
+/// seed-ordered merge, and the deterministic renderers, at the surface.
+#[test]
+fn sweep_output_does_not_depend_on_the_worker_count() {
+    let run = |workers: &str| {
+        let file = std::env::temp_dir().join(format!(
+            "psim-cli-{}-sweep-{workers}.json",
+            std::process::id()
+        ));
+        let out = psim(&[
+            "sweep",
+            "fig67",
+            "--quick",
+            "--workers",
+            workers,
+            "--json",
+            file.to_str().expect("utf-8 temp path"),
+        ]);
+        assert!(out.status.success(), "sweep fig67 failed: {out:?}");
+        let json = std::fs::read_to_string(&file).expect("campaign JSON written");
+        std::fs::remove_file(&file).ok();
+        (out.stdout, json)
+    };
+    let (serial_csv, serial_json) = run("1");
+    let (pooled_csv, pooled_json) = run("4");
+    assert!(!serial_csv.is_empty() && !serial_json.is_empty());
+    assert_eq!(serial_csv, pooled_csv);
+    assert_eq!(serial_json, pooled_json);
+}
+
+#[test]
+fn sweep_fig345_covers_all_24_paper_cells() {
+    let out = psim(&["sweep", "fig345", "--quick"]);
+    assert!(out.status.success(), "sweep fig345 failed: {out:?}");
+    let csv = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(csv.lines().skip(1).count(), 24, "8 SCs x 3 splits:\n{csv}");
+}
+
 /// `--horizon-secs` is a churn flag; a profiled scenario reports the
 /// horizon it ran to, not that flag's default.
 #[test]
