@@ -6,10 +6,10 @@
 //! randomness flows through per-node split streams of one master seed, so a
 //! run is a pure function of `(topology, config, seed, actors)`.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::event::EventQueue;
+use crate::idmap::IdSet;
 use crate::metrics::{MetricId, Metrics, StatId};
 use crate::node::NodeId;
 use crate::rng::SimRng;
@@ -149,7 +149,7 @@ struct EngineCore<M> {
     /// Timers scheduled but not yet fired or cancelled. A timer fires only
     /// while its id is in this set, so cancellation is `remove` and firing
     /// purges as it goes — no tombstones, bounded by in-flight timers.
-    pending_timers: HashSet<u64>,
+    pending_timers: IdSet<u64>,
     /// High-water mark of `pending_timers.len()`, flushed to the
     /// `engine.timers_pending_hwm` counter when a run step returns.
     timers_pending_hwm: usize,
@@ -462,7 +462,7 @@ impl<M: Payload> Engine<M> {
                 clock: SimTime::ZERO,
                 node_rngs,
                 net_rng,
-                pending_timers: HashSet::new(),
+                pending_timers: IdSet::default(),
                 timers_pending_hwm: 0,
                 next_timer: 0,
                 ids,

@@ -13,6 +13,7 @@
 //!   Mathis TCP throughput bound, slow-start and large-message penalties
 //!   ([`transport`]);
 //! * an actor engine dispatching typed messages between hosts ([`engine`]);
+//! * hash tables for keys the simulator numbers itself ([`idmap`]);
 //! * measurement plumbing ([`metrics`]), windowed time-series recording
 //!   ([`timeseries`]), per-shard execution profiling ([`profile`]), and
 //!   structured tracing ([`trace`]).
@@ -58,6 +59,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod idmap;
 pub mod link;
 pub mod metrics;
 pub mod node;

@@ -31,6 +31,7 @@
 //!   counter handles.
 
 pub(crate) mod counters;
+pub(crate) mod hosts;
 pub(crate) mod registry;
 pub(crate) mod retry;
 pub(crate) mod roster;

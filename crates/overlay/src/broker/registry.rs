@@ -8,31 +8,40 @@
 //! display names. The membership/discovery/statistics message handlers
 //! live here as `impl Broker` blocks; the actor merely dispatches to them.
 //!
-//! Storage is a **slab**: entries live in one contiguous `Vec`, freed slots
-//! are recycled LIFO, and a `PeerId → slot` index provides O(1) lookup.
-//! Under churn a million-peer roster therefore occupies memory proportional
-//! to the *concurrent* population, not the total number of joins. Each
-//! entry holds the [`CandidateView`] selection and gossip read **in
-//! place** — the live interaction history and a cached statistics
-//! snapshot — so a petition borrows the roster instead of copying it;
-//! [`PeerRegistry::entry_mut`] is the one way to change an entry and is
-//! what marks its cached snapshot for re-evaluation. The read side (cache
-//! refresh, node-sorted order index, the borrowed [`super::roster::RosterView`])
+//! Storage is a **slab**: entries live in one contiguous `Vec` and freed
+//! slots are recycled LIFO, so under churn a million-peer roster occupies
+//! memory proportional to the *concurrent* population, not the total
+//! number of joins. Each entry holds the [`CandidateView`] selection and
+//! gossip read **in place** — the live interaction history and a cached
+//! statistics snapshot — so a petition borrows the roster instead of
+//! copying it; [`PeerRegistry::entry_mut`] is the one way to change an
+//! entry and is what marks its cached snapshot for re-evaluation. The read
+//! side (cache refresh, node-sorted order index, the borrowed
+//! [`super::roster::RosterView`], the roster a gossip round publishes)
 //! lives in [`super::roster`].
 //!
-//! The federation roster holds **shared** views: a gossip round builds one
-//! `Arc<CandidateView>` per local peer, every fellow broker's message
-//! carries the same roster allocation, and a receiver keeps the sender's
-//! pointer rather than a copy. A host → claimant index over those views
-//! makes a departure's purge a hash lookup instead of a scan, and a view
-//! its sender stopped refreshing is evicted once it outlives the
-//! staleness bound.
+//! Two id-hashed tables index all of it. **Membership** maps a peer id to
+//! the one thing this broker knows of it — [`Membership::Local`] (its slab
+//! slot), [`Membership::Remote`] (a view learnt from a fellow broker) or
+//! [`Membership::Departed`] (a tombstone) — so the three states exclude
+//! each other by construction. The **host table** ([`super::hosts`]) maps
+//! a host to its local occupant and the remote views claiming it. Learning
+//! a gossiped view is one probe into each.
+//!
+//! The federation roster holds **shared** views: a sender publishes one
+//! `Arc<CandidateView>` per local peer and hands out the same allocation
+//! every round until the entry changes, every fellow broker's message
+//! carries the same roster, and a receiver keeps the sender's pointer
+//! rather than a copy — so a view that did not change costs its receiver a
+//! timestamp. A view its sender stopped refreshing is evicted once it
+//! outlives the staleness bound.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::engine::Context;
+use netsim::idmap::IdMap;
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
@@ -46,6 +55,7 @@ use crate::selector::{CandidateView, InteractionHistory};
 use crate::stats::{PeerStats, StatsSnapshot};
 
 use super::counters::FootprintGauges;
+use super::hosts::{Host, HostTable};
 use super::roster::ReadIndex;
 use super::Broker;
 
@@ -61,6 +71,10 @@ pub(crate) struct PeerEntry {
     /// `snapshot` is a cache of [`PeerEntry::snapshot_at`], brought up to
     /// date before any read.
     pub(crate) view: CandidateView,
+    /// The copy of `view` the last gossip round published, handed out
+    /// again while it still reads the same; dropped whenever the cached
+    /// snapshot is rewritten (see [`super::roster`]).
+    pub(super) published: Option<Arc<CandidateView>>,
 }
 
 impl PeerEntry {
@@ -99,7 +113,7 @@ pub(crate) struct RemoteView {
     /// This holder's share of the view allocation, in bytes (see the
     /// once-only rule in [`crate::footprint`]). Fixed when the view is
     /// learnt so the footprint pass never chases the pointer.
-    charge: u32,
+    pub(super) charge: u32,
 }
 
 /// Estimated heap bytes of one shared view allocation: the refcounted
@@ -108,74 +122,16 @@ fn view_alloc_bytes(view: &CandidateView) -> u64 {
     ARC_HEADER_BYTES + std::mem::size_of::<CandidateView>() as u64 + view.name.len() as u64
 }
 
-/// Which remote views claim each host — the index that lets a departure
-/// purge its host's rumors without scanning every remote view. A host
-/// nearly always has one claimant, kept inline in `first`; extras (a
-/// second-hand view of a peer on a host another remote peer has since
-/// taken) spill into `rest`. Each `(node, peer)` pair is stored once.
-#[derive(Default)]
-pub(super) struct NodeClaims {
-    first: HashMap<NodeId, PeerId>,
-    rest: HashMap<NodeId, Vec<PeerId>>,
-}
-
-impl NodeClaims {
-    /// Records that `peer` claims `node`; the pair must not be present.
-    fn insert(&mut self, node: NodeId, peer: PeerId) {
-        match self.first.entry(node) {
-            Entry::Vacant(slot) => {
-                slot.insert(peer);
-            }
-            Entry::Occupied(_) => self.rest.entry(node).or_default().push(peer),
-        }
-    }
-
-    /// Forgets that `peer` claims `node`, promoting a spilled claimant
-    /// into the inline slot when the inline one goes.
-    pub(super) fn remove(&mut self, node: NodeId, peer: PeerId) {
-        let spilled = self.rest.get_mut(&node);
-        if self.first.get(&node) == Some(&peer) {
-            match spilled.and_then(Vec::pop) {
-                Some(next) => self.first.insert(node, next),
-                None => self.first.remove(&node),
-            };
-        } else if let Some(rest) = spilled {
-            rest.retain(|p| *p != peer);
-        }
-        if self.rest.get(&node).is_some_and(Vec::is_empty) {
-            self.rest.remove(&node);
-        }
-    }
-
-    /// Removes and returns every claimant of `node`.
-    fn take(&mut self, node: NodeId) -> impl Iterator<Item = PeerId> {
-        let first = self.first.remove(&node);
-        let rest = self.rest.remove(&node).unwrap_or_default();
-        first.into_iter().chain(rest)
-    }
-
-    /// Number of `(node, peer)` pairs.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.first.len() + self.rest.values().map(Vec::len).sum::<usize>()
-    }
-
-    /// Whether `peer` is recorded as claiming `node`.
-    #[cfg(test)]
-    fn contains(&self, node: NodeId, peer: PeerId) -> bool {
-        self.first.get(&node) == Some(&peer)
-            || self.rest.get(&node).is_some_and(|r| r.contains(&peer))
-    }
-
-    fn heap_bytes(&self) -> u64 {
-        map_estimate::<NodeId, PeerId>(self.first.len())
-            + map_estimate::<NodeId, Vec<PeerId>>(self.rest.len())
-            + self
-                .rest
-                .values()
-                .map(|r| slots_estimate::<PeerId>(r.len()))
-                .sum::<u64>()
-    }
+/// The one thing a broker knows of a peer id.
+pub(super) enum Membership {
+    /// Registered here; the slab slot of its entry.
+    Local(u32),
+    /// Known from a fellow broker's gossip.
+    Remote(RemoteView),
+    /// Seen to leave this broker, and when. A gossiped view older than the
+    /// tombstone is a stale echo and must not resurrect the peer; a newer
+    /// one proves it rejoined elsewhere and replaces the tombstone.
+    Departed(SimTime),
 }
 
 /// The membership layer: registered peers, their statistics, published
@@ -186,29 +142,25 @@ pub(crate) struct PeerRegistry {
     pub(super) entries: Vec<Option<PeerEntry>>,
     /// Free slot indices, reused LIFO so churn does not grow the slab.
     free: Vec<u32>,
-    /// Registered peer → slab slot.
-    index: HashMap<PeerId, u32>,
-    pub(super) by_node: HashMap<NodeId, PeerId>,
-    /// Candidate views learnt from fellow brokers, keyed by peer.
-    pub(super) remote_peers: HashMap<PeerId, RemoteView>,
-    /// Host → the `remote_peers` entries whose view claims it.
-    pub(super) remote_claims: NodeClaims,
+    /// Peer → what is known of it: registered, rumoured, or departed.
+    pub(super) members: IdMap<PeerId, Membership>,
+    /// Host → its local occupant and the remote views claiming it.
+    pub(super) hosts: HostTable,
+    /// Sum of `charge` over the remote views held, kept where views are
+    /// stored, replaced and dropped so the per-tick footprint pass does
+    /// not walk them.
+    pub(super) remote_charge: u64,
     /// Read-side state: which cached snapshots are due, and the
     /// node-sorted order a petition reads the roster through.
     pub(super) read: ReadIndex,
-    /// Departure tombstones: peers this broker saw leave, and when. A
-    /// gossiped view older than the tombstone is a stale echo and must
-    /// not resurrect the peer; a newer one proves it rejoined elsewhere
-    /// and clears the tombstone.
-    departed: HashMap<PeerId, SimTime>,
     /// Last time each fellow broker was heard from (gossip or forwarded
     /// petitions): the heartbeat table failover liveness reads.
-    broker_heartbeats: HashMap<NodeId, SimTime>,
+    broker_heartbeats: IdMap<NodeId, SimTime>,
     /// Published content by name → holders.
     content: HashMap<String, Vec<Holding>>,
     /// Interned display names by host, so record keeping on the transfer
     /// and task hot paths clones an `Arc` instead of allocating a String.
-    names: HashMap<NodeId, Arc<str>>,
+    names: IdMap<NodeId, Arc<str>>,
 }
 
 impl PeerRegistry {
@@ -218,7 +170,7 @@ impl PeerRegistry {
 
     /// Number of registered peers.
     pub(crate) fn peer_count(&self) -> usize {
-        self.index.len()
+        self.entries.len() - self.free.len()
     }
 
     /// Capacity of the entry slab (occupied + recyclable slots). Bounded
@@ -230,31 +182,38 @@ impl PeerRegistry {
 
     /// Whether any peer is registered.
     pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.peer_count() == 0
+    }
+
+    /// The slab slot of `peer`, if it is registered here.
+    fn slot_of(&self, peer: PeerId) -> Option<u32> {
+        match self.members.get(&peer) {
+            Some(&Membership::Local(slot)) => Some(slot),
+            _ => None,
+        }
     }
 
     /// Whether `peer` is a registered member.
     pub(crate) fn has_peer(&self, peer: PeerId) -> bool {
-        self.index.contains_key(&peer)
+        self.slot_of(peer).is_some()
     }
 
     /// The registered peer living on `node`, if any.
     pub(crate) fn peer_of(&self, node: NodeId) -> Option<PeerId> {
-        self.by_node.get(&node).copied()
+        self.hosts.local(node)
     }
 
     /// Shared access to a registered peer's entry.
     pub(crate) fn entry(&self, peer: PeerId) -> Option<&PeerEntry> {
-        self.index
-            .get(&peer)
-            .and_then(|&slot| self.entries[slot as usize].as_ref())
+        self.slot_of(peer)
+            .and_then(|slot| self.entries[slot as usize].as_ref())
     }
 
     /// Mutable access to a registered peer's entry — the only way to
     /// change one, so its cached snapshot is listed for re-evaluation.
     pub(crate) fn entry_mut(&mut self, peer: PeerId) -> Option<&mut PeerEntry> {
-        let slot = *self.index.get(&peer)?;
-        self.touch(slot);
+        let slot = self.slot_of(peer)?;
+        self.read.touch(slot);
         self.entries[slot as usize].as_mut()
     }
 
@@ -280,41 +239,42 @@ impl PeerRegistry {
     /// Admits (or refreshes) a peer from its advertisement.
     ///
     /// A re-join **refreshes** the stored advertisement, interned name,
-    /// `cpu_gops`, and the node index (unmapping the old host when the
+    /// `cpu_gops`, and the host table (unmapping the old host when the
     /// peer moved) while preserving accumulated statistics, the last
     /// reported snapshot, and interaction history — at the registry level
     /// a rejoin is indistinguishable from a duplicate-Join retransmission,
-    /// so identity must survive. The peer also stops being a federation
-    /// rumor: it is now first-hand knowledge.
+    /// so identity must survive. First-hand admission also replaces
+    /// whatever else was known of the peer: a federation rumor, or a
+    /// tombstone from an earlier departure.
     ///
     /// A host runs one peer: a Join from a node that already carries a
     /// *different* identity supersedes the old occupant (crash-rejoin
-    /// without a Leave), keeping by_node a bijection. The superseded
-    /// identity is returned so the caller can drop it from every other
-    /// membership table too.
+    /// without a Leave), keeping peers and occupied hosts a bijection. The
+    /// superseded identity is returned so the caller can drop it from
+    /// every other membership table too.
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let peer = adv.peer;
         let cpu = adv.cpu_gops;
-        self.invalidate_order();
-        self.forget_remote(peer);
-        // First-hand readmission beats any departure we recorded earlier.
-        self.departed.remove(&peer);
-        let superseded = self.by_node.get(&adv.node).copied().filter(|&p| p != peer);
+        self.read.invalidate_order();
+        let known = self.slot_of(peer);
+        if known.is_none() {
+            if let Some(Membership::Remote(rumor)) = self.members.remove(&peer) {
+                self.release(peer, &rumor);
+            }
+        }
+        let superseded = self.hosts.local(adv.node).filter(|&p| p != peer);
         if let Some(prev) = superseded {
             self.expel(prev);
         }
-        if let Some(&slot) = self.index.get(&peer) {
-            let old_node = self.entries[slot as usize]
-                .as_ref()
-                .expect("indexed slot occupied")
-                .adv
-                .node;
-            if old_node != adv.node && self.by_node.get(&old_node) == Some(&peer) {
-                self.by_node.remove(&old_node);
+        self.hosts.set_local(adv.node, peer);
+        if let Some(slot) = known {
+            self.read.touch(slot);
+            let entry = self.entries[slot as usize]
+                .as_mut()
+                .expect("a local member's slot is occupied");
+            if entry.adv.node != adv.node {
+                self.hosts.clear_local(entry.adv.node, peer);
             }
-            self.by_node.insert(adv.node, peer);
-            self.touch(slot);
-            let entry = self.entries[slot as usize].as_mut().expect("occupied");
             if &*entry.view.name != adv.name.as_str() {
                 entry.view.name = Arc::from(adv.name.as_str());
             }
@@ -324,7 +284,6 @@ impl PeerRegistry {
             entry.stats.cpu_gops = cpu;
             return superseded;
         }
-        self.by_node.insert(adv.node, peer);
         let entry = PeerEntry {
             view: CandidateView {
                 peer,
@@ -334,6 +293,7 @@ impl PeerRegistry {
                 snapshot: StatsSnapshot::empty(cpu),
                 history: InteractionHistory::empty(),
             },
+            published: None,
             adv,
             stats: PeerStats::new(now, cpu),
             reported: None,
@@ -348,23 +308,27 @@ impl PeerRegistry {
                 (self.entries.len() - 1) as u32
             }
         };
-        self.index.insert(peer, slot);
-        self.touch(slot);
+        self.members.insert(peer, Membership::Local(slot));
+        self.read.touch(slot);
         superseded
     }
 
-    /// Evicts a peer (voluntary leave), forgetting its entry and node
+    /// Evicts a peer (voluntary leave), forgetting its entry and host
     /// mapping and recycling its slab slot. Content holdings are filtered
     /// lazily at discovery/serve time via [`PeerRegistry::has_peer`].
     pub(crate) fn expel(&mut self, peer: PeerId) -> bool {
-        let Some(slot) = self.index.remove(&peer) else {
+        let Entry::Occupied(held) = self.members.entry(peer) else {
             return false;
         };
-        self.invalidate_order();
-        let entry = self.entries[slot as usize].take().expect("indexed slot");
-        if self.by_node.get(&entry.adv.node) == Some(&peer) {
-            self.by_node.remove(&entry.adv.node);
-        }
+        let Membership::Local(slot) = *held.get() else {
+            return false;
+        };
+        held.remove();
+        self.read.invalidate_order();
+        let entry = self.entries[slot as usize]
+            .take()
+            .expect("a local member's slot is occupied");
+        self.hosts.clear_local(entry.adv.node, peer);
         self.free.push(slot);
         true
     }
@@ -374,12 +338,16 @@ impl PeerRegistry {
     /// host that has a locally-registered peer (never trust a relay over
     /// first-hand knowledge), or is a stale echo of a peer this broker
     /// already saw depart. A view *newer* than the departure tombstone
-    /// proves the peer rejoined elsewhere and clears it. Returns whether
+    /// proves the peer rejoined elsewhere and replaces it. Returns whether
     /// the view was stored.
     ///
     /// A stored view shares the sender's allocation; `recipients` is how many
     /// brokers that roster went to, which fixes this holder's share of it
-    /// in the footprint.
+    /// in the footprint. When the view already held *is* that allocation,
+    /// nothing it says has changed: only `as_of` moves. If it moves
+    /// forward the order index stays valid — it holds the same allocation
+    /// — and its expiry hint is at worst early, which costs a rebuild and
+    /// changes no read.
     pub(crate) fn learn_remote(
         &mut self,
         view: &Arc<CandidateView>,
@@ -387,49 +355,85 @@ impl PeerRegistry {
         recipients: u32,
     ) -> bool {
         let (peer, node) = (view.peer, view.node);
-        if self.index.contains_key(&peer) || self.by_node.contains_key(&node) {
-            return false;
-        }
-        if let Some(&left_at) = self.departed.get(&peer) {
-            if as_of <= left_at {
-                return false;
+        let mut member = self.members.entry(peer);
+        let mut held = None;
+        if let Entry::Occupied(known) = &mut member {
+            match known.get_mut() {
+                Membership::Local(_) => return false,
+                Membership::Departed(left_at) if as_of <= *left_at => return false,
+                Membership::Departed(_) => {}
+                Membership::Remote(remote) if Arc::ptr_eq(&remote.view, view) => {
+                    if self.hosts.shadows_a_claim(node) {
+                        return false;
+                    }
+                    // A round overtaken on the way: the view now expires
+                    // sooner than the order index was told.
+                    if as_of < remote.as_of {
+                        self.read.invalidate_order();
+                    }
+                    remote.as_of = as_of;
+                    return true;
+                }
+                Membership::Remote(remote) => held = Some((remote.view.node, remote.charge)),
             }
-            self.departed.remove(&peer);
         }
-        self.invalidate_order();
-        let remote = RemoteView {
+        let Some(host) = self.hosts.unoccupied(node) else {
+            return false;
+        };
+        self.read.invalidate_order();
+        let charge = view_alloc_bytes(view).div_ceil(u64::from(recipients.max(1))) as u32;
+        self.remote_charge += u64::from(charge);
+        let remote = Membership::Remote(RemoteView {
             view: Arc::clone(view),
             as_of,
-            charge: view_alloc_bytes(view).div_ceil(u64::from(recipients.max(1))) as u32,
-        };
-        match self.remote_peers.entry(peer) {
-            Entry::Occupied(mut slot) => {
-                let old_node = slot.insert(remote).view.node;
+            charge,
+        });
+        match member {
+            Entry::Occupied(mut known) => *known.get_mut() = remote,
+            Entry::Vacant(unknown) => {
+                unknown.insert(remote);
+            }
+        }
+        match held {
+            Some((old_node, old_charge)) => {
+                self.remote_charge -= u64::from(old_charge);
+                // A view that stayed on its host keeps the claim it has.
                 if old_node != node {
-                    self.remote_claims.remove(old_node, peer);
-                    self.remote_claims.insert(node, peer);
+                    host.claim(peer);
+                    self.hosts.unclaim(old_node, peer);
                 }
             }
-            Entry::Vacant(slot) => {
-                slot.insert(remote);
-                self.remote_claims.insert(node, peer);
-            }
+            None => host.claim(peer),
         }
         true
     }
 
+    /// Settles the books for a remote view that is no longer held: its
+    /// claim on its host, its share of the footprint, the order index.
+    fn release(&mut self, peer: PeerId, gone: &RemoteView) {
+        self.hosts.unclaim(gone.view.node, peer);
+        self.remote_charge -= u64::from(gone.charge);
+        self.read.invalidate_order();
+    }
+
     /// Drops the federation view of `peer`, if one is held.
     fn forget_remote(&mut self, peer: PeerId) {
-        if let Some(old) = self.remote_peers.remove(&peer) {
-            self.remote_claims.remove(old.view.node, peer);
-            self.invalidate_order();
+        if matches!(self.members.get(&peer), Some(Membership::Remote(_))) {
+            if let Some(Membership::Remote(rumor)) = self.members.remove(&peer) {
+                self.release(peer, &rumor);
+            }
         }
     }
 
     /// Records that `peer` left this broker at `now`, so later gossip
-    /// snapshots taken before the departure cannot resurrect it.
+    /// snapshots taken before the departure cannot resurrect it. Called
+    /// once the peer is neither registered nor rumoured here.
     pub(crate) fn note_departed(&mut self, peer: PeerId, now: SimTime) {
-        self.departed.insert(peer, now);
+        let known = self.members.insert(peer, Membership::Departed(now));
+        debug_assert!(
+            matches!(known, None | Some(Membership::Departed(_))),
+            "a tombstone replaces nothing but an older tombstone"
+        );
     }
 
     /// Records that fellow broker `node` was heard from at `now`.
@@ -451,21 +455,32 @@ impl PeerRegistry {
     /// live on `node` (a departed peer must not survive as a rumor).
     pub(crate) fn purge_remote(&mut self, peer: PeerId, node: NodeId) {
         self.forget_remote(peer);
-        for claimant in self.remote_claims.take(node) {
-            self.remote_peers.remove(&claimant);
-            self.invalidate_order();
+        for claimant in self.hosts.take_claims(node) {
+            if let Some(Membership::Remote(rumor)) = self.members.remove(&claimant) {
+                self.remote_charge -= u64::from(rumor.charge);
+            }
+            self.read.invalidate_order();
         }
     }
 
     /// Number of federation-learnt (non-local) candidate views.
     #[cfg(test)]
     pub(crate) fn remote_count(&self) -> usize {
-        self.remote_peers.len()
+        self.remote_views().count()
+    }
+
+    /// The federation views held, in no particular order.
+    #[cfg(test)]
+    pub(super) fn remote_views(&self) -> impl Iterator<Item = &RemoteView> {
+        self.members.values().filter_map(|known| match known {
+            Membership::Remote(remote) => Some(remote),
+            _ => None,
+        })
     }
 
     /// All registered hosts, in deterministic order.
     pub(crate) fn registered_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.by_node.keys().copied().collect();
+        let mut nodes: Vec<NodeId> = self.entries().map(|e| e.adv.node).collect();
         nodes.sort(); // deterministic order
         nodes
     }
@@ -492,89 +507,93 @@ impl PeerRegistry {
     }
 
     /// Structural invariants, checked by tests after every mutation:
-    /// index↔slab agreement, peers↔by_node bijection, slot accounting.
+    /// membership↔slab agreement, the peers↔occupied-hosts bijection, one
+    /// claim per remote view, slot and charge accounting. (That a peer is
+    /// at most one of registered, rumoured and departed is the membership
+    /// table's shape, not a check.)
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         let occupied = self.entries.iter().filter(|e| e.is_some()).count();
-        assert_eq!(occupied, self.index.len(), "index covers the slab");
+        assert_eq!(occupied, self.peer_count());
         assert_eq!(
             self.free.len() + occupied,
             self.entries.len(),
             "every slot is occupied or free"
         );
-        for (&peer, &slot) in &self.index {
-            let entry = self.entries[slot as usize]
-                .as_ref()
-                .expect("indexed slot occupied");
-            assert_eq!(entry.adv.peer, peer, "slab slot agrees with index key");
-            assert_eq!(
-                (entry.view.peer, entry.view.node, &*entry.view.name),
-                (peer, entry.adv.node, entry.adv.name.as_str()),
-                "the in-place view follows the advertisement"
-            );
-            assert_eq!(entry.view.cpu_gops, entry.adv.cpu_gops);
-            assert_eq!(
-                self.by_node.get(&entry.adv.node),
-                Some(&peer),
-                "registered peer's current node maps back to it"
-            );
+        let (mut local, mut remote, mut charge) = (0, 0, 0);
+        for (&peer, known) in &self.members {
+            match known {
+                Membership::Local(slot) => {
+                    local += 1;
+                    let entry = self.entries[*slot as usize]
+                        .as_ref()
+                        .expect("a local member's slot is occupied");
+                    assert_eq!(entry.adv.peer, peer, "slab slot agrees with its key");
+                    assert_eq!(
+                        (entry.view.peer, entry.view.node, &*entry.view.name),
+                        (peer, entry.adv.node, entry.adv.name.as_str()),
+                        "the in-place view follows the advertisement"
+                    );
+                    assert_eq!(entry.view.cpu_gops, entry.adv.cpu_gops);
+                    assert_eq!(
+                        self.hosts.local(entry.adv.node),
+                        Some(peer),
+                        "registered peer's current node maps back to it"
+                    );
+                }
+                Membership::Remote(held) => {
+                    remote += 1;
+                    charge += u64::from(held.charge);
+                    assert_eq!(held.view.peer, peer, "remote view keyed by its peer");
+                    assert!(
+                        self.hosts.claims(held.view.node, peer),
+                        "every remote view is indexed under the host it claims"
+                    );
+                }
+                Membership::Departed(_) => {}
+            }
         }
-        for (&node, &peer) in &self.by_node {
-            let entry = self.entry(peer).expect("by_node points at a member");
-            assert_eq!(entry.adv.node, node, "no stale node mapping");
-        }
-        for (&peer, remote) in &self.remote_peers {
-            assert_eq!(remote.view.peer, peer, "remote view keyed by its peer");
-            assert!(
-                !self.index.contains_key(&peer),
-                "a registered peer is never also a federation rumor"
-            );
-            assert!(
-                self.remote_claims.contains(remote.view.node, peer),
-                "every remote view is indexed under the host it claims"
-            );
+        assert_eq!(local, occupied, "local members cover the slab");
+        for (node, peer) in self.hosts.locals() {
+            let entry = self.entry(peer).expect("a host's occupant is a member");
+            assert_eq!(entry.adv.node, node, "no stale host mapping");
         }
         assert_eq!(
-            self.remote_claims.len(),
-            self.remote_peers.len(),
-            "the claim index holds nothing but the remote views"
+            self.hosts.claim_count(),
+            remote,
+            "the host table holds no claim but the remote views'"
         );
-        assert!(
-            self.remote_claims
-                .rest
-                .iter()
-                .all(|(node, r)| !r.is_empty() && self.remote_claims.first.contains_key(node)),
-            "spill lists are non-empty and only follow an inline claimant"
-        );
+        assert_eq!(self.remote_charge, charge, "the running charge is the sum");
+        self.hosts.check();
         self.read.check(&self.entries);
-        for peer in self.departed.keys() {
-            assert!(
-                !self.index.contains_key(peer),
-                "a registered peer is never also a departure tombstone"
-            );
-        }
     }
 }
 
 impl MemoryFootprint for PeerRegistry {
     /// Length-based heap estimate (see [`crate::footprint`]): entry slots
-    /// (each with its in-place candidate view), id indexes and the read
-    /// index under `roster`, windowed-ratio rings under `stats`,
-    /// owned advertisement strings under `ads`, the content directory
-    /// under `content`, and federation state under `gossip`: the remote
-    /// map's slots (key, pointer, timestamp), the host-claim index, and
-    /// this holder's share of each shared view allocation.
+    /// (each with its in-place candidate view and the pointer to the copy
+    /// it last published), the membership and host rows of registered
+    /// peers, and the read index under `roster`; windowed-ratio rings under
+    /// `stats`; owned advertisement strings under `ads`; the content
+    /// directory under `content`; and federation state under `gossip`:
+    /// every other membership row (a remote view's key, pointer, timestamp
+    /// and share, or a tombstone — a row is as wide as its widest state),
+    /// every other host row, the spill lists, and this holder's share of
+    /// each shared view allocation.
     fn memory_footprint(&self) -> FootprintBreakdown {
+        let local = self.peer_count();
+        let local_rows =
+            map_estimate::<PeerId, Membership>(local) + map_estimate::<NodeId, Host>(local);
         let mut fp = FootprintBreakdown {
             roster: slots_estimate::<Option<PeerEntry>>(self.entries.len())
                 + slots_estimate::<u32>(self.free.len())
-                + map_estimate::<PeerId, u32>(self.index.len())
-                + map_estimate::<NodeId, PeerId>(self.by_node.len())
+                + local_rows
                 + map_estimate::<NodeId, Arc<str>>(self.names.len())
                 + self.read.heap_bytes(),
-            gossip: map_estimate::<PeerId, RemoteView>(self.remote_peers.len())
-                + self.remote_claims.heap_bytes()
-                + map_estimate::<PeerId, SimTime>(self.departed.len())
+            gossip: map_estimate::<PeerId, Membership>(self.members.len())
+                + self.hosts.heap_bytes()
+                - local_rows
+                + self.remote_charge
                 + map_estimate::<NodeId, SimTime>(self.broker_heartbeats.len()),
             ..FootprintBreakdown::default()
         };
@@ -585,9 +604,6 @@ impl MemoryFootprint for PeerRegistry {
             fp.roster += entry.view.name.len() as u64;
             fp.ads += entry.adv.name.len() as u64;
             fp.stats += entry.stats.message_window.heap_bytes();
-        }
-        for remote in self.remote_peers.values() {
-            fp.gossip += u64::from(remote.charge);
         }
         for (key, holdings) in &self.content {
             fp.content += key.len() as u64 + slots_estimate::<Holding>(holdings.len());

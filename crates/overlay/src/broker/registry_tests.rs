@@ -8,6 +8,9 @@ use netsim::rng::SimRng;
 use netsim::time::SimDuration;
 use proptest::prelude::*;
 
+#[path = "registry_gossip_tests.rs"]
+mod gossip;
+
 impl PeerEntry {
     /// The candidate view of this peer at `now`, evaluated from scratch:
     /// the oracle the cached in-place view must equal after a refresh.
@@ -38,8 +41,8 @@ impl PeerRegistry {
             .entries()
             .map(|entry| entry.view(now, stats_k_hours))
             .collect();
-        for remote in self.remote_peers.values() {
-            if self.by_node.contains_key(&remote.view.node) {
+        for remote in self.remote_views() {
+            if self.peer_of(remote.view.node).is_some() {
                 continue;
             }
             if staleness.is_some_and(|bound| now - remote.as_of > bound) {
@@ -475,7 +478,7 @@ fn purge_forgets_the_peer_and_every_claimant_of_its_host() {
     reg.purge_remote(p, NodeId(2));
     reg.check_invariants();
     assert_eq!(reg.remote_count(), 1);
-    assert!(reg.remote_peers.contains_key(&s));
+    assert!(reg.remote_views().any(|r| r.view.peer == s));
     // Promotion out of the spill list keeps the index usable.
     for (peer, node) in [(q, 3), (r, 3)] {
         assert!(learn(&mut reg, remote_view(peer, node, "x"), SimTime::ZERO));
@@ -505,9 +508,12 @@ fn shared_views_are_charged_once_across_their_holders() {
         }
         reg.check_invariants();
     }
-    for view in roster.iter() {
-        let [a, b] = [0, 1].map(|i| &holders[i].remote_peers[&view.peer].view);
-        assert!(Arc::ptr_eq(a, b), "holders share the sender's allocation");
+    for reg in &holders {
+        assert!(
+            reg.remote_views()
+                .all(|held| roster.iter().any(|sent| Arc::ptr_eq(sent, &held.view))),
+            "holders share the sender's allocation"
+        );
     }
     let one_copy: u64 = roster.iter().map(|v| view_alloc_bytes(v)).sum();
     assert_eq!(
@@ -515,7 +521,7 @@ fn shared_views_are_charged_once_across_their_holders() {
         3 * (16 + std::mem::size_of::<CandidateView>() as u64) + 12,
         "a view allocation is its Arc header, the view, and the name it pins"
     );
-    let slots = map_estimate::<PeerId, RemoteView>(3) + map_estimate::<NodeId, PeerId>(3);
+    let slots = map_estimate::<PeerId, Membership>(3) + map_estimate::<NodeId, Host>(3);
     let gossip: u64 = holders.iter().map(|r| r.memory_footprint().gossip).sum();
     assert_eq!(gossip, one_copy + 2 * slots);
 
@@ -789,9 +795,8 @@ proptest! {
             reg.check_invariants();
             oracle.retain(|_, (_, as_of)| now - *as_of <= bound);
             let held: HashMap<PeerId, (NodeId, SimTime)> = reg
-                .remote_peers
-                .iter()
-                .map(|(&p, r)| (p, (r.view.node, r.as_of)))
+                .remote_views()
+                .map(|r| (r.view.peer, (r.view.node, r.as_of)))
                 .collect();
             prop_assert_eq!(&held, &oracle);
             let expected = reg.candidate_views(now, K_HOURS, Some(bound));

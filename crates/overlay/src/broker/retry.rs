@@ -6,7 +6,7 @@
 //! schedule and firing is `take_*` + caller-side effects. That keeps the
 //! tables unit-testable without a simulation.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::engine::Context;
 use netsim::trace::TraceEventKind;
@@ -57,22 +57,22 @@ pub(crate) struct RetryProbe {
 
 /// Tag allocation and lookup tables for probes and watchdogs.
 pub(crate) struct RetryEngine {
-    probes: HashMap<u64, RetryProbe>,
+    probes: IdMap<u64, RetryProbe>,
     next_retry_tag: u64,
-    watchdog_for: HashMap<u64, TransferId>,
+    watchdog_for: IdMap<u64, TransferId>,
     next_watchdog_tag: u64,
-    task_watchdog_for: HashMap<u64, TaskId>,
+    task_watchdog_for: IdMap<u64, TaskId>,
     next_task_watchdog_tag: u64,
 }
 
 impl RetryEngine {
     pub(crate) fn new() -> Self {
         RetryEngine {
-            probes: HashMap::new(),
+            probes: IdMap::default(),
             next_retry_tag: RETRY_TAG_BASE,
-            watchdog_for: HashMap::new(),
+            watchdog_for: IdMap::default(),
             next_watchdog_tag: WATCHDOG_TAG_BASE,
-            task_watchdog_for: HashMap::new(),
+            task_watchdog_for: IdMap::default(),
             next_task_watchdog_tag: TASK_WATCHDOG_TAG_BASE,
         }
     }

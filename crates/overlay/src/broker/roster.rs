@@ -19,6 +19,12 @@
 //!   follows a write is cheaper than a sorted insert per write. The
 //!   rebuild sweep is also where expired remote views are evicted.
 //!
+//! The roster a gossip round **publishes** ([`PeerRegistry::local_roster`])
+//! runs the first step and then hands out, per local peer, the shared copy
+//! of its view it handed out last round — unless that step rewrote the
+//! snapshot, which is the one event that lets the copy go. A receiver
+//! recognises an unchanged view by its address.
+//!
 //! [`StatsSnapshot`]: crate::stats::StatsSnapshot
 
 use std::sync::Arc;
@@ -30,7 +36,7 @@ use crate::footprint::slots_estimate;
 use crate::selector::{CandidateView, Roster};
 use crate::stats::WindowedRatio;
 
-use super::registry::{PeerEntry, PeerRegistry};
+use super::registry::{Membership, PeerEntry, PeerRegistry};
 
 /// One candidate's place in the node-sorted order: a local slab slot, or
 /// a remote view's shared allocation.
@@ -68,6 +74,24 @@ impl ReadIndex {
         slots_estimate::<OrderEntry>(self.order.len())
             + slots_estimate::<u32>(self.dirty.len())
             + slots_estimate::<bool>(self.queued.len())
+    }
+
+    /// Lists `slot` for re-evaluation before the next read.
+    pub(super) fn touch(&mut self, slot: u32) {
+        if self.queued.len() <= slot as usize {
+            self.queued.resize(slot as usize + 1, false);
+        }
+        if !std::mem::replace(&mut self.queued[slot as usize], true) {
+            self.dirty.push(slot);
+        }
+    }
+
+    /// Marks the order index out of date and lets go of what it holds.
+    pub(super) fn invalidate_order(&mut self) {
+        if self.order_valid {
+            self.order_valid = false;
+            self.order.clear();
+        }
     }
 }
 
@@ -110,33 +134,19 @@ impl PeerEntry {
     /// is one. Returns whether the snapshot will read differently later in
     /// the same hour with no further write: the average of a queue gauge
     /// that holds, or ever held, a message moves with the clock.
+    ///
+    /// This is the one place a cached snapshot is rewritten, and every
+    /// other write to the view (`entry_mut`, `admit`) lists the slot for
+    /// it, so it is also the one place the published copy is let go.
     fn resnapshot(&mut self, now: SimTime, stats_k_hours: usize) -> bool {
         self.view.snapshot = self.snapshot_at(now, stats_k_hours);
+        self.published = None;
         self.reported.is_none()
             && (self.stats.outbox.is_integrating() || self.stats.inbox.is_integrating())
     }
 }
 
 impl PeerRegistry {
-    /// Lists `slot` for re-evaluation before the next read.
-    pub(super) fn touch(&mut self, slot: u32) {
-        let read = &mut self.read;
-        if read.queued.len() <= slot as usize {
-            read.queued.resize(slot as usize + 1, false);
-        }
-        if !std::mem::replace(&mut read.queued[slot as usize], true) {
-            read.dirty.push(slot);
-        }
-    }
-
-    /// Marks the order index out of date and lets go of what it holds.
-    pub(super) fn invalidate_order(&mut self) {
-        if self.read.order_valid {
-            self.read.order_valid = false;
-            self.read.order.clear();
-        }
-    }
-
     /// Brings every cached snapshot up to `now`.
     fn refresh(&mut self, now: SimTime, stats_k_hours: usize) {
         let read = &mut self.read;
@@ -181,21 +191,25 @@ impl PeerRegistry {
             }
         }
         read.expires = None;
-        let (by_node, claims) = (&self.by_node, &mut self.remote_claims);
-        self.remote_peers.retain(|&peer, remote| {
+        let (hosts, charge) = (&mut self.hosts, &mut self.remote_charge);
+        self.members.retain(|&peer, known| {
+            let Membership::Remote(remote) = known else {
+                return true;
+            };
             let node = remote.view.node;
             if let Some(bound) = staleness {
                 // The stale-stat tolerance window: a view its sender
                 // stopped refreshing is dropped for good.
                 if now - remote.as_of > bound {
-                    claims.remove(node, peer);
+                    hosts.unclaim(node, peer);
+                    *charge -= u64::from(remote.charge);
                     return false;
                 }
                 let at = remote.as_of + bound;
                 read.expires = Some(read.expires.map_or(at, |e| e.min(at)));
             }
             // Never offer a relay over first-hand knowledge of the host.
-            if !by_node.contains_key(&node) {
+            if hosts.local(node).is_none() {
                 read.order.push(OrderEntry {
                     node,
                     slot: 0,
@@ -239,18 +253,21 @@ impl PeerRegistry {
     /// view per locally-registered peer, sorted by node. Federation-learnt
     /// views are never relayed, so this is [`PeerRegistry::roster`]
     /// restricted to occupied hosts, built without touching the remote
-    /// roster or its order.
+    /// roster or its order. A peer whose view reads as it did last round
+    /// is published as the same allocation, which is how a receiver knows
+    /// it has nothing to learn; a changed view gets a fresh one, so a
+    /// receiver still holding the old copy keeps reading what it was sent.
     pub(crate) fn local_roster(
         &mut self,
         now: SimTime,
         stats_k_hours: usize,
     ) -> Arc<[Arc<CandidateView>]> {
         self.refresh(now, stats_k_hours);
-        let mut entries: Vec<&PeerEntry> = self.entries().collect();
+        let mut entries: Vec<&mut PeerEntry> = self.entries.iter_mut().flatten().collect();
         entries.sort_by_key(|e| e.adv.node);
         entries
             .into_iter()
-            .map(|e| Arc::new(e.view.clone()))
+            .map(|e| Arc::clone(e.published.get_or_insert_with(|| Arc::new(e.view.clone()))))
             .collect()
     }
 }

@@ -2,7 +2,7 @@
 //! wait-for-peers retry budget, and the instant each command first came
 //! due (so queueing delay is attributed to the command, not the retries).
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::engine::Context;
 use netsim::time::{SimDuration, SimTime};
@@ -22,10 +22,10 @@ pub(crate) struct CommandSchedule {
     /// Commands withdrawn before execution (e.g. their target departed).
     cancelled: Vec<bool>,
     /// Wait-for-peers retries consumed, by command timer tag.
-    retries: HashMap<u64, u32>,
+    retries: IdMap<u64, u32>,
     /// When each command first came due, by command timer tag. Kept across
     /// deferrals so the eventual execution knows its true enqueue instant.
-    first_due: HashMap<u64, SimTime>,
+    first_due: IdMap<u64, SimTime>,
     /// Commands not yet executed or cancelled (drives idle detection).
     pending: usize,
 }
@@ -37,8 +37,8 @@ impl CommandSchedule {
             executed: vec![false; commands.len()],
             cancelled: vec![false; commands.len()],
             commands,
-            retries: HashMap::new(),
-            first_due: HashMap::new(),
+            retries: IdMap::default(),
+            first_due: IdMap::default(),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The task layer: lifecycle of executable tasks (ship input → offer →
 //! accept → result) and the client-submitted jobs they realise.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::engine::Context;
 use netsim::node::NodeId;
@@ -26,11 +26,11 @@ pub(crate) struct JobInfo {
 /// Tracking state for all tasks the broker has in flight.
 #[derive(Default)]
 pub(crate) struct TaskBook {
-    pub(crate) tasks: HashMap<TaskId, TaskTracking>,
+    pub(crate) tasks: IdMap<TaskId, TaskTracking>,
     /// Maps an input-shipment transfer back to the task awaiting it.
-    pub(crate) input_transfer_to_task: HashMap<TransferId, TaskId>,
+    pub(crate) input_transfer_to_task: IdMap<TransferId, TaskId>,
     /// Client-submitted jobs keyed by the task executing them.
-    pub(crate) job_for_task: HashMap<TaskId, JobInfo>,
+    pub(crate) job_for_task: IdMap<TaskId, JobInfo>,
 }
 
 impl TaskBook {

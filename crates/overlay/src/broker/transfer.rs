@@ -6,7 +6,7 @@
 //! [`crate::sendflow`]; this layer adds the broker-only concerns around
 //! them — pipes, peer statistics, selector feedback, task hand-off.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::engine::Context;
 use netsim::node::NodeId;
@@ -34,7 +34,7 @@ pub(crate) struct TransferOrchestrator {
     /// Open unicast pipes: one data pipe per live outbound transfer.
     pub(crate) pipes: PipeRegistry,
     /// Data pipe backing each live outbound transfer.
-    pub(crate) pipe_for: HashMap<TransferId, PipeId>,
+    pub(crate) pipe_for: IdMap<TransferId, PipeId>,
     /// Peer-to-peer transfers we instructed and are awaiting reports for.
     pub(crate) instructed_pending: u32,
 }
@@ -46,7 +46,7 @@ impl TransferOrchestrator {
         TransferOrchestrator {
             flows,
             pipes: PipeRegistry::new(),
-            pipe_for: HashMap::new(),
+            pipe_for: IdMap::default(),
             instructed_pending: 0,
         }
     }

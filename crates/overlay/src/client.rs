@@ -11,7 +11,7 @@
 //! **submit jobs** of their own which the broker places via its selection
 //! model.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::engine::{Actor, Context, TimerId};
 use netsim::node::NodeId;
@@ -131,12 +131,12 @@ pub struct SimpleClient {
     ids: IdGenerator,
     peer_id: PeerId,
     joined: bool,
-    inbound: HashMap<TransferId, InboundTransfer>,
+    inbound: IdMap<TransferId, InboundTransfer>,
     /// Transfers this peer is *sending* (instructed by the broker).
     outbound: SenderFlow,
-    outbound_started: HashMap<TransferId, netsim::time::SimTime>,
+    outbound_started: IdMap<TransferId, netsim::time::SimTime>,
     /// Running tasks keyed by their completion-timer tag.
-    running: HashMap<u64, RunningTask>,
+    running: IdMap<u64, RunningTask>,
     next_task_tag: u64,
     stats: Option<PeerStats>,
     sink: Option<RecordSink>,
@@ -161,10 +161,10 @@ impl SimpleClient {
             ids,
             cfg,
             joined: false,
-            inbound: HashMap::new(),
+            inbound: IdMap::default(),
             outbound: SenderFlow::new(),
-            outbound_started: HashMap::new(),
-            running: HashMap::new(),
+            outbound_started: IdMap::default(),
+            running: IdMap::default(),
             next_task_tag: TASK_TAG_BASE,
             stats: None,
             sink: None,

@@ -25,21 +25,24 @@
 //! **each holder charges `ceil(allocation / recipients)` bytes**, where
 //! the allocation is the `Arc` header, the view and the name bytes it
 //! pins, and `recipients` is how many brokers the sender addressed that
-//! round (it travels with the roster). A receiver's own map slot (key,
-//! pointer, timestamp, share) and its host-claim index entry are charged
-//! in full, to that receiver. Summed over the fleet the shares make one
-//! copy of each view — rounded up, so never less — for as long as every
-//! recipient keeps it, including views of peers that have since left
-//! their broker, which a holder evicts at its first roster read after
-//! they outlive the staleness bound. A recipient that drops its
-//! pointer early (the peer registered there, a local departure purged
-//! the host, or it read its roster sooner than the others) or never
-//! stored it (it was down, or rejected the view) holds no share; the sum
-//! then reads low by that share until the next round replaces the view.
-//! The sender charges nothing for the roster it sent: it keeps none
-//! between ticks. What it does keep — each local peer's candidate view,
-//! in place in the entry slot, and the read index over them — is charged
-//! to `roster`.
+//! round (it travels with the roster). A receiver's own membership row
+//! (key, pointer, timestamp, share — or a tombstone; a row is as wide as
+//! its widest state) and its host-table row are charged in full, to that
+//! receiver, and the shares it holds are kept as a running sum, so the
+//! per-tick footprint pass walks no remote view. Summed over the fleet
+//! the shares make one copy of each view — rounded up, so never less —
+//! for as long as every recipient keeps it, including views of peers that
+//! have since left their broker, which a holder evicts at its first
+//! roster read after they outlive the staleness bound. A recipient that
+//! drops its pointer early (the peer registered there, a local departure
+//! purged the host, or it read its roster sooner than the others) or
+//! never stored it (it was down, or rejected the view) holds no share;
+//! the sum then reads low by that share until a later round stores the
+//! view there again. The sender charges nothing for the allocation: it keeps
+//! only the pointer to the copy it last published, in the entry slot,
+//! which — with each local peer's candidate view in place beside it, the
+//! peer's membership and host rows, and the read index — is charged to
+//! `roster`.
 
 use std::ops::{Add, AddAssign};
 

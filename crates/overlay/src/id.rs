@@ -147,6 +147,70 @@ mod tests {
         }
     }
 
+    /// The size of the fullest of `buckets` buckets.
+    fn fullest(hashes: &[u64], buckets: usize, bucket_of: impl Fn(u64) -> usize) -> usize {
+        let mut load = vec![0usize; buckets];
+        for &hash in hashes {
+            load[bucket_of(hash)] += 1;
+        }
+        load.into_iter().max().unwrap_or(0)
+    }
+
+    /// The two fields the standard table takes from a hash: the low bits
+    /// pick the bucket (4 096 of them at 20 000 keys would be a load of
+    /// 4.9), the top seven tag the slot (128 values, 156 keys each). The
+    /// keys are the ones the simulator makes: a `PeerId` / `TransferId`
+    /// is a seeded random word over a counter over a *constant* namespace
+    /// byte, a `NodeId` is a dense `u32`, a timer id is `shard << 48 |
+    /// counter`. Bounds: no bucket above 20 (a perfect random function's
+    /// fullest is about 16), no tag above 235 (1.5 x the mean).
+    #[test]
+    fn the_id_hasher_spreads_the_keys_the_simulator_makes() {
+        use netsim::idmap::IdBuildHasher;
+        use netsim::node::NodeId;
+        use std::hash::BuildHasher;
+
+        const N: u64 = 20_000;
+        let spread = |hashes: &[u64]| {
+            (
+                fullest(hashes, 1 << 12, |h| (h & 0xfff) as usize),
+                fullest(hashes, 1 << 7, |h| (h >> 57) as usize),
+            )
+        };
+        let build = IdBuildHasher::default();
+        let mut ids = IdGenerator::new(9);
+        let peers: Vec<PeerId> = (0..N).map(|_| PeerId::generate(&mut ids)).collect();
+        let kinds: [(&str, Vec<u64>); 4] = [
+            ("PeerId", peers.iter().map(|p| build.hash_one(p)).collect()),
+            (
+                "TransferId",
+                (0..N)
+                    .map(|_| build.hash_one(TransferId::generate(&mut ids)))
+                    .collect(),
+            ),
+            (
+                "NodeId",
+                (0..N).map(|n| build.hash_one(NodeId(n as u32))).collect(),
+            ),
+            (
+                "timer id",
+                (0..N).map(|c| build.hash_one(3u64 << 48 | c)).collect(),
+            ),
+        ];
+        for (kind, hashes) in &kinds {
+            let (bucket, tag) = spread(hashes);
+            assert!(bucket <= 20, "{kind}: a bucket holds {bucket} of {N} keys");
+            assert!(tag <= 235, "{kind}: a tag marks {tag} of {N} keys");
+        }
+        // The bounds tell a hash from none: the keys' own low word puts
+        // every id behind its namespace byte and every dense id under one
+        // tag.
+        let own_bits: Vec<u64> = peers.iter().map(|p| p.raw() as u64).collect();
+        assert!(spread(&own_bits).0 > 1000, "sixteen buckets take them all");
+        let dense: Vec<u64> = (0..N).collect();
+        assert_eq!(spread(&dense).1, N as usize, "one tag marks them all");
+    }
+
     #[test]
     fn ids_are_deterministic_per_seed() {
         let mut g1 = IdGenerator::new(7);

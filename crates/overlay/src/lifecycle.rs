@@ -23,7 +23,7 @@
 //! the peer departs are silently dropped and left to the sender's retry
 //! policy, like a real mid-transfer crash.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::engine::{Actor, Context, TimerId};
 use netsim::metrics::{MetricId, Metrics};
@@ -221,8 +221,8 @@ pub struct LifecyclePeer {
     /// Monotone epoch: bumped at every join and leave so probe timers
     /// armed for an earlier connected period die as stale tags.
     probe_epoch: u64,
-    inbound: HashMap<TransferId, InboundTransfer>,
-    running: HashMap<u64, RunningTask>,
+    inbound: IdMap<TransferId, InboundTransfer>,
+    running: IdMap<u64, RunningTask>,
     next_task_tag: u64,
     counters: Option<LifecycleCounters>,
 }
@@ -242,8 +242,8 @@ impl LifecyclePeer {
             home_idx: 0,
             last_ok: SimTime::ZERO,
             probe_epoch: 0,
-            inbound: HashMap::new(),
-            running: HashMap::new(),
+            inbound: IdMap::default(),
+            running: IdMap::default(),
             next_task_tag: TASK_TAG_BASE,
             counters: None,
         }

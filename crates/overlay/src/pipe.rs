@@ -6,7 +6,7 @@
 //! resolution layer: a registry mapping pipe ids to owning peers and hosts,
 //! with open/resolve/close semantics and per-pipe traffic accounting.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 
 use netsim::node::NodeId;
 use netsim::time::SimTime;
@@ -30,7 +30,7 @@ pub struct PipeEndpoint {
 /// Registry of open pipes (kept by the broker).
 #[derive(Debug, Default)]
 pub struct PipeRegistry {
-    pipes: HashMap<PipeId, PipeEndpoint>,
+    pipes: IdMap<PipeId, PipeEndpoint>,
 }
 
 impl PipeRegistry {

@@ -16,7 +16,7 @@
 //! actor-specific behaviour (pipes, retries, reports) stays with the actor
 //! while the record bookkeeping cannot drift between them.
 
-use std::collections::HashMap;
+use netsim::idmap::IdMap;
 use std::sync::Arc;
 
 use netsim::time::SimTime;
@@ -30,7 +30,7 @@ use crate::records::{PartRecord, RecordSink, TransferRecord};
 /// mutations that must stay consistent with it.
 #[derive(Debug, Default)]
 pub struct SenderFlow {
-    live: HashMap<TransferId, OutboundTransfer>,
+    live: IdMap<TransferId, OutboundTransfer>,
     sink: Option<RecordSink>,
 }
 

@@ -550,8 +550,8 @@ fn cmd_multiregion(flags: &Flags) {
     use workloads::multiregion::{MultiRegionConfig, MultiRegionWorkload};
 
     let cfg = MultiRegionConfig {
-        regions: flags.usize("regions").max(1),
-        clients_per_region: flags.usize("clients").max(1),
+        regions: flags.at_least("regions", 1) as usize,
+        clients_per_region: flags.at_least("clients", 1) as usize,
         trace_capacity: Some(1 << 16),
         ..MultiRegionConfig::default()
     };

@@ -111,7 +111,7 @@ fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileR
 /// on stdout, wall-clock summary JSON in `--out` when given.
 pub(crate) fn cmd_profile(flags: &Flags) {
     let seed = flags.u64("seed");
-    let interval = SimDuration::from_secs(flags.u64("interval-secs").max(1));
+    let interval = SimDuration::from_secs(flags.at_least("interval-secs", 1));
     let workload = flags.positional.as_deref().unwrap_or("churn");
 
     let profiled = if workload == "churn" {

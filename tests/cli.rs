@@ -154,12 +154,12 @@ fn zero_or_oversized_parallelism_is_a_usage_error() {
     }
 }
 
-/// Counts and durations the workload commands used to clamp up to 1 (and
-/// `--peers` up to the region count) are usage errors: the run the user
+/// Counts and durations the workload commands and `profile` used to clamp
+/// up to 1 (and `--peers` up to the region count) are usage errors: the run the user
 /// asked for does not exist, and a different one is not an answer.
 #[test]
 fn zero_counts_and_durations_are_usage_errors_not_clamped() {
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["churn", "--regions", "0"], "--regions"),
         (&["churn", "--horizon-secs", "0"], "--horizon-secs"),
         (&["churn", "--regions", "4", "--peers", "3"], "--peers"),
@@ -174,6 +174,16 @@ fn zero_counts_and_durations_are_usage_errors_not_clamped() {
         (&["stream", "--window", "0"], "--window"),
         (&["stream", "--pieces", "0"], "--pieces"),
         (&["stream", "--horizon-secs", "0"], "--horizon-secs"),
+        (&["multiregion", "--regions", "0"], "--regions"),
+        (&["multiregion", "--clients", "0"], "--clients"),
+        (
+            &["profile", "churn", "--interval-secs", "0"],
+            "--interval-secs",
+        ),
+        (
+            &["profile", "smoke", "--interval-secs", "0"],
+            "--interval-secs",
+        ),
     ];
     for (args, flag) in cases {
         let out = psim(args);

@@ -49,10 +49,11 @@ const HARNESS_MODULES: &[&str] = &[
 
 /// The registry carries the read path's correctness argument — which
 /// writes outdate a cached snapshot, which outdate the node order — split
-/// into a write side and a read side that must each stay readable in one
-/// sitting.
+/// into a write side, its host table and a read side that must each stay
+/// readable in one sitting.
 const REGISTRY_MODULES: &[&str] = &[
     "crates/overlay/src/broker/registry.rs",
+    "crates/overlay/src/broker/hosts.rs",
     "crates/overlay/src/broker/roster.rs",
 ];
 
