@@ -5,45 +5,40 @@
 //! insertion order (FIFO). This tie-breaking rule is what makes the engine
 //! deterministic — `BinaryHeap` alone gives an arbitrary order for equal
 //! keys, which would leak nondeterminism into every simultaneous delivery.
+//!
+//! The heap holds 24-byte keys only; payloads sit still in a slab, so the
+//! cost of a push or pop does not depend on what the event carries.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Internal heap entry; ordered so the *earliest* `(time, seq)` pops first.
-struct Entry<E> {
-    time: SimTime,
+/// Heap entry: `(time, seq, slot)`. `seq` is unique, so `slot` never decides
+/// an order; `Reverse` makes the max-heap pop the *earliest* `(time, seq)`.
+type Key = Reverse<(SimTime, u64, u32)>;
+
+/// One slab cell. The free list runs through the vacant cells.
+enum Slot<E> {
+    Occupied { seq: u64, payload: E },
+    Vacant { next_free: Option<u32> },
+}
+
+/// Names one scheduled event: its slab slot and its sequence number.
+/// Sequence numbers are never reused, so a handle goes stale for good once
+/// its event pops, even after a later event takes over the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventHandle {
+    slot: u32,
     seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min entry on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A deterministic min-priority queue of timestamped events.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
+    heap: BinaryHeap<Key>,
+    slab: Vec<Slot<E>>,
+    free_head: Option<u32>,
+    /// Events ever scheduled; doubles as the next sequence number.
     scheduled_total: u64,
     peak_len: usize,
 }
@@ -59,7 +54,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
+            slab: Vec::new(),
+            free_head: None,
             scheduled_total: 0,
             peak_len: 0,
         }
@@ -67,24 +63,58 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` to fire at `time`. Events at equal times fire in
     /// the order they were scheduled.
-    pub fn schedule(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventHandle {
+        let seq = self.scheduled_total;
         self.scheduled_total += 1;
-        self.heap.push(Entry { time, seq, payload });
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
-        }
+        let cell = Slot::Occupied { seq, payload };
+        let slot = match self.free_head {
+            Some(slot) => {
+                match std::mem::replace(&mut self.slab[slot as usize], cell) {
+                    Slot::Vacant { next_free } => self.free_head = next_free,
+                    Slot::Occupied { .. } => unreachable!("the free list names vacant slots only"),
+                }
+                slot
+            }
+            None => {
+                self.slab.push(cell);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Reverse((time, seq, slot)));
+        self.peak_len = self.peak_len.max(self.heap.len());
+        EventHandle { slot, seq }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
+        self.pop_with_handle()
+            .map(|(time, _, payload)| (time, payload))
+    }
+
+    /// [`EventQueue::pop`], also returning the handle `schedule` gave the
+    /// event.
+    pub fn pop_with_handle(&mut self) -> Option<(SimTime, EventHandle, E)> {
+        let Reverse((time, seq, slot)) = self.heap.pop()?;
+        let next_free = self.free_head.replace(slot);
+        match std::mem::replace(&mut self.slab[slot as usize], Slot::Vacant { next_free }) {
+            Slot::Occupied { payload, .. } => Some((time, EventHandle { slot, seq }, payload)),
+            Slot::Vacant { .. } => unreachable!("a heap key names an occupied slot"),
+        }
+    }
+
+    /// The payload of a still-pending event, to be edited where it sits
+    /// (its firing time and order are fixed). `None` once the event has
+    /// popped, whatever has reused its slot since.
+    pub fn get_mut(&mut self, handle: EventHandle) -> Option<&mut E> {
+        match self.slab.get_mut(handle.slot as usize) {
+            Some(Slot::Occupied { seq, payload }) if *seq == handle.seq => Some(payload),
+            _ => None,
+        }
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|key| key.0 .0)
     }
 
     /// Number of pending events.
@@ -109,11 +139,19 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
+    /// Payload slots allocated, vacant ones included. Slots are reused, so
+    /// this never exceeds [`EventQueue::peak_len`].
+    pub fn slots(&self) -> usize {
+        self.slab.len()
+    }
+
     /// Drops all pending events. Lifetime counters
     /// ([`EventQueue::scheduled_total`], [`EventQueue::peak_len`]) are
-    /// preserved.
+    /// preserved, so handles issued before the call stay stale.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free_head = None;
     }
 }
 
@@ -213,6 +251,30 @@ mod tests {
         q.schedule(t(5), 5);
         q.schedule(t(6), 6);
         assert_eq!(q.peak_len(), 4, "new maximum recorded");
+    }
+
+    #[test]
+    fn handle_reaches_the_payload_only_while_the_event_is_pending() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        let b = q.schedule(t(2), "b");
+        *q.get_mut(b).expect("b is pending") = "B";
+        assert_eq!(q.pop_with_handle(), Some((t(1), a, "a")));
+        assert_eq!(q.get_mut(a), None, "a has popped");
+        // c takes over a's slot; a's handle must not reach it.
+        let c = q.schedule(t(3), "c");
+        assert_eq!((q.slots(), c.slot), (2, a.slot));
+        assert_eq!(q.get_mut(a), None);
+        assert_eq!(q.get_mut(c), Some(&mut "c"));
+        // Forged handles: a sequence number never issued, a slot never allocated.
+        assert_eq!(q.get_mut(EventHandle { seq: 99, ..c }), None);
+        assert_eq!(q.get_mut(EventHandle { slot: 99, ..c }), None);
+        assert_eq!(q.pop(), Some((t(2), "B")));
+        q.clear();
+        assert_eq!((q.slots(), q.get_mut(c)), (0, None));
+        let d = q.schedule(t(4), "d");
+        assert_eq!(d.slot, c.slot);
+        assert_eq!(q.get_mut(c), None, "sequence numbers survive clear");
     }
 
     #[test]

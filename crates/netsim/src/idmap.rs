@@ -1,12 +1,11 @@
 //! Hash tables keyed by simulator ids.
 //!
-//! Node ids, timer ids and the overlay's 128-bit identifiers are made by
+//! Node ids and the overlay's 128-bit identifiers are made by
 //! the program itself — a dense counter, or a seeded random word over a
 //! counter and a namespace byte — so a table keyed by one needs no
 //! protection against keys crafted to collide, and SipHash's ~20 ns per
-//! probe is the whole cost of a lookup. [`IdMap`] and [`IdSet`] are the
-//! standard tables over [`IdHasher`], one multiply and a rotate per key
-//! word.
+//! probe is the whole cost of a lookup. [`IdMap`] is the standard table
+//! over [`IdHasher`], one multiply and a rotate per key word.
 //!
 //! **The rule:** a map whose key is a simulator id (or a tag the program
 //! numbers itself) is an `IdMap`; a map keyed by text that comes from
@@ -15,7 +14,7 @@
 //! is a function of its insertion history; as with the default hasher,
 //! nothing may let that order reach an output without sorting first.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier with no short bit pattern (the one `rustc-hash` 2 uses).
@@ -94,9 +93,6 @@ pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// A `HashMap` keyed by a simulator id. Construct with `IdMap::default()`.
 pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
-
-/// A `HashSet` of simulator ids. Construct with `IdSet::default()`.
-pub type IdSet<K> = HashSet<K, IdBuildHasher>;
 
 #[cfg(test)]
 mod tests {

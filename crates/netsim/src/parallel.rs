@@ -232,6 +232,11 @@ impl<M: Payload + Send> ShardedEngine<M> {
         &self.map
     }
 
+    /// The topology every shard shares.
+    pub fn topology(&self) -> &Topology {
+        self.engine(0).topology()
+    }
+
     /// Number of worker threads a run will use.
     pub fn workers(&self) -> usize {
         self.workers
@@ -372,9 +377,6 @@ impl<M: Payload + Send> ShardedEngine<M> {
                 // then the scope joins them.
             })
         };
-        for s in 0..self.engines.len() {
-            self.engine_mut(s).flush_run_metrics();
-        }
         if lone {
             self.recorder = self.engine_mut(0).take_recorder();
         }

@@ -45,6 +45,48 @@ proptest! {
         }
     }
 
+    /// Interleaved schedule / cancel-in-place / pop agree with a `Vec` kept
+    /// sorted by `(time, seq)`, stale handles reach nothing, and the slab
+    /// reuses slots: it never holds more of them than `peak_len`.
+    #[test]
+    fn event_queue_matches_a_sorted_vec_under_schedule_cancel_pop(
+        ops in prop::collection::vec((0u8..4, 0u64..50, 0usize..1000), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        // (time, seq, payload); a cancelled event's payload is `None`.
+        let mut model: Vec<(SimTime, u64, Option<u64>)> = Vec::new();
+        let mut issued = Vec::new();
+        for (op, t, pick) in ops {
+            match op {
+                0 | 1 => {
+                    let time = SimTime::from_nanos(t);
+                    let seq = q.scheduled_total();
+                    issued.push((q.schedule(time, Some(seq)), seq));
+                    let at = model.partition_point(|&(mt, ms, _)| (mt, ms) < (time, seq));
+                    model.insert(at, (time, seq, Some(seq)));
+                }
+                // Cancel through any handle ever issued, stale ones included.
+                2 if !issued.is_empty() => {
+                    let (handle, seq) = issued[pick % issued.len()];
+                    let pending = model.iter_mut().find(|e| e.1 == seq);
+                    let reached = q.get_mut(handle);
+                    prop_assert_eq!(reached.is_some(), pending.is_some());
+                    if let (Some(payload), Some(entry)) = (reached, pending) {
+                        *payload = None;
+                        entry.2 = None;
+                    }
+                }
+                _ => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    prop_assert_eq!(q.pop(), want.map(|(time, _, payload)| (time, payload)));
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
+            prop_assert!(q.slots() <= q.peak_len());
+        }
+    }
+
     /// Transfer-time estimates grow monotonically with message size.
     #[test]
     fn transfer_estimate_monotone_in_size(

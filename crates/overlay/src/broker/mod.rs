@@ -427,7 +427,9 @@ impl Actor<OverlayMsg> for Broker {
             OverlayMsg::Join(adv) => self.on_join(ctx, from, adv),
             OverlayMsg::Leave { peer } => self.on_leave(ctx, peer),
             OverlayMsg::DiscoverPeers => self.on_discover_peers(ctx, from),
-            OverlayMsg::StatsReport { peer, snapshot } => self.on_stats_report(ctx, peer, snapshot),
+            OverlayMsg::StatsReport { peer, snapshot } => {
+                self.on_stats_report(ctx, peer, *snapshot)
+            }
             OverlayMsg::PetitionAck {
                 transfer,
                 accepted,

@@ -606,7 +606,7 @@ impl Actor<OverlayMsg> for SimpleClient {
                 stats
                     .inbox
                     .set(now, (self.inbound.len() + self.running.len()) as u32);
-                let snapshot = stats.snapshot(now, 24);
+                let snapshot = Box::new(stats.snapshot(now, 24));
                 ctx.send(
                     self.cfg.broker,
                     OverlayMsg::StatsReport {

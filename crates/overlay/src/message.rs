@@ -18,6 +18,10 @@ use crate::stats::StatsSnapshot;
 use crate::task::TaskSpec;
 
 /// Every message exchanged on the overlay.
+///
+/// Every queued event carries one of these by value, so the enum is kept
+/// small: a variant over 80 B is boxed (`overlay_msg_stays_small` fails
+/// otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OverlayMsg {
     // ---- membership & discovery -------------------------------------
@@ -44,8 +48,8 @@ pub enum OverlayMsg {
     StatsReport {
         /// The reporting peer.
         peer: PeerId,
-        /// Its self-measured statistics.
-        snapshot: StatsSnapshot,
+        /// Its self-measured statistics (224 B, hence boxed).
+        snapshot: Box<StatsSnapshot>,
     },
 
     // ---- instant communication ---------------------------------------
@@ -395,6 +399,14 @@ impl Payload for OverlayMsg {
 mod tests {
     use super::*;
     use crate::id::IdGenerator;
+
+    #[test]
+    fn overlay_msg_stays_small() {
+        assert!(
+            std::mem::size_of::<OverlayMsg>() <= 96,
+            "box any variant over 80 B: every queued event holds an OverlayMsg by value"
+        );
+    }
 
     #[test]
     fn file_parts_dominate_wire_size() {

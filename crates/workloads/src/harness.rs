@@ -455,9 +455,6 @@ impl Harness {
     pub fn run(&self, workload: &dyn Workload, seed: u64) -> Result<HarnessRun, HarnessError> {
         let p = &self.params;
         let (TopologyPlan { topo, map, brokers }, federation) = Self::plan(workload, seed)?;
-        let node_names: Vec<Arc<str>> = (0..topo.len())
-            .map(|i| Arc::from(topo.node(NodeId(i as u32)).name.as_str()))
-            .collect();
         let sinks: Vec<RecordSink> = (0..map.num_shards()).map(|_| RecordSink::new()).collect();
         let actors = workload.actors(&BuildCtx {
             seed,
@@ -489,6 +486,11 @@ impl Harness {
         for sink in &sinks {
             log.absorb(sink.drain());
         }
+        // Built after the run: only post-run readers use the names.
+        let topo = engine.topology();
+        let node_names = (topo.node_ids())
+            .map(|id| Arc::from(topo.node(id).name.as_str()))
+            .collect();
         Ok(HarnessRun {
             log,
             metrics: engine.metrics(),
