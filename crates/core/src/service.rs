@@ -72,8 +72,7 @@ pub fn selectable_model_names() -> Vec<String> {
 }
 
 /// An unrecognized selection-model name. Carries the valid list so
-/// callers (psim, reproduce_paper) can point the user at the accepted
-/// spellings.
+/// callers (psim) can point the user at the accepted spellings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownModelError {
     /// The name that failed to resolve.

@@ -253,7 +253,9 @@ fn cancelled_timer_does_not_fire_and_is_purged() {
         fn on_message(&mut self, _: &mut Context<Ping>, _: NodeId, _: Ping) {}
         fn on_timer(&mut self, ctx: &mut Context<Ping>, _: TimerId, _: u64) {
             self.fired = true;
-            ctx.metrics().incr("test.timer_fired", 1);
+            let metrics = ctx.metrics();
+            let id = metrics.counter_id("test.timer_fired");
+            metrics.incr_id(id, 1);
         }
     }
     let (t, a, _b) = topo(10.0);
@@ -314,7 +316,9 @@ fn on_timer_receives_the_id_schedule_timer_returned() {
         fn on_message(&mut self, _: &mut Context<Ping>, _: NodeId, _: Ping) {}
         fn on_timer(&mut self, ctx: &mut Context<Ping>, timer: TimerId, tag: u64) {
             assert_eq!(timer, self.armed[tag as usize]);
-            ctx.metrics().incr("test.timer_matched", 1);
+            let metrics = ctx.metrics();
+            let id = metrics.counter_id("test.timer_matched");
+            metrics.incr_id(id, 1);
         }
     }
     let (t, a, _b) = topo(10.0);
@@ -337,7 +341,9 @@ fn stale_and_forged_handles_cancel_nothing_once_the_slot_is_reused() {
         }
         fn on_message(&mut self, _: &mut Context<Ping>, _: NodeId, _: Ping) {}
         fn on_timer(&mut self, ctx: &mut Context<Ping>, _: TimerId, tag: u64) {
-            ctx.metrics().incr("test.timer_fired", 1);
+            let metrics = ctx.metrics();
+            let id = metrics.counter_id("test.timer_fired");
+            metrics.incr_id(id, 1);
             if tag == 1 {
                 let first = self.first.expect("scheduled at start");
                 let second = ctx.schedule_timer(SimDuration::from_secs(1), 2);
@@ -378,7 +384,9 @@ fn cancelled_timer_pop_still_counts_and_advances_the_clock() {
         fn on_message(&mut self, _: &mut Context<Ping>, _: NodeId, _: Ping) {}
         fn on_timer(&mut self, ctx: &mut Context<Ping>, _: TimerId, tag: u64) {
             assert_eq!(tag, 1, "the cancelled timer must not fire");
-            ctx.metrics().incr("test.timer_fired", 1);
+            let metrics = ctx.metrics();
+            let id = metrics.counter_id("test.timer_fired");
+            metrics.incr_id(id, 1);
         }
     }
     let (t, a, _b) = topo(10.0);

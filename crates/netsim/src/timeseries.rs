@@ -324,11 +324,12 @@ mod tests {
     fn boundaries_emit_before_frontier_and_at_horizon() {
         let mut rec = recorder();
         let mut m = Metrics::new();
-        m.incr("net.messages_sent", 5);
+        let sent = m.counter_id("net.messages_sent");
+        m.incr_id(sent, 5);
         // Frontier at 25 s: boundaries 0, 10, 20 are complete; 30 is not.
         rec.sample_before(secs(25), &m);
         assert_eq!(rec.len(), 3);
-        m.incr("net.messages_sent", 7);
+        m.incr_id(sent, 7);
         // A frontier exactly on a boundary leaves that boundary pending.
         rec.sample_before(secs(30), &m);
         assert_eq!(rec.len(), 3, "boundary at the frontier must wait");
@@ -346,7 +347,8 @@ mod tests {
     fn empty_windows_produce_zero_delta_rows() {
         let mut rec = recorder();
         let mut m = Metrics::new();
-        m.incr("net.messages_sent", 4);
+        let sent = m.counter_id("net.messages_sent");
+        m.incr_id(sent, 4);
         rec.sample_up_to(secs(0), &m);
         // Nothing moves for five windows: the gap is explicit zeros, not
         // missing rows.
@@ -362,12 +364,22 @@ mod tests {
     #[test]
     fn derived_sources_evaluate() {
         let mut m = Metrics::new();
-        m.incr("churn.joins", 10);
-        m.incr("churn.rejoins", 4);
-        m.incr("churn.leaves", 6);
-        m.set_gauge("registry.bytes.1", 100.0);
-        m.set_gauge("registry.bytes.2", 50.0);
-        m.set_gauge("registry.peers.1", 5.0);
+        for (name, value) in [
+            ("churn.joins", 10),
+            ("churn.rejoins", 4),
+            ("churn.leaves", 6),
+        ] {
+            let id = m.counter_id(name);
+            m.incr_id(id, value);
+        }
+        for (name, value) in [
+            ("registry.bytes.1", 100.0),
+            ("registry.bytes.2", 50.0),
+            ("registry.peers.1", 5.0),
+        ] {
+            let id = m.gauge_id(name);
+            m.set_gauge_id(id, value);
+        }
 
         let connected = SeriesSource::Diff(
             Box::new(SeriesSource::Sum(vec![
@@ -399,7 +411,8 @@ mod tests {
         let mut rec = recorder();
         let mut m = Metrics::new();
         rec.sample_up_to(secs(0), &m);
-        m.incr("net.messages_sent", 3);
+        let sent = m.counter_id("net.messages_sent");
+        m.incr_id(sent, 3);
         rec.sample_up_to(secs(10), &m);
         assert_eq!(rec.to_csv(), "t_secs,sent,sent_rate\n0,0,0\n10,3,3\n");
         assert_eq!(

@@ -15,8 +15,8 @@
 //! `pub(crate)`, so invalid combinations — zero brokers, a staleness
 //! bound shorter than the gossip interval that feeds it — are
 //! unrepresentable outside this crate. The builder mirrors the
-//! `ScenarioBuilder` pattern in the workloads crate: `#[must_use]`
-//! setters, validation at [`FederationBuilder::build`], and a typed
+//! workloads crate's `WorkloadBuilder`: `#[must_use]` setters,
+//! validation at [`FederationBuilder::build`], and a typed
 //! [`FederationError`] for every rejection.
 
 use netsim::node::NodeId;

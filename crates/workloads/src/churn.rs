@@ -52,8 +52,6 @@ pub struct ChurnConfig {
     pub horizon: SimDuration,
     /// Shard count (fixed across worker counts; must be `<= regions`).
     pub num_shards: usize,
-    /// Worker threads for the sharded engine.
-    pub shard_workers: usize,
     /// Selected-peer distribution rounds per broker.
     pub rounds: usize,
     /// Gap between successive distribution rounds.
@@ -76,7 +74,6 @@ impl Default for ChurnConfig {
             profile: ChurnProfile::default(),
             horizon: SimDuration::from_secs(3600),
             num_shards: 4,
-            shard_workers: 1,
             rounds: 4,
             round_interval: SimDuration::from_secs(300),
             file_bytes: crate::spec::MB,
@@ -88,13 +85,12 @@ impl Default for ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// The harness parameters this config asks for; callers that want a
-    /// time series or the execution profiler set it on the returned
-    /// builder.
+    /// The harness parameters this config asks for; callers that want
+    /// worker threads, a time series or the execution profiler set them
+    /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()
             .horizon(self.horizon)
-            .shard_workers(self.shard_workers)
             .trace_capacity(self.trace_capacity)
     }
 }
@@ -238,8 +234,9 @@ impl Workload for ChurnWorkload<'_> {
     }
 }
 
-/// Runs one churn replication of `cfg` under `seed` on the harness.
-/// Byte-identical for any `shard_workers` at fixed shards. Invalid
+/// Runs one churn replication of `cfg` under `seed` on the harness at
+/// one worker; any worker count set on [`ChurnConfig::harness`] gives
+/// byte-identical output at fixed shards. Invalid
 /// shard counts and degenerate topologies surface as
 /// [`HarnessError`]s instead of panics.
 pub fn run_churn(cfg: &ChurnConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
@@ -285,14 +282,10 @@ mod tests {
         let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
-                run_churn(
-                    &ChurnConfig {
-                        shard_workers: w,
-                        ..small()
-                    },
-                    2026,
-                )
-                .expect("small config is valid")
+                let cfg = small();
+                (cfg.harness().shard_workers(w).build())
+                    .and_then(|h| h.run(&ChurnWorkload { cfg: &cfg }, 2026))
+                    .expect("small config is valid")
             })
             .collect();
         assert_ne!(runs[0].trace.len(), 0, "trace must not be empty");

@@ -58,9 +58,9 @@ pub struct AblationPoint {
 }
 
 fn blind_mean_secs(transport: &TransportConfig, seed: u64) -> f64 {
-    let cfg = ScenarioConfig::builder()
-        .transport(transport.clone())
-        .at(
+    let cfg = ScenarioConfig {
+        transport: transport.clone(),
+        commands: vec![(
             netsim::time::SimDuration::from_secs(60),
             BrokerCommand::DistributeFile {
                 target: TargetSpec::AllClients,
@@ -68,9 +68,9 @@ fn blind_mean_secs(transport: &TransportConfig, seed: u64) -> f64 {
                 num_parts: 20,
                 label: "ablate".into(),
             },
-        )
-        .build()
-        .expect("ablation scenario is valid");
+        )],
+        ..ScenarioConfig::default()
+    };
     let r = run_scenario(&cfg, seed);
     let ts: Vec<f64> = r
         .run
@@ -83,9 +83,9 @@ fn blind_mean_secs(transport: &TransportConfig, seed: u64) -> f64 {
 }
 
 fn sc4_transfer_min(transport: &TransportConfig, parts: u32, seed: u64) -> f64 {
-    let cfg = ScenarioConfig::builder()
-        .transport(transport.clone())
-        .at(
+    let cfg = ScenarioConfig {
+        transport: transport.clone(),
+        commands: vec![(
             netsim::time::SimDuration::from_secs(60),
             BrokerCommand::DistributeFile {
                 target: TargetSpec::Node(netsim::node::NodeId(4)),
@@ -93,9 +93,9 @@ fn sc4_transfer_min(transport: &TransportConfig, parts: u32, seed: u64) -> f64 {
                 num_parts: parts,
                 label: "g".into(),
             },
-        )
-        .build()
-        .expect("ablation scenario is valid");
+        )],
+        ..ScenarioConfig::default()
+    };
     let r = run_scenario(&cfg, seed);
     r.run.log.transfers[0]
         .total_secs()
@@ -202,22 +202,24 @@ mod tests {
         use netsim::transport::ReceiverDiscipline;
 
         let second_secs = |discipline, starts: &[u64]| {
-            let mut builder = ScenarioConfig::builder().transport(TransportConfig {
-                receiver_discipline: discipline,
-                ..TransportConfig::default()
+            let commands = starts.iter().map(|&at| {
+                let cmd = BrokerCommand::DistributeFile {
+                    target: TargetSpec::Node(netsim::node::NodeId(4)),
+                    size_bytes: 10 * MB,
+                    num_parts: 10,
+                    label: format!("t{at}"),
+                };
+                (SimDuration::from_secs(at), cmd)
             });
-            for &at in starts {
-                builder = builder.at(
-                    SimDuration::from_secs(at),
-                    BrokerCommand::DistributeFile {
-                        target: TargetSpec::Node(netsim::node::NodeId(4)),
-                        size_bytes: 10 * MB,
-                        num_parts: 10,
-                        label: format!("t{at}"),
-                    },
-                );
-            }
-            let r = run_scenario(&builder.build().expect("valid scenario"), 1);
+            let cfg = ScenarioConfig {
+                transport: TransportConfig {
+                    receiver_discipline: discipline,
+                    ..TransportConfig::default()
+                },
+                commands: commands.collect(),
+                ..ScenarioConfig::default()
+            };
+            let r = run_scenario(&cfg, 1);
             let transfers = &r.run.log.transfers;
             assert_eq!(transfers.len(), starts.len());
             transfers

@@ -57,9 +57,9 @@ pub struct AdaptationResult {
 fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
     let t0 = SimDuration::from_secs(60);
     let campaign_start = 600u64;
-    let mut cfg = ScenarioConfig::measurement_setup()
-        .with_selector(factory(model))
-        .at(
+    let mut cfg = ScenarioConfig {
+        selector: Some(factory(model)),
+        commands: vec![(
             t0,
             BrokerCommand::DistributeFile {
                 target: TargetSpec::AllClients,
@@ -67,9 +67,11 @@ fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
                 num_parts: 4,
                 label: "warmup".into(),
             },
-        );
+        )],
+        ..ScenarioConfig::default()
+    };
     for r in 0..ROUNDS {
-        cfg = cfg.at(
+        cfg.commands.push((
             SimDuration::from_secs(campaign_start + ROUND_SPACING * r),
             BrokerCommand::DistributeFile {
                 target: TargetSpec::Selected,
@@ -77,13 +79,13 @@ fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
                 num_parts: 5,
                 label: format!("round-{r:02}"),
             },
-        );
+        ));
     }
     // Sustained congestion on SC4 through the shift window: a 120 MB
     // background (~85 s at SC4's rate) starts 5 s before every second
     // measured round, so the backlog is always visible at selection time.
     for k in 0..4u64 {
-        cfg = cfg.at(
+        cfg.commands.push((
             SimDuration::from_secs(campaign_start + ROUND_SPACING * (SHIFT_START + 2 * k) - 5),
             BrokerCommand::DistributeFile {
                 target: TargetSpec::Node(netsim::node::NodeId(4)),
@@ -91,7 +93,7 @@ fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
                 num_parts: 20,
                 label: format!("background-{k}"),
             },
-        );
+        ));
     }
     let result = run_scenario(&cfg, seed);
     let mut windows = vec![Vec::new(), Vec::new(), Vec::new()];

@@ -23,6 +23,18 @@ fn factory(model: &'static str) -> SelectorFactory {
         .expect("extension studies use known model names")
 }
 
+/// The 4 MB, 4-part broadcast one minute in that seeds every peer's
+/// statistics before a selected campaign.
+fn warmup() -> (SimDuration, BrokerCommand) {
+    let cmd = BrokerCommand::DistributeFile {
+        target: TargetSpec::AllClients,
+        size_bytes: 4 * MB,
+        num_parts: 4,
+        label: "warmup".into(),
+    };
+    (SimDuration::from_secs(60), cmd)
+}
+
 /// Scaling study: selected-transfer quality as the peergroup grows.
 ///
 /// The paper evaluates 8 peers and asks what happens with more; we sweep
@@ -48,22 +60,14 @@ pub mod scaling {
     }
 
     fn one_run(model: &'static str, others: usize, seed: u64) -> f64 {
-        let mut cfg = ScenarioConfig::builder()
-            .testbed(planetlab::builder::TestbedConfig::slice_with_others(others))
-            .build()
-            .expect("scaling scenario is valid")
-            .with_selector(factory(model));
-        cfg = cfg.at(
-            SimDuration::from_secs(60),
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::AllClients,
-                size_bytes: 4 * MB,
-                num_parts: 4,
-                label: "warmup".into(),
-            },
-        );
+        let mut cfg = ScenarioConfig {
+            testbed: planetlab::builder::TestbedConfig::slice_with_others(others),
+            selector: Some(factory(model)),
+            commands: vec![warmup()],
+            ..ScenarioConfig::default()
+        };
         for r in 0..ROUNDS {
-            cfg = cfg.at(
+            cfg.commands.push((
                 SimDuration::from_secs(600 + 60 * r),
                 BrokerCommand::DistributeFile {
                     target: TargetSpec::Selected,
@@ -71,7 +75,7 @@ pub mod scaling {
                     num_parts: 8,
                     label: format!("scale-{r}"),
                 },
-            );
+            ));
         }
         let result = run_scenario(&cfg, seed);
         let ts: Vec<f64> = result
@@ -141,24 +145,16 @@ pub mod churn {
     pub fn run_experiment(seed: u64) -> ChurnResult {
         let leave_at = SimDuration::from_secs(700);
         // SC4 leaves the overlay mid-campaign. A Leave is passive, so it
-        // coexists with the broker's idle-stop (the builder only rejects
+        // coexists with the broker's idle-stop (the harness only rejects
         // work-generating scripted clients under stop_when_idle).
-        let mut cfg = ScenarioConfig::builder()
-            .client_command(4, leave_at, ClientCommand::Leave)
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 4 * MB,
-                    num_parts: 4,
-                    label: "warmup".into(),
-                },
-            )
-            .build()
-            .expect("churn scenario is valid")
-            .with_selector(factory("economic"));
+        let mut cfg = ScenarioConfig {
+            client_commands_by_sc: vec![(4, leave_at, ClientCommand::Leave)],
+            selector: Some(factory("economic")),
+            commands: vec![warmup()],
+            ..ScenarioConfig::default()
+        };
         for r in 0..8u64 {
-            cfg = cfg.at(
+            cfg.commands.push((
                 SimDuration::from_secs(600 + 60 * r),
                 BrokerCommand::DistributeFile {
                     target: TargetSpec::Selected,
@@ -166,7 +162,7 @@ pub mod churn {
                     num_parts: 4,
                     label: format!("churn-{r}"),
                 },
-            );
+            ));
         }
         let result = run_scenario(&cfg, seed);
         let started = result
@@ -219,36 +215,24 @@ pub mod request {
     fn one_run(model: &'static str, seed: u64) -> f64 {
         // SC2, SC4, SC6 and SC7 replicate "mirror.iso"; SC1 requests it
         // repeatedly. Good owner selection avoids SC7.
-        let mut builder = ScenarioConfig::builder()
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 4 * MB,
-                    num_parts: 4,
-                    label: "warmup".into(),
-                },
-            )
+        let requests = (0..REQUESTS).map(|r| {
+            let request = ClientCommand::RequestFile {
+                name: "mirror.iso".into(),
+            };
+            (1, SimDuration::from_secs(600 + 90 * r), request)
+        });
+        let owners = [2, 4, 6, 7].map(|sc| (sc, "mirror.iso".to_string(), 8 * MB));
+        let cfg = ScenarioConfig {
+            commands: vec![warmup()],
             // Client-initiated requests are invisible to the broker's idle
             // detector, so the run is horizon-bounded instead.
-            .stop_when_idle(false)
-            .horizon(SimDuration::from_secs(3000));
-        for r in 0..REQUESTS {
-            builder = builder.client_command(
-                1,
-                SimDuration::from_secs(600 + 90 * r),
-                ClientCommand::RequestFile {
-                    name: "mirror.iso".into(),
-                },
-            );
-        }
-        for sc in [2, 4, 6, 7] {
-            builder = builder.shared_file(sc, "mirror.iso", 8 * MB);
-        }
-        let cfg = builder
-            .build()
-            .expect("request scenario is valid")
-            .with_selector(factory(model));
+            stop_when_idle: false,
+            horizon: SimDuration::from_secs(3000),
+            client_commands_by_sc: requests.collect(),
+            shared_files_by_sc: owners.to_vec(),
+            selector: Some(factory(model)),
+            ..ScenarioConfig::default()
+        };
         let result = run_scenario(&cfg, seed);
         let ts: Vec<f64> = result
             .run
@@ -337,48 +321,49 @@ pub mod profiles {
 
     /// Warm-up that exercises *both* statistic families so every profile
     /// has data: transfers (some refused) and tasks (some rejected).
-    fn warmup_mixed(mut cfg: ScenarioConfig) -> ScenarioConfig {
+    fn warmup_mixed() -> Vec<(SimDuration, BrokerCommand)> {
+        let mut commands = Vec::new();
         for k in 0..12u64 {
-            cfg = cfg
-                .at(
-                    SimDuration::from_secs(60 + 90 * k),
-                    BrokerCommand::DistributeFile {
-                        target: TargetSpec::AllClients,
-                        size_bytes: 2 * MB,
-                        num_parts: 2,
-                        label: format!("warm-f-{k}"),
-                    },
-                )
-                .at(
-                    SimDuration::from_secs(90 + 90 * k),
-                    BrokerCommand::SubmitTask {
-                        target: TargetSpec::AllClients,
-                        work_gops: 2.0,
-                        input_bytes: 0,
-                        input_parts: 1,
-                        label: format!("warm-t-{k}"),
-                    },
-                );
+            commands.push((
+                SimDuration::from_secs(60 + 90 * k),
+                BrokerCommand::DistributeFile {
+                    target: TargetSpec::AllClients,
+                    size_bytes: 2 * MB,
+                    num_parts: 2,
+                    label: format!("warm-f-{k}"),
+                },
+            ));
+            commands.push((
+                SimDuration::from_secs(90 + 90 * k),
+                BrokerCommand::SubmitTask {
+                    target: TargetSpec::AllClients,
+                    work_gops: 2.0,
+                    input_bytes: 0,
+                    input_parts: 1,
+                    label: format!("warm-t-{k}"),
+                },
+            ));
         }
-        cfg
+        commands
     }
 
     /// The shared campaign base: flaky-peer refusal and acceptance
-    /// profiles, validated once, plus the profile's selector.
+    /// profiles, the mixed warm-up, and the profile's selector.
     fn profiled_config(which: &'static str) -> ScenarioConfig {
-        ScenarioConfig::builder()
-            .transfer_refuse_by_sc(REFUSE)
-            .task_accept_by_sc(ACCEPT)
-            .build()
-            .expect("profile scenario is valid")
-            .with_selector(profile_factory(which))
+        ScenarioConfig {
+            transfer_refuse_by_sc: REFUSE,
+            task_accept_by_sc: ACCEPT,
+            commands: warmup_mixed(),
+            selector: Some(profile_factory(which)),
+            ..ScenarioConfig::default()
+        }
     }
 
     /// Success rate of a selected-transfer campaign under `which` profile.
     pub fn transfer_campaign(which: &'static str, seed: u64) -> f64 {
-        let mut cfg = warmup_mixed(profiled_config(which));
+        let mut cfg = profiled_config(which);
         for r in 0..ROUNDS {
-            cfg = cfg.at(
+            cfg.commands.push((
                 SimDuration::from_secs(1800 + 45 * r),
                 BrokerCommand::DistributeFile {
                     target: TargetSpec::Selected,
@@ -386,7 +371,7 @@ pub mod profiles {
                     num_parts: 4,
                     label: format!("camp-{r}"),
                 },
-            );
+            ));
         }
         let result = run_scenario(&cfg, seed);
         let xfers: Vec<_> = result
@@ -401,9 +386,9 @@ pub mod profiles {
 
     /// Success rate of a selected-task campaign under `which` profile.
     pub fn task_campaign(which: &'static str, seed: u64) -> f64 {
-        let mut cfg = warmup_mixed(profiled_config(which));
+        let mut cfg = profiled_config(which);
         for r in 0..ROUNDS {
-            cfg = cfg.at(
+            cfg.commands.push((
                 SimDuration::from_secs(1800 + 45 * r),
                 BrokerCommand::SubmitTask {
                     target: TargetSpec::Selected,
@@ -412,7 +397,7 @@ pub mod profiles {
                     input_parts: 1,
                     label: format!("camp-{r}"),
                 },
-            );
+            ));
         }
         let result = run_scenario(&cfg, seed);
         let tasks: Vec<_> = result
@@ -427,9 +412,9 @@ pub mod profiles {
 
     /// Debug helper: (success_rate, chosen names) for one transfer campaign.
     pub fn transfer_campaign_debug(which: &'static str, seed: u64) -> (f64, Vec<String>) {
-        let mut cfg = warmup_mixed(profiled_config(which));
+        let mut cfg = profiled_config(which);
         for r in 0..ROUNDS {
-            cfg = cfg.at(
+            cfg.commands.push((
                 SimDuration::from_secs(1800 + 45 * r),
                 BrokerCommand::DistributeFile {
                     target: TargetSpec::Selected,
@@ -437,7 +422,7 @@ pub mod profiles {
                     num_parts: 4,
                     label: format!("camp-{r}"),
                 },
-            );
+            ));
         }
         let result = run_scenario(&cfg, seed);
         let xfers: Vec<_> = result

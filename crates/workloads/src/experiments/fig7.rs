@@ -60,23 +60,24 @@ fn per_sc_task_minutes(result: &ScenarioResult, label: &str) -> Vec<f64> {
 }
 
 fn scenario(with_input: bool) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::measurement_setup();
     let (input_bytes, label) = if with_input {
         (INPUT_SIZE, "fig7-trans")
     } else {
         (0, "fig7-exec")
     };
-    cfg = cfg.at(
-        netsim::time::SimDuration::from_secs(60),
-        BrokerCommand::SubmitTask {
-            target: TargetSpec::AllClients,
-            work_gops: WORK_GOPS,
-            input_bytes,
-            input_parts: INPUT_PARTS,
-            label: label.into(),
-        },
-    );
-    cfg
+    ScenarioConfig {
+        commands: vec![(
+            netsim::time::SimDuration::from_secs(60),
+            BrokerCommand::SubmitTask {
+                target: TargetSpec::AllClients,
+                work_gops: WORK_GOPS,
+                input_bytes,
+                input_parts: INPUT_PARTS,
+                label: label.into(),
+            },
+        )],
+        ..ScenarioConfig::default()
+    }
 }
 
 /// Runs the experiment: exec-only and transmission+execution scenarios.

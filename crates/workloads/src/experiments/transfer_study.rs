@@ -68,16 +68,19 @@ fn per_sc_phase(
 /// reports can break latency into attributed phases.
 pub fn run(spec: &ExperimentSpec) -> TransferStudy {
     let rows = run_replications(&spec.seeds, |seed| {
-        let cfg = ScenarioConfig::measurement_setup().at(
-            spec.warmup,
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::AllClients,
-                size_bytes: FILE_SIZE,
-                num_parts: NUM_PARTS,
-                label: LABEL.into(),
-            },
-        );
-        let result = run_traced(&cfg, seed)
+        let cfg = ScenarioConfig {
+            commands: vec![(
+                spec.warmup,
+                BrokerCommand::DistributeFile {
+                    target: TargetSpec::AllClients,
+                    size_bytes: FILE_SIZE,
+                    num_parts: NUM_PARTS,
+                    label: LABEL.into(),
+                },
+            )],
+            ..ScenarioConfig::default()
+        };
+        let result = run_traced(&cfg, cfg.harness(), seed)
             .expect("the measurement setup runs on one shard")
             .result;
         let petition = result

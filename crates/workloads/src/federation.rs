@@ -67,8 +67,6 @@ pub struct FederationConfig {
     pub horizon: SimDuration,
     /// Shard count (fixed across worker counts; must be `<= regions`).
     pub num_shards: usize,
-    /// Worker threads for the sharded engine.
-    pub shard_workers: usize,
     /// Selected-peer distribution rounds per broker.
     pub rounds: usize,
     /// Gap between successive distribution rounds.
@@ -100,7 +98,6 @@ impl Default for FederationConfig {
             failover: FailoverPolicy::default(),
             horizon: SimDuration::from_secs(900),
             num_shards: 4,
-            shard_workers: 1,
             rounds: 3,
             round_interval: SimDuration::from_secs(240),
             file_bytes: crate::spec::MB,
@@ -114,13 +111,12 @@ impl Default for FederationConfig {
 }
 
 impl FederationConfig {
-    /// The harness parameters this config asks for; callers that want a
-    /// time series or the execution profiler set it on the returned
-    /// builder.
+    /// The harness parameters this config asks for; callers that want
+    /// worker threads, a time series or the execution profiler set them
+    /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()
             .horizon(self.horizon)
-            .shard_workers(self.shard_workers)
             .trace_capacity(self.trace_capacity)
     }
 }
@@ -375,8 +371,9 @@ fn summary_fragment(summary: Option<LatencySummary>) -> String {
     }
 }
 
-/// Runs one federation replication of `cfg` under `seed` on the harness.
-/// Byte-identical for any `shard_workers` at fixed shards. Invalid
+/// Runs one federation replication of `cfg` under `seed` on the harness
+/// at one worker; any worker count set on [`FederationConfig::harness`]
+/// gives byte-identical output at fixed shards. Invalid
 /// shard counts, degenerate topologies, and rejected federation
 /// parameters surface as [`HarnessError`]s instead of panics.
 pub fn run_federation(cfg: &FederationConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
@@ -413,20 +410,20 @@ mod tests {
         }
     }
 
+    /// One replication of `cfg` at `workers` shard workers.
+    fn run_at(
+        cfg: &FederationConfig,
+        workers: usize,
+        seed: u64,
+    ) -> Result<HarnessRun, HarnessError> {
+        (cfg.harness().shard_workers(workers).build())?.run(&FederationWorkload { cfg }, seed)
+    }
+
     #[test]
     fn forwarded_petitions_are_worker_count_invariant() {
         let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
-            .map(|&w| {
-                run_federation(
-                    &FederationConfig {
-                        shard_workers: w,
-                        ..small()
-                    },
-                    2026,
-                )
-                .expect("small config is valid")
-            })
+            .map(|&w| run_at(&small(), w, 2026).expect("small config is valid"))
             .collect();
         assert_ne!(runs[0].trace.len(), 0, "trace must not be empty");
         let dynamics = FederationDynamics::from_metrics(&runs[0].metrics);
@@ -495,8 +492,7 @@ mod tests {
 
     #[test]
     fn failover_runs_are_worker_count_invariant() {
-        let cfg = |w| FederationConfig {
-            shard_workers: w,
+        let cfg = FederationConfig {
             kill: Some(BrokerOutage {
                 region: 2,
                 down_at: SimDuration::from_secs(300),
@@ -505,8 +501,8 @@ mod tests {
             horizon: SimDuration::from_secs(1100),
             ..small()
         };
-        let one = run_federation(&cfg(1), 9).expect("valid");
-        let four = run_federation(&cfg(4), 9).expect("valid");
+        let one = run_at(&cfg, 1, 9).expect("valid");
+        let four = run_at(&cfg, 4, 9).expect("valid");
         let dynamics = FederationDynamics::from_metrics(&one.metrics);
         assert!(dynamics.rehomes > 0, "the crash must strand clients");
         assert_eq!(one.trace.digest(), four.trace.digest());

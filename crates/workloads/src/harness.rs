@@ -10,9 +10,9 @@
 //! worker-count-invariant [`HarnessRun`]. A driver is a [`Workload`]
 //! implementation — what testbed, which actors, which series columns,
 //! what summary line — plus a config whose `harness()` hands out the
-//! [`WorkloadBuilder`] its horizon, workers and trace ring imply; time
-//! series and execution profiling are set on that builder, never on a
-//! config. The harness owns the rest, including the only engine
+//! [`WorkloadBuilder`] its horizon and trace ring imply; worker threads,
+//! time series and execution profiling are set on that builder, never on
+//! a config. The harness owns the rest, including the only engine
 //! construction in this crate (one shard is the serial engine, so no
 //! driver chooses an engine type) and the stdout artifact `psim` prints
 //! ([`Harness::run_with_artifact`]).
@@ -42,6 +42,7 @@ use overlay::message::OverlayMsg;
 use overlay::records::{RecordSink, RunLog};
 
 use crate::report::metrics_snapshot_json;
+use crate::scenario::ScenarioError;
 
 /// The documented defaults every workload driver resolves to.
 ///
@@ -78,10 +79,10 @@ pub mod defaults {
 ///
 /// Builder-checked variants (`NonPositiveHorizon`, `ZeroParallelism`,
 /// `ZeroSeriesInterval`) surface from [`WorkloadBuilder::build`];
-/// the wrapped variants surface from [`Harness::run`] when the
-/// workload's testbed, shard map, or federation parameters are
-/// rejected by the layer that owns them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the wrapped variants surface from [`Harness::check`] and
+/// [`Harness::run`] when the workload's testbed, shard map, scenario or
+/// federation parameters are rejected by the layer that owns them.
+#[derive(Debug, Clone, PartialEq)]
 pub enum HarnessError {
     /// The virtual-time horizon was zero: the engine would stop at t=0.
     NonPositiveHorizon,
@@ -109,6 +110,9 @@ pub enum HarnessError {
     /// The broker-federation parameters were rejected by
     /// [`FederationBuilder`].
     Federation(FederationError),
+    /// The paper scenario's own rules (SC indices, probabilities,
+    /// idle-stop, rejoin order) were broken.
+    Scenario(ScenarioError),
 }
 
 impl From<ShardMapError> for HarnessError {
@@ -160,6 +164,7 @@ impl std::fmt::Display for HarnessError {
                 write!(f, "telemetry series interval must be positive virtual time")
             }
             HarnessError::Federation(e) => write!(f, "federation rejected: {e}"),
+            HarnessError::Scenario(e) => write!(f, "scenario rejected: {e}"),
         }
     }
 }
@@ -344,8 +349,7 @@ impl HarnessRun {
 /// Builder for a [`Harness`]: the only way to set the validated run
 /// parameters. Checks every invariant once, at
 /// [`build`](WorkloadBuilder::build), and reports violations as typed
-/// [`HarnessError`]s — same discipline as `ScenarioBuilder` and
-/// `FederationBuilder`.
+/// [`HarnessError`]s — same discipline as `FederationBuilder`.
 #[must_use = "a builder does nothing until build() is called"]
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
@@ -754,32 +758,40 @@ mod tests {
         // The healthy mode runs, so the fixture itself isn't vacuous.
         assert!(harness.run(&Degenerate(FaultMode::None), 7).is_ok());
 
-        // The paper scenarios run on this pipeline too and hand its errors
-        // on wrapped, from the builder and from the engine alike.
+        // The paper scenarios run on this pipeline too: the harness refuses
+        // their own rules, its run parameters and the engine's alike.
         use crate::scenario::{ScenarioConfig, ScenarioError};
         use planetlab::builder::TestbedConfig;
-        let cfg = ScenarioConfig::measurement_setup();
+        let cfg = ScenarioConfig {
+            shared_files_by_sc: vec![(9, "f".into(), 1)],
+            ..ScenarioConfig::default()
+        };
+        assert_eq!(
+            harness.check(&cfg, 7).err(),
+            Some(HarnessError::Scenario(ScenarioError::ScIndexOutOfRange {
+                what: "shared_files_by_sc",
+                sc: 9
+            }))
+        );
+        let cfg = ScenarioConfig::default();
         let zero_interval = cfg.harness().series_interval(Some(SimDuration::ZERO));
         assert_eq!(
             cfg.run_with(zero_interval, 7).err(),
-            Some(ScenarioError::Harness(HarnessError::ZeroSeriesInterval))
+            Some(HarnessError::ZeroSeriesInterval)
         );
         let mut colocated = TestbedConfig::measurement_setup();
         colocated.rtt.floor_ms = 0.0;
         colocated.rtt.path_inflation = 0.0;
-        let cfg = ScenarioConfig::builder()
-            .testbed(colocated)
-            .shards(3)
-            .build()
-            .expect("a valid config the engine will refuse to shard");
+        let cfg = ScenarioConfig {
+            testbed: colocated,
+            shards: 3,
+            ..ScenarioConfig::default()
+        };
         assert_eq!(
             cfg.run_with(cfg.harness(), 7).err(),
-            Some(ScenarioError::Harness(HarnessError::Parallel(
-                ParallelError::ZeroLookahead
-            )))
+            Some(HarnessError::Parallel(ParallelError::ZeroLookahead))
         );
-        assert!(cfg
-            .sharded(1, 1)
-            .is_ok_and(|c| c.run_with(c.harness(), 7).is_ok()));
+        let cfg = ScenarioConfig { shards: 1, ..cfg };
+        assert!(cfg.run_with(cfg.harness(), 7).is_ok());
     }
 }

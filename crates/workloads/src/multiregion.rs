@@ -74,8 +74,6 @@ pub struct MultiRegionConfig {
     pub gossip_interval: SimDuration,
     /// Virtual-time horizon bounding the run.
     pub horizon: SimDuration,
-    /// Worker threads for the sharded engine (clamped to the region count).
-    pub shard_workers: usize,
     /// Typed-trace ring capacity; `None` keeps tracing disabled.
     pub trace_capacity: Option<usize>,
 }
@@ -95,20 +93,18 @@ impl Default for MultiRegionConfig {
             remote_join_every: 3,
             gossip_interval: defaults::GOSSIP_INTERVAL,
             horizon: SimDuration::from_secs(900),
-            shard_workers: 1,
             trace_capacity: None,
         }
     }
 }
 
 impl MultiRegionConfig {
-    /// The harness parameters this config asks for; callers that want a
-    /// time series or the execution profiler set it on the returned
-    /// builder.
+    /// The harness parameters this config asks for; callers that want
+    /// worker threads, a time series or the execution profiler set them
+    /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()
             .horizon(self.horizon)
-            .shard_workers(self.shard_workers)
             .trace_capacity(self.trace_capacity)
     }
 
@@ -263,8 +259,9 @@ impl Workload for MultiRegionWorkload<'_> {
 }
 
 /// Runs one multi-region replication of `cfg` under `seed` on the harness
-/// (one shard per region, `cfg.shard_workers` threads). For a fixed
-/// config and seed the result is byte-identical at any worker count.
+/// (one shard per region, one worker). For a fixed config and seed the
+/// result is byte-identical at any worker count set on
+/// [`MultiRegionConfig::harness`].
 /// Degenerate configs (zero regions, zero inter-region delay) surface as
 /// [`HarnessError`]s from shard-map or engine construction.
 pub fn run_multiregion(cfg: &MultiRegionConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
@@ -293,11 +290,10 @@ mod tests {
         let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
-                let cfg = MultiRegionConfig {
-                    shard_workers: w,
-                    ..small()
-                };
-                run_multiregion(&cfg, 77).expect("small config is valid")
+                let cfg = small();
+                (cfg.harness().shard_workers(w).build())
+                    .and_then(|h| h.run(&MultiRegionWorkload { cfg: &cfg }, 77))
+                    .expect("small config is valid")
             })
             .collect();
         let digest = runs[0].trace.digest();

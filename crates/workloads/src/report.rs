@@ -718,10 +718,13 @@ mod tests {
     #[test]
     fn metrics_snapshot_is_sorted_and_deterministic() {
         let mut m = Metrics::new();
-        m.incr("zeta", 2);
-        m.incr("alpha", 1);
-        m.observe("lat", 1.5);
-        m.observe("lat", 2.5);
+        let zeta = m.counter_id("zeta");
+        m.incr_id(zeta, 2);
+        let alpha = m.counter_id("alpha");
+        m.incr_id(alpha, 1);
+        let lat = m.stat_id("lat");
+        m.observe_id(lat, 1.5);
+        m.observe_id(lat, 2.5);
         let a = metrics_snapshot_json(&m);
         let b = metrics_snapshot_json(&m);
         assert_eq!(a, b);

@@ -7,11 +7,8 @@
 
 use netsim::metrics::RunningStat;
 
-use crate::scenario::{ScenarioConfig, ScenarioError, ScenarioResult};
-
-/// Default trace ring-buffer size for [`run_traced`]: large enough to hold
-/// every event of the paper's single-transfer scenarios.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+use crate::harness::{defaults, HarnessError, WorkloadBuilder};
+use crate::scenario::{ScenarioConfig, ScenarioResult};
 
 /// One traced replication: the deterministic JSONL export, its FNV digest
 /// (equal digests ⇔ byte-identical JSONL), and the full scenario result.
@@ -24,13 +21,17 @@ pub struct TracedRun {
     pub result: ScenarioResult,
 }
 
-/// Runs one replication of `cfg` under `seed` with tracing forced on
-/// (`cfg.trace_capacity`, or [`DEFAULT_TRACE_CAPACITY`] when unset) and
-/// exports the trace as deterministic JSONL. Errors when the engine
-/// refuses the config's shard layout.
-pub fn run_traced(cfg: &ScenarioConfig, seed: u64) -> Result<TracedRun, ScenarioError> {
-    let capacity = cfg.trace_capacity().unwrap_or(DEFAULT_TRACE_CAPACITY);
-    let result = cfg.run_with(cfg.harness().trace_capacity(Some(capacity)), seed)?;
+/// Runs one replication of `cfg` under `seed` on `harness` with tracing
+/// forced on at [`defaults::CLI_TRACE_CAPACITY`] (enough for every event
+/// of the paper's single-transfer scenarios) and exports the trace as
+/// deterministic JSONL. Errors with whatever the harness rejects.
+pub fn run_traced(
+    cfg: &ScenarioConfig,
+    harness: WorkloadBuilder,
+    seed: u64,
+) -> Result<TracedRun, HarnessError> {
+    let harness = harness.trace_capacity(Some(defaults::CLI_TRACE_CAPACITY));
+    let result = cfg.run_with(harness, seed)?;
     Ok(TracedRun {
         jsonl: result.run.trace.to_jsonl(),
         digest: result.run.trace.digest(),

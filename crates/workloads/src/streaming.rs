@@ -113,8 +113,6 @@ pub struct StreamingConfig {
     pub horizon: SimDuration,
     /// Shard count (fixed across worker counts; must be `<= regions`).
     pub num_shards: usize,
-    /// Worker threads for the sharded engine.
-    pub shard_workers: usize,
     /// Pieces the stream is divided into.
     pub total_pieces: u32,
     /// Payload bytes per piece.
@@ -139,7 +137,6 @@ impl Default for StreamingConfig {
             gossip_interval: defaults::GOSSIP_INTERVAL,
             horizon: SimDuration::from_secs(900),
             num_shards: 4,
-            shard_workers: 1,
             total_pieces: 48,
             piece_bytes: 256 << 10,
             piece_secs: SimDuration::from_secs(2),
@@ -151,13 +148,12 @@ impl Default for StreamingConfig {
 }
 
 impl StreamingConfig {
-    /// The harness parameters this config asks for; callers that want a
-    /// time series or the execution profiler set it on the returned
-    /// builder.
+    /// The harness parameters this config asks for; callers that want
+    /// worker threads, a time series or the execution profiler set them
+    /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()
             .horizon(self.horizon)
-            .shard_workers(self.shard_workers)
             .trace_capacity(self.trace_capacity)
     }
 
@@ -377,8 +373,9 @@ fn quantiles_fragment(q: Option<StartupQuantiles>) -> String {
     }
 }
 
-/// Runs one streaming replication of `cfg` under `seed` on the harness.
-/// Byte-identical for any `shard_workers` at fixed shards. Invalid
+/// Runs one streaming replication of `cfg` under `seed` on the harness
+/// at one worker; any worker count set on [`StreamingConfig::harness`]
+/// gives byte-identical output at fixed shards. Invalid
 /// shard counts and degenerate parameters surface as [`HarnessError`]s
 /// instead of panics.
 pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
@@ -444,16 +441,14 @@ mod tests {
         let runs: Vec<HarnessRun> = [1, 2, 4]
             .iter()
             .map(|&w| {
-                run_streaming(
-                    &StreamingConfig {
-                        shard_workers: w,
-                        policy: PiecePolicy::Windowed,
-                        window: 6,
-                        ..small()
-                    },
-                    7,
-                )
-                .expect("small config is valid")
+                let cfg = StreamingConfig {
+                    policy: PiecePolicy::Windowed,
+                    window: 6,
+                    ..small()
+                };
+                (cfg.harness().shard_workers(w).build())
+                    .and_then(|h| h.run(&StreamingWorkload { cfg: &cfg }, 7))
+                    .expect("small config is valid")
             })
             .collect();
         assert_ne!(runs[0].trace.len(), 0, "trace must not be empty");

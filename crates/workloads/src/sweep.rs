@@ -28,7 +28,6 @@ pub use overlay::selector::ModelKind;
 
 use crate::harness::HarnessError;
 use crate::runner::run_indexed;
-use crate::scenario::ScenarioError;
 use crate::streaming::{PiecePolicy, UploadProfile};
 
 mod cells;
@@ -301,11 +300,8 @@ pub enum SweepError {
         /// The workload's name.
         workload: &'static str,
     },
-    /// A cell's scenario failed [`crate::scenario::ScenarioBuilder::build`]
-    /// validation, or the engine refused to run it.
-    Scenario(ScenarioError),
-    /// A federation or streaming cell was refused by the harness: its run
-    /// parameters, shard map or federation wiring.
+    /// A cell was refused by the harness: its run parameters, scenario
+    /// rules, shard map or federation wiring.
     Harness(HarnessError),
 }
 
@@ -322,19 +318,12 @@ impl std::fmt::Display for SweepError {
             SweepError::ModelWorkloadMismatch { model, workload } => {
                 write!(f, "model {model} cannot drive a {workload} workload")
             }
-            SweepError::Scenario(e) => write!(f, "cell scenario invalid: {e}"),
             SweepError::Harness(e) => write!(f, "cell rejected by the harness: {e}"),
         }
     }
 }
 
 impl std::error::Error for SweepError {}
-
-impl From<ScenarioError> for SweepError {
-    fn from(e: ScenarioError) -> Self {
-        SweepError::Scenario(e)
-    }
-}
 
 impl From<HarnessError> for SweepError {
     fn from(e: HarnessError) -> Self {

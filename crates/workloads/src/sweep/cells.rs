@@ -3,10 +3,12 @@
 //! ([`CellWorkload::plan`]) and how a replication is run and reduced to
 //! rows ([`CellPlan::run`]).
 //!
-//! Every cell is put to the validating builder of the layer that will run
-//! it — [`ScenarioBuilder`] for the paper's testbed, the harness for the
-//! synthetic ones — so a mis-specified grid fails before any thread spins
-//! up.
+//! Every cell is planned by the harness that will run it
+//! ([`Harness::check`]: run parameters, scenario rules, shard map,
+//! federation wiring), so a mis-specified grid fails before any thread
+//! spins up.
+//!
+//! [`Harness::check`]: crate::harness::Harness::check
 
 use netsim::metrics::Metrics;
 use netsim::time::SimDuration;
@@ -17,7 +19,8 @@ use crate::experiments::{fig6, per_sc_transfer_metric, sc_labels};
 use crate::federation::{
     petition_latencies, run_federation, FederationConfig, FederationWorkload, LatencySummary,
 };
-use crate::scenario::{ScenarioBuilder, ScenarioConfig};
+use crate::harness::{Workload, WorkloadBuilder};
+use crate::scenario::ScenarioConfig;
 use crate::spec::MB;
 use crate::streaming::{
     run_streaming, startup_delays, StartupQuantiles, StreamingConfig, StreamingStats,
@@ -91,14 +94,12 @@ impl CellWorkload {
 
     /// The task-accept profile every cell of this workload runs under: its
     /// name in the `accept` column and the per-SC acceptance probabilities
-    /// (`None` = everyone accepts; Fig 6's warm-up has the well-connected
-    /// peers decline more often).
-    pub(super) fn accept(self) -> (&'static str, Option<[f64; 8]>) {
+    /// (everyone accepts, except in Fig 6's warm-up, where the
+    /// well-connected peers decline more often).
+    pub(super) fn accept(self) -> (&'static str, [f64; 8]) {
         match self {
-            CellWorkload::SelectedTransfer { .. } => {
-                ("fig6-warmup", Some(fig6::WARMUP_TASK_ACCEPT))
-            }
-            _ => ("accept-all", None),
+            CellWorkload::SelectedTransfer { .. } => ("fig6-warmup", fig6::WARMUP_TASK_ACCEPT),
+            _ => ("accept-all", [1.0; 8]),
         }
     }
 
@@ -143,15 +144,20 @@ pub(super) enum CellPlan {
 }
 
 impl CellWorkload {
-    /// Builds `cell`'s config and puts it to its builder: the scenario
-    /// builder for the testbed workloads, the harness (run parameters,
-    /// shard map, federation wiring) for the synthetic ones, planned
-    /// under the cell's first seed.
+    /// Builds `cell`'s config and has the harness plan it under the
+    /// cell's first seed.
     pub(super) fn plan(self, spec: &SweepSpec, cell: &Cell) -> Result<CellPlan, SweepError> {
-        let seed = spec.seed_for(cell.index, 0);
+        let check = |harness: WorkloadBuilder, workload: &dyn Workload| {
+            let seed = spec.seed_for(cell.index, 0);
+            harness
+                .build()?
+                .check(workload, seed)
+                .map_err(SweepError::from)
+        };
         match self {
             CellWorkload::Distribute { size_bytes } => {
-                let builder = scenario_builder(spec, cell).at(
+                let mut cfg = scenario_for_cell(spec, cell);
+                cfg.commands.push((
                     spec.warmup,
                     BrokerCommand::DistributeFile {
                         target: TargetSpec::AllClients,
@@ -159,24 +165,26 @@ impl CellWorkload {
                         num_parts: cell.parts,
                         label: DISTRIBUTE_LABEL.into(),
                     },
-                );
-                Ok(CellPlan::Distribute(builder.build()?))
+                ));
+                check(cfg.harness(), &cfg)?;
+                Ok(CellPlan::Distribute(cfg))
             }
             CellWorkload::SelectedTransfer {
                 measured_bytes,
                 background_bytes,
-            } => selected_transfer_for_cell(spec, cell, measured_bytes, background_bytes)
-                .map(CellPlan::SelectedTransfer),
+            } => {
+                let cfg = selected_transfer_for_cell(spec, cell, measured_bytes, background_bytes)?;
+                check(cfg.harness(), &cfg)?;
+                Ok(CellPlan::SelectedTransfer(cfg))
+            }
             CellWorkload::Federation { peers } => {
                 let cfg = federation_for_cell(cell, peers);
-                let harness = cfg.harness().build()?;
-                harness.check(&FederationWorkload { cfg: &cfg }, seed)?;
+                check(cfg.harness(), &FederationWorkload { cfg: &cfg })?;
                 Ok(CellPlan::Federation(cfg))
             }
             CellWorkload::Streaming { viewers } => {
                 let cfg = streaming_for_cell(cell, viewers);
-                let harness = cfg.harness().build()?;
-                harness.check(&StreamingWorkload { cfg: &cfg }, seed)?;
+                check(cfg.harness(), &StreamingWorkload { cfg: &cfg })?;
                 Ok(CellPlan::Streaming(cfg))
             }
         }
@@ -253,15 +261,14 @@ impl CellPlan {
 
 /// The paper's measurement setup under the cell's drop level (a lossy
 /// cell gets default retries) and the workload's accept profile.
-fn scenario_builder(spec: &SweepSpec, cell: &Cell) -> ScenarioBuilder {
-    let mut builder = ScenarioBuilder::measurement_setup().drop_probability(cell.drop_probability);
-    if cell.drop_probability > 0.0 {
-        builder = builder.retry(RetryPolicy::default());
-    }
-    if let (_, Some(accept)) = spec.workload.accept() {
-        builder = builder.task_accept_by_sc(accept);
-    }
-    builder
+fn scenario_for_cell(spec: &SweepSpec, cell: &Cell) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig {
+        task_accept_by_sc: spec.workload.accept().1,
+        retry: (cell.drop_probability > 0.0).then(RetryPolicy::default),
+        ..ScenarioConfig::default()
+    };
+    cfg.transport.message_drop_probability = cell.drop_probability;
+    cfg
 }
 
 /// The Fig 6/7 script: warm-up broadcast and tasks, the background
@@ -280,7 +287,9 @@ fn selected_transfer_for_cell(
     let t0 = spec.warmup;
     let t_bg = t0 + SimDuration::from_secs(600);
     let t_measure = t_bg + SimDuration::from_secs(2);
-    let mut builder = scenario_builder(spec, cell).at(
+    let mut cfg = scenario_for_cell(spec, cell);
+    cfg.selector = Some(factory);
+    cfg.commands.push((
         t0,
         BrokerCommand::DistributeFile {
             target: TargetSpec::AllClients,
@@ -288,9 +297,9 @@ fn selected_transfer_for_cell(
             num_parts: 8,
             label: "warmup".into(),
         },
-    );
+    ));
     for k in 0..5u64 {
-        builder = builder.at(
+        cfg.commands.push((
             t0 + SimDuration::from_secs(60 + 15 * k),
             BrokerCommand::SubmitTask {
                 target: TargetSpec::AllClients,
@@ -299,29 +308,26 @@ fn selected_transfer_for_cell(
                 input_parts: 1,
                 label: format!("warmup-task-{k}"),
             },
-        );
+        ));
     }
-    let cfg = builder
-        .at(
-            t_bg,
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::Node(fig6::fastest_peer_node()),
-                size_bytes: background_bytes,
-                num_parts: cell.parts,
-                label: "background".into(),
-            },
-        )
-        .at(
-            t_measure,
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::Selected,
-                size_bytes: measured_bytes,
-                num_parts: cell.parts,
-                label: MEASURED_LABEL.into(),
-            },
-        )
-        .selector(factory)
-        .build()?;
+    cfg.commands.push((
+        t_bg,
+        BrokerCommand::DistributeFile {
+            target: TargetSpec::Node(fig6::fastest_peer_node()),
+            size_bytes: background_bytes,
+            num_parts: cell.parts,
+            label: "background".into(),
+        },
+    ));
+    cfg.commands.push((
+        t_measure,
+        BrokerCommand::DistributeFile {
+            target: TargetSpec::Selected,
+            size_bytes: measured_bytes,
+            num_parts: cell.parts,
+            label: MEASURED_LABEL.into(),
+        },
+    ));
     Ok(cfg)
 }
 

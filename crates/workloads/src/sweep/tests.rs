@@ -219,6 +219,31 @@ fn a_cell_the_harness_refuses_is_an_error_before_the_pool() {
     }
 }
 
+/// A finite drop level above 1 passes the axis check and is refused by
+/// the scenario's own rule, through the same `Harness::check` as a
+/// federation cell, before any replication runs.
+#[test]
+fn a_scenario_cell_the_harness_refuses_is_an_error_before_the_pool() {
+    use crate::scenario::ScenarioError;
+    let spec = SweepSpec {
+        axes: vec![Axis::Drop(vec![0.0, 1.5])],
+        ..tiny_grid(one_rep())
+    };
+    let err = run_campaign(&spec, 2)
+        .err()
+        .expect("a drop of 1.5 is refused");
+    assert_eq!(
+        err,
+        SweepError::Harness(HarnessError::Scenario(
+            ScenarioError::ProbabilityOutOfRange {
+                what: "transport.message_drop_probability".into(),
+                value: 1.5
+            }
+        ))
+    );
+    assert!(err.to_string().contains("probability 1.5 outside [0, 1]"));
+}
+
 #[test]
 fn campaign_output_is_worker_count_invariant() {
     let mk = || {

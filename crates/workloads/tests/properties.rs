@@ -4,11 +4,37 @@ use netsim::time::SimDuration;
 use overlay::broker::{BrokerCommand, RetryPolicy, TargetSpec};
 use proptest::prelude::*;
 use workloads::attribution::{attribute_trace, breakdown_by_peer, phase_table_csv};
-use workloads::multiregion::{run_multiregion, MultiRegionConfig, MultiRegionWorkload};
+use workloads::multiregion::{MultiRegionConfig, MultiRegionWorkload};
 use workloads::report::{argmax, argmin, metrics_snapshot_json, spearman, FigureReport, SeriesRow};
 use workloads::runner::{run_replications, run_traced, SeriesAggregate};
 use workloads::scenario::{run_scenario, ScenarioConfig};
 use workloads::spec::MB;
+
+/// An 8 MB broadcast to every SC over a transport dropping `drop_p` of
+/// its messages, with retries, bounded by the horizon rather than
+/// idle-stop so in-flight receiver-side messages land.
+fn lossy_broadcast(drop_p: f64, label: &str) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig {
+        commands: vec![(
+            SimDuration::from_secs(60),
+            BrokerCommand::DistributeFile {
+                target: TargetSpec::AllClients,
+                size_bytes: 8 * MB,
+                num_parts: 8,
+                label: label.into(),
+            },
+        )],
+        retry: Some(RetryPolicy {
+            timeout: SimDuration::from_secs(60),
+            max_attempts: 8,
+        }),
+        stop_when_idle: false,
+        horizon: SimDuration::from_mins(120),
+        ..ScenarioConfig::default()
+    };
+    cfg.transport.message_drop_probability = drop_p;
+    cfg
+}
 
 proptest! {
     /// Aggregating rows one-by-one equals bulk aggregation; means lie
@@ -75,27 +101,7 @@ proptest! {
         drop_p in 0.0f64..0.30,
         seed in any::<u64>(),
     ) {
-        // Keep the run alive past the sender's broker report so in-flight
-        // receiver-side messages land; bound it with the horizon instead.
-        let cfg = ScenarioConfig::builder()
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 8 * MB,
-                    num_parts: 8,
-                    label: "prop".into(),
-                },
-            )
-            .drop_probability(drop_p)
-            .retry(RetryPolicy {
-                timeout: SimDuration::from_secs(60),
-                max_attempts: 8,
-            })
-            .stop_when_idle(false)
-            .horizon(SimDuration::from_mins(120))
-            .build()
-            .expect("valid scenario");
+        let cfg = lossy_broadcast(drop_p, "prop");
 
         let result = run_scenario(&cfg, seed);
         for t in result
@@ -210,8 +216,12 @@ proptest! {
         let artifacts: Vec<(String, String, String, u64)> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
-                let cfg = MultiRegionConfig { shard_workers: w, ..base.clone() };
-                let run = run_multiregion(&cfg, seed).expect("generated config is valid");
+                let run = base
+                    .harness()
+                    .shard_workers(w)
+                    .build()
+                    .and_then(|h| h.run(&MultiRegionWorkload { cfg: &base }, seed))
+                    .expect("generated config is valid");
                 let names = run.node_names.clone();
                 let rows = breakdown_by_peer(
                     &attribute_trace(&run.trace),
@@ -379,27 +389,8 @@ proptest! {
         drop_p in 0.0f64..0.30,
         seed in any::<u64>(),
     ) {
-        let cfg = ScenarioConfig::builder()
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 8 * MB,
-                    num_parts: 8,
-                    label: "attr-prop".into(),
-                },
-            )
-            .drop_probability(drop_p)
-            .retry(RetryPolicy {
-                timeout: SimDuration::from_secs(60),
-                max_attempts: 8,
-            })
-            .stop_when_idle(false)
-            .horizon(SimDuration::from_mins(120))
-            .build()
-            .expect("valid scenario");
-
-        let run = run_traced(&cfg, seed).expect("one shard always runs");
+        let cfg = lossy_broadcast(drop_p, "attr-prop");
+        let run = run_traced(&cfg, cfg.harness(), seed).expect("one shard always runs");
         prop_assert_eq!(run.result.run.trace.dropped(), 0);
         for a in attribute_trace(&run.result.run.trace) {
             let sum: SimDuration = a.phases.iter().copied().sum();

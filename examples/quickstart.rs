@@ -13,15 +13,18 @@ use workloads::spec::MB;
 fn main() {
     // A 10 MB file, split into 10 parts, sent to all eight SC peers —
     // blindly, exactly like the paper's first experiment.
-    let cfg = ScenarioConfig::measurement_setup().at(
-        SimDuration::from_secs(60),
-        BrokerCommand::DistributeFile {
-            target: TargetSpec::AllClients,
-            size_bytes: 10 * MB,
-            num_parts: 10,
-            label: "quickstart".into(),
-        },
-    );
+    let cfg = ScenarioConfig {
+        commands: vec![(
+            SimDuration::from_secs(60),
+            BrokerCommand::DistributeFile {
+                target: TargetSpec::AllClients,
+                size_bytes: 10 * MB,
+                num_parts: 10,
+                label: "quickstart".into(),
+            },
+        )],
+        ..ScenarioConfig::default()
+    };
 
     println!("running one blind 10 MB distribution to SC1..SC8 (seed 1)…\n");
     let result = run_scenario(&cfg, 1);

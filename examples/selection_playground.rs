@@ -36,18 +36,20 @@ fn factory(name: &'static str) -> SelectorFactory {
 }
 
 fn run_model(name: &'static str, seed: u64) -> (f64, Vec<(String, usize)>) {
-    let mut cfg = ScenarioConfig::measurement_setup().with_selector(factory(name));
-    for r in 0..ROUNDS {
-        cfg = cfg.at(
-            SimDuration::from_secs(60 + 45 * r),
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::Selected,
-                size_bytes: 5 * MB,
-                num_parts: 5,
-                label: format!("round-{r:02}"),
-            },
-        );
-    }
+    let rounds = (0..ROUNDS).map(|r| {
+        let cmd = BrokerCommand::DistributeFile {
+            target: TargetSpec::Selected,
+            size_bytes: 5 * MB,
+            num_parts: 5,
+            label: format!("round-{r:02}"),
+        };
+        (SimDuration::from_secs(60 + 45 * r), cmd)
+    });
+    let cfg = ScenarioConfig {
+        selector: Some(factory(name)),
+        commands: rounds.collect(),
+        ..ScenarioConfig::default()
+    };
     let result = run_scenario(&cfg, seed);
     let mean_secs = {
         let done: Vec<f64> = result

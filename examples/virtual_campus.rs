@@ -31,9 +31,12 @@ fn factory(model: &'static str) -> SelectorFactory {
 }
 
 fn campaign(model: &'static str, seed: u64) -> (f64, f64, usize) {
-    let mut cfg = ScenarioConfig::measurement_setup().with_selector(factory(model));
+    let mut cfg = ScenarioConfig {
+        selector: Some(factory(model)),
+        ..ScenarioConfig::default()
+    };
     // A small warm-up so history-based models have data.
-    cfg = cfg.at(
+    cfg.commands.push((
         SimDuration::from_secs(60),
         BrokerCommand::DistributeFile {
             target: TargetSpec::AllClients,
@@ -41,10 +44,10 @@ fn campaign(model: &'static str, seed: u64) -> (f64, f64, usize) {
             num_parts: 4,
             label: "warmup".into(),
         },
-    );
+    ));
     // The batch: one transcoding job every 30 s, peer chosen by the model.
     for j in 0..JOBS {
-        cfg = cfg.at(
+        cfg.commands.push((
             SimDuration::from_secs(300 + 30 * j as u64),
             BrokerCommand::SubmitTask {
                 target: TargetSpec::Selected,
@@ -53,7 +56,7 @@ fn campaign(model: &'static str, seed: u64) -> (f64, f64, usize) {
                 input_parts: 20,
                 label: format!("lecture-{j:02}"),
             },
-        );
+        ));
     }
     let result = run_scenario(&cfg, seed);
     let done: Vec<&overlay::records::TaskRecord> = result

@@ -3,6 +3,7 @@
 //! diagnostics on stderr).
 
 use workloads::churn::{ChurnConfig, ChurnWorkload, SwapDynamics};
+use workloads::harness::defaults;
 use workloads::synthtopo::SynthTopoConfig;
 
 use crate::{workload_artifact_or_exit, Flags};
@@ -20,7 +21,7 @@ pub(crate) fn churn_config(flags: &Flags) -> ChurnConfig {
         },
         horizon: netsim::time::SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
-        trace_capacity: Some(1 << 16),
+        trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..ChurnConfig::default()
     }
 }

@@ -8,6 +8,7 @@ use overlay::federation::HomingPolicy;
 use workloads::federation::{
     recovery_summary, BrokerOutage, FederationConfig, FederationDynamics, FederationWorkload,
 };
+use workloads::harness::defaults;
 use workloads::synthtopo::SynthTopoConfig;
 
 use crate::{workload_artifact_or_exit, Flags};
@@ -52,7 +53,7 @@ fn federation_config(flags: &Flags) -> FederationConfig {
         horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
         kill,
-        trace_capacity: Some(1 << 16),
+        trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..FederationConfig::default()
     }
 }

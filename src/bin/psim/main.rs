@@ -40,10 +40,10 @@ use workloads::attribution::{
 use workloads::experiments::{
     self, ablation, adaptation, extensions, fig5, fig6, fig7, table1, transfer_study,
 };
-use workloads::harness::{HarnessError, HarnessRun, Workload, WorkloadBuilder};
+use workloads::harness::{defaults, HarnessError, HarnessRun, Workload, WorkloadBuilder};
 use workloads::report::{metrics_snapshot_json, render_timelines, transfer_timelines};
 use workloads::runner::{default_workers, run_traced, TracedRun};
-use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig, ScenarioError};
+use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig};
 use workloads::spec::{ExperimentSpec, MB, PAPER_REPETITIONS};
 use workloads::sweep::{named_grid, named_grid_list, run_campaign};
 
@@ -82,6 +82,18 @@ impl Flags {
         let value = self.u64(name);
         if value < min {
             eprintln!("invalid value `{value}` for --{name} (must be at least {min})");
+            std::process::exit(2);
+        }
+        value
+    }
+
+    /// A finite amount that must exceed zero (or, with `zero_ok`, may also
+    /// be zero): NaN, infinities and smaller values are usage errors.
+    fn amount(&self, name: &str, zero_ok: bool) -> f64 {
+        let value = self.f64(name);
+        if !(value.is_finite() && (value > 0.0 || zero_ok && value == 0.0)) {
+            let bound = if zero_ok { "at least 0" } else { "above 0" };
+            eprintln!("invalid value `{value}` for --{name} (must be finite and {bound})");
             std::process::exit(2);
         }
         value
@@ -334,42 +346,48 @@ fn cmd_extensions(spec: &ExperimentSpec) {
     );
 }
 
+/// The 4 MB broadcast one minute in that gives a selecting `transfer` or
+/// `task` run the statistics its model reads.
+fn warmup() -> (SimDuration, BrokerCommand) {
+    let cmd = BrokerCommand::DistributeFile {
+        target: TargetSpec::AllClients,
+        size_bytes: 4 * MB,
+        num_parts: 4,
+        label: "warmup".into(),
+    };
+    (SimDuration::from_secs(60), cmd)
+}
+
 fn cmd_transfer(flags: &Flags) {
-    let size = (flags.f64("size-mb").max(0.001) * MB as f64) as u64;
-    let parts = flags.f64("parts").max(1.0) as u32;
+    let size = (flags.amount("size-mb", false) * MB as f64) as u64;
+    let parts = flags.at_least("parts", 1);
+    let parts = u32::try_from(parts).unwrap_or_else(|_| {
+        eprintln!(
+            "invalid value `{parts}` for --parts (must be at most {})",
+            u32::MAX
+        );
+        std::process::exit(2);
+    });
     let seed = flags.u64("seed");
 
-    let cfg = match selector_or_exit(flags.get("model")) {
-        Some(factory) => ScenarioConfig::measurement_setup()
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 4 * MB,
-                    num_parts: 4,
-                    label: "warmup".into(),
-                },
-            )
-            .at(
-                SimDuration::from_secs(400),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::Selected,
-                    size_bytes: size,
-                    num_parts: parts,
-                    label: "cli".into(),
-                },
-            )
-            .with_selector(factory),
-        None => ScenarioConfig::measurement_setup().at(
-            SimDuration::from_secs(60),
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::AllClients,
-                size_bytes: size,
-                num_parts: parts,
-                label: "cli".into(),
-            },
-        ),
+    let mut cfg = ScenarioConfig::default();
+    let (target, at) = match selector_or_exit(flags.get("model")) {
+        Some(factory) => {
+            cfg.selector = Some(factory);
+            cfg.commands.push(warmup());
+            (TargetSpec::Selected, SimDuration::from_secs(400))
+        }
+        None => (TargetSpec::AllClients, SimDuration::from_secs(60)),
     };
+    cfg.commands.push((
+        at,
+        BrokerCommand::DistributeFile {
+            target,
+            size_bytes: size,
+            num_parts: parts,
+            label: "cli".into(),
+        },
+    ));
     let result = run_scenario(&cfg, seed);
     println!(
         "{:<28} {:>12} {:>12} {:>10} {:>9}",
@@ -397,31 +415,20 @@ fn cmd_transfer(flags: &Flags) {
 }
 
 fn cmd_task(flags: &Flags) {
-    let work = flags.f64("work").max(0.001);
-    let input = (flags.f64("input-mb").max(0.0) * MB as f64) as u64;
+    let work = flags.amount("work", false);
+    let input = (flags.amount("input-mb", true) * MB as f64) as u64;
     let seed = flags.u64("seed");
-    let model = flags.get("model");
 
-    let target = if model.is_some() {
-        TargetSpec::Selected
-    } else {
-        TargetSpec::AllClients
+    let mut cfg = ScenarioConfig::default();
+    let target = match selector_or_exit(flags.get("model")) {
+        Some(factory) => {
+            cfg.selector = Some(factory);
+            cfg.commands.push(warmup());
+            TargetSpec::Selected
+        }
+        None => TargetSpec::AllClients,
     };
-    let mut cfg = ScenarioConfig::measurement_setup();
-    if let Some(factory) = selector_or_exit(model) {
-        cfg = cfg
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 4 * MB,
-                    num_parts: 4,
-                    label: "warmup".into(),
-                },
-            )
-            .with_selector(factory);
-    }
-    cfg = cfg.at(
+    cfg.commands.push((
         SimDuration::from_secs(400),
         BrokerCommand::SubmitTask {
             target,
@@ -430,7 +437,7 @@ fn cmd_task(flags: &Flags) {
             input_parts: 16,
             label: "cli-task".into(),
         },
-    );
+    ));
     let result = run_scenario(&cfg, seed);
     println!(
         "{:<28} {:>10} {:>12} {:>12} {:>8}",
@@ -552,7 +559,7 @@ fn cmd_multiregion(flags: &Flags) {
     let cfg = MultiRegionConfig {
         regions: flags.at_least("regions", 1) as usize,
         clients_per_region: flags.at_least("clients", 1) as usize,
-        trace_capacity: Some(1 << 16),
+        trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..MultiRegionConfig::default()
     };
     workload_artifact_or_exit(flags, cfg.harness(), &MultiRegionWorkload { cfg: &cfg });
@@ -560,11 +567,12 @@ fn cmd_multiregion(flags: &Flags) {
 
 /// Resolves the positional scenario-name argument for `trace`/`report`/
 /// `attribute`/`profile`, exiting with the valid list when missing or
-/// unknown, and applies the shared `--shards`/`--shard-workers` axis
-/// (`--shards 0` is a usage error). Any worker count yields byte-identical
-/// output for a fixed shard count and seed — the CI shard-determinism job
-/// diffs exactly that.
-fn named_scenario_or_exit(flags: &Flags) -> ScenarioConfig {
+/// unknown, and applies the shared `--shards`/`--shard-workers` axis: the
+/// scenario takes the shard count, its harness the worker count, and the
+/// harness refuses either when zero. Any worker count yields
+/// byte-identical output for a fixed shard count and seed — the CI
+/// shard-determinism job diffs exactly that.
+fn named_scenario_or_exit(flags: &Flags) -> (ScenarioConfig, WorkloadBuilder) {
     let valid = named_scenario_list().join(", ");
     let Some(name) = flags.positional.as_deref() else {
         eprintln!("missing scenario name; valid scenarios: {valid}");
@@ -574,20 +582,19 @@ fn named_scenario_or_exit(flags: &Flags) -> ScenarioConfig {
         eprintln!("unknown scenario `{name}`; valid scenarios: {valid}");
         std::process::exit(2);
     };
-    cfg.sharded(flags.usize("shards"), flags.usize("shard-workers"))
-        .unwrap_or_else(|e| scenario_error_exit(&e))
-}
-
-/// The typed-error exit of the scenario commands: message on stderr, 2.
-fn scenario_error_exit(e: &ScenarioError) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2);
+    let cfg = ScenarioConfig {
+        shards: flags.usize("shards"),
+        ..cfg
+    };
+    let harness = cfg.harness().shard_workers(flags.usize("shard-workers"));
+    (cfg, harness)
 }
 
 /// One traced replication of the named scenario the flags select.
 fn traced_scenario_or_exit(flags: &Flags) -> TracedRun {
-    let cfg = named_scenario_or_exit(flags);
-    run_traced(&cfg, flags.u64("seed")).unwrap_or_else(|e| scenario_error_exit(&e))
+    let (cfg, harness) = named_scenario_or_exit(flags);
+    run_traced(&cfg, harness, flags.u64("seed"))
+        .unwrap_or_else(|e| harness_error_exit(cfg.name(), &e))
 }
 
 /// Surfaces trace-ring drops: anything derived from a truncated trace

@@ -21,12 +21,10 @@
 use netsim::metrics::Metrics;
 use netsim::time::SimDuration;
 use workloads::churn::{ChurnConfig, ChurnWorkload};
-use workloads::harness::HarnessRun;
+use workloads::harness::{HarnessRun, Workload};
 
 use crate::churn::churn_config;
-use crate::{
-    harness_error_exit, named_scenario_or_exit, scenario_error_exit, write_or_exit, Flags,
-};
+use crate::{harness_error_exit, named_scenario_or_exit, write_or_exit, Flags};
 
 /// One profiled run and the shape of the workload it ran, as
 /// `cmd_profile` reports them.
@@ -65,7 +63,6 @@ fn rss_bytes() -> u64 {
 
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = ChurnConfig {
-        shard_workers: flags.usize("shard-workers"),
         // The profiler measures the engine and the registry, not the
         // trace ring, so tracing stays off.
         trace_capacity: None,
@@ -73,6 +70,7 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
     };
     let run = cfg
         .harness()
+        .shard_workers(flags.usize("shard-workers"))
         .series_interval(Some(interval))
         .profile_execution(true)
         .build()
@@ -89,20 +87,19 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
 }
 
 fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
-    let cfg = named_scenario_or_exit(flags);
-    let harness = cfg
-        .harness()
+    let (cfg, harness) = named_scenario_or_exit(flags);
+    let harness = harness
         .series_interval(Some(interval))
         .profile_execution(true);
     let result = cfg
         .run_with(harness, seed)
-        .unwrap_or_else(|e| scenario_error_exit(&e));
+        .unwrap_or_else(|e| harness_error_exit(cfg.name(), &e));
     ProfileRun {
         workload: flags.positional.clone().unwrap_or_default(),
         peers: result.testbed.len().saturating_sub(1),
         regions: 1,
-        num_shards: cfg.shards(),
-        horizon: cfg.horizon(),
+        num_shards: cfg.shards,
+        horizon: cfg.horizon,
         run: result.run,
     }
 }

@@ -4,6 +4,7 @@
 
 use netsim::time::SimDuration;
 use peer_selection::service::try_piece_policy_for;
+use workloads::harness::defaults;
 use workloads::streaming::{
     startup_delays, PiecePolicy, StartupQuantiles, StreamingConfig, StreamingStats,
     StreamingWorkload, UploadProfile,
@@ -51,7 +52,7 @@ fn streaming_config(flags: &Flags) -> StreamingConfig {
         horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
         total_pieces: flags.at_least("pieces", 1) as u32,
-        trace_capacity: Some(1 << 16),
+        trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..StreamingConfig::default()
     }
 }

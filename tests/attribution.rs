@@ -14,7 +14,7 @@ use workloads::scenario::ScenarioConfig;
 
 fn attributed(name: &str, seed: u64) -> Vec<TransferAttribution> {
     let cfg = ScenarioConfig::named(name).expect("known scenario");
-    let run = run_traced(&cfg, seed).expect("one shard always runs");
+    let run = run_traced(&cfg, cfg.harness(), seed).expect("one shard always runs");
     assert_eq!(
         run.result.run.trace.dropped(),
         0,

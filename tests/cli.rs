@@ -197,6 +197,58 @@ fn zero_counts_and_durations_are_usage_errors_not_clamped() {
     }
 }
 
+/// `transfer` and `task` refuse the sizes they used to clamp: `--parts 0`
+/// ran one part, `--parts 2.5` two, `--parts 2^32` 2^32 - 1, and
+/// `--size-mb NaN` about 1 KB.
+#[test]
+fn transfer_and_task_sizes_are_usage_errors_not_clamped() {
+    let cases: [(&[&str], &str); 13] = [
+        (&["transfer", "--parts", "0"], "--parts"),
+        (&["transfer", "--parts", "2.5"], "--parts"),
+        (&["transfer", "--size-mb", "NaN"], "--size-mb"),
+        (&["transfer", "--size-mb", "inf"], "--size-mb"),
+        (&["transfer", "--size-mb", "0"], "--size-mb"),
+        (&["transfer", "--size-mb", "-1"], "--size-mb"),
+        (&["task", "--work", "NaN"], "--work"),
+        (&["task", "--work", "inf"], "--work"),
+        (&["task", "--work", "0"], "--work"),
+        (&["task", "--work", "-2"], "--work"),
+        (&["task", "--input-mb", "NaN"], "--input-mb"),
+        (&["task", "--input-mb", "-1"], "--input-mb"),
+        // Last: clamped rather than refused, it would run u32::MAX parts.
+        (&["transfer", "--parts", "4294967296"], "--parts"),
+    ];
+    for (args, flag) in cases {
+        let out = psim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("invalid value") && stderr.contains(flag),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+}
+
+/// The bounds are not stricter than the run: a fractional size and a
+/// whole part count still make one blind distribution to all eight SCs.
+#[test]
+fn transfer_runs_a_fractional_size_in_whole_parts() {
+    let out = psim(&[
+        "transfer",
+        "--size-mb",
+        "0.5",
+        "--parts",
+        "2",
+        "--seed",
+        "3",
+    ]);
+    assert!(out.status.success(), "transfer failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ok_rows = stdout.lines().filter(|l| l.ends_with(" ok")).count();
+    assert_eq!(ok_rows, 8, "one completed transfer per SC:\n{stdout}");
+}
+
 /// `psim sweep` names every grid it knows when it is given none or a wrong
 /// one, and `psim help` lists the same names.
 #[test]

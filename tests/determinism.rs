@@ -7,26 +7,30 @@ use workloads::scenario::{run_scenario, ScenarioConfig};
 use workloads::spec::MB;
 
 fn scenario() -> ScenarioConfig {
-    ScenarioConfig::measurement_setup()
-        .at(
-            SimDuration::from_secs(60),
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::AllClients,
-                size_bytes: 12 * MB,
-                num_parts: 12,
-                label: "det".into(),
-            },
-        )
-        .at(
-            SimDuration::from_secs(70),
-            BrokerCommand::SubmitTask {
-                target: TargetSpec::AllClients,
-                work_gops: 30.0,
-                input_bytes: 0,
-                input_parts: 1,
-                label: "det-task".into(),
-            },
-        )
+    ScenarioConfig {
+        commands: vec![
+            (
+                SimDuration::from_secs(60),
+                BrokerCommand::DistributeFile {
+                    target: TargetSpec::AllClients,
+                    size_bytes: 12 * MB,
+                    num_parts: 12,
+                    label: "det".into(),
+                },
+            ),
+            (
+                SimDuration::from_secs(70),
+                BrokerCommand::SubmitTask {
+                    target: TargetSpec::AllClients,
+                    work_gops: 30.0,
+                    input_bytes: 0,
+                    input_parts: 1,
+                    label: "det-task".into(),
+                },
+            ),
+        ],
+        ..ScenarioConfig::default()
+    }
 }
 
 fn fingerprint(seed: u64) -> Vec<u64> {
@@ -78,9 +82,10 @@ fn golden_metrics_render_is_reproducible() {
 
 #[test]
 fn golden_metrics_interned_and_string_paths_agree() {
-    // Replaying one run's counters/stats through the string-keyed
-    // compatibility API must render byte-identically to the interned-id
-    // original: the id layer is an encoding, not a semantic change.
+    // Replaying one run's counters/stats by name — read through the
+    // by-name accessors, re-interned in a fresh registry — must render
+    // byte-identically to the original: the id layer is an encoding, not
+    // a semantic change.
     use netsim::metrics::Metrics;
     let run = run_scenario(&scenario(), 11);
     let counter_names: Vec<String> = run.run.metrics.counter_names().map(String::from).collect();
@@ -88,7 +93,8 @@ fn golden_metrics_interned_and_string_paths_agree() {
 
     let mut via_strings = Metrics::new();
     for name in &counter_names {
-        via_strings.incr(name, run.run.metrics.counter(name));
+        let id = via_strings.counter_id(name);
+        via_strings.incr_id(id, run.run.metrics.counter(name));
     }
     for name in &stat_names {
         let id = via_strings.stat_id(name);
@@ -124,7 +130,7 @@ fn traced_lossy_runs_emit_byte_identical_jsonl() {
 
     let traced = |seed| {
         let cfg = ScenarioConfig::named("fig5-lossy").expect("known scenario");
-        run_traced(&cfg, seed).expect("one shard always runs")
+        run_traced(&cfg, cfg.harness(), seed).expect("one shard always runs")
     };
     let a = traced(7);
     let b = traced(7);
@@ -230,11 +236,11 @@ fn named_scenarios_match_their_pre_harness_digests() {
         assert!(pinned.contains(&name), "named scenario {name} has no pin");
     }
     for (name, shards, trace, metrics) in NAMED_SCENARIO_PINS {
-        let cfg = ScenarioConfig::named(name)
-            .expect("pinned scenario is named")
-            .sharded(shards, 1)
-            .expect("non-zero shard axis");
-        let run = run_traced(&cfg, 7).expect("the measurement testbed shards");
+        let cfg = ScenarioConfig {
+            shards,
+            ..ScenarioConfig::named(name).expect("pinned scenario is named")
+        };
+        let run = run_traced(&cfg, cfg.harness(), 7).expect("the measurement testbed shards");
         assert_eq!(run.digest, trace, "{name} trace at {shards} shard(s)");
         assert_eq!(
             fnv1a(&run.result.run.metrics.render()),
@@ -247,10 +253,10 @@ fn named_scenarios_match_their_pre_harness_digests() {
 #[test]
 fn smoke_series_matches_its_pre_harness_digest() {
     for (shards, pinned) in SMOKE_SERIES_PINS {
-        let cfg = ScenarioConfig::named("smoke")
-            .expect("smoke is named")
-            .sharded(shards, 1)
-            .expect("non-zero shard axis");
+        let cfg = ScenarioConfig {
+            shards,
+            ..ScenarioConfig::named("smoke").expect("smoke is named")
+        };
         let harness = cfg
             .harness()
             .series_interval(Some(SimDuration::from_secs(60)));

@@ -10,9 +10,9 @@ use workloads::spec::{ExperimentSpec, MB};
 #[test]
 fn full_slice_boot_and_broadcast() {
     // All 25 Table-1 hosts plus the broker; a file reaches every client.
-    let cfg = ScenarioConfig::builder()
-        .testbed(planetlab::builder::TestbedConfig::full_slice())
-        .at(
+    let cfg = ScenarioConfig {
+        testbed: planetlab::builder::TestbedConfig::full_slice(),
+        commands: vec![(
             SimDuration::from_secs(60),
             BrokerCommand::DistributeFile {
                 target: TargetSpec::AllClients,
@@ -20,9 +20,9 @@ fn full_slice_boot_and_broadcast() {
                 num_parts: 2,
                 label: "slice-broadcast".into(),
             },
-        )
-        .build()
-        .expect("valid scenario");
+        )],
+        ..ScenarioConfig::default()
+    };
     let result = run_scenario(&cfg, 3);
     assert_eq!(result.run.outcome, RunOutcome::Stopped);
     assert_eq!(result.testbed.len(), 26);
@@ -43,33 +43,37 @@ fn full_slice_boot_and_broadcast() {
 
 #[test]
 fn mixed_workload_transfers_and_tasks() {
-    let cfg = ScenarioConfig::measurement_setup()
-        .at(
-            SimDuration::from_secs(60),
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::AllClients,
-                size_bytes: 4 * MB,
-                num_parts: 4,
-                label: "files".into(),
-            },
-        )
-        .at(
-            SimDuration::from_secs(90),
-            BrokerCommand::SubmitTask {
-                target: TargetSpec::AllClients,
-                work_gops: 20.0,
-                input_bytes: MB,
-                input_parts: 2,
-                label: "jobs".into(),
-            },
-        )
-        .at(
-            SimDuration::from_secs(95),
-            BrokerCommand::SendInstant {
-                target: TargetSpec::AllClients,
-                text: "hello overlay".into(),
-            },
-        );
+    let cfg = ScenarioConfig {
+        commands: vec![
+            (
+                SimDuration::from_secs(60),
+                BrokerCommand::DistributeFile {
+                    target: TargetSpec::AllClients,
+                    size_bytes: 4 * MB,
+                    num_parts: 4,
+                    label: "files".into(),
+                },
+            ),
+            (
+                SimDuration::from_secs(90),
+                BrokerCommand::SubmitTask {
+                    target: TargetSpec::AllClients,
+                    work_gops: 20.0,
+                    input_bytes: MB,
+                    input_parts: 2,
+                    label: "jobs".into(),
+                },
+            ),
+            (
+                SimDuration::from_secs(95),
+                BrokerCommand::SendInstant {
+                    target: TargetSpec::AllClients,
+                    text: "hello overlay".into(),
+                },
+            ),
+        ],
+        ..ScenarioConfig::default()
+    };
     let result = run_scenario(&cfg, 9);
     assert_eq!(result.run.outcome, RunOutcome::Stopped);
     // 8 file transfers + 8 task-input transfers.
@@ -102,26 +106,30 @@ fn selection_on_real_testbed_avoids_the_bottleneck_peer() {
         ),
     ];
     for (name, factory) in models {
-        let cfg = ScenarioConfig::measurement_setup()
-            .at(
-                SimDuration::from_secs(60),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::AllClients,
-                    size_bytes: 4 * MB,
-                    num_parts: 4,
-                    label: "warmup".into(),
-                },
-            )
-            .at(
-                SimDuration::from_secs(400),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::Selected,
-                    size_bytes: 8 * MB,
-                    num_parts: 8,
-                    label: "selected".into(),
-                },
-            )
-            .with_selector(factory);
+        let cfg = ScenarioConfig {
+            commands: vec![
+                (
+                    SimDuration::from_secs(60),
+                    BrokerCommand::DistributeFile {
+                        target: TargetSpec::AllClients,
+                        size_bytes: 4 * MB,
+                        num_parts: 4,
+                        label: "warmup".into(),
+                    },
+                ),
+                (
+                    SimDuration::from_secs(400),
+                    BrokerCommand::DistributeFile {
+                        target: TargetSpec::Selected,
+                        size_bytes: 8 * MB,
+                        num_parts: 8,
+                        label: "selected".into(),
+                    },
+                ),
+            ],
+            selector: Some(factory),
+            ..ScenarioConfig::default()
+        };
         let result = run_scenario(&cfg, 11);
         let pick = &result.run.log.selections[0];
         assert_ne!(

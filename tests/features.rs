@@ -17,26 +17,19 @@ use workloads::spec::MB;
 fn file_request_flows_peer_to_peer_on_the_testbed() {
     // SC4 shares a dataset; SC1 requests it twice; the transfers flow
     // SC4 → SC1 without touching the broker's data plane.
-    let cfg = ScenarioConfig::builder()
-        .shared_file(4, "corpus.tar", 6 * MB)
-        .client_command(
-            1,
-            SimDuration::from_secs(120),
-            ClientCommand::RequestFile {
-                name: "corpus.tar".into(),
-            },
-        )
-        .client_command(
-            1,
-            SimDuration::from_secs(400),
-            ClientCommand::RequestFile {
-                name: "corpus.tar".into(),
-            },
-        )
-        .stop_when_idle(false)
-        .horizon(SimDuration::from_secs(900))
-        .build()
-        .expect("valid scenario");
+    let request = || ClientCommand::RequestFile {
+        name: "corpus.tar".into(),
+    };
+    let cfg = ScenarioConfig {
+        shared_files_by_sc: vec![(4, "corpus.tar".into(), 6 * MB)],
+        client_commands_by_sc: vec![
+            (1, SimDuration::from_secs(120), request()),
+            (1, SimDuration::from_secs(400), request()),
+        ],
+        stop_when_idle: false,
+        horizon: SimDuration::from_secs(900),
+        ..ScenarioConfig::default()
+    };
     let result = run_scenario(&cfg, 3);
     let served: Vec<_> = result
         .run
@@ -60,8 +53,8 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
 fn client_job_runs_remotely_with_selection() {
     // SC5 submits a job; the economic selector places it on a fast peer,
     // never on the submitter or SC7.
-    let cfg = ScenarioConfig::builder()
-        .client_command(
+    let cfg = ScenarioConfig {
+        client_commands_by_sc: vec![(
             5,
             SimDuration::from_secs(200),
             ClientCommand::SubmitJob {
@@ -70,14 +63,14 @@ fn client_job_runs_remotely_with_selection() {
                 input_parts: 4,
                 label: "analysis".into(),
             },
-        )
-        .stop_when_idle(false)
-        .horizon(SimDuration::from_secs(2000))
-        .build()
-        .expect("valid scenario")
-        .with_selector(Box::new(|_| -> Box<dyn PeerSelector> {
+        )],
+        stop_when_idle: false,
+        horizon: SimDuration::from_secs(2000),
+        selector: Some(Box::new(|_| -> Box<dyn PeerSelector> {
             Box::new(Scored::new(EconomicModel::new()))
-        }));
+        })),
+        ..ScenarioConfig::default()
+    };
     let result = run_scenario(&cfg, 5);
     assert_eq!(result.run.log.jobs.len(), 1);
     let job = &result.run.log.jobs[0];
@@ -141,8 +134,8 @@ fn lossy_testbed_still_reproduces_fig2_shape() {
     // With 2% message loss and retransmissions enabled, the petition-time
     // ordering survives (SC7 worst, SC2/4/8 best).
     use overlay::broker::{BrokerCommand, RetryPolicy, TargetSpec};
-    let cfg = ScenarioConfig::builder()
-        .at(
+    let mut cfg = ScenarioConfig {
+        commands: vec![(
             SimDuration::from_secs(60),
             BrokerCommand::DistributeFile {
                 target: TargetSpec::AllClients,
@@ -150,23 +143,23 @@ fn lossy_testbed_still_reproduces_fig2_shape() {
                 num_parts: 10,
                 label: "lossy".into(),
             },
-        )
-        .drop_probability(0.02)
-        .build()
-        .expect("valid scenario");
+        )],
+        ..ScenarioConfig::default()
+    };
+    cfg.transport.message_drop_probability = 0.02;
     let result = {
         // This test drives the broker directly with a custom retry policy,
-        // reading the built scenario back through its accessors.
-        let tb = build(cfg.testbed());
+        // reading the scenario's testbed, script and transport.
+        let tb = build(&cfg.testbed);
         let sink = RecordSink::new();
         let mut bcfg = BrokerConfig::new(81);
-        bcfg.commands = cfg.commands().to_vec();
+        bcfg.commands = cfg.commands.clone();
         bcfg.retry = Some(RetryPolicy {
             timeout: SimDuration::from_secs(90),
             max_attempts: 6,
         });
         let mut engine: Engine<OverlayMsg> =
-            Engine::new(tb.topology.clone(), cfg.transport().clone(), 31);
+            Engine::new(tb.topology.clone(), cfg.transport.clone(), 31);
         engine.register(tb.broker, Box::new(Broker::new(bcfg, sink.clone())));
         for (i, node) in tb.clients().into_iter().enumerate() {
             engine.register(
