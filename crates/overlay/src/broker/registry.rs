@@ -60,10 +60,15 @@ use super::roster::ReadIndex;
 use super::Broker;
 
 /// Everything the broker tracks about one registered peer.
+///
+/// Per-peer history costs memory from the first write that needs it: the
+/// message window allocates its ring on its first record, and the peer's
+/// own report stays in the box its `StatsReport` arrived in, so a peer
+/// that never reports sets nothing aside for one.
 pub(crate) struct PeerEntry {
     pub(crate) adv: PeerAdvertisement,
     pub(crate) stats: PeerStats,
-    pub(crate) reported: Option<StatsSnapshot>,
+    pub(crate) reported: Option<Box<StatsSnapshot>>,
     /// What selection and gossip see of this peer, held in place. `peer`,
     /// `node`, `name` (interned at admission, so recording a selection
     /// clones a refcount) and `cpu_gops` follow the advertisement;
@@ -573,8 +578,9 @@ impl MemoryFootprint for PeerRegistry {
     /// Length-based heap estimate (see [`crate::footprint`]): entry slots
     /// (each with its in-place candidate view and the pointer to the copy
     /// it last published), the membership and host rows of registered
-    /// peers, and the read index under `roster`; windowed-ratio rings under
-    /// `stats`; owned advertisement strings under `ads`; the content
+    /// peers, and the read index under `roster`; the windowed-ratio rings
+    /// and boxed peer reports that exist under `stats`; owned
+    /// advertisement strings under `ads`; the content
     /// directory under `content`; and federation state under `gossip`:
     /// every other membership row (a remote view's key, pointer, timestamp
     /// and share, or a tombstone — a row is as wide as its widest state),
@@ -604,6 +610,9 @@ impl MemoryFootprint for PeerRegistry {
             fp.roster += entry.view.name.len() as u64;
             fp.ads += entry.adv.name.len() as u64;
             fp.stats += entry.stats.message_window.heap_bytes();
+            if entry.reported.is_some() {
+                fp.stats += std::mem::size_of::<StatsSnapshot>() as u64;
+            }
         }
         for (key, holdings) in &self.content {
             fp.content += key.len() as u64 + slots_estimate::<Holding>(holdings.len());
@@ -664,7 +673,7 @@ impl Broker {
         &mut self,
         ctx: &mut Context<OverlayMsg>,
         peer: PeerId,
-        snapshot: StatsSnapshot,
+        snapshot: Box<StatsSnapshot>,
     ) {
         let now = ctx.now();
         if let Some(entry) = self.registry.entry_mut(peer) {

@@ -125,10 +125,24 @@ fn memory_footprint_tracks_population() {
     reg.admit(b, SimTime::ZERO);
     let two = reg.memory_footprint();
     assert!(two.roster > 0, "entry slots and indexes are counted");
-    assert!(two.stats > 0, "windowed-ratio rings are counted");
+    assert_eq!(two.stats, 0, "quiet peers hold no ring and no report");
     assert!(two.ads > 0, "advertisement names are counted");
     assert_eq!(two.content, 0, "nothing published yet");
     assert!(two.total() > empty.total());
+
+    // A recorded message allocates one ring; a peer's report is one box.
+    let entry = reg.entry_mut(peer_a).unwrap();
+    entry.stats.record_message(SimTime::ZERO, true);
+    let ring = entry.stats.message_window.heap_bytes();
+    assert_eq!(ring, 48 * 16, "one 48-hour ring of 16-byte buckets");
+    assert_eq!(reg.memory_footprint().stats, ring);
+    reg.entry_mut(peer_a).unwrap().reported = Some(Box::new(StatsSnapshot::empty(1.0)));
+    assert_eq!(
+        reg.memory_footprint().stats,
+        ring + std::mem::size_of::<StatsSnapshot>() as u64,
+        "a report costs exactly its box"
+    );
+    let two = reg.memory_footprint();
 
     // Eviction returns the slot to the free list: roster shrinks but
     // keeps the slab (the slot stays allocated, plus the free entry).
@@ -136,6 +150,14 @@ fn memory_footprint_tracks_population() {
     let one = reg.memory_footprint();
     assert!(one.total() < two.total(), "footprint follows the roster");
     assert!(one.roster > 0);
+}
+
+#[test]
+fn peer_entry_stays_small() {
+    assert!(
+        std::mem::size_of::<PeerEntry>() <= 736,
+        "box per-peer history a quiet peer never writes: every registered peer holds a PeerEntry"
+    );
 }
 
 #[test]
@@ -349,7 +371,7 @@ fn reported_snapshot_overrides_queue_gauges() {
     let mut reported = StatsSnapshot::empty(1.0);
     reported.inbox_now = 11.0;
     reported.outbox_avg = 2.5;
-    reg.entry_mut(peer).unwrap().reported = Some(reported);
+    reg.entry_mut(peer).unwrap().reported = Some(Box::new(reported));
     let views = reg.roster_copy(SimTime::ZERO, 24, None);
     assert_eq!(views[0].snapshot.inbox_now, 11.0);
     assert_eq!(views[0].snapshot.outbox_avg, 2.5);
@@ -779,7 +801,7 @@ proptest! {
                         let mut reported = StatsSnapshot::empty(1.0);
                         reported.inbox_now = host as f64;
                         reported.outbox_avg = age as f64 / 4.0;
-                        entry.reported = Some(reported);
+                        entry.reported = Some(Box::new(reported));
                         entry.stats.record_message(now, true);
                     }
                 }

@@ -121,9 +121,15 @@ impl QueueGauge {
 /// A fixed ring of hourly buckets; querying sums the buckets that fall
 /// inside the window. Granularity of one hour matches the paper's phrasing
 /// ("during the last k-hours").
+///
+/// The ring is allocated by the first [`WindowedRatio::record`]: until
+/// then it is empty, and an empty ring answers every query as an all-zero
+/// one would (`None`), so a peer that never sent a message costs no heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedRatio {
-    buckets: Vec<RatioCounter>,
+    /// Empty until the first record, then `capacity` buckets.
+    buckets: Box<[RatioCounter]>,
+    capacity: usize,
     /// Absolute hour index of the bucket at `head`.
     head_hour: u64,
     head: usize,
@@ -133,15 +139,16 @@ impl WindowedRatio {
     /// Creates a window able to answer queries up to `capacity_hours` back.
     pub fn new(capacity_hours: usize) -> Self {
         WindowedRatio {
-            buckets: vec![RatioCounter::default(); capacity_hours.max(1)],
+            buckets: Box::default(),
+            capacity: capacity_hours.max(1),
             head_hour: 0,
             head: 0,
         }
     }
 
     /// Estimated heap bytes held by the bucket ring (the window's only
-    /// heap allocation), for [`MemoryFootprint`](crate::footprint)
-    /// accounting.
+    /// heap allocation; none before the first record), for
+    /// [`MemoryFootprint`](crate::footprint) accounting.
     pub fn heap_bytes(&self) -> u64 {
         (self.buckets.len() * std::mem::size_of::<RatioCounter>()) as u64
     }
@@ -162,6 +169,9 @@ impl WindowedRatio {
 
     /// Records an attempt at time `now`.
     pub fn record(&mut self, now: SimTime, success: bool) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![RatioCounter::default(); self.capacity].into_boxed_slice();
+        }
         self.advance_to(Self::hour_of(now));
         self.buckets[self.head].record(success);
     }

@@ -21,6 +21,54 @@ fn outbound(size: u64, parts: u32) -> OutboundTransfer {
     )
 }
 
+/// The hour window as it was before its ring became lazy: every bucket
+/// allocated at construction. Kept as the oracle the lazy ring must match.
+struct EagerRing {
+    buckets: Vec<RatioCounter>,
+    head_hour: u64,
+    head: usize,
+}
+
+impl EagerRing {
+    fn new(capacity_hours: usize) -> Self {
+        EagerRing {
+            buckets: vec![RatioCounter::default(); capacity_hours.max(1)],
+            head_hour: 0,
+            head: 0,
+        }
+    }
+
+    fn record(&mut self, now: SimTime, success: bool) {
+        let hour = now.as_nanos() / SimDuration::from_secs(3600).as_nanos();
+        while self.head_hour < hour {
+            self.head_hour += 1;
+            self.head = (self.head + 1) % self.buckets.len();
+            self.buckets[self.head] = RatioCounter::default();
+        }
+        self.buckets[self.head].record(success);
+    }
+
+    fn percent_last_hours(&self, now: SimTime, k: usize) -> Option<f64> {
+        let now_hour = now.as_nanos() / SimDuration::from_secs(3600).as_nanos();
+        let mut total = RatioCounter::default();
+        for back in 0..k.min(self.buckets.len()) {
+            let Some(hour) = now_hour.checked_sub(back as u64) else {
+                break;
+            };
+            if hour > self.head_hour {
+                continue;
+            }
+            let behind = (self.head_hour - hour) as usize;
+            if behind >= self.buckets.len() {
+                break;
+            }
+            let idx = (self.head + self.buckets.len() - behind) % self.buckets.len();
+            total.merge(&self.buckets[idx]);
+        }
+        total.percent()
+    }
+}
+
 proptest! {
     /// Part splitting conserves every byte and never emits empty parts.
     #[test]
@@ -130,6 +178,40 @@ proptest! {
         }
         if let Some(p) = w.percent_last_hours(SimTime::ZERO + SimDuration::from_secs(last), k) {
             prop_assert!((0.0..=100.0).contains(&p));
+        }
+    }
+
+    /// The ring allocated on first record answers every query bit for bit
+    /// as the ring allocated up front: queries before any record, clock
+    /// steps longer than the whole window, and `k` beyond the capacity.
+    #[test]
+    fn windowed_ratio_matches_the_eager_ring(
+        capacity in 1usize..8,
+        start_hours in 0u64..5,
+        ops in prop::collection::vec((any::<bool>(), 0u64..12 * 3600, any::<bool>(), 0usize..12), 0..60),
+    ) {
+        let mut lazy = WindowedRatio::new(capacity);
+        let mut eager = EagerRing::new(capacity);
+        let mut now = SimTime::ZERO + SimDuration::from_secs(start_hours * 3600);
+        let mut recorded = false;
+        for k in 0..12 {
+            prop_assert_eq!(lazy.percent_last_hours(now, k), None);
+        }
+        for (record, step, ok, k) in ops {
+            now += SimDuration::from_secs(step);
+            if record {
+                lazy.record(now, ok);
+                eager.record(now, ok);
+                recorded = true;
+            }
+            prop_assert_eq!(
+                lazy.percent_last_hours(now, k).map(f64::to_bits),
+                eager.percent_last_hours(now, k).map(f64::to_bits)
+            );
+        }
+        prop_assert_eq!(lazy.heap_bytes() > 0, recorded);
+        if !recorded {
+            prop_assert_eq!(lazy, WindowedRatio::new(capacity));
         }
     }
 

@@ -37,7 +37,7 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::synthtopo::{build_synth_topo, peer_seed, SynthTopoConfig};
+use crate::synthtopo::{build_synth_topo, peer_seed, salt, SynthTopoConfig};
 use crate::telemetry::churn_series;
 
 /// Parameters of one churn run.
@@ -187,7 +187,7 @@ impl Workload for ChurnWorkload<'_> {
             let home = cx.brokers[r];
             for node in cfg.topo.peer_nodes(r) {
                 let pseed = peer_seed(cx.seed, node);
-                let mut rng = SimRng::new(pseed).split(0xC4_0B11);
+                let mut rng = SimRng::new(pseed).split(salt::CHURN_PEER);
                 let script = LifecycleScript::sample(&mut rng, &cfg.profile, cfg.horizon);
                 let peer_cfg = LifecycleConfig {
                     brokers: vec![home],

@@ -43,7 +43,7 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::synthtopo::{build_synth_topo, peer_seed, SynthTopoConfig};
+use crate::synthtopo::{build_synth_topo, peer_seed, salt, SynthTopoConfig};
 use crate::telemetry::federation_series;
 
 /// Parameters of one federation run.
@@ -289,7 +289,7 @@ impl Workload for FederationWorkload<'_> {
             };
             for node in cfg.topo.peer_nodes(r) {
                 let pseed = peer_seed(cx.seed, node);
-                let mut rng = SimRng::new(pseed).split(0xFEDE_0001);
+                let mut rng = SimRng::new(pseed).split(salt::FEDERATION_PEER);
                 let spread = DelayDistribution::Uniform {
                     lo: 0.0,
                     hi: cfg.arrival_spread.as_secs_f64().max(1.0),

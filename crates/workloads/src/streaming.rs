@@ -41,7 +41,7 @@ use crate::harness::{
     defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
     WorkloadBuilder,
 };
-use crate::synthtopo::{build_synth_topo, peer_seed, SynthTopoConfig};
+use crate::synthtopo::{build_synth_topo, peer_seed, salt, SynthTopoConfig};
 use crate::telemetry::streaming_series;
 
 /// The Pareto family peer uplinks are drawn from — the workload's
@@ -296,7 +296,7 @@ impl Workload for StreamingWorkload<'_> {
             let broker = cx.brokers[r];
             for node in cfg.topo.peer_nodes(r) {
                 let pseed = peer_seed(cx.seed, node);
-                let mut rng = SimRng::new(pseed).split(0x57E4_0001);
+                let mut rng = SimRng::new(pseed).split(salt::STREAMING_PEER);
                 let arrival = SimDuration::from_secs_f64(
                     rng.uniform_range(0.0, cfg.arrival_spread.as_secs_f64().max(1.0)),
                 );

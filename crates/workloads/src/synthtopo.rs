@@ -141,6 +141,32 @@ pub(crate) fn peer_seed(seed: u64, node: NodeId) -> u64 {
         .wrapping_add(node.index() as u64)
 }
 
+/// The `SimRng::split` salts of the workloads' seeded streams. A salt names
+/// a stream: two draws under one salt from one seed are the same numbers,
+/// so every stream gets its own (pinned pairwise distinct by a test).
+pub(crate) mod salt {
+    /// A testbed's region centroids.
+    pub(crate) const GEOGRAPHY: u64 = 0x047E_06E0;
+    /// A testbed's per-peer bandwidth and CPU capacity.
+    pub(crate) const CAPACITY: u64 = 0x047E_0CA9;
+    /// A churn peer's session script.
+    pub(crate) const CHURN_PEER: u64 = 0xC4_0B11;
+    /// A federation peer's arrival and capacity.
+    pub(crate) const FEDERATION_PEER: u64 = 0xFEDE_0001;
+    /// A streaming viewer's arrival and capacity.
+    pub(crate) const STREAMING_PEER: u64 = 0x57E4_0001;
+
+    /// Every salt above.
+    #[cfg(test)]
+    pub(crate) const ALL: [u64; 5] = [
+        GEOGRAPHY,
+        CAPACITY,
+        CHURN_PEER,
+        FEDERATION_PEER,
+        STREAMING_PEER,
+    ];
+}
+
 /// A generated testbed: the blocked topology plus the sampled geography.
 pub struct SynthTopo {
     /// The region-blocked topology, ready for `Engine` / `ShardedEngine`.
@@ -161,8 +187,8 @@ pub fn build_synth_topo(cfg: &SynthTopoConfig, seed: u64) -> SynthTopo {
         cfg.peers >= cfg.regions,
         "need at least one peer per region"
     );
-    let mut geo = SimRng::new(seed).split(0x047E_06E0);
-    let mut caps = SimRng::new(seed).split(0x047E_0CA9);
+    let mut geo = SimRng::new(seed).split(salt::GEOGRAPHY);
+    let mut caps = SimRng::new(seed).split(salt::CAPACITY);
 
     // Region centroids: latitudes clamped to the inhabited band so
     // distances stay terrestrial-plausible.
@@ -223,6 +249,15 @@ pub fn build_synth_topo(cfg: &SynthTopoConfig, seed: u64) -> SynthTopo {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_salts_are_pairwise_distinct() {
+        for (i, a) in salt::ALL.iter().enumerate() {
+            for b in &salt::ALL[i + 1..] {
+                assert_ne!(a, b, "two seeded streams share salt {a:#x}");
+            }
+        }
+    }
 
     #[test]
     fn layout_accessors_agree_with_generation() {
