@@ -165,6 +165,27 @@ struct EngineCore<M> {
     /// `Some` only when this engine is one shard of a sharded run; `None`
     /// keeps the serial engine on its original, bit-identical path.
     shard: Option<ShardState<M>>,
+    /// Deliveries due after this instant are never stored, since nothing
+    /// past it ever pops: a sharded run's horizon, `FAR_FUTURE` on the
+    /// serial engine (which may be run again, further). Timers are always
+    /// stored — cancelling one must find it.
+    cutoff: SimTime,
+    /// The earliest delivery left unstored by `cutoff`: where the queue
+    /// head would be had it been stored.
+    beyond: Option<SimTime>,
+}
+
+impl<M> EngineCore<M> {
+    /// Queues a fully planned delivery, or, when it is due after the
+    /// cutoff, keeps only its time in `beyond`. Every send-side effect
+    /// (FIFO state, RNG draws, metrics, trace) has happened by now.
+    fn schedule_delivery(&mut self, at: SimTime, to: NodeId, from: NodeId, msg: M) {
+        if at > self.cutoff {
+            self.beyond = Some(self.beyond.map_or(at, |b| b.min(at)));
+        } else {
+            self.queue.schedule(at, Ev::Deliver { to, from, msg });
+        }
+    }
 }
 
 /// The API an actor sees while handling an event.
@@ -261,9 +282,7 @@ impl<'a, M: Payload> Context<'a, M> {
                 },
             );
         }
-        self.core
-            .queue
-            .schedule(deliver, Ev::Deliver { to, from, msg });
+        self.core.schedule_delivery(deliver, to, from, msg);
     }
 
     /// Samples `to`'s service delay for `msg`, in seconds, from the network
@@ -457,6 +476,8 @@ impl<M: Payload> Engine<M> {
                 stop_requested: false,
                 current: NodeId(0),
                 shard: None,
+                cutoff: SimTime::FAR_FUTURE,
+                beyond: None,
             },
             actors,
             started: false,
@@ -537,7 +558,8 @@ impl<M: Payload> Engine<M> {
         self.events_processed
     }
 
-    /// Largest number of events ever pending at once in the queue.
+    /// Largest number of events ever stored at once in the queue (a shard
+    /// of a sharded run stores no delivery due after its horizon).
     pub fn peak_queue_len(&self) -> usize {
         self.core.queue.peak_len()
     }
@@ -579,6 +601,19 @@ impl<M: Payload> Engine<M> {
         });
     }
 
+    /// Makes the first run's `horizon` the cutoff: no delivery due after
+    /// it is stored. Panics if a later run would pass it, since the
+    /// deliveries left unstored would be missing.
+    pub(crate) fn set_cutoff(&mut self, horizon: SimTime) {
+        if self.core.cutoff == SimTime::FAR_FUTURE {
+            self.core.cutoff = horizon;
+        }
+        assert!(
+            horizon <= self.core.cutoff,
+            "a sharded run cannot be extended past its first horizon"
+        );
+    }
+
     /// Offsets timer-id allocation so shards mint non-overlapping ids
     /// (purely cosmetic for merged traces; ids never cross shards).
     pub(crate) fn set_timer_base(&mut self, base: u64) {
@@ -598,9 +633,11 @@ impl<M: Payload> Engine<M> {
         self.core.stop_requested
     }
 
-    /// Timestamp of the earliest pending local event.
+    /// Timestamp of the earliest pending local event, an unstored delivery
+    /// included: the head the queue would show had it stored everything.
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.core.queue.peek_time()
+        let core = &self.core;
+        core.queue.peek_time().into_iter().chain(core.beyond).min()
     }
 
     /// Completes a cross-shard delivery on the destination shard: applies
@@ -630,14 +667,8 @@ impl<M: Payload> Engine<M> {
                 },
             );
         }
-        self.core.queue.schedule(
-            deliver,
-            Ev::Deliver {
-                to: env.to,
-                from: env.from,
-                msg: env.msg,
-            },
-        );
+        self.core
+            .schedule_delivery(deliver, env.to, env.from, env.msg);
     }
 
     /// Runs one conservative-lookahead window: processes events strictly
@@ -646,10 +677,15 @@ impl<M: Payload> Engine<M> {
     /// an exclusive window — neighbor horizons must keep advancing.
     pub(crate) fn run_window(&mut self, end: SimTime, exclusive: bool) -> RunOutcome {
         let outcome = self.run_bounded(end, exclusive);
-        if exclusive && outcome == RunOutcome::QueueEmpty && self.core.clock < end {
-            self.core.clock = end;
+        if exclusive && outcome == RunOutcome::QueueEmpty {
+            self.park_at(end);
         }
         outcome
+    }
+
+    /// Moves an idle shard's clock up to `t`; never moves it back.
+    pub(crate) fn park_at(&mut self, t: SimTime) {
+        self.core.clock = self.core.clock.max(t);
     }
 
     fn run_bounded(&mut self, horizon: SimTime, exclusive: bool) -> RunOutcome {
@@ -661,8 +697,14 @@ impl<M: Payload> Engine<M> {
             if self.events_processed >= self.event_limit {
                 return RunOutcome::EventLimit;
             }
-            let Some(next_time) = self.core.queue.peek_time() else {
-                return RunOutcome::QueueEmpty;
+            let next_time = match self.core.queue.peek_time() {
+                Some(t) if t <= horizon => t,
+                // Nothing stored inside the window: an unstored delivery
+                // may be the true head (outcome, clock and sampling read it).
+                _ => match self.next_event_time() {
+                    Some(t) => t,
+                    None => return RunOutcome::QueueEmpty,
+                },
             };
             if let Some(rec) = &mut self.recorder {
                 // Every queued event is at or after `next_time`, so any

@@ -132,7 +132,7 @@ impl<E> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Largest number of events that were ever pending at once. Like
+    /// Largest number of events that were ever stored at once. Like
     /// [`EventQueue::scheduled_total`], monotone over the queue's lifetime
     /// and not reset by [`EventQueue::clear`].
     pub fn peak_len(&self) -> usize {

@@ -37,6 +37,8 @@
 //! [`Engine::run_until`], and an installed recorder is sampled inside that
 //! event loop — trace, metrics, outcome and series are bit-identical to a
 //! plain [`Engine`], so no caller ever picks between two engine types.
+//! Only its queue is smaller: like every shard, it stores no delivery due
+//! after the horizon of its one run.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -132,6 +134,10 @@ struct RoundResult<M: Payload> {
 
 impl<M: Payload> RoundJob<M> {
     /// Executes the window on the calling thread, timing it.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the quarantined wall-clock profiler: spans feed ParallelProfile, never the run"
+    )]
     fn execute(mut self) -> RoundResult<M> {
         let t0 = Instant::now();
         let outcome = self.engine.run_window(self.end, self.exclusive);
@@ -286,7 +292,9 @@ impl<M: Payload + Send> ShardedEngine<M> {
             .sum()
     }
 
-    /// Largest per-shard queue occupancy ever reached.
+    /// Largest number of events one shard ever stored at once. No shard
+    /// stores a delivery due after the run's horizon (see
+    /// [`ShardedEngine::run_until`]), so this counts events that could pop.
     pub fn peak_queue_len(&self) -> usize {
         (0..self.engines.len())
             .map(|s| self.engine(s).peak_queue_len())
@@ -332,7 +340,13 @@ impl<M: Payload + Send> ShardedEngine<M> {
     /// drain, an actor stops the run, or a per-shard event limit trips.
     /// Precedence at the barrier mirrors the serial engine: stop, then
     /// event limit, then queue-empty, then horizon.
+    ///
+    /// A sharded engine runs once: no shard stores a delivery due after
+    /// `horizon`, as none could pop, so a later call past it panics.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+        for s in 0..self.engines.len() {
+            self.engine_mut(s).set_cutoff(horizon);
+        }
         // A lone shard samples in its own event loop (see the module docs).
         let lone = self.engines.len() == 1;
         if let Some(rec) = self.recorder.take_if(|_| lone) {
@@ -432,14 +446,21 @@ impl<M: Payload + Send> ShardedEngine<M> {
             if (0..k).all(|s| self.engine(s).next_event_time().is_none()) {
                 return RunOutcome::QueueEmpty;
             }
-            let clocks: Vec<SimTime> = (0..k).map(|s| self.engine(s).now()).collect();
-            // Done only when every clock sits at the horizon AND nothing at
-            // or below it is still pending — the final envelope exchange
-            // can land deliveries exactly at the horizon, and the serial
-            // engine's horizon is inclusive.
-            let done = clocks.iter().all(|&c| c >= horizon)
-                && (0..k).all(|s| self.engine(s).next_event_time().is_none_or(|t| t > horizon));
+            // Done only when nothing at or below the horizon is pending —
+            // the final envelope exchange can land deliveries exactly at
+            // it, and the serial engine's horizon is inclusive — and every
+            // shard with anything pending has its clock there. An idle
+            // shard is parked here instead: an inclusive window leaves its
+            // clock at its last event, and waiting for it would spin.
+            let done = (0..k).all(|s| {
+                let e = self.engine(s);
+                e.next_event_time()
+                    .is_none_or(|t| t > horizon && e.now() >= horizon)
+            });
             if done {
+                for s in 0..k {
+                    self.engine_mut(s).park_at(horizon);
+                }
                 return RunOutcome::HorizonReached;
             }
             // Each shard's *promise*: the earliest instant it could still
@@ -569,230 +590,5 @@ impl<M: Payload + Send> ShardedEngine<M> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::{Context, ServiceClass};
-    use crate::link::{AccessLink, PathSpec};
-    use crate::node::NodeSpec;
-
-    #[derive(Debug, Clone)]
-    struct Token(u32);
-
-    impl Payload for Token {
-        fn wire_size(&self) -> u64 {
-            128
-        }
-        fn kind(&self) -> &'static str {
-            "token"
-        }
-        fn service_class(&self) -> ServiceClass {
-            ServiceClass::Fast
-        }
-    }
-
-    /// Bounces a token around a fixed itinerary of nodes.
-    struct Bouncer {
-        itinerary: Vec<NodeId>,
-        hops: u32,
-        kick_off: bool,
-    }
-
-    impl Actor<Token> for Bouncer {
-        fn on_start(&mut self, ctx: &mut Context<Token>) {
-            if self.kick_off {
-                ctx.send(self.itinerary[0], Token(0));
-            }
-        }
-        fn on_message(&mut self, ctx: &mut Context<Token>, _from: NodeId, msg: Token) {
-            if msg.0 < self.hops {
-                let next = self.itinerary[(msg.0 as usize) % self.itinerary.len()];
-                ctx.send(next, Token(msg.0 + 1));
-            }
-        }
-    }
-
-    /// Two regions of three nodes: 2 ms inside a region, 40 ms across.
-    fn two_region_topo() -> Topology {
-        let mut t = Topology::new();
-        for i in 0..6 {
-            t.add_node(NodeSpec::responsive(format!("n{i}")), AccessLink::default());
-        }
-        for a in 0..6u32 {
-            for b in 0..6u32 {
-                if a == b {
-                    continue;
-                }
-                let ms = if (a < 3) == (b < 3) { 2.0 } else { 40.0 };
-                t.set_path(NodeId(a), NodeId(b), PathSpec::from_owd_ms(ms, 0.0));
-            }
-        }
-        t
-    }
-
-    fn build(workers: usize) -> ShardedEngine<Token> {
-        let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let mut e = ShardedEngine::new(
-            two_region_topo(),
-            TransportConfig::default(),
-            42,
-            map,
-            workers,
-        )
-        .unwrap();
-        let all: Vec<NodeId> = (0..6).map(NodeId).collect();
-        for (i, &node) in all.iter().enumerate() {
-            // Every token hop moves to a pseudo-random next node, with
-            // plenty of cross-region (= cross-shard) traffic.
-            let itinerary: Vec<NodeId> = (0..6).map(|j| NodeId((j * 5 + 1) % 6)).collect();
-            e.register(
-                node,
-                Box::new(Bouncer {
-                    itinerary,
-                    hops: 40,
-                    kick_off: i < 2,
-                }),
-            );
-        }
-        e.enable_trace(4096);
-        e
-    }
-
-    #[test]
-    fn sharded_run_is_worker_count_invariant() {
-        let horizon = SimTime::from_secs_f64(30.0);
-        let mut runs = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let mut e = build(workers);
-            let outcome = e.run_until(horizon);
-            runs.push((
-                workers,
-                outcome,
-                e.trace().digest(),
-                e.trace().to_jsonl(),
-                e.metrics().render(),
-                e.now(),
-                e.events_processed(),
-            ));
-        }
-        let (_, o1, d1, j1, m1, t1, n1) = &runs[0];
-        for (w, o, d, j, m, t, n) in &runs[1..] {
-            assert_eq!(o, o1, "outcome differs at {w} workers");
-            assert_eq!(d, d1, "trace digest differs at {w} workers");
-            assert_eq!(j, j1, "trace JSONL differs at {w} workers");
-            assert_eq!(m, m1, "metrics differ at {w} workers");
-            assert_eq!(t, t1, "final clock differs at {w} workers");
-            assert_eq!(n, n1, "event count differs at {w} workers");
-        }
-        assert!(*n1 > 0, "the workload must actually run");
-    }
-
-    #[test]
-    fn cross_shard_messages_are_delivered_and_counted() {
-        let mut e = build(1);
-        e.run_until(SimTime::from_secs_f64(30.0));
-        let m = e.metrics();
-        assert!(m.counter("net.messages_sent") > 0);
-        assert_eq!(
-            m.counter("net.messages_delivered") + m.counter("net.messages_dropped_no_actor"),
-            m.counter("net.messages_sent"),
-            "every sent message is accounted for across shards"
-        );
-    }
-
-    #[test]
-    fn zero_cross_shard_traffic_still_terminates() {
-        // Tokens bounce strictly inside each region: outboxes stay empty,
-        // windows are pure clock advancement.
-        let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let mut e =
-            ShardedEngine::new(two_region_topo(), TransportConfig::default(), 7, map, 2).unwrap();
-        for region in 0..2u32 {
-            let local: Vec<NodeId> = (0..3).map(|j| NodeId(region * 3 + j)).collect();
-            for (i, &node) in local.iter().enumerate() {
-                e.register(
-                    node,
-                    Box::new(Bouncer {
-                        itinerary: local.clone(),
-                        hops: 10,
-                        kick_off: i == 0,
-                    }),
-                );
-            }
-        }
-        // Both regions finish their 10 hops, outboxes stay empty, and the
-        // barrier loop notices the drained queues instead of spinning on
-        // clock-advance windows forever.
-        let outcome = e.run_until(SimTime::from_secs_f64(10.0));
-        assert_eq!(outcome, RunOutcome::QueueEmpty);
-        assert!(e.events_processed() > 0);
-        // 1 kick-off + 10 forwarded hops per region, two regions.
-        assert_eq!(e.metrics().counter("net.messages_delivered"), 22);
-    }
-
-    #[test]
-    fn single_shard_degenerate_matches_serial_engine() {
-        // A lone shard is the serial engine: same seed, same history.
-        let topo = two_region_topo();
-        let map = ShardMap::single(topo.len());
-        let mut sharded =
-            ShardedEngine::new(topo.clone(), TransportConfig::default(), 9, map, 1).unwrap();
-        let mut serial = Engine::new(topo, TransportConfig::default(), 9);
-        let itinerary: Vec<NodeId> = (0..6).map(|j| NodeId((j * 5 + 1) % 6)).collect();
-        for (i, node) in (0..6).map(NodeId).enumerate() {
-            let make = || Bouncer {
-                itinerary: itinerary.clone(),
-                hops: 25,
-                kick_off: i == 0,
-            };
-            sharded.register(node, Box::new(make()));
-            serial.register(node, Box::new(make()));
-        }
-        sharded.enable_trace(4096);
-        serial.enable_trace(4096);
-        let horizon = SimTime::from_secs_f64(20.0);
-        let a = sharded.run_until(horizon);
-        let b = serial.run_until(horizon);
-        assert_eq!(a, b);
-        assert_eq!(sharded.trace().digest(), serial.trace().digest());
-        assert_eq!(sharded.metrics().render(), serial.metrics().render());
-    }
-
-    #[test]
-    fn zero_lookahead_is_rejected() {
-        let mut t = Topology::new();
-        let a = t.add_node(NodeSpec::responsive("a"), AccessLink::default());
-        let b = t.add_node(NodeSpec::responsive("b"), AccessLink::default());
-        t.set_path_symmetric(a, b, PathSpec::from_owd_ms(0.0, 0.0));
-        let map = ShardMap::from_assignment(vec![0, 1]).unwrap();
-        let err = ShardedEngine::<Token>::new(t, TransportConfig::default(), 1, map, 2)
-            .err()
-            .expect("zero-delay cross links must be rejected");
-        assert_eq!(err, ParallelError::ZeroLookahead);
-    }
-
-    #[test]
-    fn map_size_mismatch_is_rejected() {
-        let t = two_region_topo();
-        let map = ShardMap::from_assignment(vec![0, 1]).unwrap();
-        let err = ShardedEngine::<Token>::new(t, TransportConfig::default(), 1, map, 2)
-            .err()
-            .expect("undersized shard map must be rejected");
-        assert_eq!(
-            err,
-            ParallelError::MapSizeMismatch {
-                map: 2,
-                topology: 6
-            }
-        );
-    }
-
-    #[test]
-    fn profile_accounts_busy_and_critical_path() {
-        let mut e = build(2);
-        e.run_until(SimTime::from_secs_f64(30.0));
-        let p = e.profile();
-        assert!(p.rounds > 0, "multi-shard run must take barrier rounds");
-        assert!(p.busy >= p.critical_path);
-        assert!(p.critical_path > Duration::ZERO);
-    }
-}
+#[path = "parallel_tests.rs"]
+mod tests;

@@ -90,6 +90,71 @@ fn register_bouncers(mut install: impl FnMut(NodeId, Box<dyn Actor<Token> + Send
     }
 }
 
+/// Sends `count` tokens to `to` at start, all at once; the receiver's FIFO
+/// spreads their deliveries out one service time apart. Never forwards.
+struct Burst {
+    to: NodeId,
+    count: u32,
+}
+
+impl Actor<Token> for Burst {
+    fn on_start(&mut self, ctx: &mut Context<Token>) {
+        for i in 0..self.count {
+            ctx.send(self.to, Token(i));
+        }
+    }
+    fn on_message(&mut self, _: &mut Context<Token>, _: NodeId, _: Token) {}
+}
+
+/// Node 0 bursts 400 tokens at node 1; the other nodes stay quiet.
+fn register_burst(install: &mut dyn FnMut(NodeId, Box<dyn Actor<Token> + Send>)) {
+    for node in (0..6).map(NodeId) {
+        let count = if node == NodeId(0) { 400 } else { 0 };
+        install(
+            node,
+            Box::new(Burst {
+                to: NodeId(1),
+                count,
+            }),
+        );
+    }
+}
+
+/// Runs `fleet` to `horizon` on a plain `Engine` and on a lone shard,
+/// asserts that outcome, final clock, trace, metrics and series agree, and
+/// returns the lone shard's series with both queue peaks (serial, lone).
+fn serial_against_lone_shard(
+    fleet: impl Fn(&mut dyn FnMut(NodeId, Box<dyn Actor<Token> + Send>)),
+    horizon: SimTime,
+) -> (TimeSeriesRecorder, usize, usize) {
+    let mut serial = Engine::new(two_region_topo(), TransportConfig::default(), 42);
+    fleet(&mut |node, actor| serial.register(node, actor));
+    serial.enable_trace(4096);
+    serial.install_recorder(series_recorder());
+    let outcome = serial.run_until(horizon);
+    let expected = serial.take_recorder().expect("recorder installed");
+
+    let mut lone = ShardedEngine::new(
+        two_region_topo(),
+        TransportConfig::default(),
+        42,
+        ShardMap::single(6),
+        1,
+    )
+    .expect("a lone shard needs no lookahead");
+    fleet(&mut |node, actor| lone.register(node, actor));
+    lone.enable_trace(4096);
+    lone.install_recorder(series_recorder());
+    assert_eq!(lone.run_until(horizon), outcome);
+    let rec = lone.take_recorder().expect("recorder installed");
+
+    assert_eq!(lone.now(), serial.now());
+    assert_eq!(lone.trace().digest(), serial.trace().digest());
+    assert_eq!(lone.metrics().render(), serial.metrics().render());
+    assert_eq!(rec.to_csv(), expected.to_csv());
+    (rec, serial.peak_queue_len(), lone.peak_queue_len())
+}
+
 fn sharded(workers: usize) -> ShardedEngine<Token> {
     let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).expect("valid assignment");
     let mut e = ShardedEngine::new(
@@ -132,31 +197,27 @@ fn lone_shard_series_matches_the_serial_engine() {
     // A lone shard has exactly one barrier, so barrier-time sampling would
     // read every boundary off the end-of-run metrics (a flat series). It is
     // the serial engine instead: same seed, in-loop sampling, same bytes.
-    let horizon = SimTime::from_secs_f64(10.0);
-    let mut serial = Engine::new(two_region_topo(), TransportConfig::default(), 42);
-    register_bouncers(|node, actor| serial.register(node, actor));
-    serial.install_recorder(series_recorder());
-    serial.run_until(horizon);
-    let expected = serial.take_recorder().expect("recorder installed");
-
-    let mut lone = ShardedEngine::new(
-        two_region_topo(),
-        TransportConfig::default(),
-        42,
-        ShardMap::single(6),
-        1,
-    )
-    .expect("a lone shard needs no lookahead");
-    register_bouncers(|node, actor| lone.register(node, actor));
-    lone.install_recorder(series_recorder());
-    lone.run_until(horizon);
-    let rec = lone.take_recorder().expect("recorder installed");
-
-    assert_eq!(rec.to_csv(), expected.to_csv());
+    let (rec, serial_peak, lone_peak) = serial_against_lone_shard(
+        |install| register_bouncers(install),
+        SimTime::from_secs_f64(10.0),
+    );
     let rates: Vec<f64> = rec.rows().iter().map(|r| r.values[1]).collect();
     assert!(
         rates.iter().filter(|&&r| r > 0.0).count() > 1,
         "deliveries must spread over several windows, got {rates:?}"
+    );
+    assert_eq!(lone_peak, serial_peak, "the run drains before the horizon");
+
+    // A horizon that cuts the burst in flight. The lone shard never stores
+    // a delivery due after it, yet must end, sample and report exactly as
+    // the serial engine, whose queue still holds them.
+    let (rec, serial_peak, lone_peak) =
+        serial_against_lone_shard(register_burst, SimTime::from_secs_f64(1.2));
+    let delivered = rec.rows().last().expect("rows").values[0];
+    assert!(delivered > 0.0 && delivered < 400.0, "{delivered}");
+    assert!(
+        lone_peak < serial_peak,
+        "late deliveries stay unstored: lone {lone_peak}, serial {serial_peak}"
     );
 }
 

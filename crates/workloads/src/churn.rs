@@ -294,6 +294,7 @@ mod tests {
             assert_eq!(r.trace.digest(), runs[0].trace.digest());
             assert_eq!(r.elapsed, runs[0].elapsed);
             assert_eq!(r.events_processed, runs[0].events_processed);
+            assert_eq!(r.peak_queue_len, runs[0].peak_queue_len);
             assert_eq!(r.metrics.render(), runs[0].metrics.render());
             assert_eq!(
                 SwapDynamics::from_metrics(&r.metrics),

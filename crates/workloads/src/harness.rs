@@ -320,7 +320,9 @@ pub struct HarnessRun {
     pub elapsed: SimTime,
     /// Events processed across all shards.
     pub events_processed: u64,
-    /// Largest per-shard backlog (diagnostic; not worker-invariant).
+    /// Most events one shard ever stored at once (worker-invariant: each
+    /// shard's queue follows the window schedule, not the threads). No
+    /// delivery due after the horizon is stored.
     pub peak_queue_len: usize,
     /// Window/occupancy profile of the parallel run.
     pub profile: ParallelProfile,
