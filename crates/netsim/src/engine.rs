@@ -16,7 +16,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimeSeriesRecorder;
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEventKind};
-use crate::transport::{TransferPlanner, TransportConfig};
+use crate::transport::{RemoteSendPlan, TransferPlanner, TransferTiming, TransportConfig};
 
 /// How a message interacts with the destination host's scheduler.
 ///
@@ -88,9 +88,7 @@ pub(crate) struct RemoteEnvelope<M> {
     pub(crate) msg: M,
     pub(crate) bytes: u64,
     pub(crate) sent_at: SimTime,
-    pub(crate) tx_start: SimTime,
-    pub(crate) first_byte: SimTime,
-    pub(crate) service: SimDuration,
+    pub(crate) plan: RemoteSendPlan,
     /// Destination-host service delay (already sampled, sender-side RNG).
     pub(crate) service_extra: SimDuration,
     pub(crate) src_shard: usize,
@@ -175,7 +173,40 @@ struct EngineCore<M> {
     beyond: Option<SimTime>,
 }
 
-impl<M> EngineCore<M> {
+impl<M: Payload> EngineCore<M> {
+    /// Finishes a send whose delivery time is known on the shard that
+    /// owns `to`: samples `net.delivery_secs`, records `MessageSent` and
+    /// schedules the delivery.
+    fn finish_send(
+        &mut self,
+        sent_at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        bytes: u64,
+        timing: TransferTiming,
+    ) {
+        let deliver = timing.deliver;
+        self.metrics.observe_id(
+            self.ids.delivery_secs,
+            deliver.duration_since(sent_at).as_secs_f64(),
+        );
+        if self.trace.is_enabled() {
+            self.trace.record(
+                sent_at,
+                from,
+                TraceEventKind::MessageSent {
+                    to,
+                    msg: msg.kind(),
+                    bytes,
+                    tx_start: timing.tx_start,
+                    deliver_at: deliver,
+                },
+            );
+        }
+        self.schedule_delivery(deliver, to, from, msg);
+    }
+
     /// Queues a fully planned delivery, or, when it is due after the
     /// cutoff, keeps only its time in `beyond`. Every send-side effect
     /// (FIFO state, RNG draws, metrics, trace) has happened by now.
@@ -247,42 +278,21 @@ impl<'a, M: Payload> Context<'a, M> {
             }
             return;
         }
+        self.core.metrics.incr_id(self.core.ids.messages_sent, 1);
+        self.core.metrics.incr_id(self.core.ids.bytes_sent, size);
         if let Some(shard) = &self.core.shard {
             if shard.assignment[to.index()] != shard.shard_id {
                 self.send_remote(to, size, msg);
                 return;
             }
         }
-        let timing = self.core.planner.plan(
-            &self.core.topo,
-            self.core.clock,
-            from,
-            to,
-            size,
-            &mut self.core.net_rng,
-        );
-        let service = self.sample_service(to, &msg);
-        let deliver = timing.deliver + SimDuration::from_secs_f64(service);
-        self.core.metrics.incr_id(self.core.ids.messages_sent, 1);
-        self.core.metrics.incr_id(self.core.ids.bytes_sent, size);
-        self.core.metrics.observe_id(
-            self.core.ids.delivery_secs,
-            deliver.duration_since(self.core.clock).as_secs_f64(),
-        );
-        if self.core.trace.is_enabled() {
-            self.core.trace.record(
-                self.core.clock,
-                from,
-                TraceEventKind::MessageSent {
-                    to,
-                    msg: msg.kind(),
-                    bytes: size,
-                    tx_start: timing.tx_start,
-                    deliver_at: deliver,
-                },
-            );
-        }
-        self.core.schedule_delivery(deliver, to, from, msg);
+        let now = self.core.clock;
+        let mut timing =
+            self.core
+                .planner
+                .plan(&self.core.topo, now, from, to, size, &mut self.core.net_rng);
+        timing.deliver += SimDuration::from_secs_f64(self.sample_service(to, &msg));
+        self.core.finish_send(now, from, to, msg, size, timing);
     }
 
     /// Samples `to`'s service delay for `msg`, in seconds, from the network
@@ -299,12 +309,10 @@ impl<'a, M: Payload> Context<'a, M> {
         }
     }
 
-    /// Sends a message across a shard boundary: completes the sender-side
-    /// half (uplink FIFO, propagation and service samples from this
-    /// shard's planner state and RNG) and parks the envelope in the shard
-    /// outbox; the destination shard finishes the plan at incorporation.
-    /// Mirrors the arithmetic and RNG draw order of the local path in
-    /// [`Context::send`] exactly.
+    /// Sends a message across a shard boundary: plans the sender-side half
+    /// from this shard's planner state and RNG, in the local path's draw
+    /// order, and parks the envelope in the shard outbox; the destination
+    /// shard finishes the plan at incorporation.
     fn send_remote(&mut self, to: NodeId, size: u64, msg: M) {
         let from = self.core.current;
         let plan = self.core.planner.plan_remote_send(
@@ -316,8 +324,6 @@ impl<'a, M: Payload> Context<'a, M> {
             &mut self.core.net_rng,
         );
         let service = self.sample_service(to, &msg);
-        self.core.metrics.incr_id(self.core.ids.messages_sent, 1);
-        self.core.metrics.incr_id(self.core.ids.bytes_sent, size);
         let shard = self
             .core
             .shard
@@ -330,9 +336,7 @@ impl<'a, M: Payload> Context<'a, M> {
             msg,
             bytes: size,
             sent_at: self.core.clock,
-            tx_start: plan.tx_start,
-            first_byte: plan.first_byte,
-            service: plan.service,
+            plan,
             service_extra: SimDuration::from_secs_f64(service),
             src_shard: shard.shard_id,
             src_index,
@@ -641,34 +645,16 @@ impl<M: Payload> Engine<M> {
     }
 
     /// Completes a cross-shard delivery on the destination shard: applies
-    /// this shard's receiver-side queueing to the sender-side plan,
-    /// records the send in this shard's trace/metrics (the delivery time
-    /// is only known here), and schedules the local delivery event.
+    /// this shard's receiver-side queueing to the sender-side plan and
+    /// finishes the send here, where its delivery time is known.
     pub(crate) fn incorporate_remote(&mut self, env: RemoteEnvelope<M>) {
-        let deliver = self
-            .core
-            .planner
-            .admit_remote(env.to, env.first_byte, env.service)
-            + env.service_extra;
-        self.core.metrics.observe_id(
-            self.core.ids.delivery_secs,
-            deliver.duration_since(env.sent_at).as_secs_f64(),
-        );
-        if self.core.trace.is_enabled() {
-            self.core.trace.record(
-                env.sent_at,
-                env.from,
-                TraceEventKind::MessageSent {
-                    to: env.to,
-                    msg: env.msg.kind(),
-                    bytes: env.bytes,
-                    tx_start: env.tx_start,
-                    deliver_at: deliver,
-                },
-            );
-        }
+        let deliver = self.core.planner.admit_remote(env.to, env.plan) + env.service_extra;
+        let timing = TransferTiming {
+            tx_start: env.plan.tx_start,
+            deliver,
+        };
         self.core
-            .schedule_delivery(deliver, env.to, env.from, env.msg);
+            .finish_send(env.sent_at, env.from, env.to, env.msg, env.bytes, timing);
     }
 
     /// Runs one conservative-lookahead window: processes events strictly

@@ -406,12 +406,6 @@ impl Metrics {
         self.histogram_values[id.0 as usize].record(value);
     }
 
-    /// Reads the histogram behind `id`. O(1).
-    #[inline]
-    pub fn histogram_by_id(&self, id: HistogramId) -> &Histogram {
-        &self.histogram_values[id.0 as usize]
-    }
-
     /// Adds `delta` to the counter behind `id`. O(1), allocation-free.
     #[inline]
     pub fn incr_id(&mut self, id: MetricId, delta: u64) {
@@ -602,8 +596,8 @@ impl Metrics {
     /// cumulative-bucket histograms plus a `<...>_rejected_total` counter.
     /// Metric names are sanitized (`.` and other invalid characters map to
     /// `_`). All numbers render via Rust's shortest-roundtrip `Display`, so
-    /// two equal registries expose byte-identical text — the basis of the
-    /// exposition-determinism CI job.
+    /// two equal registries expose byte-identical text, which CI diffs
+    /// across same-seed runs.
     pub fn render_prometheus(&self, prefix: &str) -> String {
         use fmt::Write as _;
         fn sanitize(prefix: &str, name: &str) -> String {

@@ -92,27 +92,15 @@ impl std::error::Error for ParallelError {}
 /// Wall-clock accounting of a sharded run.
 ///
 /// Workers time the span they spend executing each window
-/// (`std::time::Instant`, outside the simulation's virtual clock). Per
-/// barrier round the coordinator folds those spans into two sums:
-///
-/// * `busy` — total execution time across all shards (what one worker
-///   would do alone),
-/// * `critical_path` — the per-round maximum over workers, summed across
-///   rounds: the time the round structure *needs* even with unlimited
-///   cores, excluding synchronization overhead.
-///
-/// `critical_path(W=1) / critical_path(W)` is therefore a measured upper
-/// bound on the speedup the window schedule admits at `W` workers —
-/// computable honestly even on a single-core host, where measured
-/// wall-clock speedup is pinned at ~1x.
+/// (`std::time::Instant`, outside the simulation's virtual clock), and the
+/// coordinator sums those spans across shards and rounds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelProfile {
     /// Barrier rounds executed.
     pub rounds: u64,
-    /// Sum of per-window execution spans across all shards.
+    /// Sum of per-window execution spans across all shards (what one
+    /// worker would do alone).
     pub busy: Duration,
-    /// Sum over rounds of the slowest worker's busy span in that round.
-    pub critical_path: Duration,
 }
 
 /// One window of work for one shard, shipped to a worker thread.
@@ -316,11 +304,6 @@ impl<M: Payload + Send> ShardedEngine<M> {
         merged
     }
 
-    /// Per-shard metrics (shard index = position).
-    pub fn shard_metrics(&self, shard: usize) -> &Metrics {
-        self.engine(shard).metrics()
-    }
-
     /// Merged trace: per-shard histories stably sorted by timestamp, shard
     /// order breaking ties.
     pub fn trace(&self) -> Trace {
@@ -522,11 +505,10 @@ impl<M: Payload + Send> ShardedEngine<M> {
             }
             let mut results = exec(jobs);
             results.sort_by_key(|r| r.shard);
-            let mut worker_busy = vec![Duration::ZERO; self.workers];
             let mut shard_busy = vec![Duration::ZERO; k];
             let mut round_outcome = None;
             for r in results {
-                worker_busy[r.shard % self.workers] += r.busy;
+                self.profile.busy += r.busy;
                 shard_busy[r.shard] = r.busy;
                 if matches!(r.outcome, RunOutcome::Stopped | RunOutcome::EventLimit) {
                     round_outcome = Some(r.outcome);
@@ -534,8 +516,6 @@ impl<M: Payload + Send> ShardedEngine<M> {
                 self.engines[r.shard] = Some(r.engine);
             }
             self.profile.rounds += 1;
-            self.profile.busy += worker_busy.iter().sum::<Duration>();
-            self.profile.critical_path += worker_busy.iter().max().copied().unwrap_or_default();
             let env_counts = self.exchange_envelopes();
             if let Some(profiler) = &mut self.profiler {
                 let round = self.profile.rounds - 1;
@@ -580,7 +560,7 @@ impl<M: Payload + Send> ShardedEngine<M> {
         for env in &envelopes {
             counts[env.src_shard] += 1;
         }
-        envelopes.sort_by_key(|e| (e.first_byte, e.src_shard, e.src_index));
+        envelopes.sort_by_key(|e| (e.plan.first_byte, e.src_shard, e.src_index));
         for env in envelopes {
             let dest = self.map.shard_of(env.to);
             self.engine_mut(dest).incorporate_remote(env);

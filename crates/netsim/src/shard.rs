@@ -177,50 +177,26 @@ impl LookaheadTable {
             topo.len()
         );
         let mut delta = vec![SimDuration::MAX; k * k];
-        if let Some((group_of, num_groups, inter)) = topo.blocked_layout() {
-            // Blocked fast path: the a→b delay depends only on the group
-            // pair, so a per-shard group-presence scan (O(n)) plus a
-            // S²G² sweep over the inter-group matrix replaces the O(n²)
-            // all-pairs walk. A group that spans two shards contributes
-            // its *intra*-group path (the matrix diagonal) to that pair.
-            let mut present = vec![false; k * num_groups];
-            for (i, &g) in group_of.iter().enumerate() {
-                present[map.assignment()[i] * num_groups + g as usize] = true;
+        // The a→b delay depends only on the group pair, so one sweep over
+        // the group matrix, visiting each group's shards, replaces an
+        // all-pairs walk over nodes. A group that spans two shards
+        // contributes its *intra*-group path (the diagonal) to that pair.
+        let (group_of, num_groups, inter) = topo.group_layout();
+        let mut shards_of: Vec<Vec<usize>> = vec![Vec::new(); num_groups];
+        for (&g, &s) in group_of.iter().zip(map.assignment()) {
+            let shards = &mut shards_of[g as usize];
+            if !shards.contains(&s) {
+                shards.push(s);
             }
-            for sa in 0..k {
-                for sb in 0..k {
-                    if sa == sb {
-                        continue;
-                    }
-                    let cell = &mut delta[sa * k + sb];
-                    for ga in 0..num_groups {
-                        if !present[sa * num_groups + ga] {
-                            continue;
+        }
+        for (ga, row) in inter.chunks_exact(num_groups).enumerate() {
+            for (gb, path) in row.iter().enumerate() {
+                for &sa in &shards_of[ga] {
+                    for &sb in &shards_of[gb] {
+                        let cell = &mut delta[sa * k + sb];
+                        if sa != sb && path.one_way_delay < *cell {
+                            *cell = path.one_way_delay;
                         }
-                        for gb in 0..num_groups {
-                            if !present[sb * num_groups + gb] {
-                                continue;
-                            }
-                            let owd = inter[ga * num_groups + gb].one_way_delay;
-                            if owd < *cell {
-                                *cell = owd;
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            for a in topo.node_ids() {
-                let sa = map.shard_of(a);
-                for b in topo.node_ids() {
-                    let sb = map.shard_of(b);
-                    if sa == sb {
-                        continue;
-                    }
-                    let owd = topo.path(a, b).one_way_delay;
-                    let cell = &mut delta[sa * k + sb];
-                    if owd < *cell {
-                        *cell = owd;
                     }
                 }
             }
@@ -401,38 +377,6 @@ mod tests {
         assert_eq!(table.horizon_for(0, &clocks), SimTime::from_secs_f64(1.010));
         // Shard 3's bound: min(1.0+0.030, 1.0+0.050, 2.0+0.050) = 1.030.
         assert_eq!(table.horizon_for(3, &clocks), SimTime::from_secs_f64(1.030));
-    }
-
-    #[test]
-    fn blocked_lookahead_matches_dense_semantics() {
-        // Two groups: intra 3 ms, cross 30/45 ms. Nodes 0,1 in group 0;
-        // nodes 2,3 in group 1. Shards split *within* group 0, so the
-        // shard-0↔shard-1 bound must use the intra-group diagonal (3 ms),
-        // while pairs separated along group lines see the cross path.
-        let mut t = Topology::blocked(2);
-        for i in 0..4 {
-            t.add_node_in_group(
-                NodeSpec::responsive(format!("n{i}")),
-                AccessLink::default(),
-                (i / 2) as u32,
-            );
-        }
-        t.set_group_path(0, 0, PathSpec::from_owd_ms(3.0, 0.0));
-        t.set_group_path(1, 1, PathSpec::from_owd_ms(3.0, 0.0));
-        t.set_group_path(0, 1, PathSpec::from_owd_ms(30.0, 0.0));
-        t.set_group_path(1, 0, PathSpec::from_owd_ms(45.0, 0.0));
-
-        // Shards along group lines: cross delays are the inter-group owds.
-        let map = ShardMap::from_assignment(vec![0, 0, 1, 1]).unwrap();
-        let table = map.lookahead(&t);
-        assert_eq!(table.cross_delay(0, 1), SimDuration::from_millis(30));
-        assert_eq!(table.cross_delay(1, 0), SimDuration::from_millis(45));
-
-        // Group 0 split across shards: the diagonal (intra) path governs.
-        let map = ShardMap::from_assignment(vec![0, 1, 1, 1]).unwrap();
-        let table = map.lookahead(&t);
-        assert_eq!(table.cross_delay(0, 1), SimDuration::from_millis(3));
-        assert_eq!(table.cross_delay(1, 0), SimDuration::from_millis(3));
     }
 
     #[test]

@@ -1,38 +1,26 @@
 //! Topology: the set of simulated hosts plus the path model between them.
 //!
-//! Two path representations share one [`Topology`] API:
+//! Nodes belong to *groups* (regions/ASes) and the path between two nodes
+//! is a function of their groups only: a `G × G` inter-group matrix whose
+//! diagonal holds the intra-group path, plus a zero-delay loopback. Path
+//! memory is O(n + G²), which is what makes million-node synthetic
+//! testbeds affordable.
 //!
-//! - **Dense** — an explicit `n × n` path matrix, the historical model.
-//!   Every ordered pair can carry its own [`PathSpec`]. Memory is O(n²),
-//!   which is fine up to a few thousand nodes.
-//! - **Blocked** — nodes belong to *groups* (regions/ASes) and the path
-//!   between two nodes is a function of their groups only: a `G × G`
-//!   inter-group matrix whose diagonal holds the intra-group path, plus a
-//!   zero-delay loopback. Memory is O(n + G²), which is what makes
-//!   million-node synthetic testbeds affordable.
-//!
-//! The two are deliberately *not* interconvertible at runtime: calling a
-//! per-pair mutator ([`Topology::set_path`]) on a blocked topology, or a
-//! group mutator on a dense one, panics with a clear message rather than
-//! silently densifying a million-node matrix.
+//! A node added with [`Topology::add_node`] is the only member of its own
+//! group, so [`Topology::set_path`] can give each ordered pair of such
+//! nodes its own [`PathSpec`] (the PlanetLab testbed's per-pair matrix).
+//! [`Topology::add_node_in_group`] shares a group, and a node that shares
+//! its group takes its paths from [`Topology::set_group_path`] only.
 
 use crate::link::{AccessLink, PathSpec};
 use crate::node::{NodeId, NodeSpec};
+use crate::time::SimDuration;
 
-/// Internal path storage: dense per-pair matrix or group-blocked matrix.
-#[derive(Debug, Clone)]
-enum PathTable {
-    /// Row-major `n × n` path matrix (entry `[a][b]` is the a→b path).
-    Dense(Vec<PathSpec>),
-    /// Group-blocked storage: `group_of[node]` indexes a row-major
-    /// `G × G` inter-group matrix whose diagonal is the intra-group path.
-    Blocked {
-        group_of: Vec<u32>,
-        inter: Vec<PathSpec>,
-        loopback: PathSpec,
-        num_groups: usize,
-    },
-}
+/// The path from a node to itself.
+const LOOPBACK: PathSpec = PathSpec {
+    one_way_delay: SimDuration::ZERO,
+    jitter: SimDuration::ZERO,
+};
 
 /// A complete simulated network: nodes, their access links, and wide-area
 /// paths between every ordered pair.
@@ -43,116 +31,70 @@ enum PathTable {
 pub struct Topology {
     nodes: Vec<NodeSpec>,
     access: Vec<AccessLink>,
-    paths: PathTable,
+    /// The group of each node.
+    group_of: Vec<u32>,
+    /// Members of each group; its length is the group count `G`.
+    group_size: Vec<u32>,
+    /// Row-major `G × G` path matrix (entry `[ga][gb]` is the ga→gb path).
+    inter: Vec<PathSpec>,
 }
 
 impl Topology {
-    /// Creates an empty dense topology.
+    /// Creates an empty topology with no groups.
     pub fn new() -> Self {
-        Topology {
-            nodes: Vec::new(),
-            access: Vec::new(),
-            paths: PathTable::Dense(Vec::new()),
-        }
+        Self::blocked(0)
     }
 
-    /// Creates an empty *blocked* topology with `num_groups` groups.
+    /// Creates an empty topology with `num_groups` groups.
     ///
     /// All inter- and intra-group paths start at [`PathSpec::default`];
     /// override them with [`Topology::set_group_path`]. Nodes are added
-    /// with [`Topology::add_node_in_group`]. Memory for paths is O(G²)
-    /// regardless of node count.
+    /// with [`Topology::add_node_in_group`].
     pub fn blocked(num_groups: usize) -> Self {
-        assert!(num_groups > 0, "a blocked topology needs at least 1 group");
         Topology {
             nodes: Vec::new(),
             access: Vec::new(),
-            paths: PathTable::Blocked {
-                group_of: Vec::new(),
-                inter: vec![PathSpec::default(); num_groups * num_groups],
-                loopback: PathSpec {
-                    one_way_delay: crate::time::SimDuration::ZERO,
-                    jitter: crate::time::SimDuration::ZERO,
-                },
-                num_groups,
-            },
+            group_of: Vec::new(),
+            group_size: vec![0; num_groups],
+            inter: vec![PathSpec::default(); num_groups * num_groups],
         }
     }
 
-    /// Adds a node with its access link; returns its id.
-    ///
-    /// Dense topologies only — the path matrix is re-extended with default
+    /// Adds a node with its access link, in a group of its own; returns
+    /// its id. The path matrix grows by one row and one column of default
     /// paths; callers typically add all nodes first and then fill paths
-    /// with [`Topology::set_path`]. Panics on a blocked topology (use
-    /// [`Topology::add_node_in_group`]).
+    /// with [`Topology::set_path`].
     pub fn add_node(&mut self, spec: NodeSpec, access: AccessLink) -> NodeId {
-        assert!(
-            matches!(self.paths, PathTable::Dense(_)),
-            "add_node on a blocked topology: use add_node_in_group"
-        );
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(spec);
-        self.access.push(access);
-        self.rebuild_paths();
-        id
+        let g = self.num_groups();
+        let mut inter = Vec::with_capacity((g + 1) * (g + 1));
+        for ga in 0..g {
+            inter.extend_from_slice(&self.inter[ga * g..(ga + 1) * g]);
+            inter.push(PathSpec::default());
+        }
+        inter.resize((g + 1) * (g + 1), PathSpec::default());
+        self.inter = inter;
+        self.group_size.push(0);
+        self.add_node_in_group(spec, access, g as u32)
     }
 
-    /// Adds a node to `group` of a blocked topology; returns its id.
-    ///
-    /// O(1): no path storage grows. Panics on a dense topology or when
-    /// `group` is out of range.
+    /// Adds a node to `group`; returns its id. O(1): no path storage
+    /// grows. Panics when `group` is out of range.
     pub fn add_node_in_group(&mut self, spec: NodeSpec, access: AccessLink, group: u32) -> NodeId {
-        let PathTable::Blocked {
-            group_of,
-            num_groups,
-            ..
-        } = &mut self.paths
-        else {
-            panic!("add_node_in_group on a dense topology: use add_node");
-        };
+        let g = self.num_groups();
         assert!(
-            (group as usize) < *num_groups,
-            "group {group} out of range (topology has {num_groups} groups)"
+            (group as usize) < g,
+            "group {group} out of range (topology has {g} groups)"
         );
         let id = NodeId(self.nodes.len() as u32);
-        group_of.push(group);
+        self.group_of.push(group);
+        self.group_size[group as usize] += 1;
         self.nodes.push(spec);
         self.access.push(access);
         id
     }
 
-    fn rebuild_paths(&mut self) {
-        let n = self.nodes.len();
-        let mut paths = Vec::with_capacity(n * n);
-        for a in 0..n {
-            for b in 0..n {
-                let existing = self.path_index(a, b);
-                if let Some(p) = existing {
-                    paths.push(p);
-                } else if a == b {
-                    paths.push(PathSpec {
-                        one_way_delay: crate::time::SimDuration::ZERO,
-                        jitter: crate::time::SimDuration::ZERO,
-                    });
-                } else {
-                    paths.push(PathSpec::default());
-                }
-            }
-        }
-        self.paths = PathTable::Dense(paths);
-    }
-
-    /// Fetches the previous matrix entry during a rebuild, if it existed.
-    fn path_index(&self, a: usize, b: usize) -> Option<PathSpec> {
-        let PathTable::Dense(paths) = &self.paths else {
-            return None;
-        };
-        let old_n = (paths.len() as f64).sqrt() as usize;
-        if a < old_n && b < old_n {
-            Some(paths[a * old_n + b].clone())
-        } else {
-            None
-        }
+    fn num_groups(&self) -> usize {
+        self.group_size.len()
     }
 
     /// Number of nodes.
@@ -182,33 +124,24 @@ impl Topology {
 
     /// The a→b wide-area path.
     pub fn path(&self, a: NodeId, b: NodeId) -> &PathSpec {
-        match &self.paths {
-            PathTable::Dense(paths) => &paths[a.index() * self.nodes.len() + b.index()],
-            PathTable::Blocked {
-                group_of,
-                inter,
-                loopback,
-                num_groups,
-            } => {
-                if a == b {
-                    loopback
-                } else {
-                    let ga = group_of[a.index()] as usize;
-                    let gb = group_of[b.index()] as usize;
-                    &inter[ga * num_groups + gb]
-                }
-            }
+        if a == b {
+            return &LOOPBACK;
         }
+        let ga = self.group_of[a.index()] as usize;
+        let gb = self.group_of[b.index()] as usize;
+        &self.inter[ga * self.num_groups() + gb]
     }
 
-    /// Overrides the a→b path (one direction only). Dense topologies only;
-    /// panics on a blocked topology (use [`Topology::set_group_path`]).
+    /// Overrides the a→b path (one direction only). Panics when either
+    /// node shares its group: its paths are its group's
+    /// ([`Topology::set_group_path`]).
     pub fn set_path(&mut self, a: NodeId, b: NodeId, path: PathSpec) {
-        let n = self.nodes.len();
-        let PathTable::Dense(paths) = &mut self.paths else {
-            panic!("set_path on a blocked topology: use set_group_path");
-        };
-        paths[a.index() * n + b.index()] = path;
+        let (ga, gb) = (self.group_of(a), self.group_of(b));
+        assert!(
+            self.group_size[ga as usize] == 1 && self.group_size[gb as usize] == 1,
+            "set_path on a node that shares its group: use set_group_path"
+        );
+        self.set_group_path(ga, gb, path);
     }
 
     /// Overrides both directions of the a↔b path with the same spec.
@@ -217,22 +150,15 @@ impl Topology {
         self.set_path(b, a, path);
     }
 
-    /// Overrides the `ga`→`gb` inter-group path of a blocked topology
-    /// (the `ga == gb` diagonal is the intra-group path). Panics on a
-    /// dense topology or out-of-range groups.
+    /// Overrides the `ga`→`gb` inter-group path (the `ga == gb` diagonal
+    /// is the intra-group path). Panics on out-of-range groups.
     pub fn set_group_path(&mut self, ga: u32, gb: u32, path: PathSpec) {
-        let PathTable::Blocked {
-            inter, num_groups, ..
-        } = &mut self.paths
-        else {
-            panic!("set_group_path on a dense topology: use set_path");
-        };
-        let g = *num_groups;
+        let g = self.num_groups();
         assert!(
             (ga as usize) < g && (gb as usize) < g,
             "group pair ({ga}, {gb}) out of range (topology has {g} groups)"
         );
-        inter[ga as usize * g + gb as usize] = path;
+        self.inter[ga as usize * g + gb as usize] = path;
     }
 
     /// Overrides both directions of the `ga`↔`gb` inter-group path.
@@ -241,34 +167,15 @@ impl Topology {
         self.set_group_path(gb, ga, path);
     }
 
-    /// The group of a node in a blocked topology; `None` on dense.
-    pub fn group_of(&self, id: NodeId) -> Option<u32> {
-        match &self.paths {
-            PathTable::Dense(_) => None,
-            PathTable::Blocked { group_of, .. } => Some(group_of[id.index()]),
-        }
+    /// The group of a node.
+    pub fn group_of(&self, id: NodeId) -> u32 {
+        self.group_of[id.index()]
     }
 
-    /// Blocked layout, if any: `(group_of, num_groups, inter)`. Lets the
-    /// shard lookahead build its table in O(n + S²G²) instead of O(n²).
-    pub(crate) fn blocked_layout(&self) -> Option<(&[u32], usize, &[PathSpec])> {
-        match &self.paths {
-            PathTable::Dense(_) => None,
-            PathTable::Blocked {
-                group_of,
-                inter,
-                num_groups,
-                ..
-            } => Some((group_of, *num_groups, inter)),
-        }
-    }
-
-    /// Looks a node up by hostname.
-    pub fn find_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| NodeId(i as u32))
+    /// The group layout: `(group_of, num_groups, inter)`. Lets the shard
+    /// lookahead sweep the group matrix instead of every node pair.
+    pub(crate) fn group_layout(&self) -> (&[u32], usize, &[PathSpec]) {
+        (&self.group_of, self.num_groups(), &self.inter)
     }
 }
 
@@ -333,15 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn find_by_name_works() {
-        let mut t = Topology::new();
-        t.add_node(NodeSpec::responsive("alpha"), AccessLink::default());
-        let beta = t.add_node(NodeSpec::responsive("beta"), AccessLink::default());
-        assert_eq!(t.find_by_name("beta"), Some(beta));
-        assert_eq!(t.find_by_name("gamma"), None);
-    }
-
-    #[test]
     fn node_ids_iterates_in_order() {
         let mut t = Topology::new();
         t.add_node(NodeSpec::responsive("a"), AccessLink::default());
@@ -363,8 +261,8 @@ mod tests {
         assert!((t.path(c, b).one_way_delay.as_secs_f64() - 0.040).abs() < 1e-9);
         // Loopback stays zero regardless of the intra-group path.
         assert_eq!(t.path(a, a).one_way_delay, SimDuration::ZERO);
-        assert_eq!(t.group_of(a), Some(0));
-        assert_eq!(t.group_of(c), Some(1));
+        assert_eq!(t.group_of(a), 0);
+        assert_eq!(t.group_of(c), 1);
     }
 
     #[test]
@@ -379,17 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn dense_topology_reports_no_groups() {
-        let mut t = Topology::new();
-        let a = t.add_node(NodeSpec::responsive("a"), AccessLink::default());
-        assert_eq!(t.group_of(a), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "use add_node_in_group")]
-    fn add_node_panics_on_blocked() {
+    fn add_node_gives_each_node_its_own_group() {
         let mut t = Topology::blocked(1);
-        t.add_node(NodeSpec::responsive("a"), AccessLink::default());
+        let a = t.add_node_in_group(NodeSpec::responsive("a"), AccessLink::default(), 0);
+        let b = t.add_node(NodeSpec::responsive("b"), AccessLink::default());
+        let c = t.add_node(NodeSpec::responsive("c"), AccessLink::default());
+        assert_eq!((t.group_of(a), t.group_of(b), t.group_of(c)), (0, 1, 2));
+        t.set_group_path_symmetric(0, 1, PathSpec::from_owd_ms(20.0, 0.0));
+        t.set_path(b, c, PathSpec::from_owd_ms(30.0, 0.0));
+        assert!((t.path(a, b).one_way_delay.as_secs_f64() - 0.02).abs() < 1e-9);
+        assert!((t.path(b, c).one_way_delay.as_secs_f64() - 0.03).abs() < 1e-9);
+        assert!((t.path(a, c).one_way_delay.as_secs_f64() - 0.01).abs() < 1e-9);
     }
 
     #[test]
@@ -402,11 +300,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use set_path")]
-    fn set_group_path_panics_on_dense() {
+    #[should_panic(expected = "shares its group")]
+    fn set_path_panics_when_a_node_shares_its_group() {
         let mut t = Topology::new();
-        t.add_node(NodeSpec::responsive("a"), AccessLink::default());
-        t.set_group_path(0, 0, PathSpec::default());
+        let a = t.add_node(NodeSpec::responsive("a"), AccessLink::default());
+        let b = t.add_node(NodeSpec::responsive("b"), AccessLink::default());
+        t.add_node_in_group(
+            NodeSpec::responsive("c"),
+            AccessLink::default(),
+            t.group_of(b),
+        );
+        t.set_path(a, b, PathSpec::default());
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! the `psim trace` command exports it as deterministic JSONL.
 //!
 //! Span-style begin/end pairs ([`TraceEventKind::SpanBegin`] /
-//! [`TraceEventKind::SpanEnd`]) let consumers reconstruct per-transfer and
-//! per-selection timelines with durations; [`Trace::spans`] does the
-//! pairing.
+//! [`TraceEventKind::SpanEnd`]) mark where each transfer, selection and
+//! task starts and stops in the exported history.
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 
 use crate::node::NodeId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// What kind of activity a span covers (used to pair begin/end events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -513,30 +512,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A reconstructed begin/end pair (or a begin that never closed).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// What the span covers.
-    pub kind: SpanKind,
-    /// The pairing key.
-    pub key: u128,
-    /// Node that opened the span.
-    pub node: NodeId,
-    /// When it began.
-    pub begin: SimTime,
-    /// When it ended (`None` = still open when the trace stopped).
-    pub end: Option<SimTime>,
-    /// Whether the spanned work succeeded (false while open).
-    pub ok: bool,
-}
-
-impl Span {
-    /// Begin→end duration, if closed.
-    pub fn duration(&self) -> Option<SimDuration> {
-        self.end.map(|e| e.duration_since(self.begin))
-    }
-}
-
 /// Bounded ring buffer of trace events.
 #[derive(Debug, Clone)]
 pub struct Trace {
@@ -614,37 +589,6 @@ impl Trace {
             out.push('\n');
         }
         out
-    }
-
-    /// Pairs [`TraceEventKind::SpanBegin`]/[`TraceEventKind::SpanEnd`]
-    /// events into [`Span`]s, in begin order. Unmatched ends are ignored;
-    /// unmatched begins stay open (`end: None`).
-    pub fn spans(&self) -> Vec<Span> {
-        let mut spans: Vec<Span> = Vec::new();
-        for e in &self.events {
-            match &e.kind {
-                TraceEventKind::SpanBegin { span, key } => spans.push(Span {
-                    kind: *span,
-                    key: *key,
-                    node: e.node,
-                    begin: e.time,
-                    end: None,
-                    ok: false,
-                }),
-                TraceEventKind::SpanEnd { span, key, ok } => {
-                    if let Some(open) = spans
-                        .iter_mut()
-                        .rev()
-                        .find(|s| s.kind == *span && s.key == *key && s.end.is_none())
-                    {
-                        open.end = Some(e.time);
-                        open.ok = *ok;
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans
     }
 
     /// Merges per-shard traces into one global history: events are stably

@@ -2,6 +2,7 @@
 //! in a child module.
 
 use super::*;
+use crate::time::SimDuration;
 
 fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
@@ -99,46 +100,6 @@ fn typed_events_render_their_fields() {
     assert!(lines[1].contains("\"costs\":[[1,0.5],[3,null]]"));
     assert!(lines[2].contains("\"part\":null"));
     assert!(lines[2].contains("\"attempt\":2"));
-}
-
-#[test]
-fn spans_pair_begin_and_end() {
-    let mut tr = Trace::with_capacity(16);
-    tr.record(
-        t(1),
-        NodeId(0),
-        TraceEventKind::SpanBegin {
-            span: SpanKind::Transfer,
-            key: 42,
-        },
-    );
-    tr.record(
-        t(2),
-        NodeId(0),
-        TraceEventKind::SpanBegin {
-            span: SpanKind::Task,
-            key: 42,
-        },
-    );
-    tr.record(
-        t(5),
-        NodeId(0),
-        TraceEventKind::SpanEnd {
-            span: SpanKind::Transfer,
-            key: 42,
-            ok: true,
-        },
-    );
-    let spans = tr.spans();
-    assert_eq!(spans.len(), 2);
-    let xfer = &spans[0];
-    assert_eq!(xfer.kind, SpanKind::Transfer);
-    assert!(xfer.ok);
-    assert_eq!(xfer.duration(), Some(SimDuration::from_secs(4)));
-    let task = &spans[1];
-    assert_eq!(task.kind, SpanKind::Task, "keys pair within a kind only");
-    assert_eq!(task.end, None);
-    assert_eq!(task.duration(), None);
 }
 
 #[test]

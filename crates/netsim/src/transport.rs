@@ -128,9 +128,9 @@ impl TransferTiming {
     }
 }
 
-/// The sender-side half of a cross-shard transfer plan (steps 1–4 of
-/// [`TransferPlanner::plan`]): everything decided on the sending shard.
-/// The receiving shard turns it into a delivery time with
+/// The sender-side half of a transfer plan (uplink FIFO, propagation,
+/// service, slow start): everything decided on the sending shard. The
+/// receiving shard turns it into a delivery time with
 /// [`TransferPlanner::admit_remote`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteSendPlan {
@@ -169,15 +169,6 @@ impl TransferPlanner {
     #[inline]
     pub fn config(&self) -> &TransportConfig {
         &self.config
-    }
-
-    /// Grows internal state when nodes are added after construction.
-    pub fn ensure_capacity(&mut self, n: usize) {
-        if self.up_busy_until.len() < n {
-            self.up_busy_until.resize(n, SimTime::ZERO);
-            self.down_busy_until.resize(n, SimTime::ZERO);
-            self.down_inflight.resize(n, Vec::new());
-        }
     }
 
     /// Combined loss probability of two access links in series.
@@ -231,6 +222,9 @@ impl TransferPlanner {
 
     /// Plans a transfer of `payload_bytes` from `from` to `to`, mutating the
     /// uplink/downlink busy horizons. `now` must be monotone per sender.
+    /// A remote transfer is its two halves back to back: the sending
+    /// shard's [`TransferPlanner::plan_remote_send`], then the receiving
+    /// shard's [`TransferPlanner::admit_remote`].
     pub fn plan(
         &mut self,
         topo: &Topology,
@@ -247,54 +241,16 @@ impl TransferPlanner {
                 deliver,
             };
         }
-        let size = (payload_bytes + self.config.per_message_overhead_bytes) as f64;
-
-        // 1. Uplink FIFO at the sender.
-        let up_bw = topo.access(from).up_bytes_per_sec.max(1.0);
-        let tx_start = now.max(self.up_busy_until[from.index()]);
-        let serialize = SimDuration::from_secs_f64(size / up_bw);
-        self.up_busy_until[from.index()] = tx_start + serialize;
-
-        // 2. Propagation with jitter.
-        let path = topo.path(from, to);
-        let latency = path.sample_latency(rng);
-        let first_byte = tx_start + latency;
-
-        // 3. Bottleneck service at the receiver (FIFO).
-        let thr = self.effective_throughput(topo, from, to, size);
-        let mut service = SimDuration::from_secs_f64(size / thr);
-
-        // 4. Slow-start penalty.
-        service += self.slow_start_penalty(path.rtt(), size);
-
-        let deliver = match self.config.receiver_discipline {
-            ReceiverDiscipline::Fifo => {
-                let service_start = first_byte.max(self.down_busy_until[to.index()]);
-                let deliver = service_start + service;
-                self.down_busy_until[to.index()] = deliver;
-                deliver
-            }
-            ReceiverDiscipline::ProcessorSharing => {
-                let inflight = &mut self.down_inflight[to.index()];
-                inflight.retain(|&done| done > first_byte);
-                let concurrency = inflight.len() as f64;
-                let deliver = first_byte + service.mul_f64(1.0 + concurrency);
-                inflight.push(deliver);
-                deliver
-            }
-        };
-
-        TransferTiming { tx_start, deliver }
+        let half = self.plan_remote_send(topo, now, from, to, payload_bytes, rng);
+        TransferTiming {
+            tx_start: half.tx_start,
+            deliver: self.admit_remote(to, half),
+        }
     }
 
-    /// Sender-side half of [`TransferPlanner::plan`] for a message that
-    /// crosses a shard boundary: uplink FIFO, propagation sample, and
-    /// bottleneck/slow-start service — everything that depends only on
-    /// sender-shard state and the sender's RNG stream. The receiver-side
-    /// queueing (step 5 of `plan`) is applied later by
-    /// [`TransferPlanner::admit_remote`] on the destination shard's
-    /// planner, with identical arithmetic, so a cross-shard transfer sees
-    /// exactly the same contention model as a local one.
+    /// Sender-side half of [`TransferPlanner::plan`]: uplink FIFO,
+    /// propagation sample, and bottleneck/slow-start service — everything
+    /// that depends only on sender-shard state and the sender's RNG stream.
     pub fn plan_remote_send(
         &mut self,
         topo: &Topology,
@@ -307,14 +263,13 @@ impl TransferPlanner {
         debug_assert_ne!(from, to, "loopback messages never cross shards");
         let size = (payload_bytes + self.config.per_message_overhead_bytes) as f64;
 
-        // 1. Uplink FIFO at the sender (sender-shard state).
+        // 1. Uplink FIFO at the sender.
         let up_bw = topo.access(from).up_bytes_per_sec.max(1.0);
         let tx_start = now.max(self.up_busy_until[from.index()]);
         let serialize = SimDuration::from_secs_f64(size / up_bw);
         self.up_busy_until[from.index()] = tx_start + serialize;
 
-        // 2. Propagation with jitter (sender-shard RNG; the draw order
-        //    matches `plan` exactly).
+        // 2. Propagation with jitter.
         let path = topo.path(from, to);
         let latency = path.sample_latency(rng);
         let first_byte = tx_start + latency;
@@ -333,16 +288,15 @@ impl TransferPlanner {
         }
     }
 
-    /// Receiver-side half of a cross-shard transfer: applies the
-    /// destination's queueing discipline (step 5 of
-    /// [`TransferPlanner::plan`], same arithmetic) to a sender-side plan
-    /// and returns the delivery time of the last byte.
-    pub fn admit_remote(
-        &mut self,
-        to: NodeId,
-        first_byte: SimTime,
-        service: SimDuration,
-    ) -> SimTime {
+    /// Receiver-side half of [`TransferPlanner::plan`]: applies the
+    /// destination's queueing discipline to a sender-side plan and returns
+    /// the delivery time of the last byte.
+    pub fn admit_remote(&mut self, to: NodeId, plan: RemoteSendPlan) -> SimTime {
+        let RemoteSendPlan {
+            first_byte,
+            service,
+            ..
+        } = plan;
         match self.config.receiver_discipline {
             ReceiverDiscipline::Fifo => {
                 let service_start = first_byte.max(self.down_busy_until[to.index()]);
@@ -531,19 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_capacity_grows() {
-        let mut p = TransferPlanner::new(TransportConfig::default(), 2);
-        p.ensure_capacity(5);
-        let mut t = Topology::new();
-        for i in 0..5 {
-            t.add_node(NodeSpec::responsive(format!("n{i}")), AccessLink::default());
-        }
-        let mut rng = SimRng::new(6);
-        // Planning on node 4 must not panic.
-        p.plan(&t, SimTime::ZERO, NodeId(0), NodeId(4), 100, &mut rng);
-    }
-
-    #[test]
     fn processor_sharing_starts_immediately_but_stretches() {
         let (t, a, b) = two_node_topo(8.0, 10.0, 0.0); // 1 MB/s
         let mut fifo = TransferPlanner::new(TransportConfig::ideal(), t.len());
@@ -593,48 +534,6 @@ mod tests {
         );
         assert_eq!(fa.deliver, pa.deliver);
         assert_eq!(fb.deliver, pb.deliver);
-    }
-
-    #[test]
-    fn remote_split_reproduces_plan_bit_for_bit() {
-        // The sharded engine times a cross-shard message in two halves:
-        // plan_remote_send on the sender's planner, admit_remote on the
-        // receiver's. Against a single planner fed the same RNG stream the
-        // composed result must equal `plan` exactly — including under
-        // uplink FIFO pressure, receiver contention, and jitter draws.
-        for discipline in [
-            ReceiverDiscipline::Fifo,
-            ReceiverDiscipline::ProcessorSharing,
-        ] {
-            let mut t = Topology::new();
-            let a = t.add_node(
-                NodeSpec::responsive("a"),
-                AccessLink::symmetric_mbps(50.0, 0.001),
-            );
-            let b = t.add_node(
-                NodeSpec::responsive("b"),
-                AccessLink::symmetric_mbps(20.0, 0.0),
-            );
-            t.set_path_symmetric(a, b, PathSpec::from_owd_ms(30.0, 0.4));
-            let cfg = TransportConfig {
-                receiver_discipline: discipline,
-                ..TransportConfig::default()
-            };
-            let mut whole = TransferPlanner::new(cfg.clone(), t.len());
-            let mut split = TransferPlanner::new(cfg, t.len());
-            let mut rng_whole = SimRng::new(99);
-            let mut rng_split = SimRng::new(99);
-            let mut now = SimTime::ZERO;
-            for i in 0..20u64 {
-                let bytes = 10_000 + i * 700_000;
-                let reference = whole.plan(&t, now, a, b, bytes, &mut rng_whole);
-                let half = split.plan_remote_send(&t, now, a, b, bytes, &mut rng_split);
-                let deliver = split.admit_remote(b, half.first_byte, half.service);
-                assert_eq!(half.tx_start, reference.tx_start, "msg {i}");
-                assert_eq!(deliver, reference.deliver, "msg {i}");
-                now += SimDuration::from_millis(17);
-            }
-        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use netsim::event::EventQueue;
 use netsim::link::{AccessLink, PathSpec};
 use netsim::metrics::RunningStat;
-use netsim::node::NodeSpec;
+use netsim::node::{NodeId, NodeSpec};
 use netsim::rng::{DelayDistribution, SimRng};
+use netsim::shard::ShardMap;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::Topology;
 use netsim::transport::{TransferPlanner, TransportConfig};
@@ -98,8 +99,8 @@ proptest! {
         let topo = two_node_topo(mbps, owd, 0.001);
         let p = TransferPlanner::new(TransportConfig::default(), topo.len());
         let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        let a = netsim::node::NodeId(0);
-        let b = netsim::node::NodeId(1);
+        let a = NodeId(0);
+        let b = NodeId(1);
         prop_assert!(p.estimate_uncontended(&topo, a, b, lo) <= p.estimate_uncontended(&topo, a, b, hi));
     }
 
@@ -111,8 +112,8 @@ proptest! {
         m2 in 1.0f64..500.0,
     ) {
         let (lo, hi) = if m1 <= m2 { (m1, m2) } else { (m2, m1) };
-        let a = netsim::node::NodeId(0);
-        let b = netsim::node::NodeId(1);
+        let a = NodeId(0);
+        let b = NodeId(1);
         let slow = TransferPlanner::new(TransportConfig::default(), 2)
             .estimate_uncontended(&two_node_topo(lo, 50.0, 0.0), a, b, size);
         let fast = TransferPlanner::new(TransportConfig::default(), 2)
@@ -124,8 +125,8 @@ proptest! {
     #[test]
     fn planner_is_deterministic(seed in any::<u64>(), sizes in prop::collection::vec(1u64..10_000_000, 1..20)) {
         let topo = two_node_topo(100.0, 40.0, 0.002);
-        let a = netsim::node::NodeId(0);
-        let b = netsim::node::NodeId(1);
+        let a = NodeId(0);
+        let b = NodeId(1);
         let run = |seed: u64| {
             let mut p = TransferPlanner::new(TransportConfig::default(), topo.len());
             let mut rng = SimRng::new(seed);
@@ -134,6 +135,62 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+
+    /// The shard lookahead is the smallest `topo.path(a, b)` one-way delay
+    /// over every cross-shard node pair, however the nodes joined: alone in
+    /// a group of their own (`add_node`, paths set per pair) or sharing one
+    /// of the topology's first groups (`add_node_in_group`).
+    #[test]
+    fn lookahead_is_the_all_pairs_minimum(
+        shared_groups in 1u32..4,
+        nodes in prop::collection::vec((0u32..6, 0usize..4), 1..14),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let mut owd = || PathSpec::from_owd_ms(1.0 + rng.below(100) as f64, 0.0);
+        let mut topo = Topology::blocked(shared_groups as usize);
+        for (i, &(group, _)) in nodes.iter().enumerate() {
+            let spec = NodeSpec::responsive(format!("n{i}"));
+            if group < shared_groups {
+                topo.add_node_in_group(spec, AccessLink::default(), group);
+            } else {
+                topo.add_node(spec, AccessLink::default());
+            }
+        }
+        let alone: Vec<NodeId> = topo.node_ids().filter(|&n| topo.group_of(n) >= shared_groups).collect();
+        for ga in 0..shared_groups {
+            for gb in 0..shared_groups + alone.len() as u32 {
+                topo.set_group_path(ga, gb, owd());
+                topo.set_group_path(gb, ga, owd());
+            }
+        }
+        for &a in &alone {
+            for &b in &alone {
+                topo.set_path(a, b, owd());
+            }
+        }
+        // Dense shard ids, in order of first appearance.
+        let mut seen: Vec<usize> = Vec::new();
+        let assignment: Vec<usize> = nodes.iter().map(|&(_, s)| {
+            if !seen.contains(&s) {
+                seen.push(s);
+            }
+            seen.iter().position(|&x| x == s).unwrap()
+        }).collect();
+        let map = ShardMap::from_assignment(assignment).unwrap();
+        let table = map.lookahead(&topo);
+        for s in 0..map.num_shards() {
+            for t in (0..map.num_shards()).filter(|&t| t != s) {
+                let mut want = SimDuration::MAX;
+                for a in map.nodes_of(s) {
+                    for b in map.nodes_of(t) {
+                        want = want.min(topo.path(a, b).one_way_delay);
+                    }
+                }
+                prop_assert_eq!(table.cross_delay(s, t), want, "shards {} -> {}", s, t);
+            }
+        }
     }
 
     /// RunningStat::merge is equivalent to observing sequentially.

@@ -266,11 +266,6 @@ impl Broker {
         }
     }
 
-    /// Number of currently open data pipes (one per live transfer).
-    pub fn open_pipe_count(&self) -> usize {
-        self.transfers.pipes.len()
-    }
-
     /// Number of registered peers.
     pub fn peer_count(&self) -> usize {
         self.registry.peer_count()

@@ -228,11 +228,6 @@ impl StreamingClient {
         self.peer_id
     }
 
-    /// Whether the whole stream has been played back.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     fn bump(&mut self, ctx: &mut Context<OverlayMsg>, which: fn(&StreamingCounters) -> MetricId) {
         self.bump_by(ctx, which, 1);
     }

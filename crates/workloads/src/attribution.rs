@@ -1,8 +1,9 @@
 //! Latency attribution: where each transfer's time actually went.
 //!
 //! The typed trace records every petition, part, confirm, retransmission
-//! and completion; this module replays those events per transfer and
-//! decomposes the end-to-end latency into **non-overlapping phases**:
+//! and completion; this module takes the per-transfer timelines that
+//! [`transfer_timelines`] replays from those events and decomposes each
+//! end-to-end latency into **non-overlapping phases**:
 //!
 //! * `broker_queue` — the transfer's command sat in the broker waiting
 //!   (e.g. for a peer to join) before the petition could go out;
@@ -28,7 +29,9 @@ use std::fmt::Write as _;
 use netsim::metrics::{Histogram, Metrics};
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::{Trace, TraceEventKind};
+use netsim::trace::Trace;
+
+use crate::report::{transfer_timelines, TransferTimeline};
 
 /// Number of attribution phases.
 pub const PHASE_COUNT: usize = 5;
@@ -145,21 +148,6 @@ impl TransferAttribution {
     }
 }
 
-/// Partial per-transfer state accumulated while walking the trace.
-struct Pending {
-    sender: NodeId,
-    to: NodeId,
-    bytes: u64,
-    enqueued_at: Option<SimTime>,
-    began_at: SimTime,
-    acked_at: Option<SimTime>,
-    /// First accepted confirm per part index.
-    confirms: HashMap<u32, SimTime>,
-    /// `(time, part)` of every retransmission, in trace order.
-    retrans: Vec<(SimTime, Option<u32>)>,
-    ended: Option<(SimTime, bool)>,
-}
-
 /// One milestone-bounded stage of a transfer.
 struct Stage {
     end: SimTime,
@@ -192,116 +180,28 @@ fn split_stage(
     phases[productive.index()] += end.duration_since(last);
 }
 
-/// Reconstructs and attributes every **closed** transfer in the trace, in
-/// the order transfers first appear. Open transfers (no
-/// `transfer_completed` event) are skipped: their phases cannot be
-/// finalized.
+/// Attributes every **closed** transfer in the trace, in the order
+/// transfers first appear. Open transfers (no `transfer_completed` event)
+/// are skipped: their phases cannot be finalized.
 pub fn attribute_trace(trace: &Trace) -> Vec<TransferAttribution> {
-    let mut order: Vec<u128> = Vec::new();
-    let mut by_id: HashMap<u128, Pending> = HashMap::new();
-    for ev in trace.events() {
-        match &ev.kind {
-            TraceEventKind::TransferQueued {
-                transfer,
-                enqueued_at,
-            } => {
-                // Arrives just before the petition event; stash it for the
-                // record created there.
-                by_id
-                    .entry(*transfer)
-                    .or_insert_with(|| {
-                        order.push(*transfer);
-                        Pending {
-                            sender: ev.node,
-                            to: ev.node,
-                            bytes: 0,
-                            enqueued_at: None,
-                            began_at: ev.time,
-                            acked_at: None,
-                            confirms: HashMap::new(),
-                            retrans: Vec::new(),
-                            ended: None,
-                        }
-                    })
-                    .enqueued_at = Some(*enqueued_at);
-            }
-            TraceEventKind::PetitionSent {
-                transfer,
-                to,
-                bytes,
-                ..
-            } => {
-                let p = by_id.entry(*transfer).or_insert_with(|| {
-                    order.push(*transfer);
-                    Pending {
-                        sender: ev.node,
-                        to: *to,
-                        bytes: *bytes,
-                        enqueued_at: None,
-                        began_at: ev.time,
-                        acked_at: None,
-                        confirms: HashMap::new(),
-                        retrans: Vec::new(),
-                        ended: None,
-                    }
-                });
-                p.to = *to;
-                p.bytes = *bytes;
-                p.began_at = ev.time;
-            }
-            TraceEventKind::PetitionAcked { transfer, .. } => {
-                if let Some(p) = by_id.get_mut(transfer) {
-                    if p.acked_at.is_none() {
-                        p.acked_at = Some(ev.time);
-                    }
-                }
-            }
-            TraceEventKind::PartConfirmed {
-                transfer,
-                index,
-                accepted: true,
-            } => {
-                if let Some(p) = by_id.get_mut(transfer) {
-                    p.confirms.entry(*index).or_insert(ev.time);
-                }
-            }
-            TraceEventKind::Retransmission { transfer, part, .. } => {
-                if let Some(p) = by_id.get_mut(transfer) {
-                    p.retrans.push((ev.time, *part));
-                }
-            }
-            TraceEventKind::TransferCompleted { transfer, ok } => {
-                if let Some(p) = by_id.get_mut(transfer) {
-                    if p.ended.is_none() {
-                        p.ended = Some((ev.time, *ok));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    order
-        .into_iter()
-        .filter_map(|id| {
-            let p = by_id.remove(&id)?;
-            let (ended_at, ok) = p.ended?;
-            Some(finalize(id, p, ended_at, ok))
-        })
+    transfer_timelines(trace)
+        .iter()
+        .filter_map(attribute)
         .collect()
 }
 
-fn finalize(id: u128, p: Pending, ended_at: SimTime, ok: bool) -> TransferAttribution {
-    let enqueued_at = p.enqueued_at.unwrap_or(p.began_at).min(p.began_at);
+fn attribute(t: &TransferTimeline) -> Option<TransferAttribution> {
+    let (ended_at, ok) = t.ended_at.zip(t.ok)?;
+    let enqueued_at = t.enqueued_at.unwrap_or(t.began_at).min(t.began_at);
     let mut phases = [SimDuration::ZERO; PHASE_COUNT];
-    phases[Phase::BrokerQueue.index()] = p.began_at.duration_since(enqueued_at);
+    phases[Phase::BrokerQueue.index()] = t.began_at.duration_since(enqueued_at);
 
     // Build the stage chain: petition (if acked), then the contiguous run
     // of confirmed parts — stop-and-wait sends part i+1 at the instant of
     // confirm i, so these milestones are the exact window boundaries.
     let mut stages: Vec<Stage> = Vec::new();
-    let mut cursor = p.began_at;
-    if let Some(acked_at) = p.acked_at {
+    let mut cursor = t.began_at;
+    if let Some((acked_at, _)) = t.acked {
         let end = acked_at.max(cursor).min(ended_at);
         stages.push(Stage {
             end,
@@ -309,8 +209,14 @@ fn finalize(id: u128, p: Pending, ended_at: SimTime, ok: bool) -> TransferAttrib
             part: None,
         });
         cursor = end;
+        let confirm_of = |index: u32| {
+            t.parts
+                .iter()
+                .find(|p| p.index == index)
+                .and_then(|p| p.confirmed_at)
+        };
         let mut index = 0u32;
-        while let Some(&confirm) = p.confirms.get(&index) {
+        while let Some(confirm) = confirm_of(index) {
             let end = confirm.max(cursor).min(ended_at);
             stages.push(Stage {
                 end,
@@ -327,17 +233,17 @@ fn finalize(id: u128, p: Pending, ended_at: SimTime, ok: bool) -> TransferAttrib
     // fall into the cancelled tail.
     let staged: Vec<Option<u32>> = stages.iter().map(|s| s.part).collect();
     let in_tail = |part: &Option<u32>| match part {
-        None => p.acked_at.is_none(),
+        None => t.acked.is_none(),
         Some(_) => !staged.contains(part),
     };
 
-    let mut start = p.began_at;
+    let mut start = t.began_at;
     for stage in &stages {
-        let probes: Vec<SimTime> = p
-            .retrans
+        let probes: Vec<SimTime> = t
+            .retransmissions
             .iter()
             .filter(|(_, part)| *part == stage.part)
-            .map(|(t, _)| *t)
+            .map(|&(at, _)| at)
             .collect();
         split_stage(&mut phases, start, stage.end, stage.productive, &probes);
         start = stage.end;
@@ -345,11 +251,11 @@ fn finalize(id: u128, p: Pending, ended_at: SimTime, ok: bool) -> TransferAttrib
     // The tail: milestone chain end → close. Zero-width for clean
     // completions (the last confirm *is* the completion); for cancelled
     // transfers this is the watchdog's dead wait.
-    let tail_probes: Vec<SimTime> = p
-        .retrans
+    let tail_probes: Vec<SimTime> = t
+        .retransmissions
         .iter()
         .filter(|(_, part)| in_tail(part))
-        .map(|(t, _)| *t)
+        .map(|&(at, _)| at)
         .collect();
     split_stage(
         &mut phases,
@@ -359,18 +265,18 @@ fn finalize(id: u128, p: Pending, ended_at: SimTime, ok: bool) -> TransferAttrib
         &tail_probes,
     );
 
-    TransferAttribution {
-        transfer: id,
-        sender: p.sender,
-        to: p.to,
-        bytes: p.bytes,
+    Some(TransferAttribution {
+        transfer: t.transfer,
+        sender: t.sender,
+        to: t.to,
+        bytes: t.bytes,
         enqueued_at,
-        began_at: p.began_at,
+        began_at: t.began_at,
         ended_at,
         ok,
-        retransmissions: p.retrans.len() as u32,
+        retransmissions: t.retransmissions.len() as u32,
         phases,
-    }
+    })
 }
 
 /// Per-peer phase aggregate over many attributed transfers.
@@ -535,7 +441,7 @@ pub fn render_phase_table(breakdowns: &[PhaseBreakdown]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::trace::Trace;
+    use netsim::trace::TraceEventKind;
 
     fn t(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
@@ -577,11 +483,29 @@ mod tests {
         );
         rec(
             &mut tr,
+            5.0,
+            TraceEventKind::PartSent {
+                transfer: 42,
+                index: 0,
+                bytes: 100,
+            },
+        );
+        rec(
+            &mut tr,
             6.0,
             TraceEventKind::PartConfirmed {
                 transfer: 42,
                 index: 0,
                 accepted: true,
+            },
+        );
+        rec(
+            &mut tr,
+            6.0,
+            TraceEventKind::PartSent {
+                transfer: 42,
+                index: 1,
+                bytes: 100,
             },
         );
         // Part 1 goes silent: probe fires at 8 s, second probe at 9 s,

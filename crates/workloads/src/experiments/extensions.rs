@@ -410,40 +410,6 @@ pub mod profiles {
         tasks.iter().filter(|t| t.success).count() as f64 / tasks.len().max(1) as f64
     }
 
-    /// Debug helper: (success_rate, chosen names) for one transfer campaign.
-    pub fn transfer_campaign_debug(which: &'static str, seed: u64) -> (f64, Vec<String>) {
-        let mut cfg = profiled_config(which);
-        for r in 0..ROUNDS {
-            cfg.commands.push((
-                SimDuration::from_secs(1800 + 45 * r),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::Selected,
-                    size_bytes: 4 * MB,
-                    num_parts: 4,
-                    label: format!("camp-{r}"),
-                },
-            ));
-        }
-        let result = run_scenario(&cfg, seed);
-        let xfers: Vec<_> = result
-            .run
-            .log
-            .transfers
-            .iter()
-            .filter(|t| t.label.starts_with("camp-"))
-            .collect();
-        let rate = xfers.iter().filter(|t| t.completed_at.is_some()).count() as f64
-            / xfers.len().max(1) as f64;
-        let picks = result
-            .run
-            .log
-            .selections
-            .iter()
-            .map(|s| s.chosen_name.to_string())
-            .collect();
-        (rate, picks)
-    }
-
     /// Runs the full matrix and renders it.
     pub fn run(spec: &ExperimentSpec) -> FigureReport {
         let profiles = ["file-oriented", "task-oriented", "same-priority"];

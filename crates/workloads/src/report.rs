@@ -176,7 +176,7 @@ pub struct PartTimeline {
 }
 
 /// One transfer's life, reconstructed from the typed trace
-/// (`petition_sent` → parts → `transfer_completed`).
+/// (`transfer_queued` → `petition_sent` → parts → `transfer_completed`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferTimeline {
     /// Raw transfer id (matches the `xfer` JSONL field).
@@ -189,18 +189,22 @@ pub struct TransferTimeline {
     pub bytes: u64,
     /// Announced part count.
     pub num_parts: u32,
+    /// When the transfer's command was first runnable, if the broker
+    /// deferred the petition past it.
+    pub enqueued_at: Option<SimTime>,
     /// When the petition was sent.
     pub began_at: SimTime,
-    /// First petition-ack verdict seen, if any.
-    pub acked: Option<bool>,
+    /// First petition ack: when it arrived, and its verdict.
+    pub acked: Option<(SimTime, bool)>,
     /// When the transfer closed (complete or cancelled).
     pub ended_at: Option<SimTime>,
     /// Whether it completed successfully (`None` while open).
     pub ok: Option<bool>,
     /// Per-part milestones, in first-send order.
     pub parts: Vec<PartTimeline>,
-    /// Retransmissions attributed to this transfer.
-    pub retransmissions: u32,
+    /// `(time, part)` of every retransmission attributed to this transfer,
+    /// in trace order; part `None` is the petition.
+    pub retransmissions: Vec<(SimTime, Option<u32>)>,
 }
 
 impl TransferTimeline {
@@ -227,8 +231,14 @@ pub fn transfer_timelines(trace: &Trace) -> Vec<TransferTimeline> {
     let mut order: Vec<u128> = Vec::new();
     let mut by_id: std::collections::HashMap<u128, TransferTimeline> =
         std::collections::HashMap::new();
+    // A `transfer_queued` event immediately precedes its petition.
+    let mut queued: Option<(u128, SimTime)> = None;
     for ev in trace.events() {
         match &ev.kind {
+            TraceEventKind::TransferQueued {
+                transfer,
+                enqueued_at,
+            } => queued = Some((*transfer, *enqueued_at)),
             TraceEventKind::PetitionSent {
                 transfer,
                 to,
@@ -243,19 +253,20 @@ pub fn transfer_timelines(trace: &Trace) -> Vec<TransferTimeline> {
                         to: *to,
                         bytes: *bytes,
                         num_parts: *parts,
+                        enqueued_at: queued.filter(|&(id, _)| id == *transfer).map(|(_, at)| at),
                         began_at: ev.time,
                         acked: None,
                         ended_at: None,
                         ok: None,
                         parts: Vec::new(),
-                        retransmissions: 0,
+                        retransmissions: Vec::new(),
                     }
                 });
             }
             TraceEventKind::PetitionAcked { transfer, accepted } => {
                 if let Some(t) = by_id.get_mut(transfer) {
                     if t.acked.is_none() {
-                        t.acked = Some(*accepted);
+                        t.acked = Some((ev.time, *accepted));
                     }
                 }
             }
@@ -288,9 +299,9 @@ pub fn transfer_timelines(trace: &Trace) -> Vec<TransferTimeline> {
                     }
                 }
             }
-            TraceEventKind::Retransmission { transfer, .. } => {
+            TraceEventKind::Retransmission { transfer, part, .. } => {
                 if let Some(t) = by_id.get_mut(transfer) {
-                    t.retransmissions += 1;
+                    t.retransmissions.push((ev.time, *part));
                 }
             }
             TraceEventKind::TransferCompleted { transfer, ok } => {
@@ -331,7 +342,7 @@ pub fn render_timelines(timelines: &[TransferTimeline]) -> String {
             t.to.0,
             t.bytes,
             t.parts.len(),
-            t.retransmissions,
+            t.retransmissions.len(),
             fmt_opt(t.duration_secs()),
             fmt_opt(t.last_part_secs()),
             t.ok.map(|ok| ok.to_string()).unwrap_or_else(|| "-".into()),
@@ -679,9 +690,9 @@ mod tests {
         let tl = &tls[0];
         assert_eq!(tl.transfer, 42);
         assert_eq!(tl.to, NodeId(3));
-        assert_eq!(tl.acked, Some(true));
+        assert_eq!(tl.acked, Some((t(1.5), true)));
         assert_eq!(tl.ok, Some(true));
-        assert_eq!(tl.retransmissions, 1);
+        assert_eq!(tl.retransmissions, vec![(t(4.0), Some(1))]);
         assert_eq!(tl.parts.len(), 2);
         // Part 1 keeps its first send (t=2.0) and its first accepted
         // confirm (t=4.5); the rejected duplicate at t=5.0 is ignored.

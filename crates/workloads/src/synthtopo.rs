@@ -272,10 +272,10 @@ mod tests {
         assert_eq!(built.topo.len(), cfg.num_nodes());
         for r in 0..5 {
             assert_eq!(built.brokers[r], cfg.broker_of(r));
-            assert_eq!(built.topo.group_of(cfg.broker_of(r)), Some(r as u32));
+            assert_eq!(built.topo.group_of(cfg.broker_of(r)), r as u32);
             for node in cfg.peer_nodes(r) {
                 assert_eq!(cfg.region_of(node), r);
-                assert_eq!(built.topo.group_of(node), Some(r as u32));
+                assert_eq!(built.topo.group_of(node), r as u32);
             }
         }
     }

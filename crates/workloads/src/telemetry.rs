@@ -2,7 +2,7 @@
 //!
 //! The recorders built here define the *one* schema each workload's
 //! deterministic series artifact uses, so `psim profile`, the property
-//! tests, and the CI `profile-determinism` job all diff byte-identical
+//! tests, and the CI `workload-determinism` matrix all diff byte-identical
 //! CSV for a fixed `(config, seed, num_shards)` — at any worker count.
 //!
 //! Column conventions:

@@ -9,9 +9,9 @@ use workloads::synthtopo::SynthTopoConfig;
 use crate::{workload_artifact_or_exit, Flags};
 
 /// Builds the [`ChurnConfig`] `psim churn` and `psim profile churn` share
-/// from the common flag set (`--regions`, `--peers`, `--horizon-secs`,
-/// `--num-shards`).
-pub(crate) fn churn_config(flags: &Flags) -> ChurnConfig {
+/// from the common flag set (`--regions`, `--peers`, `--horizon-secs`)
+/// and the shard count each command reads from its own flag.
+pub(crate) fn churn_config(flags: &Flags, num_shards: usize) -> ChurnConfig {
     let regions = flags.at_least("regions", 1);
     ChurnConfig {
         topo: SynthTopoConfig {
@@ -20,7 +20,7 @@ pub(crate) fn churn_config(flags: &Flags) -> ChurnConfig {
             ..SynthTopoConfig::default()
         },
         horizon: netsim::time::SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
-        num_shards: flags.usize("num-shards"),
+        num_shards,
         trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..ChurnConfig::default()
     }
@@ -28,7 +28,7 @@ pub(crate) fn churn_config(flags: &Flags) -> ChurnConfig {
 
 /// `psim churn`: one churn run, plus the population movement on stderr.
 pub(crate) fn cmd_churn(flags: &Flags) {
-    let cfg = churn_config(flags);
+    let cfg = churn_config(flags, flags.usize("num-shards"));
     let run = workload_artifact_or_exit(flags, cfg.harness(), &ChurnWorkload { cfg: &cfg });
     let swap = SwapDynamics::from_metrics(&run.metrics);
     eprintln!(

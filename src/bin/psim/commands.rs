@@ -240,12 +240,6 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 help: "virtual-time horizon in seconds",
             },
             FlagDef {
-                name: "num-shards",
-                takes_value: true,
-                default: Some("4"),
-                help: "shard domains for the churn workload",
-            },
-            FlagDef {
                 name: "interval-secs",
                 takes_value: true,
                 default: Some("60"),
@@ -270,7 +264,12 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 help: "write the wall-clock summary JSON to FILE",
             },
             SEED,
-            SHARDS,
+            FlagDef {
+                name: "shards",
+                takes_value: true,
+                default: None,
+                help: "shard domains (default: 4 for churn, 1 for a scenario)",
+            },
             SHARD_WORKERS,
         ],
         help: "telemetry run -> series CSV + Prometheus exposition on stdout",

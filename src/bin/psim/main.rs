@@ -75,6 +75,15 @@ impl Flags {
         self.parse(name)
     }
 
+    /// A flag without a table default: its value, or `default` when absent.
+    fn usize_or(&self, name: &str, default: usize) -> usize {
+        if self.has(name) {
+            self.usize(name)
+        } else {
+            default
+        }
+    }
+
     /// A count or duration that must be at least `min`: anything smaller
     /// is a usage error, not a value to clamp into something the user did
     /// not ask for.
@@ -571,7 +580,7 @@ fn cmd_multiregion(flags: &Flags) {
 /// scenario takes the shard count, its harness the worker count, and the
 /// harness refuses either when zero. Any worker count yields
 /// byte-identical output for a fixed shard count and seed — the CI
-/// shard-determinism job diffs exactly that.
+/// `workload-determinism` matrix diffs exactly that.
 fn named_scenario_or_exit(flags: &Flags) -> (ScenarioConfig, WorkloadBuilder) {
     let valid = named_scenario_list().join(", ");
     let Some(name) = flags.positional.as_deref() else {
@@ -583,7 +592,7 @@ fn named_scenario_or_exit(flags: &Flags) -> (ScenarioConfig, WorkloadBuilder) {
         std::process::exit(2);
     };
     let cfg = ScenarioConfig {
-        shards: flags.usize("shards"),
+        shards: flags.usize_or("shards", cfg.shards),
         ..cfg
     };
     let harness = cfg.harness().shard_workers(flags.usize("shard-workers"));

@@ -7,7 +7,7 @@
 //! * **stdout** — the series CSV followed by the Prometheus exposition
 //!   of the final merged metrics. Both are keyed only by virtual time
 //!   and shard-ordered merges, so the bytes are identical at any
-//!   `--shard-workers`; the CI `profile-determinism` job diffs exactly
+//!   `--shard-workers`; the CI `workload-determinism` matrix diffs exactly
 //!   this stream at 1 vs 4 workers.
 //! * **`--series-csv` / `--chrome-trace`** — the same series CSV and a
 //!   Chrome `trace_event` JSON of the barrier-round schedule (sim-time
@@ -66,7 +66,10 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
         // The profiler measures the engine and the registry, not the
         // trace ring, so tracing stays off.
         trace_capacity: None,
-        ..churn_config(flags)
+        ..churn_config(
+            flags,
+            flags.usize_or("shards", ChurnConfig::default().num_shards),
+        )
     };
     let run = cfg
         .harness()

@@ -111,6 +111,34 @@ fn profile_without_out_writes_no_file() {
     assert!(left_behind.is_empty(), "files left in cwd: {left_behind:?}");
 }
 
+/// `--shards` is `profile`'s one shard flag, read by the churn path too;
+/// `--num-shards` is not a `profile` flag.
+#[test]
+fn profile_churn_takes_its_shard_count_from_shards() {
+    let out_file =
+        std::env::temp_dir().join(format!("psim-cli-{}-shards.json", std::process::id()));
+    let out = psim(&[
+        "profile",
+        "churn",
+        "--shards",
+        "2",
+        "--peers",
+        "40",
+        "--horizon-secs",
+        "60",
+        "--out",
+        out_file.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(out.status.success(), "profile churn failed: {out:?}");
+    let json = std::fs::read_to_string(&out_file).expect("summary written");
+    std::fs::remove_file(&out_file).ok();
+    assert!(json.contains("\"num_shards\": 2,"), "{json}");
+
+    let out = psim(&["profile", "smoke", "--num-shards", "2"]);
+    assert_eq!(out.status.code(), Some(2), "--num-shards must be unknown");
+    assert!(out.stdout.is_empty());
+}
+
 /// The harness commands hand a bad `--num-shards` / `--shard-workers` to
 /// the harness's own validation instead of clamping it: exit 2, nothing
 /// on stdout, and the scenario commands follow the same rule.
@@ -138,7 +166,7 @@ fn zero_or_oversized_parallelism_is_a_usage_error() {
         ));
     }
     cases.push((
-        vec!["profile", "churn", "--peers", "40", "--num-shards", "0"],
+        vec!["profile", "churn", "--peers", "40", "--shards", "0"],
         "num_shards 0 cannot partition",
     ));
     cases.push((
