@@ -7,8 +7,7 @@
 //! state may have changed. We provide ε-greedy and UCB1, both learning
 //! purely from [`SelectionOutcome`] feedback.
 
-use std::collections::HashMap;
-
+use netsim::idmap::IdMap;
 use netsim::node::NodeId;
 use netsim::rng::SimRng;
 use overlay::selector::{PeerSelector, SelectionOutcome, SelectionRequest};
@@ -41,7 +40,7 @@ fn beats(incumbent: f64, challenger: f64) -> bool {
 pub struct EpsilonGreedySelector {
     epsilon: f64,
     rng: SimRng,
-    means: HashMap<NodeId, (f64, u64)>, // (mean reward, pulls)
+    means: IdMap<NodeId, (f64, u64)>, // (mean reward, pulls)
 }
 
 impl EpsilonGreedySelector {
@@ -50,7 +49,7 @@ impl EpsilonGreedySelector {
         EpsilonGreedySelector {
             epsilon: epsilon.clamp(0.0, 1.0),
             rng: SimRng::new(seed),
-            means: HashMap::new(),
+            means: IdMap::default(),
         }
     }
 
@@ -101,7 +100,7 @@ impl PeerSelector for EpsilonGreedySelector {
 pub struct Ucb1Selector {
     exploration: f64,
     total_pulls: u64,
-    arms: HashMap<NodeId, (f64, u64)>,
+    arms: IdMap<NodeId, (f64, u64)>,
     /// Normalizer so rewards land roughly in [0, 1] (UCB1's assumption).
     reward_scale: f64,
 }
@@ -114,17 +113,21 @@ impl Ucb1Selector {
         Ucb1Selector {
             exploration,
             total_pulls: 0,
-            arms: HashMap::new(),
+            arms: IdMap::default(),
             reward_scale: reward_scale.max(1e-9),
         }
     }
 
-    fn ucb(&self, node: NodeId) -> f64 {
+    /// `ln t`, the same for every arm of one selection.
+    fn ln_pulls(&self) -> f64 {
+        (self.total_pulls.max(1) as f64).ln()
+    }
+
+    fn ucb(&self, ln_pulls: f64, node: NodeId) -> f64 {
         match self.arms.get(&node) {
             None => f64::INFINITY, // untried arms first
             Some((mean, pulls)) => {
-                let t = (self.total_pulls.max(1)) as f64;
-                mean / self.reward_scale + self.exploration * (t.ln() / *pulls as f64).sqrt()
+                mean / self.reward_scale + self.exploration * (ln_pulls / *pulls as f64).sqrt()
             }
         }
     }
@@ -139,9 +142,10 @@ impl PeerSelector for Ucb1Selector {
         if req.candidates.is_empty() {
             return None;
         }
+        let ln_pulls = self.ln_pulls();
         let mut best = (0, f64::NAN);
         for (i, c) in req.candidates.iter().enumerate() {
-            let ucb = self.ucb(c.node);
+            let ucb = self.ucb(ln_pulls, c.node);
             if !beats(best.1, ucb) {
                 best = (i, ucb);
             }
@@ -304,14 +308,23 @@ mod tests {
             .map(|(i, _)| i)
     }
 
-    /// UCB1 as it was: `ucb()` evaluated for both sides of every
-    /// `max_by` comparison.
+    /// UCB1 as it was: `ln t` and the arm's bound computed afresh for
+    /// both sides of every `max_by` comparison.
     fn ucb1_two_probe(s: &Ucb1Selector, c: &[CandidateView]) -> Option<usize> {
+        let ucb = |node| {
+            let t = s.total_pulls.max(1) as f64;
+            match s.arms.get(&node) {
+                None => f64::INFINITY,
+                Some((mean, pulls)) => {
+                    mean / s.reward_scale + s.exploration * (t.ln() / *pulls as f64).sqrt()
+                }
+            }
+        };
         c.iter()
             .enumerate()
             .max_by(|(_, a), (_, b)| {
-                s.ucb(a.node)
-                    .partial_cmp(&s.ucb(b.node))
+                ucb(a.node)
+                    .partial_cmp(&ucb(b.node))
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .map(|(i, _)| i)

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use crate::event::{EventHandle, EventQueue};
 use crate::metrics::{MetricId, Metrics, StatId};
 use crate::node::NodeId;
+use crate::owners::Owners;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimeSeriesRecorder;
@@ -96,15 +97,6 @@ pub(crate) struct RemoteEnvelope<M> {
     pub(crate) src_index: u64,
 }
 
-/// Shard membership of an engine acting as one shard of a
-/// [`crate::parallel::ShardedEngine`]: the fixed node→shard assignment and
-/// the outbox of boundary-crossing messages produced since the last drain.
-struct ShardState<M> {
-    assignment: Arc<Vec<usize>>,
-    shard_id: usize,
-    outbox: Vec<RemoteEnvelope<M>>,
-}
-
 /// Why [`Engine::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -149,6 +141,10 @@ struct EngineCore<M> {
     queue: EventQueue<Ev<M>>,
     clock: SimTime,
     planner: TransferPlanner,
+    /// The run's node → owner table; this engine runs the nodes of `shard`.
+    owners: Owners,
+    shard: u32,
+    /// The RNG stream of each owned node, by slot.
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     /// Timers scheduled but not yet fired or cancelled; its high-water mark
@@ -160,9 +156,9 @@ struct EngineCore<M> {
     trace: Trace,
     stop_requested: bool,
     current: NodeId,
-    /// `Some` only when this engine is one shard of a sharded run; `None`
-    /// keeps the serial engine on its original, bit-identical path.
-    shard: Option<ShardState<M>>,
+    /// Boundary-crossing messages produced since the last drain; always
+    /// empty on an engine that owns every node.
+    outbox: Vec<RemoteEnvelope<M>>,
     /// Deliveries due after this instant are never stored, since nothing
     /// past it ever pops: a sharded run's horizon, `FAR_FUTURE` on the
     /// serial engine (which may be run again, further). Timers are always
@@ -174,6 +170,18 @@ struct EngineCore<M> {
 }
 
 impl<M: Payload> EngineCore<M> {
+    /// Where this engine keeps `node`'s state, if it owns `node`.
+    fn owned_slot(&self, node: NodeId) -> Option<usize> {
+        let owner = self.owners.of(node);
+        (owner.shard == self.shard).then_some(owner.slot as usize)
+    }
+
+    /// The RNG stream of the node whose handler is running.
+    fn current_rng(&mut self) -> &mut SimRng {
+        let slot = self.owners.of(self.current).slot as usize;
+        &mut self.node_rngs[slot]
+    }
+
     /// Finishes a send whose delivery time is known on the shard that
     /// owns `to`: samples `net.delivery_secs`, records `MessageSent` and
     /// schedules the delivery.
@@ -252,7 +260,7 @@ impl<'a, M: Payload> Context<'a, M> {
 
     /// This node's private random stream.
     pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.core.node_rngs[self.core.current.index()]
+        self.core.current_rng()
     }
 
     /// Sends `msg` to `to`. Delivery is scheduled through the transport
@@ -280,11 +288,9 @@ impl<'a, M: Payload> Context<'a, M> {
         }
         self.core.metrics.incr_id(self.core.ids.messages_sent, 1);
         self.core.metrics.incr_id(self.core.ids.bytes_sent, size);
-        if let Some(shard) = &self.core.shard {
-            if shard.assignment[to.index()] != shard.shard_id {
-                self.send_remote(to, size, msg);
-                return;
-            }
+        if self.core.owners.of(to).shard != self.core.shard {
+            self.send_remote(to, size, msg);
+            return;
         }
         let now = self.core.clock;
         let mut timing =
@@ -324,22 +330,17 @@ impl<'a, M: Payload> Context<'a, M> {
             &mut self.core.net_rng,
         );
         let service = self.sample_service(to, &msg);
-        let shard = self
-            .core
-            .shard
-            .as_mut()
-            .expect("send_remote requires shard state");
-        let src_index = shard.outbox.len() as u64;
-        shard.outbox.push(RemoteEnvelope {
+        let core = &mut *self.core;
+        core.outbox.push(RemoteEnvelope {
             to,
             from,
             msg,
             bytes: size,
-            sent_at: self.core.clock,
+            sent_at: core.clock,
             plan,
             service_extra: SimDuration::from_secs_f64(service),
-            src_shard: shard.shard_id,
-            src_index,
+            src_shard: core.shard as usize,
+            src_index: core.outbox.len() as u64,
         });
     }
 
@@ -399,7 +400,7 @@ impl<'a, M: Payload> Context<'a, M> {
         let node = self.core.current;
         let now = self.core.clock;
         let cpu = self.core.topo.node(node).cpu.clone();
-        cpu.execution_time_at(work_gops, now, &mut self.core.node_rngs[node.index()])
+        cpu.execution_time_at(work_gops, now, self.core.current_rng())
     }
 
     /// Uncontended estimate of shipping `bytes` from this node to `to`
@@ -439,6 +440,7 @@ impl<'a, M: Payload> Context<'a, M> {
 /// The simulation engine: topology + planner + actors + event loop.
 pub struct Engine<M: Payload> {
     core: EngineCore<M>,
+    /// The actor of each owned node, by slot.
     actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
     started: bool,
     event_limit: u64,
@@ -457,29 +459,46 @@ impl<M: Payload> Engine<M> {
     /// builds one engine per shard over the *same* million-node topology;
     /// sharing the `Arc` keeps that O(n) total instead of O(n × shards).
     pub fn new_shared(topo: Arc<Topology>, config: TransportConfig, seed: u64) -> Self {
-        let n = topo.len();
+        let owners = Owners::single(topo.len());
+        Self::for_shard(topo, config, seed, owners, 0)
+    }
+
+    /// An engine running, and holding per-node state for, the nodes `owners`
+    /// gives to `shard`. A node's stream is `master.split(node)` under any
+    /// partition; timer ids start at `shard << 48` (cosmetic: merged traces).
+    pub(crate) fn for_shard(
+        topo: Arc<Topology>,
+        config: TransportConfig,
+        seed: u64,
+        owners: Owners,
+        shard: u32,
+    ) -> Self {
         let master = SimRng::new(seed);
-        let node_rngs = (0..n).map(|i| master.split(i as u64)).collect();
+        let node_rngs: Vec<SimRng> = (owners.nodes_of(shard))
+            .map(|node| master.split(node.index() as u64))
+            .collect();
         let net_rng = master.split(u64::MAX);
-        let actors = (0..n).map(|_| None).collect();
+        let actors = (0..node_rngs.len()).map(|_| None).collect();
         let mut metrics = Metrics::new();
         let ids = HotIds::resolve(&mut metrics);
         Engine {
             core: EngineCore {
-                planner: TransferPlanner::new(config, n),
+                planner: TransferPlanner::new(config, topo.len()),
                 topo,
                 queue: EventQueue::new(),
                 clock: SimTime::ZERO,
+                owners,
+                shard,
                 node_rngs,
                 net_rng,
                 timers_pending: 0,
-                next_timer: 0,
+                next_timer: u64::from(shard) << 48,
                 ids,
                 metrics,
                 trace: Trace::disabled(),
                 stop_requested: false,
                 current: NodeId(0),
-                shard: None,
+                outbox: Vec::new(),
                 cutoff: SimTime::FAR_FUTURE,
                 beyond: None,
             },
@@ -495,7 +514,8 @@ impl<M: Payload> Engine<M> {
     /// before the first run step. Actors must be `Send` so a sharded run
     /// can execute shards on worker threads.
     pub fn register(&mut self, node: NodeId, actor: Box<dyn Actor<M> + Send>) {
-        self.actors[node.index()] = Some(actor);
+        let slot = self.core.owned_slot(node).expect("an owned node");
+        self.actors[slot] = Some(actor);
     }
 
     /// Enables tracing with the given ring capacity.
@@ -531,7 +551,8 @@ impl<M: Payload> Engine<M> {
     /// Applies `f` to the actor installed for `node`, if any (for post-run
     /// inspection).
     pub fn with_actor<R>(&self, node: NodeId, f: impl FnOnce(&dyn Actor<M>) -> R) -> Option<R> {
-        self.actors[node.index()].as_deref().map(|a| f(a))
+        let slot = self.core.owned_slot(node)?;
+        self.actors[slot].as_deref().map(|a| f(a))
     }
 
     /// Runs `on_start` hooks now (idempotent). A sharded run starts every
@@ -541,9 +562,10 @@ impl<M: Payload> Engine<M> {
             return;
         }
         self.started = true;
-        for i in 0..self.actors.len() {
-            if let Some(actor) = &mut self.actors[i] {
-                self.core.current = NodeId(i as u32);
+        let owners = self.core.owners.clone();
+        for (actor, node) in self.actors.iter_mut().zip(owners.nodes_of(self.core.shard)) {
+            if let Some(actor) = actor {
+                self.core.current = node;
                 actor.on_start(&mut Context {
                     core: &mut self.core,
                 });
@@ -555,6 +577,18 @@ impl<M: Payload> Engine<M> {
     /// cancelled.
     pub fn pending_timer_count(&self) -> usize {
         self.core.timers_pending
+    }
+
+    /// Lengths of the per-node tables this engine holds: RNG streams, actor
+    /// slots, and the planner's in-flight lists.
+    #[cfg(test)]
+    pub(crate) fn node_table_lens(&self) -> [usize; 3] {
+        let core = &self.core;
+        [
+            core.node_rngs.len(),
+            self.actors.len(),
+            core.planner.inflight_lists(),
+        ]
     }
 
     /// Total events processed so far across all run calls.
@@ -594,17 +628,6 @@ impl<M: Payload> Engine<M> {
         outcome
     }
 
-    /// Marks this engine as shard `shard_id` of a sharded run: sends to
-    /// nodes owned by other shards divert into the shard outbox instead of
-    /// the local queue.
-    pub(crate) fn set_shard(&mut self, assignment: Arc<Vec<usize>>, shard_id: usize) {
-        self.core.shard = Some(ShardState {
-            assignment,
-            shard_id,
-            outbox: Vec::new(),
-        });
-    }
-
     /// Makes the first run's `horizon` the cutoff: no delivery due after
     /// it is stored. Panics if a later run would pass it, since the
     /// deliveries left unstored would be missing.
@@ -618,18 +641,9 @@ impl<M: Payload> Engine<M> {
         );
     }
 
-    /// Offsets timer-id allocation so shards mint non-overlapping ids
-    /// (purely cosmetic for merged traces; ids never cross shards).
-    pub(crate) fn set_timer_base(&mut self, base: u64) {
-        self.core.next_timer = base;
-    }
-
     /// Drains the cross-shard outbox accumulated since the last call.
     pub(crate) fn take_outbox(&mut self) -> Vec<RemoteEnvelope<M>> {
-        match &mut self.core.shard {
-            Some(shard) => std::mem::take(&mut shard.outbox),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut self.core.outbox)
     }
 
     /// Whether an actor requested a stop.
@@ -720,7 +734,8 @@ impl<M: Payload> Engine<M> {
                             },
                         );
                     }
-                    if let Some(actor) = &mut self.actors[to.index()] {
+                    let slot = self.core.owners.of(to).slot as usize;
+                    if let Some(actor) = &mut self.actors[slot] {
                         self.core.current = to;
                         actor.on_message(
                             &mut Context {
@@ -744,7 +759,8 @@ impl<M: Payload> Engine<M> {
                             TraceEventKind::TimerFired { timer: id, tag },
                         );
                     }
-                    if let Some(actor) = &mut self.actors[node.index()] {
+                    let slot = self.core.owners.of(node).slot as usize;
+                    if let Some(actor) = &mut self.actors[slot] {
                         self.core.current = node;
                         let timer = TimerId { id, handle };
                         actor.on_timer(

@@ -461,3 +461,18 @@ fn context_estimates_and_names() {
     e.register(a, Box::new(Probe { peer: b, est: None }));
     e.run();
 }
+
+#[test]
+fn a_pending_delivery_of_a_48_byte_message_costs_at_most_88_bytes() {
+    /// The size and alignment `OverlayMsg` is held to.
+    #[derive(Debug)]
+    struct Wide([u128; 3]);
+    impl Payload for Wide {
+        fn wire_size(&self) -> u64 {
+            size_of_val(&self.0) as u64
+        }
+    }
+    assert_eq!((size_of::<Wide>(), align_of::<Wide>()), (48, 16));
+    let bytes = EventQueue::<Ev<Wide>>::BYTES_PER_PENDING;
+    assert!(bytes <= 88, "{bytes} B per pending delivery");
+}

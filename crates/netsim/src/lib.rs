@@ -63,6 +63,7 @@ pub mod idmap;
 pub mod link;
 pub mod metrics;
 pub mod node;
+mod owners;
 pub mod parallel;
 pub mod profile;
 pub mod rng;

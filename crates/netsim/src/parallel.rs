@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use crate::engine::{Actor, Engine, Payload, RemoteEnvelope, RunOutcome};
 use crate::metrics::Metrics;
 use crate::node::NodeId;
+use crate::owners::Owners;
 use crate::profile::{ExecutionProfile, ShardRound};
 use crate::shard::{shard_seed, LookaheadTable, ShardMap};
 use crate::time::{SimDuration, SimTime};
@@ -175,15 +176,17 @@ impl<M: Payload + Send> ShardedEngine<M> {
         if table.min_cross_delay() == Some(SimDuration::ZERO) {
             return Err(ParallelError::ZeroLookahead);
         }
-        let assignment = Arc::new(map.assignment().to_vec());
+        let owners = Owners::from_assignment(map.assignment());
         let topo = Arc::new(topo);
         let mut engines = Vec::with_capacity(map.num_shards());
         let lone = map.num_shards() == 1;
-        for s in 0..map.num_shards() as u64 {
-            let seed = if lone { seed } else { shard_seed(seed, s) };
-            let mut e = Engine::new_shared(topo.clone(), config.clone(), seed);
-            e.set_shard(assignment.clone(), s as usize);
-            e.set_timer_base(s << 48);
+        for s in 0..map.num_shards() as u32 {
+            let seed = if lone {
+                seed
+            } else {
+                shard_seed(seed, s.into())
+            };
+            let e = Engine::for_shard(topo.clone(), config.clone(), seed, owners.clone(), s);
             engines.push(Some(e));
         }
         Ok(ShardedEngine {

@@ -4,6 +4,7 @@ use super::*;
 use crate::engine::{Context, ServiceClass};
 use crate::link::{AccessLink, PathSpec};
 use crate::node::NodeSpec;
+use crate::rng::SimRng;
 
 #[derive(Debug, Clone)]
 struct Token(u32);
@@ -114,6 +115,57 @@ fn sharded_run_is_worker_count_invariant() {
         assert_eq!(n, n1, "event count differs at {w} workers");
     }
     assert!(*n1 > 0, "the workload must actually run");
+}
+
+#[test]
+fn each_shard_holds_per_node_state_for_its_own_nodes_only() {
+    // An uneven map: shard 0 owns two nodes, shard 1 the other four.
+    let map = ShardMap::from_assignment(vec![1, 0, 1, 1, 0, 1]).unwrap();
+    let e = ShardedEngine::<Token>::new(two_region_topo(), TransportConfig::default(), 3, map, 1)
+        .unwrap();
+    // RNG streams, actor slots; FIFO receivers keep no in-flight lists.
+    assert_eq!(e.engine(0).node_table_lens(), [2, 2, 0]);
+    assert_eq!(e.engine(1).node_table_lens(), [4, 4, 0]);
+    let lone = ShardMap::single(6);
+    let e = ShardedEngine::<Token>::new(two_region_topo(), TransportConfig::default(), 3, lone, 1)
+        .unwrap();
+    assert_eq!(e.engine(0).node_table_lens(), [6, 6, 0]);
+}
+
+/// Checks at start that it runs as its own node, on that node's stream.
+struct Owned {
+    node: NodeId,
+    first_draw: u64,
+}
+
+impl Actor<Token> for Owned {
+    fn on_start(&mut self, ctx: &mut Context<Token>) {
+        assert_eq!(ctx.self_id(), self.node);
+        assert_eq!(ctx.rng().next_u64_raw(), self.first_draw, "{:?}", self.node);
+        let metrics = ctx.metrics();
+        let id = metrics.counter_id("test.started");
+        metrics.incr_id(id, 1);
+    }
+    fn on_message(&mut self, _: &mut Context<Token>, _: NodeId, _: Token) {}
+}
+
+#[test]
+fn an_uneven_map_runs_every_node_on_its_owner_and_its_own_stream() {
+    let assignment = vec![1, 0, 1, 1, 0, 1];
+    let map = ShardMap::from_assignment(assignment.clone()).unwrap();
+    let mut e =
+        ShardedEngine::new(two_region_topo(), TransportConfig::default(), 3, map, 2).unwrap();
+    for (node, shard) in (0..6).map(NodeId).zip(assignment) {
+        let stream = SimRng::new(shard_seed(3, shard as u64)).split(node.index() as u64);
+        let first_draw = stream.clone().next_u64_raw();
+        e.register(node, Box::new(Owned { node, first_draw }));
+    }
+    assert_eq!(
+        e.run_until(SimTime::from_secs_f64(1.0)),
+        RunOutcome::QueueEmpty
+    );
+    assert_eq!(e.metrics().counter("test.started"), 6);
+    assert!((0..6).all(|i| e.with_actor(NodeId(i), |_| ()).is_some()));
 }
 
 #[test]

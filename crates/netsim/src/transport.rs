@@ -144,11 +144,18 @@ pub struct RemoteSendPlan {
 }
 
 /// Stateful planner: owns per-node uplink/downlink busy horizons.
+///
+/// A shard's planner is only ever asked about the nodes its shard owns, so
+/// its tables cost memory only where it writes: the horizons are allocated
+/// zeroed (untouched pages stay unmapped), and the in-flight lists exist
+/// only under processor sharing, the one discipline that reads them.
 #[derive(Debug, Clone)]
 pub struct TransferPlanner {
     config: TransportConfig,
-    up_busy_until: Vec<SimTime>,
-    down_busy_until: Vec<SimTime>,
+    /// Per sender: nanoseconds until which its uplink is busy.
+    up_busy_until: Vec<u64>,
+    /// Per receiver: nanoseconds until which its downlink is busy (FIFO).
+    down_busy_until: Vec<u64>,
     /// Completion times of in-flight transfers per receiver
     /// (processor-sharing mode only; pruned lazily).
     down_inflight: Vec<Vec<SimTime>>,
@@ -157,11 +164,17 @@ pub struct TransferPlanner {
 impl TransferPlanner {
     /// Creates a planner for a topology of `n` nodes.
     pub fn new(config: TransportConfig, n: usize) -> Self {
+        let down_inflight = match config.receiver_discipline {
+            ReceiverDiscipline::Fifo => Vec::new(),
+            ReceiverDiscipline::ProcessorSharing => vec![Vec::new(); n],
+        };
         TransferPlanner {
             config,
-            up_busy_until: vec![SimTime::ZERO; n],
-            down_busy_until: vec![SimTime::ZERO; n],
-            down_inflight: vec![Vec::new(); n],
+            // Nanoseconds, not `SimTime`: `vec![0u64; n]` is a zeroed
+            // allocation, while `vec![SimTime::ZERO; n]` writes every element.
+            up_busy_until: vec![0; n],
+            down_busy_until: vec![0; n],
+            down_inflight,
         }
     }
 
@@ -169,6 +182,12 @@ impl TransferPlanner {
     #[inline]
     pub fn config(&self) -> &TransportConfig {
         &self.config
+    }
+
+    /// Number of per-receiver in-flight lists held.
+    #[cfg(test)]
+    pub(crate) fn inflight_lists(&self) -> usize {
+        self.down_inflight.len()
     }
 
     /// Combined loss probability of two access links in series.
@@ -265,9 +284,10 @@ impl TransferPlanner {
 
         // 1. Uplink FIFO at the sender.
         let up_bw = topo.access(from).up_bytes_per_sec.max(1.0);
-        let tx_start = now.max(self.up_busy_until[from.index()]);
+        let up_busy = &mut self.up_busy_until[from.index()];
+        let tx_start = now.max(SimTime::from_nanos(*up_busy));
         let serialize = SimDuration::from_secs_f64(size / up_bw);
-        self.up_busy_until[from.index()] = tx_start + serialize;
+        *up_busy = (tx_start + serialize).as_nanos();
 
         // 2. Propagation with jitter.
         let path = topo.path(from, to);
@@ -299,9 +319,9 @@ impl TransferPlanner {
         } = plan;
         match self.config.receiver_discipline {
             ReceiverDiscipline::Fifo => {
-                let service_start = first_byte.max(self.down_busy_until[to.index()]);
-                let deliver = service_start + service;
-                self.down_busy_until[to.index()] = deliver;
+                let down_busy = &mut self.down_busy_until[to.index()];
+                let deliver = first_byte.max(SimTime::from_nanos(*down_busy)) + service;
+                *down_busy = deliver.as_nanos();
                 deliver
             }
             ReceiverDiscipline::ProcessorSharing => {

@@ -419,7 +419,7 @@ impl Actor<OverlayMsg> for Broker {
             return;
         }
         match msg {
-            OverlayMsg::Join(adv) => self.on_join(ctx, from, adv),
+            OverlayMsg::Join(adv) => self.on_join(ctx, from, *adv),
             OverlayMsg::Leave { peer } => self.on_leave(ctx, peer),
             OverlayMsg::DiscoverPeers => self.on_discover_peers(ctx, from),
             OverlayMsg::StatsReport { peer, snapshot } => self.on_stats_report(ctx, peer, snapshot),
@@ -440,7 +440,7 @@ impl Actor<OverlayMsg> for Broker {
                 exec_secs,
             } => self.on_task_result(ctx, task, success, exec_secs),
             OverlayMsg::PublishContent(adv) if self.registry.has_peer(adv.owner) => {
-                self.on_publish_content(ctx, from, adv)
+                self.on_publish_content(ctx, from, *adv)
             }
             OverlayMsg::DiscoverContent { pattern } => self.on_discover_content(ctx, from, pattern),
             OverlayMsg::FileRequest { requester, name } => {
@@ -452,36 +452,14 @@ impl Actor<OverlayMsg> for Broker {
                 bytes,
                 ..
             } => self.on_transfer_report(ctx, from, ok, elapsed_secs, bytes),
-            OverlayMsg::JobSubmit {
-                submitter,
-                work_gops,
-                input_bytes,
-                input_parts,
-                label,
-            } => self.on_job_submit(ctx, submitter, work_gops, input_bytes, input_parts, label),
+            OverlayMsg::JobSubmit(job) => self.on_job_submit(ctx, *job),
             OverlayMsg::BrokerGossip {
                 from_broker,
                 sent_at,
                 recipients,
                 roster,
             } => self.on_broker_gossip(ctx, from_broker, sent_at, recipients, roster),
-            OverlayMsg::PetitionForward {
-                origin,
-                hops_left,
-                size_bytes,
-                num_parts,
-                label,
-                enqueued_at,
-            } => self.on_petition_forward(
-                ctx,
-                from,
-                origin,
-                hops_left,
-                size_bytes,
-                num_parts,
-                label,
-                enqueued_at,
-            ),
+            OverlayMsg::PetitionForward(fwd) => self.on_petition_forward(ctx, from, *fwd),
             OverlayMsg::Ping { nonce, sent_at } => {
                 ctx.send(from, OverlayMsg::Pong { nonce, sent_at });
             }

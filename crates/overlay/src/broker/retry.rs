@@ -182,7 +182,7 @@ impl Broker {
         }
         match probe.kind {
             RetryKind::Petition => {
-                let file = outbound.file.clone();
+                let file = Box::new(outbound.file.clone());
                 let num_parts = outbound.num_parts();
                 let sent_at = outbound.petition_sent_at;
                 ctx.send(

@@ -12,7 +12,7 @@ use netsim::node::NodeId;
 use netsim::time::SimTime;
 use netsim::trace::TraceEventKind;
 
-use crate::message::OverlayMsg;
+use crate::message::{ForwardedPetition, OverlayMsg};
 use crate::records::RecordSink;
 use crate::records::SelectionRecord;
 use crate::selector::{PeerSelector, Purpose, Roster, SelectionOutcome, SelectionRequest};
@@ -200,14 +200,14 @@ impl Broker {
         ctx.trace_event(TraceEventKind::PetitionForwarded { to, hops_left });
         ctx.send(
             to,
-            OverlayMsg::PetitionForward {
+            OverlayMsg::PetitionForward(Box::new(ForwardedPetition {
                 origin,
                 hops_left,
                 size_bytes,
                 num_parts,
                 label: label.to_string(),
                 enqueued_at,
-            },
+            })),
         );
         self.bump(ctx, |c| c.petitions_forwarded);
         true
@@ -217,18 +217,20 @@ impl Broker {
     /// selection finds a candidate, otherwise pass it along while hop
     /// budget remains. The origin's enqueue instant rides along, so the
     /// eventual transfer's petition latency includes every hop.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_petition_forward(
         &mut self,
         ctx: &mut Context<OverlayMsg>,
         from: NodeId,
-        origin: NodeId,
-        hops_left: u32,
-        size_bytes: u64,
-        num_parts: u32,
-        label: String,
-        enqueued_at: SimTime,
+        fwd: ForwardedPetition,
     ) {
+        let ForwardedPetition {
+            origin,
+            hops_left,
+            size_bytes,
+            num_parts,
+            label,
+            enqueued_at,
+        } = fwd;
         // A broker that forwards work is alive by definition.
         self.registry.note_broker_alive(from, ctx.now());
         self.bump(ctx, |c| c.forwards_received);

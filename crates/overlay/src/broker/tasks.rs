@@ -7,8 +7,8 @@ use netsim::engine::Context;
 use netsim::node::NodeId;
 use netsim::time::SimTime;
 
-use crate::id::{PeerId, TaskId, TransferId};
-use crate::message::OverlayMsg;
+use crate::id::{TaskId, TransferId};
+use crate::message::{JobSubmission, OverlayMsg};
 use crate::records::{JobRecord, TaskRecord};
 use crate::selector::{Purpose, SelectionOutcome};
 use crate::task::{TaskPhase, TaskSpec, TaskTracking};
@@ -60,7 +60,7 @@ impl Broker {
         ctx.send(
             node,
             OverlayMsg::TaskOffer {
-                task: spec,
+                task: Box::new(spec),
                 sent_at: now,
             },
         );
@@ -263,15 +263,14 @@ impl Broker {
         self.maybe_stop(ctx);
     }
 
-    pub(crate) fn on_job_submit(
-        &mut self,
-        ctx: &mut Context<OverlayMsg>,
-        submitter: PeerId,
-        work_gops: f64,
-        input_bytes: u64,
-        input_parts: u32,
-        label: String,
-    ) {
+    pub(crate) fn on_job_submit(&mut self, ctx: &mut Context<OverlayMsg>, job: JobSubmission) {
+        let JobSubmission {
+            submitter,
+            work_gops,
+            input_bytes,
+            input_parts,
+            label,
+        } = job;
         let now = ctx.now();
         let Some(submitter_node) = self.registry.node_of(submitter) else {
             return;

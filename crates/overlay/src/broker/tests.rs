@@ -687,7 +687,7 @@ impl Actor<OverlayMsg> for Scripted {
 }
 
 fn join_of(ids: &mut IdGenerator, node: NodeId, name: &str) -> OverlayMsg {
-    OverlayMsg::Join(crate::advertisement::PeerAdvertisement {
+    OverlayMsg::Join(Box::new(crate::advertisement::PeerAdvertisement {
         peer: crate::id::PeerId::generate(ids),
         node,
         name: name.to_string(),
@@ -695,7 +695,7 @@ fn join_of(ids: &mut IdGenerator, node: NodeId, name: &str) -> OverlayMsg {
         accepts_tasks: true,
         published: SimTime::ZERO,
         lifetime: crate::advertisement::DEFAULT_LIFETIME,
-    })
+    }))
 }
 
 #[test]

@@ -175,7 +175,7 @@ impl Actor<OverlayMsg> for DoubleConfirmClient {
             published: ctx.now(),
             lifetime: crate::advertisement::DEFAULT_LIFETIME,
         };
-        ctx.send(self.broker, OverlayMsg::Join(adv));
+        ctx.send(self.broker, OverlayMsg::Join(Box::new(adv)));
     }
 
     fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {

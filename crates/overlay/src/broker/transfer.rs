@@ -120,7 +120,7 @@ impl Broker {
             to,
             OverlayMsg::FilePetition {
                 transfer: id,
-                file,
+                file: Box::new(file),
                 num_parts: actual_parts,
                 sent_at: now,
             },
@@ -371,11 +371,11 @@ impl Broker {
             owner_node,
             OverlayMsg::TransferInstruction {
                 to_node: requester_node,
-                file: FileMeta {
+                file: Box::new(FileMeta {
                     content: holding.content,
                     name,
                     size_bytes: holding.size,
-                },
+                }),
                 num_parts: self.cfg.request_parts,
             },
         );

@@ -21,7 +21,7 @@ use netsim::trace::{SpanKind, TraceEventKind};
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement, DEFAULT_LIFETIME};
 use crate::filetransfer::{InboundTransfer, OutboundTransfer, PartReceipt};
 use crate::id::{ContentId, IdGenerator, PeerId, TaskId, TransferId};
-use crate::message::OverlayMsg;
+use crate::message::{JobSubmission, OverlayMsg};
 use crate::records::RecordSink;
 use crate::sendflow::SenderFlow;
 use crate::stats::PeerStats;
@@ -225,13 +225,13 @@ impl SimpleClient {
             } => {
                 ctx.send(
                     self.cfg.broker,
-                    OverlayMsg::JobSubmit {
+                    OverlayMsg::JobSubmit(Box::new(JobSubmission {
                         submitter: self.peer_id,
                         work_gops,
                         input_bytes,
                         input_parts,
                         label,
-                    },
+                    })),
                 );
             }
             ClientCommand::Instant { to, text } => {
@@ -252,7 +252,7 @@ impl SimpleClient {
                         published: ctx.now(),
                         lifetime: DEFAULT_LIFETIME,
                     };
-                    ctx.send(self.cfg.broker, OverlayMsg::Join(adv));
+                    ctx.send(self.cfg.broker, OverlayMsg::Join(Box::new(adv)));
                 }
             }
         }
@@ -271,7 +271,7 @@ impl Actor<OverlayMsg> for SimpleClient {
             published: ctx.now(),
             lifetime: DEFAULT_LIFETIME,
         };
-        ctx.send(self.cfg.broker, OverlayMsg::Join(adv));
+        ctx.send(self.cfg.broker, OverlayMsg::Join(Box::new(adv)));
         ctx.schedule_timer(self.cfg.stats_interval, STATS_TIMER_TAG);
         let commands = std::mem::take(&mut self.cfg.commands);
         for (i, (delay, _)) in commands.iter().enumerate() {
@@ -296,7 +296,7 @@ impl Actor<OverlayMsg> for SimpleClient {
                         published: now,
                         lifetime: DEFAULT_LIFETIME,
                     };
-                    ctx.send(self.cfg.broker, OverlayMsg::PublishContent(adv));
+                    ctx.send(self.cfg.broker, OverlayMsg::PublishContent(Box::new(adv)));
                 }
             }
             OverlayMsg::FilePetition {
@@ -392,7 +392,7 @@ impl Actor<OverlayMsg> for SimpleClient {
                 num_parts,
             } => {
                 let id = TransferId::generate(&mut self.ids);
-                let outbound = OutboundTransfer::new(id, file.clone(), to_node, num_parts, now);
+                let outbound = OutboundTransfer::new(id, (*file).clone(), to_node, num_parts, now);
                 let actual_parts = outbound.num_parts();
                 let to_name = std::sync::Arc::from(ctx.node_name(to_node));
                 self.outbound.begin(outbound, to_name, now);

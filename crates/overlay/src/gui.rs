@@ -13,7 +13,7 @@ use netsim::node::NodeId;
 use netsim::time::SimDuration;
 
 use crate::client::{ClientConfig, SimpleClient};
-use crate::message::OverlayMsg;
+use crate::message::{JobSubmission, OverlayMsg};
 
 /// What the simulated user does, with relative likelihoods.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,13 +148,13 @@ impl GuiClient {
             let label = format!("gui-job-{}", self.job_counter);
             ctx.send(
                 self.broker,
-                OverlayMsg::JobSubmit {
+                OverlayMsg::JobSubmit(Box::new(JobSubmission {
                     submitter,
                     work_gops: self.behavior.job_work_gops,
                     input_bytes: 0,
                     input_parts: 1,
                     label,
-                },
+                })),
             );
         }
     }

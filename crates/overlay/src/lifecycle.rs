@@ -290,7 +290,7 @@ impl LifecyclePeer {
             published: ctx.now(),
             lifetime: DEFAULT_LIFETIME,
         };
-        ctx.send(self.broker(), OverlayMsg::Join(adv));
+        ctx.send(self.broker(), OverlayMsg::Join(Box::new(adv)));
         self.state = LifecycleState::Identified;
     }
 

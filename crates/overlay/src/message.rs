@@ -19,14 +19,14 @@ use crate::task::TaskSpec;
 
 /// Every message exchanged on the overlay.
 ///
-/// Every queued event carries one of these by value, so the enum is kept
-/// small: a variant over 80 B is boxed (`overlay_msg_stays_small` fails
-/// otherwise).
+/// Every queued event carries one of these by value, so the enum is held
+/// to 48 B, the tag's word and 40 B: a variant's fields beyond 32 B and
+/// that word are boxed (`overlay_msg_stays_small` fails otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OverlayMsg {
     // ---- membership & discovery -------------------------------------
     /// Client → broker: join the overlay with a peer advertisement.
-    Join(PeerAdvertisement),
+    Join(Box<PeerAdvertisement>),
     /// Broker → client: membership confirmed, with the assigned peergroup.
     JoinAck {
         /// The group the peer was placed in.
@@ -81,7 +81,7 @@ pub enum OverlayMsg {
         /// Transfer session.
         transfer: TransferId,
         /// File metadata.
-        file: FileMeta,
+        file: Box<FileMeta>,
         /// Number of parts the file is split into.
         num_parts: u32,
         /// When the petition left the sender (for petition-time measurement).
@@ -127,7 +127,7 @@ pub enum OverlayMsg {
 
     // ---- content sharing & file request ---------------------------------
     /// Client → broker: announce a locally held file.
-    PublishContent(crate::advertisement::ContentAdvertisement),
+    PublishContent(Box<crate::advertisement::ContentAdvertisement>),
     /// Client → broker: browse published content by substring.
     DiscoverContent {
         /// Substring the content name must contain (empty = everything).
@@ -151,7 +151,7 @@ pub enum OverlayMsg {
         /// Destination host.
         to_node: netsim::node::NodeId,
         /// What to send.
-        file: FileMeta,
+        file: Box<FileMeta>,
         /// Number of parts to split into.
         num_parts: u32,
     },
@@ -170,18 +170,7 @@ pub enum OverlayMsg {
     // ---- client-submitted jobs -------------------------------------------
     /// Client → broker: run this job somewhere (the broker selects the
     /// executor through its selection model).
-    JobSubmit {
-        /// The submitting peer (gets the result).
-        submitter: PeerId,
-        /// Compute demand, giga-ops.
-        work_gops: f64,
-        /// Input to ship to the executor first (0 = none).
-        input_bytes: u64,
-        /// Parts for the input shipment.
-        input_parts: u32,
-        /// Job label.
-        label: String,
-    },
+    JobSubmit(Box<JobSubmission>),
     /// Broker → submitter: the job finished.
     JobDone {
         /// Job label (echoed).
@@ -215,22 +204,7 @@ pub enum OverlayMsg {
     },
     /// Broker → broker: a `Selected` file petition the origin broker could
     /// not place locally, handed to a fellow broker under a hop budget.
-    PetitionForward {
-        /// The broker the petition originated at (excluded from further
-        /// hops so forwards never boomerang).
-        origin: netsim::node::NodeId,
-        /// Remaining broker-to-broker hops, this delivery included.
-        hops_left: u32,
-        /// File size in bytes.
-        size_bytes: u64,
-        /// Parts to split the file into.
-        num_parts: u32,
-        /// Label recorded with the transfer.
-        label: String,
-        /// When the command was first enqueued at the origin (petition
-        /// latency is measured from here, hops included).
-        enqueued_at: SimTime,
-    },
+    PetitionForward(Box<ForwardedPetition>),
 
     // ---- streaming on demand ---------------------------------------------
     /// Viewer → owner peer: send me this piece of the stream.
@@ -251,7 +225,7 @@ pub enum OverlayMsg {
     /// Broker → peer: offer an executable task.
     TaskOffer {
         /// The task.
-        task: TaskSpec,
+        task: Box<TaskSpec>,
         /// Offer timestamp.
         sent_at: SimTime,
     },
@@ -274,6 +248,40 @@ pub enum OverlayMsg {
         /// Pure execution time on the peer, seconds.
         exec_secs: f64,
     },
+}
+
+/// What [`OverlayMsg::JobSubmit`] carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSubmission {
+    /// The submitting peer (gets the result).
+    pub submitter: PeerId,
+    /// Compute demand, giga-ops.
+    pub work_gops: f64,
+    /// Input to ship to the executor first (0 = none).
+    pub input_bytes: u64,
+    /// Parts for the input shipment.
+    pub input_parts: u32,
+    /// Job label.
+    pub label: String,
+}
+
+/// What [`OverlayMsg::PetitionForward`] carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ForwardedPetition {
+    /// The broker the petition originated at (excluded from further hops
+    /// so forwards never boomerang).
+    pub origin: netsim::node::NodeId,
+    /// Remaining broker-to-broker hops, this delivery included.
+    pub hops_left: u32,
+    /// File size in bytes.
+    pub size_bytes: u64,
+    /// Parts to split the file into.
+    pub num_parts: u32,
+    /// Label recorded with the transfer.
+    pub label: String,
+    /// When the command was first enqueued at the origin (petition latency
+    /// is measured from here, hops included).
+    pub enqueued_at: SimTime,
 }
 
 impl Payload for OverlayMsg {
@@ -306,7 +314,7 @@ impl Payload for OverlayMsg {
             OverlayMsg::FileRequest { name, .. } => 32 + name.len() as u64,
             OverlayMsg::TransferInstruction { file, .. } => 40 + file.wire_size(),
             OverlayMsg::TransferReport { .. } => 48,
-            OverlayMsg::JobSubmit { label, .. } => 56 + label.len() as u64,
+            OverlayMsg::JobSubmit(job) => 56 + job.label.len() as u64,
             OverlayMsg::JobDone { label, .. } => 40 + label.len() as u64,
             OverlayMsg::BrokerGossip { roster, .. } => {
                 24 + roster
@@ -314,7 +322,7 @@ impl Payload for OverlayMsg {
                     .map(|c| 200 + c.name.len() as u64)
                     .sum::<u64>()
             }
-            OverlayMsg::PetitionForward { label, .. } => 64 + label.len() as u64,
+            OverlayMsg::PetitionForward(fwd) => 64 + fwd.label.len() as u64,
             OverlayMsg::PieceRequest { .. } => 24,
             OverlayMsg::Piece { size, .. } => 32 + size,
         }
@@ -347,10 +355,10 @@ impl Payload for OverlayMsg {
             OverlayMsg::FileRequest { .. } => "file-request",
             OverlayMsg::TransferInstruction { .. } => "instruct",
             OverlayMsg::TransferReport { .. } => "xfer-report",
-            OverlayMsg::JobSubmit { .. } => "job-submit",
+            OverlayMsg::JobSubmit(_) => "job-submit",
             OverlayMsg::JobDone { .. } => "job-done",
             OverlayMsg::BrokerGossip { .. } => "gossip",
-            OverlayMsg::PetitionForward { .. } => "fwd-petition",
+            OverlayMsg::PetitionForward(_) => "fwd-petition",
             OverlayMsg::PieceRequest { .. } => "piece-request",
             OverlayMsg::Piece { .. } => "piece",
         }
@@ -386,10 +394,10 @@ impl Payload for OverlayMsg {
             | OverlayMsg::DiscoverContentResponse { .. }
             | OverlayMsg::FileRequest { .. }
             | OverlayMsg::TransferReport { .. }
-            | OverlayMsg::JobSubmit { .. }
+            | OverlayMsg::JobSubmit(_)
             | OverlayMsg::JobDone { .. }
             | OverlayMsg::BrokerGossip { .. }
-            | OverlayMsg::PetitionForward { .. }
+            | OverlayMsg::PetitionForward(_)
             | OverlayMsg::Piece { .. } => ServiceClass::Fast,
         }
     }
@@ -403,8 +411,9 @@ mod tests {
     #[test]
     fn overlay_msg_stays_small() {
         assert!(
-            std::mem::size_of::<OverlayMsg>() <= 96,
-            "box any variant over 80 B: every queued event holds an OverlayMsg by value"
+            std::mem::size_of::<OverlayMsg>() <= 48,
+            "the 32-byte rule: box a variant's fields beyond 32 B and the word its tag \
+             shares, since every queued event holds an OverlayMsg by value"
         );
     }
 
@@ -429,11 +438,11 @@ mod tests {
         let mut g = IdGenerator::new(2);
         let petition = OverlayMsg::FilePetition {
             transfer: TransferId::generate(&mut g),
-            file: FileMeta {
+            file: Box::new(FileMeta {
                 content: crate::id::ContentId::generate(&mut g),
                 name: "f".into(),
                 size_bytes: 1,
-            },
+            }),
             num_parts: 1,
             sent_at: SimTime::ZERO,
         };

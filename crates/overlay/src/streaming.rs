@@ -417,7 +417,7 @@ impl Actor<OverlayMsg> for StreamingClient {
                     published: ctx.now(),
                     lifetime: DEFAULT_LIFETIME,
                 };
-                ctx.send(self.cfg.broker, OverlayMsg::Join(adv));
+                ctx.send(self.cfg.broker, OverlayMsg::Join(Box::new(adv)));
             }
             TAG_PLAY => {
                 if self.done || !self.playing {
