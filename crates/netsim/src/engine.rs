@@ -641,9 +641,10 @@ impl<M: Payload> Engine<M> {
         );
     }
 
-    /// Drains the cross-shard outbox accumulated since the last call.
-    pub(crate) fn take_outbox(&mut self) -> Vec<RemoteEnvelope<M>> {
-        std::mem::take(&mut self.core.outbox)
+    /// Moves the cross-shard outbox accumulated since the last call onto
+    /// the end of `into`; the outbox keeps its capacity.
+    pub(crate) fn drain_outbox_into(&mut self, into: &mut Vec<RemoteEnvelope<M>>) {
+        into.append(&mut self.core.outbox);
     }
 
     /// Whether an actor requested a stop.

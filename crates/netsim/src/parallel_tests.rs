@@ -103,16 +103,18 @@ fn sharded_run_is_worker_count_invariant() {
             e.metrics().render(),
             e.now(),
             e.events_processed(),
+            e.profile().rounds,
         ));
     }
-    let (_, o1, d1, j1, m1, t1, n1) = &runs[0];
-    for (w, o, d, j, m, t, n) in &runs[1..] {
+    let (_, o1, d1, j1, m1, t1, n1, r1) = &runs[0];
+    for (w, o, d, j, m, t, n, r) in &runs[1..] {
         assert_eq!(o, o1, "outcome differs at {w} workers");
         assert_eq!(d, d1, "trace digest differs at {w} workers");
         assert_eq!(j, j1, "trace JSONL differs at {w} workers");
         assert_eq!(m, m1, "metrics differ at {w} workers");
         assert_eq!(t, t1, "final clock differs at {w} workers");
         assert_eq!(n, n1, "event count differs at {w} workers");
+        assert_eq!(r, r1, "round count differs at {w} workers");
     }
     assert!(*n1 > 0, "the workload must actually run");
 }
@@ -335,4 +337,83 @@ fn profile_accounts_busy_and_critical_path() {
     let p = e.profile();
     assert!(p.rounds > 0, "multi-shard run must take barrier rounds");
     assert!(p.busy > Duration::ZERO);
+}
+
+/// A [`Bouncer`] that panics on its third message.
+struct Fragile {
+    inner: Bouncer,
+    seen: u32,
+}
+
+impl Actor<Token> for Fragile {
+    fn on_message(&mut self, ctx: &mut Context<Token>, from: NodeId, msg: Token) {
+        self.seen += 1;
+        assert!(self.seen < 3, "panicked on its third message");
+        self.inner.on_message(ctx, from, msg);
+    }
+}
+
+#[test]
+#[should_panic(expected = "panicked on its third message")]
+fn a_panicking_shard_fails_the_run_instead_of_hanging_it() {
+    // Node 4 sits on shard 1, which runs on the second pinned worker.
+    let mut e = build(2);
+    let itinerary = (0..6).map(|j| NodeId((j * 5 + 1) % 6)).collect();
+    let inner = Bouncer {
+        itinerary,
+        hops: 40,
+        kick_off: false,
+    };
+    e.register(NodeId(4), Box::new(Fragile { inner, seen: 0 }));
+    e.run_until(SimTime::from_secs_f64(30.0));
+}
+
+/// Ticks every millisecond; stops the run on tick `stop_at`, if set.
+struct Ticker {
+    ticks: u32,
+    stop_at: Option<u32>,
+}
+
+impl Actor<Token> for Ticker {
+    fn on_start(&mut self, ctx: &mut Context<Token>) {
+        ctx.schedule_timer(SimDuration::from_millis(1), 0);
+    }
+    fn on_message(&mut self, _: &mut Context<Token>, _: NodeId, _: Token) {}
+    fn on_timer(&mut self, ctx: &mut Context<Token>, _: crate::engine::TimerId, _: u64) {
+        self.ticks += 1;
+        if Some(self.ticks) == self.stop_at {
+            ctx.stop();
+        } else {
+            ctx.schedule_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+}
+
+#[test]
+fn a_stop_beats_an_event_limit_tripped_in_the_same_round() {
+    // Shard 0 stops on its fifth tick; shard 1, later in shard order, hits
+    // the event limit on its tenth. Both land in the first 41 ms window.
+    let mut runs = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).unwrap();
+        let mut e = ShardedEngine::new(
+            two_region_topo(),
+            TransportConfig::default(),
+            4,
+            map,
+            workers,
+        )
+        .unwrap();
+        let stops = [(NodeId(0), Some(5)), (NodeId(3), None)];
+        for (node, stop_at) in stops {
+            e.register(node, Box::new(Ticker { ticks: 0, stop_at }));
+        }
+        e.set_event_limit(10);
+        let outcome = e.run_until(SimTime::from_secs_f64(1.0));
+        assert_eq!(e.profile().rounds, 1, "both trip in one round");
+        runs.push((outcome, e.now(), e.events_processed(), e.metrics().render()));
+    }
+    assert_eq!(runs[0].0, RunOutcome::Stopped);
+    assert_eq!(runs[0].2, 15, "five ticks on shard 0, ten on shard 1");
+    assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
 }

@@ -168,7 +168,7 @@ impl ExecutionProfile {
 
     /// Folds one completed barrier round (one record per shard, in shard
     /// order) into totals, storing records while the cap allows.
-    pub(crate) fn push_round(&mut self, records: Vec<ShardRound>) {
+    pub(crate) fn push_round(&mut self, records: impl IntoIterator<Item = ShardRound>) {
         self.rounds += 1;
         for rec in records {
             let total = &mut self.totals[rec.shard as usize];
