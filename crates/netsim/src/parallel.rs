@@ -7,7 +7,7 @@
 //! window a shard runs events below its safe horizon
 //! `min over other shards s of (clock(s) + min_owd(s → me))`; at the
 //! barrier between windows, boundary-crossing messages are handed off as
-//! [`RemoteEnvelope`]s and incorporated into their destination shards in a
+//! `RemoteEnvelope`s and incorporated into their destination shards in a
 //! fixed total order.
 //!
 //! # Determinism

@@ -234,13 +234,6 @@ pub enum TraceEventKind {
         /// The broker the client re-joined through.
         to: NodeId,
     },
-    /// Free-form escape hatch for ad-hoc instrumentation.
-    Custom {
-        /// Short machine-readable kind.
-        kind: &'static str,
-        /// Free-form detail.
-        detail: String,
-    },
 }
 
 impl TraceEventKind {
@@ -271,7 +264,6 @@ impl TraceEventKind {
             TraceEventKind::BrokerUp => "broker_up",
             TraceEventKind::PetitionForwarded { .. } => "petition_forwarded",
             TraceEventKind::PeerRehomed { .. } => "peer_rehomed",
-            TraceEventKind::Custom { .. } => "custom",
         }
     }
 }
@@ -495,10 +487,6 @@ impl TraceEvent {
             }
             TraceEventKind::PeerRehomed { from, to } => {
                 let _ = write!(o, ",\"from\":{},\"to\":{}", from.0, to.0);
-            }
-            TraceEventKind::Custom { kind, detail } => {
-                let _ = write!(o, ",\"kind\":\"{kind}\",\"detail\":");
-                push_json_str(&mut o, detail);
             }
         }
         o.push('}');

@@ -8,13 +8,15 @@ fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
 }
 
+/// Records a row whose one string field, the model name, is `detail`.
 fn ev(trace: &mut Trace, secs: u64, detail: &str) {
     trace.record(
         t(secs),
         NodeId(0),
-        TraceEventKind::Custom {
-            kind: "test",
-            detail: detail.to_string(),
+        TraceEventKind::SelectionDecided {
+            model: detail.to_string(),
+            chosen: NodeId(1),
+            costs: Vec::new(),
         },
     );
 }

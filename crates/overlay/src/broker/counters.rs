@@ -83,7 +83,7 @@ pub(crate) struct FootprintGauges {
     pub(crate) peers: GaugeId,
     /// `registry.<component>_bytes.<node>`, in
     /// [`FootprintBreakdown::components`] order.
-    pub(crate) components: [GaugeId; 6],
+    pub(crate) components: [GaugeId; 5],
 }
 
 impl FootprintGauges {

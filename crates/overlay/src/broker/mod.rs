@@ -13,22 +13,20 @@
 //! message/timer dispatcher over per-concern layers, each in its own
 //! submodule:
 //!
-//! * [`registry`] — [`registry::PeerRegistry`]: peer entries, statistics
-//!   snapshots, published content, federation roster, interned host names.
-//! * [`schedule`] — [`schedule::CommandSchedule`]: deferred scripted
-//!   commands, their retry budget, and first-due instants.
-//! * [`selection`] — [`selection::SelectionService`]: the single place a
-//!   [`PeerSelector`] is consulted, its decision recorded and traced, and
-//!   outcome feedback delivered.
-//! * [`transfer`] — [`transfer::TransferOrchestrator`]: outbound transfers
-//!   on the shared [`crate::sendflow::SenderFlow`] state machine, plus the
-//!   data pipes backing them.
-//! * [`retry`] — [`retry::RetryEngine`]: retransmission probes and
-//!   transfer/task watchdogs.
-//! * [`tasks`] — [`tasks::TaskBook`]: task lifecycle and client-submitted
-//!   jobs.
-//! * [`counters`] — [`counters::BrokerCounters`]: pre-resolved protocol
-//!   counter handles.
+//! * `registry` — `PeerRegistry`: peer entries, statistics snapshots,
+//!   published content, federation roster, interned host names.
+//! * `schedule` — `CommandSchedule`: deferred scripted commands, their
+//!   retry budget, and first-due instants.
+//! * `selection` — `SelectionService`: the single place a [`PeerSelector`]
+//!   is consulted, its decision recorded and traced, and outcome feedback
+//!   delivered.
+//! * `transfer` — `TransferOrchestrator`: outbound transfers on the shared
+//!   [`crate::sendflow::SenderFlow`] state machine, plus the data pipe id
+//!   and traffic count each one reports in its trace rows.
+//! * `retry` — `RetryEngine`: retransmission probes and transfer/task
+//!   watchdogs.
+//! * `tasks` — `TaskBook`: task lifecycle and client-submitted jobs.
+//! * `counters` — `BrokerCounters`: pre-resolved protocol counter handles.
 
 pub(crate) mod counters;
 pub(crate) mod hosts;
@@ -49,7 +47,6 @@ use netsim::engine::{Actor, Context, TimerId};
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
-use crate::group::GroupRegistry;
 use crate::id::IdGenerator;
 use crate::message::OverlayMsg;
 use crate::records::RecordSink;
@@ -136,13 +133,6 @@ pub enum BrokerCommand {
         /// Label recorded with the task.
         label: String,
     },
-    /// Send an instant message (exercises the messaging primitive).
-    SendInstant {
-        /// Destination(s).
-        target: TargetSpec,
-        /// Body.
-        text: String,
-    },
 }
 
 /// Broker construction parameters.
@@ -218,7 +208,6 @@ impl BrokerConfig {
 pub struct Broker {
     pub(crate) cfg: BrokerConfig,
     pub(crate) ids: IdGenerator,
-    pub(crate) groups: GroupRegistry,
     pub(crate) registry: PeerRegistry,
     pub(crate) schedule: CommandSchedule,
     pub(crate) selection: SelectionService,
@@ -245,7 +234,6 @@ impl Broker {
         let selector = cfg.selector.take();
         Broker {
             ids: IdGenerator::new(id_seed),
-            groups: GroupRegistry::new(id_seed ^ 0x6120),
             registry: PeerRegistry::new(),
             schedule: CommandSchedule::new(commands),
             selection: SelectionService::new(selector),
@@ -327,17 +315,6 @@ impl Broker {
                     );
                 }
             }
-            BrokerCommand::SendInstant { target, text } => {
-                let purpose = Purpose::FileTransfer {
-                    bytes: text.len() as u64,
-                };
-                // Intern the body once; each recipient gets a refcount
-                // bump instead of a fresh String allocation.
-                let body: std::sync::Arc<str> = std::sync::Arc::from(text.as_str());
-                for node in self.resolve_targets(ctx, &target, purpose) {
-                    ctx.send(node, OverlayMsg::Instant { text: body.clone() });
-                }
-            }
         }
     }
 
@@ -359,9 +336,9 @@ impl Broker {
     }
 
     /// Scripted crash: every piece of volatile state — registry, in-flight
-    /// transfers, retransmission probes, tasks, groups — dies with the
-    /// process. The retry engine keeps its tag counters (a restarted
-    /// process must not reissue timer tags that stale timers still carry).
+    /// transfers, retransmission probes, tasks — dies with the process.
+    /// The retry engine keeps its tag counters (a restarted process must
+    /// not reissue timer tags that stale timers still carry).
     fn crash(&mut self, ctx: &mut Context<OverlayMsg>) {
         if self.down {
             return;
@@ -371,7 +348,6 @@ impl Broker {
         self.transfers = TransferOrchestrator::new(self.sink.clone());
         self.retries.clear();
         self.tasks = TaskBook::new();
-        self.groups = GroupRegistry::new(self.cfg.id_seed ^ 0x6120);
         ctx.trace_event(netsim::trace::TraceEventKind::BrokerDown);
     }
 
@@ -416,7 +392,6 @@ impl Actor<OverlayMsg> for Broker {
         match msg {
             OverlayMsg::Join(adv) => self.on_join(ctx, from, *adv),
             OverlayMsg::Leave { peer } => self.on_leave(ctx, peer),
-            OverlayMsg::DiscoverPeers => self.on_discover_peers(ctx, from),
             OverlayMsg::StatsReport { peer, snapshot } => self.on_stats_report(ctx, peer, snapshot),
             OverlayMsg::PetitionAck {
                 transfer,
@@ -437,7 +412,6 @@ impl Actor<OverlayMsg> for Broker {
             OverlayMsg::PublishContent(adv) if self.registry.has_peer(adv.owner) => {
                 self.on_publish_content(ctx, from, *adv)
             }
-            OverlayMsg::DiscoverContent { pattern } => self.on_discover_content(ctx, from, pattern),
             OverlayMsg::FileRequest { requester, name } => {
                 self.on_file_request(ctx, requester, name)
             }

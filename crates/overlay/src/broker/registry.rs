@@ -1,12 +1,12 @@
 //! The peer registry: who is in the overlay and what the broker knows
 //! about each member.
 //!
-//! [`PeerRegistry`] owns the peer entries (advertisement, broker-side
+//! [`PeerRegistry`] owns the peer entries (candidate view, broker-side
 //! statistics, peer-reported snapshot, observed interaction history), the
 //! published-content index, the federation roster learnt from fellow
 //! brokers, and an interned host-name cache so hot paths never re-allocate
-//! display names. The membership/discovery/statistics message handlers
-//! live here as `impl Broker` blocks; the actor merely dispatches to them.
+//! display names. The membership/content/statistics message handlers live
+//! here as `impl Broker` blocks; the actor merely dispatches to them.
 //!
 //! Storage is a **slab**: entries live in one contiguous `Vec` and freed
 //! slots are recycled LIFO, so under churn a million-peer roster occupies
@@ -66,12 +66,12 @@ use super::{Broker, STATS_K_HOURS};
 /// own report stays in the box its `StatsReport` arrived in, so a peer
 /// that never reports sets nothing aside for one.
 pub(crate) struct PeerEntry {
-    pub(crate) adv: PeerAdvertisement,
     pub(crate) stats: PeerStats,
     pub(crate) reported: Option<Box<StatsSnapshot>>,
-    /// What selection and gossip see of this peer, held in place. `peer`,
-    /// `node`, `name` (interned at admission, so recording a selection
-    /// clones a refcount) and `cpu_gops` follow the advertisement;
+    /// What selection and gossip see of this peer, held in place, and the
+    /// one copy of what its advertisement said: `peer`, `node`, `name`
+    /// (interned at admission, so recording a selection clones a
+    /// refcount) and `cpu_gops` are refreshed by every (re-)join;
     /// `history` is the live record the transfer and task paths update;
     /// `snapshot` is a cache of [`PeerEntry::snapshot_at`], brought up to
     /// date before any read.
@@ -105,7 +105,6 @@ pub(crate) struct Holding {
     pub(crate) node: NodeId,
     pub(crate) content: crate::id::ContentId,
     pub(crate) size: u64,
-    pub(crate) adv: ContentAdvertisement,
 }
 
 /// A gossiped candidate plus the virtual time its sending broker took
@@ -230,7 +229,7 @@ impl PeerRegistry {
 
     /// The host of a registered peer.
     pub(crate) fn node_of(&self, peer: PeerId) -> Option<NodeId> {
-        self.entry(peer).map(|e| e.adv.node)
+        self.entry(peer).map(|e| e.view.node)
     }
 
     /// The interned display name of `node`, allocated at most once per host.
@@ -243,7 +242,7 @@ impl PeerRegistry {
 
     /// Admits (or refreshes) a peer from its advertisement.
     ///
-    /// A re-join **refreshes** the stored advertisement, interned name,
+    /// A re-join **refreshes** the view's node, interned name and
     /// `cpu_gops`, and the host table (unmapping the old host when the
     /// peer moved) while preserving accumulated statistics, the last
     /// reported snapshot, and interaction history — at the registry level
@@ -255,8 +254,8 @@ impl PeerRegistry {
     /// A host runs one peer: a Join from a node that already carries a
     /// *different* identity supersedes the old occupant (crash-rejoin
     /// without a Leave), keeping peers and occupied hosts a bijection. The
-    /// superseded identity is returned so the caller can drop it from
-    /// every other membership table too.
+    /// superseded identity is expelled here, the only membership table,
+    /// and returned.
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let peer = adv.peer;
         let cpu = adv.cpu_gops;
@@ -277,15 +276,14 @@ impl PeerRegistry {
             let entry = self.entries[slot as usize]
                 .as_mut()
                 .expect("a local member's slot is occupied");
-            if entry.adv.node != adv.node {
-                self.hosts.clear_local(entry.adv.node, peer);
+            if entry.view.node != adv.node {
+                self.hosts.clear_local(entry.view.node, peer);
             }
             if &*entry.view.name != adv.name.as_str() {
-                entry.view.name = Arc::from(adv.name.as_str());
+                entry.view.name = Arc::from(adv.name);
             }
             entry.view.node = adv.node;
             entry.view.cpu_gops = cpu;
-            entry.adv = adv;
             entry.stats.cpu_gops = cpu;
             return superseded;
         }
@@ -293,13 +291,12 @@ impl PeerRegistry {
             view: CandidateView {
                 peer,
                 node: adv.node,
-                name: Arc::from(adv.name.as_str()),
+                name: Arc::from(adv.name),
                 cpu_gops: cpu,
                 snapshot: StatsSnapshot::empty(cpu),
                 history: InteractionHistory::empty(),
             },
             published: None,
-            adv,
             stats: PeerStats::new(now, cpu),
             reported: None,
         };
@@ -333,7 +330,7 @@ impl PeerRegistry {
         let entry = self.entries[slot as usize]
             .take()
             .expect("a local member's slot is occupied");
-        self.hosts.clear_local(entry.adv.node, peer);
+        self.hosts.clear_local(entry.view.node, peer);
         self.free.push(slot);
         true
     }
@@ -485,7 +482,7 @@ impl PeerRegistry {
 
     /// All registered hosts, in deterministic order.
     pub(crate) fn registered_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.entries().map(|e| e.adv.node).collect();
+        let mut nodes: Vec<NodeId> = self.entries().map(|e| e.view.node).collect();
         nodes.sort(); // deterministic order
         nodes
     }
@@ -498,17 +495,6 @@ impl PeerRegistry {
     /// Mutable access to the holdings list for `name`, creating it empty.
     pub(crate) fn holdings_mut(&mut self, name: &str) -> &mut Vec<Holding> {
         self.content.entry(name.to_string()).or_default()
-    }
-
-    /// Published content whose name contains `pattern`.
-    pub(crate) fn matching_holdings<'a>(
-        &'a self,
-        pattern: &'a str,
-    ) -> impl Iterator<Item = &'a Holding> + 'a {
-        self.content
-            .iter()
-            .filter(move |(name, _)| name.contains(pattern))
-            .flat_map(|(_, holdings)| holdings.iter())
     }
 
     /// Structural invariants, checked by tests after every mutation:
@@ -533,15 +519,10 @@ impl PeerRegistry {
                     let entry = self.entries[*slot as usize]
                         .as_ref()
                         .expect("a local member's slot is occupied");
-                    assert_eq!(entry.adv.peer, peer, "slab slot agrees with its key");
+                    assert_eq!(entry.view.peer, peer, "slab slot agrees with its key");
+                    assert_eq!(entry.view.cpu_gops, entry.stats.cpu_gops);
                     assert_eq!(
-                        (entry.view.peer, entry.view.node, &*entry.view.name),
-                        (peer, entry.adv.node, entry.adv.name.as_str()),
-                        "the in-place view follows the advertisement"
-                    );
-                    assert_eq!(entry.view.cpu_gops, entry.adv.cpu_gops);
-                    assert_eq!(
-                        self.hosts.local(entry.adv.node),
+                        self.hosts.local(entry.view.node),
                         Some(peer),
                         "registered peer's current node maps back to it"
                     );
@@ -561,7 +542,7 @@ impl PeerRegistry {
         assert_eq!(local, occupied, "local members cover the slab");
         for (node, peer) in self.hosts.locals() {
             let entry = self.entry(peer).expect("a host's occupant is a member");
-            assert_eq!(entry.adv.node, node, "no stale host mapping");
+            assert_eq!(entry.view.node, node, "no stale host mapping");
         }
         assert_eq!(
             self.hosts.claim_count(),
@@ -579,8 +560,7 @@ impl MemoryFootprint for PeerRegistry {
     /// (each with its in-place candidate view and the pointer to the copy
     /// it last published), the membership and host rows of registered
     /// peers, and the read index under `roster`; the windowed-ratio rings
-    /// and boxed peer reports that exist under `stats`; owned
-    /// advertisement strings under `ads`; the content
+    /// and boxed peer reports that exist under `stats`; the content
     /// directory under `content`; and federation state under `gossip`:
     /// every other membership row (a remote view's key, pointer, timestamp
     /// and share, or a tombstone — a row is as wide as its widest state),
@@ -608,7 +588,6 @@ impl MemoryFootprint for PeerRegistry {
         }
         for entry in self.entries() {
             fp.roster += entry.view.name.len() as u64;
-            fp.ads += entry.adv.name.len() as u64;
             fp.stats += entry.stats.message_window.heap_bytes();
             if entry.reported.is_some() {
                 fp.stats += std::mem::size_of::<StatsSnapshot>() as u64;
@@ -616,9 +595,6 @@ impl MemoryFootprint for PeerRegistry {
         }
         for (key, holdings) in &self.content {
             fp.content += key.len() as u64 + slots_estimate::<Holding>(holdings.len());
-            for h in holdings {
-                fp.content += h.adv.name.len() as u64;
-            }
         }
         fp
     }
@@ -631,20 +607,14 @@ impl Broker {
         from: NodeId,
         adv: PeerAdvertisement,
     ) {
-        let now = ctx.now();
-        let peer = adv.peer;
-        if let Some(superseded) = self.registry.admit(adv, now) {
-            self.groups.expel(superseded);
-        }
-        let group = self.groups.admit(peer);
-        ctx.send(from, OverlayMsg::JoinAck { group });
+        self.registry.admit(adv, ctx.now());
+        ctx.send(from, OverlayMsg::JoinAck);
         self.bump(ctx, |c| c.joins);
     }
 
     pub(crate) fn on_leave(&mut self, ctx: &mut Context<OverlayMsg>, peer: PeerId) {
         let node = self.registry.node_of(peer);
         self.registry.expel(peer);
-        self.groups.expel(peer);
         if let Some(node) = node {
             // A departed peer must vanish from every roster the broker can
             // still hand to selection: the federation cache and the queue
@@ -656,17 +626,6 @@ impl Broker {
             self.schedule.cancel_for_node(node);
         }
         self.maybe_stop(ctx);
-    }
-
-    pub(crate) fn on_discover_peers(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId) {
-        let now = ctx.now();
-        let adverts: Vec<PeerAdvertisement> = self
-            .registry
-            .entries()
-            .map(|e| e.adv.clone())
-            .filter(|a| !a.is_expired(now))
-            .collect();
-        ctx.send(from, OverlayMsg::DiscoverPeersResponse { adverts });
     }
 
     pub(crate) fn on_stats_report(
@@ -694,25 +653,8 @@ impl Broker {
             node,
             content: adv.content,
             size: adv.size_bytes,
-            adv,
         });
         self.bump(ctx, |c| c.content_published);
-    }
-
-    pub(crate) fn on_discover_content(
-        &mut self,
-        ctx: &mut Context<OverlayMsg>,
-        from: NodeId,
-        pattern: String,
-    ) {
-        let now = ctx.now();
-        let adverts: Vec<ContentAdvertisement> = self
-            .registry
-            .matching_holdings(&pattern)
-            .filter(|h| !h.adv.is_expired(now) && self.registry.has_peer(h.peer))
-            .map(|h| h.adv.clone())
-            .collect();
-        ctx.send(from, OverlayMsg::DiscoverContentResponse { adverts });
     }
 
     pub(crate) fn on_broker_gossip(

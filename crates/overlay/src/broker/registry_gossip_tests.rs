@@ -119,15 +119,12 @@ impl PeerRegistry {
     }
 }
 
-fn joining(peer: PeerId, node: u32, name: String, now: SimTime) -> PeerAdvertisement {
+fn joining(peer: PeerId, node: u32, name: String) -> PeerAdvertisement {
     PeerAdvertisement {
         peer,
         node: NodeId(node),
         name,
         cpu_gops: 1.0 + f64::from(node),
-        accepts_tasks: true,
-        published: now,
-        lifetime: DEFAULT_LIFETIME,
     }
 }
 
@@ -160,7 +157,7 @@ proptest! {
             let mut message: Option<(Vec<Arc<CandidateView>>, SimTime)> = None;
             match op {
                 0 | 1 => {
-                    let adv = joining(peer, host, format!("p{i}@{host}"), now);
+                    let adv = joining(peer, host, format!("p{i}@{host}"));
                     prop_assert_eq!(reg.admit(adv, now), oracle.admit(peer, node));
                 }
                 2 => {
@@ -226,7 +223,7 @@ proptest! {
             prop_assert_eq!(read, expected);
 
             let local: HashMap<PeerId, NodeId> =
-                reg.entries().map(|e| (e.adv.peer, e.adv.node)).collect();
+                reg.entries().map(|e| (e.view.peer, e.view.node)).collect();
             prop_assert_eq!(&local, &oracle.index);
             let occupied: HashMap<NodeId, PeerId> = reg.hosts.locals().collect();
             prop_assert_eq!(&occupied, &oracle.by_node);
@@ -252,7 +249,7 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
     let mut owner = PeerRegistry::new();
     let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
     let [a, b, c] = [1, 2, 3].map(|node| {
-        let joining = adv(&mut ids, node, "sc", t(0));
+        let joining = adv(&mut ids, node, "sc");
         let peer = joining.peer;
         owner.admit(joining, t(0));
         peer
@@ -296,7 +293,13 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
     }
     assert_eq!(holder.roster_copy(t(180), 24, None)[1], *third[1]);
     // A re-join rewrites the entry too, even with nothing new to say.
-    let rejoining = owner.entry(c).unwrap().adv.clone();
+    let view = &owner.entry(c).unwrap().view;
+    let rejoining = PeerAdvertisement {
+        peer: c,
+        node: view.node,
+        name: view.name.to_string(),
+        cpu_gops: view.cpu_gops,
+    };
     owner.admit(rejoining, t(200));
     let fourth = owner.local_roster(t(240), 24);
     assert!(!Arc::ptr_eq(&third[2], &fourth[2]));
@@ -318,7 +321,7 @@ fn arrival_order_across_senders_leaves_no_mark() {
         let mut owner = PeerRegistry::new();
         let mut peers = Vec::new();
         for k in 0..300u32 {
-            let joining = adv(&mut ids, 1000 * (sender + 1) + k, "sc", t(0));
+            let joining = adv(&mut ids, 1000 * (sender + 1) + k, "sc");
             peers.push(joining.peer);
             owner.admit(joining, t(0));
         }
@@ -343,7 +346,7 @@ fn arrival_order_across_senders_leaves_no_mark() {
         let mut reg = PeerRegistry::new();
         // The receiver's own population: a peer on a host sender 0 also
         // claims, and the tombstone of a peer sender 1 still advertises.
-        let squatter = adv(&mut IdGenerator::new(79), 1007, "local", t(0));
+        let squatter = adv(&mut IdGenerator::new(79), 1007, "local");
         reg.admit(squatter, t(0));
         reg.note_departed(rounds[1][0][5].peer, t(90));
         let mut dropped = 0;

@@ -1,7 +1,6 @@
 //! Unit and property tests for [`super::PeerRegistry`].
 
 use super::*;
-use crate::advertisement::DEFAULT_LIFETIME;
 use crate::id::IdGenerator;
 use crate::selector::Roster;
 use netsim::rng::SimRng;
@@ -16,10 +15,10 @@ impl PeerEntry {
     /// the oracle the cached in-place view must equal after a refresh.
     fn view(&self, now: SimTime, stats_k_hours: usize) -> CandidateView {
         CandidateView {
-            peer: self.adv.peer,
-            node: self.adv.node,
-            name: Arc::from(self.adv.name.as_str()),
-            cpu_gops: self.adv.cpu_gops,
+            peer: self.view.peer,
+            node: self.view.node,
+            name: Arc::clone(&self.view.name),
+            cpu_gops: self.stats.cpu_gops,
             snapshot: self.snapshot_at(now, stats_k_hours),
             history: self.view.history.clone(),
         }
@@ -83,15 +82,12 @@ fn remote_view(peer: PeerId, node: u32, name: &str) -> CandidateView {
     }
 }
 
-fn adv(ids: &mut IdGenerator, node: u32, name: &str, now: SimTime) -> PeerAdvertisement {
+fn adv(ids: &mut IdGenerator, node: u32, name: &str) -> PeerAdvertisement {
     PeerAdvertisement {
         peer: PeerId::generate(ids),
         node: NodeId(node),
         name: name.to_string(),
         cpu_gops: 1.0,
-        accepts_tasks: true,
-        published: now,
-        lifetime: DEFAULT_LIFETIME,
     }
 }
 
@@ -99,7 +95,7 @@ fn adv(ids: &mut IdGenerator, node: u32, name: &str, now: SimTime) -> PeerAdvert
 fn admit_then_expel_evicts_both_indices() {
     let mut ids = IdGenerator::new(1);
     let mut reg = PeerRegistry::new();
-    let a = adv(&mut ids, 1, "alpha", SimTime::ZERO);
+    let a = adv(&mut ids, 1, "alpha");
     let peer = a.peer;
     reg.admit(a, SimTime::ZERO);
     assert_eq!(reg.peer_count(), 1);
@@ -118,15 +114,14 @@ fn memory_footprint_tracks_population() {
     let empty = reg.memory_footprint();
     assert_eq!(empty.total(), 0, "an empty registry costs nothing");
 
-    let a = adv(&mut ids, 1, "alpha", SimTime::ZERO);
-    let b = adv(&mut ids, 2, "beta", SimTime::ZERO);
+    let a = adv(&mut ids, 1, "alpha");
+    let b = adv(&mut ids, 2, "beta");
     let peer_a = a.peer;
     reg.admit(a, SimTime::ZERO);
     reg.admit(b, SimTime::ZERO);
     let two = reg.memory_footprint();
     assert!(two.roster > 0, "entry slots and indexes are counted");
     assert_eq!(two.stats, 0, "quiet peers hold no ring and no report");
-    assert!(two.ads > 0, "advertisement names are counted");
     assert_eq!(two.content, 0, "nothing published yet");
     assert!(two.total() > empty.total());
 
@@ -155,7 +150,7 @@ fn memory_footprint_tracks_population() {
 #[test]
 fn peer_entry_stays_small() {
     assert!(
-        std::mem::size_of::<PeerEntry>() <= 736,
+        std::mem::size_of::<PeerEntry>() <= 656,
         "box per-peer history a quiet peer never writes: every registered peer holds a PeerEntry"
     );
 }
@@ -166,7 +161,7 @@ fn readmission_keeps_the_original_entry() {
     // stats/history: `admit` refreshes identity fields only.
     let mut ids = IdGenerator::new(2);
     let mut reg = PeerRegistry::new();
-    let a = adv(&mut ids, 3, "beta", SimTime::ZERO);
+    let a = adv(&mut ids, 3, "beta");
     let peer = a.peer;
     reg.admit(a.clone(), SimTime::ZERO);
     reg.entry_mut(peer)
@@ -195,7 +190,7 @@ fn readmission_refreshes_advertisement_and_node_index() {
     // dangling `by_node` key on the old host and stale `cpu_gops`.
     let mut ids = IdGenerator::new(7);
     let mut reg = PeerRegistry::new();
-    let first = adv(&mut ids, 4, "gamma", SimTime::ZERO);
+    let first = adv(&mut ids, 4, "gamma");
     let peer = first.peer;
     reg.admit(first, SimTime::ZERO);
     reg.entry_mut(peer)
@@ -209,21 +204,15 @@ fn readmission_refreshes_advertisement_and_node_index() {
         node: NodeId(9),
         name: "gamma-prime".to_string(),
         cpu_gops: 2.5,
-        accepts_tasks: false,
-        published: SimTime::ZERO + SimDuration::from_secs(60),
-        lifetime: DEFAULT_LIFETIME,
     };
     reg.admit(rejoin, SimTime::ZERO + SimDuration::from_secs(60));
     reg.check_invariants();
 
     let entry = reg.entry(peer).unwrap();
-    assert_eq!(entry.adv.node, NodeId(9), "advertisement refreshed");
-    assert_eq!(entry.adv.cpu_gops, 2.5, "capacity refreshed");
+    assert_eq!(entry.view.node, NodeId(9), "advertised host refreshed");
+    assert_eq!(entry.view.cpu_gops, 2.5, "capacity refreshed");
     assert_eq!(entry.stats.cpu_gops, 2.5, "stats see the new capacity");
     assert_eq!(&*entry.view.name, "gamma-prime", "interned name refreshed");
-    assert_eq!(entry.view.node, NodeId(9), "the in-place view moved too");
-    assert_eq!(entry.view.cpu_gops, 2.5);
-    assert!(!entry.adv.accepts_tasks);
     assert_eq!(
         entry.view.history.transfers_completed, 3,
         "history survives the move"
@@ -239,7 +228,7 @@ fn admit_forgets_the_federation_rumor() {
     // remote roster, even if gossip advertised it first.
     let mut ids = IdGenerator::new(11);
     let mut reg = PeerRegistry::new();
-    let a = adv(&mut ids, 2, "delta", SimTime::ZERO);
+    let a = adv(&mut ids, 2, "delta");
     assert!(learn(
         &mut reg,
         remote_view(a.peer, 2, "delta"),
@@ -260,7 +249,7 @@ fn gossip_cannot_resurrect_a_departed_peer() {
     // offering a peer known to be gone.
     let mut ids = IdGenerator::new(21);
     let mut reg = PeerRegistry::new();
-    let a = adv(&mut ids, 6, "zeta", SimTime::ZERO);
+    let a = adv(&mut ids, 6, "zeta");
     let peer = a.peer;
     let node = a.node;
     let view = remote_view(peer, 6, "zeta");
@@ -326,7 +315,7 @@ fn expelled_slots_are_recycled() {
     let mut ids = IdGenerator::new(5);
     let mut reg = PeerRegistry::new();
     for round in 0..100 {
-        let a = adv(&mut ids, round % 3, "cycled", SimTime::ZERO);
+        let a = adv(&mut ids, round % 3, "cycled");
         let peer = a.peer;
         reg.admit(a, SimTime::ZERO);
         reg.check_invariants();
@@ -341,8 +330,8 @@ fn expelled_slots_are_recycled() {
 fn candidate_views_sorted_and_federation_merged() {
     let mut ids = IdGenerator::new(3);
     let mut reg = PeerRegistry::new();
-    reg.admit(adv(&mut ids, 5, "e", SimTime::ZERO), SimTime::ZERO);
-    reg.admit(adv(&mut ids, 2, "b", SimTime::ZERO), SimTime::ZERO);
+    reg.admit(adv(&mut ids, 5, "e"), SimTime::ZERO);
+    reg.admit(adv(&mut ids, 2, "b"), SimTime::ZERO);
     // A remote peer on an unregistered node is merged…
     let remote = remote_view(PeerId::generate(&mut ids), 9, "remote");
     learn(&mut reg, remote, SimTime::ZERO);
@@ -365,7 +354,7 @@ fn candidate_views_sorted_and_federation_merged() {
 fn reported_snapshot_overrides_queue_gauges() {
     let mut ids = IdGenerator::new(4);
     let mut reg = PeerRegistry::new();
-    let a = adv(&mut ids, 1, "g", SimTime::ZERO);
+    let a = adv(&mut ids, 1, "g");
     let peer = a.peer;
     reg.admit(a, SimTime::ZERO);
     let mut reported = StatsSnapshot::empty(1.0);
@@ -388,7 +377,7 @@ fn random_churn_preserves_registry_invariants() {
     let mut reg = PeerRegistry::new();
     // Pool of identities that join, leave, and rejoin from new hosts.
     let mut pool: Vec<PeerAdvertisement> = (0..24)
-        .map(|i| adv(&mut ids, 1000 + i, &format!("p{i}"), SimTime::ZERO))
+        .map(|i| adv(&mut ids, 1000 + i, &format!("p{i}")))
         .collect();
     let mut member = vec![false; pool.len()];
     for step in 0..2000u64 {
@@ -403,7 +392,6 @@ fn random_churn_preserves_registry_invariants() {
                     pool[i].cpu_gops = 0.5 + rng.uniform() * 4.0;
                     pool[i].name = format!("p{i}@{}", pool[i].node.0);
                 }
-                pool[i].published = now;
                 reg.admit(pool[i].clone(), now);
                 // Landing on an occupied host displaces its occupant.
                 for j in 0..pool.len() {
@@ -450,8 +438,8 @@ fn random_churn_preserves_registry_invariants() {
         // member is exactly the latest thing that member advertised.
         if member[i] {
             let entry = reg.entry(pool[i].peer).unwrap();
-            assert_eq!(entry.adv.node, pool[i].node);
-            assert_eq!(entry.adv.cpu_gops, pool[i].cpu_gops);
+            assert_eq!(entry.view.node, pool[i].node);
+            assert_eq!(entry.view.cpu_gops, pool[i].cpu_gops);
             assert_eq!(&*entry.view.name, pool[i].name.as_str());
         }
     }
@@ -467,8 +455,8 @@ fn random_churn_preserves_registry_invariants() {
 fn admit_reports_the_superseded_occupant() {
     let mut ids = IdGenerator::new(31);
     let mut reg = PeerRegistry::new();
-    let first = adv(&mut ids, 4, "first", SimTime::ZERO);
-    let second = adv(&mut ids, 4, "second", SimTime::ZERO);
+    let first = adv(&mut ids, 4, "first");
+    let second = adv(&mut ids, 4, "second");
     let (a, b) = (first.peer, second.peer);
     assert_eq!(reg.admit(first.clone(), SimTime::ZERO), None);
     assert_eq!(
@@ -520,7 +508,7 @@ fn shared_views_are_charged_once_across_their_holders() {
     let mut ids = IdGenerator::new(41);
     let mut owner = PeerRegistry::new();
     for (node, name) in [(1, "ab"), (2, "abcd"), (3, "abcdef")] {
-        owner.admit(adv(&mut ids, node, name, SimTime::ZERO), SimTime::ZERO);
+        owner.admit(adv(&mut ids, node, name), SimTime::ZERO);
     }
     let roster = owner.local_roster(SimTime::ZERO, 24);
     let mut holders = [PeerRegistry::new(), PeerRegistry::new()];
@@ -604,10 +592,10 @@ fn a_silent_senders_views_are_evicted_after_the_staleness_bound() {
 fn the_roster_is_read_in_place_and_follows_every_mutation() {
     let mut ids = IdGenerator::new(53);
     let mut reg = PeerRegistry::new();
-    let a = adv(&mut ids, 3, "a", SimTime::ZERO);
+    let a = adv(&mut ids, 3, "a");
     let peer = a.peer;
     reg.admit(a, SimTime::ZERO);
-    reg.admit(adv(&mut ids, 1, "b", SimTime::ZERO), SimTime::ZERO);
+    reg.admit(adv(&mut ids, 1, "b"), SimTime::ZERO);
     let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
     {
         let roster = reg.roster(t(1), 24, None);
@@ -644,7 +632,7 @@ fn a_subset_is_found_by_node_and_keeps_roster_order() {
     let mut ids = IdGenerator::new(59);
     let mut reg = PeerRegistry::new();
     for node in [8, 2, 6, 4] {
-        reg.admit(adv(&mut ids, node, "x", SimTime::ZERO), SimTime::ZERO);
+        reg.admit(adv(&mut ids, node, "x"), SimTime::ZERO);
     }
     // Two rumors claim host 5; they are both candidates there.
     for _ in 0..2 {
@@ -672,7 +660,7 @@ fn footprint_counts_the_read_index_and_the_in_place_views() {
     let mut ids = IdGenerator::new(61);
     let mut reg = PeerRegistry::new();
     for (node, name) in [(1, "ab"), (2, "abcd")] {
-        reg.admit(adv(&mut ids, node, name, SimTime::ZERO), SimTime::ZERO);
+        reg.admit(adv(&mut ids, node, name), SimTime::ZERO);
     }
     assert!(learn(
         &mut reg,
@@ -746,9 +734,6 @@ proptest! {
                         node,
                         name: format!("p{i}@{host}"),
                         cpu_gops: 1.0 + host as f64,
-                        accepts_tasks: true,
-                        published: now,
-                        lifetime: DEFAULT_LIFETIME,
                     };
                     reg.admit(joining, now);
                     oracle.remove(&peer);

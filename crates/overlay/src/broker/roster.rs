@@ -123,7 +123,7 @@ impl ReadIndex {
         let mut occupied: Vec<u32> = (0..entries.len() as u32)
             .filter(|&s| entries[s as usize].is_some())
             .collect();
-        occupied.sort_by_key(|&s| entries[s as usize].as_ref().map(|e| e.adv.node));
+        occupied.sort_by_key(|&s| entries[s as usize].as_ref().map(|e| e.view.node));
         assert_eq!(local, occupied, "a valid order offers each local peer once");
     }
 }
@@ -184,7 +184,7 @@ impl PeerRegistry {
         for (slot, entry) in self.entries.iter().enumerate() {
             if let Some(entry) = entry {
                 read.order.push(OrderEntry {
-                    node: entry.adv.node,
+                    node: entry.view.node,
                     slot: slot as u32,
                     remote: None,
                 });
@@ -264,7 +264,7 @@ impl PeerRegistry {
     ) -> Arc<[Arc<CandidateView>]> {
         self.refresh(now, stats_k_hours);
         let mut entries: Vec<&mut PeerEntry> = self.entries.iter_mut().flatten().collect();
-        entries.sort_by_key(|e| e.adv.node);
+        entries.sort_by_key(|e| e.view.node);
         entries
             .into_iter()
             .map(|e| Arc::clone(e.published.get_or_insert_with(|| Arc::new(e.view.clone()))))

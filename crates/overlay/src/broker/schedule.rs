@@ -109,8 +109,7 @@ impl CommandSchedule {
             }
             let target = match cmd {
                 BrokerCommand::DistributeFile { target, .. }
-                | BrokerCommand::SubmitTask { target, .. }
-                | BrokerCommand::SendInstant { target, .. } => target,
+                | BrokerCommand::SubmitTask { target, .. } => target,
             };
             if *target == TargetSpec::Node(node) {
                 self.cancelled[idx] = true;
@@ -137,15 +136,10 @@ impl Broker {
         }
         let now = ctx.now();
         let enqueued_at = self.schedule.note_first_due(tag, now);
-        // Commands that need clients must wait until someone has joined —
-        // unless the federation can take the petition off this broker's
-        // hands, in which case executing now forwards it instead.
-        let needs_peers = !matches!(cmd, BrokerCommand::SendInstant { .. });
-        if needs_peers
-            && self.registry.is_empty()
-            && !self.can_forward(&cmd)
-            && self.schedule.defer(tag)
-        {
+        // Every command needs clients, so it waits until someone has
+        // joined — unless the federation can take the petition off this
+        // broker's hands, in which case executing now forwards it instead.
+        if self.registry.is_empty() && !self.can_forward(&cmd) && self.schedule.defer(tag) {
             ctx.schedule_timer(CMD_RETRY_DELAY, tag);
             return;
         }
@@ -160,11 +154,17 @@ mod tests {
     use super::*;
     use crate::broker::TargetSpec;
 
-    fn instant(text: &str) -> BrokerCommand {
-        BrokerCommand::SendInstant {
-            target: TargetSpec::AllClients,
-            text: text.to_string(),
+    fn distribute(target: TargetSpec, label: &str) -> BrokerCommand {
+        BrokerCommand::DistributeFile {
+            target,
+            size_bytes: 1 << 20,
+            num_parts: 2,
+            label: label.to_string(),
         }
+    }
+
+    fn broadcast(label: &str) -> BrokerCommand {
+        distribute(TargetSpec::AllClients, label)
     }
 
     fn t(secs: u64) -> SimTime {
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn first_due_is_stamped_once_across_deferrals() {
-        let mut s = CommandSchedule::new(vec![(SimDuration::from_secs(1), instant("a"))]);
+        let mut s = CommandSchedule::new(vec![(SimDuration::from_secs(1), broadcast("a"))]);
         let tag = CMD_TAG_BASE;
         assert_eq!(s.note_first_due(tag, t(1)), t(1));
         // Later retries must keep reporting the original due instant.
@@ -186,8 +186,8 @@ mod tests {
     #[test]
     fn pending_counts_down_and_saturates() {
         let mut s = CommandSchedule::new(vec![
-            (SimDuration::from_secs(1), instant("a")),
-            (SimDuration::from_secs(2), instant("b")),
+            (SimDuration::from_secs(1), broadcast("a")),
+            (SimDuration::from_secs(2), broadcast("b")),
         ]);
         assert_eq!(s.pending(), 2);
         assert_eq!(
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn defer_budget_exhausts_at_cmd_max_retries() {
-        let mut s = CommandSchedule::new(vec![(SimDuration::ZERO, instant("a"))]);
+        let mut s = CommandSchedule::new(vec![(SimDuration::ZERO, broadcast("a"))]);
         let tag = CMD_TAG_BASE;
         for _ in 0..CMD_MAX_RETRIES {
             assert!(s.defer(tag), "budget remains");
@@ -216,16 +216,13 @@ mod tests {
 
     #[test]
     fn command_lookup_is_positional_and_cloned() {
-        let s = CommandSchedule::new(vec![(SimDuration::ZERO, instant("a"))]);
-        assert_eq!(s.command(0), Some(instant("a")));
+        let s = CommandSchedule::new(vec![(SimDuration::ZERO, broadcast("a"))]);
+        assert_eq!(s.command(0), Some(broadcast("a")));
         assert_eq!(s.command(1), None);
     }
 
-    fn to_node(node: u32, text: &str) -> BrokerCommand {
-        BrokerCommand::SendInstant {
-            target: TargetSpec::Node(netsim::node::NodeId(node)),
-            text: text.to_string(),
-        }
+    fn to_node(node: u32, label: &str) -> BrokerCommand {
+        distribute(TargetSpec::Node(netsim::node::NodeId(node)), label)
     }
 
     #[test]
@@ -234,7 +231,7 @@ mod tests {
             (SimDuration::ZERO, to_node(3, "a")),
             (SimDuration::ZERO, to_node(5, "b")),
             (SimDuration::ZERO, to_node(3, "c")),
-            (SimDuration::ZERO, instant("broadcast")),
+            (SimDuration::ZERO, broadcast("broadcast")),
         ]);
         s.mark_executed(CMD_TAG_BASE); // "a" already ran
         assert_eq!(s.pending(), 3);

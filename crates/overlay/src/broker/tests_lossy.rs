@@ -171,9 +171,6 @@ impl Actor<OverlayMsg> for DoubleConfirmClient {
             node: ctx.self_id(),
             name: ctx.node_name(ctx.self_id()).to_string(),
             cpu_gops: 1.0,
-            accepts_tasks: false,
-            published: ctx.now(),
-            lifetime: crate::advertisement::DEFAULT_LIFETIME,
         };
         ctx.send(self.broker, OverlayMsg::Join(Box::new(adv)));
     }

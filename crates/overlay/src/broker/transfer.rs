@@ -1,6 +1,7 @@
 //! The transfer orchestration layer: outbound file transfers driven on the
-//! shared [`SenderFlow`] state machine, the data pipes backing them, and
-//! the broker-instructed peer-to-peer serves it awaits reports for.
+//! shared [`SenderFlow`] state machine, the data pipe each one is traced
+//! through, and the broker-instructed peer-to-peer serves it awaits
+//! reports for.
 //!
 //! The petition → ack → stop-and-wait window/record invariants live in
 //! [`crate::sendflow`]; this layer adds the broker-only concerns around
@@ -16,7 +17,6 @@ use netsim::trace::{SpanKind, TraceEventKind};
 use crate::filetransfer::FileMeta;
 use crate::id::{ContentId, PeerId, PipeId, TransferId};
 use crate::message::OverlayMsg;
-use crate::pipe::PipeRegistry;
 use crate::records::RecordSink;
 use crate::selector::{Purpose, SelectionOutcome};
 use crate::sendflow::SenderFlow;
@@ -29,15 +29,22 @@ use super::{Broker, EWMA_ALPHA};
 /// Parts used when instructing peer-to-peer transfers for file requests.
 const REQUEST_PARTS: u32 = 16;
 
+/// The JXTA unicast channel a transfer's parts notionally flow through:
+/// its id and the traffic it carried, for the `PipeOpened` / `PipeClosed`
+/// trace rows.
+pub(crate) struct DataPipe {
+    id: PipeId,
+    messages: u64,
+    bytes: u64,
+}
+
 /// Outbound transfer state: the shared sender flow, the open data pipes,
 /// and the count of instructed peer-to-peer serves still awaiting reports.
 pub(crate) struct TransferOrchestrator {
     /// Live outbound transfers on the shared sender-side state machine.
     pub(crate) flows: SenderFlow,
-    /// Open unicast pipes: one data pipe per live outbound transfer.
-    pub(crate) pipes: PipeRegistry,
-    /// Data pipe backing each live outbound transfer.
-    pub(crate) pipe_for: IdMap<TransferId, PipeId>,
+    /// The data pipe of each live outbound transfer to a registered peer.
+    pipes: IdMap<TransferId, DataPipe>,
     /// Peer-to-peer transfers we instructed and are awaiting reports for.
     pub(crate) instructed_pending: u32,
 }
@@ -48,8 +55,7 @@ impl TransferOrchestrator {
         flows.set_sink(sink);
         TransferOrchestrator {
             flows,
-            pipes: PipeRegistry::new(),
-            pipe_for: IdMap::default(),
+            pipes: IdMap::default(),
             instructed_pending: 0,
         }
     }
@@ -83,17 +89,16 @@ impl Broker {
                 entry.stats.outbox.incr(now);
                 entry.view.history.queued_bytes += size_bytes;
             }
-            // Open the transfer's data pipe (the JXTA unicast channel the
-            // parts notionally flow through); closed in finish_transfer.
-            let pipe = self.transfers.pipes.open(
-                &mut self.ids,
-                peer,
-                to,
-                label,
-                now,
-                self.cfg.transfer_timeout,
+            // Open the transfer's data pipe; closed in finish_transfer.
+            let pipe = PipeId::generate(&mut self.ids);
+            self.transfers.pipes.insert(
+                id,
+                DataPipe {
+                    id: pipe,
+                    messages: 0,
+                    bytes: 0,
+                },
             );
-            self.transfers.pipe_for.insert(id, pipe);
             if ctx.trace_enabled() {
                 ctx.trace_event(TraceEventKind::PipeOpened {
                     pipe: pipe.raw(),
@@ -147,8 +152,9 @@ impl Broker {
         self.transfers
             .flows
             .note_part_sent(transfer, index, size, now);
-        if let Some(&pipe) = self.transfers.pipe_for.get(&transfer) {
-            self.transfers.pipes.account(pipe, size);
+        if let Some(pipe) = self.transfers.pipes.get_mut(&transfer) {
+            pipe.messages += 1;
+            pipe.bytes += size;
         }
         if ctx.trace_enabled() {
             ctx.trace_event(TraceEventKind::PartSent {
@@ -180,15 +186,13 @@ impl Broker {
         };
         let to = outbound.to;
         let size = outbound.file.size_bytes;
-        if let Some(pipe) = self.transfers.pipe_for.remove(&transfer) {
-            if let Some(ep) = self.transfers.pipes.close(pipe) {
-                if ctx.trace_enabled() {
-                    ctx.trace_event(TraceEventKind::PipeClosed {
-                        pipe: pipe.raw(),
-                        messages: ep.messages,
-                        bytes: ep.bytes,
-                    });
-                }
+        if let Some(pipe) = self.transfers.pipes.remove(&transfer) {
+            if ctx.trace_enabled() {
+                ctx.trace_event(TraceEventKind::PipeClosed {
+                    pipe: pipe.id.raw(),
+                    messages: pipe.messages,
+                    bytes: pipe.bytes,
+                });
             }
         }
         if ctx.trace_enabled() {

@@ -18,7 +18,7 @@ use netsim::node::NodeId;
 use netsim::time::SimDuration;
 use netsim::trace::{SpanKind, TraceEventKind};
 
-use crate::advertisement::{ContentAdvertisement, PeerAdvertisement, DEFAULT_LIFETIME};
+use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
 use crate::filetransfer::{InboundTransfer, OutboundTransfer, PartReceipt};
 use crate::id::{ContentId, IdGenerator, PeerId, TaskId, TransferId};
 use crate::message::{JobSubmission, OverlayMsg};
@@ -52,17 +52,10 @@ pub enum ClientCommand {
         /// Job label.
         label: String,
     },
-    /// Send an instant message to another host.
-    Instant {
-        /// Destination host.
-        to: NodeId,
-        /// Body.
-        text: String,
-    },
     /// Leave the overlay.
     Leave,
     /// Re-join the overlay after a [`ClientCommand::Leave`] (same peer
-    /// identity; the broker refreshes the stored advertisement).
+    /// identity; the broker refreshes what it holds of the peer).
     Rejoin,
 }
 
@@ -127,8 +120,6 @@ pub struct SimpleClient {
     next_task_tag: u64,
     stats: Option<PeerStats>,
     sink: Option<RecordSink>,
-    /// Counters exposed for tests and examples.
-    pub instants_received: u64,
     /// Job completions this client has been notified of: (label, success).
     pub jobs_done: Vec<(String, bool)>,
 }
@@ -154,7 +145,6 @@ impl SimpleClient {
             next_task_tag: TASK_TAG_BASE,
             stats: None,
             sink: None,
-            instants_received: 0,
             jobs_done: Vec::new(),
         }
     }
@@ -189,9 +179,6 @@ impl SimpleClient {
             node: ctx.self_id(),
             name: ctx.node_name(ctx.self_id()).to_string(),
             cpu_gops: CPU_GOPS,
-            accepts_tasks: true,
-            published: ctx.now(),
-            lifetime: DEFAULT_LIFETIME,
         }
     }
 
@@ -233,9 +220,6 @@ impl SimpleClient {
                     })),
                 );
             }
-            ClientCommand::Instant { to, text } => {
-                ctx.send(to, OverlayMsg::Instant { text: text.into() });
-            }
             ClientCommand::Leave => {
                 ctx.send(self.cfg.broker, OverlayMsg::Leave { peer: self.peer_id });
                 self.joined = false;
@@ -266,7 +250,7 @@ impl Actor<OverlayMsg> for SimpleClient {
     fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
         let now = ctx.now();
         match msg {
-            OverlayMsg::JoinAck { .. } => {
+            OverlayMsg::JoinAck => {
                 self.joined = true;
                 // Publish shared content once membership is confirmed.
                 let shared = self.cfg.shared_files.clone();
@@ -276,8 +260,6 @@ impl Actor<OverlayMsg> for SimpleClient {
                         owner: self.peer_id,
                         name,
                         size_bytes: bytes,
-                        published: now,
-                        lifetime: DEFAULT_LIFETIME,
                     };
                     ctx.send(self.cfg.broker, OverlayMsg::PublishContent(Box::new(adv)));
                 }
@@ -565,9 +547,6 @@ impl Actor<OverlayMsg> for SimpleClient {
             OverlayMsg::Ping { nonce, sent_at } => {
                 ctx.send(from, OverlayMsg::Pong { nonce, sent_at });
             }
-            OverlayMsg::Instant { .. } => {
-                self.instants_received += 1;
-            }
             _ => {
                 // Remaining messages are not addressed to clients.
             }
@@ -641,7 +620,6 @@ mod tests {
         let c = SimpleClient::new(ClientConfig::new(NodeId(0)), 3);
         assert!(!c.is_joined());
         assert_eq!(c.inbound_transfers(), 0);
-        assert_eq!(c.instants_received, 0);
         assert!(c.jobs_done.is_empty());
     }
 

@@ -3,8 +3,8 @@
 //! ROADMAP item 1 asks what a million-peer registry actually *costs*; the
 //! [`MemoryFootprint`] trait answers in estimated heap bytes, broken down
 //! by component ([`FootprintBreakdown`]): roster bookkeeping, per-peer
-//! statistics windows, advertisements, content holdings, gossip views,
-//! and lifecycle scripts.
+//! statistics windows, content holdings, gossip views, and lifecycle
+//! scripts.
 //!
 //! Estimates are **length-based**, not capacity-based: they count live
 //! elements times their inline size plus owned string bytes, so the
@@ -53,9 +53,7 @@ pub struct FootprintBreakdown {
     pub roster: u64,
     /// Per-peer statistics: windowed ratio rings, reported snapshots.
     pub stats: u64,
-    /// Peer-advertisement heap (owned name strings).
-    pub ads: u64,
-    /// Content directory: holdings, content advertisements, transfer state.
+    /// Content directory: published names and holdings, transfer state.
     pub content: u64,
     /// Gossip state: remote candidate views learned from peer brokers.
     pub gossip: u64,
@@ -66,16 +64,15 @@ pub struct FootprintBreakdown {
 impl FootprintBreakdown {
     /// Sum over all components.
     pub fn total(&self) -> u64 {
-        self.roster + self.stats + self.ads + self.content + self.gossip + self.scripts
+        self.roster + self.stats + self.content + self.gossip + self.scripts
     }
 
     /// `(component name, bytes)` pairs in declaration order — the shape
     /// gauge publishers and report renderers iterate.
-    pub fn components(&self) -> [(&'static str, u64); 6] {
+    pub fn components(&self) -> [(&'static str, u64); 5] {
         [
             ("roster", self.roster),
             ("stats", self.stats),
-            ("ads", self.ads),
             ("content", self.content),
             ("gossip", self.gossip),
             ("scripts", self.scripts),
@@ -95,7 +92,6 @@ impl AddAssign for FootprintBreakdown {
     fn add_assign(&mut self, rhs: FootprintBreakdown) {
         self.roster += rhs.roster;
         self.stats += rhs.stats;
-        self.ads += rhs.ads;
         self.content += rhs.content;
         self.gossip += rhs.gossip;
         self.scripts += rhs.scripts;
@@ -132,12 +128,11 @@ mod tests {
         let b = FootprintBreakdown {
             roster: 1,
             stats: 2,
-            ads: 3,
             content: 4,
             gossip: 5,
             scripts: 6,
         };
-        assert_eq!(b.total(), 21);
+        assert_eq!(b.total(), 18);
         let sum: u64 = b.components().iter().map(|(_, v)| v).sum();
         assert_eq!(sum, b.total());
         assert_eq!(b.components()[0].0, "roster");

@@ -1,6 +1,6 @@
 //! JXTA-style identifiers.
 //!
-//! JXTA identifies peers, pipes, groups and content with 128-bit UUID-like
+//! JXTA identifies peers, pipes, content and the like with 128-bit UUID-like
 //! IDs. We reproduce that scheme with a namespace byte folded into a 128-bit
 //! value, generated deterministically from a seeded generator so simulation
 //! runs are reproducible.
@@ -16,8 +16,6 @@ pub enum IdKind {
     Peer,
     /// A unicast pipe.
     Pipe,
-    /// A peer group.
-    Group,
     /// A file-transfer session.
     Transfer,
     /// An executable task.
@@ -31,7 +29,6 @@ impl IdKind {
         match self {
             IdKind::Peer => 0x01,
             IdKind::Pipe => 0x02,
-            IdKind::Group => 0x03,
             IdKind::Transfer => 0x04,
             IdKind::Task => 0x05,
             IdKind::Content => 0x06,
@@ -42,7 +39,6 @@ impl IdKind {
         match self {
             IdKind::Peer => "peer",
             IdKind::Pipe => "pipe",
-            IdKind::Group => "grp",
             IdKind::Transfer => "xfer",
             IdKind::Task => "task",
             IdKind::Content => "cont",
@@ -85,11 +81,6 @@ define_id!(
     /// Identifies a unicast pipe.
     PipeId,
     IdKind::Pipe
-);
-define_id!(
-    /// Identifies a peer group.
-    GroupId,
-    IdKind::Group
 );
 define_id!(
     /// Identifies one file-transfer session.

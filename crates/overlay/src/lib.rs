@@ -5,10 +5,12 @@
 //! **Client**. This crate rebuilds all three on top of the `netsim` actor
 //! engine:
 //!
-//! * [`id`], [`advertisement`], [`pipe`], [`group`] — JXTA plumbing:
-//!   128-bit ids, discoverable advertisements, unicast pipes, peergroups.
-//! * [`message`] — the wire protocol (membership, discovery, statistics,
-//!   instant messaging, chunked file transfer, task management).
+//! * [`id`], [`advertisement`] — JXTA plumbing: 128-bit ids, and the peer
+//!   and content advertisements a join and a shared file publish.
+//! * [`message`] — the wire protocol (membership, statistics, chunked file
+//!   transfer, content requests, federation, streaming, task management).
+//!   JXTA's discovery queries, peergroups and instant messaging are not
+//!   modelled: no experiment of the paper uses them.
 //! * [`stats`] — the resource-statistics interface of paper §2.2: every
 //!   criterion the data-evaluator selection model weighs.
 //! * [`filetransfer`] — the petition → ack → stop-and-wait-parts protocol
@@ -42,11 +44,9 @@ pub mod client;
 pub mod federation;
 pub mod filetransfer;
 pub mod footprint;
-pub mod group;
 pub mod id;
 pub mod lifecycle;
 pub mod message;
-pub mod pipe;
 pub mod records;
 pub mod selector;
 pub mod sendflow;
@@ -63,7 +63,7 @@ pub mod prelude {
     };
     pub use crate::filetransfer::{split_parts, FileMeta};
     pub use crate::footprint::{FootprintBreakdown, MemoryFootprint};
-    pub use crate::id::{GroupId, PeerId, TaskId, TransferId};
+    pub use crate::id::{PeerId, TaskId, TransferId};
     pub use crate::lifecycle::{
         ChurnProfile, LifecycleConfig, LifecyclePeer, LifecycleScript, LifecycleState, SessionPlan,
     };

@@ -32,7 +32,7 @@ use netsim::rng::{DelayDistribution, SimRng};
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::TraceEventKind;
 
-use crate::advertisement::{PeerAdvertisement, DEFAULT_LIFETIME};
+use crate::advertisement::PeerAdvertisement;
 use crate::federation::FailoverPolicy;
 use crate::filetransfer::{InboundTransfer, PartReceipt};
 use crate::footprint::{map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint};
@@ -285,9 +285,6 @@ impl LifecyclePeer {
             node: ctx.self_id(),
             name: ctx.node_name(ctx.self_id()).to_string(),
             cpu_gops: self.cfg.script.sessions[session].cpu_gops,
-            accepts_tasks: self.cfg.accepts_tasks,
-            published: ctx.now(),
-            lifetime: DEFAULT_LIFETIME,
         };
         ctx.send(self.broker(), OverlayMsg::Join(Box::new(adv)));
         self.state = LifecycleState::Identified;
@@ -377,11 +374,11 @@ impl Actor<OverlayMsg> for LifecyclePeer {
         let now = ctx.now();
         let connected = self.state == LifecycleState::Connected;
         match msg {
-            OverlayMsg::JoinAck { .. } if self.state == LifecycleState::Identified => {
+            OverlayMsg::JoinAck if self.state == LifecycleState::Identified => {
                 self.state = LifecycleState::Connected;
                 self.last_ok = now;
             }
-            OverlayMsg::JoinAck { .. } => {}
+            OverlayMsg::JoinAck => {}
             // Any sign of life from the current home resets the failover
             // clock (stale pongs from an abandoned broker are filtered by
             // sender).

@@ -1,7 +1,8 @@
 //! The overlay's wire protocol.
 //!
-//! One message enum covers all primitives: membership, discovery,
-//! statistics, instant messaging, file transfer, and task management.
+//! One message enum covers all primitives: membership, statistics,
+//! liveness, file transfer, content requests, jobs, federation, streaming
+//! and task management.
 //! Wire sizes approximate serialized JXTA messages; service classes encode
 //! which messages wake the destination application (see
 //! [`netsim::engine::ServiceClass`]).
@@ -11,9 +12,9 @@ use std::sync::Arc;
 use netsim::engine::{Payload, ServiceClass};
 use netsim::time::SimTime;
 
-use crate::advertisement::PeerAdvertisement;
+use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
 use crate::filetransfer::FileMeta;
-use crate::id::{GroupId, PeerId, TaskId, TransferId};
+use crate::id::{PeerId, TaskId, TransferId};
 use crate::stats::StatsSnapshot;
 use crate::task::TaskSpec;
 
@@ -24,25 +25,15 @@ use crate::task::TaskSpec;
 /// that word are boxed (`overlay_msg_stays_small` fails otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OverlayMsg {
-    // ---- membership & discovery -------------------------------------
+    // ---- membership & statistics --------------------------------------
     /// Client → broker: join the overlay with a peer advertisement.
     Join(Box<PeerAdvertisement>),
-    /// Broker → client: membership confirmed, with the assigned peergroup.
-    JoinAck {
-        /// The group the peer was placed in.
-        group: GroupId,
-    },
+    /// Broker → client: membership confirmed.
+    JoinAck,
     /// Client → broker: leave the overlay.
     Leave {
         /// The departing peer.
         peer: PeerId,
-    },
-    /// Client → broker: ask for the current peer roster.
-    DiscoverPeers,
-    /// Broker → client: the roster.
-    DiscoverPeersResponse {
-        /// Cached, unexpired advertisements.
-        adverts: Vec<PeerAdvertisement>,
     },
     /// Periodic client → broker statistics report.
     StatsReport {
@@ -52,14 +43,7 @@ pub enum OverlayMsg {
         snapshot: Box<StatsSnapshot>,
     },
 
-    // ---- instant communication ---------------------------------------
-    /// Peer ↔ peer instant message. The body is shared (`Arc<str>`) so a
-    /// broadcast to N peers bumps a refcount N times instead of allocating
-    /// N copies of the text.
-    Instant {
-        /// Message body.
-        text: Arc<str>,
-    },
+    // ---- liveness ------------------------------------------------------
     /// Liveness probe.
     Ping {
         /// Echo nonce.
@@ -127,17 +111,7 @@ pub enum OverlayMsg {
 
     // ---- content sharing & file request ---------------------------------
     /// Client → broker: announce a locally held file.
-    PublishContent(Box<crate::advertisement::ContentAdvertisement>),
-    /// Client → broker: browse published content by substring.
-    DiscoverContent {
-        /// Substring the content name must contain (empty = everything).
-        pattern: String,
-    },
-    /// Broker → client: matching content advertisements.
-    DiscoverContentResponse {
-        /// Matching, unexpired advertisements.
-        adverts: Vec<crate::advertisement::ContentAdvertisement>,
-    },
+    PublishContent(Box<ContentAdvertisement>),
     /// Client → broker: ask for a file by name; the broker selects an owner
     /// peer and instructs it to send.
     FileRequest {
@@ -288,14 +262,9 @@ impl Payload for OverlayMsg {
     fn wire_size(&self) -> u64 {
         match self {
             OverlayMsg::Join(adv) => adv.wire_size(),
-            OverlayMsg::JoinAck { .. } => 32,
+            OverlayMsg::JoinAck => 32,
             OverlayMsg::Leave { .. } => 24,
-            OverlayMsg::DiscoverPeers => 16,
-            OverlayMsg::DiscoverPeersResponse { adverts } => {
-                16 + adverts.iter().map(|a| a.wire_size()).sum::<u64>()
-            }
             OverlayMsg::StatsReport { snapshot, .. } => 24 + snapshot.wire_size(),
-            OverlayMsg::Instant { text } => 24 + text.len() as u64,
             OverlayMsg::Ping { .. } | OverlayMsg::Pong { .. } => 32,
             OverlayMsg::FilePetition { file, .. } => 64 + file.wire_size(),
             OverlayMsg::PetitionAck { .. } => 48,
@@ -307,10 +276,6 @@ impl Payload for OverlayMsg {
             OverlayMsg::TaskAccept { .. } | OverlayMsg::TaskReject { .. } => 24,
             OverlayMsg::TaskResult { .. } => 40,
             OverlayMsg::PublishContent(adv) => adv.wire_size(),
-            OverlayMsg::DiscoverContent { pattern } => 24 + pattern.len() as u64,
-            OverlayMsg::DiscoverContentResponse { adverts } => {
-                16 + adverts.iter().map(|a| a.wire_size()).sum::<u64>()
-            }
             OverlayMsg::FileRequest { name, .. } => 32 + name.len() as u64,
             OverlayMsg::TransferInstruction { file, .. } => 40 + file.wire_size(),
             OverlayMsg::TransferReport { .. } => 48,
@@ -331,12 +296,9 @@ impl Payload for OverlayMsg {
     fn kind(&self) -> &'static str {
         match self {
             OverlayMsg::Join(_) => "join",
-            OverlayMsg::JoinAck { .. } => "join-ack",
+            OverlayMsg::JoinAck => "join-ack",
             OverlayMsg::Leave { .. } => "leave",
-            OverlayMsg::DiscoverPeers => "discover",
-            OverlayMsg::DiscoverPeersResponse { .. } => "discover-resp",
             OverlayMsg::StatsReport { .. } => "stats",
-            OverlayMsg::Instant { .. } => "instant",
             OverlayMsg::Ping { .. } => "ping",
             OverlayMsg::Pong { .. } => "pong",
             OverlayMsg::FilePetition { .. } => "petition",
@@ -350,8 +312,6 @@ impl Payload for OverlayMsg {
             OverlayMsg::TaskReject { .. } => "task-reject",
             OverlayMsg::TaskResult { .. } => "task-result",
             OverlayMsg::PublishContent(_) => "publish",
-            OverlayMsg::DiscoverContent { .. } => "discover-content",
-            OverlayMsg::DiscoverContentResponse { .. } => "content-resp",
             OverlayMsg::FileRequest { .. } => "file-request",
             OverlayMsg::TransferInstruction { .. } => "instruct",
             OverlayMsg::TransferReport { .. } => "xfer-report",
@@ -369,16 +329,13 @@ impl Payload for OverlayMsg {
             // Messages that wake the destination application.
             OverlayMsg::Join(_)
             | OverlayMsg::Leave { .. }
-            | OverlayMsg::DiscoverPeers
-            | OverlayMsg::Instant { .. }
             | OverlayMsg::Ping { .. }
             | OverlayMsg::FilePetition { .. }
             | OverlayMsg::TransferInstruction { .. }
             | OverlayMsg::PieceRequest { .. }
             | OverlayMsg::TaskOffer { .. } => ServiceClass::Wakeup,
             // Hot-path continuation traffic.
-            OverlayMsg::JoinAck { .. }
-            | OverlayMsg::DiscoverPeersResponse { .. }
+            OverlayMsg::JoinAck
             | OverlayMsg::StatsReport { .. }
             | OverlayMsg::Pong { .. }
             | OverlayMsg::PetitionAck { .. }
@@ -390,8 +347,6 @@ impl Payload for OverlayMsg {
             | OverlayMsg::TaskReject { .. }
             | OverlayMsg::TaskResult { .. }
             | OverlayMsg::PublishContent(_)
-            | OverlayMsg::DiscoverContent { .. }
-            | OverlayMsg::DiscoverContentResponse { .. }
             | OverlayMsg::FileRequest { .. }
             | OverlayMsg::TransferReport { .. }
             | OverlayMsg::JobSubmit(_)
@@ -456,12 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn kinds_are_stable_labels() {
-        assert_eq!(OverlayMsg::DiscoverPeers.kind(), "discover");
-        assert_eq!(OverlayMsg::Instant { text: "hi".into() }.kind(), "instant");
-    }
-
-    #[test]
     fn gossip_wire_size_counts_every_shared_view() {
         // Sharing the roster allocation is a host-side economy: on the
         // simulated wire each view still costs 200 bytes plus its name.
@@ -490,24 +439,258 @@ mod tests {
         assert_eq!(gossip(7).wire_size(), gossip(1).wire_size());
     }
 
+    /// Every variant's label, simulated size and service class at fixed
+    /// inputs. A wire size feeds the transport's serialization delay and a
+    /// class picks the service-delay draw, so any change here moves every
+    /// digest that carries the message.
     #[test]
-    fn discover_response_size_scales_with_roster() {
-        let mut g = IdGenerator::new(3);
-        let adv = PeerAdvertisement {
-            peer: PeerId::generate(&mut g),
-            node: netsim::node::NodeId(0),
-            name: "x".into(),
+    fn wire_table_pins_every_variant() {
+        use crate::advertisement::ContentAdvertisement;
+        use crate::id::ContentId;
+        use netsim::node::NodeId;
+        use ServiceClass::{Fast, Wakeup};
+
+        let mut g = IdGenerator::new(1);
+        let peer = PeerId::generate(&mut g);
+        let transfer = TransferId::generate(&mut g);
+        let task = TaskId::generate(&mut g);
+        let file = || {
+            Box::new(FileMeta {
+                content: ContentId(7),
+                name: "lecture.mp4".into(),
+                size_bytes: 1 << 20,
+            })
+        };
+        let view = Arc::new(crate::selector::CandidateView {
+            peer,
+            node: NodeId(3),
+            name: "planetlab1.example.org".into(),
             cpu_gops: 1.0,
-            accepts_tasks: true,
-            published: SimTime::ZERO,
-            lifetime: crate::advertisement::DEFAULT_LIFETIME,
-        };
-        let small = OverlayMsg::DiscoverPeersResponse {
-            adverts: vec![adv.clone()],
-        };
-        let large = OverlayMsg::DiscoverPeersResponse {
-            adverts: vec![adv.clone(); 10],
-        };
-        assert!(large.wire_size() > 5 * small.wire_size());
+            snapshot: StatsSnapshot::empty(1.0),
+            history: crate::selector::InteractionHistory::empty(),
+        });
+        let t0 = SimTime::ZERO;
+        let table: Vec<(OverlayMsg, &str, u64, ServiceClass)> = vec![
+            (
+                OverlayMsg::Join(Box::new(PeerAdvertisement {
+                    peer,
+                    node: NodeId(3),
+                    name: "planetlab1.example.org".into(),
+                    cpu_gops: 1.5,
+                })),
+                "join",
+                118,
+                Wakeup,
+            ),
+            (OverlayMsg::JoinAck, "join-ack", 32, Fast),
+            (OverlayMsg::Leave { peer }, "leave", 24, Wakeup),
+            (
+                OverlayMsg::StatsReport {
+                    peer,
+                    snapshot: Box::new(StatsSnapshot::empty(1.0)),
+                },
+                "stats",
+                160,
+                Fast,
+            ),
+            (
+                OverlayMsg::Ping {
+                    nonce: 1,
+                    sent_at: t0,
+                },
+                "ping",
+                32,
+                Wakeup,
+            ),
+            (
+                OverlayMsg::Pong {
+                    nonce: 1,
+                    sent_at: t0,
+                },
+                "pong",
+                32,
+                Fast,
+            ),
+            (
+                OverlayMsg::FilePetition {
+                    transfer,
+                    file: file(),
+                    num_parts: 4,
+                    sent_at: t0,
+                },
+                "petition",
+                123,
+                Wakeup,
+            ),
+            (
+                OverlayMsg::PetitionAck {
+                    transfer,
+                    accepted: true,
+                    petition_sent_at: t0,
+                    handled_at: t0,
+                },
+                "petition-ack",
+                48,
+                Fast,
+            ),
+            (
+                OverlayMsg::FilePart {
+                    transfer,
+                    index: 2,
+                    size: 4096,
+                },
+                "part",
+                4128,
+                Fast,
+            ),
+            (
+                OverlayMsg::PartConfirm { transfer, index: 2 },
+                "confirm",
+                28,
+                Fast,
+            ),
+            (
+                OverlayMsg::TransferComplete { transfer },
+                "complete",
+                24,
+                Fast,
+            ),
+            (OverlayMsg::TransferCancel { transfer }, "cancel", 24, Fast),
+            (
+                OverlayMsg::PublishContent(Box::new(ContentAdvertisement {
+                    content: ContentId(7),
+                    owner: peer,
+                    name: "lecture.mp4".into(),
+                    size_bytes: 1 << 20,
+                })),
+                "publish",
+                99,
+                Fast,
+            ),
+            (
+                OverlayMsg::FileRequest {
+                    requester: peer,
+                    name: "lecture.mp4".into(),
+                },
+                "file-request",
+                43,
+                Fast,
+            ),
+            (
+                OverlayMsg::TransferInstruction {
+                    to_node: NodeId(4),
+                    file: file(),
+                    num_parts: 16,
+                },
+                "instruct",
+                99,
+                Wakeup,
+            ),
+            (
+                OverlayMsg::TransferReport {
+                    transfer,
+                    ok: true,
+                    elapsed_secs: 1.0,
+                    bytes: 1 << 20,
+                },
+                "xfer-report",
+                48,
+                Fast,
+            ),
+            (
+                OverlayMsg::JobSubmit(Box::new(JobSubmission {
+                    submitter: peer,
+                    work_gops: 1.0,
+                    input_bytes: 0,
+                    input_parts: 1,
+                    label: "job-1".into(),
+                })),
+                "job-submit",
+                61,
+                Fast,
+            ),
+            (
+                OverlayMsg::JobDone {
+                    label: "job-1".into(),
+                    success: true,
+                    total_secs: 1.0,
+                },
+                "job-done",
+                45,
+                Fast,
+            ),
+            (
+                OverlayMsg::BrokerGossip {
+                    from_broker: NodeId(0),
+                    sent_at: t0,
+                    recipients: 2,
+                    roster: vec![view.clone(), view].into(),
+                },
+                "gossip",
+                468,
+                Fast,
+            ),
+            (
+                OverlayMsg::PetitionForward(Box::new(ForwardedPetition {
+                    origin: NodeId(0),
+                    hops_left: 2,
+                    size_bytes: 1 << 20,
+                    num_parts: 4,
+                    label: "fwd".into(),
+                    enqueued_at: t0,
+                })),
+                "fwd-petition",
+                67,
+                Fast,
+            ),
+            (
+                OverlayMsg::PieceRequest { piece: 5 },
+                "piece-request",
+                24,
+                Wakeup,
+            ),
+            (
+                OverlayMsg::Piece {
+                    piece: 5,
+                    size: 65536,
+                },
+                "piece",
+                65568,
+                Fast,
+            ),
+            (
+                OverlayMsg::TaskOffer {
+                    task: Box::new(TaskSpec {
+                        id: task,
+                        label: "task-1".into(),
+                        work_gops: 2.0,
+                        input_bytes: 0,
+                    }),
+                    sent_at: t0,
+                },
+                "task-offer",
+                86,
+                Wakeup,
+            ),
+            (OverlayMsg::TaskAccept { task }, "task-accept", 24, Fast),
+            (OverlayMsg::TaskReject { task }, "task-reject", 24, Fast),
+            (
+                OverlayMsg::TaskResult {
+                    task,
+                    success: true,
+                    exec_secs: 1.0,
+                },
+                "task-result",
+                40,
+                Fast,
+            ),
+        ];
+        for (msg, kind, size, class) in &table {
+            assert_eq!(
+                (msg.kind(), msg.wire_size(), msg.service_class()),
+                (*kind, *size, *class),
+                "{msg:?}"
+            );
+        }
     }
 }

@@ -31,7 +31,7 @@ use netsim::node::NodeId;
 use netsim::rng::splitmix64;
 use netsim::time::{SimDuration, SimTime};
 
-use crate::advertisement::{PeerAdvertisement, DEFAULT_LIFETIME};
+use crate::advertisement::PeerAdvertisement;
 use crate::id::{IdGenerator, PeerId};
 use crate::message::OverlayMsg;
 use crate::records::{RecordSink, StreamRecord};
@@ -346,7 +346,7 @@ impl Actor<OverlayMsg> for StreamingClient {
 
     fn on_message(&mut self, ctx: &mut Context<OverlayMsg>, from: NodeId, msg: OverlayMsg) {
         match msg {
-            OverlayMsg::JoinAck { .. } => {
+            OverlayMsg::JoinAck => {
                 if self.began_at.is_some() {
                     return; // duplicate ack
                 }
@@ -405,9 +405,6 @@ impl Actor<OverlayMsg> for StreamingClient {
                     node: ctx.self_id(),
                     name: ctx.node_name(ctx.self_id()).to_string(),
                     cpu_gops: self.cfg.cpu_gops,
-                    accepts_tasks: false,
-                    published: ctx.now(),
-                    lifetime: DEFAULT_LIFETIME,
                 };
                 ctx.send(self.cfg.broker, OverlayMsg::Join(Box::new(adv)));
             }

@@ -307,7 +307,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length bound for [`vec`]: an exact `usize` or a `Range<usize>`.
+    /// Length bound for [`vec()`]: an exact `usize` or a `Range<usize>`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: u64,

@@ -268,7 +268,7 @@ impl ScenarioConfig {
                 });
             }
             match cmd {
-                // Leave/Instant are passive; only client-initiated *work*
+                // Leave is passive; only client-initiated *work*
                 // is invisible to the broker's idle detector.
                 ClientCommand::RequestFile { .. } | ClientCommand::SubmitJob { .. }
                     if self.stop_when_idle =>

@@ -21,6 +21,7 @@
 use netsim::metrics::Metrics;
 use netsim::profile::ExecutionProfile;
 use netsim::time::SimDuration;
+use overlay::footprint::FootprintBreakdown;
 use workloads::churn::{ChurnConfig, ChurnWorkload};
 use workloads::harness::{HarnessRun, Workload};
 
@@ -159,9 +160,10 @@ pub(crate) fn cmd_profile(flags: &Flags) {
     } else {
         0.0
     };
-    let components: Vec<String> = ["roster", "stats", "ads", "content", "gossip", "scripts"]
+    let components: Vec<String> = FootprintBreakdown::default()
+        .components()
         .iter()
-        .map(|c| {
+        .map(|(c, _)| {
             format!(
                 "\"{c}\": {}",
                 gauge_prefix_sum(&run.metrics, &format!("registry.{c}_bytes."))

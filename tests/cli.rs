@@ -249,7 +249,7 @@ fn profile_churn_writes_a_sorted_chrome_trace_and_a_complete_summary() {
     assert!(json_number(registry, "bytes") > 0.0 && json_number(registry, "peers") > 0.0);
     let per_peer = json_number(registry, "bytes_per_peer");
     assert!((100.0..=2_000.0).contains(&per_peer), "{per_peer} B/peer");
-    for c in ["roster", "stats", "ads", "content", "gossip", "scripts"] {
+    for c in ["roster", "stats", "content", "gossip", "scripts"] {
         json_number(registry, c);
     }
 }

@@ -64,13 +64,6 @@ fn mixed_workload_transfers_and_tasks() {
                     label: "jobs".into(),
                 },
             ),
-            (
-                SimDuration::from_secs(95),
-                BrokerCommand::SendInstant {
-                    target: TargetSpec::AllClients,
-                    text: "hello overlay".into(),
-                },
-            ),
         ],
         ..ScenarioConfig::default()
     };
