@@ -72,15 +72,6 @@ impl HostTable {
         }
     }
 
-    /// Whether `node` has a local occupant *and* a view claiming it. Such
-    /// a claim always sits in the spill table (the occupant holds the
-    /// row), so while no host is contested the answer is no without a
-    /// probe — which is what a broker re-learning a view it already holds
-    /// asks, some millions of times a run.
-    pub(super) fn shadows_a_claim(&self, node: NodeId) -> bool {
-        !self.spill.is_empty() && self.local(node).is_some()
-    }
-
     /// The one probe `learn_remote` makes: `None` when `node` has a local
     /// occupant (a relay never shadows first-hand knowledge), otherwise
     /// the row, through which a new view's claim is recorded.
@@ -97,10 +88,19 @@ impl HostTable {
 
     /// Records `peer` as the local occupant of `node`, in place of any
     /// other; a view that held the row keeps its claim in the spill list.
-    pub(super) fn set_local(&mut self, node: NodeId, peer: PeerId) {
-        if let Some(Host::Claimed(first)) = self.rows.insert(node, Host::Local(peer)) {
-            self.spill.entry(node).or_default().push(first);
-        }
+    /// Returns whether the host's claimants were unshadowed until now (a
+    /// view held the row): they are [`HostTable::spilled`] from here on.
+    pub(super) fn set_local(&mut self, node: NodeId, peer: PeerId) -> bool {
+        let Some(Host::Claimed(first)) = self.rows.insert(node, Host::Local(peer)) else {
+            return false;
+        };
+        self.spill.entry(node).or_default().push(first);
+        true
+    }
+
+    /// The claimants of `node` beyond its holder.
+    pub(super) fn spilled(&self, node: NodeId) -> &[PeerId] {
+        self.spill.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// Clears the local occupant of `node` if it is `peer`, handing the

@@ -28,6 +28,7 @@
 //! * `tasks` — `TaskBook`: task lifecycle and client-submitted jobs.
 //! * `counters` — `BrokerCounters`: pre-resolved protocol counter handles.
 
+pub(crate) mod books;
 pub(crate) mod counters;
 pub(crate) mod hosts;
 pub(crate) mod registry;

@@ -32,9 +32,12 @@
 //! `Arc<CandidateView>` per local peer and hands out the same allocation
 //! every round until the entry changes, every fellow broker's message
 //! carries the same roster, and a receiver keeps the sender's pointer
-//! rather than a copy — so a view that did not change costs its receiver a
-//! timestamp. A view its sender stopped refreshing is evicted once it
-//! outlives the staleness bound.
+//! rather than a copy. A receiver keeps each sender's last roster in a
+//! [`super::books::Book`] and merge-walks the next one against it
+//! ([`PeerRegistry::absorb`]), so a view that did not change costs it one
+//! pointer compare, and only the changed rows reach
+//! [`PeerRegistry::learn_remote`]. A view its sender stopped refreshing is
+//! evicted once it outlives the staleness bound.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -54,6 +57,7 @@ use crate::message::OverlayMsg;
 use crate::selector::{CandidateView, InteractionHistory};
 use crate::stats::{PeerStats, StatsSnapshot};
 
+use super::books::Books;
 use super::counters::FootprintGauges;
 use super::hosts::{Host, HostTable};
 use super::roster::ReadIndex;
@@ -113,11 +117,16 @@ pub(crate) struct Holding {
 /// went to.
 pub(crate) struct RemoteView {
     pub(crate) view: Arc<CandidateView>,
-    pub(crate) as_of: SimTime,
+    /// When the view was last vouched for — unless it is booked, in which
+    /// case its book's `sent_at` is (read through [`Books::as_of`]).
+    pub(super) as_of: SimTime,
     /// This holder's share of the view allocation, in bytes (see the
     /// once-only rule in [`crate::footprint`]). Fixed when the view is
     /// learnt so the footprint pass never chases the pointer.
     pub(super) charge: u32,
+    /// The book of the sender whose last roster carries this allocation
+    /// as a marked row, or [`UNBOOKED`](super::books::UNBOOKED).
+    pub(super) book: u32,
 }
 
 /// Estimated heap bytes of one shared view allocation: the refcounted
@@ -157,6 +166,9 @@ pub(crate) struct PeerRegistry {
     /// Read-side state: which cached snapshots are due, and the
     /// node-sorted order a petition reads the roster through.
     pub(super) read: ReadIndex,
+    /// The last roster each fellow broker sent, and which of its rows
+    /// are held here unchanged.
+    pub(super) books: Books,
     /// Last time each fellow broker was heard from (gossip or forwarded
     /// petitions): the heartbeat table failover liveness reads.
     broker_heartbeats: IdMap<NodeId, SimTime>,
@@ -165,6 +177,9 @@ pub(crate) struct PeerRegistry {
     /// Interned display names by host, so record keeping on the transfer
     /// and task hot paths clones an `Arc` instead of allocating a String.
     names: IdMap<NodeId, Arc<str>>,
+    /// Membership probes the gossip receive path has made.
+    #[cfg(test)]
+    pub(super) member_probes: u64,
 }
 
 impl PeerRegistry {
@@ -182,6 +197,15 @@ impl PeerRegistry {
     #[cfg(test)]
     pub(crate) fn slab_capacity(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Counts a membership probe on the gossip receive path.
+    #[inline]
+    pub(super) fn count_probe(&mut self) {
+        #[cfg(test)]
+        {
+            self.member_probes += 1;
+        }
     }
 
     /// Whether any peer is registered.
@@ -255,7 +279,8 @@ impl PeerRegistry {
     /// *different* identity supersedes the old occupant (crash-rejoin
     /// without a Leave), keeping peers and occupied hosts a bijection. The
     /// superseded identity is expelled here, the only membership table,
-    /// and returned.
+    /// and returned. The views claiming the host are shadowed from now on,
+    /// so each loses its book mark.
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let peer = adv.peer;
         let cpu = adv.cpu_gops;
@@ -270,7 +295,13 @@ impl PeerRegistry {
         if let Some(prev) = superseded {
             self.expel(prev);
         }
-        self.hosts.set_local(adv.node, peer);
+        if self.hosts.set_local(adv.node, peer) {
+            for claimant in self.hosts.spilled(adv.node) {
+                if let Some(Membership::Remote(remote)) = self.members.get_mut(claimant) {
+                    self.books.revoke(remote);
+                }
+            }
+        }
         if let Some(slot) = known {
             self.read.touch(slot);
             let entry = self.entries[slot as usize]
@@ -350,13 +381,19 @@ impl PeerRegistry {
     /// forward the order index stays valid — it holds the same allocation
     /// — and its expiry hint is at worst early, which costs a rebuild and
     /// changes no read.
+    ///
+    /// A stored view is booked to `book` (or to none,
+    /// [`UNBOOKED`](super::books::UNBOOKED)); the caller marks its row
+    /// there. Whatever book the held view was on loses it.
     pub(crate) fn learn_remote(
         &mut self,
         view: &Arc<CandidateView>,
         as_of: SimTime,
         recipients: u32,
+        book: u32,
     ) -> bool {
         let (peer, node) = (view.peer, view.node);
+        self.count_probe();
         let mut member = self.members.entry(peer);
         let mut held = None;
         if let Entry::Occupied(known) = &mut member {
@@ -365,18 +402,23 @@ impl PeerRegistry {
                 Membership::Departed(left_at) if as_of <= *left_at => return false,
                 Membership::Departed(_) => {}
                 Membership::Remote(remote) if Arc::ptr_eq(&remote.view, view) => {
-                    if self.hosts.shadows_a_claim(node) {
+                    if self.hosts.local(node).is_some() {
                         return false;
                     }
+                    self.books.revoke(remote);
                     // A round overtaken on the way: the view now expires
                     // sooner than the order index was told.
                     if as_of < remote.as_of {
                         self.read.invalidate_order();
                     }
                     remote.as_of = as_of;
+                    remote.book = book;
                     return true;
                 }
-                Membership::Remote(remote) => held = Some((remote.view.node, remote.charge)),
+                Membership::Remote(remote) => {
+                    self.books.revoke(remote);
+                    held = Some((remote.view.node, remote.charge));
+                }
             }
         }
         let Some(host) = self.hosts.unoccupied(node) else {
@@ -389,6 +431,7 @@ impl PeerRegistry {
             view: Arc::clone(view),
             as_of,
             charge,
+            book,
         });
         match member {
             Entry::Occupied(mut known) => *known.get_mut() = remote,
@@ -411,8 +454,10 @@ impl PeerRegistry {
     }
 
     /// Settles the books for a remote view that is no longer held: its
-    /// claim on its host, its share of the footprint, the order index.
+    /// mark, its claim on its host, its share of the footprint, the order
+    /// index.
     fn release(&mut self, peer: PeerId, gone: &RemoteView) {
+        self.books.unmark(gone);
         self.hosts.unclaim(gone.view.node, peer);
         self.remote_charge -= u64::from(gone.charge);
         self.read.invalidate_order();
@@ -459,6 +504,7 @@ impl PeerRegistry {
         self.forget_remote(peer);
         for claimant in self.hosts.take_claims(node) {
             if let Some(Membership::Remote(rumor)) = self.members.remove(&claimant) {
+                self.books.unmark(&rumor);
                 self.remote_charge -= u64::from(rumor.charge);
             }
             self.read.invalidate_order();
@@ -499,7 +545,8 @@ impl PeerRegistry {
 
     /// Structural invariants, checked by tests after every mutation:
     /// membership↔slab agreement, the peers↔occupied-hosts bijection, one
-    /// claim per remote view, slot and charge accounting. (That a peer is
+    /// claim per remote view, slot and charge accounting, booked views ↔
+    /// marked book rows. (That a peer is
     /// at most one of registered, rumoured and departed is the membership
     /// table's shape, not a check.)
     #[cfg(test)]
@@ -511,7 +558,7 @@ impl PeerRegistry {
             self.entries.len(),
             "every slot is occupied or free"
         );
-        let (mut local, mut remote, mut charge) = (0, 0, 0);
+        let (mut local, mut remote, mut charge, mut booked) = (0, 0, 0, 0);
         for (&peer, known) in &self.members {
             match known {
                 Membership::Local(slot) => {
@@ -535,6 +582,13 @@ impl PeerRegistry {
                         self.hosts.claims(held.view.node, peer),
                         "every remote view is indexed under the host it claims"
                     );
+                    if held.book != super::books::UNBOOKED {
+                        booked += 1;
+                        assert!(
+                            self.hosts.local(held.view.node).is_none(),
+                            "a booked view's host has no local occupant"
+                        );
+                    }
                 }
                 Membership::Departed(_) => {}
             }
@@ -550,6 +604,17 @@ impl PeerRegistry {
             "the host table holds no claim but the remote views'"
         );
         assert_eq!(self.remote_charge, charge, "the running charge is the sum");
+        let mut marked = 0;
+        for (b, view) in self.books.marked() {
+            marked += 1;
+            assert!(
+                matches!(self.members.get(&view.peer),
+                    Some(Membership::Remote(held)) if held.book == b && Arc::ptr_eq(&held.view, view)),
+                "a marked row's view is held here, booked to its book"
+            );
+        }
+        assert_eq!(marked, booked, "every booked view is a marked row");
+        self.books.check();
         self.hosts.check();
         self.read.check(&self.entries);
     }
@@ -562,10 +627,11 @@ impl MemoryFootprint for PeerRegistry {
     /// peers, and the read index under `roster`; the windowed-ratio rings
     /// and boxed peer reports that exist under `stats`; the content
     /// directory under `content`; and federation state under `gossip`:
-    /// every other membership row (a remote view's key, pointer, timestamp
-    /// and share, or a tombstone — a row is as wide as its widest state),
-    /// every other host row, the spill lists, and this holder's share of
-    /// each shared view allocation.
+    /// every other membership row (a remote view's key, pointer, timestamp,
+    /// share and book, or a tombstone — a row is as wide as its widest
+    /// state), every other host row, the spill lists, this holder's share
+    /// of each shared view allocation, and the books (the marks, and this
+    /// holder's share of each retained roster slice).
     fn memory_footprint(&self) -> FootprintBreakdown {
         let local = self.peer_count();
         let local_rows =
@@ -580,6 +646,7 @@ impl MemoryFootprint for PeerRegistry {
                 + self.hosts.heap_bytes()
                 - local_rows
                 + self.remote_charge
+                + self.books.heap_bytes()
                 + map_estimate::<NodeId, SimTime>(self.broker_heartbeats.len()),
             ..FootprintBreakdown::default()
         };
@@ -666,14 +733,11 @@ impl Broker {
         roster: Arc<[Arc<CandidateView>]>,
     ) {
         self.registry.note_broker_alive(from_broker, ctx.now());
-        let mut dropped = 0u64;
-        for view in roster.iter() {
-            // Never shadow a locally-registered peer with a relay, and
-            // never resurrect one this broker already saw depart.
-            if !self.registry.learn_remote(view, sent_at, recipients) {
-                dropped += 1;
-            }
-        }
+        // Never shadow a locally-registered peer with a relay, and never
+        // resurrect one this broker already saw depart.
+        let dropped = self
+            .registry
+            .absorb(from_broker, roster, sent_at, recipients);
         self.bump_by(ctx, |c| c.stale_views_dropped, dropped);
         self.bump(ctx, |c| c.gossip_received);
     }

@@ -1,6 +1,7 @@
 //! The gossip write path of [`PeerRegistry`]: the membership state
-//! machine against the three-map design it replaced, what a republished
-//! roster shares with the last one, and independence from arrival order.
+//! machine against the three-map design it replaced, with and without the
+//! per-sender books, what a republished roster shares with the last one
+//! and what absorbing it costs, and independence from arrival order.
 
 use std::collections::HashMap;
 
@@ -108,16 +109,10 @@ impl PeerRegistry {
             });
         departed.collect()
     }
-
-    /// Applies one gossip message the way `on_broker_gossip` does and
-    /// returns how many of its views were dropped.
-    fn receive(&mut self, roster: &[Arc<CandidateView>], sent_at: SimTime, recipients: u32) -> u64 {
-        let dropped = roster
-            .iter()
-            .filter(|view| !self.learn_remote(view, sent_at, recipients));
-        dropped.count() as u64
-    }
 }
+
+/// A round on the way: its sender, its roster, and when it was sent.
+type Round = (usize, Arc<[Arc<CandidateView>]>, SimTime);
 
 fn joining(peer: PeerId, node: u32, name: String) -> PeerAdvertisement {
     PeerAdvertisement {
@@ -146,7 +141,6 @@ proptest! {
         let mut reg = PeerRegistry::new();
         let mut oracle = ThreeMaps::default();
         let bound = SimDuration::from_secs(12);
-        const K_HOURS: usize = 2;
         let mut now = SimTime::from_secs_f64(100.0);
         let mut last: Vec<Arc<CandidateView>> = Vec::new();
         let (mut dropped, mut expected_dropped) = (0u64, 0u64);
@@ -199,7 +193,7 @@ proptest! {
             }
             if let Some((roster, as_of)) = message {
                 for view in &roster {
-                    let stored = reg.learn_remote(view, as_of, 3);
+                    let stored = reg.learn_remote(view, as_of, 3, UNBOOKED);
                     let expected = oracle.learn_remote(view, as_of);
                     prop_assert_eq!(stored, expected);
                     dropped += u64::from(!stored);
@@ -208,39 +202,134 @@ proptest! {
                 last = roster;
             }
             reg.check_invariants();
-
-            let staleness = (age % 2 == 0).then_some(bound);
-            let read = reg.roster_copy(now, K_HOURS, staleness);
-            reg.check_invariants();
-            let expected: Vec<CandidateView> = oracle
-                .read(now, staleness)
-                .into_iter()
-                .map(|(peer, view)| match view {
-                    Some(view) => CandidateView::clone(&view),
-                    None => reg.entry(peer).expect("registered").view(now, K_HOURS),
-                })
-                .collect();
-            prop_assert_eq!(read, expected);
-
-            let local: HashMap<PeerId, NodeId> =
-                reg.entries().map(|e| (e.view.peer, e.view.node)).collect();
-            prop_assert_eq!(&local, &oracle.index);
-            let occupied: HashMap<NodeId, PeerId> = reg.hosts.locals().collect();
-            prop_assert_eq!(&occupied, &oracle.by_node);
-            let held: HashMap<PeerId, (*const CandidateView, SimTime)> = reg
-                .remote_views()
-                .map(|r| (r.view.peer, (Arc::as_ptr(&r.view), r.as_of)))
-                .collect();
-            let rumoured: HashMap<PeerId, (*const CandidateView, SimTime)> = oracle
-                .remote_peers
-                .iter()
-                .map(|(&p, (view, as_of))| (p, (Arc::as_ptr(view), *as_of)))
-                .collect();
-            prop_assert_eq!(held, rumoured);
-            prop_assert_eq!(reg.tombstones(), oracle.departed.clone());
+            assert_agrees(&mut reg, &mut oracle, now, (age % 2 == 0).then_some(bound));
         }
         prop_assert_eq!(dropped, expected_dropped);
     }
+
+    /// Two to four fellow brokers whose rounds republish most rows as the
+    /// previous round's allocations — a row restated, a peer added or
+    /// moved, a row dropped — delivered in any order, against local
+    /// joins, leaves and purges of the peers they vouch for (a local peer
+    /// taking a claimed host among them) and roster reads with or without
+    /// a staleness bound. Every round goes through the books; the registry
+    /// must agree with the three-map oracle, which learns every row, on
+    /// each round's dropped count and, after every step, on membership,
+    /// tombstones, every held allocation and its timestamp, and the read.
+    #[test]
+    fn the_books_follow_the_three_map_rules(
+        senders in 2usize..5,
+        ops in prop::collection::vec((0u8..10, 0usize..10, 0u32..6, 0u64..30), 1..200),
+    ) {
+        let mut ids = IdGenerator::new(83);
+        let pool: Vec<PeerId> = (0..10).map(|_| PeerId::generate(&mut ids)).collect();
+        let mut reg = PeerRegistry::new();
+        let mut oracle = ThreeMaps::default();
+        let bound = SimDuration::from_secs(12);
+        let mut now = SimTime::from_secs_f64(100.0);
+        let mut rows: Vec<Vec<Arc<CandidateView>>> = vec![Vec::new(); senders];
+        let mut pending: Vec<Round> = Vec::new();
+        let mut restated = 0u32;
+        for (op, i, host, age) in ops {
+            now += SimDuration::from_secs(1);
+            let (peer, node) = (pool[i], NodeId(host));
+            match op {
+                0..=2 => {
+                    let sender = &mut rows[i % senders];
+                    let pick = (i + age as usize) % sender.len().max(1);
+                    match age % 4 {
+                        1 if !sender.is_empty() => {
+                            restated += 1;
+                            let was = &sender[pick];
+                            let name = format!("r{restated}");
+                            sender[pick] = Arc::new(remote_view(was.peer, was.node.0, &name));
+                        }
+                        2 => {
+                            sender.retain(|v| v.peer != peer && v.node != node);
+                            sender.push(Arc::new(remote_view(peer, host, "r")));
+                            sender.sort_by_key(|v| v.node);
+                        }
+                        3 if !sender.is_empty() => {
+                            sender.remove(pick);
+                        }
+                        _ => {}
+                    }
+                    let sent_at = now - SimDuration::from_secs(age % 8);
+                    pending.push((i % senders, Arc::from(sender.clone()), sent_at));
+                }
+                3..=5 if !pending.is_empty() => {
+                    let (sender, roster, sent_at) = pending.remove(age as usize % pending.len());
+                    let expected = roster
+                        .iter()
+                        .filter(|view| !oracle.learn_remote(view, sent_at))
+                        .count() as u64;
+                    let from = NodeId(100 + sender as u32);
+                    prop_assert_eq!(reg.absorb(from, roster, sent_at, 3), expected);
+                }
+                6 => {
+                    let adv = joining(peer, host, format!("p{i}@{host}"));
+                    prop_assert_eq!(reg.admit(adv, now), oracle.admit(peer, node));
+                }
+                7 => {
+                    let home = reg.node_of(peer);
+                    prop_assert_eq!(reg.expel(peer), oracle.expel(peer));
+                    if let Some(home) = home {
+                        reg.purge_remote(peer, home);
+                        oracle.purge_remote(peer, home);
+                        reg.note_departed(peer, now);
+                        oracle.note_departed(peer, now);
+                    }
+                }
+                8 => now += SimDuration::from_secs([3, 15, 40][host as usize % 3]),
+                _ => {
+                    reg.purge_remote(peer, node);
+                    oracle.purge_remote(peer, node);
+                }
+            }
+            reg.check_invariants();
+            assert_agrees(&mut reg, &mut oracle, now, (age % 4 != 0).then_some(bound));
+        }
+    }
+}
+
+/// After a step: the registry and the oracle read the same roster at
+/// `now` and agree on who is registered, on which host, rumoured (down to
+/// the allocation and the time it was last vouched for) and departed.
+fn assert_agrees(
+    reg: &mut PeerRegistry,
+    oracle: &mut ThreeMaps,
+    now: SimTime,
+    staleness: Option<SimDuration>,
+) {
+    const K_HOURS: usize = 2;
+    let read = reg.roster_copy(now, K_HOURS, staleness);
+    reg.check_invariants();
+    let expected: Vec<CandidateView> = oracle
+        .read(now, staleness)
+        .into_iter()
+        .map(|(peer, view)| match view {
+            Some(view) => CandidateView::clone(&view),
+            None => reg.entry(peer).expect("registered").view(now, K_HOURS),
+        })
+        .collect();
+    assert_eq!(read, expected);
+
+    let local: HashMap<PeerId, NodeId> =
+        reg.entries().map(|e| (e.view.peer, e.view.node)).collect();
+    assert_eq!(&local, &oracle.index);
+    let occupied: HashMap<NodeId, PeerId> = reg.hosts.locals().collect();
+    assert_eq!(&occupied, &oracle.by_node);
+    let held: HashMap<PeerId, (*const CandidateView, SimTime)> = reg
+        .remote_views()
+        .map(|r| (r.view.peer, (Arc::as_ptr(&r.view), reg.books.as_of(r))))
+        .collect();
+    let rumoured: HashMap<PeerId, (*const CandidateView, SimTime)> = oracle
+        .remote_peers
+        .iter()
+        .map(|(&p, (view, as_of))| (p, (Arc::as_ptr(view), *as_of)))
+        .collect();
+    assert_eq!(held, rumoured);
+    assert_eq!(reg.tombstones(), oracle.departed);
 }
 
 #[test]
@@ -263,7 +352,7 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
 
     // A fellow broker keeps the first round.
     let mut holder = PeerRegistry::new();
-    assert_eq!(holder.receive(&first, t(60), 1), 0);
+    assert_eq!(holder.absorb(NodeId(900), Arc::clone(&first), t(60), 1), 0);
     // One entry is touched; exactly that one is republished afresh.
     let entry = owner.entry_mut(b).unwrap();
     entry.view.history.transfers_completed = 5;
@@ -283,9 +372,11 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
     assert_eq!(seen[1], *first[1]);
 
     // The next round moves every timestamp and replaces the one view.
-    assert_eq!(holder.receive(&third, t(180), 1), 0);
+    assert_eq!(holder.absorb(NodeId(900), Arc::clone(&third), t(180), 1), 0);
     holder.check_invariants();
-    assert!(holder.remote_views().all(|r| r.as_of == t(180)));
+    assert!(holder
+        .remote_views()
+        .all(|r| holder.books.as_of(r) == t(180)));
     for peer in [a, b, c] {
         let held = holder.remote_views().find(|r| r.view.peer == peer).unwrap();
         let sent = third.iter().find(|v| v.peer == peer).unwrap();
@@ -351,7 +442,9 @@ fn arrival_order_across_senders_leaves_no_mark() {
         reg.note_departed(rounds[1][0][5].peer, t(90));
         let mut dropped = 0;
         for (sender, round) in arrival {
-            dropped += reg.receive(&rounds[sender][round], t(60 * (round as u64 + 1)), 2);
+            let roster = Arc::clone(&rounds[sender][round]);
+            let sent_at = t(60 * (round as u64 + 1));
+            dropped += reg.absorb(NodeId(900 + sender as u32), roster, sent_at, 2);
             reg.check_invariants();
         }
         let unbounded = reg.roster_copy(t(170), 24, None);
@@ -364,4 +457,94 @@ fn arrival_order_across_senders_leaves_no_mark() {
     assert_eq!(unbounded.len(), 1 + 2 * 300 - 1);
     assert_eq!(bounded.len(), unbounded.len() - 2 * 10, "leavers expired");
     assert!(outcomes[1..].iter().all(|other| *other == outcomes[0]));
+}
+
+#[test]
+fn a_roster_costs_only_its_changed_rows() {
+    // The mechanism as a count the host cannot blur: the membership
+    // probes absorbing a roster makes. An unchanged round makes none; one
+    // that differs in k rows makes at most k plus one per row it revokes.
+    let mut ids = IdGenerator::new(89);
+    let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let mut owner = PeerRegistry::new();
+    let peers: Vec<PeerId> = (0..200)
+        .map(|node| {
+            let joining = adv(&mut ids, node, "sc");
+            let peer = joining.peer;
+            owner.admit(joining, t(0));
+            peer
+        })
+        .collect();
+    let mut holder = PeerRegistry::new();
+    let absorb = |holder: &mut PeerRegistry, roster, at| {
+        let before = holder.member_probes;
+        let dropped = holder.absorb(NodeId(900), roster, at, 2);
+        holder.check_invariants();
+        (holder.member_probes - before, dropped)
+    };
+
+    let first = owner.local_roster(t(60), 24);
+    assert_eq!(
+        absorb(&mut holder, first, t(60)),
+        (200, 0),
+        "every row is new"
+    );
+    let again = owner.local_roster(t(120), 24);
+    assert_eq!(
+        absorb(&mut holder, again, t(120)),
+        (0, 0),
+        "nothing changed"
+    );
+    assert!(holder
+        .remote_views()
+        .all(|r| holder.books.as_of(r) == t(120)));
+
+    // Five peers restated, two gone, one new: eight rows differ, and the
+    // seven the book held are revoked on the way.
+    for &peer in &peers[10..15] {
+        owner.entry_mut(peer).unwrap().stats.pending_transfers = 3;
+    }
+    assert!(owner.expel(peers[20]) && owner.expel(peers[21]));
+    owner.admit(adv(&mut ids, 500, "sc"), t(150));
+    let changed = owner.local_roster(t(180), 24);
+    let (probes, dropped) = absorb(&mut holder, changed, t(180));
+    assert_eq!(dropped, 0);
+    assert!(probes <= 8 + 7, "{probes} probes");
+    assert_eq!(
+        holder.remote_count(),
+        201,
+        "the dropped rows are held until stale"
+    );
+    // The dropped rows keep the time they were last vouched for.
+    for gone in &peers[20..22] {
+        let held = holder
+            .remote_views()
+            .find(|r| r.view.peer == *gone)
+            .unwrap();
+        assert_eq!(holder.books.as_of(held), t(120));
+    }
+
+    // Local changes revoke exactly their rows: a vouched-for peer
+    // registers here, and another peer takes a vouched-for host.
+    let local = joining(peers[30], 30, "sc@30".to_string());
+    holder.admit(local, t(200));
+    holder.admit(adv(&mut ids, 40, "squatter"), t(200));
+    let unchanged = owner.local_roster(t(240), 24);
+    assert_eq!(absorb(&mut holder, unchanged, t(240)), (2, 2));
+
+    // The book keeps one slice per sender: its share, and a mark per row.
+    let rows = 199;
+    assert_eq!(
+        holder.books.heap_bytes(),
+        map_estimate::<NodeId, u32>(1)
+            + slots_estimate::<crate::broker::books::Book>(1)
+            + (ARC_HEADER_BYTES + 8 * rows).div_ceil(2)
+            + rows
+    );
+}
+
+#[test]
+fn the_books_do_not_widen_a_row() {
+    assert_eq!(std::mem::size_of::<RemoteView>(), 24);
+    assert_eq!(std::mem::size_of::<Membership>(), 32);
 }

@@ -1,6 +1,7 @@
 //! Unit and property tests for [`super::PeerRegistry`].
 
 use super::*;
+use crate::broker::books::UNBOOKED;
 use crate::id::IdGenerator;
 use crate::selector::Roster;
 use netsim::rng::SimRng;
@@ -44,7 +45,7 @@ impl PeerRegistry {
             if self.peer_of(remote.view.node).is_some() {
                 continue;
             }
-            if staleness.is_some_and(|bound| now - remote.as_of > bound) {
+            if staleness.is_some_and(|bound| now - self.books.as_of(remote) > bound) {
                 continue;
             }
             views.push(CandidateView::clone(&remote.view));
@@ -68,7 +69,7 @@ impl PeerRegistry {
 
 /// Learns `view` as if it arrived in a roster addressed to one broker.
 fn learn(reg: &mut PeerRegistry, view: CandidateView, as_of: SimTime) -> bool {
-    reg.learn_remote(&Arc::new(view), as_of, 1)
+    reg.learn_remote(&Arc::new(view), as_of, 1, UNBOOKED)
 }
 
 fn remote_view(peer: PeerId, node: u32, name: &str) -> CandidateView {
@@ -514,7 +515,7 @@ fn shared_views_are_charged_once_across_their_holders() {
     let mut holders = [PeerRegistry::new(), PeerRegistry::new()];
     for reg in &mut holders {
         for view in roster.iter() {
-            assert!(reg.learn_remote(view, SimTime::ZERO, 2));
+            assert!(reg.learn_remote(view, SimTime::ZERO, 2, UNBOOKED));
         }
         reg.check_invariants();
     }
@@ -537,7 +538,7 @@ fn shared_views_are_charged_once_across_their_holders() {
 
     // Shares round up: seven holders never under-count an allocation.
     let mut seventh = PeerRegistry::new();
-    assert!(seventh.learn_remote(&roster[0], SimTime::ZERO, 7));
+    assert!(seventh.learn_remote(&roster[0], SimTime::ZERO, 7, UNBOOKED));
     let share = seventh.memory_footprint().gossip - slots / 3;
     assert_eq!(share, view_alloc_bytes(&roster[0]).div_ceil(7));
     assert!(7 * share >= view_alloc_bytes(&roster[0]));
@@ -803,7 +804,7 @@ proptest! {
             oracle.retain(|_, (_, as_of)| now - *as_of <= bound);
             let held: HashMap<PeerId, (NodeId, SimTime)> = reg
                 .remote_views()
-                .map(|r| (r.view.peer, (r.view.node, r.as_of)))
+                .map(|r| (r.view.peer, (r.view.node, reg.books.as_of(r))))
                 .collect();
             prop_assert_eq!(&held, &oracle);
             let expected = reg.candidate_views(now, K_HOURS, Some(bound));

@@ -14,8 +14,8 @@
 //!   when the k-hour window moved to another hour;
 //! * the order index is rebuilt when membership or the remote set changed
 //!   or a held remote view passed the staleness bound. It is *not*
-//!   maintained on the write path: a churn run takes millions of
-//!   `learn_remote`s for a few dozen reads, and one sort per read that
+//!   maintained on the write path: a churn run absorbs millions of
+//!   roster rows for a few dozen reads, and one sort per read that
 //!   follows a write is cheaper than a sorted insert per write. The
 //!   rebuild sweep is also where expired remote views are evicted.
 //!
@@ -191,7 +191,7 @@ impl PeerRegistry {
             }
         }
         read.expires = None;
-        let (hosts, charge) = (&mut self.hosts, &mut self.remote_charge);
+        let (hosts, books, charge) = (&mut self.hosts, &mut self.books, &mut self.remote_charge);
         self.members.retain(|&peer, known| {
             let Membership::Remote(remote) = known else {
                 return true;
@@ -200,12 +200,14 @@ impl PeerRegistry {
             if let Some(bound) = staleness {
                 // The stale-stat tolerance window: a view its sender
                 // stopped refreshing is dropped for good.
-                if now - remote.as_of > bound {
+                let as_of = books.as_of(remote);
+                if now - as_of > bound {
+                    books.unmark(remote);
                     hosts.unclaim(node, peer);
                     *charge -= u64::from(remote.charge);
                     return false;
                 }
-                let at = remote.as_of + bound;
+                let at = as_of + bound;
                 read.expires = Some(read.expires.map_or(at, |e| e.min(at)));
             }
             // Never offer a relay over first-hand knowledge of the host.
