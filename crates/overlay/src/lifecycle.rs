@@ -567,6 +567,92 @@ mod tests {
         assert_eq!(p.broker(), NodeId(0));
     }
 
+    /// A broker offers one task to each of four peers at 10.001 s. Two
+    /// are connected and run theirs; two left at 10 s, before their
+    /// `Leave` reached the broker, and refuse the offer that crosses it.
+    #[test]
+    fn connected_peers_run_tasks_and_departed_peers_refuse_them() {
+        use crate::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
+        use crate::records::RecordSink;
+        use netsim::engine::Engine;
+        use netsim::link::{AccessLink, PathSpec};
+        use netsim::node::NodeSpec;
+        use netsim::topology::Topology;
+        use netsim::trace::TraceEventKind;
+        use netsim::transport::TransportConfig;
+
+        let mut topo = Topology::new();
+        let broker = topo.add_node(
+            NodeSpec::responsive("broker"),
+            AccessLink::symmetric_mbps(80.0, 0.0001),
+        );
+        let peers: Vec<NodeId> = (0..4)
+            .map(|i| {
+                let p = topo.add_node(
+                    NodeSpec::responsive(format!("peer{i}")),
+                    AccessLink::symmetric_mbps(8.0, 0.0003),
+                );
+                topo.set_path_symmetric(broker, p, PathSpec::from_owd_ms(20.0, 0.0));
+                p
+            })
+            .collect();
+        let mut cfg = BrokerConfig::new(5);
+        for &p in &peers {
+            cfg = cfg.at(
+                SimDuration::from_secs_f64(10.001),
+                BrokerCommand::SubmitTask {
+                    target: TargetSpec::Node(p),
+                    work_gops: 2.0,
+                    input_bytes: 0,
+                    input_parts: 1,
+                    label: "job".into(),
+                },
+            );
+        }
+        let sink = RecordSink::new();
+        let mut engine = Engine::new(topo, TransportConfig::default(), 42);
+        engine.enable_trace(1 << 14);
+        engine.register(broker, Box::new(Broker::new(cfg, sink.clone())));
+        for (i, &p) in peers.iter().enumerate() {
+            let length = SimDuration::from_secs(if i < 2 { 3600 } else { 9 });
+            let script = LifecycleScript {
+                arrival: SimDuration::from_secs(1),
+                sessions: vec![SessionPlan {
+                    length,
+                    off_time: SimDuration::ZERO,
+                    cpu_gops: 1.0,
+                }],
+            };
+            let cfg = LifecycleConfig {
+                brokers: vec![broker],
+                script,
+                accepts_tasks: true,
+                failover: None,
+            };
+            engine.register(p, Box::new(LifecyclePeer::new(cfg, 100 + i as u64)));
+        }
+        engine.run_until(SimTime::ZERO + SimDuration::from_secs(600));
+
+        let log = sink.drain();
+        assert_eq!(log.tasks.len(), 4);
+        for task in &log.tasks {
+            let connected = task.on == peers[0] || task.on == peers[1];
+            assert_eq!(task.success, connected, "task on {}", task.on_name);
+            assert_eq!(task.exec_secs.is_some_and(|s| s > 0.0), connected);
+        }
+        assert_eq!(engine.metrics().counter("churn.refused_tasks"), 2);
+        let task_tags: Vec<u64> = engine
+            .trace()
+            .events()
+            .filter(|e| e.node != broker)
+            .filter_map(|e| match e.kind {
+                TraceEventKind::TimerArmed { tag, .. } if tag > 1 => Some(tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(task_tags, [TASK_TAG_BASE, TASK_TAG_BASE]);
+    }
+
     #[test]
     fn home_preference_walks_and_wraps() {
         let cfg = LifecycleConfig {

@@ -9,6 +9,7 @@ use overlay::message::OverlayMsg;
 use overlay::records::RecordSink;
 use peer_selection::prelude::*;
 use planetlab::builder::build;
+use workloads::runner::run_traced;
 use workloads::scenario::{run_scenario, ScenarioConfig};
 use workloads::spec::MB;
 
@@ -29,7 +30,8 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
         horizon: SimDuration::from_secs(900),
         ..ScenarioConfig::default()
     };
-    let result = run_scenario(&cfg, 3);
+    let traced = run_traced(&cfg, cfg.harness(), 3).expect("the measurement testbed runs");
+    let result = &traced.result;
     let served: Vec<_> = result
         .run
         .log
@@ -46,6 +48,20 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
         result.run.metrics.counter("overlay.file_requests_served"),
         2
     );
+    // The serving client's sending end (petition, parts, closing rows,
+    // report) is pinned byte for byte: no golden covers it otherwise.
+    assert_eq!(traced.digest, 0x81bf_71a7_8c8e_a721, "trace digest");
+    assert_eq!(
+        fnv1a(&result.run.metrics.render()),
+        0x68db_ab6f_0fa2_7814,
+        "metrics"
+    );
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 #[test]
