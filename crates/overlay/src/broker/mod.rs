@@ -20,9 +20,9 @@
 //! * `selection` — `SelectionService`: the single place a [`PeerSelector`]
 //!   is consulted, its decision recorded and traced, and outcome feedback
 //!   delivered.
-//! * `transfer` — `TransferOrchestrator`: outbound transfers on the shared
-//!   [`crate::sendflow::SenderFlow`] state machine, plus the data pipe id
-//!   and traffic count each one reports in its trace rows.
+//! * `transfer` — `TransferOrchestrator`: outbound transfers sent through
+//!   the crate's one sending end (`sendflow`), plus the data pipe id and
+//!   traffic count each one reports in its trace rows.
 //! * `retry` — `RetryEngine`: retransmission probes and transfer/task
 //!   watchdogs.
 //! * `tasks` — `TaskBook`: task lifecycle and client-submitted jobs.
@@ -152,11 +152,11 @@ pub struct BrokerConfig {
     /// Stop the whole simulation once all scripted work completes.
     pub stop_when_idle: bool,
     /// Fellow broker hosts to exchange rosters with. Crate-private: the
-    /// federation knobs are wired together through
-    /// [`crate::federation::FederationBuilder`], which validates them as
-    /// a set (see [`crate::federation::Federation::configure`]).
+    /// federation knobs are wired together by
+    /// [`crate::federation::Federation::configure`], whose
+    /// [`crate::federation::Federation::new`] validates them as a set.
     pub(crate) peer_brokers: Vec<NodeId>,
-    /// Roster-gossip period (set via the federation builder).
+    /// Roster-gossip period (set by the federation).
     pub(crate) gossip_interval: SimDuration,
     /// Stale-stat tolerance: gossiped candidate views older than this are
     /// invisible to selection, and a fellow broker silent longer than
@@ -401,7 +401,7 @@ impl Actor<OverlayMsg> for Broker {
                 handled_at,
             } => self.on_petition_ack(ctx, from, transfer, accepted, petition_sent_at, handled_at),
             OverlayMsg::PartConfirm { transfer, index } => {
-                self.on_part_confirm(ctx, from, transfer, index)
+                self.on_part_confirm(ctx, transfer, index)
             }
             OverlayMsg::TaskAccept { task } => self.on_task_accept(ctx, task),
             OverlayMsg::TaskReject { task } => self.on_task_reject(ctx, task),

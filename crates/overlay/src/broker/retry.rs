@@ -164,48 +164,15 @@ impl Broker {
         }
         let max = self.cfg.retry.map(|p| p.max_attempts).unwrap_or(1);
         if probe.attempt >= max {
-            self.transfers.flows.cancel(probe.transfer);
             self.bump(ctx, |c| c.retries_exhausted);
             self.finish_transfer(ctx, probe.transfer, false);
             return;
         }
-        let to = outbound.to;
-        if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::Retransmission {
-                transfer: probe.transfer.raw(),
-                part: match probe.kind {
-                    RetryKind::Petition => None,
-                    RetryKind::Part { index, .. } => Some(index),
-                },
-                attempt: probe.attempt + 1,
-            });
-        }
-        match probe.kind {
-            RetryKind::Petition => {
-                let file = Box::new(outbound.file.clone());
-                let num_parts = outbound.num_parts();
-                let sent_at = outbound.petition_sent_at;
-                ctx.send(
-                    to,
-                    OverlayMsg::FilePetition {
-                        transfer: probe.transfer,
-                        file,
-                        num_parts,
-                        sent_at,
-                    },
-                );
-            }
-            RetryKind::Part { index, size } => {
-                ctx.send(
-                    to,
-                    OverlayMsg::FilePart {
-                        transfer: probe.transfer,
-                        index,
-                        size,
-                    },
-                );
-            }
-        }
+        let part = match probe.kind {
+            RetryKind::Petition => None,
+            RetryKind::Part { index, size } => Some((index, size)),
+        };
+        (self.transfers.flows).resend(ctx, probe.transfer, part, probe.attempt + 1);
         self.bump(ctx, |c| c.retransmissions);
         self.arm_retry(ctx, probe.transfer, probe.kind, probe.attempt + 1);
     }
@@ -239,7 +206,6 @@ impl Broker {
                         transfer: transfer.raw(),
                     });
                 }
-                self.transfers.flows.cancel(transfer);
                 self.finish_transfer(ctx, transfer, false);
             }
         }

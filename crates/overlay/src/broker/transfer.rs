@@ -1,25 +1,25 @@
-//! The transfer orchestration layer: outbound file transfers driven on the
-//! shared [`SenderFlow`] state machine, the data pipe each one is traced
-//! through, and the broker-instructed peer-to-peer serves it awaits
-//! reports for.
+//! The transfer orchestration layer: outbound file transfers sent through
+//! the shared [`SenderFlow`], the data pipe each one is traced through,
+//! and the broker-instructed peer-to-peer serves it awaits reports for.
 //!
-//! The petition → ack → stop-and-wait window/record invariants live in
-//! [`crate::sendflow`]; this layer adds the broker-only concerns around
-//! them — pipes, peer statistics, selector feedback, task hand-off.
+//! The flow performs every protocol step's sends, trace rows and record
+//! stamps; this layer adds the broker's policy around them — pipes,
+//! retry and watchdog timers, peer statistics, selector feedback, task
+//! hand-off.
 
 use netsim::idmap::IdMap;
 
 use netsim::engine::Context;
 use netsim::node::NodeId;
 use netsim::time::SimTime;
-use netsim::trace::{SpanKind, TraceEventKind};
+use netsim::trace::TraceEventKind;
 
-use crate::filetransfer::FileMeta;
+use crate::filetransfer::{FileMeta, OutboundTransfer};
 use crate::id::{ContentId, PeerId, PipeId, TransferId};
 use crate::message::OverlayMsg;
 use crate::records::RecordSink;
 use crate::selector::{Purpose, SelectionOutcome};
-use crate::sendflow::SenderFlow;
+use crate::sendflow::{SenderFlow, Step};
 
 use super::counters::BrokerCounters;
 use super::registry::Holding;
@@ -51,10 +51,8 @@ pub(crate) struct TransferOrchestrator {
 
 impl TransferOrchestrator {
     pub(crate) fn new(sink: RecordSink) -> Self {
-        let mut flows = SenderFlow::new();
-        flows.set_sink(sink);
         TransferOrchestrator {
-            flows,
+            flows: SenderFlow::new(Some(sink)),
             pipes: IdMap::default(),
             instructed_pending: 0,
         }
@@ -78,11 +76,7 @@ impl Broker {
             name: label.to_string(),
             size_bytes,
         };
-        let outbound =
-            crate::filetransfer::OutboundTransfer::new(id, file.clone(), to, num_parts, now);
-        let actual_parts = outbound.num_parts();
         let to_name = self.registry.display_name(ctx, to);
-        self.transfers.flows.begin(outbound, to_name, now);
         if let Some(peer) = self.registry.peer_of(to) {
             if let Some(entry) = self.registry.entry_mut(peer) {
                 entry.stats.pending_transfers += 1;
@@ -106,33 +100,8 @@ impl Broker {
                 });
             }
         }
-        if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::SpanBegin {
-                span: SpanKind::Transfer,
-                key: id.raw(),
-            });
-            if enqueued_at < now {
-                ctx.trace_event(TraceEventKind::TransferQueued {
-                    transfer: id.raw(),
-                    enqueued_at,
-                });
-            }
-            ctx.trace_event(TraceEventKind::PetitionSent {
-                transfer: id.raw(),
-                to,
-                bytes: size_bytes,
-                parts: actual_parts,
-            });
-        }
-        ctx.send(
-            to,
-            OverlayMsg::FilePetition {
-                transfer: id,
-                file: Box::new(file),
-                num_parts: actual_parts,
-                sent_at: now,
-            },
-        );
+        let outbound = OutboundTransfer::new(id, file, to, num_parts, now);
+        (self.transfers.flows).petition(ctx, outbound, to_name, enqueued_at);
         self.arm_retry(ctx, id, RetryKind::Petition, 1);
         let tag = self.retries.arm_watchdog(id);
         ctx.schedule_timer(self.cfg.transfer_timeout, tag);
@@ -140,38 +109,21 @@ impl Broker {
         id
     }
 
-    pub(crate) fn send_part(
-        &mut self,
-        ctx: &mut Context<OverlayMsg>,
-        transfer: TransferId,
-        to: NodeId,
-        index: u32,
-        size: u64,
-    ) {
-        let now = ctx.now();
-        self.transfers
-            .flows
-            .note_part_sent(transfer, index, size, now);
-        if let Some(pipe) = self.transfers.pipes.get_mut(&transfer) {
-            pipe.messages += 1;
-            pipe.bytes += size;
+    /// The broker's side of a step its flow took: count a sent part on the
+    /// pipe and arm its retry, or close a refused or complete transfer.
+    fn after_step(&mut self, ctx: &mut Context<OverlayMsg>, transfer: TransferId, step: Step) {
+        match step {
+            Step::Sent { index, size } => {
+                if let Some(pipe) = self.transfers.pipes.get_mut(&transfer) {
+                    pipe.messages += 1;
+                    pipe.bytes += size;
+                }
+                self.arm_retry(ctx, transfer, RetryKind::Part { index, size }, 1);
+            }
+            Step::Refused => self.finish_transfer(ctx, transfer, false),
+            Step::Complete => self.finish_transfer(ctx, transfer, true),
+            Step::Stale => {}
         }
-        if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::PartSent {
-                transfer: transfer.raw(),
-                index,
-                bytes: size,
-            });
-        }
-        ctx.send(
-            to,
-            OverlayMsg::FilePart {
-                transfer,
-                index,
-                size,
-            },
-        );
-        self.arm_retry(ctx, transfer, RetryKind::Part { index, size }, 1);
     }
 
     pub(crate) fn finish_transfer(
@@ -181,11 +133,7 @@ impl Broker {
         completed: bool,
     ) {
         let now = ctx.now();
-        let Some(outbound) = self.transfers.flows.finish(transfer) else {
-            return;
-        };
-        let to = outbound.to;
-        let size = outbound.file.size_bytes;
+        // A pipe exists only while its transfer is live.
         if let Some(pipe) = self.transfers.pipes.remove(&transfer) {
             if ctx.trace_enabled() {
                 ctx.trace_event(TraceEventKind::PipeClosed {
@@ -195,39 +143,19 @@ impl Broker {
                 });
             }
         }
-        if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::TransferCompleted {
-                transfer: transfer.raw(),
-                ok: completed,
-            });
-            ctx.trace_event(TraceEventKind::SpanEnd {
-                span: SpanKind::Transfer,
-                key: transfer.raw(),
-                ok: completed,
-            });
-        }
-        ctx.send(
-            to,
-            if completed {
-                OverlayMsg::TransferComplete { transfer }
-            } else {
-                OverlayMsg::TransferCancel { transfer }
-            },
-        );
-        let (elapsed, throughput) = self
-            .transfers
-            .flows
-            .stamp_finished(transfer, now, completed);
-        if let Some(peer) = self.registry.peer_of(to) {
+        let Some(done) = self.transfers.flows.finish(ctx, transfer, completed) else {
+            return;
+        };
+        if let Some(peer) = self.registry.peer_of(done.to) {
             if let Some(entry) = self.registry.entry_mut(peer) {
                 entry.stats.pending_transfers = entry.stats.pending_transfers.saturating_sub(1);
                 entry.stats.outbox.decr(now);
                 entry.stats.record_file_send(completed);
                 let history = &mut entry.view.history;
-                history.queued_bytes = history.queued_bytes.saturating_sub(size);
+                history.queued_bytes = history.queued_bytes.saturating_sub(done.bytes);
                 if completed {
                     history.transfers_completed += 1;
-                    if let Some(bps) = throughput {
+                    if let Some(bps) = done.throughput {
                         history.observe_throughput(bps, EWMA_ALPHA);
                     }
                 } else {
@@ -236,10 +164,10 @@ impl Broker {
             }
         }
         self.selection.on_outcome(&SelectionOutcome {
-            node: to,
+            node: done.to,
             success: completed,
-            elapsed_secs: elapsed,
-            bytes: size,
+            elapsed_secs: done.elapsed_secs,
+            bytes: done.bytes,
         });
         self.bump(
             ctx,
@@ -270,20 +198,10 @@ impl Broker {
         petition_sent_at: SimTime,
         handled_at: SimTime,
     ) {
-        let now = ctx.now();
+        let (first_ack, step) = (self.transfers.flows).on_ack(ctx, transfer, accepted, handled_at);
         // A duplicate ack (retransmitted petition) must not skew the
-        // records or the latency history.
-        let first_ack = self.transfers.flows.is_awaiting_ack(transfer);
-        if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::PetitionAcked {
-                transfer: transfer.raw(),
-                accepted,
-            });
-        }
+        // latency history.
         if first_ack {
-            self.transfers
-                .flows
-                .note_ack_times(transfer, handled_at, now);
             let petition_latency = handled_at.duration_since(petition_sent_at).as_secs_f64();
             if let Some(peer) = self.registry.peer_of(from) {
                 if let Some(entry) = self.registry.entry_mut(peer) {
@@ -291,53 +209,21 @@ impl Broker {
                         .view
                         .history
                         .observe_petition(petition_latency, EWMA_ALPHA);
-                    entry.stats.record_message(now, true);
+                    entry.stats.record_message(ctx.now(), true);
                 }
             }
         }
-        let next = self.transfers.flows.on_ack(transfer, accepted);
-        match next {
-            Some((index, size)) => self.send_part(ctx, transfer, from, index, size),
-            None => {
-                if !accepted {
-                    self.finish_transfer(ctx, transfer, false);
-                }
-            }
-        }
+        self.after_step(ctx, transfer, step);
     }
 
     pub(crate) fn on_part_confirm(
         &mut self,
         ctx: &mut Context<OverlayMsg>,
-        from: NodeId,
         transfer: TransferId,
         index: u32,
     ) {
-        let now = ctx.now();
-        // First-confirm-wins: validate against the stop-and-wait window
-        // BEFORE touching the record. A late duplicate confirm
-        // (retransmitted part → receiver confirmed twice) must not
-        // overwrite the original confirmed_at — that inflates Fig 4's
-        // last_part_secs.
-        let accepted = self.transfers.flows.accepts_confirm(transfer, index);
-        if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::PartConfirmed {
-                transfer: transfer.raw(),
-                index,
-                accepted,
-            });
-        }
-        if accepted {
-            self.transfers.flows.note_confirm(transfer, index, now);
-        }
-        let outcome = self.transfers.flows.on_confirm(transfer, index);
-        match outcome {
-            Some((Some((next_index, size)), _)) => {
-                self.send_part(ctx, transfer, from, next_index, size);
-            }
-            Some((None, true)) => self.finish_transfer(ctx, transfer, true),
-            _ => {}
-        }
+        let step = self.transfers.flows.on_confirm(ctx, transfer, index);
+        self.after_step(ctx, transfer, step);
     }
 
     pub(crate) fn on_file_request(

@@ -10,20 +10,24 @@
 //! peer-to-peer when the broker redirects a file request to them, and
 //! **submit jobs** of their own which the broker places via its selection
 //! model.
+//!
+//! Neither end of the transfer protocol is written here: a client
+//! receives through the same receiving end as `LifecyclePeer`, and serves
+//! through the same sending end as the broker, keeping only its report.
 
-use netsim::idmap::IdMap;
+use std::sync::Arc;
 
 use netsim::engine::{Actor, Context, TimerId};
 use netsim::node::NodeId;
-use netsim::time::SimDuration;
-use netsim::trace::{SpanKind, TraceEventKind};
+use netsim::time::{SimDuration, SimTime};
 
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
-use crate::filetransfer::{InboundTransfer, OutboundTransfer, PartReceipt};
-use crate::id::{ContentId, IdGenerator, PeerId, TaskId, TransferId};
+use crate::filetransfer::OutboundTransfer;
+use crate::id::{ContentId, IdGenerator, PeerId, TransferId};
 use crate::message::{JobSubmission, OverlayMsg};
+use crate::receive::{Petition, Receiver};
 use crate::records::RecordSink;
-use crate::sendflow::SenderFlow;
+use crate::sendflow::{SenderFlow, Step};
 use crate::stats::PeerStats;
 
 /// Timer tag for the periodic stats report.
@@ -111,22 +115,13 @@ pub struct SimpleClient {
     ids: IdGenerator,
     peer_id: PeerId,
     joined: bool,
-    inbound: IdMap<TransferId, InboundTransfer>,
+    /// Transfers and tasks this peer receives.
+    receiver: Receiver,
     /// Transfers this peer is *sending* (instructed by the broker).
     outbound: SenderFlow,
-    outbound_started: IdMap<TransferId, netsim::time::SimTime>,
-    /// Running tasks keyed by their completion-timer tag.
-    running: IdMap<u64, RunningTask>,
-    next_task_tag: u64,
     stats: Option<PeerStats>,
-    sink: Option<RecordSink>,
     /// Job completions this client has been notified of: (label, success).
     pub jobs_done: Vec<(String, bool)>,
-}
-
-struct RunningTask {
-    id: TaskId,
-    exec_secs: f64,
 }
 
 impl SimpleClient {
@@ -138,22 +133,18 @@ impl SimpleClient {
             ids,
             cfg,
             joined: false,
-            inbound: IdMap::default(),
-            outbound: SenderFlow::new(),
-            outbound_started: IdMap::default(),
-            running: IdMap::default(),
-            next_task_tag: TASK_TAG_BASE,
+            receiver: Receiver::new(TASK_TAG_BASE, None),
+            outbound: SenderFlow::new(None),
             stats: None,
-            sink: None,
             jobs_done: Vec::new(),
         }
     }
 
     /// Attaches a record sink so peer-to-peer transfers this client serves
-    /// appear in the run log.
+    /// appear in the run log, and received ones carry its byte tally.
     pub fn with_sink(mut self, sink: RecordSink) -> Self {
-        self.sink = Some(sink.clone());
-        self.outbound.set_sink(sink);
+        self.receiver = Receiver::new(TASK_TAG_BASE, Some(sink.clone()));
+        self.outbound = SenderFlow::new(Some(sink));
         self
     }
 
@@ -169,7 +160,7 @@ impl SimpleClient {
 
     /// Number of in-flight inbound transfers.
     pub fn inbound_transfers(&self) -> usize {
-        self.inbound.len()
+        self.receiver.inbound_len()
     }
 
     /// The advertisement a Join (first or re-) publishes for this peer.
@@ -182,13 +173,42 @@ impl SimpleClient {
         }
     }
 
-    fn touch_gauges(&mut self, now: netsim::time::SimTime) {
-        let load = (self.inbound.len() + self.running.len()) as u32;
+    fn touch_gauges(&mut self, now: SimTime) {
+        let running = self.receiver.running_len();
+        let load = (self.receiver.inbound_len() + running) as u32;
         if let Some(stats) = &mut self.stats {
             stats.inbox.set(now, load);
             stats
                 .outbox
-                .set(now, (self.running.len() + self.outbound.len()) as u32);
+                .set(now, (running + self.outbound.len()) as u32);
+        }
+    }
+
+    /// Closes a served transfer the receiver refused or took whole, and
+    /// reports it to the broker.
+    fn close_serve(&mut self, ctx: &mut Context<OverlayMsg>, transfer: TransferId, step: Step) {
+        let completed = match step {
+            Step::Complete => true,
+            Step::Refused => false,
+            Step::Sent { .. } | Step::Stale => return,
+        };
+        let Some(done) = self.outbound.finish(ctx, transfer, completed) else {
+            return;
+        };
+        ctx.send(
+            self.cfg.broker,
+            OverlayMsg::TransferReport {
+                transfer,
+                ok: completed,
+                elapsed_secs: done.elapsed_secs,
+                bytes: done.bytes,
+            },
+        );
+        if completed {
+            if let Some(stats) = &mut self.stats {
+                stats.record_file_send(true);
+            }
+            self.touch_gauges(ctx.now());
         }
     }
 
@@ -270,80 +290,23 @@ impl Actor<OverlayMsg> for SimpleClient {
                 sent_at,
                 ..
             } => {
-                // A duplicate petition (retransmitted after a lost ack) must
-                // not reset in-progress receive state.
-                let already_known = self.inbound.contains_key(&transfer);
-                let accepted =
-                    already_known || !ctx.rng().bernoulli(self.cfg.transfer_refuse_probability);
-                if accepted && !already_known {
-                    self.inbound
-                        .insert(transfer, InboundTransfer::new(transfer, num_parts, now));
+                let refuse = self.cfg.transfer_refuse_probability;
+                let answer =
+                    self.receiver
+                        .on_petition(ctx, from, transfer, num_parts, sent_at, |ctx| {
+                            !ctx.rng().bernoulli(refuse)
+                        });
+                if answer == Petition::Fresh {
                     self.touch_gauges(now);
                 }
-                ctx.send(
-                    from,
-                    OverlayMsg::PetitionAck {
-                        transfer,
-                        accepted,
-                        petition_sent_at: sent_at,
-                        handled_at: now,
-                    },
-                );
             }
             OverlayMsg::FilePart {
                 transfer,
                 index,
                 size,
-            } => {
-                if let Some(inb) = self.inbound.get_mut(&transfer) {
-                    // Duplicates still get a confirm — the original confirm
-                    // may have been lost — but are not counted twice. Gaps
-                    // (an index ahead of the stop-and-wait window) are
-                    // rejected and never confirmed: confirming one would
-                    // advance the sender past a part we don't have.
-                    let receipt = inb.on_part(index, size);
-                    if receipt == PartReceipt::Gap {
-                        let expected = inb.received;
-                        if ctx.trace_enabled() {
-                            ctx.trace_event(TraceEventKind::PartGap {
-                                transfer: transfer.raw(),
-                                index,
-                                expected,
-                            });
-                        }
-                    } else {
-                        if receipt == PartReceipt::Last {
-                            // The receiver-side tally is complete the moment
-                            // the last part lands; don't wait for
-                            // TransferComplete, which is unacked and can be
-                            // lost on a lossy transport.
-                            let bytes = inb.bytes;
-                            if let Some(sink) = &self.sink {
-                                sink.with(|log| {
-                                    if let Some(rec) = log.transfer_mut(transfer) {
-                                        rec.receiver_bytes = Some(bytes);
-                                    }
-                                });
-                            }
-                        }
-                        ctx.send(from, OverlayMsg::PartConfirm { transfer, index });
-                    }
-                }
-                // Parts for unknown transfers are silently dropped (stale).
-            }
+            } => self.receiver.on_part(ctx, from, transfer, index, size),
             OverlayMsg::TransferComplete { transfer } | OverlayMsg::TransferCancel { transfer } => {
-                let inb = self.inbound.remove(&transfer);
-                let completed = inb.as_ref().is_some_and(|i| i.received >= i.expected_parts);
-                // Report the receiver-side byte tally back into the shared
-                // record: experiments cross-check it against file_size.
-                if let (Some(sink), Some(inb)) = (&self.sink, inb.as_ref()) {
-                    let bytes = inb.bytes;
-                    sink.with(|log| {
-                        if let Some(rec) = log.transfer_mut(transfer) {
-                            rec.receiver_bytes = Some(bytes);
-                        }
-                    });
-                }
+                let completed = self.receiver.close(transfer);
                 if let Some(stats) = &mut self.stats {
                     stats.record_file_send(completed);
                 }
@@ -356,32 +319,9 @@ impl Actor<OverlayMsg> for SimpleClient {
                 num_parts,
             } => {
                 let id = TransferId::generate(&mut self.ids);
-                let outbound = OutboundTransfer::new(id, (*file).clone(), to_node, num_parts, now);
-                let actual_parts = outbound.num_parts();
-                let to_name = std::sync::Arc::from(ctx.node_name(to_node));
-                self.outbound.begin(outbound, to_name, now);
-                if ctx.trace_enabled() {
-                    ctx.trace_event(TraceEventKind::SpanBegin {
-                        span: SpanKind::Transfer,
-                        key: id.raw(),
-                    });
-                    ctx.trace_event(TraceEventKind::PetitionSent {
-                        transfer: id.raw(),
-                        to: to_node,
-                        bytes: file.size_bytes,
-                        parts: actual_parts,
-                    });
-                }
-                ctx.send(
-                    to_node,
-                    OverlayMsg::FilePetition {
-                        transfer: id,
-                        file,
-                        num_parts: actual_parts,
-                        sent_at: now,
-                    },
-                );
-                self.outbound_started.insert(id, now);
+                let outbound = OutboundTransfer::new(id, *file, to_node, num_parts, now);
+                let to_name = Arc::from(ctx.node_name(to_node));
+                self.outbound.petition(ctx, outbound, to_name, now);
                 self.touch_gauges(now);
             }
             OverlayMsg::PetitionAck {
@@ -390,163 +330,28 @@ impl Actor<OverlayMsg> for SimpleClient {
                 handled_at,
                 ..
             } => {
-                // Only the first ack carries timing information; a duplicate
-                // (retransmitted petition) must not overwrite the milestones.
-                let first_ack = self.outbound.is_awaiting_ack(transfer);
-                if ctx.trace_enabled() {
-                    ctx.trace_event(TraceEventKind::PetitionAcked {
-                        transfer: transfer.raw(),
-                        accepted,
-                    });
-                }
-                if first_ack {
-                    self.outbound.note_ack_times(transfer, handled_at, now);
-                }
-                let next = self.outbound.on_ack(transfer, accepted);
-                if let Some((index, size)) = next {
-                    self.outbound.note_part_sent(transfer, index, size, now);
-                    if ctx.trace_enabled() {
-                        ctx.trace_event(TraceEventKind::PartSent {
-                            transfer: transfer.raw(),
-                            index,
-                            bytes: size,
-                        });
-                    }
-                    ctx.send(
-                        from,
-                        OverlayMsg::FilePart {
-                            transfer,
-                            index,
-                            size,
-                        },
-                    );
-                } else if !accepted {
-                    if let Some(t) = self.outbound.finish(transfer) {
-                        let started = self.outbound_started.remove(&transfer);
-                        ctx.send(
-                            self.cfg.broker,
-                            OverlayMsg::TransferReport {
-                                transfer,
-                                ok: false,
-                                elapsed_secs: started
-                                    .map(|s| now.duration_since(s).as_secs_f64())
-                                    .unwrap_or(0.0),
-                                bytes: t.file.size_bytes,
-                            },
-                        );
-                        self.outbound.stamp_finished(transfer, now, false);
-                        if ctx.trace_enabled() {
-                            ctx.trace_event(TraceEventKind::TransferCompleted {
-                                transfer: transfer.raw(),
-                                ok: false,
-                            });
-                            ctx.trace_event(TraceEventKind::SpanEnd {
-                                span: SpanKind::Transfer,
-                                key: transfer.raw(),
-                                ok: false,
-                            });
-                        }
-                    }
-                }
+                let (_, step) = self.outbound.on_ack(ctx, transfer, accepted, handled_at);
+                self.close_serve(ctx, transfer, step);
             }
             OverlayMsg::PartConfirm { transfer, index } => {
-                // First-confirm-wins: validate against the stop-and-wait
-                // window BEFORE touching the record, so a duplicate confirm
-                // (the retransmitted original racing a resent part's ack)
-                // cannot move `confirmed_at` forward.
-                let accepted = self.outbound.accepts_confirm(transfer, index);
-                if ctx.trace_enabled() {
-                    ctx.trace_event(TraceEventKind::PartConfirmed {
-                        transfer: transfer.raw(),
-                        index,
-                        accepted,
-                    });
-                }
-                if accepted {
-                    self.outbound.note_confirm(transfer, index, now);
-                }
-                let outcome = self.outbound.on_confirm(transfer, index);
-                match outcome {
-                    Some((Some((next_index, size)), _)) => {
-                        self.outbound
-                            .note_part_sent(transfer, next_index, size, now);
-                        if ctx.trace_enabled() {
-                            ctx.trace_event(TraceEventKind::PartSent {
-                                transfer: transfer.raw(),
-                                index: next_index,
-                                bytes: size,
-                            });
-                        }
-                        ctx.send(
-                            from,
-                            OverlayMsg::FilePart {
-                                transfer,
-                                index: next_index,
-                                size,
-                            },
-                        );
-                    }
-                    Some((None, true)) => {
-                        let t = self.outbound.finish(transfer).expect("present");
-                        let started = self.outbound_started.remove(&transfer);
-                        if ctx.trace_enabled() {
-                            ctx.trace_event(TraceEventKind::TransferCompleted {
-                                transfer: transfer.raw(),
-                                ok: true,
-                            });
-                            ctx.trace_event(TraceEventKind::SpanEnd {
-                                span: SpanKind::Transfer,
-                                key: transfer.raw(),
-                                ok: true,
-                            });
-                        }
-                        ctx.send(from, OverlayMsg::TransferComplete { transfer });
-                        let elapsed = started
-                            .map(|s| now.duration_since(s).as_secs_f64())
-                            .unwrap_or(0.0);
-                        ctx.send(
-                            self.cfg.broker,
-                            OverlayMsg::TransferReport {
-                                transfer,
-                                ok: true,
-                                elapsed_secs: elapsed,
-                                bytes: t.file.size_bytes,
-                            },
-                        );
-                        self.outbound.stamp_finished(transfer, now, true);
-                        if let Some(stats) = &mut self.stats {
-                            stats.record_file_send(true);
-                        }
-                        self.touch_gauges(now);
-                    }
-                    _ => {}
-                }
+                let step = self.outbound.on_confirm(ctx, transfer, index);
+                self.close_serve(ctx, transfer, step);
             }
             OverlayMsg::TaskOffer { task, .. } => {
-                if !ctx.rng().bernoulli(self.cfg.task_accept_probability) {
-                    ctx.send(from, OverlayMsg::TaskReject { task: task.id });
+                let accept = ctx.rng().bernoulli(self.cfg.task_accept_probability);
+                self.receiver
+                    .on_task_offer(ctx, from, task.id, task.work_gops, accept);
+                if !accept {
+                    // A declined offer is not counted as a message: the
+                    // fig67 warm-up declines 30 % and its digests rest on it.
                     return;
                 }
-                ctx.send(from, OverlayMsg::TaskAccept { task: task.id });
-                let exec = ctx.execution_time(task.work_gops);
-                let tag = self.next_task_tag;
-                self.next_task_tag += 1;
-                self.running.insert(
-                    tag,
-                    RunningTask {
-                        id: task.id,
-                        exec_secs: exec.as_secs_f64(),
-                    },
-                );
                 self.touch_gauges(now);
-                ctx.schedule_timer(exec, tag);
             }
             OverlayMsg::JobDone { label, success, .. } => {
                 self.jobs_done.push((label, success));
             }
-            OverlayMsg::Ping { nonce, sent_at } => {
-                ctx.send(from, OverlayMsg::Pong { nonce, sent_at });
-            }
+            OverlayMsg::Ping { nonce, sent_at } => Receiver::pong(ctx, from, nonce, sent_at),
             _ => {
                 // Remaining messages are not addressed to clients.
             }
@@ -560,9 +365,8 @@ impl Actor<OverlayMsg> for SimpleClient {
         let now = ctx.now();
         if tag == STATS_TIMER_TAG {
             if let Some(stats) = &mut self.stats {
-                stats
-                    .inbox
-                    .set(now, (self.inbound.len() + self.running.len()) as u32);
+                let load = self.receiver.inbound_len() + self.receiver.running_len();
+                stats.inbox.set(now, load as u32);
                 let snapshot = Box::new(stats.snapshot(now, 24));
                 ctx.send(
                     self.cfg.broker,
@@ -582,19 +386,11 @@ impl Actor<OverlayMsg> for SimpleClient {
             }
             return;
         }
-        if let Some(done) = self.running.remove(&tag) {
+        if self.receiver.finish_task(ctx, tag, self.cfg.broker) {
             if let Some(stats) = &mut self.stats {
                 stats.record_task_execution(true);
             }
             self.touch_gauges(now);
-            ctx.send(
-                self.cfg.broker,
-                OverlayMsg::TaskResult {
-                    task: done.id,
-                    success: true,
-                    exec_secs: done.exec_secs,
-                },
-            );
         }
     }
 }

@@ -6,18 +6,17 @@
 //! a [`HomingPolicy`], brokers exchange rosters on a gossip cadence with
 //! a bounded staleness window, petitions that find no local candidate
 //! are forwarded to a fellow broker under a hop budget, and a scripted
-//! broker outage exercises heartbeat-based liveness plus client
+//! [`BrokerOutage`] exercises heartbeat-based liveness plus client
 //! re-homing.
 //!
-//! [`FederationBuilder`] is the only way to wire these knobs into a
+//! A federation is described once, by a [`FederationSpec`], and
+//! [`Federation::new`] is the only way to wire it into a
 //! [`BrokerConfig`]: the raw fields (`peer_brokers`, `gossip_interval`,
 //! the staleness bound, the forward budget, the outage script) are
 //! `pub(crate)`, so invalid combinations — zero brokers, a staleness
 //! bound shorter than the gossip interval that feeds it — are
-//! unrepresentable outside this crate. The builder mirrors the
-//! workloads crate's `WorkloadBuilder`: `#[must_use]` setters,
-//! validation at [`FederationBuilder::build`], and a typed
-//! [`FederationError`] for every rejection.
+//! unrepresentable outside this crate. Every rejection is a typed
+//! [`FederationError`].
 
 use netsim::node::NodeId;
 use netsim::rng::splitmix64;
@@ -60,7 +59,7 @@ impl Default for FailoverPolicy {
     }
 }
 
-/// Why a [`FederationBuilder::build`] was rejected.
+/// Why a [`Federation::new`] was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FederationError {
     /// The broker list was empty; a federation needs at least one.
@@ -117,108 +116,46 @@ impl std::fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
-/// Builder for [`Federation`]: the only way to set the validated
-/// federation knobs.
-#[must_use]
-#[derive(Debug, Clone)]
-pub struct FederationBuilder {
-    brokers: Vec<NodeId>,
-    homing: HomingPolicy,
-    gossip_interval: SimDuration,
-    staleness_bound: Option<SimDuration>,
-    forward_hops: u32,
-    outage: Option<(usize, SimDuration, Option<SimDuration>)>,
+/// A scripted broker crash (and optional restart), by region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrokerOutage {
+    /// Region whose broker goes down (also its federation roster index).
+    pub region: usize,
+    /// When the crash fires.
+    pub down_at: SimDuration,
+    /// When the broker comes back empty-handed; `None` = stays down.
+    pub restart_at: Option<SimDuration>,
 }
 
-impl FederationBuilder {
-    /// Starts a federation over `brokers` with region-affinity homing,
-    /// a 60 s gossip cadence, a 3× gossip staleness bound, and a
-    /// 2-hop forward budget.
-    pub fn new(brokers: Vec<NodeId>) -> Self {
-        FederationBuilder {
-            brokers,
+/// How a set of brokers federates.
+///
+/// The default is the inert gossip-only wiring: every broker peers with
+/// every other on a 30 s cadence, but petition forwarding stays off
+/// (`forward_hops: 0`) and nothing is scripted to fail.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FederationSpec {
+    /// How clients map to their home-broker preference list.
+    pub homing: HomingPolicy,
+    /// Broker-to-broker roster gossip cadence.
+    pub gossip_interval: SimDuration,
+    /// Tolerated age of gossiped candidate views; `None` = three gossip
+    /// rounds.
+    pub staleness_bound: Option<SimDuration>,
+    /// Hop budget for cross-broker petition forwarding (0 = off).
+    pub forward_hops: u32,
+    /// Scripted broker crash/restart, if any.
+    pub outage: Option<BrokerOutage>,
+}
+
+impl Default for FederationSpec {
+    fn default() -> Self {
+        FederationSpec {
             homing: HomingPolicy::RegionAffinity,
-            gossip_interval: SimDuration::from_secs(60),
+            gossip_interval: SimDuration::from_secs(30),
             staleness_bound: None,
-            forward_hops: 2,
+            forward_hops: 0,
             outage: None,
         }
-    }
-
-    /// Sets the client→broker homing policy.
-    pub fn homing(mut self, policy: HomingPolicy) -> Self {
-        self.homing = policy;
-        self
-    }
-
-    /// Sets the broker-to-broker roster gossip period.
-    pub fn gossip_interval(mut self, interval: SimDuration) -> Self {
-        self.gossip_interval = interval;
-        self
-    }
-
-    /// Sets how old a gossiped remote view may be before selection
-    /// ignores it. Defaults to 3× the gossip interval.
-    pub fn staleness_bound(mut self, bound: SimDuration) -> Self {
-        self.staleness_bound = Some(bound);
-        self
-    }
-
-    /// Sets the cross-broker petition forward budget (0 disables
-    /// forwarding; each hop is one broker-to-broker handoff).
-    pub fn forward_hops(mut self, hops: u32) -> Self {
-        self.forward_hops = hops;
-        self
-    }
-
-    /// Scripts an outage: broker `index` crashes at `down_at` and, when
-    /// `restart_at` is `Some`, comes back empty-handed at that instant.
-    pub fn outage(
-        mut self,
-        index: usize,
-        down_at: SimDuration,
-        restart_at: Option<SimDuration>,
-    ) -> Self {
-        self.outage = Some((index, down_at, restart_at));
-        self
-    }
-
-    /// Validates the configuration and produces the [`Federation`].
-    pub fn build(self) -> Result<Federation, FederationError> {
-        if self.brokers.is_empty() {
-            return Err(FederationError::NoBrokers);
-        }
-        if self.gossip_interval == SimDuration::ZERO {
-            return Err(FederationError::NonPositiveGossip);
-        }
-        let staleness = self.staleness_bound.unwrap_or(self.gossip_interval * 3);
-        if staleness < self.gossip_interval {
-            return Err(FederationError::StalenessBelowGossip {
-                staleness,
-                gossip: self.gossip_interval,
-            });
-        }
-        if let Some((index, down_at, restart_at)) = self.outage {
-            if index >= self.brokers.len() {
-                return Err(FederationError::OutageBrokerOutOfRange {
-                    index,
-                    brokers: self.brokers.len(),
-                });
-            }
-            if let Some(restart) = restart_at {
-                if restart <= down_at {
-                    return Err(FederationError::RestartBeforeOutage);
-                }
-            }
-        }
-        Ok(Federation {
-            brokers: self.brokers,
-            homing: self.homing,
-            gossip_interval: self.gossip_interval,
-            staleness_bound: staleness,
-            forward_hops: self.forward_hops,
-            outage: self.outage,
-        })
     }
 }
 
@@ -231,28 +168,42 @@ pub struct Federation {
     gossip_interval: SimDuration,
     staleness_bound: SimDuration,
     forward_hops: u32,
-    outage: Option<(usize, SimDuration, Option<SimDuration>)>,
+    outage: Option<BrokerOutage>,
 }
 
 impl Federation {
-    /// The broker roster, in builder order.
-    pub fn brokers(&self) -> &[NodeId] {
-        &self.brokers
-    }
-
-    /// The validated gossip period.
-    pub fn gossip_interval(&self) -> SimDuration {
-        self.gossip_interval
-    }
-
-    /// The validated staleness bound (≥ gossip interval).
-    pub fn staleness_bound(&self) -> SimDuration {
-        self.staleness_bound
-    }
-
-    /// The petition forward budget.
-    pub fn forward_hops(&self) -> u32 {
-        self.forward_hops
+    /// Validates `spec` against the broker roster `brokers`.
+    pub fn new(brokers: Vec<NodeId>, spec: &FederationSpec) -> Result<Self, FederationError> {
+        if brokers.is_empty() {
+            return Err(FederationError::NoBrokers);
+        }
+        let gossip = spec.gossip_interval;
+        if gossip == SimDuration::ZERO {
+            return Err(FederationError::NonPositiveGossip);
+        }
+        let staleness = spec.staleness_bound.unwrap_or(gossip * 3);
+        if staleness < gossip {
+            return Err(FederationError::StalenessBelowGossip { staleness, gossip });
+        }
+        if let Some(outage) = spec.outage {
+            if outage.region >= brokers.len() {
+                return Err(FederationError::OutageBrokerOutOfRange {
+                    index: outage.region,
+                    brokers: brokers.len(),
+                });
+            }
+            if outage.restart_at.is_some_and(|at| at <= outage.down_at) {
+                return Err(FederationError::RestartBeforeOutage);
+            }
+        }
+        Ok(Federation {
+            brokers,
+            homing: spec.homing,
+            gossip_interval: gossip,
+            staleness_bound: staleness,
+            forward_hops: spec.forward_hops,
+            outage: spec.outage,
+        })
     }
 
     /// Wires broker `index`'s share of the federation into `cfg`:
@@ -268,17 +219,10 @@ impl Federation {
         cfg.gossip_interval = self.gossip_interval;
         cfg.staleness_bound = Some(self.staleness_bound);
         cfg.forward_hops = self.forward_hops;
-        cfg.outage = match self.outage {
-            Some((victim, down_at, restart_at)) if victim == index % self.brokers.len() => {
-                Some((down_at, restart_at))
-            }
-            _ => None,
-        };
-    }
-
-    /// The preferred home broker for a client.
-    pub fn home_for(&self, client: NodeId, region: usize) -> NodeId {
-        self.homes_for(client, region)[0]
+        cfg.outage = self
+            .outage
+            .filter(|o| o.region == index % self.brokers.len())
+            .map(|o| (o.down_at, o.restart_at));
     }
 
     /// Every broker in failover-preference order for a client: the
@@ -335,39 +279,69 @@ mod tests {
         (0..n).map(NodeId).collect()
     }
 
+    fn federate(n: u32, spec: FederationSpec) -> Result<Federation, FederationError> {
+        Federation::new(roster(n), &spec)
+    }
+
+    fn outage(region: usize, down_at: u64, restart_at: Option<u64>) -> Option<BrokerOutage> {
+        Some(BrokerOutage {
+            region,
+            down_at: SimDuration::from_secs(down_at),
+            restart_at: restart_at.map(SimDuration::from_secs),
+        })
+    }
+
+    /// Broker `index`'s wiring under `fed`.
+    fn configured(fed: &Federation, index: usize) -> BrokerConfig {
+        let mut cfg = BrokerConfig::new(7);
+        fed.configure(index, &mut cfg);
+        cfg
+    }
+
     #[test]
     fn build_rejects_empty_roster() {
-        assert_eq!(
-            FederationBuilder::new(Vec::new()).build().unwrap_err(),
-            FederationError::NoBrokers
-        );
+        let err = federate(0, FederationSpec::default()).unwrap_err();
+        assert_eq!(err, FederationError::NoBrokers);
+        assert_eq!(err.to_string(), "a federation needs at least one broker");
     }
 
     #[test]
     fn build_rejects_zero_gossip() {
-        let err = FederationBuilder::new(roster(2))
-            .gossip_interval(SimDuration::ZERO)
-            .build()
-            .unwrap_err();
+        let spec = FederationSpec {
+            gossip_interval: SimDuration::ZERO,
+            ..FederationSpec::default()
+        };
+        let err = federate(2, spec).unwrap_err();
         assert_eq!(err, FederationError::NonPositiveGossip);
+        assert_eq!(
+            err.to_string(),
+            "gossip interval must be positive virtual time"
+        );
     }
 
     #[test]
     fn build_rejects_staleness_below_gossip() {
-        let err = FederationBuilder::new(roster(2))
-            .gossip_interval(SimDuration::from_secs(60))
-            .staleness_bound(SimDuration::from_secs(30))
-            .build()
-            .unwrap_err();
+        let spec = FederationSpec {
+            gossip_interval: SimDuration::from_secs(60),
+            staleness_bound: Some(SimDuration::from_secs(30)),
+            ..FederationSpec::default()
+        };
+        let err = federate(2, spec).unwrap_err();
         assert!(matches!(err, FederationError::StalenessBelowGossip { .. }));
+        assert_eq!(
+            err.to_string(),
+            "staleness bound 30.0s below gossip interval 60.0s: remote views \
+             would expire before the next gossip round refreshes them"
+        );
     }
 
     #[test]
     fn build_rejects_outage_index_out_of_range() {
-        let err = FederationBuilder::new(roster(2))
-            .outage(2, SimDuration::from_secs(100), None)
-            .build()
-            .unwrap_err();
+        let spec = FederationSpec {
+            outage: outage(2, 100, None),
+            ..FederationSpec::default()
+        };
+        let err = federate(2, spec).unwrap_err();
         assert!(matches!(
             err,
             FederationError::OutageBrokerOutOfRange {
@@ -375,63 +349,79 @@ mod tests {
                 brokers: 2
             }
         ));
+        assert_eq!(
+            err.to_string(),
+            "outage names broker index 2 but the federation has 2"
+        );
     }
 
     #[test]
     fn build_rejects_restart_before_crash() {
-        let err = FederationBuilder::new(roster(2))
-            .outage(
-                0,
-                SimDuration::from_secs(100),
-                Some(SimDuration::from_secs(100)),
-            )
-            .build()
-            .unwrap_err();
+        let spec = FederationSpec {
+            outage: outage(0, 100, Some(100)),
+            ..FederationSpec::default()
+        };
+        let err = federate(2, spec).unwrap_err();
         assert_eq!(err, FederationError::RestartBeforeOutage);
+        assert_eq!(
+            err.to_string(),
+            "the scripted restart must come strictly after the crash"
+        );
     }
 
     #[test]
     fn staleness_defaults_to_three_gossip_rounds() {
-        let fed = FederationBuilder::new(roster(3))
-            .gossip_interval(SimDuration::from_secs(40))
-            .build()
-            .expect("valid");
-        assert_eq!(fed.staleness_bound(), SimDuration::from_secs(120));
+        let spec = FederationSpec {
+            gossip_interval: SimDuration::from_secs(40),
+            forward_hops: 2,
+            ..FederationSpec::default()
+        };
+        let cfg = configured(&federate(3, spec).expect("valid"), 0);
+        assert_eq!(cfg.gossip_interval, SimDuration::from_secs(40));
+        assert_eq!(cfg.staleness_bound, Some(SimDuration::from_secs(120)));
+        assert_eq!(cfg.forward_hops, 2);
     }
 
     #[test]
     fn configure_wires_everyone_else_as_peers() {
-        let fed = FederationBuilder::new(roster(3))
-            .outage(
-                1,
-                SimDuration::from_secs(300),
-                Some(SimDuration::from_secs(500)),
-            )
-            .build()
-            .expect("valid");
+        let spec = FederationSpec {
+            outage: outage(1, 300, Some(500)),
+            ..FederationSpec::default()
+        };
+        let fed = federate(3, spec).expect("valid");
         for i in 0..3usize {
-            let mut cfg = BrokerConfig::new(7);
-            fed.configure(i, &mut cfg);
+            let cfg = configured(&fed, i);
             assert_eq!(cfg.peer_brokers.len(), 2);
             assert!(!cfg.peer_brokers.contains(&NodeId(i as u32)));
-            assert_eq!(cfg.staleness_bound, Some(fed.staleness_bound()));
-            assert_eq!(cfg.outage.is_some(), i == 1, "only the victim crashes");
+            assert_eq!(cfg.staleness_bound, Some(SimDuration::from_secs(90)));
+            let expected = (i == 1).then(|| {
+                (
+                    SimDuration::from_secs(300),
+                    Some(SimDuration::from_secs(500)),
+                )
+            });
+            assert_eq!(cfg.outage, expected, "only the victim crashes");
         }
     }
 
     #[test]
     fn region_affinity_walks_the_roster_in_order() {
-        let fed = FederationBuilder::new(roster(4)).build().expect("valid");
+        let fed = federate(4, FederationSpec::default()).expect("valid");
         let homes = fed.homes_for(NodeId(99), 2);
         assert_eq!(homes, [NodeId(2), NodeId(3), NodeId(0), NodeId(1)]);
     }
 
+    fn hashed(n: u32) -> Federation {
+        let spec = FederationSpec {
+            homing: HomingPolicy::ConsistentHash,
+            ..FederationSpec::default()
+        };
+        federate(n, spec).expect("valid")
+    }
+
     #[test]
     fn consistent_hash_is_a_stable_permutation() {
-        let fed = FederationBuilder::new(roster(4))
-            .homing(HomingPolicy::ConsistentHash)
-            .build()
-            .expect("valid");
+        let fed = hashed(4);
         let a = fed.homes_for(NodeId(12), 0);
         let b = fed.homes_for(NodeId(12), 3);
         assert_eq!(a, b, "hash homing ignores the region");
@@ -443,13 +433,10 @@ mod tests {
 
     #[test]
     fn consistent_hash_spreads_clients() {
-        let fed = FederationBuilder::new(roster(4))
-            .homing(HomingPolicy::ConsistentHash)
-            .build()
-            .expect("valid");
+        let fed = hashed(4);
         let mut hits = [0usize; 4];
         for c in 100..400 {
-            let home = fed.home_for(NodeId(c), 0);
+            let home = fed.homes_for(NodeId(c), 0)[0];
             hits[home.index()] += 1;
         }
         for (i, &h) in hits.iter().enumerate() {

@@ -14,18 +14,20 @@
 //! * [`stats`] — the resource-statistics interface of paper §2.2: every
 //!   criterion the data-evaluator selection model weighs.
 //! * [`filetransfer`] — the petition → ack → stop-and-wait-parts protocol
-//!   the paper measures in §4.2; [`sendflow`] — the shared sender-side
-//!   state machine (window + record invariants) both broker and client
-//!   drive it with.
+//!   the paper measures in §4.2. Each end of it is written once, in
+//!   crate-private modules: `sendflow` sends for the broker and for a
+//!   client serving an instructed request; `receive` answers for
+//!   [`client::SimpleClient`] and [`lifecycle::LifecyclePeer`], and runs
+//!   their offered tasks.
 //! * [`task`] — executable-task lifecycle.
 //! * [`client`] — the SimpleClient edge peer; [`lifecycle`] — the
 //!   scripted churn peer that joins, leaves, and rejoins on a pre-sampled
 //!   schedule.
 //! * [`broker`] — the governor: registry, statistics aggregation, transfer
 //!   and task coordination, scripted commands, and the selection hook.
-//! * [`federation`] — multi-broker wiring: the validating
-//!   [`federation::FederationBuilder`], client→broker homing policies,
-//!   and the failover knobs re-homing clients run with.
+//! * [`federation`] — multi-broker wiring: a [`federation::FederationSpec`]
+//!   validated into a [`federation::Federation`], client→broker homing
+//!   policies, and the failover knobs re-homing clients run with.
 //! * [`selector`] — the [`selector::PeerSelector`] trait the `peer-selection`
 //!   crate implements, the [`selector::Roster`] a request lends it (the
 //!   broker's own registry slots, read in place), plus blind baselines.
@@ -47,9 +49,10 @@ pub mod footprint;
 pub mod id;
 pub mod lifecycle;
 pub mod message;
+mod receive;
 pub mod records;
 pub mod selector;
-pub mod sendflow;
+mod sendflow;
 pub mod stats;
 pub mod streaming;
 pub mod task;
@@ -59,7 +62,7 @@ pub mod prelude {
     pub use crate::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
     pub use crate::client::{ClientCommand, ClientConfig, SimpleClient};
     pub use crate::federation::{
-        FailoverPolicy, Federation, FederationBuilder, FederationError, HomingPolicy,
+        FailoverPolicy, Federation, FederationError, FederationSpec, HomingPolicy,
     };
     pub use crate::filetransfer::{split_parts, FileMeta};
     pub use crate::footprint::{FootprintBreakdown, MemoryFootprint};

@@ -14,16 +14,15 @@
 //! seed — byte-identical at any worker count. All session timers are
 //! armed absolutely at `on_start`.
 //!
-//! While `Connected` the peer behaves like a minimal receiver: it accepts
-//! petitions, confirms parts, executes offered tasks. In any other state
-//! it *refuses* new work (petition NAK / task reject) rather than
+//! While `Connected` the peer behaves like a minimal receiver (through
+//! the same receiving end `SimpleClient` drives): it accepts petitions,
+//! confirms parts, executes offered tasks. In any other state it
+//! *refuses* new work (petition NAK / task reject) rather than
 //! black-holing it — the overlay analogue of a TCP RST from a host whose
 //! application has exited — so churn runs wind down through refusal paths
 //! instead of hour-long watchdog timeouts. Parts already in flight when
 //! the peer departs are silently dropped and left to the sender's retry
 //! policy, like a real mid-transfer crash.
-
-use netsim::idmap::IdMap;
 
 use netsim::engine::{Actor, Context, TimerId};
 use netsim::metrics::{MetricId, Metrics};
@@ -34,10 +33,10 @@ use netsim::trace::TraceEventKind;
 
 use crate::advertisement::PeerAdvertisement;
 use crate::federation::FailoverPolicy;
-use crate::filetransfer::{InboundTransfer, PartReceipt};
-use crate::footprint::{map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint};
-use crate::id::{IdGenerator, PeerId, TransferId};
+use crate::footprint::{slots_estimate, FootprintBreakdown, MemoryFootprint};
+use crate::id::{IdGenerator, PeerId};
 use crate::message::OverlayMsg;
+use crate::receive::{Petition, Receiver};
 
 /// Timer tags `2*i` / `2*i + 1` mark session `i`'s join / leave.
 const SESSION_TAG_SPAN: u64 = 1 << 32;
@@ -201,11 +200,6 @@ pub struct LifecycleConfig {
     pub failover: Option<FailoverPolicy>,
 }
 
-struct RunningTask {
-    id: crate::id::TaskId,
-    exec_secs: f64,
-}
-
 /// The churn actor: a peer that follows its [`LifecycleScript`].
 pub struct LifecyclePeer {
     cfg: LifecycleConfig,
@@ -220,9 +214,9 @@ pub struct LifecyclePeer {
     /// Monotone epoch: bumped at every join and leave so probe timers
     /// armed for an earlier connected period die as stale tags.
     probe_epoch: u64,
-    inbound: IdMap<TransferId, InboundTransfer>,
-    running: IdMap<u64, RunningTask>,
-    next_task_tag: u64,
+    /// Transfers and tasks this peer receives (no record sink: a churn
+    /// run stamps no receiver-side tallies).
+    receiver: Receiver,
     counters: Option<LifecycleCounters>,
 }
 
@@ -241,9 +235,7 @@ impl LifecyclePeer {
             home_idx: 0,
             last_ok: SimTime::ZERO,
             probe_epoch: 0,
-            inbound: IdMap::default(),
-            running: IdMap::default(),
-            next_task_tag: TASK_TAG_BASE,
+            receiver: Receiver::new(TASK_TAG_BASE, None),
             counters: None,
         }
     }
@@ -326,7 +318,7 @@ impl LifecyclePeer {
             // In-flight receive state belonged to transfers the dead
             // broker drove; its retry engine is gone, so drop them and
             // let the new home re-petition.
-            self.inbound.clear();
+            self.receiver.drop_inbound();
             self.send_advert(ctx, self.session);
         }
         ctx.send(
@@ -347,9 +339,7 @@ impl MemoryFootprint for LifecyclePeer {
     fn memory_footprint(&self) -> FootprintBreakdown {
         FootprintBreakdown {
             scripts: slots_estimate::<SessionPlan>(self.cfg.script.sessions.len()),
-            content: map_estimate::<TransferId, InboundTransfer>(self.inbound.len()),
-            stats: map_estimate::<u64, RunningTask>(self.running.len()),
-            ..FootprintBreakdown::default()
+            ..self.receiver.footprint()
         }
     }
 }
@@ -392,66 +382,30 @@ impl Actor<OverlayMsg> for LifecyclePeer {
                 sent_at,
                 ..
             } => {
-                // Same duplicate discipline as SimpleClient: a retransmitted
-                // petition for a known transfer must not reset its state.
-                let already_known = self.inbound.contains_key(&transfer);
-                let accepted = connected || already_known;
-                if accepted && !already_known {
-                    self.inbound
-                        .insert(transfer, InboundTransfer::new(transfer, num_parts, now));
-                }
-                if !accepted {
+                let answer =
+                    self.receiver
+                        .on_petition(ctx, from, transfer, num_parts, sent_at, |_| connected);
+                if answer == Petition::Refused {
                     self.bump(ctx, |c| c.refused_petitions, 1);
                 }
-                ctx.send(
-                    from,
-                    OverlayMsg::PetitionAck {
-                        transfer,
-                        accepted,
-                        petition_sent_at: sent_at,
-                        handled_at: now,
-                    },
-                );
             }
             OverlayMsg::FilePart {
                 transfer,
                 index,
                 size,
-            } => {
-                // Parts for unknown transfers (including everything after a
-                // mid-transfer departure) are dropped: the sender's retry
-                // policy owns the failure.
-                if let Some(inb) = self.inbound.get_mut(&transfer) {
-                    if inb.on_part(index, size) != PartReceipt::Gap {
-                        ctx.send(from, OverlayMsg::PartConfirm { transfer, index });
-                    }
-                }
-            }
+            } => self.receiver.on_part(ctx, from, transfer, index, size),
             OverlayMsg::TransferComplete { transfer } | OverlayMsg::TransferCancel { transfer } => {
-                self.inbound.remove(&transfer);
+                self.receiver.close(transfer);
             }
             OverlayMsg::TaskOffer { task, .. } => {
-                if connected && self.cfg.accepts_tasks {
-                    ctx.send(from, OverlayMsg::TaskAccept { task: task.id });
-                    let exec = ctx.execution_time(task.work_gops);
-                    let tag = self.next_task_tag;
-                    self.next_task_tag += 1;
-                    self.running.insert(
-                        tag,
-                        RunningTask {
-                            id: task.id,
-                            exec_secs: exec.as_secs_f64(),
-                        },
-                    );
-                    ctx.schedule_timer(exec, tag);
-                } else {
+                let accept = connected && self.cfg.accepts_tasks;
+                if !accept {
                     self.bump(ctx, |c| c.refused_tasks, 1);
-                    ctx.send(from, OverlayMsg::TaskReject { task: task.id });
                 }
+                self.receiver
+                    .on_task_offer(ctx, from, task.id, task.work_gops, accept);
             }
-            OverlayMsg::Ping { nonce, sent_at } => {
-                ctx.send(from, OverlayMsg::Pong { nonce, sent_at });
-            }
+            OverlayMsg::Ping { nonce, sent_at } => Receiver::pong(ctx, from, nonce, sent_at),
             _ => {}
         }
     }
@@ -462,16 +416,8 @@ impl Actor<OverlayMsg> for LifecyclePeer {
             return;
         }
         if tag >= TASK_TAG_BASE {
-            if let Some(done) = self.running.remove(&tag) {
-                ctx.send(
-                    self.broker(),
-                    OverlayMsg::TaskResult {
-                        task: done.id,
-                        success: true,
-                        exec_secs: done.exec_secs,
-                    },
-                );
-            }
+            let home = self.broker();
+            self.receiver.finish_task(ctx, tag, home);
             return;
         }
         let session = (tag / 2) as usize;
@@ -491,7 +437,7 @@ impl Actor<OverlayMsg> for LifecyclePeer {
                 self.bump(ctx, |c| c.leaves, 1);
             }
             self.state = LifecycleState::Departed;
-            self.inbound.clear();
+            self.receiver.drop_inbound();
             // Outstanding probe timers die as stale tags.
             self.probe_epoch += 1;
         }

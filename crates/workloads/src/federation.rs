@@ -38,11 +38,10 @@ use overlay::message::OverlayMsg;
 use overlay::records::RunLog;
 use overlay::selector::RoundRobinSelector;
 
-pub use crate::harness::BrokerOutage;
 use crate::harness::{
-    defaults, BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload,
-    WorkloadBuilder,
+    defaults, BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder,
 };
+pub use crate::harness::{BrokerOutage, FederationSpec};
 use crate::synthtopo::{build_synth_topo, peer_seed, salt, SynthTopoConfig};
 use crate::telemetry::federation_series;
 

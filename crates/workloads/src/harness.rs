@@ -37,7 +37,8 @@ use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use netsim::topology::Topology;
 use netsim::trace::Trace;
 use netsim::transport::TransportConfig;
-use overlay::federation::{Federation, FederationBuilder, FederationError, HomingPolicy};
+pub use overlay::federation::{BrokerOutage, FederationSpec};
+use overlay::federation::{Federation, FederationError};
 use overlay::message::OverlayMsg;
 use overlay::records::{RecordSink, RunLog};
 
@@ -108,7 +109,7 @@ pub enum HarnessError {
     /// the window schedule would never advance.
     ZeroSeriesInterval,
     /// The broker-federation parameters were rejected by
-    /// [`FederationBuilder`].
+    /// [`Federation::new`].
     Federation(FederationError),
     /// The paper scenario's own rules (SC indices, probabilities,
     /// idle-stop, rejoin order) were broken.
@@ -170,71 +171,6 @@ impl std::fmt::Display for HarnessError {
 }
 
 impl std::error::Error for HarnessError {}
-
-/// A scripted broker crash (and optional restart), by region.
-///
-/// Lives in the harness because every federated workload shares the
-/// same scripting surface; `workloads::federation` re-exports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrokerOutage {
-    /// Region whose broker goes down (also its federation roster index).
-    pub region: usize,
-    /// When the crash fires.
-    pub down_at: SimDuration,
-    /// When the broker comes back empty-handed; `None` = stays down.
-    pub restart_at: Option<SimDuration>,
-}
-
-/// How a workload's brokers federate. The harness feeds this through
-/// [`FederationBuilder`] against the topology plan's broker roster.
-///
-/// The default is the inert gossip-only wiring the churn and
-/// multi-region drivers use: every broker peers with every other on the
-/// [`defaults::GOSSIP_INTERVAL`] cadence, but petition forwarding stays
-/// off (`forward_hops: 0`) and nothing is scripted to fail.
-#[derive(Debug, Clone, Copy)]
-pub struct FederationSpec {
-    /// How clients map to their home-broker preference list.
-    pub homing: HomingPolicy,
-    /// Broker-to-broker roster gossip cadence.
-    pub gossip_interval: SimDuration,
-    /// Tolerated age of gossiped candidate views; `None` = the builder
-    /// default of three gossip rounds.
-    pub staleness_bound: Option<SimDuration>,
-    /// Hop budget for cross-broker petition forwarding (0 = off).
-    pub forward_hops: u32,
-    /// Scripted broker crash/restart, if any.
-    pub outage: Option<BrokerOutage>,
-}
-
-impl Default for FederationSpec {
-    fn default() -> Self {
-        FederationSpec {
-            homing: HomingPolicy::RegionAffinity,
-            gossip_interval: defaults::GOSSIP_INTERVAL,
-            staleness_bound: None,
-            forward_hops: 0,
-            outage: None,
-        }
-    }
-}
-
-impl FederationSpec {
-    /// Wires `brokers` into a [`Federation`] per this spec.
-    fn build(&self, brokers: Vec<NodeId>) -> Result<Federation, FederationError> {
-        let mut builder = FederationBuilder::new(brokers)
-            .homing(self.homing)
-            .gossip_interval(self.gossip_interval)
-            .forward_hops(self.forward_hops);
-        if let Some(bound) = self.staleness_bound {
-            builder = builder.staleness_bound(bound);
-        }
-        if let Some(kill) = self.outage {
-            builder = builder.outage(kill.region, kill.down_at, kill.restart_at);
-        }
-        builder.build()
-    }
-}
 
 /// The testbed a workload runs on: topology, node → shard assignment,
 /// and the broker roster (one broker per region, region order).
@@ -351,7 +287,7 @@ impl HarnessRun {
 /// Builder for a [`Harness`]: the only way to set the validated run
 /// parameters. Checks every invariant once, at
 /// [`build`](WorkloadBuilder::build), and reports violations as typed
-/// [`HarnessError`]s — same discipline as `FederationBuilder`.
+/// [`HarnessError`]s — same discipline as [`Federation::new`].
 #[must_use = "a builder does nothing until build() is called"]
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
@@ -442,7 +378,7 @@ impl Harness {
         seed: u64,
     ) -> Result<(TopologyPlan, Federation), HarnessError> {
         let plan = workload.topology(seed)?;
-        let federation = workload.federation().build(plan.brokers.clone())?;
+        let federation = Federation::new(plan.brokers.clone(), &workload.federation())?;
         Ok((plan, federation))
     }
 

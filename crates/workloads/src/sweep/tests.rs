@@ -201,8 +201,7 @@ fn an_axis_the_workload_does_not_read_is_refused() {
 }
 
 /// A cadence that rounds to zero virtual time passes the axis check
-/// and is refused by `FederationBuilder`. At the parent commit that
-/// refusal was an `expect` inside a pool thread.
+/// and is refused by `Federation::new`, before any pool thread starts.
 #[test]
 fn a_cell_the_harness_refuses_is_an_error_before_the_pool() {
     use overlay::federation::FederationError;

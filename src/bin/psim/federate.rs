@@ -35,10 +35,10 @@ fn federation_config(flags: &Flags) -> FederationConfig {
         .then(|| SimDuration::from_millis(flags.at_least("staleness-ms", 1)));
     let kill = flags.has("kill-broker-at").then(|| BrokerOutage {
         region: flags.usize("kill-region"),
-        down_at: SimDuration::from_secs_f64(flags.f64("kill-broker-at").max(0.0)),
+        down_at: SimDuration::from_secs_f64(flags.amount("kill-broker-at", true)),
         restart_at: flags
             .has("restart-broker-at")
-            .then(|| SimDuration::from_secs_f64(flags.f64("restart-broker-at").max(0.0))),
+            .then(|| SimDuration::from_secs_f64(flags.amount("restart-broker-at", true))),
     });
     FederationConfig {
         topo: SynthTopoConfig {
@@ -49,7 +49,7 @@ fn federation_config(flags: &Flags) -> FederationConfig {
         homing: homing_or_exit(flags),
         gossip_interval: gossip,
         staleness_bound: staleness,
-        forward_hops: flags.u64("forward-hops") as u32,
+        forward_hops: flags.u32_at_least("forward-hops", 0),
         horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
         kill,

@@ -96,6 +96,19 @@ impl Flags {
         value
     }
 
+    /// [`Flags::at_least`], narrowed to `u32`: a value that does not fit is
+    /// a usage error too, not one to wrap.
+    fn u32_at_least(&self, name: &str, min: u64) -> u32 {
+        let value = self.at_least(name, min);
+        u32::try_from(value).unwrap_or_else(|_| {
+            eprintln!(
+                "invalid value `{value}` for --{name} (must be at most {})",
+                u32::MAX
+            );
+            std::process::exit(2);
+        })
+    }
+
     /// A finite amount that must exceed zero (or, with `zero_ok`, may also
     /// be zero): NaN, infinities and smaller values are usage errors.
     fn amount(&self, name: &str, zero_ok: bool) -> f64 {
@@ -369,14 +382,7 @@ fn warmup() -> (SimDuration, BrokerCommand) {
 
 fn cmd_transfer(flags: &Flags) {
     let size = (flags.amount("size-mb", false) * MB as f64) as u64;
-    let parts = flags.at_least("parts", 1);
-    let parts = u32::try_from(parts).unwrap_or_else(|_| {
-        eprintln!(
-            "invalid value `{parts}` for --parts (must be at most {})",
-            u32::MAX
-        );
-        std::process::exit(2);
-    });
+    let parts = flags.u32_at_least("parts", 1);
     let seed = flags.u64("seed");
 
     let mut cfg = ScenarioConfig::default();

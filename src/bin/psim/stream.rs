@@ -47,11 +47,11 @@ fn streaming_config(flags: &Flags) -> StreamingConfig {
             ..SynthTopoConfig::default()
         },
         policy: policy_or_exit(flags),
-        window: flags.at_least("window", 1) as u32,
+        window: flags.u32_at_least("window", 1),
         upload: upload_or_exit(flags),
         horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
         num_shards: flags.usize("num-shards"),
-        total_pieces: flags.at_least("pieces", 1) as u32,
+        total_pieces: flags.u32_at_least("pieces", 1),
         trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
     }
 }

@@ -298,11 +298,12 @@ fn zero_or_oversized_parallelism_is_a_usage_error() {
 }
 
 /// Counts and durations the workload commands and `profile` used to clamp
-/// up to 1 (and `--peers` up to the region count) are usage errors: the run the user
-/// asked for does not exist, and a different one is not an answer.
+/// up to 1 (and `--peers` up to the region count), wrap when narrowed to
+/// `u32`, or fire at t=0 are usage errors: the run the user asked for
+/// does not exist, and a different one is not an answer.
 #[test]
 fn zero_counts_and_durations_are_usage_errors_not_clamped() {
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 25] = [
         (&["churn", "--regions", "0"], "--regions"),
         (&["churn", "--horizon-secs", "0"], "--horizon-secs"),
         (&["churn", "--regions", "4", "--peers", "3"], "--peers"),
@@ -317,6 +318,36 @@ fn zero_counts_and_durations_are_usage_errors_not_clamped() {
         (&["stream", "--window", "0"], "--window"),
         (&["stream", "--pieces", "0"], "--pieces"),
         (&["stream", "--horizon-secs", "0"], "--horizon-secs"),
+        // Counts that would wrap to 0 (or off) when narrowed to u32.
+        (&["stream", "--pieces", "4294967296"], "--pieces"),
+        (&["stream", "--window", "4294967296"], "--window"),
+        (
+            &["federate", "--forward-hops", "4294967296"],
+            "--forward-hops",
+        ),
+        // Instants before the run (or none at all) that used to fire at t=0.
+        (&["federate", "--kill-broker-at", "-5"], "--kill-broker-at"),
+        (&["federate", "--kill-broker-at", "nan"], "--kill-broker-at"),
+        (
+            &[
+                "federate",
+                "--kill-broker-at",
+                "300",
+                "--restart-broker-at",
+                "-5",
+            ],
+            "--restart-broker-at",
+        ),
+        (
+            &[
+                "federate",
+                "--kill-broker-at",
+                "300",
+                "--restart-broker-at",
+                "nan",
+            ],
+            "--restart-broker-at",
+        ),
         (&["multiregion", "--regions", "0"], "--regions"),
         (&["multiregion", "--clients", "0"], "--clients"),
         (

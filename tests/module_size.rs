@@ -120,6 +120,15 @@ fn registry_modules_stay_under_the_tight_cap() {
     ]);
 }
 
+/// The transfer protocol's one sending end and one receiving end.
+#[test]
+fn protocol_end_modules_stay_under_the_tight_cap() {
+    assert_group_meets_the_rule(&[
+        "crates/overlay/src/sendflow.rs",
+        "crates/overlay/src/receive.rs",
+    ]);
+}
+
 #[test]
 fn no_source_file_exceeds_the_module_size_cap() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
