@@ -17,6 +17,11 @@ use crate::model::ScoringModel;
 
 const CRITERIA: usize = Criterion::ALL.len();
 
+/// Candidates scored per block: the scoring tile holds at most
+/// `BLOCK × CRITERIA` values (32 KiB). `tests/roster_selection.rs` pins
+/// rosters larger than this, so its digest covers a multi-block sweep.
+const BLOCK: usize = 256;
+
 /// A weighting of the §2.2 criteria.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightProfile {
@@ -99,6 +104,10 @@ pub struct DataEvaluatorModel {
     /// Goodness assumed for criteria a peer has no history on.
     neutral: f64,
     name: String,
+    /// Criterion-major scratch for one block of candidates, kept between
+    /// calls: column `k` holds criterion `k` of up to `min(n, BLOCK)`
+    /// candidates, with no history stored as NaN.
+    tile: Vec<f64>,
 }
 
 impl DataEvaluatorModel {
@@ -116,6 +125,7 @@ impl DataEvaluatorModel {
             profile,
             neutral: 0.5,
             name: name.into(),
+            tile: Vec::new(),
         }
     }
 
@@ -130,12 +140,14 @@ impl ScoringModel for DataEvaluatorModel {
         &self.name
     }
 
-    /// Two sweeps over the roster, touching each candidate once per
-    /// sweep: the first gathers every criterion's finite minimum and
-    /// maximum, the second normalizes, polarity-corrects, weights and
-    /// sums. Each candidate's score is accumulated criterion by criterion
-    /// in profile order, so it is the same sequence of floating-point
-    /// operations as normalizing one column per criterion.
+    /// Two sweeps over the roster. The first gathers every criterion's
+    /// finite minimum and maximum. The second copies `BLOCK` candidates at
+    /// a time into a criterion-major tile; then, for each profile
+    /// criterion, one tight loop over the block's column normalizes,
+    /// polarity-corrects, weights and adds into the block's scores. Each
+    /// candidate's score is still accumulated criterion by criterion in
+    /// profile order, so it is `to_bits`-equal to normalizing one column
+    /// per criterion over the whole roster.
     fn scores(&mut self, req: &SelectionRequest<'_>) -> Vec<f64> {
         let n = req.candidates.len();
         let total_weight = self.profile.total_weight();
@@ -152,35 +164,73 @@ impl ScoringModel for DataEvaluatorModel {
             }
         }
         let span: [f64; CRITERIA] = std::array::from_fn(|k| hi[k] - lo[k]);
-        req.candidates
-            .iter()
-            .map(|c| {
-                let values = c.snapshot.values();
-                let mut score = 0.0;
-                for &(criterion, weight) in self.profile.weights() {
-                    let k = criterion as usize;
-                    // Missing history is NaN: neutral, not zero. Other
-                    // non-finite values pass through un-normalized.
-                    let raw = values[k].unwrap_or(f64::NAN);
-                    let v = if !raw.is_finite() {
+        let stride = n.min(BLOCK);
+        if self.tile.len() < stride * CRITERIA {
+            self.tile = vec![f64::NAN; stride * CRITERIA];
+        }
+        let mut views = req.candidates.iter();
+        let mut scores = vec![0.0; n];
+        for block in scores.chunks_mut(stride) {
+            for (j, c) in views.by_ref().take(block.len()).enumerate() {
+                let columns = self.tile.chunks_exact_mut(stride);
+                for (column, v) in columns.zip(c.snapshot.values()) {
+                    column[j] = v.unwrap_or(f64::NAN);
+                }
+            }
+            for &(criterion, weight) in self.profile.weights() {
+                let k = criterion as usize;
+                let column = &self.tile[k * stride..][..block.len()];
+                let (lo, span, neutral) = (lo[k], span[k], self.neutral);
+                // Missing history is NaN: neutral, not zero. Other
+                // non-finite values pass through un-normalized.
+                let checked = move |raw: f64| {
+                    if !raw.is_finite() {
                         raw
-                    } else if span[k] <= 0.0 {
+                    } else if span <= 0.0 {
                         0.5 // constant column: all equally good
                     } else {
-                        (raw - lo[k]) / span[k]
-                    };
-                    let goodness = if v.is_nan() {
-                        self.neutral
-                    } else if criterion.higher_is_better() {
-                        v
-                    } else {
-                        1.0 - v
-                    };
-                    score += weight * goodness;
+                        (raw - lo) / span
+                    }
+                };
+                // With a finite positive span `lo` is finite too, and the
+                // formula maps NaN and ±inf onto themselves: no test needed.
+                let direct = move |raw: f64| (raw - lo) / span;
+                match (span > 0.0 && span.is_finite(), criterion.higher_is_better()) {
+                    (true, true) => add_column(block, column, weight, neutral, direct, |v| v),
+                    (true, false) => {
+                        add_column(block, column, weight, neutral, direct, |v| 1.0 - v)
+                    }
+                    (false, true) => add_column(block, column, weight, neutral, checked, |v| v),
+                    (false, false) => {
+                        add_column(block, column, weight, neutral, checked, |v| 1.0 - v)
+                    }
                 }
-                score / total_weight
-            })
-            .collect()
+            }
+        }
+        for s in &mut scores {
+            *s /= total_weight;
+        }
+        scores
+    }
+}
+
+/// Adds `weight × goodness` of one criterion's column into a block's
+/// scores: `normalize` maps a raw value into `[0, 1]`, a NaN result (no
+/// history) counts as `neutral`, and `polarity` turns any other into
+/// goodness. Each column class gets its own loop, with no branch per value.
+#[inline(always)]
+fn add_column(
+    scores: &mut [f64],
+    column: &[f64],
+    weight: f64,
+    neutral: f64,
+    normalize: impl Fn(f64) -> f64,
+    polarity: impl Fn(f64) -> f64,
+) {
+    for (score, &raw) in scores.iter_mut().zip(column) {
+        let v = normalize(raw);
+        let goodness = if v.is_nan() { neutral } else { polarity(v) };
+        *score += weight * goodness;
     }
 }
 
@@ -417,8 +467,17 @@ mod tests {
             DataEvaluatorModel::with_profile("none", WeightProfile::empty()),
         ];
         for round in 0..300 {
-            // A single candidate, a pair, and rosters of up to 40.
-            let n = [1, 2, 1 + rng.below(40) as usize][round % 3];
+            // A single candidate, a pair, rosters of up to 40, and rosters
+            // just short of, at and past one and two scoring blocks.
+            let n = [
+                1,
+                2,
+                1 + rng.below(40) as usize,
+                BLOCK - 1,
+                BLOCK,
+                BLOCK + 1,
+                2 * BLOCK + 3,
+            ][round % 7];
             let shape: [u64; 16] = std::array::from_fn(|_| rng.below(4));
             let roster: Vec<CandidateView> = (0..n)
                 .map(|i| cand(i as u32, random_snapshot(&mut rng, &shape)))
@@ -436,5 +495,55 @@ mod tests {
         }
         let none: Vec<CandidateView> = Vec::new();
         assert!(models[0].clone().scores(&req(&none)).is_empty());
+    }
+
+    #[test]
+    fn overflowing_and_non_finite_columns_match_column_wise_normalization() {
+        let values = [
+            -1.5e308,
+            1.5e308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.0,
+            -0.0,
+        ];
+        let roster: Vec<CandidateView> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let mut snapshot = StatsSnapshot::empty(1.0);
+                snapshot.outbox_now = v; // lower is better, span overflows
+                snapshot.msg_success_total = Some(values[(i + 3) % values.len()]);
+                snapshot.inbox_avg = -0.0; // constant column
+                cand(i as u32, snapshot)
+            })
+            .collect();
+        let model = DataEvaluatorModel::same_priority();
+        let got = model.clone().scores(&req(&roster));
+        let want = column_wise_scores(&model, &req(&roster));
+        assert_eq!(
+            got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            "{got:?} vs {want:?}"
+        );
+    }
+
+    #[test]
+    fn scoring_scratch_is_one_block_whatever_the_roster() {
+        let mut rng = netsim::rng::SimRng::new(0x711E);
+        let shape = [2; 16];
+        let roster: Vec<CandidateView> = (0..16_000)
+            .map(|i| cand(i, random_snapshot(&mut rng, &shape)))
+            .collect();
+        let mut model = DataEvaluatorModel::same_priority();
+        model.scores(&req(&roster[..40].to_vec()));
+        assert_eq!(model.scores(&req(&roster)).len(), roster.len());
+        assert!(
+            model.tile.capacity() <= BLOCK * CRITERIA,
+            "{} scratch values after scoring {} candidates",
+            model.tile.capacity(),
+            roster.len()
+        );
     }
 }

@@ -9,6 +9,7 @@
 //!   scheduling model prescribes, then by node id for determinism);
 //! * score vectors are inspectable in tests and reports.
 
+use netsim::node::NodeId;
 use overlay::selector::{PeerSelector, SelectionOutcome, SelectionRequest};
 
 /// A model that scores every candidate (higher = better peer).
@@ -25,30 +26,33 @@ pub trait ScoringModel: Send {
 }
 
 /// Picks the argmax of a score vector with the standard tie-breaks:
-/// higher advertised CPU first, then lower node id.
+/// higher advertised CPU first, then lower node id. Non-finite scores are
+/// ineligible. One pass carries the incumbent's score, CPU and node, so a
+/// candidate is read from the roster only when its score reaches the
+/// incumbent's — on a roster where most peers share the priors, once per
+/// tied peer.
 pub fn argmax_with_tiebreak(req: &SelectionRequest<'_>, scores: &[f64]) -> Option<usize> {
-    let mut best: Option<usize> = None;
+    let mut best: Option<(usize, f64, f64, NodeId)> = None;
     for (i, &s) in scores.iter().enumerate() {
         if !s.is_finite() {
             continue;
         }
-        match best {
-            None => best = Some(i),
-            Some(b) => {
-                let sb = scores[b];
-                let better = s > sb
-                    || (s == sb && {
-                        let (ci, cb) = (&req.candidates[i], &req.candidates[b]);
-                        ci.cpu_gops > cb.cpu_gops
-                            || (ci.cpu_gops == cb.cpu_gops && ci.node < cb.node)
-                    });
-                if better {
-                    best = Some(i);
-                }
+        let wins = match best {
+            None => true,
+            Some((_, top, cpu, node)) => {
+                s > top
+                    || (s == top && {
+                        let c = &req.candidates[i];
+                        c.cpu_gops > cpu || (c.cpu_gops == cpu && c.node < node)
+                    })
             }
+        };
+        if wins {
+            let c = &req.candidates[i];
+            best = Some((i, s, c.cpu_gops, c.node));
         }
     }
-    best
+    best.map(|(i, ..)| i)
 }
 
 /// Adapter turning any [`ScoringModel`] into a [`PeerSelector`].
@@ -183,6 +187,88 @@ mod tests {
         assert_eq!(s.select(&req(&c)), Some(1));
         let mut all_bad = Scored::new(Fixed(vec![f64::NAN, f64::NAN, f64::NAN]));
         assert_eq!(all_bad.select(&req(&c)), None);
+    }
+
+    /// The argmax `argmax_with_tiebreak` replaced: the same rule, re-reading
+    /// the incumbent from the roster on every tie.
+    fn sequential_argmax(req: &SelectionRequest<'_>, scores: &[f64]) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, &s) in scores.iter().enumerate() {
+            if !s.is_finite() {
+                continue;
+            }
+            match best {
+                None => best = Some(i),
+                Some(b) => {
+                    let sb = scores[b];
+                    let better = s > sb
+                        || (s == sb && {
+                            let (ci, cb) = (&req.candidates[i], &req.candidates[b]);
+                            ci.cpu_gops > cb.cpu_gops
+                                || (ci.cpu_gops == cb.cpu_gops && ci.node < cb.node)
+                        });
+                    if better {
+                        best = Some(i);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn argmax_matches_the_sequential_reference() {
+        let mut rng = netsim::rng::SimRng::new(0xA7_6A4);
+        let pool = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for round in 0..3000 {
+            let n = rng.below(12) as usize; // empty rosters included
+            let mut c = mk_candidates(n);
+            for i in (1..n).rev() {
+                let j = rng.below(i as u64 + 1) as usize;
+                let node = c[i].node;
+                c[i].node = c[j].node;
+                c[j].node = node;
+            }
+            if round % 4 == 3 {
+                // Two views may claim one host.
+                for cand in &mut c {
+                    cand.node = NodeId(rng.below(3) as u32);
+                }
+            }
+            for cand in &mut c {
+                // Equal, unequal, or sometimes-NaN CPU speeds.
+                cand.cpu_gops = match round % 3 {
+                    0 => 1.0,
+                    1 => [1.0, 2.0, 3.0][rng.below(3) as usize],
+                    _ => [1.0, 2.0, f64::NAN][rng.below(3) as usize],
+                };
+            }
+            let scores: Vec<f64> = (0..n)
+                .map(|_| {
+                    if round % 10 == 0 {
+                        f64::NAN // every candidate ineligible
+                    } else if rng.below(5) == 0 {
+                        rng.uniform_range(-1.0, 1.0)
+                    } else {
+                        pool[rng.below(pool.len() as u64) as usize]
+                    }
+                })
+                .collect();
+            assert_eq!(
+                argmax_with_tiebreak(&req(&c), &scores),
+                sequential_argmax(&req(&c), &scores),
+                "round {round}: scores {scores:?}, candidates {c:?}"
+            );
+        }
     }
 
     #[test]

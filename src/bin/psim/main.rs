@@ -121,6 +121,24 @@ impl Flags {
         value
     }
 
+    /// An [`Flags::amount`] in MB, as whole bytes: at least one byte (or,
+    /// with `zero_ok`, exactly zero) and below 2^64. A size that would
+    /// truncate to no bytes or saturate is a usage error, not a size to run.
+    fn bytes_from_mb(&self, name: &str, zero_ok: bool) -> u64 {
+        let mb = self.amount(name, zero_ok);
+        if mb == 0.0 {
+            return 0; // `amount` let it through, so zero is allowed
+        }
+        let bytes = mb * MB as f64;
+        if !(1.0..2f64.powi(64)).contains(&bytes) {
+            eprintln!(
+                "invalid value `{mb}` for --{name} (must be at least 1 byte and below 2^64 bytes)"
+            );
+            std::process::exit(2);
+        }
+        bytes as u64
+    }
+
     fn parse<T: std::str::FromStr>(&self, name: &str) -> T {
         let raw = self.values.get(name).unwrap_or_else(|| {
             panic!("flag --{name} read without a table default");
@@ -381,7 +399,7 @@ fn warmup() -> (SimDuration, BrokerCommand) {
 }
 
 fn cmd_transfer(flags: &Flags) {
-    let size = (flags.amount("size-mb", false) * MB as f64) as u64;
+    let size = flags.bytes_from_mb("size-mb", false);
     let parts = flags.u32_at_least("parts", 1);
     let seed = flags.u64("seed");
 
@@ -431,7 +449,7 @@ fn cmd_transfer(flags: &Flags) {
 
 fn cmd_task(flags: &Flags) {
     let work = flags.amount("work", false);
-    let input = (flags.amount("input-mb", true) * MB as f64) as u64;
+    let input = flags.bytes_from_mb("input-mb", true);
     let seed = flags.u64("seed");
 
     let mut cfg = ScenarioConfig::default();

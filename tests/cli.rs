@@ -372,11 +372,12 @@ fn zero_counts_and_durations_are_usage_errors_not_clamped() {
 }
 
 /// `transfer` and `task` refuse the sizes they used to clamp: `--parts 0`
-/// ran one part, `--parts 2.5` two, `--parts 2^32` 2^32 - 1, and
-/// `--size-mb NaN` about 1 KB.
+/// ran one part, `--parts 2.5` two, `--parts 2^32` 2^32 - 1,
+/// `--size-mb NaN` about 1 KB, `--size-mb 1e-9` zero bytes and
+/// `--size-mb 1e30` u64::MAX bytes.
 #[test]
 fn transfer_and_task_sizes_are_usage_errors_not_clamped() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["transfer", "--parts", "0"], "--parts"),
         (&["transfer", "--parts", "2.5"], "--parts"),
         (&["transfer", "--size-mb", "NaN"], "--size-mb"),
@@ -389,6 +390,11 @@ fn transfer_and_task_sizes_are_usage_errors_not_clamped() {
         (&["task", "--work", "-2"], "--work"),
         (&["task", "--input-mb", "NaN"], "--input-mb"),
         (&["task", "--input-mb", "-1"], "--input-mb"),
+        // Truncated to zero bytes, or saturated to u64::MAX bytes.
+        (&["transfer", "--size-mb", "1e-9"], "--size-mb"),
+        (&["transfer", "--size-mb", "1e30"], "--size-mb"),
+        (&["task", "--input-mb", "1e-9"], "--input-mb"),
+        (&["task", "--input-mb", "1e40"], "--input-mb"),
         // Last: clamped rather than refused, it would run u32::MAX parts.
         (&["transfer", "--parts", "4294967296"], "--parts"),
     ];

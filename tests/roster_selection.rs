@@ -157,8 +157,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// `(selections, digest of the selection log, leaves, distinct roster sizes)`.
-fn run(workers: usize) -> (usize, u64, u64, usize) {
+/// `(selections, digest of the selection log, leaves, distinct roster
+/// sizes, smallest roster)`.
+fn run(workers: usize) -> (usize, u64, u64, usize, usize) {
     let workload = ModelStorm {
         topo: SynthTopoConfig {
             regions: MODELS.len(),
@@ -182,13 +183,14 @@ fn run(workers: usize) -> (usize, u64, u64, usize) {
         fnv1a(log.as_bytes()),
         run.metrics.counter("churn.leaves"),
         sizes.len(),
+        sizes.first().copied().unwrap_or(0),
     )
 }
 
 #[test]
 fn model_choices_on_a_churning_federated_roster_are_pinned_at_any_worker_count() {
     let serial = run(1);
-    let (selections, digest, leaves, roster_sizes) = serial;
+    let (selections, digest, leaves, roster_sizes, smallest) = serial;
     // Vacuity guards: petitions were placed, peers did leave, and the
     // roster the models saw kept changing size (joins, purges, expiries).
     assert!(selections > 500, "only {selections} selections");
@@ -196,6 +198,13 @@ fn model_choices_on_a_churning_federated_roster_are_pinned_at_any_worker_count()
     assert!(
         roster_sizes > 20,
         "only {roster_sizes} distinct roster sizes"
+    );
+    // The data evaluator scores 256 candidates per block (`BLOCK` in
+    // `crates/core/src/evaluator.rs`). The block must stay below the
+    // smallest roster here (291), so the pin covers a multi-block sweep.
+    assert!(
+        smallest > 256,
+        "smallest roster {smallest} fits in one scoring block"
     );
     assert_eq!(
         (selections, digest),
