@@ -17,7 +17,9 @@ use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimeSeriesRecorder;
 use crate::topology::Topology;
 use crate::trace::{Trace, TraceEventKind};
-use crate::transport::{RemoteSendPlan, TransferPlanner, TransferTiming, TransportConfig};
+use crate::transport::{
+    RemoteSendPlan, TransferPlanner, TransferTiming, TransportConfig, FAST_SERVICE_FACTOR,
+};
 
 /// How a message interacts with the destination host's scheduler.
 ///
@@ -30,7 +32,7 @@ pub enum ServiceClass {
     /// Wakes the application: full service-delay sample.
     Wakeup,
     /// Hot-path handling: service-delay sample scaled by
-    /// [`TransportConfig::fast_service_factor`].
+    /// [`FAST_SERVICE_FACTOR`].
     Fast,
     /// Data plane only: no service delay.
     Bulk,
@@ -308,9 +310,7 @@ impl<'a, M: Payload> Context<'a, M> {
         let delay = &core.topo.node(to).service_delay;
         match msg.service_class() {
             ServiceClass::Wakeup => delay.sample_secs(&mut core.net_rng),
-            ServiceClass::Fast => {
-                delay.sample_secs(&mut core.net_rng) * core.planner.config().fast_service_factor
-            }
+            ServiceClass::Fast => delay.sample_secs(&mut core.net_rng) * FAST_SERVICE_FACTOR,
             ServiceClass::Bulk => 0.0,
         }
     }

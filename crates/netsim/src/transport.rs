@@ -41,32 +41,35 @@ pub enum ReceiverDiscipline {
     ProcessorSharing,
 }
 
-/// Tunable constants of the transport model.
+/// TCP maximum segment size in bytes (Mathis model input).
+pub const MSS_BYTES: f64 = 1460.0;
+/// Mathis constant `C` (≈1.22 for periodic loss).
+pub const MATHIS_C: f64 = 1.22;
+/// Initial congestion window in bytes for the slow-start penalty.
+pub const INITIAL_WINDOW_BYTES: f64 = 4.0 * 1460.0;
+/// Message size above which the large-message penalty kicks in: JXTA
+/// pipes start degrading past ~8 MB payloads.
+pub const LARGE_MSG_THRESHOLD_BYTES: f64 = 8.0 * 1024.0 * 1024.0;
+/// Exponent of the large-message throughput divisor.
+pub const LARGE_MSG_ALPHA: f64 = 1.0;
+/// Delivery delay for node-local (loopback) messages.
+pub const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(100);
+/// Fraction of the full service delay charged to
+/// [`crate::engine::ServiceClass::Fast`] messages.
+pub const FAST_SERVICE_FACTOR: f64 = 0.02;
+
+/// The switchable parts of the transport model; its calibration
+/// constants (`MSS_BYTES`, `MATHIS_C`, …) are the module's constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
-    /// TCP maximum segment size in bytes (Mathis model input).
-    pub mss_bytes: f64,
-    /// Mathis constant `C` (≈1.22 for periodic loss).
-    pub mathis_c: f64,
     /// Whether the TCP loss/RTT bound applies.
     pub enable_tcp_bound: bool,
-    /// Initial congestion window in bytes for the slow-start penalty.
-    pub initial_window_bytes: f64,
     /// Whether the slow-start penalty applies.
     pub enable_slow_start: bool,
-    /// Message size above which the large-message penalty kicks in.
-    pub large_msg_threshold_bytes: f64,
-    /// Exponent of the large-message throughput divisor.
-    pub large_msg_alpha: f64,
     /// Whether the large-message penalty applies.
     pub enable_large_msg_penalty: bool,
     /// Fixed per-message framing overhead added to the payload size.
     pub per_message_overhead_bytes: u64,
-    /// Delivery delay for node-local (loopback) messages.
-    pub loopback_delay: SimDuration,
-    /// Fraction of the full service delay charged to
-    /// [`crate::engine::ServiceClass::Fast`] messages.
-    pub fast_service_factor: f64,
     /// Receiver-side capacity-sharing discipline.
     pub receiver_discipline: ReceiverDiscipline,
     /// Probability that a whole message is lost in the network and never
@@ -78,18 +81,10 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            mss_bytes: 1460.0,
-            mathis_c: 1.22,
             enable_tcp_bound: true,
-            initial_window_bytes: 4.0 * 1460.0,
             enable_slow_start: true,
-            // JXTA pipes start degrading past ~8 MB payloads.
-            large_msg_threshold_bytes: 8.0 * 1024.0 * 1024.0,
-            large_msg_alpha: 1.0,
             enable_large_msg_penalty: true,
             per_message_overhead_bytes: 512,
-            loopback_delay: SimDuration::from_micros(100),
-            fast_service_factor: 0.02,
             receiver_discipline: ReceiverDiscipline::Fifo,
             message_drop_probability: 0.0,
         }
@@ -203,7 +198,7 @@ impl TransferPlanner {
         if !self.config.enable_tcp_bound || loss <= 0.0 || rtt_secs <= 0.0 {
             return f64::INFINITY;
         }
-        self.config.mss_bytes * self.config.mathis_c / (rtt_secs * loss.sqrt())
+        MSS_BYTES * MATHIS_C / (rtt_secs * loss.sqrt())
     }
 
     /// Effective path throughput for a message of `size` bytes.
@@ -220,9 +215,9 @@ impl TransferPlanner {
         let loss = Self::path_loss(topo.access(from), topo.access(to));
         let rtt = topo.path(from, to).rtt().as_secs_f64();
         let mut thr = up.min(down).min(self.tcp_bound(rtt, loss));
-        if self.config.enable_large_msg_penalty && size > self.config.large_msg_threshold_bytes {
-            let ratio = size / self.config.large_msg_threshold_bytes;
-            thr /= 1.0 + (ratio - 1.0).powf(self.config.large_msg_alpha);
+        if self.config.enable_large_msg_penalty && size > LARGE_MSG_THRESHOLD_BYTES {
+            let ratio = size / LARGE_MSG_THRESHOLD_BYTES;
+            thr /= 1.0 + (ratio - 1.0).powf(LARGE_MSG_ALPHA);
         }
         thr.max(1.0) // never fully stall
     }
@@ -233,9 +228,7 @@ impl TransferPlanner {
         if !self.config.enable_slow_start || size <= 0.0 {
             return SimDuration::ZERO;
         }
-        let rounds = (1.0 + size / self.config.initial_window_bytes)
-            .log2()
-            .ceil();
+        let rounds = (1.0 + size / INITIAL_WINDOW_BYTES).log2().ceil();
         rtt.mul_f64(rounds.clamp(0.0, 12.0))
     }
 
@@ -254,7 +247,7 @@ impl TransferPlanner {
         rng: &mut SimRng,
     ) -> TransferTiming {
         if from == to {
-            let deliver = now + self.config.loopback_delay;
+            let deliver = now + LOOPBACK_DELAY;
             return TransferTiming {
                 tx_start: now,
                 deliver,
@@ -345,7 +338,7 @@ impl TransferPlanner {
         payload_bytes: u64,
     ) -> SimDuration {
         if from == to {
-            return self.config.loopback_delay;
+            return LOOPBACK_DELAY;
         }
         let size = (payload_bytes + self.config.per_message_overhead_bytes) as f64;
         let path = topo.path(from, to);
@@ -392,10 +385,7 @@ mod tests {
         let mut p = TransferPlanner::new(TransportConfig::default(), t.len());
         let mut rng = SimRng::new(2);
         let timing = p.plan(&t, SimTime::ZERO, a, a, 1 << 30, &mut rng);
-        assert_eq!(
-            timing.deliver,
-            SimTime::ZERO + TransportConfig::default().loopback_delay
-        );
+        assert_eq!(timing.deliver, SimTime::ZERO + LOOPBACK_DELAY);
     }
 
     #[test]

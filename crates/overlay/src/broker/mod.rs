@@ -144,9 +144,6 @@ pub struct BrokerConfig {
     pub selector: Option<Box<dyn PeerSelector>>,
     /// Watchdog: cancel transfers that exceed this duration.
     pub transfer_timeout: SimDuration,
-    /// Watchdog: fail tasks that produce no result within this duration
-    /// (measured from the offer).
-    pub task_timeout: SimDuration,
     /// Seed for id generation.
     pub id_seed: u64,
     /// Stop the whole simulation once all scripted work completes.
@@ -180,7 +177,6 @@ impl BrokerConfig {
             commands: Vec::new(),
             selector: None,
             transfer_timeout: SimDuration::from_mins(90),
-            task_timeout: SimDuration::from_mins(120),
             id_seed,
             stop_when_idle: true,
             peer_brokers: Vec::new(),

@@ -5,7 +5,7 @@ use netsim::idmap::IdMap;
 
 use netsim::engine::Context;
 use netsim::node::NodeId;
-use netsim::time::SimTime;
+use netsim::time::{SimDuration, SimTime};
 
 use crate::id::{TaskId, TransferId};
 use crate::message::{JobSubmission, OverlayMsg};
@@ -14,6 +14,10 @@ use crate::selector::{Purpose, SelectionOutcome};
 use crate::task::{TaskPhase, TaskSpec, TaskTracking};
 
 use super::{Broker, EWMA_ALPHA};
+
+/// Watchdog: a task that produces no result within this long of its
+/// offer fails.
+pub(crate) const TASK_TIMEOUT: SimDuration = SimDuration::from_mins(120);
 
 /// A client-submitted job realised by one broker task.
 #[derive(Debug, Clone)]
@@ -65,7 +69,7 @@ impl Broker {
             },
         );
         let tag = self.retries.arm_task_watchdog(task_id);
-        ctx.schedule_timer(self.cfg.task_timeout, tag);
+        ctx.schedule_timer(TASK_TIMEOUT, tag);
     }
 
     pub(crate) fn fail_task(&mut self, ctx: &mut Context<OverlayMsg>, task_id: TaskId) {

@@ -516,7 +516,7 @@ fn task_watchdog_fails_unanswered_offers() {
     topo.set_path_symmetric(broker_node, alive, PathSpec::from_owd_ms(20.0, 0.0));
     topo.set_path_symmetric(broker_node, dead, PathSpec::from_owd_ms(20.0, 0.0));
     let sink = RecordSink::new();
-    let mut bcfg = BrokerConfig::new(41).at(
+    let bcfg = BrokerConfig::new(41).at(
         SimDuration::from_secs(5),
         BrokerCommand::SubmitTask {
             target: TargetSpec::Node(dead),
@@ -526,7 +526,6 @@ fn task_watchdog_fails_unanswered_offers() {
             label: "doomed".into(),
         },
     );
-    bcfg.task_timeout = SimDuration::from_secs(60);
     let mut engine = Engine::new(topo, TransportConfig::default(), 13);
     engine.register(broker_node, Box::new(Broker::new(bcfg, sink.clone())));
     engine.register(
@@ -534,11 +533,14 @@ fn task_watchdog_fails_unanswered_offers() {
         Box::new(SimpleClient::new(ClientConfig::new(broker_node), 50)),
     );
     // `dead` has no actor registered.
-    let outcome = engine.run_until(SimTime::from_secs_f64(600.0));
+    // The offer goes out at ~5 s; the watchdog fails it one timeout later.
+    let fired = SimTime::ZERO + SimDuration::from_secs(5) + super::tasks::TASK_TIMEOUT;
+    let outcome = engine.run_until(fired + super::tasks::TASK_TIMEOUT);
     assert_eq!(outcome, RunOutcome::Stopped, "broker stops after timeout");
+    let now = engine.now();
     assert!(
-        engine.now().as_secs_f64() < 120.0,
-        "watchdog fired at ~65 s"
+        now >= fired && now.duration_since(fired) < SimDuration::from_secs(60),
+        "watchdog fired at {now:?}"
     );
     assert_eq!(engine.metrics().counter("overlay.tasks_timed_out"), 1);
     let log = sink.drain();

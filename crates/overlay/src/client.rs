@@ -153,16 +153,6 @@ impl SimpleClient {
         self.peer_id
     }
 
-    /// Whether the broker has confirmed membership.
-    pub fn is_joined(&self) -> bool {
-        self.joined
-    }
-
-    /// Number of in-flight inbound transfers.
-    pub fn inbound_transfers(&self) -> usize {
-        self.receiver.inbound_len()
-    }
-
     /// The advertisement a Join (first or re-) publishes for this peer.
     fn advertisement(&self, ctx: &Context<OverlayMsg>) -> PeerAdvertisement {
         PeerAdvertisement {
@@ -414,8 +404,8 @@ mod tests {
     #[test]
     fn starts_unjoined_and_idle() {
         let c = SimpleClient::new(ClientConfig::new(NodeId(0)), 3);
-        assert!(!c.is_joined());
-        assert_eq!(c.inbound_transfers(), 0);
+        assert!(!c.joined);
+        assert_eq!(c.receiver.inbound_len(), 0);
         assert!(c.jobs_done.is_empty());
     }
 

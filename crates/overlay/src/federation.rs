@@ -40,24 +40,14 @@ pub enum HomingPolicy {
     ConsistentHash,
 }
 
-/// Failover detection knobs a re-homing client runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverPolicy {
-    /// How often a connected client pings its home broker.
-    pub probe_interval: SimDuration,
-    /// Silence longer than this (no ack, pong, or data from the home)
-    /// makes the client declare the broker dead and re-home.
-    pub probe_timeout: SimDuration,
-}
+/// Broker-to-broker roster gossip cadence of [`FederationSpec::default`].
+pub const GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
-impl Default for FailoverPolicy {
-    fn default() -> Self {
-        FailoverPolicy {
-            probe_interval: SimDuration::from_secs(30),
-            probe_timeout: SimDuration::from_secs(90),
-        }
-    }
-}
+/// Failover detection for a re-homing client: it probes its home every
+/// [`crate::lifecycle::PROBE_INTERVAL`] and re-homes after
+/// [`crate::lifecycle::PROBE_TIMEOUT`] of silence.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FailoverPolicy;
 
 /// Why a [`Federation::new`] was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +120,7 @@ pub struct BrokerOutage {
 /// How a set of brokers federates.
 ///
 /// The default is the inert gossip-only wiring: every broker peers with
-/// every other on a 30 s cadence, but petition forwarding stays off
+/// every other on a [`GOSSIP_INTERVAL`] cadence, but petition forwarding stays off
 /// (`forward_hops: 0`) and nothing is scripted to fail.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FederationSpec {
@@ -151,7 +141,7 @@ impl Default for FederationSpec {
     fn default() -> Self {
         FederationSpec {
             homing: HomingPolicy::RegionAffinity,
-            gossip_interval: SimDuration::from_secs(30),
+            gossip_interval: GOSSIP_INTERVAL,
             staleness_bound: None,
             forward_hops: 0,
             outage: None,

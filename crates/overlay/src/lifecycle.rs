@@ -46,6 +46,11 @@ const TASK_TAG_BASE: u64 = SESSION_TAG_SPAN;
 /// upward from [`TASK_TAG_BASE`] one at a time; a run would need 2^32
 /// tasks on one peer to collide).
 const PROBE_TAG_BASE: u64 = 1 << 33;
+/// How often a failover-enabled peer pings its home broker.
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// Silence longer than this (no ack, pong, or data from the home)
+/// makes a failover-enabled peer declare its broker dead and re-home.
+pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(90);
 
 /// Where a peer stands in its membership lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,8 +199,8 @@ pub struct LifecycleConfig {
     pub script: LifecycleScript,
     /// Whether to accept executable tasks while connected.
     pub accepts_tasks: bool,
-    /// When set, the peer pings its home every `probe_interval` and
-    /// re-homes to the next broker on the list after `probe_timeout`
+    /// When set, the peer pings its home every [`PROBE_INTERVAL`] and
+    /// re-homes to the next broker on the list after [`PROBE_TIMEOUT`]
     /// of silence. `None` = trust the home forever (single-broker runs).
     pub failover: Option<FailoverPolicy>,
 }
@@ -303,11 +308,11 @@ impl LifecyclePeer {
         ) {
             return;
         }
-        let Some(policy) = self.cfg.failover else {
+        if self.cfg.failover.is_none() {
             return;
-        };
+        }
         let now = ctx.now();
-        if now - self.last_ok > policy.probe_timeout {
+        if now - self.last_ok > PROBE_TIMEOUT {
             let from = self.broker();
             self.home_idx += 1;
             let to = self.broker();
@@ -328,7 +333,7 @@ impl LifecyclePeer {
                 sent_at: now,
             },
         );
-        ctx.schedule_timer(policy.probe_interval, tag);
+        ctx.schedule_timer(PROBE_INTERVAL, tag);
     }
 }
 
@@ -427,8 +432,8 @@ impl Actor<OverlayMsg> for LifecyclePeer {
             self.send_join(ctx, session);
             self.probe_epoch += 1;
             self.last_ok = ctx.now();
-            if let Some(policy) = self.cfg.failover {
-                ctx.schedule_timer(policy.probe_interval, PROBE_TAG_BASE + self.probe_epoch);
+            if self.cfg.failover.is_some() {
+                ctx.schedule_timer(PROBE_INTERVAL, PROBE_TAG_BASE + self.probe_epoch);
             }
         } else {
             // Leave of session `session`: drop receive state mid-flight.
@@ -612,7 +617,7 @@ mod tests {
                 }],
             },
             accepts_tasks: false,
-            failover: Some(FailoverPolicy::default()),
+            failover: Some(FailoverPolicy),
         };
         let mut p = LifecyclePeer::new(cfg, 3);
         assert_eq!(p.broker(), NodeId(4));

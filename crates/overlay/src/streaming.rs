@@ -2,9 +2,9 @@
 //!
 //! A [`StreamingClient`] joins its broker like any edge peer, then pulls
 //! a piece-divided media stream from seed peers: it keeps a bounded
-//! request window open, buffers [`StreamConfig::startup_pieces`] pieces
-//! before starting playback, consumes one piece per
-//! [`StreamConfig::piece_secs`] of virtual time, and stalls (a rebuffer
+//! request window open, buffers [`STARTUP_PIECES`] pieces before
+//! starting playback, consumes one piece per [`PIECE_SECS`] of virtual
+//! time, and stalls (a rebuffer
 //! event) whenever the playhead reaches a piece that has not arrived.
 //! Which piece to request next is the [`PiecePolicy`] — the axis the
 //! streaming experiments sweep (after arXiv:1402.2187's comparison of
@@ -44,6 +44,13 @@ const AVAIL_SALT: u64 = 0x57E4_0AA1;
 const TAG_JOIN: u64 = 1;
 /// Timer tag: the playhead finishes the current piece.
 const TAG_PLAY: u64 = 2;
+/// Payload bytes per piece.
+pub const PIECE_BYTES: u64 = 256 << 10;
+/// Playback duration of one piece.
+pub const PIECE_SECS: SimDuration = SimDuration::from_secs(2);
+/// Contiguous pieces buffered before playback starts (fewer when the
+/// stream is shorter).
+pub const STARTUP_PIECES: u32 = 4;
 
 /// How a viewer picks the next piece to request. The window below is
 /// [`StreamConfig::window`]; `Sequential` is the degenerate window of 1.
@@ -118,12 +125,6 @@ pub struct StreamConfig {
     pub window: u32,
     /// Pieces the stream is divided into (min 1).
     pub total_pieces: u32,
-    /// Payload bytes per piece.
-    pub piece_bytes: u64,
-    /// Playback duration of one piece.
-    pub piece_secs: SimDuration,
-    /// Contiguous pieces buffered before playback starts (min 1).
-    pub startup_pieces: u32,
     /// When this viewer joins and begins requesting.
     pub arrival: SimDuration,
     /// Seed peers that serve pieces; piece `i` lives on
@@ -307,7 +308,7 @@ impl StreamingClient {
         }
         let now = ctx.now();
         if !self.playback_started {
-            let startup = self.cfg.startup_pieces.max(1).min(self.cfg.total_pieces);
+            let startup = STARTUP_PIECES.min(self.cfg.total_pieces);
             if self.first_missing >= startup {
                 self.playback_started = true;
                 self.playing = true;
@@ -321,7 +322,7 @@ impl StreamingClient {
                         s.startup_delay_secs = Some(delay.as_secs_f64());
                     }
                 });
-                ctx.schedule_timer(self.cfg.piece_secs, TAG_PLAY);
+                ctx.schedule_timer(PIECE_SECS, TAG_PLAY);
             }
         } else if self.stalled_since.is_some() && self.have[self.next_play as usize] {
             let stalled_at = self.stalled_since.take().expect("checked above");
@@ -334,7 +335,7 @@ impl StreamingClient {
                 }
             });
             self.playing = true;
-            ctx.schedule_timer(self.cfg.piece_secs, TAG_PLAY);
+            ctx.schedule_timer(PIECE_SECS, TAG_PLAY);
         }
     }
 }
@@ -374,7 +375,7 @@ impl Actor<OverlayMsg> for StreamingClient {
             }
             OverlayMsg::PieceRequest { piece } => {
                 self.bump(ctx, |c| c.pieces_served);
-                let size = self.cfg.piece_bytes;
+                let size = PIECE_BYTES;
                 ctx.send(from, OverlayMsg::Piece { piece, size });
             }
             OverlayMsg::Piece { piece, .. } => {
@@ -425,7 +426,7 @@ impl Actor<OverlayMsg> for StreamingClient {
                         }
                     });
                 } else if self.have[self.next_play as usize] {
-                    ctx.schedule_timer(self.cfg.piece_secs, TAG_PLAY);
+                    ctx.schedule_timer(PIECE_SECS, TAG_PLAY);
                 } else {
                     // The playhead outran the buffer: stall until the
                     // missing piece arrives.
@@ -503,9 +504,6 @@ mod tests {
             policy: PiecePolicy::Sequential,
             window: 1,
             total_pieces: 24,
-            piece_bytes: 256 << 10,
-            piece_secs: SimDuration::from_secs(2),
-            startup_pieces: 3,
             arrival: SimDuration::from_secs(1),
             owners,
             content_seed: 404,
@@ -564,13 +562,10 @@ mod tests {
 
     #[test]
     fn starved_uplinks_force_rebuffering() {
-        // Pieces play faster than a 0.6 Mbit/s uplink can ship them, so
-        // the playhead must outrun the buffer and stall.
-        let (sink, _) = stream_net(3, 0.6, |b, o| StreamConfig {
-            piece_secs: SimDuration::from_millis(500),
-            startup_pieces: 1,
-            ..base_cfg(b, o)
-        });
+        // Pieces play faster than a 0.6 Mbit/s uplink can ship them (a
+        // piece takes ~3.5 s), so the playhead must outrun the buffer and
+        // stall.
+        let (sink, _) = stream_net(3, 0.6, base_cfg);
         let log = sink.drain();
         let total_rebuffers: u32 = log.streams.iter().map(|s| s.rebuffers).sum();
         assert!(total_rebuffers > 0, "starved playback must stall");

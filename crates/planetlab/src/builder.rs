@@ -13,14 +13,10 @@ use crate::sites::{Role, Site, BROKER, TABLE1};
 pub struct TestbedConfig {
     /// The RTT synthesis model.
     pub rtt: RttModel,
-    /// When true, all 25 Table-1 hosts are instantiated; when false only the
-    /// broker and the eight SC peers (the paper's measurement setup).
-    pub full_slice: bool,
-    /// In full-slice builds, caps how many non-SC slice members join
-    /// (None = all 17). Lets scaling experiments sweep the peer count.
-    pub max_others: Option<usize>,
-    /// Profile overrides by hostname, applied last.
-    pub overrides: Vec<(String, NodeProfile)>,
+    /// How many non-SC slice members join the broker and the eight SC
+    /// peers: 0 is the paper's measurement setup, 17 or more the full
+    /// slice. Lets scaling experiments sweep the peer count.
+    pub others: usize,
 }
 
 impl TestbedConfig {
@@ -31,25 +27,15 @@ impl TestbedConfig {
 
     /// The full 25-node slice plus the broker.
     pub fn full_slice() -> Self {
-        TestbedConfig {
-            full_slice: true,
-            ..TestbedConfig::default()
-        }
+        TestbedConfig::slice_with_others(usize::MAX)
     }
 
-    /// Full slice capped at `n` non-SC members (scaling sweeps).
+    /// Broker and SCs plus at most `n` non-SC members (scaling sweeps).
     pub fn slice_with_others(n: usize) -> Self {
         TestbedConfig {
-            full_slice: true,
-            max_others: Some(n),
+            others: n,
             ..TestbedConfig::default()
         }
-    }
-
-    /// Adds a profile override for `hostname`.
-    pub fn with_override(mut self, hostname: impl Into<String>, profile: NodeProfile) -> Self {
-        self.overrides.push((hostname.into(), profile));
-        self
     }
 }
 
@@ -62,7 +48,7 @@ pub struct Testbed {
     pub broker: NodeId,
     /// SC1…SC8 node ids (index 0 is SC1).
     pub scs: [NodeId; 8],
-    /// Any additional slice members (full-slice builds only).
+    /// The non-SC slice members [`TestbedConfig::others`] asked for.
     pub others: Vec<NodeId>,
 }
 
@@ -93,10 +79,7 @@ impl Testbed {
     }
 }
 
-fn profile_for(site: &Site, overrides: &[(String, NodeProfile)]) -> NodeProfile {
-    if let Some((_, p)) = overrides.iter().find(|(h, _)| h == site.hostname) {
-        return p.clone();
-    }
+fn profile_for(site: &Site) -> NodeProfile {
     match site.role {
         Role::Broker => broker_profile(),
         Role::SimpleClient(n) => sc_profile(n),
@@ -107,23 +90,18 @@ fn profile_for(site: &Site, overrides: &[(String, NodeProfile)]) -> NodeProfile 
 /// Builds the testbed described by `config`.
 pub fn build(config: &TestbedConfig) -> Testbed {
     let mut sites: Vec<&Site> = vec![&BROKER];
-    if config.full_slice {
-        sites.extend(crate::sites::simple_clients());
-        let mut quota = config.max_others.unwrap_or(usize::MAX);
-        for site in TABLE1.iter() {
-            if matches!(site.role, Role::SliceMember) && quota > 0 {
-                sites.push(site);
-                quota -= 1;
-            }
-        }
-    } else {
-        sites.extend(crate::sites::simple_clients());
-    }
+    sites.extend(crate::sites::simple_clients());
+    sites.extend(
+        TABLE1
+            .iter()
+            .filter(|site| matches!(site.role, Role::SliceMember))
+            .take(config.others),
+    );
 
     let mut topology = Topology::new();
     let mut ids = Vec::with_capacity(sites.len());
     for site in &sites {
-        let profile = profile_for(site, &config.overrides);
+        let profile = profile_for(site);
         let id = topology.add_node(
             profile.to_node_spec(site.hostname),
             profile.to_access_link(),
@@ -201,6 +179,33 @@ mod tests {
         assert_eq!(all.len(), 26);
     }
 
+    /// Every node spec, access link and path of two testbeds.
+    fn assert_same_topology(a: &Testbed, b: &Testbed) {
+        assert_eq!((a.len(), a.broker, a.scs), (b.len(), b.broker, b.scs));
+        assert_eq!(a.others, b.others);
+        for x in a.topology.node_ids() {
+            assert_eq!(a.topology.node(x), b.topology.node(x));
+            assert_eq!(a.topology.access(x), b.topology.access(x));
+            for y in a.topology.node_ids() {
+                assert_eq!(a.topology.path(x, y), b.topology.path(x, y));
+            }
+        }
+    }
+
+    /// One member count spans both ends of the slice: capping it at the
+    /// catalog size or above is the full slice, at zero the paper's setup.
+    #[test]
+    fn member_count_reaches_both_named_testbeds() {
+        let full = build(&TestbedConfig::full_slice());
+        for n in [17, 100] {
+            assert_same_topology(&build(&TestbedConfig::slice_with_others(n)), &full);
+        }
+        assert_same_topology(
+            &build(&TestbedConfig::slice_with_others(0)),
+            &build(&TestbedConfig::measurement_setup()),
+        );
+    }
+
     #[test]
     fn sc_roster_matches_hostnames() {
         let tb = build(&TestbedConfig::measurement_setup());
@@ -234,15 +239,6 @@ mod tests {
             tb.topology.path(tb.broker, tb.sc(2)),
             tb.topology.path(tb.sc(2), tb.broker)
         );
-    }
-
-    #[test]
-    fn overrides_apply() {
-        let custom = NodeProfile::healthy().with_bandwidth_mbps(0.5);
-        let cfg = TestbedConfig::measurement_setup().with_override("ait05.us.es", custom);
-        let tb = build(&cfg);
-        let link = tb.topology.access(tb.sc(1));
-        assert!((link.up_bytes_per_sec - 62_500.0).abs() < 1.0);
     }
 
     #[test]

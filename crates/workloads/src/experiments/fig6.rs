@@ -70,8 +70,6 @@ pub fn model_names() -> Vec<String> {
     MODELS.iter().map(|m| m.name().to_string()).collect()
 }
 
-pub use peer_selection::service::UnknownModelError;
-
 /// Seed salt mixed into this experiment's stochastic selectors, keeping
 /// its historical random streams disjoint from the other drivers'.
 const SEED_SALT: u64 = 0xF166;
@@ -80,13 +78,6 @@ const SEED_SALT: u64 = 0xF166;
 /// [`ModelKind::Blind`] (blind mode installs no selector at all).
 pub fn factory_for_kind(kind: ModelKind) -> Option<SelectorFactory> {
     peer_selection::service::factory_for(kind, SEED_SALT)
-}
-
-/// Resolves a model name to a selector factory, or reports the valid list.
-/// `blind` is a valid axis spelling but names no selector, so it is
-/// rejected here like any unknown name.
-pub fn try_factory_for(model: &str) -> Result<SelectorFactory, UnknownModelError> {
-    peer_selection::service::try_factory_for(model, SEED_SALT)
 }
 
 /// Typed result.
@@ -103,11 +94,7 @@ pub struct Fig6Result {
 /// seed list: each (model, granularity) grid cell replays exactly the seeds
 /// the classic harness used, so the statistics are unchanged — the sweep
 /// driver only changes who schedules the work.
-///
-/// The `Result` stays for API stability: the built-in model list always
-/// resolves, but psim funnels user-supplied names through the same
-/// [`try_factory_for`] path and needs the error type.
-pub fn run_experiment(spec: &ExperimentSpec) -> Result<Fig6Result, UnknownModelError> {
+pub fn run_experiment(spec: &ExperimentSpec) -> Fig6Result {
     let grid = fig67_grid(SeedScheme::Explicit(spec.seeds.clone()), WARMUP);
     let campaign = run_campaign(&grid, default_workers()).expect("built-in fig67 grid is valid");
     let mut seconds = Vec::new();
@@ -131,16 +118,16 @@ pub fn run_experiment(spec: &ExperimentSpec) -> Result<Fig6Result, UnknownModelE
         seconds.push(SeriesAggregate { stats });
         chosen.push(chosen_g);
     }
-    Ok(Fig6Result {
+    Fig6Result {
         models: model_names(),
         seconds,
         chosen,
-    })
+    }
 }
 
 /// Runs the experiment and builds the report.
-pub fn run(spec: &ExperimentSpec) -> Result<FigureReport, UnknownModelError> {
-    Ok(report(&run_experiment(spec)?))
+pub fn run(spec: &ExperimentSpec) -> FigureReport {
+    report(&run_experiment(spec))
 }
 
 /// Builds the Fig 6 report from a typed result.
@@ -190,22 +177,7 @@ mod tests {
     fn result() -> &'static Fig6Result {
         use std::sync::OnceLock;
         static R: OnceLock<Fig6Result> = OnceLock::new();
-        R.get_or_init(|| run_experiment(&ExperimentSpec::quick()).expect("built-in models"))
-    }
-
-    #[test]
-    fn unknown_model_is_an_error_not_a_panic() {
-        let err = match try_factory_for("psychic") {
-            Ok(_) => panic!("`psychic` must not resolve to a selector"),
-            Err(e) => e,
-        };
-        assert_eq!(err.model, "psychic");
-        let msg = err.to_string();
-        assert!(msg.contains("psychic"));
-        for m in err.valid_models() {
-            assert!(msg.contains(&m), "error lists valid model {m}");
-        }
-        assert!(try_factory_for("economic").is_ok());
+        R.get_or_init(|| run_experiment(&ExperimentSpec::quick()))
     }
 
     #[test]

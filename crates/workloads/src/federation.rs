@@ -32,7 +32,7 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use netsim::trace::{Trace, TraceEventKind};
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
-use overlay::federation::{FailoverPolicy, HomingPolicy};
+use overlay::federation::{FailoverPolicy, HomingPolicy, GOSSIP_INTERVAL};
 use overlay::lifecycle::{LifecycleConfig, LifecyclePeer, LifecycleScript, SessionPlan};
 use overlay::message::OverlayMsg;
 use overlay::records::RunLog;
@@ -57,8 +57,8 @@ pub struct FederationConfig {
     pub topo: SynthTopoConfig,
     /// How clients map to their home-broker preference list.
     pub homing: HomingPolicy,
-    /// Broker-to-broker roster gossip cadence
-    /// ([`defaults::GOSSIP_INTERVAL`]).
+    /// Broker-to-broker roster gossip cadence (default
+    /// [`GOSSIP_INTERVAL`]).
     pub gossip_interval: SimDuration,
     /// Tolerated age of gossiped candidate views; `None` = the builder
     /// default of three gossip rounds.
@@ -90,7 +90,7 @@ impl Default for FederationConfig {
         FederationConfig {
             topo: SynthTopoConfig::default(),
             homing: HomingPolicy::RegionAffinity,
-            gossip_interval: defaults::GOSSIP_INTERVAL,
+            gossip_interval: GOSSIP_INTERVAL,
             staleness_bound: None,
             forward_hops: 2,
             horizon: SimDuration::from_secs(900),
@@ -306,7 +306,7 @@ impl Workload for FederationWorkload<'_> {
                     brokers: cx.federation.homes_for(node, r),
                     script,
                     accepts_tasks: true,
-                    failover: Some(FailoverPolicy::default()),
+                    failover: Some(FailoverPolicy),
                 };
                 actors.push((node, Box::new(LifecyclePeer::new(peer_cfg, pseed))));
             }

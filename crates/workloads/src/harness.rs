@@ -45,30 +45,16 @@ use overlay::records::{RecordSink, RunLog};
 use crate::report::metrics_snapshot_json;
 use crate::scenario::ScenarioError;
 
-/// The documented defaults every workload driver resolves to.
-///
-/// Before the harness these values were restated (and had drifted) in
-/// each driver's `Default` impl and in the psim flag table; they now
-/// live here once, and `harness::tests::drivers_resolve_to_documented_defaults`
-/// pins each driver to them.
+/// The defaults workload drivers share that no lower layer owns (the
+/// gossip cadence is `overlay::federation::GOSSIP_INTERVAL`).
+/// `harness::tests::drivers_resolve_to_documented_defaults` pins each
+/// driver to them.
 pub mod defaults {
     use netsim::time::SimDuration;
 
-    /// Broker-to-broker roster gossip cadence for interactive,
-    /// CI-horizon workloads (multiregion, federation, streaming).
-    pub const GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(30);
-    /// Gossip cadence for hour-scale churn soaks, where a 30 s cadence
-    /// would dominate the event volume. The one *intentional* drift.
+    /// Gossip cadence for hour-scale churn soaks, where the overlay's
+    /// 30 s cadence would dominate the event volume.
     pub const SOAK_GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(60);
-    /// Client probe cadence toward a silent broker
-    /// (`FailoverPolicy::default().probe_interval`).
-    pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(30);
-    /// Probe silence threshold before a client re-homes
-    /// (`FailoverPolicy::default().probe_timeout`).
-    pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(90);
-    /// Windowed time-series sampling interval (the psim
-    /// `--interval-secs` default).
-    pub const SERIES_INTERVAL: SimDuration = SimDuration::from_secs(60);
     /// Typed-trace ring capacity for library-level driver defaults.
     pub const TRACE_CAPACITY: usize = 1 << 14;
     /// Typed-trace ring capacity for psim determinism artifacts, sized
@@ -464,7 +450,7 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlay::federation::FailoverPolicy;
+    use overlay::federation::GOSSIP_INTERVAL;
 
     #[test]
     fn builder_rejects_zero_horizon() {
@@ -506,9 +492,7 @@ mod tests {
         assert!(WorkloadBuilder::new().build().is_ok());
     }
 
-    /// The satellite contract: each driver's `Default` impl resolves to
-    /// the documented harness defaults, and the overlay failover policy
-    /// matches the probe constants documented here.
+    /// Each driver's `Default` impl resolves to the documented defaults.
     #[test]
     fn drivers_resolve_to_documented_defaults() {
         use crate::churn::{ChurnConfig, ChurnWorkload};
@@ -528,15 +512,9 @@ mod tests {
             &MultiRegionWorkload { cfg: &multiregion } as &dyn Workload,
             &StreamingWorkload { cfg: &streaming },
         ] {
-            assert_eq!(gossip(w), defaults::GOSSIP_INTERVAL, "{}", w.name());
+            assert_eq!(gossip(w), GOSSIP_INTERVAL, "{}", w.name());
         }
-        assert_eq!(
-            FederationConfig::default().gossip_interval,
-            defaults::GOSSIP_INTERVAL
-        );
-        let failover = FailoverPolicy::default();
-        assert_eq!(failover.probe_interval, defaults::PROBE_INTERVAL);
-        assert_eq!(failover.probe_timeout, defaults::PROBE_TIMEOUT);
+        assert_eq!(FederationConfig::default().gossip_interval, GOSSIP_INTERVAL);
         assert_eq!(
             ChurnConfig::default().trace_capacity,
             Some(defaults::TRACE_CAPACITY)
@@ -551,7 +529,6 @@ mod tests {
     fn federation_spec_default_is_gossip_only() {
         let spec = FederationSpec::default();
         assert_eq!(spec.forward_hops, 0, "forwarding must default off");
-        assert_eq!(spec.gossip_interval, defaults::GOSSIP_INTERVAL);
         assert!(spec.outage.is_none());
     }
 

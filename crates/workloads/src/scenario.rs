@@ -16,6 +16,10 @@ use crate::harness::{BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload,
 
 pub use overlay::selector::SelectorFactory;
 
+/// The broker's transfer watchdog in every scenario (a bare
+/// [`BrokerConfig`] waits 90 min).
+const TRANSFER_TIMEOUT: SimDuration = SimDuration::from_mins(6 * 60);
+
 /// Everything needed to run one scenario replication.
 ///
 /// A plain config: [`Default`] is the paper's measurement setup, and a
@@ -41,8 +45,6 @@ pub struct ScenarioConfig {
     pub selector: Option<SelectorFactory>,
     /// Virtual-time safety horizon.
     pub horizon: SimDuration,
-    /// Transfer watchdog timeout.
-    pub transfer_timeout: SimDuration,
     /// Per-SC task-acceptance probability (index 0 = SC1). Lets
     /// experiments shape the §2.2 task statistics without touching the
     /// testbed; defaults to every peer accepting everything.
@@ -77,7 +79,6 @@ impl Default for ScenarioConfig {
             commands: Vec::new(),
             selector: None,
             horizon: SimDuration::from_mins(10 * 60),
-            transfer_timeout: SimDuration::from_mins(6 * 60),
             task_accept_by_sc: [1.0; 8],
             transfer_refuse_by_sc: [0.0; 8],
             client_commands_by_sc: Vec::new(),
@@ -344,7 +345,7 @@ impl Workload for ScenarioConfig {
         let broker = cx.brokers[0];
         let mut broker_cfg = BrokerConfig::new(seed ^ 0x0B20_CE12);
         broker_cfg.commands = self.commands.clone();
-        broker_cfg.transfer_timeout = self.transfer_timeout;
+        broker_cfg.transfer_timeout = TRANSFER_TIMEOUT;
         broker_cfg.stop_when_idle = self.stop_when_idle;
         broker_cfg.retry = self.retry;
         if let Some(factory) = &self.selector {

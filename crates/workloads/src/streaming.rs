@@ -35,7 +35,7 @@ use overlay::broker::{Broker, BrokerConfig};
 use overlay::message::OverlayMsg;
 use overlay::records::RunLog;
 pub use overlay::streaming::PiecePolicy;
-use overlay::streaming::{StreamConfig, StreamingClient};
+use overlay::streaming::{StreamConfig, StreamingClient, PIECE_BYTES};
 
 use crate::harness::{
     defaults, BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder,
@@ -93,12 +93,6 @@ impl std::fmt::Display for UploadProfile {
     }
 }
 
-/// Payload bytes per piece.
-const PIECE_BYTES: u64 = 256 << 10;
-/// Playback duration of one piece.
-const PIECE_SECS: SimDuration = SimDuration::from_secs(2);
-/// Contiguous pieces buffered before playback starts.
-const STARTUP_PIECES: u32 = 4;
 /// Viewer arrivals are sampled uniformly over this window.
 const ARRIVAL_SPREAD: SimDuration = SimDuration::from_secs(30);
 
@@ -290,9 +284,6 @@ impl Workload for StreamingWorkload<'_> {
                     policy: cfg.policy,
                     window: cfg.window,
                     total_pieces: cfg.total_pieces,
-                    piece_bytes: PIECE_BYTES,
-                    piece_secs: PIECE_SECS,
-                    startup_pieces: STARTUP_PIECES,
                     arrival,
                     owners: owners.clone(),
                     content_seed,

@@ -33,6 +33,11 @@ fn federation_config(flags: &Flags) -> FederationConfig {
     let staleness = flags
         .has("staleness-ms")
         .then(|| SimDuration::from_millis(flags.at_least("staleness-ms", 1)));
+    if !flags.has("kill-broker-at") {
+        for flag in ["restart-broker-at", "kill-region"] {
+            flags.refuse_given(flag, "no --kill-broker-at crash to apply it to");
+        }
+    }
     let kill = flags.has("kill-broker-at").then(|| BrokerOutage {
         region: flags.usize("kill-region"),
         down_at: SimDuration::from_secs_f64(flags.amount("kill-broker-at", true)),

@@ -51,6 +51,8 @@ use workloads::sweep::{named_grid, named_grid_list, run_campaign};
 /// positional argument, with typed accessors that exit 2 on malformed input.
 struct Flags {
     values: HashMap<&'static str, String>,
+    /// The flags the command line named (the rest hold table defaults).
+    given: Vec<&'static str>,
     positional: Option<String>,
 }
 
@@ -61,6 +63,16 @@ impl Flags {
 
     fn has(&self, name: &str) -> bool {
         self.values.contains_key(name)
+    }
+
+    /// Exits 2 when the command line named `name` although this run does
+    /// not read it (`why` says so): a flag that changes nothing is a
+    /// usage error, not one to ignore.
+    fn refuse_given(&self, name: &str, why: &str) {
+        if self.given.contains(&name) {
+            eprintln!("invalid value `{}` for --{name} ({why})", self.values[name]);
+            std::process::exit(2);
+        }
     }
 
     fn f64(&self, name: &str) -> f64 {
@@ -162,6 +174,7 @@ fn parse_flags(cmd: &CommandDef, args: &[String]) -> Flags {
             values.insert(f.name, d.to_string());
         }
     }
+    let mut given = Vec::new();
     let mut positional = None;
     let mut i = 0;
     while i < args.len() {
@@ -181,6 +194,7 @@ fn parse_flags(cmd: &CommandDef, args: &[String]) -> Flags {
                 );
                 std::process::exit(2);
             };
+            given.push(def.name);
             if def.takes_value {
                 match args.get(i + 1).filter(|v| !v.starts_with("--")) {
                     Some(v) => {
@@ -203,7 +217,11 @@ fn parse_flags(cmd: &CommandDef, args: &[String]) -> Flags {
         }
         i += 1;
     }
-    Flags { values, positional }
+    Flags {
+        values,
+        given,
+        positional,
+    }
 }
 
 fn main() {
@@ -326,20 +344,6 @@ fn selector_or_exit(model: Option<&str>) -> Option<overlay::selector::SelectorFa
     }
 }
 
-/// Unwraps a fig6 run, reporting unknown-model errors (with the valid
-/// model list) instead of panicking.
-fn fig6_or_exit(
-    result: Result<workloads::report::FigureReport, fig6::UnknownModelError>,
-) -> workloads::report::FigureReport {
-    match result {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn cmd_fig(which: &str, spec: &ExperimentSpec) {
     // Figures 2–4 read off the same shared study; run it inside the arm
     // that needs it so every dispatch path is total — no Option to unwrap,
@@ -355,7 +359,7 @@ fn cmd_fig(which: &str, spec: &ExperimentSpec) {
             println!("{}", report.render());
         }
         "5" => println!("{}", fig5::run(spec).render()),
-        "6" => println!("{}", fig6_or_exit(fig6::run(spec)).render()),
+        "6" => println!("{}", fig6::run(spec).render()),
         "7" => println!("{}", fig7::run(spec).render()),
         "all" => {
             let study = transfer_study::run(spec);
@@ -363,7 +367,7 @@ fn cmd_fig(which: &str, spec: &ExperimentSpec) {
             println!("{}", experiments::fig3::report(&study).render());
             println!("{}", experiments::fig4::report(&study).render());
             println!("{}", fig5::run(spec).render());
-            println!("{}", fig6_or_exit(fig6::run(spec)).render());
+            println!("{}", fig6::run(spec).render());
             println!("{}", fig7::run(spec).render());
         }
         other => {
@@ -727,7 +731,7 @@ fn cmd_csv(flags: &Flags, spec: &ExperimentSpec) {
         ("fig3", experiments::fig3::report(&study)),
         ("fig4", experiments::fig4::report(&study)),
         ("fig5", fig5::run(spec)),
-        ("fig6", fig6_or_exit(fig6::run(spec))),
+        ("fig6", fig6::run(spec)),
         ("fig7", fig7::run(spec)),
     ];
     for (name, report) in reports {

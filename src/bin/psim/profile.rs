@@ -106,6 +106,9 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
 }
 
 fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
+    for flag in ["regions", "peers", "horizon-secs"] {
+        flags.refuse_given(flag, "only `psim profile churn` reads it");
+    }
     let (cfg, harness) = named_scenario_or_exit(flags);
     let harness = harness
         .series_interval(Some(interval))

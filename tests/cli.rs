@@ -300,10 +300,11 @@ fn zero_or_oversized_parallelism_is_a_usage_error() {
 /// Counts and durations the workload commands and `profile` used to clamp
 /// up to 1 (and `--peers` up to the region count), wrap when narrowed to
 /// `u32`, or fire at t=0 are usage errors: the run the user asked for
-/// does not exist, and a different one is not an answer.
+/// does not exist, and a different one is not an answer. So are flags
+/// the run would ignore.
 #[test]
 fn zero_counts_and_durations_are_usage_errors_not_clamped() {
-    let cases: [(&[&str], &str); 25] = [
+    let cases: [(&[&str], &str); 30] = [
         (&["churn", "--regions", "0"], "--regions"),
         (&["churn", "--horizon-secs", "0"], "--horizon-secs"),
         (&["churn", "--regions", "4", "--peers", "3"], "--peers"),
@@ -358,6 +359,29 @@ fn zero_counts_and_durations_are_usage_errors_not_clamped() {
             &["profile", "smoke", "--interval-secs", "0"],
             "--interval-secs",
         ),
+        // Flags that change nothing: no crash to restart or place, and
+        // churn-only sizes on a scenario profile.
+        (
+            &[
+                "federate",
+                "--brokers",
+                "2",
+                "--peers",
+                "4",
+                "--num-shards",
+                "2",
+                "--restart-broker-at",
+                "10",
+            ],
+            "--restart-broker-at",
+        ),
+        (&["federate", "--kill-region", "1"], "--kill-region"),
+        (
+            &["profile", "smoke", "--horizon-secs", "5"],
+            "--horizon-secs",
+        ),
+        (&["profile", "smoke", "--peers", "5"], "--peers"),
+        (&["profile", "smoke", "--regions", "5"], "--regions"),
     ];
     for (args, flag) in cases {
         let out = psim(args);
