@@ -67,7 +67,7 @@ fn clients_join_and_transfer_completes() {
             "transfer to {} incomplete",
             t.to_name
         );
-        assert!(!t.cancelled);
+        assert_eq!(t.cancelled_at, None);
         assert_eq!(t.parts.len(), 4);
         assert!(t.parts.iter().all(|p| p.confirmed_at.is_some()));
         assert!(clients.contains(&t.to));
@@ -183,7 +183,7 @@ fn refusing_client_causes_cancel() {
     engine.run_until(SimTime::from_secs_f64(3600.0));
     let log = sink.drain();
     assert_eq!(log.transfers.len(), 1);
-    assert!(log.transfers[0].cancelled);
+    assert!(log.transfers[0].cancelled_at.is_some());
     assert!(log.transfers[0].completed_at.is_none());
 }
 
@@ -307,7 +307,7 @@ fn file_request_is_served_peer_to_peer() {
         .expect("peer-to-peer transfer recorded");
     assert_eq!(xfer.to, clients[1], "file flows to the requester");
     assert!(xfer.completed_at.is_some());
-    assert!(!xfer.cancelled);
+    assert_eq!(xfer.cancelled_at, None);
     assert_eq!(
         xfer.receiver_bytes,
         Some(2 << 20),

@@ -88,7 +88,7 @@ fn without_retries_loss_stalls_and_watchdog_cancels() {
     let log = sink.drain();
     assert_eq!(log.transfers.len(), 1);
     assert!(
-        log.transfers[0].cancelled,
+        log.transfers[0].cancelled_at.is_some(),
         "a lost message stalls stop-and-wait; the watchdog cancels"
     );
 }
@@ -109,10 +109,7 @@ fn retries_exhaust_and_cancel_cleanly() {
     engine.run_until(SimTime::from_secs_f64(7200.0));
     let log = sink.drain();
     for t in &log.transfers {
-        assert!(
-            t.completed_at.is_some() || t.cancelled,
-            "no transfer may dangle"
-        );
+        assert!(t.closed_at().is_some(), "no transfer may dangle");
     }
 }
 
@@ -150,7 +147,10 @@ fn watchdog_cancels_stuck_transfers() {
     engine.run_until(SimTime::from_secs_f64(7200.0));
     let log = sink.drain();
     assert_eq!(log.transfers.len(), 1);
-    assert!(log.transfers[0].cancelled, "watchdog should cancel");
+    assert!(
+        log.transfers[0].cancelled_at.is_some(),
+        "watchdog should cancel"
+    );
 }
 
 /// A hostile receiver that confirms every part twice. The duplicate

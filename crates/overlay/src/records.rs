@@ -17,6 +17,8 @@ use crate::id::{TaskId, TransferId};
 pub struct TransferRecord {
     /// Transfer session id.
     pub id: TransferId,
+    /// The sending host: a broker, or a client serving a request.
+    pub from: NodeId,
     /// Destination host.
     pub to: NodeId,
     /// Destination hostname (interned — hot paths clone a refcount, not a
@@ -28,18 +30,27 @@ pub struct TransferRecord {
     pub file_size: u64,
     /// Number of parts.
     pub num_parts: u32,
+    /// When the transfer's command was first runnable: earlier than
+    /// `petition_sent_at` only when the sender deferred the petition
+    /// (e.g. until the peer joined).
+    pub enqueued_at: SimTime,
     /// When the petition was sent.
     pub petition_sent_at: SimTime,
     /// When the peer's application handled the petition (receiver clock).
     pub petition_handled_at: Option<SimTime>,
-    /// When the petition ack arrived back at the sender.
+    /// When the first petition ack arrived back at the sender, if the
+    /// transfer was still open then.
     pub petition_acked_at: Option<SimTime>,
-    /// Per-part milestones: (sent, confirmed).
+    /// Per-part milestones: (sent, confirmed), in first-send order.
     pub parts: Vec<PartRecord>,
+    /// Every retransmission, in send order: when it went out and the part
+    /// it repeated (`None`: the petition).
+    pub retransmissions: Vec<(SimTime, Option<u32>)>,
     /// When the final confirm arrived (transfer complete).
     pub completed_at: Option<SimTime>,
-    /// Whether the transfer was cancelled.
-    pub cancelled: bool,
+    /// When the sender closed the transfer without completing it
+    /// (refused, or given up by its watchdog or retry budget).
+    pub cancelled_at: Option<SimTime>,
     /// Bytes the receiver actually tallied (reported when the transfer
     /// closes); `None` while in flight or when the receiver kept no state.
     pub receiver_bytes: Option<u64>,
@@ -59,10 +70,9 @@ pub struct PartRecord {
 }
 
 impl TransferRecord {
-    /// Sender-observed petition round-trip: petition sent → ack received.
-    pub fn petition_rtt_secs(&self) -> Option<f64> {
-        self.petition_acked_at
-            .map(|t| t.duration_since(self.petition_sent_at).as_secs_f64())
+    /// When the transfer closed, complete or cancelled.
+    pub fn closed_at(&self) -> Option<SimTime> {
+        self.completed_at.or(self.cancelled_at)
     }
 
     /// Receiver-observed petition latency: petition sent → application
@@ -255,11 +265,14 @@ impl RunLog {
         self.streams.iter_mut().find(|s| s.node == node)
     }
 
-    /// All completed transfers to a given host.
-    pub fn completed_transfers_to(&self, node: NodeId) -> impl Iterator<Item = &TransferRecord> {
-        self.transfers
-            .iter()
-            .filter(move |t| t.to == node && t.completed_at.is_some())
+    /// Every transfer record in petition order. The sort is stable over
+    /// the shard-ordered merged log, so ties keep shard order and then
+    /// each shard's creation order: the order of the sharded engine's
+    /// merged trace, time first, then shard, then emission.
+    pub fn transfers_by_petition(&self) -> Vec<&TransferRecord> {
+        let mut records: Vec<&TransferRecord> = self.transfers.iter().collect();
+        records.sort_by_key(|t| t.petition_sent_at);
+        records
     }
 
     /// Appends every record of `other`, preserving each section's order.
@@ -315,11 +328,13 @@ mod tests {
         let mut g = IdGenerator::new(1);
         TransferRecord {
             id: TransferId::generate(&mut g),
+            from: NodeId(0),
             to: NodeId(2),
             to_name: "sc2".into(),
             label: "test".into(),
             file_size: 100,
             num_parts: 2,
+            enqueued_at: t(0.0),
             petition_sent_at: t(0.0),
             petition_handled_at: Some(t(1.5)),
             petition_acked_at: Some(t(1.6)),
@@ -337,8 +352,9 @@ mod tests {
                     confirmed_at: Some(t(4.6)),
                 },
             ],
+            retransmissions: Vec::new(),
             completed_at: Some(t(4.6)),
-            cancelled: false,
+            cancelled_at: None,
             receiver_bytes: Some(100),
         }
     }
@@ -347,7 +363,6 @@ mod tests {
     fn transfer_record_derived_metrics() {
         let r = sample_transfer();
         assert_eq!(r.petition_latency_secs(), Some(1.5));
-        assert!((r.petition_rtt_secs().unwrap() - 1.6).abs() < 1e-9);
         assert!((r.total_secs().unwrap() - 4.6).abs() < 1e-9);
         assert!((r.data_phase_secs().unwrap() - 3.0).abs() < 1e-9);
         assert!((r.last_part_secs().unwrap() - 1.6).abs() < 1e-9);
@@ -361,7 +376,6 @@ mod tests {
         r.petition_acked_at = None;
         r.petition_handled_at = None;
         assert_eq!(r.total_secs(), None);
-        assert_eq!(r.petition_rtt_secs(), None);
         assert_eq!(r.petition_latency_secs(), None);
         assert_eq!(r.throughput_bytes_per_sec(), None);
     }
@@ -384,24 +398,26 @@ mod tests {
         let id = r.id;
         log.transfers.push(r);
         assert!(log.transfer(id).is_some());
-        log.transfer_mut(id).unwrap().cancelled = true;
-        assert!(log.transfer(id).unwrap().cancelled);
+        log.transfer_mut(id).unwrap().completed_at = None;
+        assert_eq!(log.transfer(id).unwrap().closed_at(), None);
         let mut g = IdGenerator::new(9);
         assert!(log.transfer(TransferId::generate(&mut g)).is_none());
     }
 
     #[test]
-    fn completed_transfers_to_filters() {
+    fn transfers_by_petition_sorts_stably() {
         let mut log = RunLog::default();
-        let mut a = sample_transfer();
-        a.to = NodeId(1);
-        let mut b = sample_transfer();
-        b.to = NodeId(2);
-        let mut c = sample_transfer();
-        c.to = NodeId(1);
-        c.completed_at = None;
-        log.transfers.extend([a, b, c]);
-        assert_eq!(log.completed_transfers_to(NodeId(1)).count(), 1);
-        assert_eq!(log.completed_transfers_to(NodeId(2)).count(), 1);
+        let mut g = IdGenerator::new(5);
+        for (to, sent) in [(1, 3.0), (2, 1.0), (3, 3.0), (4, 1.0)] {
+            let mut r = sample_transfer();
+            r.id = TransferId::generate(&mut g);
+            r.to = NodeId(to);
+            r.petition_sent_at = t(sent);
+            log.transfers.push(r);
+        }
+        let order: Vec<u32> = (log.transfers_by_petition().iter())
+            .map(|r| r.to.0)
+            .collect();
+        assert_eq!(order, [2, 4, 1, 3], "time first, then log order");
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! [`SenderFlow`] is the only code that builds `FilePetition`, `FilePart`,
 //! `TransferComplete` and `TransferCancel`, emits the protocol's trace
-//! rows and stamps the sender's [`TransferRecord`]. The broker (scripted
+//! rows and stamps the sender's [`TransferRecord`] — the one account of a
+//! transfer that attribution, `psim report` and Figs 2–4 read; the trace
+//! rows are an export of the same steps. The broker (scripted
 //! distributions, task-input shipments, retransmissions) and a client
 //! serving a broker-instructed request both send through it. Each
 //! protocol step is one call that performs the step's rows, sends and
@@ -12,9 +14,10 @@
 //! pipe, retry and watchdog timers, registry statistics and task
 //! hand-off, the client its report.
 //!
-//! Two record invariants live here: only the *first* petition ack stamps
-//! the ack milestones (a duplicate, answering a retransmitted petition,
-//! must not skew them), and only a confirm that advances the window
+//! Two record invariants live here: only the *first* petition ack of a
+//! live transfer stamps the ack milestones (a duplicate, answering a
+//! retransmitted petition, must not skew them, and an ack arriving after
+//! the close stamps nothing), and only a confirm that advances the window
 //! stamps `confirmed_at` (first-confirm-wins: a late duplicate must not
 //! move Fig 4's last-part time).
 
@@ -90,9 +93,9 @@ impl SenderFlow {
         self.live.get(&transfer)
     }
 
-    /// Opens `outbound`: appends its record, traces the span, the queueing
-    /// delay (when it was `enqueued_at` before now) and the petition, and
-    /// sends the petition.
+    /// Opens `outbound`, first runnable at `enqueued_at`: appends its
+    /// record, traces the span, the queueing delay (when `enqueued_at` is
+    /// before now) and the petition, and sends the petition.
     pub(crate) fn petition(
         &mut self,
         ctx: &mut Context<OverlayMsg>,
@@ -105,17 +108,20 @@ impl SenderFlow {
         self.with_log(|log| {
             log.transfers.push(TransferRecord {
                 id,
+                from: ctx.self_id(),
                 to: outbound.to,
                 to_name,
                 label: outbound.file.name.clone(),
                 file_size: outbound.file.size_bytes,
                 num_parts: outbound.num_parts(),
+                enqueued_at,
                 petition_sent_at: now,
                 petition_handled_at: None,
                 petition_acked_at: None,
                 parts: Vec::with_capacity(outbound.num_parts() as usize),
+                retransmissions: Vec::new(),
                 completed_at: None,
-                cancelled: false,
+                cancelled_at: None,
                 receiver_bytes: None,
             })
         });
@@ -222,7 +228,7 @@ impl SenderFlow {
     }
 
     /// Sends a live transfer's petition again (`part: None`) or part
-    /// `(index, size)`, traced as send `attempt`.
+    /// `(index, size)`, traced as send `attempt` and stamped on the record.
     pub(crate) fn resend(
         &self,
         ctx: &mut Context<OverlayMsg>,
@@ -233,10 +239,17 @@ impl SenderFlow {
         let Some(t) = self.live.get(&transfer) else {
             return;
         };
+        let now = ctx.now();
+        let index = part.map(|(index, _)| index);
+        self.with_log(|log| {
+            if let Some(rec) = log.transfer_mut(transfer) {
+                rec.retransmissions.push((now, index));
+            }
+        });
         if ctx.trace_enabled() {
             ctx.trace_event(TraceEventKind::Retransmission {
                 transfer: transfer.raw(),
-                part: part.map(|(index, _)| index),
+                part: index,
                 attempt,
             });
         }
@@ -282,7 +295,7 @@ impl SenderFlow {
                 if completed {
                     rec.completed_at = Some(now);
                 } else {
-                    rec.cancelled = true;
+                    rec.cancelled_at = Some(now);
                 }
                 rec.throughput_bytes_per_sec()
             })
@@ -479,6 +492,7 @@ mod tests {
         assert_eq!(rec.num_parts, 4);
         assert_eq!(&*rec.to_name, "peer2");
         assert_eq!(rec.petition_sent_at, t(1.0));
+        assert_eq!((rec.from, rec.enqueued_at), (NodeId(0), t(0.5)));
         assert!(rec.parts.is_empty());
         assert_eq!(
             rows,
@@ -527,6 +541,28 @@ mod tests {
         assert_eq!(rec.petition_handled_at, Some(t(1.5)));
         assert_eq!(rec.petition_acked_at, Some(t(2.0)));
         assert_eq!(rec.parts.len(), 1, "the duplicate sent nothing");
+    }
+
+    #[test]
+    fn an_ack_after_the_close_stamps_nothing() {
+        let late: Call = Box::new(|flow, ctx| {
+            assert!(flow.finish(ctx, id(), false).is_some());
+            assert_eq!(flow.on_ack(ctx, id(), true, t(1.5)), (false, Step::Stale));
+        });
+        let (log, rows) = run(vec![petition_at(1.0, 2, t(1.0)), (2.0, late)]);
+        let rec = log.transfer(id()).unwrap();
+        assert_eq!(rec.cancelled_at, Some(t(2.0)));
+        assert_eq!(
+            (rec.petition_handled_at, rec.petition_acked_at),
+            (None, None)
+        );
+        assert!(
+            rows.contains(&TraceEventKind::PetitionAcked {
+                transfer: id().raw(),
+                accepted: true
+            }),
+            "the trace still exports the late ack"
+        );
     }
 
     #[test]
@@ -606,18 +642,20 @@ mod tests {
         });
         let (log, _) = run(vec![petition_at(1.0, 1, t(1.0)), (5.0, refuse)]);
         let rec = log.transfer(id()).unwrap();
-        assert!(rec.cancelled && rec.completed_at.is_none());
+        assert_eq!((rec.cancelled_at, rec.completed_at), (Some(t(5.0)), None));
     }
 
     #[test]
-    fn resends_are_traced_and_leave_the_record_alone() {
+    fn resends_are_traced_and_stamped_but_add_no_part() {
         let resend: Call = Box::new(|flow, ctx| {
             flow.resend(ctx, id(), None, 2);
             flow.on_ack(ctx, id(), true, t(2.0));
             flow.resend(ctx, id(), Some((0, 2 << 20)), 2);
         });
         let (log, rows) = run(vec![petition_at(1.0, 2, t(1.0)), (2.0, resend)]);
-        assert_eq!(log.transfer(id()).unwrap().parts.len(), 1);
+        let rec = log.transfer(id()).unwrap();
+        assert_eq!(rec.parts.len(), 1);
+        assert_eq!(rec.retransmissions, [(t(2.0), None), (t(2.0), Some(0))]);
         let resent: Vec<Option<u32>> = (rows.iter())
             .filter_map(|k| match k {
                 TraceEventKind::Retransmission { part, attempt, .. } => {

@@ -1,9 +1,10 @@
 //! Latency attribution: where each transfer's time actually went.
 //!
-//! The typed trace records every petition, part, confirm, retransmission
-//! and completion; this module takes the per-transfer timelines that
-//! [`transfer_timelines`] replays from those events and decomposes each
-//! end-to-end latency into **non-overlapping phases**:
+//! The run log is the one account of a transfer: its sender stamps every
+//! petition, part, confirm, retransmission and close on the
+//! [`TransferRecord`] as it happens (the typed trace exports the same
+//! steps, but its ring may drop rows). This module decomposes each
+//! record's end-to-end latency into **non-overlapping phases**:
 //!
 //! * `broker_queue` — the transfer's command sat in the broker waiting
 //!   (e.g. for a peer to join) before the petition could go out;
@@ -15,13 +16,14 @@
 //! * `retrans_stall` — time between the first and last retransmission
 //!   probe of a stage: successive retries that still weren't answered;
 //! * `timeout_idle` — silence before the first retransmission of a stage
-//!   fired, and the dead tail of cancelled transfers.
+//!   fired, and the dead tail of cancelled transfers (including a wait
+//!   whose petition ack only arrived after the close).
 //!
-//! The phase windows partition `[enqueued, ended]` exactly, and all the
+//! The phase windows partition `[enqueued, closed]` exactly, and all the
 //! arithmetic is integer nanoseconds ([`SimDuration`]), so the phases sum
 //! to the end-to-end latency **exactly** — not merely to float round-off.
-//! That invariant is asserted by property tests over full traced runs and
-//! is a strong end-to-end check on the protocol stack's event emission.
+//! That invariant is asserted by property tests over full runs and is a
+//! strong end-to-end check on the sender's record stamping.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -29,9 +31,7 @@ use std::fmt::Write as _;
 use netsim::metrics::{Histogram, Metrics};
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::Trace;
-
-use crate::report::{transfer_timelines, TransferTimeline};
+use overlay::records::{RunLog, TransferRecord};
 
 /// Number of attribution phases.
 pub const PHASE_COUNT: usize = 5;
@@ -180,28 +180,28 @@ fn split_stage(
     phases[productive.index()] += end.duration_since(last);
 }
 
-/// Attributes every **closed** transfer in the trace, in the order
-/// transfers first appear. Open transfers (no `transfer_completed` event)
-/// are skipped: their phases cannot be finalized.
-pub fn attribute_trace(trace: &Trace) -> Vec<TransferAttribution> {
-    transfer_timelines(trace)
-        .iter()
+/// Attributes every **closed** transfer of the log, in petition order
+/// ([`RunLog::transfers_by_petition`]). Open transfers are skipped: their
+/// phases cannot be finalized.
+pub fn attribute_log(log: &RunLog) -> Vec<TransferAttribution> {
+    (log.transfers_by_petition().into_iter())
         .filter_map(attribute)
         .collect()
 }
 
-fn attribute(t: &TransferTimeline) -> Option<TransferAttribution> {
-    let (ended_at, ok) = t.ended_at.zip(t.ok)?;
-    let enqueued_at = t.enqueued_at.unwrap_or(t.began_at).min(t.began_at);
+fn attribute(t: &TransferRecord) -> Option<TransferAttribution> {
+    let ended_at = t.closed_at()?;
+    let began_at = t.petition_sent_at;
+    let enqueued_at = t.enqueued_at.min(began_at);
     let mut phases = [SimDuration::ZERO; PHASE_COUNT];
-    phases[Phase::BrokerQueue.index()] = t.began_at.duration_since(enqueued_at);
+    phases[Phase::BrokerQueue.index()] = began_at.duration_since(enqueued_at);
 
     // Build the stage chain: petition (if acked), then the contiguous run
     // of confirmed parts — stop-and-wait sends part i+1 at the instant of
     // confirm i, so these milestones are the exact window boundaries.
     let mut stages: Vec<Stage> = Vec::new();
-    let mut cursor = t.began_at;
-    if let Some((acked_at, _)) = t.acked {
+    let mut cursor = began_at;
+    if let Some(acked_at) = t.petition_acked_at {
         let end = acked_at.max(cursor).min(ended_at);
         stages.push(Stage {
             end,
@@ -233,11 +233,11 @@ fn attribute(t: &TransferTimeline) -> Option<TransferAttribution> {
     // fall into the cancelled tail.
     let staged: Vec<Option<u32>> = stages.iter().map(|s| s.part).collect();
     let in_tail = |part: &Option<u32>| match part {
-        None => t.acked.is_none(),
+        None => t.petition_acked_at.is_none(),
         Some(_) => !staged.contains(part),
     };
 
-    let mut start = t.began_at;
+    let mut start = began_at;
     for stage in &stages {
         let probes: Vec<SimTime> = t
             .retransmissions
@@ -266,14 +266,14 @@ fn attribute(t: &TransferTimeline) -> Option<TransferAttribution> {
     );
 
     Some(TransferAttribution {
-        transfer: t.transfer,
-        sender: t.sender,
+        transfer: t.id.raw(),
+        sender: t.from,
         to: t.to,
-        bytes: t.bytes,
+        bytes: t.file_size,
         enqueued_at,
-        began_at: t.began_at,
+        began_at,
         ended_at,
-        ok,
+        ok: t.completed_at.is_some(),
         retransmissions: t.retransmissions.len() as u32,
         phases,
     })
@@ -441,120 +441,73 @@ pub fn render_phase_table(breakdowns: &[PhaseBreakdown]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::trace::TraceEventKind;
+    use overlay::id::{IdGenerator, TransferId};
+    use overlay::records::PartRecord;
 
     fn t(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
     }
 
-    fn rec(tr: &mut Trace, secs: f64, kind: TraceEventKind) {
-        tr.record(t(secs), NodeId(0), kind);
+    /// An open 10-byte transfer to node 2, petitioned at `sent` secs.
+    fn record(sent: f64) -> TransferRecord {
+        TransferRecord {
+            id: TransferId::generate(&mut IdGenerator::new(1)),
+            from: NodeId(0),
+            to: NodeId(2),
+            to_name: "n2".into(),
+            label: "test".into(),
+            file_size: 10,
+            num_parts: 1,
+            enqueued_at: t(sent),
+            petition_sent_at: t(sent),
+            petition_handled_at: None,
+            petition_acked_at: None,
+            parts: Vec::new(),
+            retransmissions: Vec::new(),
+            completed_at: None,
+            cancelled_at: None,
+            receiver_bytes: None,
+        }
     }
 
-    /// One clean two-part transfer with a queued start and one part-1
-    /// retransmission.
-    fn sample_trace() -> Trace {
-        let mut tr = Trace::with_capacity(64);
-        rec(
-            &mut tr,
-            2.0,
-            TraceEventKind::TransferQueued {
-                transfer: 42,
-                enqueued_at: t(1.0),
-            },
-        );
-        rec(
-            &mut tr,
-            2.0,
-            TraceEventKind::PetitionSent {
-                transfer: 42,
-                to: NodeId(3),
-                bytes: 200,
-                parts: 2,
-            },
-        );
-        rec(
-            &mut tr,
-            5.0,
-            TraceEventKind::PetitionAcked {
-                transfer: 42,
-                accepted: true,
-            },
-        );
-        rec(
-            &mut tr,
-            5.0,
-            TraceEventKind::PartSent {
-                transfer: 42,
-                index: 0,
-                bytes: 100,
-            },
-        );
-        rec(
-            &mut tr,
-            6.0,
-            TraceEventKind::PartConfirmed {
-                transfer: 42,
-                index: 0,
-                accepted: true,
-            },
-        );
-        rec(
-            &mut tr,
-            6.0,
-            TraceEventKind::PartSent {
-                transfer: 42,
-                index: 1,
-                bytes: 100,
-            },
-        );
+    fn part(index: u32, sent: f64, confirmed: f64) -> PartRecord {
+        PartRecord {
+            index,
+            size: 100,
+            sent_at: t(sent),
+            confirmed_at: Some(t(confirmed)),
+        }
+    }
+
+    /// One clean two-part transfer to node 3 with a queued start and two
+    /// part-1 retransmissions.
+    fn sample_log() -> RunLog {
+        let mut r = record(2.0);
+        r.to = NodeId(3);
+        r.file_size = 200;
+        r.num_parts = 2;
+        r.enqueued_at = t(1.0);
+        r.petition_handled_at = Some(t(4.9));
+        r.petition_acked_at = Some(t(5.0));
         // Part 1 goes silent: probe fires at 8 s, second probe at 9 s,
         // confirm lands at 9.5 s.
-        rec(
-            &mut tr,
-            8.0,
-            TraceEventKind::Retransmission {
-                transfer: 42,
-                part: Some(1),
-                attempt: 2,
-            },
-        );
-        rec(
-            &mut tr,
-            9.0,
-            TraceEventKind::Retransmission {
-                transfer: 42,
-                part: Some(1),
-                attempt: 3,
-            },
-        );
-        rec(
-            &mut tr,
-            9.5,
-            TraceEventKind::PartConfirmed {
-                transfer: 42,
-                index: 1,
-                accepted: true,
-            },
-        );
-        rec(
-            &mut tr,
-            9.5,
-            TraceEventKind::TransferCompleted {
-                transfer: 42,
-                ok: true,
-            },
-        );
-        tr
+        r.parts = vec![part(0, 5.0, 6.0), part(1, 6.0, 9.5)];
+        r.retransmissions = vec![(t(8.0), Some(1)), (t(9.0), Some(1))];
+        r.completed_at = Some(t(9.5));
+        RunLog {
+            transfers: vec![r],
+            ..RunLog::default()
+        }
     }
 
     #[test]
     fn phases_partition_the_timeline() {
-        let attrs = attribute_trace(&sample_trace());
+        let log = sample_log();
+        let attrs = attribute_log(&log);
         assert_eq!(attrs.len(), 1);
         let a = &attrs[0];
-        assert_eq!(a.transfer, 42);
-        assert_eq!(a.to, NodeId(3));
+        assert_eq!(a.transfer, log.transfers[0].id.raw());
+        assert_eq!((a.sender, a.to), (NodeId(0), NodeId(3)));
         assert!(a.ok);
         assert_eq!(a.retransmissions, 2);
         // broker_queue: 1→2 s. wakeup: 2→5. transmission: 5→6 (part 0)
@@ -574,53 +527,25 @@ mod tests {
 
     #[test]
     fn open_transfers_are_skipped() {
-        let mut tr = Trace::with_capacity(8);
-        rec(
-            &mut tr,
-            1.0,
-            TraceEventKind::PetitionSent {
-                transfer: 7,
-                to: NodeId(2),
-                bytes: 10,
-                parts: 1,
-            },
-        );
-        assert!(attribute_trace(&tr).is_empty());
+        let log = RunLog {
+            transfers: vec![record(1.0)],
+            ..RunLog::default()
+        };
+        assert!(attribute_log(&log).is_empty());
     }
 
     #[test]
     fn cancelled_transfer_tail_is_timeout_idle() {
-        let mut tr = Trace::with_capacity(16);
-        rec(
-            &mut tr,
-            1.0,
-            TraceEventKind::PetitionSent {
-                transfer: 9,
-                to: NodeId(2),
-                bytes: 10,
-                parts: 1,
-            },
-        );
         // Never acked; one petition retransmission at 4 s; watchdog kills
         // it at 10 s.
-        rec(
-            &mut tr,
-            4.0,
-            TraceEventKind::Retransmission {
-                transfer: 9,
-                part: None,
-                attempt: 2,
-            },
-        );
-        rec(
-            &mut tr,
-            10.0,
-            TraceEventKind::TransferCompleted {
-                transfer: 9,
-                ok: false,
-            },
-        );
-        let attrs = attribute_trace(&tr);
+        let mut r = record(1.0);
+        r.retransmissions = vec![(t(4.0), None)];
+        r.cancelled_at = Some(t(10.0));
+        let log = RunLog {
+            transfers: vec![r],
+            ..RunLog::default()
+        };
+        let attrs = attribute_log(&log);
         assert_eq!(attrs.len(), 1);
         let a = &attrs[0];
         assert!(!a.ok);
@@ -635,8 +560,19 @@ mod tests {
     }
 
     #[test]
+    fn attribution_follows_petition_order() {
+        let mut log = sample_log();
+        let mut early = record(0.5);
+        early.id = TransferId::generate(&mut IdGenerator::new(2));
+        early.cancelled_at = Some(t(1.0));
+        log.transfers.push(early);
+        let order: Vec<SimTime> = attribute_log(&log).iter().map(|a| a.began_at).collect();
+        assert_eq!(order, [t(0.5), t(2.0)]);
+    }
+
+    #[test]
     fn breakdown_and_exports_are_deterministic() {
-        let attrs = attribute_trace(&sample_trace());
+        let attrs = attribute_log(&sample_log());
         let breakdowns = breakdown_by_peer(&attrs, |n| format!("n{}", n.0));
         assert_eq!(breakdowns.len(), 1);
         let b = &breakdowns[0];

@@ -10,15 +10,18 @@
 //!
 //! We reproduce that by transferring 50 MB in 50 × 1 MB parts to all eight
 //! peers concurrently (each run), so the last part is exactly the last Mb.
+//!
+//! Every series, the attributed phases included, reads the run log's
+//! sender-side transfer records; the runs keep no trace.
 
 use overlay::broker::{BrokerCommand, TargetSpec};
 use planetlab::calibration::{PAPER_FIG2_PETITION_SECS, PAPER_FIG4_SC7_SLOWDOWN_BAND};
 
-use crate::attribution::{attribute_trace, Phase, TransferAttribution};
+use crate::attribution::{attribute_log, Phase, TransferAttribution};
 use crate::experiments::{broker_owd_secs, per_sc_transfer_metric, sc_labels};
 use crate::report::{FigureReport, SeriesRow};
-use crate::runner::{run_replications, run_traced, SeriesAggregate};
-use crate::scenario::ScenarioConfig;
+use crate::runner::{run_replications, SeriesAggregate};
+use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::spec::{ExperimentSpec, MB, WARMUP};
 
 const LABEL: &str = "fig234";
@@ -35,7 +38,7 @@ pub struct TransferStudy {
     pub total_min: SeriesAggregate,
     /// Last-Mb time per SC, seconds (Fig 4).
     pub last_mb: SeriesAggregate,
-    /// Attributed wake-up phase per SC, seconds (trace decomposition).
+    /// Attributed wake-up phase per SC, seconds (record decomposition).
     pub wakeup: SeriesAggregate,
     /// Attributed transmission phase per SC, minutes.
     pub transmission_min: SeriesAggregate,
@@ -64,8 +67,8 @@ fn per_sc_phase(
         .collect()
 }
 
-/// Runs the study: one blind 50 MB distribution per seed, traced so the
-/// reports can break latency into attributed phases.
+/// Runs the study: one blind 50 MB distribution per seed, its latency
+/// also broken into attributed phases.
 pub fn run(spec: &ExperimentSpec) -> TransferStudy {
     let rows = run_replications(&spec.seeds, |seed| {
         let cfg = ScenarioConfig {
@@ -80,9 +83,7 @@ pub fn run(spec: &ExperimentSpec) -> TransferStudy {
             )],
             ..ScenarioConfig::default()
         };
-        let result = run_traced(&cfg, cfg.harness(), seed)
-            .expect("the measurement setup runs on one shard")
-            .result;
+        let result = run_scenario(&cfg, seed);
         let petition = result
             .testbed
             .scs
@@ -95,7 +96,7 @@ pub fn run(spec: &ExperimentSpec) -> TransferStudy {
         let total_min =
             per_sc_transfer_metric(&result, LABEL, |t| t.total_secs().map(|s| s / 60.0));
         let last_mb = per_sc_transfer_metric(&result, LABEL, |t| t.last_part_secs());
-        let attrs = attribute_trace(&result.run.trace);
+        let attrs = attribute_log(&result.run.log);
         let wakeup = per_sc_phase(&result.testbed.scs, &attrs, Phase::Wakeup, 1.0);
         let transmission_min =
             per_sc_phase(&result.testbed.scs, &attrs, Phase::Transmission, 1.0 / 60.0);

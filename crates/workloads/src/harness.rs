@@ -24,8 +24,6 @@
 //! num_shards)` the artifact bytes are identical at any worker count;
 //! `tests/goldens/` pins them at 1, 2, and 4 workers.
 
-use std::sync::Arc;
-
 use netsim::engine::{Actor, RunOutcome};
 use netsim::metrics::Metrics;
 use netsim::node::NodeId;
@@ -248,9 +246,6 @@ pub struct HarnessRun {
     pub peak_queue_len: usize,
     /// Window/occupancy profile of the parallel run.
     pub profile: ParallelProfile,
-    /// Display name per node, indexed by `NodeId::index()` — the
-    /// `label_of` input for attribution breakdowns.
-    pub node_names: Vec<Arc<str>>,
     /// Windowed time-series rows, when a series interval was set.
     pub series: Option<TimeSeriesRecorder>,
     /// Per-shard execution accounting, when profiling was enabled.
@@ -414,11 +409,6 @@ impl Harness {
         for sink in &sinks {
             log.absorb(sink.drain());
         }
-        // Built after the run: only post-run readers use the names.
-        let topo = engine.topology();
-        let node_names = (topo.node_ids())
-            .map(|id| Arc::from(topo.node(id).name.as_str()))
-            .collect();
         Ok(HarnessRun {
             log,
             metrics: engine.metrics(),
@@ -428,7 +418,6 @@ impl Harness {
             events_processed: engine.events_processed(),
             peak_queue_len: engine.peak_queue_len(),
             profile: engine.profile(),
-            node_names,
             series: engine.take_recorder(),
             exec_profile,
         })

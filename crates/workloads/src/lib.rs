@@ -7,7 +7,8 @@
 //!   [`harness::Workload`], its validating builder, and the named table.
 //! * [`runner`] — parallel replication over seeds (std scoped threads).
 //! * [`report`] — paper-vs-measured table rendering and shape statistics.
-//! * [`attribution`] — per-transfer latency phase decomposition over traces.
+//! * [`attribution`] — per-transfer latency phase decomposition of the run
+//!   log, the one account of a transfer (a typed trace is only an export).
 //! * [`harness`] — the shared workload harness: validated builder, the
 //!   [`Workload`](harness::Workload) trait, engine assembly, artifact rules.
 //! * [`multiregion`] — federated multi-region workload for the sharded engine.

@@ -15,13 +15,11 @@
 //!
 //! The driver is a [`Workload`] on the [`harness`](crate::harness) and
 //! a run comes back as its [`HarnessRun`]; the stdout-artifact tail is
-//! the attribution phase CSV ([`phase_csv`]) rather than a summary JSON
-//! line.
+//! the attribution phase CSV of the run log
+//! ([`MultiRegionConfig::phase_csv`]) rather than a summary JSON line.
 //!
 //! Used by `psim multiregion`, the worker-count-invariance property test,
 //! and the CI workload-determinism job.
-
-use std::sync::Arc;
 
 use netsim::engine::Actor;
 use netsim::link::{AccessLink, PathSpec};
@@ -30,12 +28,12 @@ use netsim::shard::ShardMap;
 use netsim::time::SimDuration;
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use netsim::topology::Topology;
-use netsim::trace::Trace;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::client::{ClientConfig, SimpleClient};
 use overlay::message::OverlayMsg;
+use overlay::records::RunLog;
 
-use crate::attribution::{attribute_trace, breakdown_by_peer, phase_table_csv};
+use crate::attribution::{attribute_log, breakdown_by_peer, phase_table_csv};
 use crate::harness::{BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder};
 use crate::telemetry::overlay_series;
 
@@ -116,24 +114,28 @@ impl MultiRegionConfig {
         Ok(ShardMap::from_assignment(assignment)?)
     }
 
+    /// A node's name under region-major ordering: `broker-r<R>` for a
+    /// region's broker, `client-r<R>-<C>` for its clients. Names the
+    /// topology's hosts and labels the rows of [`Self::phase_csv`].
+    pub fn node_name(&self, node: NodeId) -> String {
+        let per = self.clients_per_region + 1;
+        match (node.index() / per, node.index() % per) {
+            (r, 0) => format!("broker-r{r}"),
+            (r, c) => format!("client-r{r}-{}", c - 1),
+        }
+    }
+
     /// Builds the full-mesh topology: flat access links, low intra-region
     /// one-way delay, high inter-region delay (the lookahead bound).
     pub fn topology(&self) -> Topology {
         let per = self.clients_per_region + 1;
         let mut topo = Topology::new();
-        let mut ids = Vec::with_capacity(self.num_nodes());
-        for r in 0..self.regions {
-            ids.push(topo.add_node(
-                NodeSpec::responsive(format!("broker-r{r}")),
-                AccessLink::default(),
-            ));
-            for c in 0..self.clients_per_region {
-                ids.push(topo.add_node(
-                    NodeSpec::responsive(format!("client-r{r}-{c}")),
-                    AccessLink::default(),
-                ));
-            }
-        }
+        let ids: Vec<NodeId> = (0..self.num_nodes() as u32)
+            .map(|i| {
+                let spec = NodeSpec::responsive(self.node_name(NodeId(i)));
+                topo.add_node(spec, AccessLink::default())
+            })
+            .collect();
         let intra = PathSpec::from_owd_ms(INTRA_OWD_MS, JITTER_FRAC);
         let inter = PathSpec::from_owd_ms(self.inter_owd_ms, JITTER_FRAC);
         for (i, &a) in ids.iter().enumerate() {
@@ -144,19 +146,14 @@ impl MultiRegionConfig {
         }
         topo
     }
-}
 
-/// The per-peer attribution phase CSV — the worker-invariant tail of the
-/// `psim multiregion` stdout artifact.
-pub fn phase_csv(trace: &Trace, node_names: &[Arc<str>]) -> String {
-    let attrs = attribute_trace(trace);
-    let label_of = |node: NodeId| {
-        node_names
-            .get(node.index())
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| format!("n{}", node.0))
-    };
-    phase_table_csv(&breakdown_by_peer(&attrs, label_of))
+    /// The per-peer attribution phase CSV of a run's log, rows labelled by
+    /// [`Self::node_name`] — the worker-invariant tail of the
+    /// `psim multiregion` stdout artifact.
+    pub fn phase_csv(&self, log: &RunLog) -> String {
+        let attrs = attribute_log(log);
+        phase_table_csv(&breakdown_by_peer(&attrs, |node| self.node_name(node)))
+    }
 }
 
 /// The multi-region driver as a harness [`Workload`].
@@ -235,7 +232,7 @@ impl Workload for MultiRegionWorkload<'_> {
     }
 
     fn summarize(&self, _seed: u64, run: &HarnessRun) -> String {
-        phase_csv(&run.trace, &run.node_names)
+        self.cfg.phase_csv(&run.log)
     }
 }
 
@@ -316,10 +313,14 @@ mod tests {
     #[test]
     fn node_names_follow_region_major_order() {
         let cfg = small();
-        let result = run_multiregion(&cfg, 1).expect("small config is valid");
-        assert_eq!(result.node_names.len(), cfg.num_nodes());
-        assert_eq!(&*result.node_names[0], "broker-r0");
-        assert_eq!(&*result.node_names[1], "client-r0-0");
-        assert_eq!(&*result.node_names[cfg.clients_per_region + 1], "broker-r1");
+        let topo = cfg.topology();
+        let names: Vec<String> = (topo.node_ids()).map(|id| cfg.node_name(id)).collect();
+        assert_eq!(names.len(), cfg.num_nodes());
+        assert_eq!(names[0], "broker-r0");
+        assert_eq!(names[1], "client-r0-0");
+        assert_eq!(names[cfg.clients_per_region + 1], "broker-r1");
+        for id in topo.node_ids() {
+            assert_eq!(topo.node(id).name, names[id.index()], "the topology's name");
+        }
     }
 }

@@ -1,14 +1,11 @@
 //! Report rendering: aligned text tables comparing measured series against
-//! the paper's published values, plus trace post-processing (per-transfer
-//! timelines reconstructed from typed events) and a deterministic metrics
-//! snapshot for `psim report`.
+//! the paper's published values, plus the run log's per-transfer table and
+//! a deterministic metrics snapshot for `psim report`.
 
 use std::fmt::Write as _;
 
 use netsim::metrics::Metrics;
-use netsim::node::NodeId;
-use netsim::time::SimTime;
-use netsim::trace::{Trace, TraceEventKind};
+use overlay::records::RunLog;
 
 /// One named series of values aligned with a report's labels.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,192 +157,38 @@ impl FigureReport {
     }
 }
 
-/// One part's milestones, reconstructed from `part_sent`/`part_confirmed`
-/// trace events.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartTimeline {
-    /// Part index within the transfer.
-    pub index: u32,
-    /// Part size in bytes.
-    pub bytes: u64,
-    /// When the sender first transmitted this part.
-    pub sent_at: SimTime,
-    /// When the first *accepted* confirm arrived (first-confirm-wins: later
-    /// duplicates never move this).
-    pub confirmed_at: Option<SimTime>,
-}
-
-/// One transfer's life, reconstructed from the typed trace
-/// (`transfer_queued` → `petition_sent` → parts → `transfer_completed`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferTimeline {
-    /// Raw transfer id (matches the `xfer` JSONL field).
-    pub transfer: u128,
-    /// The sending node.
-    pub sender: NodeId,
-    /// The receiving node.
-    pub to: NodeId,
-    /// Total file size in bytes.
-    pub bytes: u64,
-    /// Announced part count.
-    pub num_parts: u32,
-    /// When the transfer's command was first runnable, if the broker
-    /// deferred the petition past it.
-    pub enqueued_at: Option<SimTime>,
-    /// When the petition was sent.
-    pub began_at: SimTime,
-    /// First petition ack: when it arrived, and its verdict.
-    pub acked: Option<(SimTime, bool)>,
-    /// When the transfer closed (complete or cancelled).
-    pub ended_at: Option<SimTime>,
-    /// Whether it completed successfully (`None` while open).
-    pub ok: Option<bool>,
-    /// Per-part milestones, in first-send order.
-    pub parts: Vec<PartTimeline>,
-    /// `(time, part)` of every retransmission attributed to this transfer,
-    /// in trace order; part `None` is the petition.
-    pub retransmissions: Vec<(SimTime, Option<u32>)>,
-}
-
-impl TransferTimeline {
-    /// End-to-end duration in seconds, if the transfer closed.
-    pub fn duration_secs(&self) -> Option<f64> {
-        self.ended_at
-            .map(|t| t.duration_since(self.began_at).as_secs_f64())
-    }
-
-    /// Final part's send → first accepted confirm, in seconds (the trace
-    /// view of the paper's Fig 4 metric).
-    pub fn last_part_secs(&self) -> Option<f64> {
-        let last = self.parts.iter().max_by_key(|p| p.index)?;
-        last.confirmed_at
-            .map(|t| t.duration_since(last.sent_at).as_secs_f64())
-    }
-}
-
-/// Reconstructs per-transfer timelines from a typed trace, in the order
-/// transfers first appear. Duplicate `part_sent` rows (retransmissions)
-/// keep the first send instant; only accepted confirms stamp
-/// `confirmed_at`, and only the first of those wins.
-pub fn transfer_timelines(trace: &Trace) -> Vec<TransferTimeline> {
-    let mut order: Vec<u128> = Vec::new();
-    let mut by_id: std::collections::HashMap<u128, TransferTimeline> =
-        std::collections::HashMap::new();
-    // A `transfer_queued` event immediately precedes its petition.
-    let mut queued: Option<(u128, SimTime)> = None;
-    for ev in trace.events() {
-        match &ev.kind {
-            TraceEventKind::TransferQueued {
-                transfer,
-                enqueued_at,
-            } => queued = Some((*transfer, *enqueued_at)),
-            TraceEventKind::PetitionSent {
-                transfer,
-                to,
-                bytes,
-                parts,
-            } => {
-                by_id.entry(*transfer).or_insert_with(|| {
-                    order.push(*transfer);
-                    TransferTimeline {
-                        transfer: *transfer,
-                        sender: ev.node,
-                        to: *to,
-                        bytes: *bytes,
-                        num_parts: *parts,
-                        enqueued_at: queued.filter(|&(id, _)| id == *transfer).map(|(_, at)| at),
-                        began_at: ev.time,
-                        acked: None,
-                        ended_at: None,
-                        ok: None,
-                        parts: Vec::new(),
-                        retransmissions: Vec::new(),
-                    }
-                });
-            }
-            TraceEventKind::PetitionAcked { transfer, accepted } => {
-                if let Some(t) = by_id.get_mut(transfer) {
-                    if t.acked.is_none() {
-                        t.acked = Some((ev.time, *accepted));
-                    }
-                }
-            }
-            TraceEventKind::PartSent {
-                transfer,
-                index,
-                bytes,
-            } => {
-                if let Some(t) = by_id.get_mut(transfer) {
-                    if !t.parts.iter().any(|p| p.index == *index) {
-                        t.parts.push(PartTimeline {
-                            index: *index,
-                            bytes: *bytes,
-                            sent_at: ev.time,
-                            confirmed_at: None,
-                        });
-                    }
-                }
-            }
-            TraceEventKind::PartConfirmed {
-                transfer,
-                index,
-                accepted: true,
-            } => {
-                if let Some(t) = by_id.get_mut(transfer) {
-                    if let Some(p) = t.parts.iter_mut().find(|p| p.index == *index) {
-                        if p.confirmed_at.is_none() {
-                            p.confirmed_at = Some(ev.time);
-                        }
-                    }
-                }
-            }
-            TraceEventKind::Retransmission { transfer, part, .. } => {
-                if let Some(t) = by_id.get_mut(transfer) {
-                    t.retransmissions.push((ev.time, *part));
-                }
-            }
-            TraceEventKind::TransferCompleted { transfer, ok } => {
-                if let Some(t) = by_id.get_mut(transfer) {
-                    if t.ended_at.is_none() {
-                        t.ended_at = Some(ev.time);
-                        t.ok = Some(*ok);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    order
-        .into_iter()
-        .filter_map(|id| by_id.remove(&id))
-        .collect()
-}
-
-/// Renders transfer timelines as an aligned text table.
-pub fn render_timelines(timelines: &[TransferTimeline]) -> String {
+/// Renders the run log's transfers as an aligned text table, in petition
+/// order ([`RunLog::transfers_by_petition`]).
+pub fn render_transfers(log: &RunLog) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:>4}  {:>6} -> {:>6}  {:>10}  {:>5}  {:>7}  {:>9}  {:>9}  {:>6}",
         "#", "from", "to", "bytes", "parts", "retx", "total_s", "last_p_s", "ok"
     );
-    for (i, t) in timelines.iter().enumerate() {
+    for (i, t) in log.transfers_by_petition().into_iter().enumerate() {
         let fmt_opt = |v: Option<f64>| match v {
             Some(s) => format!("{s:.3}"),
             None => "-".to_string(),
+        };
+        let total = (t.closed_at()).map(|at| at.duration_since(t.petition_sent_at).as_secs_f64());
+        let ok = match (t.completed_at, t.cancelled_at) {
+            (Some(_), _) => "true",
+            (None, Some(_)) => "false",
+            (None, None) => "-",
         };
         let _ = writeln!(
             out,
             "{:>4}  {:>6} -> {:>6}  {:>10}  {:>5}  {:>7}  {:>9}  {:>9}  {:>6}",
             i,
-            t.sender.0,
+            t.from.0,
             t.to.0,
-            t.bytes,
+            t.file_size,
             t.parts.len(),
             t.retransmissions.len(),
-            fmt_opt(t.duration_secs()),
+            fmt_opt(total),
             fmt_opt(t.last_part_secs()),
-            t.ok.map(|ok| ok.to_string()).unwrap_or_else(|| "-".into()),
+            ok,
         );
     }
     out
@@ -580,150 +423,66 @@ mod tests {
         assert_eq!(format_value(123.456), "123.5");
     }
 
-    use netsim::time::SimDuration;
+    use netsim::node::NodeId;
+    use netsim::time::{SimDuration, SimTime};
+    use overlay::id::{IdGenerator, TransferId};
+    use overlay::records::{PartRecord, TransferRecord};
 
     fn t(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
     }
 
-    fn sample_trace() -> Trace {
-        let mut tr = Trace::with_capacity(64);
-        let sender = NodeId(0);
-        tr.record(
-            t(1.0),
-            sender,
-            TraceEventKind::PetitionSent {
-                transfer: 42,
-                to: NodeId(3),
-                bytes: 200,
-                parts: 2,
-            },
-        );
-        tr.record(
-            t(1.5),
-            sender,
-            TraceEventKind::PetitionAcked {
-                transfer: 42,
-                accepted: true,
-            },
-        );
-        tr.record(
-            t(1.5),
-            sender,
-            TraceEventKind::PartSent {
-                transfer: 42,
-                index: 0,
-                bytes: 100,
-            },
-        );
-        tr.record(
-            t(2.0),
-            sender,
-            TraceEventKind::PartConfirmed {
-                transfer: 42,
-                index: 0,
-                accepted: true,
-            },
-        );
-        tr.record(
-            t(2.0),
-            sender,
-            TraceEventKind::PartSent {
-                transfer: 42,
-                index: 1,
-                bytes: 100,
-            },
-        );
-        // A retransmission of part 1: duplicate send, then two confirms —
-        // only the first accepted confirm may stamp the milestone.
-        tr.record(
-            t(4.0),
-            sender,
-            TraceEventKind::Retransmission {
-                transfer: 42,
-                part: Some(1),
-                attempt: 2,
-            },
-        );
-        tr.record(
-            t(4.0),
-            sender,
-            TraceEventKind::PartSent {
-                transfer: 42,
-                index: 1,
-                bytes: 100,
-            },
-        );
-        tr.record(
-            t(4.5),
-            sender,
-            TraceEventKind::PartConfirmed {
-                transfer: 42,
-                index: 1,
-                accepted: true,
-            },
-        );
-        tr.record(
-            t(4.5),
-            sender,
-            TraceEventKind::TransferCompleted {
-                transfer: 42,
-                ok: true,
-            },
-        );
-        tr.record(
-            t(5.0),
-            sender,
-            TraceEventKind::PartConfirmed {
-                transfer: 42,
-                index: 1,
-                accepted: false,
-            },
-        );
-        tr
+    /// A two-part transfer 0 → 3 petitioned at `sent` secs, its part 1
+    /// resent once; closed at 4.5 s unless `open`.
+    fn transfer(seed: u64, sent: f64, open: bool) -> TransferRecord {
+        let part = |index, sent_at, confirmed_at| PartRecord {
+            index,
+            size: 100,
+            sent_at: t(sent_at),
+            confirmed_at: Some(t(confirmed_at)),
+        };
+        TransferRecord {
+            id: TransferId::generate(&mut IdGenerator::new(seed)),
+            from: NodeId(0),
+            to: NodeId(3),
+            to_name: "n3".into(),
+            label: "test".into(),
+            file_size: 200,
+            num_parts: 2,
+            enqueued_at: t(sent),
+            petition_sent_at: t(sent),
+            petition_handled_at: Some(t(1.4)),
+            petition_acked_at: Some(t(1.5)),
+            parts: vec![part(0, 1.5, 2.0), part(1, 2.0, 4.5)],
+            retransmissions: vec![(t(4.0), Some(1))],
+            completed_at: (!open).then(|| t(4.5)),
+            cancelled_at: None,
+            receiver_bytes: None,
+        }
     }
 
     #[test]
-    fn timelines_reconstruct_first_confirm_wins() {
-        let tls = transfer_timelines(&sample_trace());
-        assert_eq!(tls.len(), 1);
-        let tl = &tls[0];
-        assert_eq!(tl.transfer, 42);
-        assert_eq!(tl.to, NodeId(3));
-        assert_eq!(tl.acked, Some((t(1.5), true)));
-        assert_eq!(tl.ok, Some(true));
-        assert_eq!(tl.retransmissions, vec![(t(4.0), Some(1))]);
-        assert_eq!(tl.parts.len(), 2);
-        // Part 1 keeps its first send (t=2.0) and its first accepted
-        // confirm (t=4.5); the rejected duplicate at t=5.0 is ignored.
-        assert_eq!(tl.parts[1].sent_at, t(2.0));
-        assert_eq!(tl.parts[1].confirmed_at, Some(t(4.5)));
-        assert!((tl.last_part_secs().unwrap() - 2.5).abs() < 1e-9);
-        assert!((tl.duration_secs().unwrap() - 3.5).abs() < 1e-9);
-        let rendered = render_timelines(&tls);
-        assert!(rendered.contains("3.500"), "total seconds rendered");
-        assert!(rendered.contains("true"));
-    }
-
-    #[test]
-    fn timelines_leave_open_transfers_unfinished() {
-        let mut tr = Trace::with_capacity(8);
-        tr.record(
-            t(0.0),
-            NodeId(1),
-            TraceEventKind::PetitionSent {
-                transfer: 7,
-                to: NodeId(2),
-                bytes: 10,
-                parts: 1,
-            },
+    fn transfer_table_renders_records_in_petition_order() {
+        let log = RunLog {
+            transfers: vec![transfer(1, 1.0, false), transfer(2, 0.5, true)],
+            ..RunLog::default()
+        };
+        let table = render_transfers(&log);
+        let rows: Vec<&str> = table.lines().skip(1).collect();
+        assert_eq!(rows.len(), 2);
+        // The open transfer was petitioned first: no total, no verdict.
+        assert!(
+            rows[0].starts_with("   0") && rows[0].ends_with("     -"),
+            "{table}"
         );
-        let tls = transfer_timelines(&tr);
-        assert_eq!(tls.len(), 1);
-        assert_eq!(tls[0].ended_at, None);
-        assert_eq!(tls[0].ok, None);
-        assert_eq!(tls[0].duration_secs(), None);
-        assert_eq!(tls[0].last_part_secs(), None);
+        assert!(rows[0].contains("        -  "), "{table}");
+        // Petition 1.0 s → close 4.5 s; part 1 sent 2.0 s, confirmed 4.5 s.
+        assert!(
+            rows[1].contains("3.500") && rows[1].contains("2.500"),
+            "{table}"
+        );
+        assert!(rows[1].ends_with("  true"), "{table}");
+        assert!(rows[1].contains("      1  "), "one retransmission: {table}");
     }
 
     #[test]

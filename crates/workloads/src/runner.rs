@@ -7,38 +7,6 @@
 
 use netsim::metrics::RunningStat;
 
-use crate::harness::{defaults, HarnessError, WorkloadBuilder};
-use crate::scenario::{ScenarioConfig, ScenarioResult};
-
-/// One traced replication: the deterministic JSONL export, its FNV digest
-/// (equal digests ⇔ byte-identical JSONL), and the full scenario result.
-pub struct TracedRun {
-    /// One JSON object per line, in event order.
-    pub jsonl: String,
-    /// FNV-1a digest over the JSONL bytes.
-    pub digest: u64,
-    /// The underlying scenario result (log, metrics, trace).
-    pub result: ScenarioResult,
-}
-
-/// Runs one replication of `cfg` under `seed` on `harness` with tracing
-/// forced on at [`defaults::CLI_TRACE_CAPACITY`] (enough for every event
-/// of the paper's single-transfer scenarios) and exports the trace as
-/// deterministic JSONL. Errors with whatever the harness rejects.
-pub fn run_traced(
-    cfg: &ScenarioConfig,
-    harness: WorkloadBuilder,
-    seed: u64,
-) -> Result<TracedRun, HarnessError> {
-    let harness = harness.trace_capacity(Some(defaults::CLI_TRACE_CAPACITY));
-    let result = cfg.run_with(harness, seed)?;
-    Ok(TracedRun {
-        jsonl: result.run.trace.to_jsonl(),
-        digest: result.run.trace.digest(),
-        result,
-    })
-}
-
 /// Runs `f` once per seed, in parallel, returning results in seed order.
 pub fn run_replications<R, F>(seeds: &[u64], f: F) -> Vec<R>
 where

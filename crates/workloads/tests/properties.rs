@@ -3,10 +3,10 @@
 use netsim::time::SimDuration;
 use overlay::broker::{BrokerCommand, RetryPolicy, TargetSpec};
 use proptest::prelude::*;
-use workloads::attribution::{attribute_trace, breakdown_by_peer, phase_table_csv};
+use workloads::attribution::{attribute_log, breakdown_by_peer, phase_table_csv};
 use workloads::multiregion::{MultiRegionConfig, MultiRegionWorkload};
 use workloads::report::{argmax, argmin, metrics_snapshot_json, spearman, FigureReport, SeriesRow};
-use workloads::runner::{run_replications, run_traced, SeriesAggregate};
+use workloads::runner::{run_replications, SeriesAggregate};
 use workloads::scenario::{run_scenario, ScenarioConfig};
 use workloads::spec::MB;
 
@@ -108,7 +108,7 @@ proptest! {
             .run.log
             .transfers
             .iter()
-            .filter(|t| t.completed_at.is_some() && !t.cancelled)
+            .filter(|t| t.completed_at.is_some() && t.cancelled_at.is_none())
         {
             for p in &t.parts {
                 let confirmed = p.confirmed_at.expect("completed transfer confirms every part");
@@ -221,11 +221,7 @@ proptest! {
                     .build()
                     .and_then(|h| h.run(&MultiRegionWorkload { cfg: &base }, seed))
                     .expect("generated config is valid");
-                let names = run.node_names.clone();
-                let rows = breakdown_by_peer(
-                    &attribute_trace(&run.trace),
-                    |node| names[node.index()].to_string(),
-                );
+                let rows = breakdown_by_peer(&attribute_log(&run.log), |node| base.node_name(node));
                 (
                     run.trace.to_jsonl(),
                     metrics_snapshot_json(&run.metrics),
@@ -389,9 +385,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = lossy_broadcast(drop_p, "attr-prop");
-        let run = run_traced(&cfg, cfg.harness(), seed).expect("one shard always runs");
-        prop_assert_eq!(run.result.run.trace.dropped(), 0);
-        for a in attribute_trace(&run.result.run.trace) {
+        let result = run_scenario(&cfg, seed);
+        for a in attribute_log(&result.run.log) {
             let sum: SimDuration = a.phases.iter().copied().sum();
             prop_assert_eq!(
                 sum,

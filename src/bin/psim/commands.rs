@@ -34,12 +34,6 @@ pub(crate) const QUICK: FlagDef = FlagDef {
     default: None,
     help: "fewer repetitions (smoke settings)",
 };
-pub(crate) const STRICT: FlagDef = FlagDef {
-    name: "strict",
-    takes_value: false,
-    default: None,
-    help: "exit 3 when the trace ring dropped events",
-};
 pub(crate) const SHARDS: FlagDef = FlagDef {
     name: "shards",
     takes_value: true,
@@ -285,7 +279,12 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 default: None,
                 help: "output file (default: stdout)",
             },
-            STRICT,
+            FlagDef {
+                name: "strict",
+                takes_value: false,
+                default: None,
+                help: "exit 3 when the trace ring dropped events",
+            },
             SHARDS,
             SHARD_WORKERS,
         ],
@@ -294,8 +293,8 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
     CommandDef {
         name: "report",
         positional: Some("<scenario>"),
-        flags: &[SEED, STRICT, SHARDS, SHARD_WORKERS],
-        help: "traced run -> metrics snapshot + transfer timelines",
+        flags: &[SEED, SHARDS, SHARD_WORKERS],
+        help: "run -> metrics snapshot + per-transfer table from the run log",
     },
     CommandDef {
         name: "attribute",
@@ -314,11 +313,10 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 default: None,
                 help: "write metrics exposition to FILE",
             },
-            STRICT,
             SHARDS,
             SHARD_WORKERS,
         ],
-        help: "traced run -> per-peer latency phase breakdown",
+        help: "run -> per-peer latency phase breakdown from the run log",
     },
     CommandDef {
         name: "multiregion",

@@ -32,18 +32,17 @@ use commands::{CommandDef, COMMANDS};
 
 use netsim::node::NodeId;
 use netsim::time::SimDuration;
-use netsim::trace::Trace;
 use overlay::broker::{BrokerCommand, TargetSpec};
 use workloads::attribution::{
-    aggregate_metrics, attribute_trace, breakdown_by_peer, phase_table_csv, render_phase_table,
+    aggregate_metrics, attribute_log, breakdown_by_peer, phase_table_csv, render_phase_table,
 };
 use workloads::experiments::{
     self, ablation, adaptation, extensions, fig5, fig6, fig7, table1, transfer_study,
 };
 use workloads::harness::{defaults, HarnessError, HarnessRun, Workload, WorkloadBuilder};
-use workloads::report::{metrics_snapshot_json, render_timelines, transfer_timelines};
-use workloads::runner::{default_workers, run_traced, TracedRun};
-use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig};
+use workloads::report::{metrics_snapshot_json, render_transfers};
+use workloads::runner::default_workers;
+use workloads::scenario::{named_scenario_list, run_scenario, ScenarioConfig, ScenarioResult};
 use workloads::spec::{ExperimentSpec, MB, PAPER_REPETITIONS};
 use workloads::sweep::{named_grid, named_grid_list, run_campaign};
 
@@ -437,7 +436,7 @@ fn cmd_transfer(flags: &Flags) {
             t.petition_latency_secs().unwrap_or(f64::NAN),
             t.total_secs().unwrap_or(f64::NAN),
             t.throughput_bytes_per_sec().unwrap_or(0.0) / 1e6,
-            if t.cancelled {
+            if t.cancelled_at.is_some() {
                 "cancelled"
             } else if t.completed_at.is_some() {
                 "ok"
@@ -627,71 +626,62 @@ fn named_scenario_or_exit(flags: &Flags) -> (ScenarioConfig, WorkloadBuilder) {
     (cfg, harness)
 }
 
-/// One traced replication of the named scenario the flags select.
-fn traced_scenario_or_exit(flags: &Flags) -> TracedRun {
+/// One replication of the named scenario the flags select, with a trace
+/// ring of `trace_capacity` events (`None`: untraced).
+fn named_run_or_exit(flags: &Flags, trace_capacity: Option<usize>) -> ScenarioResult {
     let (cfg, harness) = named_scenario_or_exit(flags);
-    run_traced(&cfg, harness, flags.u64("seed"))
+    cfg.run_with(harness.trace_capacity(trace_capacity), flags.u64("seed"))
         .unwrap_or_else(|e| harness_error_exit(cfg.name(), &e))
 }
 
-/// Surfaces trace-ring drops: anything derived from a truncated trace
-/// (timelines, attribution) is silently missing the evicted events. Always
-/// warns on stderr; exits 3 under `--strict`.
-fn check_trace_drops(trace: &Trace, strict: bool) {
-    let dropped = trace.dropped();
-    if dropped == 0 {
-        return;
-    }
-    eprintln!(
-        "warning: trace ring dropped {dropped} events; derived output is incomplete \
-         (raise the trace capacity to keep the full history)"
-    );
-    if strict {
-        eprintln!("error: --strict refuses a truncated trace");
-        std::process::exit(3);
-    }
-}
-
+/// `psim trace`: the run's typed trace as JSONL. The ring can overflow, so
+/// drops are always reported on stderr, and `--strict` exits 3 on them.
 fn cmd_trace(flags: &Flags) {
-    let run = traced_scenario_or_exit(flags);
-    let trace = &run.result.run.trace;
+    let result = named_run_or_exit(flags, Some(defaults::CLI_TRACE_CAPACITY));
+    let trace = &result.run.trace;
+    let jsonl = trace.to_jsonl();
     match flags.get("out") {
-        Some(path) => write_or_exit(path, &run.jsonl),
-        None => print!("{}", run.jsonl),
+        Some(path) => write_or_exit(path, &jsonl),
+        None => print!("{jsonl}"),
     }
     eprintln!(
         "trace: {} events ({} dropped), digest {:016x}, elapsed {:.1}s virtual",
         trace.len(),
         trace.dropped(),
-        run.digest,
-        run.result.run.elapsed.as_secs_f64(),
+        trace.digest(),
+        result.run.elapsed.as_secs_f64(),
     );
-    check_trace_drops(trace, flags.has("strict"));
+    let dropped = trace.dropped();
+    if dropped > 0 {
+        eprintln!(
+            "warning: trace ring dropped {dropped} events; the JSONL is incomplete \
+             (raise the trace capacity to keep the full history)"
+        );
+        if flags.has("strict") {
+            eprintln!("error: --strict refuses a truncated trace");
+            std::process::exit(3);
+        }
+    }
 }
 
+/// `psim report`: the metrics snapshot and the run log's transfer table.
 fn cmd_report(flags: &Flags) {
-    let run = traced_scenario_or_exit(flags);
-    let trace = &run.result.run.trace;
-    let timelines = transfer_timelines(trace);
-    println!("{}", metrics_snapshot_json(&run.result.run.metrics));
+    let result = named_run_or_exit(flags, None);
+    println!("{}", metrics_snapshot_json(&result.run.metrics));
     println!();
-    print!("{}", render_timelines(&timelines));
+    print!("{}", render_transfers(&result.run.log));
     eprintln!(
-        "report: {} transfers reconstructed from {} trace events, digest {:016x}",
-        timelines.len(),
-        trace.len(),
-        run.digest,
+        "report: {} transfers from the run log, elapsed {:.1}s virtual",
+        result.run.log.transfers.len(),
+        result.run.elapsed.as_secs_f64(),
     );
-    check_trace_drops(trace, flags.has("strict"));
 }
 
+/// `psim attribute`: the per-peer phase table of the run log's transfers.
 fn cmd_attribute(flags: &Flags) {
-    let run = traced_scenario_or_exit(flags);
-    let trace = &run.result.run.trace;
-    check_trace_drops(trace, flags.has("strict"));
-
-    let attrs = attribute_trace(trace);
-    let scs = run.result.testbed.scs;
+    let result = named_run_or_exit(flags, None);
+    let attrs = attribute_log(&result.run.log);
+    let scs = result.testbed.scs;
     let label_of = |node: NodeId| {
         scs.iter()
             .position(|&sc| sc == node)
@@ -707,15 +697,14 @@ fn cmd_attribute(flags: &Flags) {
     if let Some(path) = flags.get("prom") {
         // The exposition carries the run's engine metrics plus the
         // attribution histograms, one deterministic text artifact.
-        let mut metrics = run.result.run.metrics.clone();
+        let mut metrics = result.run.metrics.clone();
         metrics.merge(&aggregate_metrics(&attrs, label_of));
         write_or_exit(path, &metrics.render_prometheus("psim"));
     }
     eprintln!(
-        "attribute: {} transfers attributed from {} trace events, digest {:016x}",
+        "attribute: {} transfers attributed from the run log, elapsed {:.1}s virtual",
         attrs.len(),
-        trace.len(),
-        run.digest,
+        result.run.elapsed.as_secs_f64(),
     );
 }
 

@@ -1,26 +1,32 @@
-//! Latency attribution invariants over full traced runs: the phase
-//! decomposition must partition every completed transfer's end-to-end
-//! latency exactly (integer nanoseconds, no residue), and the exported
-//! artefacts must be byte-deterministic per seed.
+//! Latency attribution invariants over full runs: the phase decomposition
+//! of the run log must partition every completed transfer's end-to-end
+//! latency exactly (integer nanoseconds, no residue), the exported
+//! artefacts must be byte-deterministic per seed, and neither may depend
+//! on whether the run kept a trace.
 
-use netsim::node::NodeId;
-use netsim::time::SimDuration;
+use netsim::engine::Engine;
+use netsim::link::{AccessLink, PathSpec};
+use netsim::node::{NodeId, NodeSpec};
+use netsim::rng::DelayDistribution;
+use netsim::time::{SimDuration, SimTime};
+use netsim::topology::Topology;
+use netsim::trace::TraceEventKind;
+use netsim::transport::TransportConfig;
+use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
+use overlay::client::{ClientConfig, SimpleClient};
+use overlay::message::OverlayMsg;
+use overlay::records::RecordSink;
 use workloads::attribution::{
-    aggregate_metrics, attribute_trace, breakdown_by_peer, phase_table_csv, Phase,
+    aggregate_metrics, attribute_log, breakdown_by_peer, phase_table_csv, Phase,
     TransferAttribution,
 };
-use workloads::runner::run_traced;
-use workloads::scenario::ScenarioConfig;
+use workloads::harness::defaults::CLI_TRACE_CAPACITY;
+use workloads::multiregion::{MultiRegionConfig, MultiRegionWorkload};
+use workloads::scenario::{run_scenario, ScenarioConfig, ScenarioResult};
 
 fn attributed(name: &str, seed: u64) -> Vec<TransferAttribution> {
     let cfg = ScenarioConfig::named(name).expect("known scenario");
-    let run = run_traced(&cfg, cfg.harness(), seed).expect("one shard always runs");
-    assert_eq!(
-        run.result.run.trace.dropped(),
-        0,
-        "trace ring dropped events; the attribution below would be partial"
-    );
-    attribute_trace(&run.result.run.trace)
+    attribute_log(&run_scenario(&cfg, seed).run.log)
 }
 
 /// Acceptance property: for every completed transfer of a traced fig5 run,
@@ -97,4 +103,128 @@ fn exports_are_byte_deterministic() {
     assert_eq!(prom_a, prom_b);
     assert!(csv_a.starts_with("peer,phase,transfers,"));
     assert!(prom_a.contains("# TYPE psim_attr_all_transmission_seconds histogram"));
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The `psim attribute <name> --csv --prom` files of one run: the phase
+/// table by SC label, and the run's metrics plus the attribution
+/// histograms as Prometheus text.
+fn attribute_exports(result: &ScenarioResult) -> (String, String) {
+    let scs = &result.testbed.scs;
+    let label_of = |node: NodeId| {
+        (scs.iter().position(|&sc| sc == node))
+            .map(|i| format!("SC{}", i + 1))
+            .unwrap_or_else(|| format!("n{}", node.0))
+    };
+    let attrs = attribute_log(&result.run.log);
+    let csv = phase_table_csv(&breakdown_by_peer(&attrs, label_of));
+    let mut metrics = result.run.metrics.clone();
+    metrics.merge(&aggregate_metrics(&attrs, label_of));
+    (csv, metrics.render_prometheus("psim"))
+}
+
+/// The run log is the one account of a transfer: a run without a trace
+/// ring attributes exactly what the traced run does, and both match the
+/// bytes the trace replay this replaced produced (`psim attribute <name>
+/// --seed 7` CSV and Prometheus files, FNV-1a). The multi-region phase
+/// tail likewise equals the one in the traced golden.
+#[test]
+fn attribution_does_not_depend_on_the_trace() {
+    let pins = [
+        ("fig5", 0x3576_dc89_8fc7_36cc, 0x14d6_6fc5_e5be_124e),
+        ("fig5-lossy", 0xf4e1_1740_34af_3439, 0xa91b_d836_5e6b_38f3),
+    ];
+    for (name, csv_pin, prom_pin) in pins {
+        let cfg = ScenarioConfig::named(name).expect("known scenario");
+        let plain = cfg.run_with(cfg.harness(), 7).expect("one shard runs");
+        let harness = cfg.harness().trace_capacity(Some(CLI_TRACE_CAPACITY));
+        let traced = cfg.run_with(harness, 7).expect("one shard runs");
+        assert!(plain.run.trace.is_empty() && !traced.run.trace.is_empty());
+        assert_eq!(traced.run.trace.dropped(), 0);
+        let (csv, prom) = attribute_exports(&plain);
+        assert_eq!(fnv1a(&csv), csv_pin, "{name} phase CSV");
+        assert_eq!(fnv1a(&prom), prom_pin, "{name} Prometheus text");
+        assert_eq!((csv, prom), attribute_exports(&traced), "{name} traced");
+    }
+
+    // `psim multiregion --regions 3 --clients 2 --seed 11`, untraced.
+    let cfg = MultiRegionConfig {
+        regions: 3,
+        clients_per_region: 2,
+        ..MultiRegionConfig::default()
+    };
+    let (run, artifact) = (cfg.harness().build())
+        .and_then(|h| h.run_with_artifact(&MultiRegionWorkload { cfg: &cfg }, 11))
+        .expect("golden config is valid");
+    assert!(run.trace.is_empty());
+    fn phase_tail(artifact: &str) -> &str {
+        &artifact[artifact.find("peer,phase,").expect("a phase CSV")..]
+    }
+    let golden = include_str!("goldens/multiregion.txt");
+    assert_eq!(phase_tail(&artifact), phase_tail(golden));
+}
+
+/// The one case where the record and a replay of the trace disagree: a
+/// petition ack that arrives after the watchdog already closed the
+/// transfer. The trace still exports that ack, but the record never
+/// stamps it, so the dead wait is `timeout_idle` (the cancelled tail),
+/// not `wakeup`.
+#[test]
+fn a_petition_ack_after_the_watchdog_close_is_timeout_idle() {
+    let mut topo = Topology::new();
+    let broker = topo.add_node(NodeSpec::responsive("broker"), AccessLink::default());
+    // The receiver handles each message 30 s after it lands: far slower
+    // than the 10 s watchdog.
+    let slow = NodeSpec::responsive("slow").with_service_delay(DelayDistribution::Constant(30.0));
+    let client = topo.add_node(slow, AccessLink::default());
+    topo.set_path_symmetric(broker, client, PathSpec::from_owd_ms(20.0, 0.0));
+    let sink = RecordSink::new();
+    let mut bcfg = BrokerConfig::new(3).at(
+        SimDuration::from_secs(1),
+        BrokerCommand::DistributeFile {
+            target: TargetSpec::AllClients,
+            size_bytes: 1 << 20,
+            num_parts: 1,
+            label: "late".into(),
+        },
+    );
+    bcfg.transfer_timeout = SimDuration::from_secs(10);
+    bcfg.stop_when_idle = false;
+    let mut engine: Engine<OverlayMsg> = Engine::new(topo, TransportConfig::default(), 5);
+    engine.enable_trace(1 << 12);
+    engine.register(broker, Box::new(Broker::new(bcfg, sink.clone())));
+    let client_cfg = ClientConfig::new(broker);
+    engine.register(client, Box::new(SimpleClient::new(client_cfg, 9)));
+    engine.run_until(SimTime::ZERO + SimDuration::from_secs(120));
+
+    let instant = |want: fn(&TraceEventKind) -> bool| {
+        (engine.trace().events())
+            .find(|e| e.node == broker && want(&e.kind))
+            .map(|e| e.time)
+    };
+    let closed = instant(|k| matches!(k, TraceEventKind::TransferCompleted { ok: false, .. }));
+    let acked = instant(|k| matches!(k, TraceEventKind::PetitionAcked { .. }));
+    let (closed, acked) = (closed.expect("the watchdog closed"), acked.expect("acked"));
+    assert!(
+        acked > closed,
+        "the ack ({acked:?}) must land after the close ({closed:?})"
+    );
+
+    let log = sink.drain();
+    let rec = &log.transfers[0];
+    assert_eq!(
+        (rec.petition_acked_at, rec.cancelled_at),
+        (None, Some(closed))
+    );
+    let attrs = attribute_log(&log);
+    let a = &attrs[0];
+    assert!(!a.ok);
+    assert_eq!(a.phase(Phase::Wakeup), SimDuration::ZERO);
+    assert_eq!(a.phase(Phase::TimeoutIdle), a.end_to_end());
+    assert_eq!(a.dominant_phase(), Phase::TimeoutIdle);
 }

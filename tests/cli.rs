@@ -35,6 +35,25 @@ fn zero_shards_is_a_usage_error_on_every_scenario_command() {
     );
 }
 
+/// `report` and `attribute` read the run log and keep no trace ring, so
+/// there is nothing for `--strict` to refuse: the flag is unknown there
+/// (exit 2, no artifact). `trace` keeps it, since its ring can overflow.
+#[test]
+fn strict_is_a_usage_error_where_no_trace_is_kept() {
+    for command in ["report", "attribute"] {
+        let out = psim(&[command, "smoke", "--strict"]);
+        assert_eq!(out.status.code(), Some(2), "{command} --strict must exit 2");
+        assert!(out.stdout.is_empty(), "{command} must print no artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --strict"), "{stderr}");
+    }
+    let out = psim(&["trace", "smoke", "--strict"]);
+    assert!(
+        out.status.success(),
+        "trace --strict of a whole trace: {out:?}"
+    );
+}
+
 #[test]
 fn profile_of_a_run_without_registry_gauges_prints_no_negative_zero() {
     let out_file = std::env::temp_dir().join(format!("psim-cli-{}-ok.json", std::process::id()));

@@ -9,7 +9,7 @@ use overlay::message::OverlayMsg;
 use overlay::records::RecordSink;
 use peer_selection::prelude::*;
 use planetlab::builder::build;
-use workloads::runner::run_traced;
+use workloads::harness::defaults::CLI_TRACE_CAPACITY;
 use workloads::scenario::{run_scenario, ScenarioConfig};
 use workloads::spec::MB;
 
@@ -30,8 +30,10 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
         horizon: SimDuration::from_secs(900),
         ..ScenarioConfig::default()
     };
-    let traced = run_traced(&cfg, cfg.harness(), 3).expect("the measurement testbed runs");
-    let result = &traced.result;
+    let harness = cfg.harness().trace_capacity(Some(CLI_TRACE_CAPACITY));
+    let result = cfg
+        .run_with(harness, 3)
+        .expect("the measurement testbed runs");
     let served: Vec<_> = result
         .run
         .log
@@ -50,7 +52,11 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
     );
     // The serving client's sending end (petition, parts, closing rows,
     // report) is pinned byte for byte: no golden covers it otherwise.
-    assert_eq!(traced.digest, 0x81bf_71a7_8c8e_a721, "trace digest");
+    assert_eq!(
+        result.run.trace.digest(),
+        0x81bf_71a7_8c8e_a721,
+        "trace digest"
+    );
     assert_eq!(
         fnv1a(&result.run.metrics.render()),
         0x68db_ab6f_0fa2_7814,
