@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::link::{AccessLink, PathSpec};
     pub use crate::metrics::{Metrics, RunningStat};
     pub use crate::node::{CpuModel, LoadModel, NodeId, NodeSpec};
-    pub use crate::parallel::{ParallelError, ParallelProfile, ShardedEngine};
-    pub use crate::profile::{ExecutionProfile, ShardRound, ShardTotals};
+    pub use crate::parallel::{ParallelError, ShardedEngine};
+    pub use crate::profile::{ParallelProfile, ShardRound, ShardTotals};
     pub use crate::rng::{DelayDistribution, SimRng};
     pub use crate::shard::{shard_seed, LookaheadTable, ShardMap, ShardMapError};
     pub use crate::time::{SimDuration, SimTime};

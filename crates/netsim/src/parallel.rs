@@ -39,19 +39,19 @@
 //! round: the coordinator's per-shard buffers (barrier reads, promises,
 //! windows, outcomes, envelope counts) and its envelope buffer keep their
 //! capacity across rounds, and outboxes are drained with `append`, keeping
-//! theirs. The barrier logic is written once for every worker count.
+//! theirs. The barrier logic is written once for every worker count, and
+//! so is the [`ParallelProfile`] it keeps.
 //!
 //! At one worker the coordinator runs every window itself. It borrows the
 //! engines outright, so it takes no lock, and it times a round's windows
-//! as one span unless the profiler wants each (a clock read costs about
-//! as much as a light window). With `W ≥ 2` workers, `W` threads are
-//! spawned once per run and shard `s` is pinned to worker `s % W`. Only a
-//! window's `(end, exclusive)` goes to a worker, and only its outcome and
-//! busy span come back. Each touch of an engine takes its lock, which is
-//! never contended: a shard is touched by its worker during a window and
-//! by the coordinator between windows. A window that panics on a worker is
-//! caught there and re-raised by the coordinator, so a panicking shard
-//! fails the run rather than hanging it.
+//! as one span (a clock read costs about as much as a light window). With
+//! `W ≥ 2` workers, `W` threads are spawned once per run and shard `s` is
+//! pinned to worker `s % W`. Only a window's `(end, exclusive)` goes to a
+//! worker, and only its outcome and busy span come back. Each touch of an
+//! engine takes its lock, which is never contended: a shard is touched by
+//! its worker during a window and by the coordinator between windows. A
+//! window that panics on a worker is caught there and re-raised by the
+//! coordinator, so a panicking shard fails the run rather than hanging it.
 //!
 //! A **lone shard is the serial engine**: it runs on the master seed itself
 //! (not `shard_seed(seed, 0)`), and its one round is [`Engine::run_until`]
@@ -71,7 +71,7 @@ use crate::engine::{Actor, Engine, Payload, RemoteEnvelope, RunOutcome};
 use crate::metrics::Metrics;
 use crate::node::NodeId;
 use crate::owners::Owners;
-use crate::profile::{ExecutionProfile, ShardRound};
+use crate::profile::{ParallelProfile, ShardRound};
 use crate::shard::{shard_seed, LookaheadTable, ShardMap};
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimeSeriesRecorder;
@@ -113,21 +113,6 @@ impl std::fmt::Display for ParallelError {
 
 impl std::error::Error for ParallelError {}
 
-/// Wall-clock accounting of a sharded run.
-///
-/// Each window's execution span is timed (`std::time::Instant`, outside
-/// the simulation's virtual clock; at one worker without the profiler, a
-/// round's windows as one span), and the coordinator sums the spans
-/// across shards and rounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelProfile {
-    /// Barrier rounds executed.
-    pub rounds: u64,
-    /// Sum of per-window execution spans across all shards (what one
-    /// worker would do alone).
-    pub busy: Duration,
-}
-
 const POISONED: &str = "a shard engine is poisoned only by a panicked run";
 
 /// Locks a shard engine. A shard is touched by the one thread running its
@@ -162,7 +147,7 @@ impl<M: Payload> Shards<M> for Shared<'_, M> {
 /// Runs `f`, timing it on the wall clock.
 #[allow(
     clippy::disallowed_methods,
-    reason = "the quarantined wall-clock profiler: spans feed ParallelProfile, never the run"
+    reason = "the quarantined wall-clock total: spans feed ParallelProfile::busy, never the run"
 )]
 fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
@@ -207,7 +192,7 @@ impl ShardState {
 }
 
 /// One shard's window in the current round, with the barrier read that
-/// opened it (profiler fodder).
+/// opened it, which the profile reads.
 #[derive(Debug, Clone, Copy, Default)]
 struct Window {
     opened: ShardState,
@@ -259,17 +244,22 @@ impl Crew {
     }
 
     /// Runs one round's windows on the pinned workers and waits for all of
-    /// them, re-raising the first panic a window reports.
-    fn run(&self, windows: &[Window], ran: &mut [(RunOutcome, Duration)]) {
+    /// them, re-raising the first panic a window reports. Returns the sum
+    /// of their busy spans.
+    fn run(&self, windows: &[Window], ran: &mut [RunOutcome]) -> Duration {
         for (s, w) in windows.iter().enumerate() {
             self.jobs[s % self.jobs.len()]
                 .send((s, w.end, w.exclusive))
                 .expect("pinned workers live as long as the run");
         }
+        let mut busy = Duration::ZERO;
         for _ in windows {
             let (s, result) = self.done.recv().expect("every window is answered");
-            ran[s] = result.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            let (outcome, span) = result.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            ran[s] = outcome;
+            busy += span;
         }
+        busy
     }
 }
 
@@ -280,13 +270,12 @@ struct Coordinator<M: Payload> {
     table: LookaheadTable,
     workers: usize,
     profile: ParallelProfile,
-    profiler: Option<ExecutionProfile>,
     recorder: Option<TimeSeriesRecorder>,
     /// Each shard as read at the last barrier.
     at: Vec<ShardState>,
     promises: Vec<SimTime>,
     windows: Vec<Window>,
-    ran: Vec<(RunOutcome, Duration)>,
+    ran: Vec<RunOutcome>,
     /// Envelopes each shard emitted into the last exchange.
     sent: Vec<u64>,
     envelopes: Vec<RemoteEnvelope<M>>,
@@ -346,32 +335,22 @@ impl<M: Payload + Send> ShardedEngine<M> {
                 map,
                 table,
                 workers: workers.clamp(1, k),
-                profile: ParallelProfile::default(),
-                profiler: None,
+                profile: ParallelProfile::new(k),
                 recorder: None,
                 at: vec![ShardState::default(); k],
                 promises: vec![SimTime::ZERO; k],
                 windows: vec![Window::default(); k],
-                ran: vec![(RunOutcome::HorizonReached, Duration::ZERO); k],
+                ran: vec![RunOutcome::HorizonReached; k],
                 sent: vec![0; k],
                 envelopes: Vec::new(),
             },
         })
     }
 
-    /// Enables per-shard, per-barrier-round execution profiling (see
-    /// [`ExecutionProfile`]).
-    pub fn enable_profiling(&mut self) {
-        self.coord.profiler = Some(ExecutionProfile::new(self.shards.len()));
-    }
-
-    /// The execution profile of the run, if profiling was enabled.
-    pub fn execution_profile(&self) -> Option<&ExecutionProfile> {
-        self.coord.profiler.as_ref()
-    }
-
-    /// Installs a windowed time-series recorder. Two or more shards sample
-    /// at barrier rounds: a boundary is emitted at the first barrier whose
+    /// Installs a windowed time-series recorder, which makes the run a
+    /// telemetry run: its profile also keeps the whole round schedule
+    /// ([`ParallelProfile::schedule`]). Two or more shards sample at
+    /// barrier rounds: a boundary is emitted at the first barrier whose
     /// minimum shard clock passes it, from metrics merged in shard order —
     /// deterministic at any worker count because the barrier schedule is.
     pub fn install_recorder(&mut self, recorder: TimeSeriesRecorder) {
@@ -452,9 +431,9 @@ impl<M: Payload + Send> ShardedEngine<M> {
             .unwrap_or(0)
     }
 
-    /// Wall-clock accounting of the last run (see [`ParallelProfile`]).
-    pub fn profile(&self) -> ParallelProfile {
-        self.coord.profile
+    /// The round account of the last run (see [`ParallelProfile`]).
+    pub fn profile(&self) -> &ParallelProfile {
+        &self.coord.profile
     }
 
     /// Merged metrics across shards, in shard order.
@@ -531,7 +510,8 @@ impl<M: Payload + Send> Coordinator<M> {
             }
             let (outcome, busy) = timed(|| engine.run_until(horizon));
             self.recorder = engine.take_recorder();
-            self.ran[0] = (outcome, busy);
+            self.profile.busy += busy;
+            self.ran[0] = outcome;
             outcome
         });
         self.close_round(shards);
@@ -556,9 +536,7 @@ impl<M: Payload + Send> Coordinator<M> {
             shards.with(s, |e| e.start());
         }
         self.exchange(shards);
-        if let Some(p) = &mut self.profiler {
-            p.note_initial_exchange(&self.sent);
-        }
+        self.profile.note_initial_exchange(&self.sent);
         self.read_barrier(shards);
         self.sample_at_barrier(shards);
         loop {
@@ -585,26 +563,20 @@ impl<M: Payload + Send> Coordinator<M> {
                 return RunOutcome::HorizonReached;
             }
             self.plan_windows(horizon);
-            match crew {
+            self.profile.busy += match crew {
                 Some(crew) => crew.run(&self.windows, &mut self.ran),
+                // The coordinator runs every window itself, timed as one
+                // span: a clock read costs about as much as a light window.
                 None => {
-                    // The coordinator runs every window itself. A clock read
-                    // costs about as much as a light window, so windows are
-                    // timed one by one only for the profiler.
-                    let each = self.profiler.is_some();
+                    let windows = self.windows.iter().zip(&mut self.ran).enumerate();
                     let ((), span) = timed(|| {
-                        for (s, (w, ran)) in self.windows.iter().zip(&mut self.ran).enumerate() {
-                            *ran = shards.with(s, |e| match each {
-                                true => timed(|| e.run_window(w.end, w.exclusive)),
-                                false => (e.run_window(w.end, w.exclusive), Duration::ZERO),
-                            });
+                        for (s, (w, ran)) in windows {
+                            *ran = shards.with(s, |e| e.run_window(w.end, w.exclusive));
                         }
                     });
-                    if !each {
-                        self.profile.busy += span;
-                    }
+                    span
                 }
-            }
+            };
             if let Some(outcome) = self.close_round(shards) {
                 return outcome;
             }
@@ -637,38 +609,31 @@ impl<M: Payload + Send> Coordinator<M> {
         }
     }
 
-    /// Closes a round at the barrier: accounts its spans, exchanges
-    /// envelopes, reads every shard, records the profile and samples the
-    /// series. Returns `Stopped` if any shard stopped, else `EventLimit`
-    /// if any shard hit its limit.
+    /// Closes a round at the barrier: exchanges envelopes, reads every
+    /// shard, records the round in the profile (in its schedule too on a
+    /// telemetry run) and samples the series. Returns `Stopped` if any
+    /// shard stopped, else `EventLimit` if any shard hit its limit.
     fn close_round<S: Shards<M> + ?Sized>(&mut self, shards: &mut S) -> Option<RunOutcome> {
+        let round = self.profile.rounds;
         self.profile.rounds += 1;
-        for &(_, busy) in &self.ran {
-            self.profile.busy += busy;
-        }
         self.exchange(shards);
         self.read_barrier(shards);
-        if let Some(profiler) = &mut self.profiler {
-            let round = self.profile.rounds - 1;
-            let slowest = self.ran.iter().map(|r| r.1).max().unwrap_or_default();
-            profiler.push_round((0..self.at.len()).map(|s| {
-                let (w, busy) = (self.windows[s], self.ran[s].1);
-                ShardRound {
-                    round,
-                    shard: s as u32,
-                    start: w.opened.now,
-                    end: w.end,
-                    exclusive: w.exclusive,
-                    events: self.at[s].events - w.opened.events,
-                    envelopes_out: self.sent[s],
-                    pending: w.opened.next.is_some(),
-                    busy,
-                    barrier_wait: slowest - busy,
-                }
-            }));
+        let keep = self.recorder.is_some();
+        for (s, w) in self.windows.iter().enumerate() {
+            let rec = ShardRound {
+                round,
+                shard: s as u32,
+                start: w.opened.now,
+                end: w.end,
+                exclusive: w.exclusive,
+                events: self.at[s].events - w.opened.events,
+                envelopes_out: self.sent[s],
+                pending: w.opened.next.is_some(),
+            };
+            self.profile.record(rec, keep);
         }
         self.sample_at_barrier(shards);
-        let tripped = |o: RunOutcome| self.ran.iter().any(|r| r.0 == o);
+        let tripped = |o: RunOutcome| self.ran.contains(&o);
         [RunOutcome::Stopped, RunOutcome::EventLimit]
             .into_iter()
             .find(|&o| tripped(o))
@@ -694,7 +659,7 @@ impl<M: Payload + Send> Coordinator<M> {
     /// Drains every shard's outbox, sorts the envelopes into a fixed total
     /// order, and incorporates each into its destination shard. Called
     /// only between windows, from the coordinator; `sent` gets the number
-    /// of envelopes each shard contributed (profiler fodder).
+    /// of envelopes each shard contributed, which the profile reads.
     fn exchange<S: Shards<M> + ?Sized>(&mut self, shards: &mut S) {
         for (s, sent) in self.sent.iter_mut().enumerate() {
             let before = self.envelopes.len();

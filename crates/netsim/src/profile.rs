@@ -1,28 +1,23 @@
-//! Per-shard, per-barrier-round execution profiling for the sharded
-//! engine, with a Chrome `trace_event` exporter.
+//! The sharded engine's execution profile, with a Chrome `trace_event`
+//! exporter.
 //!
-//! [`ParallelProfile`](crate::parallel::ParallelProfile) folds a run into
-//! two wall-clock sums; an [`ExecutionProfile`] keeps the full structure:
-//! one [`ShardRound`] per shard per barrier round, carrying both the
-//! **sim-time** shape of the window (start/end, width, events executed,
-//! envelopes exchanged, idle-window collapses, lookahead stalls) and the
-//! **wall-clock** cost of executing it (busy span, barrier wait).
+//! A [`ParallelProfile`] is a run's one account of its barrier rounds.
+//! Every field but one is sim-time structure, identical at any worker
+//! count: the round count, per-shard [`ShardTotals`] (events, envelopes
+//! out, idle windows, stalls), and — on a telemetry run, one with a
+//! time-series recorder installed — the whole schedule, one [`ShardRound`]
+//! per shard per round, never capped. The exception is `busy`, the run's
+//! single wall-clock total.
 //!
 //! The two kinds of field deliberately live in two exporters:
 //!
-//! * [`ExecutionProfile::chrome_trace_json`] emits *only* sim-time and
-//!   count fields — `ts`/`dur` are virtual-time microseconds — so the
-//!   trace is byte-identical at any worker count and opens directly in
-//!   Perfetto / `chrome://tracing` (one track per shard).
-//! * [`ExecutionProfile::wall_clock_json`] carries the measured spans
-//!   (busy, barrier wait) that vary run to run; it is a diagnostic
-//!   artifact, never part of a determinism digest.
-//!
-//! A 100k-peer hour-long churn run takes ~90k barrier rounds; keeping a
-//! record per shard-round would dominate the run's own memory. The
-//! profile therefore caps stored records (default
-//! [`ExecutionProfile::DEFAULT_ROUND_CAP`]) and counts what it dropped,
-//! while per-shard totals always cover the whole run.
+//! * [`ParallelProfile::chrome_trace_json`] renders the schedule with
+//!   virtual-time microsecond `ts`/`dur`, so the trace is byte-identical
+//!   at any worker count and opens directly in Perfetto /
+//!   `chrome://tracing` (one track per shard).
+//! * [`ParallelProfile::summary_json`] adds the `busy` total to the round
+//!   and per-shard counts; it is a diagnostic artifact, never part of a
+//!   determinism digest.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -50,13 +45,6 @@ pub struct ShardRound {
     pub envelopes_out: u64,
     /// Whether the shard had any queued event when the window opened.
     pub pending: bool,
-    /// Wall-clock span the worker spent executing the window
-    /// (non-deterministic; excluded from the Chrome trace).
-    pub busy: Duration,
-    /// Wall-clock gap to the round's slowest shard — time this shard's
-    /// worker would have idled at the barrier with one core per shard
-    /// (non-deterministic; excluded from the Chrome trace).
-    pub barrier_wait: Duration,
 }
 
 impl ShardRound {
@@ -79,11 +67,9 @@ impl ShardRound {
     }
 }
 
-/// Whole-run totals for one shard; never truncated.
+/// Whole-run totals for one shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTotals {
-    /// Windows the shard executed (= barrier rounds).
-    pub windows: u64,
     /// Events processed across all windows.
     pub events: u64,
     /// Cross-shard envelopes emitted across all exchanges.
@@ -92,122 +78,68 @@ pub struct ShardTotals {
     pub idle_windows: u64,
     /// Lookahead stalls (see [`ShardRound::stalled`]).
     pub stalls: u64,
-    /// Total wall-clock busy span.
+}
+
+/// How a sharded run went through its barrier rounds; see the module docs
+/// for which fields are deterministic.
+#[derive(Debug, Clone, Default)]
+pub struct ParallelProfile {
+    /// Barrier rounds executed.
+    pub rounds: u64,
+    /// Sum of window execution spans across all shards (what one worker
+    /// would do alone; at one worker, a round's windows are one span).
+    /// Wall-clock, outside the simulation's virtual clock.
     pub busy: Duration,
-    /// Total wall-clock barrier wait.
-    pub barrier_wait: Duration,
-}
-
-/// Per-shard, per-round accounting of a sharded run.
-///
-/// Built by [`ShardedEngine`](crate::parallel::ShardedEngine) when
-/// profiling is enabled; see the module docs for the determinism split
-/// between the two exporters.
-#[derive(Debug, Clone)]
-pub struct ExecutionProfile {
-    totals: Vec<ShardTotals>,
-    records: Vec<ShardRound>,
-    rounds: u64,
-    round_cap: usize,
-    truncated: u64,
-}
-
-impl ExecutionProfile {
-    /// Default cap on stored [`ShardRound`] records (per-shard totals are
-    /// unaffected by the cap).
-    pub const DEFAULT_ROUND_CAP: usize = 50_000;
-
-    /// An empty profile over `num_shards` shards.
-    pub fn new(num_shards: usize) -> Self {
-        ExecutionProfile {
-            totals: vec![ShardTotals::default(); num_shards],
-            records: Vec::new(),
-            rounds: 0,
-            round_cap: Self::DEFAULT_ROUND_CAP,
-            truncated: 0,
-        }
-    }
-
-    /// Overrides the stored-record cap (0 keeps totals only). Records
-    /// already stored beyond the new cap are dropped and counted in
-    /// [`Self::truncated`], so the cap holds whenever it is set.
-    pub fn set_round_cap(&mut self, cap: usize) {
-        self.round_cap = cap;
-        if self.records.len() > cap {
-            self.truncated += (self.records.len() - cap) as u64;
-            self.records.truncate(cap);
-        }
-    }
-
-    /// Number of shards profiled.
-    pub fn num_shards(&self) -> usize {
-        self.totals.len()
-    }
-
-    /// Barrier rounds observed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Stored shard-round records, in (round, shard) order.
-    pub fn records(&self) -> &[ShardRound] {
-        &self.records
-    }
-
-    /// Shard-round records dropped after the cap filled.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
-
     /// Whole-run totals, indexed by shard.
-    pub fn totals(&self) -> &[ShardTotals] {
-        &self.totals
+    pub shards: Vec<ShardTotals>,
+    /// Every shard-round in (round, shard) order, kept only on a telemetry
+    /// run (see [`ShardedEngine::install_recorder`]).
+    ///
+    /// [`ShardedEngine::install_recorder`]: crate::parallel::ShardedEngine::install_recorder
+    pub schedule: Vec<ShardRound>,
+}
+
+impl ParallelProfile {
+    /// An empty profile over `num_shards` shards.
+    pub(crate) fn new(num_shards: usize) -> Self {
+        ParallelProfile {
+            shards: vec![ShardTotals::default(); num_shards],
+            ..ParallelProfile::default()
+        }
     }
 
     /// Envelopes emitted by the pre-round exchange (the `on_start` sends),
     /// which belong to no barrier round but do count toward totals.
     pub(crate) fn note_initial_exchange(&mut self, counts: &[u64]) {
-        for (total, &n) in self.totals.iter_mut().zip(counts) {
+        for (total, &n) in self.shards.iter_mut().zip(counts) {
             total.envelopes_out += n;
         }
     }
 
-    /// Folds one completed barrier round (one record per shard, in shard
-    /// order) into totals, storing records while the cap allows.
-    pub(crate) fn push_round(&mut self, records: impl IntoIterator<Item = ShardRound>) {
-        self.rounds += 1;
-        for rec in records {
-            let total = &mut self.totals[rec.shard as usize];
-            total.windows += 1;
-            total.events += rec.events;
-            total.envelopes_out += rec.envelopes_out;
-            total.idle_windows += u64::from(rec.idle());
-            total.stalls += u64::from(rec.stalled());
-            total.busy += rec.busy;
-            total.barrier_wait += rec.barrier_wait;
-            if self.records.len() < self.round_cap {
-                self.records.push(rec);
-            } else {
-                self.truncated += 1;
-            }
+    /// Folds one shard's window into its totals, and keeps it in the
+    /// schedule when `keep` is set.
+    pub(crate) fn record(&mut self, rec: ShardRound, keep: bool) {
+        let total = &mut self.shards[rec.shard as usize];
+        total.events += rec.events;
+        total.envelopes_out += rec.envelopes_out;
+        total.idle_windows += u64::from(rec.idle());
+        total.stalls += u64::from(rec.stalled());
+        if keep {
+            self.schedule.push(rec);
         }
     }
 
-    /// Chrome `trace_event` JSON of the stored records: one complete
-    /// (`"ph":"X"`) event per shard-round with **virtual-time**
-    /// microsecond `ts`/`dur`, one track per shard (`pid` 0, `tid` =
-    /// shard), `thread_name` metadata so Perfetto labels the tracks, and
-    /// events stably sorted by `ts`. Deterministic: wall-clock spans are
-    /// deliberately absent (see [`ExecutionProfile::wall_clock_json`]).
+    /// Chrome `trace_event` JSON of the schedule: one complete (`"ph":"X"`)
+    /// event per shard-round with **virtual-time** microsecond `ts`/`dur`,
+    /// one track per shard (`pid` 0, `tid` = shard), `thread_name`
+    /// metadata so Perfetto labels the tracks, and events stably sorted
+    /// by `ts`. Deterministic: `busy` is deliberately absent.
     pub fn chrome_trace_json(&self) -> String {
-        let mut order: Vec<usize> = (0..self.records.len()).collect();
-        order.sort_by_key(|&i| {
-            let r = &self.records[i];
-            (r.start.as_nanos(), r.shard, r.round)
-        });
+        let mut order: Vec<&ShardRound> = self.schedule.iter().collect();
+        order.sort_by_key(|r| (r.start.as_nanos(), r.shard, r.round));
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
-        for shard in 0..self.totals.len() {
+        for shard in 0..self.shards.len() {
             if !first {
                 out.push(',');
             }
@@ -219,8 +151,7 @@ impl ExecutionProfile {
             )
             .expect("string write");
         }
-        for &i in &order {
-            let r = &self.records[i];
+        for r in order {
             let ts = r.start.as_nanos() / 1_000;
             let dur = r.width().as_nanos() / 1_000;
             if !first {
@@ -247,33 +178,24 @@ impl ExecutionProfile {
         out
     }
 
-    /// Wall-clock summary JSON: per-shard busy and barrier-wait spans plus
-    /// record-cap accounting. Non-deterministic by nature — keep it out of
-    /// determinism digests and byte-diffed artifacts.
-    pub fn wall_clock_json(&self) -> String {
+    /// Summary JSON: the round count, the `busy` total and the per-shard
+    /// counts. `busy` varies run to run — keep this out of determinism
+    /// digests and byte-diffed artifacts.
+    pub fn summary_json(&self) -> String {
         let mut out = format!(
-            "{{\"rounds\":{},\"stored_records\":{},\"truncated_records\":{},\
-             \"shards\":[",
+            "{{\"rounds\":{},\"busy_secs\":{},\"shards\":[",
             self.rounds,
-            self.records.len(),
-            self.truncated
+            self.busy.as_secs_f64()
         );
-        for (shard, t) in self.totals.iter().enumerate() {
+        for (shard, t) in self.shards.iter().enumerate() {
             if shard > 0 {
                 out.push(',');
             }
             write!(
                 out,
-                "{{\"shard\":{shard},\"windows\":{},\"events\":{},\
-                 \"envelopes_out\":{},\"idle_windows\":{},\"stalls\":{},\
-                 \"busy_secs\":{},\"barrier_wait_secs\":{}}}",
-                t.windows,
-                t.events,
-                t.envelopes_out,
-                t.idle_windows,
-                t.stalls,
-                t.busy.as_secs_f64(),
-                t.barrier_wait.as_secs_f64()
+                "{{\"shard\":{shard},\"events\":{},\"envelopes_out\":{},\
+                 \"idle_windows\":{},\"stalls\":{}}}",
+                t.events, t.envelopes_out, t.idle_windows, t.stalls
             )
             .expect("string write");
         }
@@ -296,27 +218,25 @@ mod tests {
             events,
             envelopes_out: 1,
             pending: events > 0,
-            busy: Duration::from_micros(5),
-            barrier_wait: Duration::ZERO,
         }
     }
 
     #[test]
-    fn totals_survive_truncation() {
-        let mut p = ExecutionProfile::new(2);
-        p.set_round_cap(2);
-        p.push_round(vec![round(0, 0, 0, 1, 3), round(0, 1, 0, 1, 0)]);
-        p.push_round(vec![round(1, 0, 1, 2, 2), round(1, 1, 1, 2, 4)]);
-        assert_eq!(p.rounds(), 2);
-        assert_eq!(p.records().len(), 2, "cap holds");
-        assert_eq!(p.truncated(), 2);
-        assert_eq!(p.totals()[0].events, 5, "totals ignore the cap");
-        assert_eq!(p.totals()[1].events, 4);
-        assert_eq!(p.totals()[1].idle_windows, 1, "round 0 shard 1 was idle");
-        p.set_round_cap(1);
-        assert_eq!(p.records().len(), 1, "a lowered cap drops stored records");
-        assert_eq!(p.truncated(), 3);
-        assert_eq!(p.totals()[0].events, 5);
+    fn totals_fold_every_round_kept_or_not() {
+        let mut p = ParallelProfile::new(2);
+        for (rec, keep) in [
+            (round(0, 0, 0, 1, 3), false),
+            (round(0, 1, 0, 1, 0), false),
+            (round(1, 0, 1, 2, 2), true),
+            (round(1, 1, 1, 2, 4), true),
+        ] {
+            p.record(rec, keep);
+        }
+        assert_eq!(p.schedule.len(), 2, "only kept rounds are stored");
+        assert_eq!(p.shards[0].events, 5, "totals fold every round");
+        assert_eq!(p.shards[1].events, 4);
+        assert_eq!(p.shards[1].envelopes_out, 2);
+        assert_eq!(p.shards[1].idle_windows, 1, "round 0 shard 1 was idle");
     }
 
     #[test]
@@ -332,10 +252,17 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_sorted_and_wall_clock_free() {
-        let mut p = ExecutionProfile::new(2);
-        // Push rounds whose start times interleave across shards.
-        p.push_round(vec![round(0, 0, 5, 6, 1), round(0, 1, 0, 2, 1)]);
-        p.push_round(vec![round(1, 0, 6, 8, 1), round(1, 1, 2, 4, 1)]);
+        let mut p = ParallelProfile::new(2);
+        // Record rounds whose start times interleave across shards.
+        for rec in [
+            round(0, 0, 5, 6, 1),
+            round(0, 1, 0, 2, 1),
+            round(1, 0, 6, 8, 1),
+            round(1, 1, 2, 4, 1),
+        ] {
+            p.record(rec, true);
+        }
+        p.rounds = 2;
         let json = p.chrome_trace_json();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"thread_name\""));
@@ -354,8 +281,7 @@ mod tests {
             .collect();
         assert_eq!(ts.len(), 4);
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "events sorted by ts");
-        let wall = p.wall_clock_json();
-        assert!(wall.contains("\"busy_secs\":"));
-        assert!(wall.contains("\"rounds\":2"));
+        let summary = p.summary_json();
+        assert!(summary.starts_with("{\"rounds\":2,\"busy_secs\":"));
     }
 }

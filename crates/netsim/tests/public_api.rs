@@ -2,7 +2,7 @@
 //!
 //! The sharded parallel engine added a second public surface next to the
 //! serial `Engine` (`shard::ShardMap`, `shard::LookaheadTable`,
-//! `parallel::ShardedEngine`, `parallel::ParallelProfile`); this test
+//! `parallel::ShardedEngine`, `profile::ParallelProfile`); this test
 //! pins the whole crate's exported items so a refactor that silently
 //! drops, renames, or leaks one fails CI with a readable diff instead of
 //! breaking the overlay and workloads crates first. The snapshot is the

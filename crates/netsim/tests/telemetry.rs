@@ -1,6 +1,6 @@
 //! Integration coverage for the telemetry subsystem: windowed time-series
 //! recording through both engines, worker-count invariance of the series
-//! exports, and the per-shard execution profiler with its Chrome-trace
+//! exports, and the sharded engine's profile with its Chrome-trace
 //! exporter.
 
 use netsim::prelude::*;
@@ -250,17 +250,17 @@ fn profiler_accounts_rounds_and_chrome_trace_is_deterministic() {
     let mut traces = Vec::new();
     for workers in [1usize, 2] {
         let mut e = sharded(workers);
-        e.enable_profiling();
+        e.install_recorder(series_recorder());
         e.run_until(horizon);
-        let profile = e.execution_profile().expect("profiling enabled");
-        assert_eq!(profile.num_shards(), 2);
-        assert_eq!(profile.rounds(), e.profile().rounds);
-        let events: u64 = profile.totals().iter().map(|t| t.events).sum();
+        let profile = e.profile();
+        assert_eq!(profile.shards.len(), 2);
+        assert_eq!(profile.schedule.len() as u64, profile.rounds * 2);
+        let events: u64 = profile.shards.iter().map(|t| t.events).sum();
         assert_eq!(events, e.events_processed(), "totals cover every event");
-        let envelopes: u64 = profile.totals().iter().map(|t| t.envelopes_out).sum();
+        let envelopes: u64 = profile.shards.iter().map(|t| t.envelopes_out).sum();
         assert!(envelopes > 0, "cross-region traffic crosses shards");
         // Sim-time structure (rounds, events, envelopes, windows) is
-        // worker-count invariant even though wall-clock spans are not.
+        // worker-count invariant even though the busy total is not.
         traces.push(profile.chrome_trace_json());
     }
     assert_eq!(traces[0], traces[1], "chrome trace differs across workers");
@@ -272,16 +272,61 @@ fn profiler_accounts_rounds_and_chrome_trace_is_deterministic() {
 
 #[test]
 fn profiler_and_recorder_compose_on_one_run() {
+    // Without a recorder the profile keeps its totals but no schedule;
+    // installing one makes the same run a telemetry run.
+    let horizon = SimTime::from_secs_f64(10.0);
+    let mut plain = sharded(2);
+    plain.run_until(horizon);
     let mut e = sharded(2);
-    e.enable_profiling();
     e.install_recorder(series_recorder());
-    e.run_until(SimTime::from_secs_f64(10.0));
-    assert!(e.execution_profile().is_some());
+    e.run_until(horizon);
+    assert!(plain.profile().schedule.is_empty());
+    assert_eq!(plain.profile().rounds, e.profile().rounds);
+    assert_eq!(plain.profile().shards, e.profile().shards);
+    assert!(!e.profile().schedule.is_empty());
     let rec = e.take_recorder().expect("recorder installed");
     assert!(!rec.is_empty());
-    let wall = e
-        .execution_profile()
-        .expect("profiling enabled")
-        .wall_clock_json();
-    assert!(wall.contains("\"busy_secs\":"));
+    let summary = e.profile().summary_json();
+    assert!(summary.starts_with("{\"rounds\":"), "{summary}");
+    assert!(summary.contains("\"busy_secs\":"), "{summary}");
+}
+
+/// Ticks every 10 ms, forever, and sends nothing.
+struct Ticker;
+
+impl Actor<Token> for Ticker {
+    fn on_start(&mut self, ctx: &mut Context<Token>) {
+        ctx.schedule_timer(SimDuration::from_millis(10), 0);
+    }
+    fn on_message(&mut self, _: &mut Context<Token>, _: NodeId, _: Token) {}
+    fn on_timer(&mut self, ctx: &mut Context<Token>, _: TimerId, _: u64) {
+        ctx.schedule_timer(SimDuration::from_millis(10), 0);
+    }
+}
+
+#[test]
+fn a_long_telemetry_run_keeps_its_whole_schedule() {
+    // Six one-node shards tick in step, so each barrier round runs one
+    // tick per shard: 90 s of sim time is ~9 000 rounds and ~54 000
+    // shard-rounds, more than any capped profiler would store.
+    let map = ShardMap::from_assignment((0..6).collect()).expect("valid assignment");
+    let mut e = ShardedEngine::new(two_region_topo(), TransportConfig::default(), 42, map, 1)
+        .expect("positive cross-shard lookahead");
+    for node in (0..6).map(NodeId) {
+        e.register(node, Box::new(Ticker));
+    }
+    e.install_recorder(series_recorder());
+    e.run_until(SimTime::from_secs_f64(90.0));
+    let profile = e.profile();
+    let records = profile.schedule.len() as u64;
+    assert!(records > 50_000, "only {records} shard-rounds");
+    assert_eq!(records, profile.rounds * 6, "one record per shard-round");
+    let events: u64 = profile.shards.iter().map(|t| t.events).sum();
+    assert_eq!(events, e.events_processed());
+    let json = profile.chrome_trace_json();
+    assert_eq!(
+        json.matches("\"ph\":\"X\"").count() as u64,
+        records,
+        "one complete event per record"
+    );
 }

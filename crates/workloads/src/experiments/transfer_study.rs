@@ -150,7 +150,7 @@ pub mod fig2 {
             study.wakeup.std_devs(),
         ));
         f.note("measured = petition handled at peer − petition sent − nominal one-way delay");
-        f.note("wakeup phase = attributed petition→ack share of the traced timeline");
+        f.note("wakeup phase = attributed petition→ack share of the run log's transfer records");
         f
     }
 }

@@ -107,7 +107,7 @@ impl Default for FederationConfig {
 
 impl FederationConfig {
     /// The harness parameters this config asks for; callers that want
-    /// worker threads, a time series or the execution profiler set them
+    /// worker threads or a time series set them
     /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()
@@ -205,9 +205,10 @@ pub fn petition_latencies(log: &RunLog) -> Vec<f64> {
 
 /// Re-home delays after a scripted crash: crash instant → each
 /// `PeerRehomed` trace event at or after it. `None` without a scripted
-/// outage, a trace, or a single re-home.
+/// outage, a trace, or a single re-home, and `None` when the trace ring
+/// dropped rows, since re-homes may be among them.
 pub fn recovery_summary(trace: &Trace, kill: Option<BrokerOutage>) -> Option<LatencySummary> {
-    kill.and_then(|kill| {
+    kill.filter(|_| trace.dropped() == 0).and_then(|kill| {
         let down_at = SimTime::ZERO + kill.down_at;
         let samples: Vec<f64> = trace
             .events()
@@ -485,6 +486,34 @@ mod tests {
                 );
             }
             assert!(confirmed.len() <= t.num_parts as usize);
+        }
+    }
+
+    #[test]
+    fn recovery_is_not_read_from_a_ring_that_dropped_rows() {
+        let kill = Some(BrokerOutage {
+            region: 0,
+            down_at: SimDuration::from_secs(400),
+            restart_at: None,
+        });
+        // The ring keeps the newest rows: at 16 per shard no re-home
+        // survives, at 1 024 all six do, yet older rows are gone.
+        for capacity in [16, 1024] {
+            let cfg = FederationConfig {
+                kill,
+                horizon: SimDuration::from_secs(1200),
+                late_region: None,
+                trace_capacity: Some(capacity),
+                ..small()
+            };
+            let run = run_federation(&cfg, 77).expect("failover config is valid");
+            assert!(run.trace.dropped() > 0, "capacity {capacity} must overflow");
+            assert!(FederationDynamics::from_metrics(&run.metrics).rehomes > 0);
+            assert_eq!(
+                recovery_summary(&run.trace, kill),
+                None,
+                "capacity {capacity}"
+            );
         }
     }
 

@@ -5,13 +5,13 @@
 //! all execute the same sequence — build a testbed and its shard map,
 //! hand out per-shard [`RecordSink`]s, wire the brokers into a
 //! [`Federation`], construct the actor fleet, assemble a
-//! [`ShardedEngine`] with tracing / time-series / profiling plumbing,
+//! [`ShardedEngine`] with tracing and telemetry plumbing,
 //! run to the horizon, and drain everything back into a merged,
 //! worker-count-invariant [`HarnessRun`]. A driver is a [`Workload`]
 //! implementation — what testbed, which actors, which series columns,
 //! what summary line — plus a config whose `harness()` hands out the
-//! [`WorkloadBuilder`] its horizon and trace ring imply; worker threads,
-//! time series and execution profiling are set on that builder, never on
+//! [`WorkloadBuilder`] its horizon and trace ring imply; worker threads
+//! and telemetry (the series interval) are set on that builder, never on
 //! a config. The harness owns the rest, including the only engine
 //! construction in this crate (one shard is the serial engine, so no
 //! driver chooses an engine type) and the stdout artifact `psim` prints
@@ -27,8 +27,8 @@
 use netsim::engine::{Actor, RunOutcome};
 use netsim::metrics::Metrics;
 use netsim::node::NodeId;
-use netsim::parallel::{ParallelError, ParallelProfile, ShardedEngine};
-use netsim::profile::ExecutionProfile;
+use netsim::parallel::{ParallelError, ShardedEngine};
+use netsim::profile::ParallelProfile;
 use netsim::shard::{ShardMap, ShardMapError};
 use netsim::time::{SimDuration, SimTime};
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
@@ -244,12 +244,11 @@ pub struct HarnessRun {
     /// shard's queue follows the window schedule, not the threads). No
     /// delivery due after the horizon is stored.
     pub peak_queue_len: usize,
-    /// Window/occupancy profile of the parallel run.
+    /// Barrier rounds, per-shard totals and the wall-clock busy total;
+    /// with a series interval set, also the whole round schedule.
     pub profile: ParallelProfile,
     /// Windowed time-series rows, when a series interval was set.
     pub series: Option<TimeSeriesRecorder>,
-    /// Per-shard execution accounting, when profiling was enabled.
-    pub exec_profile: Option<ExecutionProfile>,
 }
 
 impl HarnessRun {
@@ -276,7 +275,6 @@ pub struct WorkloadBuilder {
     shard_workers: usize,
     trace_capacity: Option<usize>,
     series_interval: Option<SimDuration>,
-    profile_execution: bool,
 }
 
 impl Default for WorkloadBuilder {
@@ -287,14 +285,13 @@ impl Default for WorkloadBuilder {
 
 impl WorkloadBuilder {
     /// Starts from the CI-sized defaults: a 900 s horizon, one worker,
-    /// no tracing, no time series, no profiling.
+    /// no tracing, no telemetry.
     pub fn new() -> Self {
         WorkloadBuilder {
             horizon: SimDuration::from_secs(900),
             shard_workers: 1,
             trace_capacity: None,
             series_interval: None,
-            profile_execution: false,
         }
     }
 
@@ -316,16 +313,11 @@ impl WorkloadBuilder {
         self
     }
 
-    /// When `Some`, the workload's series schema samples merged metrics
-    /// at this sim-time interval.
+    /// When `Some`, the run is a telemetry run: the workload's series
+    /// schema samples merged metrics at this sim-time interval, and the
+    /// profile keeps the whole barrier-round schedule.
     pub fn series_interval(mut self, interval: Option<SimDuration>) -> Self {
         self.series_interval = interval;
-        self
-    }
-
-    /// Record per-shard, per-barrier-round execution accounting.
-    pub fn profile_execution(mut self, on: bool) -> Self {
-        self.profile_execution = on;
         self
     }
 
@@ -396,14 +388,10 @@ impl Harness {
         if let Some(interval) = p.series_interval {
             engine.install_recorder(workload.series_schema(interval)?);
         }
-        if p.profile_execution {
-            engine.enable_profiling();
-        }
         for (node, actor) in actors {
             engine.register(node, actor);
         }
         let outcome = engine.run_until(SimTime::ZERO + p.horizon);
-        let exec_profile = engine.execution_profile().cloned();
 
         let mut log = RunLog::default();
         for sink in &sinks {
@@ -417,9 +405,8 @@ impl Harness {
             elapsed: engine.now(),
             events_processed: engine.events_processed(),
             peak_queue_len: engine.peak_queue_len(),
-            profile: engine.profile(),
+            profile: engine.profile().clone(),
             series: engine.take_recorder(),
-            exec_profile,
         })
     }
 

@@ -88,7 +88,7 @@ impl Default for MultiRegionConfig {
 
 impl MultiRegionConfig {
     /// The harness parameters this config asks for; callers that want
-    /// worker threads, a time series or the execution profiler set them
+    /// worker threads or a time series set them
     /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()
@@ -276,11 +276,19 @@ mod tests {
             .collect();
         let digest = runs[0].trace.digest();
         assert_ne!(runs[0].trace.len(), 0, "trace must not be empty");
+        let shards = &runs[0].profile.shards;
+        let events: u64 = shards.iter().map(|t| t.events).sum();
+        assert_eq!(
+            events, runs[0].events_processed,
+            "per-shard totals cover the run"
+        );
         for r in &runs[1..] {
             assert_eq!(r.outcome, runs[0].outcome);
             assert_eq!(r.trace.digest(), digest);
             assert_eq!(r.elapsed, runs[0].elapsed);
             assert_eq!(r.events_processed, runs[0].events_processed);
+            assert_eq!(r.profile.rounds, runs[0].profile.rounds);
+            assert_eq!(&r.profile.shards, shards, "per-shard totals differ");
             assert_eq!(r.metrics.render(), runs[0].metrics.render());
             assert_eq!(r.log.transfers.len(), runs[0].log.transfers.len());
         }

@@ -226,9 +226,8 @@ impl ScenarioConfig {
     }
 
     /// The harness parameters this config asks for: its horizon. Drivers
-    /// that want more — worker threads, a trace ring, a time series, the
-    /// execution profiler — set it on the returned builder and hand it to
-    /// [`run_with`](Self::run_with).
+    /// that want more — worker threads, a trace ring, a time series — set
+    /// it on the returned builder and hand it to [`run_with`](Self::run_with).
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new().horizon(self.horizon)
     }

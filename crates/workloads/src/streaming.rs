@@ -135,7 +135,7 @@ impl Default for StreamingConfig {
 
 impl StreamingConfig {
     /// The harness parameters this config asks for; callers that want
-    /// worker threads, a time series or the execution profiler set them
+    /// worker threads or a time series set them
     /// on the returned builder.
     pub fn harness(&self) -> WorkloadBuilder {
         WorkloadBuilder::new()

@@ -285,8 +285,9 @@ proptest! {
 
     /// The same invariance over random churn scenarios: population curves,
     /// swap-dynamics rates, and registry memory accounting all ride the
-    /// same barrier-sampled recorder, so the whole artifact must be
-    /// byte-identical at any worker count.
+    /// same barrier-sampled recorder, so the whole artifact — and the
+    /// round schedule the telemetry run keeps — must be byte-identical at
+    /// any worker count.
     #[test]
     fn churn_series_is_worker_count_invariant(
         regions in 2usize..5,
@@ -308,7 +309,7 @@ proptest! {
             ..ChurnConfig::default()
         };
         let harness = base.harness().series_interval(Some(SimDuration::from_secs(60)));
-        let exports: Vec<(String, String)> = [1usize, 2, 4]
+        let exports: Vec<(String, String, String)> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
                 let run = harness
@@ -318,14 +319,15 @@ proptest! {
                     .and_then(|h| h.run(&ChurnWorkload { cfg: &base }, seed))
                     .expect("generated config is valid");
                 let series = run.series.expect("series_interval was set");
-                (series.to_csv(), series.to_jsonl())
+                (series.to_csv(), series.to_jsonl(), run.profile.chrome_trace_json())
             })
             .collect();
-        let (csv, jsonl) = &exports[0];
+        let (csv, jsonl, schedule) = &exports[0];
         prop_assert!(csv.lines().count() > 1, "series must have rows (seed {seed})");
-        for (w, (c, j)) in [2usize, 4].iter().zip(&exports[1..]) {
+        for (w, (c, j, s)) in [2usize, 4].iter().zip(&exports[1..]) {
             prop_assert_eq!(c, csv, "series CSV diverged at {} workers (seed {})", w, seed);
             prop_assert_eq!(j, jsonl, "series JSONL diverged at {} workers (seed {})", w, seed);
+            prop_assert_eq!(s, schedule, "round schedule diverged at {} workers (seed {})", w, seed);
         }
     }
 

@@ -90,6 +90,13 @@ pub(crate) fn cmd_federate(flags: &Flags) {
                 r.mean_s,
                 r.max_s,
             ),
+            None if run.trace.dropped() > 0 => eprintln!(
+                "failover: broker of region {} down at {:.0}s; recovery not measured: \
+                 the trace ring dropped {} events, re-homes possibly among them",
+                kill.region,
+                kill.down_at.as_secs_f64(),
+                run.trace.dropped(),
+            ),
             None => eprintln!(
                 "failover: broker of region {} down at {:.0}s; no client re-homed \
                  (horizon too short for the probe timeout?)",

@@ -1,8 +1,9 @@
 //! `psim profile`: end-to-end deterministic telemetry for one workload.
 //!
-//! Runs the churn workload (default) or a named scenario with the
-//! windowed time-series recorder and the per-shard execution profiler
-//! attached, then splits the artifacts by determinism:
+//! Runs the churn workload (default) or a named scenario as a telemetry
+//! run — the windowed time-series recorder attached, so the engine's
+//! profile keeps the whole barrier-round schedule — then splits the
+//! artifacts by determinism:
 //!
 //! * **stdout** — the series CSV followed by the Prometheus exposition
 //!   of the final merged metrics. Both are keyed only by virtual time
@@ -13,13 +14,12 @@
 //!   Chrome `trace_event` JSON of the barrier-round schedule (sim-time
 //!   spans only; load it in Perfetto or `chrome://tracing`). Every run
 //!   has one: a lone shard's schedule is a single round to the horizon.
-//! * **`--out`** — the non-deterministic wall-clock summary JSON: RSS
-//!   proxy, per-shard busy/wait seconds, plus the registry memory
-//!   breakdown read back from the final gauges. Written only when asked
-//!   for, like the other two files.
+//! * **`--out`** — the summary JSON, non-deterministic through its two
+//!   wall-clock figures (RSS proxy, busy seconds): round and per-shard
+//!   counts, plus the registry memory breakdown read back from the final
+//!   gauges. Written only when asked for, like the other two files.
 
 use netsim::metrics::Metrics;
-use netsim::profile::ExecutionProfile;
 use netsim::time::SimDuration;
 use overlay::footprint::FootprintBreakdown;
 use workloads::churn::{ChurnConfig, ChurnWorkload};
@@ -63,20 +63,6 @@ fn rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Surfaces profiler truncation: the Chrome trace and the `--out`
-/// summary hold only the stored shard-round records, so a capped profile
-/// silently loses the tail of the run without this line.
-fn profile_drop_warning(profile: &ExecutionProfile) -> Option<String> {
-    let dropped = profile.truncated();
-    (dropped > 0).then(|| {
-        format!(
-            "warning: execution profiler stored {} shard-round records and dropped {dropped}; \
-             the Chrome trace and summary are incomplete (per-shard totals are not)",
-            profile.records().len()
-        )
-    })
-}
-
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
     let cfg = ChurnConfig {
         // The profiler measures the engine and the registry, not the
@@ -91,7 +77,6 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
         .harness()
         .shard_workers(flags.usize("shard-workers"))
         .series_interval(Some(interval))
-        .profile_execution(true)
         .build()
         .and_then(|h| h.run(&ChurnWorkload { cfg: &cfg }, seed))
         .unwrap_or_else(|e| harness_error_exit("churn", &e));
@@ -110,11 +95,8 @@ fn profile_scenario(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileR
         flags.refuse_given(flag, "only `psim profile churn` reads it");
     }
     let (cfg, harness) = named_scenario_or_exit(flags);
-    let harness = harness
-        .series_interval(Some(interval))
-        .profile_execution(true);
     let result = cfg
-        .run_with(harness, seed)
+        .run_with(harness.series_interval(Some(interval)), seed)
         .unwrap_or_else(|e| harness_error_exit(cfg.name(), &e));
     ProfileRun {
         workload: flags.positional.clone().unwrap_or_default(),
@@ -140,7 +122,6 @@ pub(crate) fn cmd_profile(flags: &Flags) {
     };
     let run = &profiled.run;
     let series = run.series.as_ref().expect("a series interval was set");
-    let exec_profile = run.exec_profile.as_ref().expect("profiling was on");
 
     let csv = series.to_csv();
     print!("{csv}");
@@ -150,10 +131,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         write_or_exit(path, &csv);
     }
     if let Some(path) = flags.get("chrome-trace") {
-        write_or_exit(path, &exec_profile.chrome_trace_json());
-    }
-    if let Some(warning) = profile_drop_warning(exec_profile) {
-        eprintln!("{warning}");
+        write_or_exit(path, &run.profile.chrome_trace_json());
     }
 
     let registry_bytes = gauge_prefix_sum(&run.metrics, "registry.bytes.");
@@ -196,7 +174,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         bytes_per_peer,
         components.join(", "),
         series.len(),
-        exec_profile.wall_clock_json(),
+        run.profile.summary_json(),
     );
     if let Some(path) = flags.get("out") {
         write_or_exit(path, &json);
@@ -214,48 +192,4 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         bytes_per_peer,
         rss_bytes() >> 20,
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use workloads::synthtopo::SynthTopoConfig;
-
-    #[test]
-    fn a_truncated_profile_is_reported_with_its_counts() {
-        let cfg = ChurnConfig {
-            topo: SynthTopoConfig {
-                regions: 2,
-                peers: 8,
-                ..SynthTopoConfig::default()
-            },
-            horizon: SimDuration::from_secs(300),
-            num_shards: 2,
-            trace_capacity: None,
-            ..ChurnConfig::default()
-        };
-        let run = cfg
-            .harness()
-            .profile_execution(true)
-            .build()
-            .and_then(|h| h.run(&ChurnWorkload { cfg: &cfg }, 1))
-            .expect("small churn config is valid");
-        let mut profile = run.exec_profile.expect("profiling was on");
-        assert_eq!(
-            profile_drop_warning(&profile),
-            None,
-            "an uncapped run drops nothing"
-        );
-        let stored = profile.records().len() as u64;
-        assert!(stored > 3, "the run must store more records than the cap");
-        profile.set_round_cap(3);
-        let warning = profile_drop_warning(&profile).expect("a capped profile is reported");
-        assert!(
-            warning.contains(&format!(
-                "stored 3 shard-round records and dropped {}",
-                stored - 3
-            )),
-            "{warning}"
-        );
-    }
 }

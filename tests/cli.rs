@@ -174,9 +174,10 @@ fn json_number(json: &str, key: &str) -> f64 {
 }
 
 /// The smallest churn profile that publishes registry gauges: its Chrome
-/// trace is one sorted track of complete events per shard, and its
-/// wall-clock summary carries every field, inside the per-peer memory
-/// budget (ROADMAP 5(c): under 2 000 B per registered peer, never zero).
+/// trace is one sorted track per shard with one complete event per
+/// shard-round, and its wall-clock summary carries every field, inside
+/// the per-peer memory budget (ROADMAP 5(c): under 2 000 B per
+/// registered peer, never zero).
 #[test]
 fn profile_churn_writes_a_sorted_chrome_trace_and_a_complete_summary() {
     let tmp = |tag: &str| {
@@ -257,7 +258,43 @@ fn profile_churn_writes_a_sorted_chrome_trace_and_a_complete_summary() {
     }
     assert!(summary.contains("\"bench\": \"profile\""), "{summary}");
     assert!(summary.contains("\"workload\": \"churn\""), "{summary}");
-    assert!(summary.contains("\"profiler\": {\"rounds\":"), "{summary}");
+    // The profile: `rounds` first, then one wall-clock `busy_secs` total,
+    // then per-shard rows of deterministic counts only.
+    let profiler = &summary[summary.find("\"profiler\": ").expect("profiler")..];
+    assert!(
+        profiler.starts_with("\"profiler\": {\"rounds\":"),
+        "{summary}"
+    );
+    let busy_at = profiler.find("\"busy_secs\":").expect("busy_secs");
+    assert!(busy_at < profiler.find("\"shards\":[").expect("shards"));
+    assert_eq!(profiler.matches("_secs").count(), 1, "one wall-clock total");
+    let rounds = json_number(profiler, "rounds") as usize;
+    assert_eq!(
+        spans.len(),
+        rounds * 2,
+        "one complete event per shard-round"
+    );
+    json_number(profiler, "busy_secs");
+    for shard in 0..2 {
+        let row = &profiler[profiler
+            .find(&format!("{{\"shard\":{shard},"))
+            .unwrap_or_else(|| panic!("no row for shard {shard}: {profiler}"))..];
+        let row = &row[..=row.find('}').expect("row ends")];
+        let keys: Vec<&str> = row.split('"').skip(1).step_by(2).collect();
+        assert_eq!(
+            keys,
+            ["shard", "events", "envelopes_out", "idle_windows", "stalls"],
+            "{row}"
+        );
+    }
+    for gone in [
+        "stored_records",
+        "truncated_records",
+        "barrier_wait_secs",
+        "\"windows\"",
+    ] {
+        assert!(!profiler.contains(gone), "{gone} in {profiler}");
+    }
     assert!(json_number(&summary, "events") > 0.0);
     assert!(json_number(&summary, "series_rows") > 0.0);
     assert!(
