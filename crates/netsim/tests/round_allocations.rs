@@ -4,38 +4,11 @@
 //! The counting allocator is global to this test binary, so the file holds
 //! exactly one test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use netsim::prelude::*;
-
-/// The system allocator, counting every allocation and reallocation.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's guarantees for `alloc` are `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`, as the caller
-        // guarantees for this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`, plus the caller's `new_size` guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 #[derive(Debug)]
 struct Token;
@@ -92,10 +65,9 @@ fn sharded() -> ShardedEngine<Token> {
 /// Allocations made by `run_until(horizon)` alone, with its round count.
 fn run_allocations(horizon_secs: f64) -> (u64, u64) {
     let mut e = sharded();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     e.run_until(SimTime::from_secs_f64(horizon_secs));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    (allocations, e.profile().rounds)
+    (allocations() - before, e.profile().rounds)
 }
 
 #[test]

@@ -389,7 +389,7 @@ impl Actor<OverlayMsg> for Broker {
         match msg {
             OverlayMsg::Join(adv) => self.on_join(ctx, from, *adv),
             OverlayMsg::Leave { peer } => self.on_leave(ctx, peer),
-            OverlayMsg::StatsReport { peer, snapshot } => self.on_stats_report(ctx, peer, snapshot),
+            OverlayMsg::StatsReport(report) => self.on_stats_report(ctx, from, report),
             OverlayMsg::PetitionAck {
                 transfer,
                 accepted,

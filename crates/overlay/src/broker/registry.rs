@@ -2,7 +2,7 @@
 //! about each member.
 //!
 //! [`PeerRegistry`] owns the peer entries (candidate view, broker-side
-//! statistics, peer-reported snapshot, observed interaction history), the
+//! statistics, peer-reported queue gauges, observed interaction history), the
 //! published-content index, the federation roster learnt from fellow
 //! brokers, and an interned host-name cache so hot paths never re-allocate
 //! display names. The membership/content/statistics message handlers live
@@ -55,7 +55,7 @@ use crate::footprint::{
 use crate::id::PeerId;
 use crate::message::OverlayMsg;
 use crate::selector::{CandidateView, InteractionHistory};
-use crate::stats::{PeerStats, StatsSnapshot};
+use crate::stats::{PeerStats, QueueReport, StatsSnapshot};
 
 use super::books::Books;
 use super::counters::FootprintGauges;
@@ -67,11 +67,11 @@ use super::{Broker, STATS_K_HOURS};
 ///
 /// Per-peer history costs memory from the first write that needs it: the
 /// message window allocates its ring on its first record, and the peer's
-/// own report stays in the box its `StatsReport` arrived in, so a peer
-/// that never reports sets nothing aside for one.
+/// own queue gauges get a box on its first report, which later reports
+/// overwrite, so a peer that never reports sets nothing aside for one.
 pub(crate) struct PeerEntry {
     pub(crate) stats: PeerStats,
-    pub(crate) reported: Option<Box<StatsSnapshot>>,
+    pub(crate) reported: Option<Box<QueueReport>>,
     /// What selection and gossip see of this peer, held in place, and the
     /// one copy of what its advertisement said: `peer`, `node`, `name`
     /// (interned at admission, so recording a selection clones a
@@ -93,10 +93,7 @@ impl PeerEntry {
     pub(super) fn snapshot_at(&self, now: SimTime, stats_k_hours: usize) -> StatsSnapshot {
         let mut snapshot = self.stats.snapshot(now, stats_k_hours);
         if let Some(reported) = &self.reported {
-            snapshot.inbox_now = reported.inbox_now;
-            snapshot.inbox_avg = reported.inbox_avg;
-            snapshot.outbox_now = reported.outbox_now;
-            snapshot.outbox_avg = reported.outbox_avg;
+            reported.apply_to(&mut snapshot);
         }
         snapshot
     }
@@ -269,7 +266,7 @@ impl PeerRegistry {
     /// A re-join **refreshes** the view's node, interned name and
     /// `cpu_gops`, and the host table (unmapping the old host when the
     /// peer moved) while preserving accumulated statistics, the last
-    /// reported snapshot, and interaction history — at the registry level
+    /// reported queue gauges, and interaction history — at the registry level
     /// a rejoin is indistinguishable from a duplicate-Join retransmission,
     /// so identity must survive. First-hand admission also replaces
     /// whatever else was known of the peer: a federation rumor, or a
@@ -625,7 +622,7 @@ impl MemoryFootprint for PeerRegistry {
     /// (each with its in-place candidate view and the pointer to the copy
     /// it last published), the membership and host rows of registered
     /// peers, and the read index under `roster`; the windowed-ratio rings
-    /// and boxed peer reports that exist under `stats`; the content
+    /// and boxed queue reports that exist under `stats`; the content
     /// directory under `content`; and federation state under `gossip`:
     /// every other membership row (a remote view's key, pointer, timestamp,
     /// share and book, or a tombstone — a row is as wide as its widest
@@ -657,7 +654,7 @@ impl MemoryFootprint for PeerRegistry {
             fp.roster += entry.view.name.len() as u64;
             fp.stats += entry.stats.message_window.heap_bytes();
             if entry.reported.is_some() {
-                fp.stats += std::mem::size_of::<StatsSnapshot>() as u64;
+                fp.stats += std::mem::size_of::<QueueReport>() as u64;
             }
         }
         for (key, holdings) in &self.content {
@@ -695,15 +692,24 @@ impl Broker {
         self.maybe_stop(ctx);
     }
 
+    /// Keeps the queue gauges reported from `from`, for the peer living
+    /// there; a host with no registered peer (never joined, or left) is
+    /// not heard.
     pub(crate) fn on_stats_report(
         &mut self,
         ctx: &mut Context<OverlayMsg>,
-        peer: PeerId,
-        snapshot: Box<StatsSnapshot>,
+        from: NodeId,
+        report: QueueReport,
     ) {
         let now = ctx.now();
+        let Some(peer) = self.registry.peer_of(from) else {
+            return;
+        };
         if let Some(entry) = self.registry.entry_mut(peer) {
-            entry.reported = Some(snapshot);
+            match &mut entry.reported {
+                Some(held) => **held = report,
+                None => entry.reported = Some(Box::new(report)),
+            }
             entry.stats.record_message(now, true);
         }
     }

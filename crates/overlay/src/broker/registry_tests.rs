@@ -132,11 +132,17 @@ fn memory_footprint_tracks_population() {
     let ring = entry.stats.message_window.heap_bytes();
     assert_eq!(ring, 48 * 16, "one 48-hour ring of 16-byte buckets");
     assert_eq!(reg.memory_footprint().stats, ring);
-    reg.entry_mut(peer_a).unwrap().reported = Some(Box::new(StatsSnapshot::empty(1.0)));
+    let report = QueueReport {
+        inbox_now: 0.0,
+        inbox_avg: 0.0,
+        outbox_now: 0.0,
+        outbox_avg: 0.0,
+    };
+    reg.entry_mut(peer_a).unwrap().reported = Some(Box::new(report));
     assert_eq!(
         reg.memory_footprint().stats,
-        ring + std::mem::size_of::<StatsSnapshot>() as u64,
-        "a report costs exactly its box"
+        ring + 32,
+        "a report costs exactly its box of four gauges"
     );
     let two = reg.memory_footprint();
 
@@ -358,13 +364,19 @@ fn reported_snapshot_overrides_queue_gauges() {
     let a = adv(&mut ids, 1, "g");
     let peer = a.peer;
     reg.admit(a, SimTime::ZERO);
-    let mut reported = StatsSnapshot::empty(1.0);
-    reported.inbox_now = 11.0;
-    reported.outbox_avg = 2.5;
+    let reported = QueueReport {
+        inbox_now: 11.0,
+        inbox_avg: 0.75,
+        outbox_now: 3.0,
+        outbox_avg: 2.5,
+    };
     reg.entry_mut(peer).unwrap().reported = Some(Box::new(reported));
     let views = reg.roster_copy(SimTime::ZERO, 24, None);
-    assert_eq!(views[0].snapshot.inbox_now, 11.0);
-    assert_eq!(views[0].snapshot.outbox_avg, 2.5);
+    let snapshot = &views[0].snapshot;
+    assert_eq!(snapshot.inbox_now, 11.0);
+    assert_eq!(snapshot.inbox_avg, 0.75);
+    assert_eq!(snapshot.outbox_now, 3.0);
+    assert_eq!(snapshot.outbox_avg, 2.5);
 }
 
 #[test]
@@ -784,10 +796,12 @@ proptest! {
                 7 => {
                     // A peer's own report overrides the queue gauges.
                     if let Some(entry) = reg.entry_mut(peer) {
-                        let mut reported = StatsSnapshot::empty(1.0);
-                        reported.inbox_now = host as f64;
-                        reported.outbox_avg = age as f64 / 4.0;
-                        entry.reported = Some(Box::new(reported));
+                        entry.reported = Some(Box::new(QueueReport {
+                            inbox_now: host as f64,
+                            inbox_avg: 0.0,
+                            outbox_now: 0.0,
+                            outbox_avg: age as f64 / 4.0,
+                        }));
                         entry.stats.record_message(now, true);
                     }
                 }

@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::client::{ClientCommand, ClientConfig, SimpleClient};
+use crate::stats::QueueReport;
 use netsim::link::{AccessLink, PathSpec};
 use netsim::node::NodeSpec;
 use netsim::prelude::*;
@@ -784,5 +785,111 @@ fn one_gossip_round_shares_one_roster_between_recipients() {
     assert!(
         Arc::ptr_eq(&rosters[0].1, &rosters[1].1),
         "both messages carry the same allocation, not a copy each"
+    );
+}
+
+/// A watched broker that never idles out and `n` bare hosts 20 ms from
+/// it, with no actor on them yet.
+fn watched_star(n: usize) -> (Engine<OverlayMsg>, Arc<Mutex<Broker>>, NodeId, Vec<NodeId>) {
+    let mut topo = Topology::new();
+    let broker_node = topo.add_node(
+        NodeSpec::responsive("broker"),
+        AccessLink::symmetric_mbps(80.0, 0.0001),
+    );
+    let hosts: Vec<NodeId> = (0..n)
+        .map(|i| {
+            let host = topo.add_node(
+                NodeSpec::responsive(format!("host{i}")),
+                AccessLink::symmetric_mbps(8.0, 0.0003),
+            );
+            topo.set_path_symmetric(broker_node, host, PathSpec::from_owd_ms(20.0, 0.0));
+            host
+        })
+        .collect();
+    let mut cfg = BrokerConfig::new(5);
+    cfg.stop_when_idle = false;
+    let broker = Arc::new(Mutex::new(Broker::new(cfg, RecordSink::new())));
+    let mut engine = Engine::new(topo, TransportConfig::default(), 3);
+    engine.register(broker_node, Box::new(Watched(broker.clone())));
+    (engine, broker, broker_node, hosts)
+}
+
+#[test]
+fn a_report_from_a_host_without_a_local_peer_is_dropped() {
+    // Host 0 joins and stays quiet, host 1 reports without ever joining,
+    // and host 2's client reports at 30 s, leaves at 45 s and keeps
+    // reporting. A report is known by its host, so none of the strays may
+    // land on host 0's entry or bring a peer back.
+    let (mut engine, broker, broker_node, hosts) = watched_star(3);
+    let mut ids = IdGenerator::new(9);
+    let joined = join_of(&mut ids, hosts[0], "quiet");
+    let OverlayMsg::Join(adv) = &joined else {
+        unreachable!()
+    };
+    let quiet = adv.peer;
+    let stray = QueueReport {
+        inbox_now: 7.0,
+        inbox_avg: 7.0,
+        outbox_now: 7.0,
+        outbox_avg: 7.0,
+    };
+    for (host, send) in [
+        (hosts[0], joined),
+        (hosts[1], OverlayMsg::StatsReport(stray)),
+    ] {
+        let inbox = Default::default();
+        let to = broker_node;
+        engine.register(
+            host,
+            Box::new(Scripted {
+                to,
+                send: vec![send],
+                inbox,
+            }),
+        );
+    }
+    let leaver =
+        ClientConfig::new(broker_node).at(SimDuration::from_secs(45), ClientCommand::Leave);
+    engine.register(hosts[2], Box::new(SimpleClient::new(leaver, 77)));
+    engine.run_until(SimTime::from_secs_f64(200.0));
+
+    let broker = broker.lock().unwrap();
+    assert_eq!(broker.registry.peer_count(), 1, "only the quiet peer");
+    let entry = broker
+        .registry
+        .entry(quiet)
+        .expect("the quiet peer is registered");
+    assert!(entry.reported.is_none(), "no report reached the quiet peer");
+    assert_eq!(entry.stats.total.messages.attempts, 0);
+    broker.registry.check_invariants();
+}
+
+#[test]
+fn after_leave_and_rejoin_a_report_lands_on_the_rejoined_entry() {
+    let (mut engine, broker, broker_node, hosts) = watched_star(1);
+    let cfg = ClientConfig::new(broker_node)
+        .at(SimDuration::from_secs(45), ClientCommand::Leave)
+        .at(SimDuration::from_secs(50), ClientCommand::Rejoin);
+    let client = SimpleClient::new(cfg, 78);
+    let peer = client.peer_id();
+    engine.register(hosts[0], Box::new(client));
+    // Reports leave at 30 s (before the leave), 60 s and 90 s.
+    engine.run_until(SimTime::from_secs_f64(100.0));
+
+    let broker = broker.lock().unwrap();
+    let entry = broker.registry.entry(peer).expect("the peer rejoined");
+    assert_eq!(
+        entry.reported,
+        Some(Box::new(QueueReport {
+            inbox_now: 0.0,
+            inbox_avg: 0.0,
+            outbox_now: 0.0,
+            outbox_avg: 0.0,
+        })),
+        "the idle client's gauges"
+    );
+    assert_eq!(
+        entry.stats.total.messages.attempts, 2,
+        "the two reports after the rejoin, and not the one before the leave"
     );
 }

@@ -357,13 +357,9 @@ impl Actor<OverlayMsg> for SimpleClient {
             if let Some(stats) = &mut self.stats {
                 let load = self.receiver.inbound_len() + self.receiver.running_len();
                 stats.inbox.set(now, load as u32);
-                let snapshot = Box::new(stats.snapshot(now, 24));
                 ctx.send(
                     self.cfg.broker,
-                    OverlayMsg::StatsReport {
-                        peer: self.peer_id,
-                        snapshot,
-                    },
+                    OverlayMsg::StatsReport(stats.queue_report(now)),
                 );
             }
             ctx.schedule_timer(STATS_INTERVAL, STATS_TIMER_TAG);

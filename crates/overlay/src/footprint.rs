@@ -51,7 +51,7 @@ use std::ops::{Add, AddAssign};
 pub struct FootprintBreakdown {
     /// Roster bookkeeping: entry slots, id indexes, name interning.
     pub roster: u64,
-    /// Per-peer statistics: windowed ratio rings, reported snapshots.
+    /// Per-peer statistics: windowed ratio rings, reported queue gauges.
     pub stats: u64,
     /// Content directory: published names and holdings, transfer state.
     pub content: u64,

@@ -15,7 +15,7 @@ use netsim::time::SimTime;
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
 use crate::filetransfer::FileMeta;
 use crate::id::{PeerId, TaskId, TransferId};
-use crate::stats::StatsSnapshot;
+use crate::stats::QueueReport;
 use crate::task::TaskSpec;
 
 /// Every message exchanged on the overlay.
@@ -35,13 +35,9 @@ pub enum OverlayMsg {
         /// The departing peer.
         peer: PeerId,
     },
-    /// Periodic client → broker statistics report.
-    StatsReport {
-        /// The reporting peer.
-        peer: PeerId,
-        /// Its self-measured statistics (224 B, hence boxed).
-        snapshot: Box<StatsSnapshot>,
-    },
+    /// Periodic client → broker statistics report: the sender's queue
+    /// gauges. The broker knows the reporter by its host.
+    StatsReport(QueueReport),
 
     // ---- liveness ------------------------------------------------------
     /// Liveness probe.
@@ -264,7 +260,8 @@ impl Payload for OverlayMsg {
             OverlayMsg::Join(adv) => adv.wire_size(),
             OverlayMsg::JoinAck => 32,
             OverlayMsg::Leave { .. } => 24,
-            OverlayMsg::StatsReport { snapshot, .. } => 24 + snapshot.wire_size(),
+            // Priced as the whole 17-criterion snapshot a JXTA client ships.
+            OverlayMsg::StatsReport(_) => 24 + 17 * 8,
             OverlayMsg::Ping { .. } | OverlayMsg::Pong { .. } => 32,
             OverlayMsg::FilePetition { file, .. } => 64 + file.wire_size(),
             OverlayMsg::PetitionAck { .. } => 48,
@@ -298,7 +295,7 @@ impl Payload for OverlayMsg {
             OverlayMsg::Join(_) => "join",
             OverlayMsg::JoinAck => "join-ack",
             OverlayMsg::Leave { .. } => "leave",
-            OverlayMsg::StatsReport { .. } => "stats",
+            OverlayMsg::StatsReport(_) => "stats",
             OverlayMsg::Ping { .. } => "ping",
             OverlayMsg::Pong { .. } => "pong",
             OverlayMsg::FilePetition { .. } => "petition",
@@ -336,7 +333,7 @@ impl Payload for OverlayMsg {
             | OverlayMsg::TaskOffer { .. } => ServiceClass::Wakeup,
             // Hot-path continuation traffic.
             OverlayMsg::JoinAck
-            | OverlayMsg::StatsReport { .. }
+            | OverlayMsg::StatsReport(_)
             | OverlayMsg::Pong { .. }
             | OverlayMsg::PetitionAck { .. }
             | OverlayMsg::FilePart { .. }
@@ -362,6 +359,7 @@ impl Payload for OverlayMsg {
 mod tests {
     use super::*;
     use crate::id::IdGenerator;
+    use crate::stats::StatsSnapshot;
 
     #[test]
     fn overlay_msg_stays_small() {
@@ -485,10 +483,12 @@ mod tests {
             (OverlayMsg::JoinAck, "join-ack", 32, Fast),
             (OverlayMsg::Leave { peer }, "leave", 24, Wakeup),
             (
-                OverlayMsg::StatsReport {
-                    peer,
-                    snapshot: Box::new(StatsSnapshot::empty(1.0)),
-                },
+                OverlayMsg::StatsReport(QueueReport {
+                    inbox_now: 2.0,
+                    inbox_avg: 0.5,
+                    outbox_now: 1.0,
+                    outbox_avg: 0.25,
+                }),
                 "stats",
                 160,
                 Fast,

@@ -302,6 +302,42 @@ impl PeerStats {
             cpu_gops: self.cpu_gops,
         }
     }
+
+    /// The queue gauges at `now`, evaluated as [`PeerStats::snapshot`]
+    /// evaluates them: what a client reports to its broker.
+    pub fn queue_report(&self, now: SimTime) -> QueueReport {
+        QueueReport {
+            inbox_now: self.inbox.current() as f64,
+            inbox_avg: self.inbox.average(now),
+            outbox_now: self.outbox.current() as f64,
+            outbox_avg: self.outbox.average(now),
+        }
+    }
+}
+
+/// The four queue criteria of a peer's own statistics report (inbox and
+/// outbox, now and on average): all a broker keeps of the report, since
+/// it counts everything else itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueReport {
+    /// Inbox length now.
+    pub inbox_now: f64,
+    /// Time-weighted average inbox length.
+    pub inbox_avg: f64,
+    /// Outbox length now.
+    pub outbox_now: f64,
+    /// Time-weighted average outbox length.
+    pub outbox_avg: f64,
+}
+
+impl QueueReport {
+    /// Overrides `snapshot`'s queue criteria with the reported ones.
+    pub fn apply_to(&self, snapshot: &mut StatsSnapshot) {
+        snapshot.inbox_now = self.inbox_now;
+        snapshot.inbox_avg = self.inbox_avg;
+        snapshot.outbox_now = self.outbox_now;
+        snapshot.outbox_avg = self.outbox_avg;
+    }
 }
 
 /// One §2.2 selection criterion.
@@ -594,6 +630,48 @@ mod tests {
     fn windowed_ratio_empty_is_none() {
         let w = WindowedRatio::new(8);
         assert_eq!(w.percent_last_hours(t(1000), 4), None);
+    }
+
+    /// A client reports its queue gauges instead of a whole snapshot; the
+    /// broker must read the same four values the snapshot carried, to the
+    /// bit, whatever the gauges went through.
+    #[test]
+    fn queue_report_is_the_snapshot_gauges_to_the_bit() {
+        let mut rng = netsim::rng::SimRng::new(0x5EED_0042);
+        for _ in 0..64 {
+            let mut stats = PeerStats::new(SimTime::from_secs_f64(rng.uniform() * 100.0), 1.0);
+            let mut now = SimTime::ZERO + SimDuration::from_secs(100);
+            for _ in 0..rng.below(40) {
+                now += SimDuration::from_secs_f64(rng.uniform() * 90.0);
+                let gauge = if rng.bernoulli(0.5) {
+                    &mut stats.inbox
+                } else {
+                    &mut stats.outbox
+                };
+                match rng.below(3) {
+                    0 => gauge.set(now, rng.below(12) as u32),
+                    1 => gauge.incr(now),
+                    _ => gauge.decr(now),
+                }
+                let at = now + SimDuration::from_secs_f64(rng.uniform() * 30.0);
+                let (report, snap) = (stats.queue_report(at), stats.snapshot(at, 24));
+                let bits = |v: [f64; 4]| v.map(f64::to_bits);
+                assert_eq!(
+                    bits([
+                        report.inbox_now,
+                        report.inbox_avg,
+                        report.outbox_now,
+                        report.outbox_avg
+                    ]),
+                    bits([
+                        snap.inbox_now,
+                        snap.inbox_avg,
+                        snap.outbox_now,
+                        snap.outbox_avg
+                    ]),
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@ pub mod transfer_study;
 
 pub use transfer_study::{fig2, fig3, fig4};
 
-use overlay::records::TransferRecord;
+use netsim::node::NodeId;
+use overlay::records::{RunLog, TransferRecord};
 
 use crate::scenario::ScenarioResult;
 
@@ -27,21 +28,18 @@ pub(crate) fn sc_labels() -> Vec<String> {
         .collect()
 }
 
-/// Per-SC mean of `metric` over transfers labelled `label`.
+/// Per-SC mean of `metric` over the transfers in `log` labelled `label`,
+/// SC1 first (`scs` is [`planetlab::builder::Testbed::scs`]).
 /// Returns NaN for SCs with no matching transfer (kept visible in reports).
 pub(crate) fn per_sc_transfer_metric(
-    result: &ScenarioResult,
+    scs: &[NodeId; 8],
+    log: &RunLog,
     label: &str,
     metric: impl Fn(&TransferRecord) -> Option<f64>,
 ) -> Vec<f64> {
-    result
-        .testbed
-        .scs
-        .iter()
+    scs.iter()
         .map(|&sc| {
-            let vals: Vec<f64> = result
-                .run
-                .log
+            let vals: Vec<f64> = log
                 .transfers
                 .iter()
                 .filter(|t| t.to == sc && t.label == label)
@@ -59,7 +57,7 @@ pub(crate) fn per_sc_transfer_metric(
 /// Nominal one-way network delay from the broker to an SC, in seconds —
 /// subtracted from sender-clock petition latencies to recover the
 /// receiver-side service delay the paper's Fig 2 reports.
-pub(crate) fn broker_owd_secs(result: &ScenarioResult, sc: netsim::node::NodeId) -> f64 {
+pub(crate) fn broker_owd_secs(result: &ScenarioResult, sc: NodeId) -> f64 {
     result
         .testbed
         .topology

@@ -88,14 +88,20 @@ pub fn run(spec: &ExperimentSpec) -> TransferStudy {
             .testbed
             .scs
             .iter()
-            .zip(per_sc_transfer_metric(&result, LABEL, |t| {
-                t.petition_latency_secs()
-            }))
+            .zip(per_sc_transfer_metric(
+                &result.testbed.scs,
+                &result.run.log,
+                LABEL,
+                |t| t.petition_latency_secs(),
+            ))
             .map(|(&sc, lat)| lat - broker_owd_secs(&result, sc))
             .collect::<Vec<f64>>();
-        let total_min =
-            per_sc_transfer_metric(&result, LABEL, |t| t.total_secs().map(|s| s / 60.0));
-        let last_mb = per_sc_transfer_metric(&result, LABEL, |t| t.last_part_secs());
+        let total_min = per_sc_transfer_metric(&result.testbed.scs, &result.run.log, LABEL, |t| {
+            t.total_secs().map(|s| s / 60.0)
+        });
+        let last_mb = per_sc_transfer_metric(&result.testbed.scs, &result.run.log, LABEL, |t| {
+            t.last_part_secs()
+        });
         let attrs = attribute_log(&result.run.log);
         let wakeup = per_sc_phase(&result.testbed.scs, &attrs, Phase::Wakeup, 1.0);
         let transmission_min =

@@ -344,32 +344,40 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// The part of a run that can be rejected before an engine exists:
-    /// the workload's testbed and shard map, and its federation wiring.
-    fn plan(
-        workload: &dyn Workload,
-        seed: u64,
-    ) -> Result<(TopologyPlan, Federation), HarnessError> {
-        let plan = workload.topology(seed)?;
-        let federation = Federation::new(plan.brokers.clone(), &workload.federation())?;
-        Ok((plan, federation))
+    /// The brokers' federation wiring, as `workload` asks for it.
+    fn federate(workload: &dyn Workload, brokers: &[NodeId]) -> Result<Federation, HarnessError> {
+        Ok(Federation::new(brokers.to_vec(), &workload.federation())?)
     }
 
-    /// Plans `workload` under `seed` without running it, so a caller
-    /// about to fan many runs out (a sweep campaign) can refuse a
-    /// malformed one first.
+    /// Plans `workload` under `seed` without running it — its testbed and
+    /// shard map, and its federation wiring — so a caller about to fan
+    /// many runs out (a sweep campaign) can refuse a malformed one first.
     pub fn check(&self, workload: &dyn Workload, seed: u64) -> Result<(), HarnessError> {
-        Self::plan(workload, seed).map(|_| ())
+        Self::federate(workload, &workload.topology(seed)?.brokers).map(|_| ())
     }
 
-    /// Runs `workload` under `seed`: plan the testbed, hand out
-    /// per-shard sinks, wire the federation, build the fleet, assemble
-    /// the sharded engine with the requested telemetry, run to the
-    /// horizon, and drain merged results. Byte-identical for any
-    /// `shard_workers` at fixed shards.
+    /// Runs `workload` under `seed`: plan the testbed, then
+    /// [`run_planned`](Self::run_planned) on it.
     pub fn run(&self, workload: &dyn Workload, seed: u64) -> Result<HarnessRun, HarnessError> {
+        self.run_planned(workload, workload.topology(seed)?, seed)
+    }
+
+    /// Runs `workload` under `seed` on `plan`, which the caller built —
+    /// as [`Workload::topology`] would, but from a testbed it keeps, so
+    /// replications on one testbed clone it instead of rebuilding it:
+    /// hand out per-shard sinks, wire the federation, build the fleet,
+    /// assemble the sharded engine with the requested telemetry, run to
+    /// the horizon, and drain merged results. Byte-identical for any
+    /// `shard_workers` at fixed shards.
+    pub fn run_planned(
+        &self,
+        workload: &dyn Workload,
+        plan: TopologyPlan,
+        seed: u64,
+    ) -> Result<HarnessRun, HarnessError> {
         let p = &self.params;
-        let (TopologyPlan { topo, map, brokers }, federation) = Self::plan(workload, seed)?;
+        let TopologyPlan { topo, map, brokers } = plan;
+        let federation = Self::federate(workload, &brokers)?;
         let sinks: Vec<RecordSink> = (0..map.num_shards()).map(|_| RecordSink::new()).collect();
         let actors = workload.actors(&BuildCtx {
             seed,

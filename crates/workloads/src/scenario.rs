@@ -6,13 +6,16 @@ use netsim::node::NodeId;
 use netsim::shard::ShardMap;
 use netsim::time::SimDuration;
 use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
+use netsim::topology::Topology;
 use netsim::transport::TransportConfig;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, RetryPolicy, TargetSpec};
 use overlay::client::{ClientCommand, ClientConfig, SimpleClient};
 use overlay::message::OverlayMsg;
 use planetlab::builder::{build, Testbed, TestbedConfig};
 
-use crate::harness::{BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder};
+use crate::harness::{
+    BuildCtx, Harness, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder,
+};
 
 pub use overlay::selector::SelectorFactory;
 
@@ -294,17 +297,49 @@ impl ScenarioConfig {
 
     /// Runs one replication under `seed` on `harness`; whatever the
     /// harness rejects — a run parameter, this scenario, the shard
-    /// layout — comes back as its [`HarnessError`].
+    /// layout — comes back as its [`HarnessError`]. The testbed is built
+    /// once: the engine runs on a copy of its topology, and the result
+    /// keeps it for report code.
     pub fn run_with(
         &self,
         harness: WorkloadBuilder,
         seed: u64,
     ) -> Result<ScenarioResult, HarnessError> {
-        let run = harness.build()?.run(self, seed)?;
-        // The engine consumed the topology it ran on; report code gets the
-        // same testbed rebuilt (a pure function of the config).
-        let testbed = build(&self.testbed);
+        let harness = harness.build()?;
+        let testbed = self.checked_testbed()?;
+        let run = self.run_on(&harness, &testbed, seed)?;
         Ok(ScenarioResult { run, testbed })
+    }
+
+    /// The testbed, built once the shard count and [`validate`](Self::validate)
+    /// accept this scenario.
+    pub(crate) fn checked_testbed(&self) -> Result<Testbed, HarnessError> {
+        if self.shards == 0 {
+            return Err(HarnessError::ZeroParallelism { what: "shards" });
+        }
+        self.validate().map_err(HarnessError::Scenario)?;
+        Ok(build(&self.testbed))
+    }
+
+    /// Runs one replication under `seed` on a copy of `testbed`, which
+    /// [`checked_testbed`](Self::checked_testbed) built from this config.
+    pub(crate) fn run_on(
+        &self,
+        harness: &Harness,
+        testbed: &Testbed,
+        seed: u64,
+    ) -> Result<HarnessRun, HarnessError> {
+        let plan = self.plan(testbed.topology.clone(), testbed.broker);
+        harness.run_planned(self, plan, seed)
+    }
+
+    /// The plan this scenario runs on `topo`, whose broker is `broker`.
+    fn plan(&self, topo: Topology, broker: NodeId) -> TopologyPlan {
+        TopologyPlan {
+            map: ShardMap::modulo(topo.len(), self.shards),
+            brokers: vec![broker],
+            topo,
+        }
     }
 }
 
@@ -323,16 +358,8 @@ impl Workload for ScenarioConfig {
     }
 
     fn topology(&self, _seed: u64) -> Result<TopologyPlan, HarnessError> {
-        if self.shards == 0 {
-            return Err(HarnessError::ZeroParallelism { what: "shards" });
-        }
-        self.validate().map_err(HarnessError::Scenario)?;
-        let testbed = build(&self.testbed);
-        Ok(TopologyPlan {
-            map: ShardMap::modulo(testbed.len(), self.shards),
-            brokers: vec![testbed.broker],
-            topo: testbed.topology,
-        })
+        let testbed = self.checked_testbed()?;
+        Ok(self.plan(testbed.topology, testbed.broker))
     }
 
     fn transport(&self) -> TransportConfig {

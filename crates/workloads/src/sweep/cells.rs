@@ -3,23 +3,26 @@
 //! ([`CellWorkload::plan`]) and how a replication is run and reduced to
 //! rows ([`CellPlan::run`]).
 //!
-//! Every cell is planned by the harness that will run it
-//! ([`Harness::check`]: run parameters, scenario rules, shard map,
-//! federation wiring), so a mis-specified grid fails before any thread
-//! spins up.
+//! Every cell is planned by the harness that will run it, so a
+//! mis-specified grid fails before any thread spins up: a paper-scenario
+//! cell checks its run parameters and scenario rules and builds the
+//! testbed its replications run copies of (one broker, whose federation
+//! wiring is always accepted); any other cell is checked by
+//! [`Harness::check`] (run parameters, shard map, federation wiring).
 //!
 //! [`Harness::check`]: crate::harness::Harness::check
 
 use netsim::metrics::Metrics;
 use netsim::time::SimDuration;
 use overlay::broker::{BrokerCommand, RetryPolicy, TargetSpec};
+use planetlab::builder::Testbed;
 
 use super::{Axis, Cell, SweepError, SweepSpec};
 use crate::experiments::{fig6, per_sc_transfer_metric, sc_labels};
 use crate::federation::{
     petition_latencies, run_federation, FederationConfig, FederationWorkload, LatencySummary,
 };
-use crate::harness::{Workload, WorkloadBuilder};
+use crate::harness::{Harness, HarnessRun, Workload, WorkloadBuilder};
 use crate::scenario::ScenarioConfig;
 use crate::spec::MB;
 use crate::streaming::{
@@ -137,10 +140,32 @@ pub(super) struct RepOutcome {
 
 /// One cell's run config, accepted by the layer that will run it.
 pub(super) enum CellPlan {
-    Distribute(ScenarioConfig),
-    SelectedTransfer(ScenarioConfig),
+    Distribute(ScenarioCell),
+    SelectedTransfer(ScenarioCell),
     Federation(FederationConfig),
     Streaming(StreamingConfig),
+}
+
+/// A paper-scenario cell: its config, the harness it was checked on, and
+/// the testbed built once for every replication to run a copy of.
+pub(super) struct ScenarioCell {
+    cfg: ScenarioConfig,
+    harness: Harness,
+    testbed: Testbed,
+}
+
+impl ScenarioCell {
+    fn new(cfg: ScenarioConfig) -> Result<Self, SweepError> {
+        Ok(ScenarioCell {
+            harness: cfg.harness().build()?,
+            testbed: cfg.checked_testbed()?,
+            cfg,
+        })
+    }
+
+    fn run(&self, seed: u64) -> Result<HarnessRun, SweepError> {
+        Ok(self.cfg.run_on(&self.harness, &self.testbed, seed)?)
+    }
 }
 
 impl CellWorkload {
@@ -166,16 +191,14 @@ impl CellWorkload {
                         label: DISTRIBUTE_LABEL.into(),
                     },
                 ));
-                check(cfg.harness(), &cfg)?;
-                Ok(CellPlan::Distribute(cfg))
+                Ok(CellPlan::Distribute(ScenarioCell::new(cfg)?))
             }
             CellWorkload::SelectedTransfer {
                 measured_bytes,
                 background_bytes,
             } => {
                 let cfg = selected_transfer_for_cell(spec, cell, measured_bytes, background_bytes)?;
-                check(cfg.harness(), &cfg)?;
-                Ok(CellPlan::SelectedTransfer(cfg))
+                Ok(CellPlan::SelectedTransfer(ScenarioCell::new(cfg)?))
             }
             CellWorkload::Federation { peers } => {
                 let cfg = federation_for_cell(cell, peers);
@@ -197,19 +220,20 @@ impl CellPlan {
     /// an error, never a panic inside the pool.
     pub(super) fn run(&self, seed: u64) -> Result<RepOutcome, SweepError> {
         match self {
-            CellPlan::Distribute(cfg) => {
-                let result = cfg.run_with(cfg.harness(), seed)?;
-                let minutes = per_sc_transfer_metric(&result, DISTRIBUTE_LABEL, |t| {
+            CellPlan::Distribute(cell) => {
+                let run = cell.run(seed)?;
+                let scs = &cell.testbed.scs;
+                let minutes = per_sc_transfer_metric(scs, &run.log, DISTRIBUTE_LABEL, |t| {
                     t.total_secs().map(|s| s / 60.0)
                 });
                 Ok(RepOutcome {
                     values: sc_labels().into_iter().zip(minutes).collect(),
                     chosen: String::new(),
-                    metrics: result.run.metrics,
+                    metrics: run.metrics,
                 })
             }
-            CellPlan::SelectedTransfer(cfg) => {
-                let run = cfg.run_with(cfg.harness(), seed)?.run;
+            CellPlan::SelectedTransfer(cell) => {
+                let run = cell.run(seed)?;
                 let secs = run
                     .log
                     .transfers
