@@ -26,7 +26,7 @@ use crate::transport::{
 /// On a contended PlanetLab sliver, a message that must *wake* the
 /// application (a new petition, a job assignment) pays the full service
 /// delay; messages handled on an already-hot path (streamed file parts,
-/// acks) pay only a small fraction; pure data-plane traffic pays none.
+/// acks) pay only a small fraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceClass {
     /// Wakes the application: full service-delay sample.
@@ -34,8 +34,6 @@ pub enum ServiceClass {
     /// Hot-path handling: service-delay sample scaled by
     /// [`FAST_SERVICE_FACTOR`].
     Fast,
-    /// Data plane only: no service delay.
-    Bulk,
 }
 
 /// A message that can travel between actors: it must know its wire size so
@@ -311,7 +309,6 @@ impl<'a, M: Payload> Context<'a, M> {
         match msg.service_class() {
             ServiceClass::Wakeup => delay.sample_secs(&mut core.net_rng),
             ServiceClass::Fast => delay.sample_secs(&mut core.net_rng) * FAST_SERVICE_FACTOR,
-            ServiceClass::Bulk => 0.0,
         }
     }
 
@@ -397,10 +394,8 @@ impl<'a, M: Payload> Context<'a, M> {
     /// Samples the wall time this node needs to execute `work_gops`
     /// giga-operations, under its CPU/contention model.
     pub fn execution_time(&mut self, work_gops: f64) -> SimDuration {
-        let node = self.core.current;
-        let now = self.core.clock;
-        let cpu = self.core.topo.node(node).cpu.clone();
-        cpu.execution_time_at(work_gops, now, self.core.current_rng())
+        let cpu = self.core.topo.node(self.core.current).cpu.clone();
+        cpu.execution_time(work_gops, self.core.current_rng())
     }
 
     /// Uncontended estimate of shipping `bytes` from this node to `to`
@@ -579,16 +574,11 @@ impl<M: Payload> Engine<M> {
         self.core.timers_pending
     }
 
-    /// Lengths of the per-node tables this engine holds: RNG streams, actor
-    /// slots, and the planner's in-flight lists.
+    /// Lengths of the per-node tables this engine holds: RNG streams and
+    /// actor slots.
     #[cfg(test)]
-    pub(crate) fn node_table_lens(&self) -> [usize; 3] {
-        let core = &self.core;
-        [
-            core.node_rngs.len(),
-            self.actors.len(),
-            core.planner.inflight_lists(),
-        ]
+    pub(crate) fn node_table_lens(&self) -> [usize; 2] {
+        [self.core.node_rngs.len(), self.actors.len()]
     }
 
     /// Total events processed so far across all run calls.

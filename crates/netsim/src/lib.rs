@@ -89,5 +89,5 @@ pub mod prelude {
         SeriesId, SeriesMode, SeriesRow, SeriesSource, TimeSeriesError, TimeSeriesRecorder,
     };
     pub use crate::topology::Topology;
-    pub use crate::transport::{ReceiverDiscipline, TransferPlanner, TransportConfig};
+    pub use crate::transport::{TransferPlanner, TransportConfig};
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::rng::{DelayDistribution, SimRng};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Dense index identifying a node within one simulation. Assigned by the
 /// topology builder in insertion order; stable for the life of the sim.
@@ -44,19 +44,6 @@ pub struct CpuModel {
 pub enum LoadModel {
     /// Always this fraction of the CPU is stolen by other slivers.
     Constant(f64),
-    /// Diurnal pattern: load oscillates around `mean` with amplitude
-    /// `swing` over a 24-hour period (PlanetLab load follows its users'
-    /// working hours), plus uniform noise of ±`noise`.
-    Diurnal {
-        /// Mean load fraction over the day.
-        mean: f64,
-        /// Peak-to-mean amplitude of the daily cycle.
-        swing: f64,
-        /// Uniform jitter added on top.
-        noise: f64,
-        /// Hour of peak load (0–24).
-        peak_hour: f64,
-    },
     /// Uniform in `[lo, hi]`.
     Uniform {
         /// Lower bound of the load fraction.
@@ -64,51 +51,24 @@ pub enum LoadModel {
         /// Upper bound of the load fraction.
         hi: f64,
     },
-    /// Beta-like shape via clamped normal; convenient for "usually busy"
-    /// nodes: mean load with some spread.
-    Normal {
-        /// Mean load fraction.
-        mean: f64,
-        /// Standard deviation of the load fraction.
-        std_dev: f64,
-    },
 }
 
 impl LoadModel {
-    /// Samples a load fraction at virtual time `now`, clamped into
-    /// `[0, 0.99]` so progress is always possible.
-    pub fn sample_at(&self, now: SimTime, rng: &mut SimRng) -> f64 {
+    /// Samples a load fraction, clamped into `[0, 0.99]` so progress is
+    /// always possible.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         let raw = match *self {
             LoadModel::Constant(l) => l,
-            LoadModel::Diurnal {
-                mean,
-                swing,
-                noise,
-                peak_hour,
-            } => {
-                let hour = (now.as_secs_f64() / 3600.0) % 24.0;
-                let phase = (hour - peak_hour) / 24.0 * std::f64::consts::TAU;
-                mean + swing * phase.cos() + rng.uniform_range(-noise, noise)
-            }
             LoadModel::Uniform { lo, hi } => rng.uniform_range(lo, hi),
-            LoadModel::Normal { mean, std_dev } => rng.normal(mean, std_dev),
         };
         raw.clamp(0.0, 0.99)
-    }
-
-    /// Samples a load fraction with no time context (diurnal models sample
-    /// at the epoch).
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_at(SimTime::ZERO, rng)
     }
 
     /// The model's mean load (clamped like samples are).
     pub fn mean(&self) -> f64 {
         match *self {
             LoadModel::Constant(l) => l.clamp(0.0, 0.99),
-            LoadModel::Diurnal { mean, .. } => mean.clamp(0.0, 0.99),
             LoadModel::Uniform { lo, hi } => ((lo + hi) / 2.0).clamp(0.0, 0.99),
-            LoadModel::Normal { mean, .. } => mean.clamp(0.0, 0.99),
         }
     }
 }
@@ -125,16 +85,10 @@ impl CpuModel {
     /// Time to execute `work_gops` giga-operations, with the background load
     /// sampled once for the whole execution.
     pub fn execution_time(&self, work_gops: f64, rng: &mut SimRng) -> SimDuration {
-        self.execution_time_at(work_gops, SimTime::ZERO, rng)
-    }
-
-    /// Like [`CpuModel::execution_time`], with time context so diurnal load
-    /// models see the clock.
-    pub fn execution_time_at(&self, work_gops: f64, now: SimTime, rng: &mut SimRng) -> SimDuration {
         if work_gops <= 0.0 || self.base_gops <= 0.0 {
             return SimDuration::ZERO;
         }
-        let load = self.load.sample_at(now, rng);
+        let load = self.load.sample(rng);
         let effective = self.base_gops * (1.0 - load);
         SimDuration::from_secs_f64(work_gops / effective)
     }
@@ -223,10 +177,7 @@ mod tests {
     #[test]
     fn load_samples_clamped() {
         let mut rng = SimRng::new(3);
-        let m = LoadModel::Normal {
-            mean: 0.9,
-            std_dev: 0.5,
-        };
+        let m = LoadModel::Uniform { lo: -0.5, hi: 1.5 };
         for _ in 0..2000 {
             let l = m.sample(&mut rng);
             assert!((0.0..=0.99).contains(&l));
@@ -243,57 +194,6 @@ mod tests {
         let t = cpu.expected_execution_time(6.0);
         // mean load 0.4 → effective 0.6 gops → 10 s
         assert!((t.as_secs_f64() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn diurnal_load_peaks_at_peak_hour() {
-        let m = LoadModel::Diurnal {
-            mean: 0.5,
-            swing: 0.3,
-            noise: 0.0,
-            peak_hour: 14.0,
-        };
-        let mut rng = SimRng::new(7);
-        let mut at = |h: f64| m.sample_at(SimTime::from_secs_f64(h * 3600.0), &mut rng);
-        let peak = at(14.0);
-        let trough = at(2.0);
-        assert!((peak - 0.8).abs() < 1e-9, "peak {peak}");
-        assert!(trough < 0.3, "trough {trough}");
-        // The cycle repeats daily.
-        assert!((at(14.0 + 24.0) - peak).abs() < 1e-9);
-        assert_eq!(m.mean(), 0.5);
-    }
-
-    #[test]
-    fn diurnal_noise_stays_clamped() {
-        let m = LoadModel::Diurnal {
-            mean: 0.9,
-            swing: 0.3,
-            noise: 0.2,
-            peak_hour: 12.0,
-        };
-        let mut rng = SimRng::new(8);
-        for h in 0..100 {
-            let l = m.sample_at(SimTime::from_secs_f64(h as f64 * 977.0), &mut rng);
-            assert!((0.0..=0.99).contains(&l));
-        }
-    }
-
-    #[test]
-    fn execution_time_at_uses_clock_for_diurnal() {
-        let cpu = CpuModel {
-            base_gops: 1.0,
-            load: LoadModel::Diurnal {
-                mean: 0.5,
-                swing: 0.4,
-                noise: 0.0,
-                peak_hour: 12.0,
-            },
-        };
-        let mut rng = SimRng::new(9);
-        let busy = cpu.execution_time_at(10.0, SimTime::from_secs_f64(12.0 * 3600.0), &mut rng);
-        let quiet = cpu.execution_time_at(10.0, SimTime::from_secs_f64(0.0), &mut rng);
-        assert!(busy > quiet, "noon must be slower than midnight");
     }
 
     #[test]

@@ -125,13 +125,13 @@ fn each_shard_holds_per_node_state_for_its_own_nodes_only() {
     let map = ShardMap::from_assignment(vec![1, 0, 1, 1, 0, 1]).unwrap();
     let e = ShardedEngine::<Token>::new(two_region_topo(), TransportConfig::default(), 3, map, 1)
         .unwrap();
-    // RNG streams, actor slots; FIFO receivers keep no in-flight lists.
-    assert_eq!(e.engine(0).node_table_lens(), [2, 2, 0]);
-    assert_eq!(e.engine(1).node_table_lens(), [4, 4, 0]);
+    // RNG streams and actor slots.
+    assert_eq!(e.engine(0).node_table_lens(), [2, 2]);
+    assert_eq!(e.engine(1).node_table_lens(), [4, 4]);
     let lone = ShardMap::single(6);
     let e = ShardedEngine::<Token>::new(two_region_topo(), TransportConfig::default(), 3, lone, 1)
         .unwrap();
-    assert_eq!(e.engine(0).node_table_lens(), [6, 6, 0]);
+    assert_eq!(e.engine(0).node_table_lens(), [6, 6]);
 }
 
 /// Checks at start that it runs as its own node, on that node's stream.

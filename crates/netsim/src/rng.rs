@@ -208,13 +208,6 @@ impl RngCore for SimRng {
 pub enum DelayDistribution {
     /// Always exactly this many seconds.
     Constant(f64),
-    /// `base + Exp(mean_extra)`: a floor plus an exponential tail.
-    ShiftedExponential {
-        /// The deterministic floor, seconds.
-        base: f64,
-        /// Mean of the exponential tail, seconds.
-        mean_extra: f64,
-    },
     /// Lognormal around a median with shape `sigma`; models the long-tailed
     /// scheduling delays seen on contended PlanetLab slivers.
     Lognormal {
@@ -237,9 +230,6 @@ impl DelayDistribution {
     pub fn sample_secs(&self, rng: &mut SimRng) -> f64 {
         let v = match *self {
             DelayDistribution::Constant(s) => s,
-            DelayDistribution::ShiftedExponential { base, mean_extra } => {
-                base + rng.exponential(mean_extra)
-            }
             DelayDistribution::Lognormal { median, sigma } => rng.lognormal_median(median, sigma),
             DelayDistribution::Uniform { lo, hi } => rng.uniform_range(lo, hi),
         };
@@ -254,9 +244,6 @@ impl DelayDistribution {
     pub fn mean_secs(&self) -> f64 {
         match *self {
             DelayDistribution::Constant(s) => s.max(0.0),
-            DelayDistribution::ShiftedExponential { base, mean_extra } => {
-                base.max(0.0) + mean_extra.max(0.0)
-            }
             DelayDistribution::Lognormal { median, sigma } => {
                 median.max(0.0) * (sigma * sigma / 2.0).exp()
             }
@@ -430,10 +417,6 @@ mod tests {
         let mut rng = SimRng::new(47);
         let dists = [
             DelayDistribution::Constant(0.25),
-            DelayDistribution::ShiftedExponential {
-                base: 0.01,
-                mean_extra: 0.05,
-            },
             DelayDistribution::Lognormal {
                 median: 0.1,
                 sigma: 1.2,
@@ -451,14 +434,6 @@ mod tests {
     #[test]
     fn delay_distribution_means() {
         assert_eq!(DelayDistribution::Constant(2.0).mean_secs(), 2.0);
-        assert_eq!(
-            DelayDistribution::ShiftedExponential {
-                base: 1.0,
-                mean_extra: 0.5
-            }
-            .mean_secs(),
-            1.5
-        );
         assert_eq!(
             DelayDistribution::Uniform { lo: 1.0, hi: 3.0 }.mean_secs(),
             2.0

@@ -3,7 +3,7 @@
 //! A [`TimeSeriesRecorder`] snapshots a fixed set of derived series at
 //! fixed sim-time intervals, producing rows keyed **only by virtual time**.
 //! Because sampling instants are sim-time boundaries — never wall-clock
-//! moments — the exported CSV/JSONL is byte-identical for any shard-worker
+//! moments — the exported CSV is byte-identical for any shard-worker
 //! count: the engines decide *when* a boundary has definitively passed
 //! (every event at or before it has run), and the metrics merged at that
 //! point are themselves worker-count invariant.
@@ -22,8 +22,8 @@
 //!   since the barrier schedule is a pure function of shard states.
 //!
 //! Series are *derived*: each column evaluates a [`SeriesSource`]
-//! expression (counters, gauges, prefix sums, differences, ratios) against
-//! the current registry, in [`SeriesMode::Cumulative`] or
+//! expression (counters, gauge prefix sums, sums, differences, ratios)
+//! against the current registry, in [`SeriesMode::Cumulative`] or
 //! [`SeriesMode::Delta`] form.
 
 use std::fmt;
@@ -47,10 +47,6 @@ pub enum SeriesMode {
 pub enum SeriesSource {
     /// A named counter (0 when absent).
     Counter(String),
-    /// Sum of every counter whose name starts with the prefix.
-    CounterPrefix(String),
-    /// A named gauge (0 when absent).
-    Gauge(String),
     /// Sum of every gauge whose name starts with the prefix.
     GaugePrefix(String),
     /// Sum of sub-expressions.
@@ -67,12 +63,6 @@ impl SeriesSource {
     pub fn eval(&self, metrics: &Metrics) -> f64 {
         match self {
             SeriesSource::Counter(name) => metrics.counter(name) as f64,
-            SeriesSource::CounterPrefix(prefix) => metrics
-                .counters_sorted()
-                .filter(|(name, _)| name.starts_with(prefix.as_str()))
-                .map(|(_, v)| v as f64)
-                .sum(),
-            SeriesSource::Gauge(name) => metrics.gauge(name),
             SeriesSource::GaugePrefix(prefix) => metrics
                 .gauges_sorted()
                 .filter(|(name, _)| name.starts_with(prefix.as_str()))
@@ -266,26 +256,6 @@ impl TimeSeriesRecorder {
         }
         out
     }
-
-    /// Deterministic JSONL export: one object per row, `t_secs` first,
-    /// then each series under its registered name in registration order.
-    /// Non-finite values render as `null`.
-    pub fn to_jsonl(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        for row in &self.rows {
-            write!(out, "{{\"t_secs\":{}", row.t.as_secs_f64()).expect("string write");
-            for (name, v) in self.names.iter().zip(&row.values) {
-                if v.is_finite() {
-                    write!(out, ",\"{name}\":{v}").expect("string write");
-                } else {
-                    write!(out, ",\"{name}\":null").expect("string write");
-                }
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -393,7 +363,6 @@ mod tests {
             SeriesSource::GaugePrefix("registry.bytes.".into()).eval(&m),
             150.0
         );
-        assert_eq!(SeriesSource::CounterPrefix("churn.".into()).eval(&m), 20.0);
         let per_peer = SeriesSource::Ratio(
             Box::new(SeriesSource::GaugePrefix("registry.bytes.".into())),
             Box::new(SeriesSource::GaugePrefix("registry.peers.".into())),
@@ -407,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_jsonl_are_stable() {
+    fn csv_is_stable() {
         let mut rec = recorder();
         let mut m = Metrics::new();
         rec.sample_up_to(secs(0), &m);
@@ -415,10 +384,5 @@ mod tests {
         m.incr_id(sent, 3);
         rec.sample_up_to(secs(10), &m);
         assert_eq!(rec.to_csv(), "t_secs,sent,sent_rate\n0,0,0\n10,3,3\n");
-        assert_eq!(
-            rec.to_jsonl(),
-            "{\"t_secs\":0,\"sent\":0,\"sent_rate\":0}\n\
-             {\"t_secs\":10,\"sent\":3,\"sent_rate\":3}\n"
-        );
     }
 }

@@ -10,8 +10,8 @@
 //! the `psim trace` command exports it as deterministic JSONL.
 //!
 //! Span-style begin/end pairs ([`TraceEventKind::SpanBegin`] /
-//! [`TraceEventKind::SpanEnd`]) mark where each transfer, selection and
-//! task starts and stops in the exported history.
+//! [`TraceEventKind::SpanEnd`]) mark where each transfer starts and stops
+//! in the exported history.
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
@@ -24,10 +24,6 @@ use crate::time::SimTime;
 pub enum SpanKind {
     /// One file transfer, keyed by its transfer id.
     Transfer,
-    /// One selection decision and the work it placed.
-    Selection,
-    /// One task execution.
-    Task,
 }
 
 impl SpanKind {
@@ -35,8 +31,6 @@ impl SpanKind {
     pub fn label(self) -> &'static str {
         match self {
             SpanKind::Transfer => "transfer",
-            SpanKind::Selection => "selection",
-            SpanKind::Task => "task",
         }
     }
 }

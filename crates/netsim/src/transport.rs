@@ -27,20 +27,6 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
-/// How concurrent arrivals share a receiver's capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReceiverDiscipline {
-    /// Arrivals queue strictly: one transfer is serviced at a time
-    /// (the default; matches TCP receive-side serialization closely for
-    /// stop-and-wait overlay protocols).
-    Fifo,
-    /// Processor-sharing approximation: arrivals start immediately but each
-    /// active transfer's service stretches with the number of concurrent
-    /// transfers at plan time. Used by the ablation tests to show which
-    /// findings depend on the queueing discipline.
-    ProcessorSharing,
-}
-
 /// TCP maximum segment size in bytes (Mathis model input).
 pub const MSS_BYTES: f64 = 1460.0;
 /// Mathis constant `C` (≈1.22 for periodic loss).
@@ -70,8 +56,6 @@ pub struct TransportConfig {
     pub enable_large_msg_penalty: bool,
     /// Fixed per-message framing overhead added to the payload size.
     pub per_message_overhead_bytes: u64,
-    /// Receiver-side capacity-sharing discipline.
-    pub receiver_discipline: ReceiverDiscipline,
     /// Probability that a whole message is lost in the network and never
     /// delivered (overlay protocols must retransmit). Default 0: the
     /// transport behaves like TCP (loss only shapes throughput).
@@ -85,7 +69,6 @@ impl Default for TransportConfig {
             enable_slow_start: true,
             enable_large_msg_penalty: true,
             per_message_overhead_bytes: 512,
-            receiver_discipline: ReceiverDiscipline::Fifo,
             message_drop_probability: 0.0,
         }
     }
@@ -134,7 +117,7 @@ pub struct RemoteSendPlan {
     /// When the first byte reaches the destination host.
     pub first_byte: SimTime,
     /// Bottleneck service time (incl. slow-start penalty) still to be
-    /// applied under the receiver's queueing discipline.
+    /// queued at the receiver's FIFO downlink.
     pub service: SimDuration,
 }
 
@@ -142,34 +125,25 @@ pub struct RemoteSendPlan {
 ///
 /// A shard's planner is only ever asked about the nodes its shard owns, so
 /// its tables cost memory only where it writes: the horizons are allocated
-/// zeroed (untouched pages stay unmapped), and the in-flight lists exist
-/// only under processor sharing, the one discipline that reads them.
+/// zeroed (untouched pages stay unmapped).
 #[derive(Debug, Clone)]
 pub struct TransferPlanner {
     config: TransportConfig,
     /// Per sender: nanoseconds until which its uplink is busy.
     up_busy_until: Vec<u64>,
-    /// Per receiver: nanoseconds until which its downlink is busy (FIFO).
+    /// Per receiver: nanoseconds until which its downlink is busy.
     down_busy_until: Vec<u64>,
-    /// Completion times of in-flight transfers per receiver
-    /// (processor-sharing mode only; pruned lazily).
-    down_inflight: Vec<Vec<SimTime>>,
 }
 
 impl TransferPlanner {
     /// Creates a planner for a topology of `n` nodes.
     pub fn new(config: TransportConfig, n: usize) -> Self {
-        let down_inflight = match config.receiver_discipline {
-            ReceiverDiscipline::Fifo => Vec::new(),
-            ReceiverDiscipline::ProcessorSharing => vec![Vec::new(); n],
-        };
         TransferPlanner {
             config,
             // Nanoseconds, not `SimTime`: `vec![0u64; n]` is a zeroed
             // allocation, while `vec![SimTime::ZERO; n]` writes every element.
             up_busy_until: vec![0; n],
             down_busy_until: vec![0; n],
-            down_inflight,
         }
     }
 
@@ -177,12 +151,6 @@ impl TransferPlanner {
     #[inline]
     pub fn config(&self) -> &TransportConfig {
         &self.config
-    }
-
-    /// Number of per-receiver in-flight lists held.
-    #[cfg(test)]
-    pub(crate) fn inflight_lists(&self) -> usize {
-        self.down_inflight.len()
     }
 
     /// Combined loss probability of two access links in series.
@@ -301,31 +269,14 @@ impl TransferPlanner {
         }
     }
 
-    /// Receiver-side half of [`TransferPlanner::plan`]: applies the
-    /// destination's queueing discipline to a sender-side plan and returns
-    /// the delivery time of the last byte.
+    /// Receiver-side half of [`TransferPlanner::plan`]: queues a
+    /// sender-side plan at the destination's FIFO downlink and returns the
+    /// delivery time of the last byte.
     pub fn admit_remote(&mut self, to: NodeId, plan: RemoteSendPlan) -> SimTime {
-        let RemoteSendPlan {
-            first_byte,
-            service,
-            ..
-        } = plan;
-        match self.config.receiver_discipline {
-            ReceiverDiscipline::Fifo => {
-                let down_busy = &mut self.down_busy_until[to.index()];
-                let deliver = first_byte.max(SimTime::from_nanos(*down_busy)) + service;
-                *down_busy = deliver.as_nanos();
-                deliver
-            }
-            ReceiverDiscipline::ProcessorSharing => {
-                let inflight = &mut self.down_inflight[to.index()];
-                inflight.retain(|&done| done > first_byte);
-                let concurrency = inflight.len() as f64;
-                let deliver = first_byte + service.mul_f64(1.0 + concurrency);
-                inflight.push(deliver);
-                deliver
-            }
-        }
+        let down_busy = &mut self.down_busy_until[to.index()];
+        let deliver = plan.first_byte.max(SimTime::from_nanos(*down_busy)) + plan.service;
+        *down_busy = deliver.as_nanos();
+        deliver
     }
 
     /// Non-mutating estimate of an uncontended transfer's duration
@@ -492,58 +443,6 @@ mod tests {
         let actual = timing.total_from(SimTime::ZERO);
         let ratio = actual.as_secs_f64() / est.as_secs_f64();
         assert!((0.8..1.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn processor_sharing_starts_immediately_but_stretches() {
-        let (t, a, b) = two_node_topo(8.0, 10.0, 0.0); // 1 MB/s
-        let mut fifo = TransferPlanner::new(TransportConfig::ideal(), t.len());
-        let ps_cfg = TransportConfig {
-            receiver_discipline: ReceiverDiscipline::ProcessorSharing,
-            ..TransportConfig::ideal()
-        };
-        let mut ps = TransferPlanner::new(ps_cfg, t.len());
-        let mut rng = SimRng::new(10);
-        // Two concurrent 1 MB transfers to the same receiver.
-        let f1 = fifo.plan(&t, SimTime::ZERO, a, b, 1_000_000, &mut rng);
-        let f2 = fifo.plan(&t, SimTime::ZERO, a, b, 1_000_000, &mut rng);
-        let mut rng = SimRng::new(10);
-        let p1 = ps.plan(&t, SimTime::ZERO, a, b, 1_000_000, &mut rng);
-        let p2 = ps.plan(&t, SimTime::ZERO, a, b, 1_000_000, &mut rng);
-        // FIFO: second completes ~2 s after start; first after ~1 s.
-        assert!(f2.deliver > f1.deliver);
-        // PS: the second is stretched 2×; the first unaffected (planned first).
-        assert!(p1.deliver <= f1.deliver + SimDuration::from_millis(1));
-        assert!(p2.deliver >= p1.deliver);
-        // Sequential (non-overlapping) transfers behave identically in both.
-        let mut fifo2 = TransferPlanner::new(TransportConfig::ideal(), t.len());
-        let ps_cfg2 = TransportConfig {
-            receiver_discipline: ReceiverDiscipline::ProcessorSharing,
-            ..TransportConfig::ideal()
-        };
-        let mut ps2 = TransferPlanner::new(ps_cfg2, t.len());
-        let mut rng = SimRng::new(11);
-        let fa = fifo2.plan(&t, SimTime::ZERO, a, b, 100_000, &mut rng);
-        let fb = fifo2.plan(
-            &t,
-            fa.deliver + SimDuration::from_secs(5),
-            a,
-            b,
-            100_000,
-            &mut rng,
-        );
-        let mut rng = SimRng::new(11);
-        let pa = ps2.plan(&t, SimTime::ZERO, a, b, 100_000, &mut rng);
-        let pb = ps2.plan(
-            &t,
-            pa.deliver + SimDuration::from_secs(5),
-            a,
-            b,
-            100_000,
-            &mut rng,
-        );
-        assert_eq!(fa.deliver, pa.deliver);
-        assert_eq!(fb.deliver, pb.deliver);
     }
 
     #[test]

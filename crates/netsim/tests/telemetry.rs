@@ -234,12 +234,11 @@ fn sharded_series_exports_are_worker_count_invariant() {
             !rec.is_empty(),
             "series must have rows at {workers} workers"
         );
-        exports.push((workers, rec.to_csv(), rec.to_jsonl()));
+        exports.push((workers, rec.to_csv()));
     }
-    let (_, csv1, jsonl1) = &exports[0];
-    for (workers, csv, jsonl) in &exports[1..] {
+    let (_, csv1) = &exports[0];
+    for (workers, csv) in &exports[1..] {
         assert_eq!(csv, csv1, "CSV differs at {workers} workers");
-        assert_eq!(jsonl, jsonl1, "JSONL differs at {workers} workers");
     }
     assert!(csv1.starts_with("t_secs,delivered,delivered_rate,bytes\n"));
 }

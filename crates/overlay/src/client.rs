@@ -28,7 +28,7 @@ use crate::message::{JobSubmission, OverlayMsg};
 use crate::receive::{Petition, Receiver};
 use crate::records::RecordSink;
 use crate::sendflow::{SenderFlow, Step};
-use crate::stats::PeerStats;
+use crate::stats::{QueueGauge, QueueReport};
 
 /// Timer tag for the periodic stats report.
 const STATS_TIMER_TAG: u64 = 0;
@@ -119,7 +119,10 @@ pub struct SimpleClient {
     receiver: Receiver,
     /// Transfers this peer is *sending* (instructed by the broker).
     outbound: SenderFlow,
-    stats: Option<PeerStats>,
+    /// Inbox and outbox queue gauges: all the statistics report reads.
+    /// Born at time zero, when every actor starts.
+    inbox: QueueGauge,
+    outbox: QueueGauge,
     /// Job completions this client has been notified of: (label, success).
     pub jobs_done: Vec<(String, bool)>,
 }
@@ -135,7 +138,8 @@ impl SimpleClient {
             joined: false,
             receiver: Receiver::new(TASK_TAG_BASE, None),
             outbound: SenderFlow::new(None),
-            stats: None,
+            inbox: QueueGauge::new(SimTime::ZERO),
+            outbox: QueueGauge::new(SimTime::ZERO),
             jobs_done: Vec::new(),
         }
     }
@@ -166,12 +170,8 @@ impl SimpleClient {
     fn touch_gauges(&mut self, now: SimTime) {
         let running = self.receiver.running_len();
         let load = (self.receiver.inbound_len() + running) as u32;
-        if let Some(stats) = &mut self.stats {
-            stats.inbox.set(now, load);
-            stats
-                .outbox
-                .set(now, (running + self.outbound.len()) as u32);
-        }
+        self.inbox.set(now, load);
+        self.outbox.set(now, (running + self.outbound.len()) as u32);
     }
 
     /// Closes a served transfer the receiver refused or took whole, and
@@ -195,9 +195,6 @@ impl SimpleClient {
             },
         );
         if completed {
-            if let Some(stats) = &mut self.stats {
-                stats.record_file_send(true);
-            }
             self.touch_gauges(ctx.now());
         }
     }
@@ -246,7 +243,6 @@ impl SimpleClient {
 
 impl Actor<OverlayMsg> for SimpleClient {
     fn on_start(&mut self, ctx: &mut Context<OverlayMsg>) {
-        self.stats = Some(PeerStats::new(ctx.now(), CPU_GOPS));
         let adv = self.advertisement(ctx);
         ctx.send(self.cfg.broker, OverlayMsg::Join(Box::new(adv)));
         ctx.schedule_timer(STATS_INTERVAL, STATS_TIMER_TAG);
@@ -296,10 +292,7 @@ impl Actor<OverlayMsg> for SimpleClient {
                 size,
             } => self.receiver.on_part(ctx, from, transfer, index, size),
             OverlayMsg::TransferComplete { transfer } | OverlayMsg::TransferCancel { transfer } => {
-                let completed = self.receiver.close(transfer);
-                if let Some(stats) = &mut self.stats {
-                    stats.record_file_send(completed);
-                }
+                self.receiver.close(transfer);
                 self.touch_gauges(now);
             }
             // ---- sender side: the broker told us to serve a file --------
@@ -331,12 +324,9 @@ impl Actor<OverlayMsg> for SimpleClient {
                 let accept = ctx.rng().bernoulli(self.cfg.task_accept_probability);
                 self.receiver
                     .on_task_offer(ctx, from, task.id, task.work_gops, accept);
-                if !accept {
-                    // A declined offer is not counted as a message: the
-                    // fig67 warm-up declines 30 % and its digests rest on it.
-                    return;
+                if accept {
+                    self.touch_gauges(now);
                 }
-                self.touch_gauges(now);
             }
             OverlayMsg::JobDone { label, success, .. } => {
                 self.jobs_done.push((label, success));
@@ -346,22 +336,15 @@ impl Actor<OverlayMsg> for SimpleClient {
                 // Remaining messages are not addressed to clients.
             }
         }
-        if let Some(stats) = &mut self.stats {
-            stats.record_message(now, true);
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<OverlayMsg>, _timer: TimerId, tag: u64) {
         let now = ctx.now();
         if tag == STATS_TIMER_TAG {
-            if let Some(stats) = &mut self.stats {
-                let load = self.receiver.inbound_len() + self.receiver.running_len();
-                stats.inbox.set(now, load as u32);
-                ctx.send(
-                    self.cfg.broker,
-                    OverlayMsg::StatsReport(stats.queue_report(now)),
-                );
-            }
+            let load = self.receiver.inbound_len() + self.receiver.running_len();
+            self.inbox.set(now, load as u32);
+            let report = QueueReport::of(&self.inbox, &self.outbox, now);
+            ctx.send(self.cfg.broker, OverlayMsg::StatsReport(report));
             ctx.schedule_timer(STATS_INTERVAL, STATS_TIMER_TAG);
             return;
         }
@@ -373,9 +356,6 @@ impl Actor<OverlayMsg> for SimpleClient {
             return;
         }
         if self.receiver.finish_task(ctx, tag, self.cfg.broker) {
-            if let Some(stats) = &mut self.stats {
-                stats.record_task_execution(true);
-            }
             self.touch_gauges(now);
         }
     }
@@ -403,6 +383,14 @@ mod tests {
         assert!(!c.joined);
         assert_eq!(c.receiver.inbound_len(), 0);
         assert!(c.jobs_done.is_empty());
+    }
+
+    #[test]
+    fn simple_client_stays_small() {
+        assert!(
+            std::mem::size_of::<SimpleClient>() <= 352,
+            "a client keeps only the two queue gauges its statistics report reads"
+        );
     }
 
     #[test]

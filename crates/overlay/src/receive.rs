@@ -154,14 +154,11 @@ impl Receiver {
     }
 
     /// Closes an inbound transfer (`TransferComplete` or
-    /// `TransferCancel`), stamping its byte tally; whether every part
-    /// arrived.
-    pub(crate) fn close(&mut self, transfer: TransferId) -> bool {
-        let Some(inb) = self.inbound.remove(&transfer) else {
-            return false;
-        };
-        stamp_receiver_bytes(&self.sink, transfer, inb.bytes);
-        inb.received >= inb.expected_parts
+    /// `TransferCancel`), stamping its byte tally.
+    pub(crate) fn close(&mut self, transfer: TransferId) {
+        if let Some(inb) = self.inbound.remove(&transfer) {
+            stamp_receiver_bytes(&self.sink, transfer, inb.bytes);
+        }
     }
 
     /// Forgets every inbound transfer (the peer left, or its home broker

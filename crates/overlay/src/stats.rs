@@ -302,17 +302,6 @@ impl PeerStats {
             cpu_gops: self.cpu_gops,
         }
     }
-
-    /// The queue gauges at `now`, evaluated as [`PeerStats::snapshot`]
-    /// evaluates them: what a client reports to its broker.
-    pub fn queue_report(&self, now: SimTime) -> QueueReport {
-        QueueReport {
-            inbox_now: self.inbox.current() as f64,
-            inbox_avg: self.inbox.average(now),
-            outbox_now: self.outbox.current() as f64,
-            outbox_avg: self.outbox.average(now),
-        }
-    }
 }
 
 /// The four queue criteria of a peer's own statistics report (inbox and
@@ -331,6 +320,17 @@ pub struct QueueReport {
 }
 
 impl QueueReport {
+    /// The two gauges at `now`, evaluated as [`PeerStats::snapshot`]
+    /// evaluates them: what a client reports to its broker.
+    pub(crate) fn of(inbox: &QueueGauge, outbox: &QueueGauge, now: SimTime) -> Self {
+        QueueReport {
+            inbox_now: inbox.current() as f64,
+            inbox_avg: inbox.average(now),
+            outbox_now: outbox.current() as f64,
+            outbox_avg: outbox.average(now),
+        }
+    }
+
     /// Overrides `snapshot`'s queue criteria with the reported ones.
     pub fn apply_to(&self, snapshot: &mut StatsSnapshot) {
         snapshot.inbox_now = self.inbox_now;
@@ -654,7 +654,8 @@ mod tests {
                     _ => gauge.decr(now),
                 }
                 let at = now + SimDuration::from_secs_f64(rng.uniform() * 30.0);
-                let (report, snap) = (stats.queue_report(at), stats.snapshot(at, 24));
+                let report = QueueReport::of(&stats.inbox, &stats.outbox, at);
+                let snap = stats.snapshot(at, 24);
                 let bits = |v: [f64; 4]| v.map(f64::to_bits);
                 assert_eq!(
                     bits([

@@ -191,17 +191,15 @@ mod tests {
         assert!(no_ss.chunked_secs < full.chunked_secs);
     }
 
-    /// The Fig 6 contention scenario under both receiver disciplines: the
-    /// quick-peer contention penalty is a property of sharing a bottleneck,
-    /// not of the queueing discipline, so a second 10 MB transfer to SC4
-    /// launched one second after the first is slower than the same transfer
-    /// alone under FIFO and under processor sharing alike.
+    /// The Fig 6 contention scenario: the quick-peer contention penalty is
+    /// a property of sharing the receiver's FIFO downlink, so a second
+    /// 10 MB transfer to SC4 launched one second after the first is slower
+    /// than the same transfer alone.
     #[test]
-    fn contention_slows_the_second_transfer_under_either_discipline() {
+    fn contention_slows_the_second_transfer() {
         use netsim::time::SimDuration;
-        use netsim::transport::ReceiverDiscipline;
 
-        let second_secs = |discipline, starts: &[u64]| {
+        let second_secs = |starts: &[u64]| {
             let commands = starts.iter().map(|&at| {
                 let cmd = BrokerCommand::DistributeFile {
                     target: TargetSpec::Node(netsim::node::NodeId(4)),
@@ -212,10 +210,6 @@ mod tests {
                 (SimDuration::from_secs(at), cmd)
             });
             let cfg = ScenarioConfig {
-                transport: TransportConfig {
-                    receiver_discipline: discipline,
-                    ..TransportConfig::default()
-                },
                 commands: commands.collect(),
                 ..ScenarioConfig::default()
             };
@@ -228,17 +222,12 @@ mod tests {
                 .and_then(|t| t.total_secs())
                 .expect("the transfer launched at 61 s completes")
         };
-        for discipline in [
-            ReceiverDiscipline::Fifo,
-            ReceiverDiscipline::ProcessorSharing,
-        ] {
-            let alone = second_secs(discipline, &[61]);
-            let contended = second_secs(discipline, &[60, 61]);
-            assert!(
-                contended > alone,
-                "{discipline:?}: contended {contended} s vs alone {alone} s"
-            );
-        }
+        let alone = second_secs(&[61]);
+        let contended = second_secs(&[60, 61]);
+        assert!(
+            contended > alone,
+            "contended {contended} s vs alone {alone} s"
+        );
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! The driver is a [`Workload`] on the [`harness`](crate::harness): it
 //! contributes the testbed plan, the full federation spec (homing,
-//! staleness, outage), the fleet, the [`federation_series`] schema, and
-//! the summary JSON. A run comes back as the harness's [`HarnessRun`];
-//! [`FederationDynamics::from_metrics`], [`petition_latencies`] and
-//! [`recovery_summary`] read the federation's figures out of it.
+//! staleness, outage), the fleet, and the summary JSON. A run comes back
+//! as the harness's [`HarnessRun`]; [`FederationDynamics::from_metrics`],
+//! [`petition_latencies`] and [`recovery_summary`] read the federation's
+//! figures out of it.
 //!
 //! Determinism contract matches [`churn`](crate::churn): peer scripts and
 //! arrival instants derive only from the master seed and node id, the
@@ -29,7 +29,6 @@ use netsim::metrics::Metrics;
 use netsim::node::NodeId;
 use netsim::rng::{DelayDistribution, SimRng};
 use netsim::time::{SimDuration, SimTime};
-use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use netsim::trace::{Trace, TraceEventKind};
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::federation::{FailoverPolicy, HomingPolicy, GOSSIP_INTERVAL};
@@ -43,7 +42,6 @@ use crate::harness::{
 };
 pub use crate::harness::{BrokerOutage, FederationSpec};
 use crate::synthtopo::{build_synth_topo, peer_seed, salt, SynthTopoConfig};
-use crate::telemetry::federation_series;
 
 /// Size of each distributed file in bytes.
 const FILE_BYTES: u64 = crate::spec::MB;
@@ -313,10 +311,6 @@ impl Workload for FederationWorkload<'_> {
             }
         }
         actors
-    }
-
-    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
-        federation_series(interval)
     }
 
     fn summarize(&self, seed: u64, run: &HarnessRun) -> String {

@@ -216,8 +216,11 @@ pub trait Workload {
     /// config and seed.
     fn actors(&self, cx: &BuildCtx<'_>) -> Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)>;
 
-    /// The time-series column set sampled at `interval`.
-    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError>;
+    /// The time-series column set sampled at `interval`. Defaults to no
+    /// columns.
+    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
+        TimeSeriesRecorder::new(interval)
+    }
 
     /// The worker-invariant summary tail appended to the stdout
     /// artifact after the trace JSONL and the metrics snapshot —
@@ -580,13 +583,6 @@ mod tests {
 
         fn actors(&self, _cx: &BuildCtx<'_>) -> Vec<(NodeId, Box<dyn Actor<OverlayMsg> + Send>)> {
             Vec::new()
-        }
-
-        fn series_schema(
-            &self,
-            interval: SimDuration,
-        ) -> Result<TimeSeriesRecorder, TimeSeriesError> {
-            TimeSeriesRecorder::new(interval)
         }
 
         fn summarize(&self, _seed: u64, _run: &HarnessRun) -> String {

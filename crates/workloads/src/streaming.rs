@@ -12,12 +12,12 @@
 //! way measurement studies report.
 //!
 //! The driver is a [`Workload`] on the [`harness`](crate::harness):
-//! topology plan, gossip-only federation, the viewer fleet, the
-//! [`streaming_series`] schema, and a summary JSON whose startup-delay
-//! quantiles and rebuffering totals are the figures `psim sweep
-//! streaming` sweeps across the policy × window × upload grid. A run
-//! comes back as the harness's [`HarnessRun`]; [`StreamingStats::from_log`]
-//! and [`startup_delays`] read the playback figures out of its log.
+//! topology plan, gossip-only federation, the viewer fleet, and a
+//! summary JSON whose startup-delay quantiles and rebuffering totals are
+//! the figures `psim sweep streaming` sweeps across the policy × window ×
+//! upload grid. A run comes back as the harness's [`HarnessRun`];
+//! [`StreamingStats::from_log`] and [`startup_delays`] read the playback
+//! figures out of its log.
 //!
 //! Determinism contract: arrivals, identities, and capacities derive
 //! from the master seed and node id only; piece → owner assignment and
@@ -30,7 +30,6 @@ use netsim::engine::Actor;
 use netsim::node::NodeId;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
-use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use overlay::broker::{Broker, BrokerConfig};
 use overlay::message::OverlayMsg;
 use overlay::records::RunLog;
@@ -41,7 +40,6 @@ use crate::harness::{
     defaults, BuildCtx, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder,
 };
 use crate::synthtopo::{build_synth_topo, peer_seed, salt, SynthTopoConfig};
-use crate::telemetry::streaming_series;
 
 /// The Pareto family peer uplinks are drawn from — the workload's
 /// third sweep axis besides policy and window.
@@ -296,10 +294,6 @@ impl Workload for StreamingWorkload<'_> {
             }
         }
         actors
-    }
-
-    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
-        streaming_series(interval)
     }
 
     fn summarize(&self, seed: u64, run: &HarnessRun) -> String {

@@ -1,9 +1,11 @@
 //! Standard time-series column sets for the workload runners.
 //!
-//! The recorders built here define the *one* schema each workload's
-//! deterministic series artifact uses, so `psim profile`, the property
-//! tests, and the CI `workload-determinism` matrix all diff byte-identical
-//! CSV for a fixed `(config, seed, num_shards)` — at any worker count.
+//! The recorders built here define the *one* schema each sampled
+//! workload's deterministic series artifact uses (churn's, and the overlay
+//! columns of multiregion and the paper scenarios), so `psim profile`, the
+//! property tests, and the CI `workload-determinism` matrix all diff
+//! byte-identical CSV for a fixed `(config, seed, num_shards)` — at any
+//! worker count.
 //!
 //! Column conventions:
 //! * population counts are **cumulative** (the current state of the
@@ -100,93 +102,6 @@ pub fn overlay_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeS
     Ok(rec)
 }
 
-/// Columns for federation workloads: population, forwarding traffic
-/// between brokers, failover re-homes, and the registry accounting.
-pub fn federation_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
-    let mut rec = TimeSeriesRecorder::new(interval)?;
-    rec.register(
-        "peers_connected",
-        SeriesSource::Diff(
-            Box::new(SeriesSource::Sum(vec![
-                SeriesSource::Counter("churn.joins".into()),
-                SeriesSource::Counter("churn.rejoins".into()),
-            ])),
-            Box::new(SeriesSource::Counter("churn.leaves".into())),
-        ),
-        SeriesMode::Cumulative,
-    );
-    rec.register(
-        "joins",
-        SeriesSource::Counter("churn.joins".into()),
-        SeriesMode::Delta,
-    );
-    rec.register(
-        "rehomes",
-        SeriesSource::Counter("churn.rehomes".into()),
-        SeriesMode::Delta,
-    );
-    rec.register(
-        "petitions_forwarded",
-        SeriesSource::Counter("overlay.petitions_forwarded".into()),
-        SeriesMode::Delta,
-    );
-    rec.register(
-        "forwards_served",
-        SeriesSource::Counter("overlay.forwards_served".into()),
-        SeriesMode::Cumulative,
-    );
-    rec.register(
-        "stale_views_dropped",
-        SeriesSource::Counter("overlay.stale_views_dropped".into()),
-        SeriesMode::Cumulative,
-    );
-    rec.register(
-        "transfers_completed",
-        SeriesSource::Counter("overlay.transfers_completed".into()),
-        SeriesMode::Cumulative,
-    );
-    register_registry_columns(&mut rec);
-    Ok(rec)
-}
-
-/// Columns for streaming workloads: piece flow, playback starts, and
-/// rebuffering movement, plus the registry accounting.
-pub fn streaming_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
-    let mut rec = TimeSeriesRecorder::new(interval)?;
-    rec.register(
-        "streams_started",
-        SeriesSource::Counter("streaming.streams_started".into()),
-        SeriesMode::Cumulative,
-    );
-    rec.register(
-        "pieces_received",
-        SeriesSource::Counter("streaming.pieces_received".into()),
-        SeriesMode::Delta,
-    );
-    rec.register(
-        "playbacks_started",
-        SeriesSource::Counter("streaming.playbacks_started".into()),
-        SeriesMode::Cumulative,
-    );
-    rec.register(
-        "rebuffers",
-        SeriesSource::Counter("streaming.rebuffers".into()),
-        SeriesMode::Delta,
-    );
-    rec.register(
-        "rebuffer_ms",
-        SeriesSource::Counter("streaming.rebuffer_ms".into()),
-        SeriesMode::Delta,
-    );
-    rec.register(
-        "completions",
-        SeriesSource::Counter("streaming.completions".into()),
-        SeriesMode::Cumulative,
-    );
-    register_registry_columns(&mut rec);
-    Ok(rec)
-}
-
 /// The shared registry-memory columns: fleet-wide byte and peer-count
 /// sums over the per-broker gauges, and their ratio.
 fn register_registry_columns(rec: &mut TimeSeriesRecorder) {
@@ -239,47 +154,6 @@ mod tests {
                 "bytes_sent",
                 "joins",
                 "transfers_completed",
-                "registry_bytes",
-                "registry_peers",
-                "bytes_per_peer",
-            ]
-        );
-    }
-
-    #[test]
-    fn federation_columns_are_stable() {
-        let rec = federation_series(SimDuration::from_secs(60)).expect("positive interval");
-        let names: Vec<&str> = rec.names().collect();
-        assert_eq!(
-            names,
-            [
-                "peers_connected",
-                "joins",
-                "rehomes",
-                "petitions_forwarded",
-                "forwards_served",
-                "stale_views_dropped",
-                "transfers_completed",
-                "registry_bytes",
-                "registry_peers",
-                "bytes_per_peer",
-            ]
-        );
-    }
-
-    #[test]
-    fn streaming_columns_are_stable() {
-        let rec = streaming_series(SimDuration::from_secs(60)).expect("positive interval");
-        let names: Vec<&str> = rec.names().collect();
-        assert_eq!(
-            names,
-            [
-                "streams_started",
-                "pieces_received",
-                "playbacks_started",
-                "rebuffers",
-                "rebuffer_ms",
-                "completions",
                 "registry_bytes",
                 "registry_peers",
                 "bytes_per_peer",

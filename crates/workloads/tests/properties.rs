@@ -241,8 +241,8 @@ proptest! {
     }
 
     /// The windowed time-series artifact is worker-count invariant on
-    /// arbitrary multi-region scenarios: the CSV and JSONL a recorder
-    /// emits are byte-identical whether 1, 2, or 4 threads drive the
+    /// arbitrary multi-region scenarios: the CSV a recorder emits is
+    /// byte-identical whether 1, 2, or 4 threads drive the
     /// shards. Sampling happens at barrier rounds, whose schedule is a
     /// pure function of shard promises — never of thread timing.
     #[test]
@@ -262,7 +262,7 @@ proptest! {
             ..MultiRegionConfig::default()
         };
         let harness = base.harness().series_interval(Some(SimDuration::from_secs(30)));
-        let exports: Vec<(String, String)> = [1usize, 2, 4]
+        let exports: Vec<String> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
                 let run = harness
@@ -271,15 +271,13 @@ proptest! {
                     .build()
                     .and_then(|h| h.run(&MultiRegionWorkload { cfg: &base }, seed))
                     .expect("generated config is valid");
-                let series = run.series.expect("series_interval was set");
-                (series.to_csv(), series.to_jsonl())
+                run.series.expect("series_interval was set").to_csv()
             })
             .collect();
-        let (csv, jsonl) = &exports[0];
+        let csv = &exports[0];
         prop_assert!(csv.lines().count() > 1, "series must have rows (seed {seed})");
-        for (w, (c, j)) in [2usize, 4].iter().zip(&exports[1..]) {
+        for (w, c) in [2usize, 4].iter().zip(&exports[1..]) {
             prop_assert_eq!(c, csv, "series CSV diverged at {} workers (seed {})", w, seed);
-            prop_assert_eq!(j, jsonl, "series JSONL diverged at {} workers (seed {})", w, seed);
         }
     }
 
@@ -309,7 +307,7 @@ proptest! {
             ..ChurnConfig::default()
         };
         let harness = base.harness().series_interval(Some(SimDuration::from_secs(60)));
-        let exports: Vec<(String, String, String)> = [1usize, 2, 4]
+        let exports: Vec<(String, String)> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
                 let run = harness
@@ -319,14 +317,13 @@ proptest! {
                     .and_then(|h| h.run(&ChurnWorkload { cfg: &base }, seed))
                     .expect("generated config is valid");
                 let series = run.series.expect("series_interval was set");
-                (series.to_csv(), series.to_jsonl(), run.profile.chrome_trace_json())
+                (series.to_csv(), run.profile.chrome_trace_json())
             })
             .collect();
-        let (csv, jsonl, schedule) = &exports[0];
+        let (csv, schedule) = &exports[0];
         prop_assert!(csv.lines().count() > 1, "series must have rows (seed {seed})");
-        for (w, (c, j, s)) in [2usize, 4].iter().zip(&exports[1..]) {
+        for (w, (c, s)) in [2usize, 4].iter().zip(&exports[1..]) {
             prop_assert_eq!(c, csv, "series CSV diverged at {} workers (seed {})", w, seed);
-            prop_assert_eq!(j, jsonl, "series JSONL diverged at {} workers (seed {})", w, seed);
             prop_assert_eq!(s, schedule, "round schedule diverged at {} workers (seed {})", w, seed);
         }
     }

@@ -15,7 +15,7 @@
 //!   spans only; load it in Perfetto or `chrome://tracing`). Every run
 //!   has one: a lone shard's schedule is a single round to the horizon.
 //! * **`--out`** — the summary JSON, non-deterministic through its two
-//!   wall-clock figures (RSS proxy, busy seconds): round and per-shard
+//!   host figures (resident set size, busy seconds): round and per-shard
 //!   counts, plus the registry memory breakdown read back from the final
 //!   gauges. Written only when asked for, like the other two files.
 
@@ -49,18 +49,21 @@ fn gauge_prefix_sum(m: &Metrics, prefix: &str) -> f64 {
         .fold(0.0, |sum, (_, v)| sum + v)
 }
 
-/// Resident-set proxy from `/proc/self/statm` (pages × 4 KiB); 0 when the
-/// proc filesystem is unavailable (non-Linux hosts).
+/// Resident set size in bytes; 0 when the proc filesystem is unavailable
+/// (non-Linux hosts).
 fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
+    std::fs::read_to_string("/proc/self/status")
         .ok()
-        .and_then(|s| {
-            s.split_whitespace()
-                .nth(1)
-                .and_then(|v| v.parse::<u64>().ok())
-        })
-        .map(|pages| pages * 4096)
+        .and_then(|status| vm_rss_bytes(&status))
         .unwrap_or(0)
+}
+
+/// The `VmRSS` line of a `/proc/<pid>/status` text, in bytes. The kernel
+/// writes it in kB whatever its page size, so no page size is assumed.
+fn vm_rss_bytes(status: &str) -> Option<u64> {
+    let field = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    let kb: u64 = field.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun {
@@ -192,4 +195,16 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         bytes_per_peer,
         rss_bytes() >> 20,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::vm_rss_bytes;
+
+    #[test]
+    fn rss_is_read_from_vm_rss_in_kilobytes() {
+        let status = "Name:\tpsim\nVmPeak:\t  9000 kB\nVmRSS:\t    1664 kB\nThreads:\t1\n";
+        assert_eq!(vm_rss_bytes(status), Some(1664 * 1024));
+        assert_eq!(vm_rss_bytes("Name:\tpsim\n"), None);
+    }
 }

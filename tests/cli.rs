@@ -620,3 +620,19 @@ fn csv_to_an_unwritable_dir_exits_1() {
     assert!(stderr.contains("error: cannot create"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `psim ablation` is the one shipped command built from `TransportConfig`
+/// variants, so a change to the transport model's switches shows here
+/// byte for byte.
+#[test]
+fn ablation_stdout_is_pinned() {
+    let out = psim(&["ablation"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(fnv1a(&out.stdout), 0x8047_a621_fe68_d3d0);
+}

@@ -17,7 +17,6 @@ use netsim::engine::Actor;
 use netsim::node::NodeId;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
-use netsim::timeseries::{TimeSeriesError, TimeSeriesRecorder};
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::lifecycle::{LifecycleConfig, LifecyclePeer, LifecycleScript, SessionPlan};
 use overlay::message::OverlayMsg;
@@ -127,10 +126,6 @@ impl Workload for ModelStorm {
             }
         }
         actors
-    }
-
-    fn series_schema(&self, interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
-        TimeSeriesRecorder::new(interval)
     }
 
     fn summarize(&self, _seed: u64, run: &HarnessRun) -> String {
