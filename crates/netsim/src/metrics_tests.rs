@@ -113,8 +113,12 @@ fn histogram_buckets_values() {
 fn histogram_quantiles_monotone() {
     let mut h = Histogram::new(0.001, 24);
     let mut rng = crate::rng::SimRng::new(99);
+    let delay = crate::rng::DelayDistribution::Lognormal {
+        median: 0.07,
+        sigma: 1.0,
+    };
     for _ in 0..10_000 {
-        h.record(rng.exponential(0.1));
+        h.record(delay.sample_secs(&mut rng));
     }
     let p50 = h.quantile_upper_bound(0.5);
     let p99 = h.quantile_upper_bound(0.99);
@@ -176,8 +180,12 @@ fn quantile_with_all_mass_in_overflow_bucket() {
 fn quantiles_are_monotone_in_q() {
     let mut h = Histogram::new(0.001, 24);
     let mut rng = crate::rng::SimRng::new(7);
+    let delay = crate::rng::DelayDistribution::Lognormal {
+        median: 0.17,
+        sigma: 1.0,
+    };
     for _ in 0..5_000 {
-        h.record(rng.exponential(0.25));
+        h.record(delay.sample_secs(&mut rng));
     }
     let p50 = h.quantile_upper_bound(0.50);
     let p95 = h.quantile_upper_bound(0.95);

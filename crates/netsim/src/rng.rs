@@ -117,32 +117,18 @@ impl SimRng {
         self.uniform() < p
     }
 
-    /// Exponentially distributed value with the given mean (`mean <= 0` → 0).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // Inverse CDF; `1 - uniform()` avoids ln(0).
-        -mean * (1.0 - self.uniform()).ln()
-    }
-
     /// Standard normal via Box–Muller (one value per call; deterministic
     /// draw count matters more here than squeezing both outputs).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.uniform()).max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev.max(0.0) * self.standard_normal()
-    }
-
     /// Lognormal parameterised by the **median** and a shape factor `sigma`
     /// (σ of the underlying normal). Medians are more intuitive to calibrate
     /// against measured latencies than the distribution mean.
-    pub fn lognormal_median(&mut self, median: f64, sigma: f64) -> f64 {
+    fn lognormal_median(&mut self, median: f64, sigma: f64) -> f64 {
         if median <= 0.0 {
             return 0.0;
         }
@@ -155,23 +141,6 @@ impl SimRng {
             return 0.0;
         }
         xm / (1.0 - self.uniform()).powf(1.0 / alpha)
-    }
-
-    /// Picks a uniformly random element of a slice; `None` when empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
-    }
-
-    /// Fisher–Yates shuffle, in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -338,27 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_matches() {
-        let mut rng = SimRng::new(17);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean was {mean}");
-        assert_eq!(rng.exponential(0.0), 0.0);
-        assert_eq!(rng.exponential(-1.0), 0.0);
-    }
-
-    #[test]
-    fn normal_moments_match() {
-        let mut rng = SimRng::new(19);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.05, "mean was {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var was {var}");
-    }
-
-    #[test]
     fn lognormal_median_matches() {
         let mut rng = SimRng::new(23);
         let n = 100_001;
@@ -384,24 +332,6 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.bernoulli(0.25)).count();
         let rate = hits as f64 / 100_000.0;
         assert!((rate - 0.25).abs() < 0.01, "rate was {rate}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(37);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let mut rng = SimRng::new(41);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[42u8]), Some(&42));
     }
 
     #[test]

@@ -7,33 +7,14 @@
 //! [`crate::engine::Context::trace_event`]). It is disabled by default and
 //! costs exactly one branch per would-be event when off; tests enable it to
 //! assert that two runs with the same seed produce identical histories, and
-//! the `psim trace` command exports it as deterministic JSONL.
-//!
-//! Span-style begin/end pairs ([`TraceEventKind::SpanBegin`] /
-//! [`TraceEventKind::SpanEnd`]) mark where each transfer starts and stops
-//! in the exported history.
+//! the `psim trace` command exports it as deterministic JSONL, whose
+//! [`fnv1a`] digest [`Trace::digest`] returns.
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 
 use crate::node::NodeId;
 use crate::time::SimTime;
-
-/// What kind of activity a span covers (used to pair begin/end events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// One file transfer, keyed by its transfer id.
-    Transfer,
-}
-
-impl SpanKind {
-    /// Stable machine-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanKind::Transfer => "transfer",
-        }
-    }
-}
 
 /// A typed trace event.
 ///
@@ -193,22 +174,6 @@ pub enum TraceEventKind {
         /// Bytes routed through it.
         bytes: u64,
     },
-    /// A span began (pair with [`TraceEventKind::SpanEnd`] on same key).
-    SpanBegin {
-        /// What the span covers.
-        span: SpanKind,
-        /// Caller-chosen key, unique per (kind, lifetime).
-        key: u128,
-    },
-    /// A span ended.
-    SpanEnd {
-        /// What the span covers.
-        span: SpanKind,
-        /// The key given at begin.
-        key: u128,
-        /// Whether the spanned work succeeded.
-        ok: bool,
-    },
     /// A scripted outage took this broker down.
     BrokerDown,
     /// A scripted restart brought this broker back (empty-handed).
@@ -252,8 +217,6 @@ impl TraceEventKind {
             TraceEventKind::SelectionDecided { .. } => "selection_decided",
             TraceEventKind::PipeOpened { .. } => "pipe_opened",
             TraceEventKind::PipeClosed { .. } => "pipe_closed",
-            TraceEventKind::SpanBegin { .. } => "span_begin",
-            TraceEventKind::SpanEnd { .. } => "span_end",
             TraceEventKind::BrokerDown => "broker_down",
             TraceEventKind::BrokerUp => "broker_up",
             TraceEventKind::PetitionForwarded { .. } => "petition_forwarded",
@@ -463,18 +426,6 @@ impl TraceEvent {
                     ",\"pipe\":\"{pipe}\",\"messages\":{messages},\"bytes\":{bytes}"
                 );
             }
-            TraceEventKind::SpanBegin { span, key } => {
-                let _ = write!(o, ",\"span\":\"{}\",\"key\":\"{}\"", span.label(), key);
-            }
-            TraceEventKind::SpanEnd { span, key, ok } => {
-                let _ = write!(
-                    o,
-                    ",\"span\":\"{}\",\"key\":\"{}\",\"ok\":{}",
-                    span.label(),
-                    key,
-                    ok
-                );
-            }
             TraceEventKind::BrokerDown | TraceEventKind::BrokerUp => {}
             TraceEventKind::PetitionForwarded { to, hops_left } => {
                 let _ = write!(o, ",\"to\":{},\"hops_left\":{}", to.0, hops_left);
@@ -593,18 +544,30 @@ impl Trace {
     }
 
     /// A stable digest of the retained history — a cheap equality proxy for
-    /// determinism assertions. Computed over the JSONL rendering, so digest
-    /// equality and byte-identical [`Trace::to_jsonl`] output coincide.
+    /// determinism assertions: the [`fnv1a`] of the [`Trace::to_jsonl`]
+    /// bytes, fed one row at a time.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for e in &self.events {
-            for b in e.to_json().as_bytes().iter().chain(std::iter::once(&b'\n')) {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-        h
+        self.events.iter().fold(FNV1A_OFFSET, |h, e| {
+            fnv1a_from(fnv1a_from(h, e.to_json().as_bytes()), b"\n")
+        })
     }
+}
+
+/// The FNV-1a 64-bit offset basis: the digest of no bytes.
+const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`: the one digest the simulator's outputs are
+/// pinned with (offset basis `0xcbf2_9ce4_8422_2325`, prime
+/// `0x100_0000_01b3`).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV1A_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a digest `h` over `bytes`.
+fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 #[cfg(test)]

@@ -54,6 +54,16 @@ fn digest_matches_iff_jsonl_matches() {
     ev(&mut b, 2, "y");
     assert_ne!(a.digest(), b.digest());
     assert_ne!(a.to_jsonl(), b.to_jsonl());
+    assert_eq!(b.digest(), fnv1a(b.to_jsonl().as_bytes()));
+    assert_eq!(Trace::with_capacity(16).digest(), fnv1a(b""));
+}
+
+/// The published FNV-1a 64-bit test vectors.
+#[test]
+fn fnv1a_gives_the_published_values() {
+    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
 }
 
 #[test]

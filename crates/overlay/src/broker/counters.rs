@@ -25,7 +25,6 @@ pub(crate) struct BrokerCounters {
     pub(crate) content_published: MetricId,
     pub(crate) file_requests_served: MetricId,
     pub(crate) file_requests_unserved: MetricId,
-    pub(crate) jobs_unplaced: MetricId,
     pub(crate) gossip_received: MetricId,
     pub(crate) retransmissions: MetricId,
     pub(crate) retries_exhausted: MetricId,
@@ -56,7 +55,6 @@ impl BrokerCounters {
             content_published: metrics.counter_id("overlay.content_published"),
             file_requests_served: metrics.counter_id("overlay.file_requests_served"),
             file_requests_unserved: metrics.counter_id("overlay.file_requests_unserved"),
-            jobs_unplaced: metrics.counter_id("overlay.jobs_unplaced"),
             gossip_received: metrics.counter_id("overlay.gossip_received"),
             retransmissions: metrics.counter_id("overlay.retransmissions"),
             retries_exhausted: metrics.counter_id("overlay.retries_exhausted"),

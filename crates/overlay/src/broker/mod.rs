@@ -25,7 +25,7 @@
 //!   traffic count each one reports in its trace rows.
 //! * `retry` — `RetryEngine`: retransmission probes and transfer/task
 //!   watchdogs.
-//! * `tasks` — `TaskBook`: task lifecycle and client-submitted jobs.
+//! * `tasks` — `TaskBook`: task lifecycle.
 //! * `counters` — `BrokerCounters`: pre-resolved protocol counter handles.
 
 pub(crate) mod books;
@@ -418,7 +418,6 @@ impl Actor<OverlayMsg> for Broker {
                 bytes,
                 ..
             } => self.on_transfer_report(ctx, from, ok, elapsed_secs, bytes),
-            OverlayMsg::JobSubmit(job) => self.on_job_submit(ctx, *job),
             OverlayMsg::BrokerGossip {
                 from_broker,
                 sent_at,

@@ -5,7 +5,7 @@
 //! All broker-side peer choices flow through the two entry points here —
 //! [`Broker::resolve_targets`] for scripted commands and
 //! [`Broker::select_among`] for choices restricted to a candidate subset
-//! (file requests with several owners, client-submitted jobs).
+//! (file requests with several owners).
 
 use netsim::engine::Context;
 use netsim::node::NodeId;

@@ -1,5 +1,5 @@
 //! The task layer: lifecycle of executable tasks (ship input → offer →
-//! accept → result) and the client-submitted jobs they realise.
+//! accept → result).
 
 use netsim::idmap::IdMap;
 
@@ -8,9 +8,9 @@ use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::id::{TaskId, TransferId};
-use crate::message::{JobSubmission, OverlayMsg};
-use crate::records::{JobRecord, TaskRecord};
-use crate::selector::{Purpose, SelectionOutcome};
+use crate::message::OverlayMsg;
+use crate::records::TaskRecord;
+use crate::selector::SelectionOutcome;
 use crate::task::{TaskPhase, TaskSpec, TaskTracking};
 
 use super::{Broker, EWMA_ALPHA};
@@ -19,22 +19,12 @@ use super::{Broker, EWMA_ALPHA};
 /// offer fails.
 pub(crate) const TASK_TIMEOUT: SimDuration = SimDuration::from_mins(120);
 
-/// A client-submitted job realised by one broker task.
-#[derive(Debug, Clone)]
-pub(crate) struct JobInfo {
-    pub(crate) submitter_node: NodeId,
-    pub(crate) label: String,
-    pub(crate) submitted_at: SimTime,
-}
-
 /// Tracking state for all tasks the broker has in flight.
 #[derive(Default)]
 pub(crate) struct TaskBook {
     pub(crate) tasks: IdMap<TaskId, TaskTracking>,
     /// Maps an input-shipment transfer back to the task awaiting it.
     pub(crate) input_transfer_to_task: IdMap<TransferId, TaskId>,
-    /// Client-submitted jobs keyed by the task executing them.
-    pub(crate) job_for_task: IdMap<TaskId, JobInfo>,
 }
 
 impl TaskBook {
@@ -75,28 +65,6 @@ impl Broker {
     pub(crate) fn fail_task(&mut self, ctx: &mut Context<OverlayMsg>, task_id: TaskId) {
         if let Some(tracking) = self.tasks.tasks.get_mut(&task_id) {
             tracking.phase = TaskPhase::Failed;
-        }
-        if let Some(job) = self.tasks.job_for_task.remove(&task_id) {
-            let total_secs = ctx.now().duration_since(job.submitted_at).as_secs_f64();
-            ctx.send(
-                job.submitter_node,
-                OverlayMsg::JobDone {
-                    label: job.label.clone(),
-                    success: false,
-                    total_secs,
-                },
-            );
-            self.sink.with(|log| {
-                if let Some(rec) = log
-                    .jobs
-                    .iter_mut()
-                    .rev()
-                    .find(|j| j.label == job.label && j.done_at.is_none())
-                {
-                    rec.done_at = Some(ctx.now());
-                    rec.success = false;
-                }
-            });
         }
         self.sink.with(|log| {
             if let Some(rec) = log.task_mut(task_id) {
@@ -241,94 +209,7 @@ impl Broker {
                 bytes: tracking.spec.input_bytes,
             });
         }
-        if let Some(job) = self.tasks.job_for_task.remove(&task) {
-            let total_secs = now.duration_since(job.submitted_at).as_secs_f64();
-            ctx.send(
-                job.submitter_node,
-                OverlayMsg::JobDone {
-                    label: job.label.clone(),
-                    success,
-                    total_secs,
-                },
-            );
-            self.sink.with(|log| {
-                if let Some(rec) = log
-                    .jobs
-                    .iter_mut()
-                    .rev()
-                    .find(|j| j.label == job.label && j.done_at.is_none())
-                {
-                    rec.done_at = Some(now);
-                    rec.success = success;
-                }
-            });
-        }
         self.bump(ctx, |c| c.tasks_completed);
         self.maybe_stop(ctx);
-    }
-
-    pub(crate) fn on_job_submit(&mut self, ctx: &mut Context<OverlayMsg>, job: JobSubmission) {
-        let JobSubmission {
-            submitter,
-            work_gops,
-            input_bytes,
-            input_parts,
-            label,
-        } = job;
-        let now = ctx.now();
-        let Some(submitter_node) = self.registry.node_of(submitter) else {
-            return;
-        };
-        // Execute anywhere except the submitter itself.
-        let candidates: Vec<NodeId> = self
-            .registry
-            .registered_nodes()
-            .into_iter()
-            .filter(|&n| n != submitter_node)
-            .collect();
-        let purpose = Purpose::TaskExecution {
-            work_gops: work_gops as u64,
-            input_bytes,
-        };
-        let Some(executor) = self.select_among(ctx, &candidates, purpose) else {
-            self.bump(ctx, |c| c.jobs_unplaced);
-            return;
-        };
-        self.sink.with(|log| {
-            log.jobs.push(JobRecord {
-                label: label.clone(),
-                submitter: submitter_node,
-                executor,
-                submitted_at: now,
-                done_at: None,
-                success: false,
-            })
-        });
-        self.submit_task(
-            ctx,
-            executor,
-            work_gops,
-            input_bytes,
-            input_parts,
-            &label,
-            now,
-        );
-        // Remember which task realises this job: it is the one just
-        // inserted with this label and executor.
-        if let Some((task_id, _)) = self
-            .tasks
-            .tasks
-            .iter()
-            .find(|(_, t)| t.spec.label == label && t.node == executor && t.result_at.is_none())
-        {
-            self.tasks.job_for_task.insert(
-                *task_id,
-                JobInfo {
-                    submitter_node,
-                    label,
-                    submitted_at: now,
-                },
-            );
-        }
     }
 }

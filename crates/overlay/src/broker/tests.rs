@@ -393,44 +393,6 @@ fn file_request_selects_among_multiple_owners() {
 }
 
 #[test]
-fn client_submitted_job_round_trips() {
-    let sink = RecordSink::new();
-    let (mut engine, _b, clients) = star_with(
-        3,
-        BrokerConfig::new(24),
-        |i, broker| {
-            let cfg = ClientConfig::new(broker);
-            if i == 0 {
-                cfg.at(
-                    SimDuration::from_secs(5),
-                    crate::client::ClientCommand::SubmitJob {
-                        work_gops: 10.0,
-                        input_bytes: 1 << 20,
-                        input_parts: 2,
-                        label: "render".into(),
-                    },
-                )
-            } else {
-                cfg
-            }
-        },
-        &sink,
-    );
-    engine.run_until(SimTime::from_secs_f64(3600.0));
-    let log = sink.drain();
-    assert_eq!(log.jobs.len(), 1);
-    let job = &log.jobs[0];
-    assert_eq!(job.label, "render");
-    assert_eq!(job.submitter, clients[0]);
-    assert_ne!(job.executor, clients[0], "job runs on a different peer");
-    assert!(job.success, "job completed");
-    assert!(job.total_secs().unwrap() > 0.0);
-    // Its input travelled as a transfer and the task executed.
-    assert_eq!(log.tasks.len(), 1);
-    assert!(log.tasks[0].success);
-}
-
-#[test]
 fn federated_brokers_select_across_domains() {
     // Broker A governs clients 0–1; broker B governs clients 2–3.
     // After gossip, A's selection sees all four peers.

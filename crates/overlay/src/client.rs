@@ -6,10 +6,9 @@
 //! host's CPU model, and periodically reports its local statistics.
 //!
 //! Beyond the broker-driven flows, clients also participate actively:
-//! they **publish content** (file sharing), **serve instructed transfers**
-//! peer-to-peer when the broker redirects a file request to them, and
-//! **submit jobs** of their own which the broker places via its selection
-//! model.
+//! they **publish content** (file sharing), **request files** by name, and
+//! **serve instructed transfers** peer-to-peer when the broker redirects a
+//! file request to them.
 //!
 //! Neither end of the transfer protocol is written here: a client
 //! receives through the same receiving end as `LifecyclePeer`, and serves
@@ -24,7 +23,7 @@ use netsim::time::{SimDuration, SimTime};
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
 use crate::filetransfer::OutboundTransfer;
 use crate::id::{ContentId, IdGenerator, PeerId, TransferId};
-use crate::message::{JobSubmission, OverlayMsg};
+use crate::message::OverlayMsg;
 use crate::receive::{Petition, Receiver};
 use crate::records::RecordSink;
 use crate::sendflow::{SenderFlow, Step};
@@ -44,17 +43,6 @@ pub enum ClientCommand {
     RequestFile {
         /// Published name of the wanted file.
         name: String,
-    },
-    /// Submit a job; the broker selects the executor.
-    SubmitJob {
-        /// Compute demand, giga-ops.
-        work_gops: f64,
-        /// Input to ship to the executor (0 = none).
-        input_bytes: u64,
-        /// Parts for the input shipment.
-        input_parts: u32,
-        /// Job label.
-        label: String,
     },
     /// Leave the overlay.
     Leave,
@@ -123,8 +111,6 @@ pub struct SimpleClient {
     /// Born at time zero, when every actor starts.
     inbox: QueueGauge,
     outbox: QueueGauge,
-    /// Job completions this client has been notified of: (label, success).
-    pub jobs_done: Vec<(String, bool)>,
 }
 
 impl SimpleClient {
@@ -140,7 +126,6 @@ impl SimpleClient {
             outbound: SenderFlow::new(None),
             inbox: QueueGauge::new(SimTime::ZERO),
             outbox: QueueGauge::new(SimTime::ZERO),
-            jobs_done: Vec::new(),
         }
     }
 
@@ -208,23 +193,6 @@ impl SimpleClient {
                         requester: self.peer_id,
                         name,
                     },
-                );
-            }
-            ClientCommand::SubmitJob {
-                work_gops,
-                input_bytes,
-                input_parts,
-                label,
-            } => {
-                ctx.send(
-                    self.cfg.broker,
-                    OverlayMsg::JobSubmit(Box::new(JobSubmission {
-                        submitter: self.peer_id,
-                        work_gops,
-                        input_bytes,
-                        input_parts,
-                        label,
-                    })),
                 );
             }
             ClientCommand::Leave => {
@@ -328,9 +296,6 @@ impl Actor<OverlayMsg> for SimpleClient {
                     self.touch_gauges(now);
                 }
             }
-            OverlayMsg::JobDone { label, success, .. } => {
-                self.jobs_done.push((label, success));
-            }
             OverlayMsg::Ping { nonce, sent_at } => Receiver::pong(ctx, from, nonce, sent_at),
             _ => {
                 // Remaining messages are not addressed to clients.
@@ -382,7 +347,6 @@ mod tests {
         let c = SimpleClient::new(ClientConfig::new(NodeId(0)), 3);
         assert!(!c.joined);
         assert_eq!(c.receiver.inbound_len(), 0);
-        assert!(c.jobs_done.is_empty());
     }
 
     #[test]

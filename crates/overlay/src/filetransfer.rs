@@ -30,23 +30,16 @@ impl FileMeta {
 }
 
 /// Splits `size_bytes` into `num_parts` part sizes: all parts equal except
-/// the last, which absorbs the remainder. Zero-part requests collapse to one.
+/// the last, which absorbs the remainder. Zero-part requests collapse to
+/// one, and so do requests for more parts than there are bytes, before
+/// anything is allocated per requested part.
 pub fn split_parts(size_bytes: u64, num_parts: u32) -> Vec<u64> {
-    let n = num_parts.max(1) as u64;
-    if size_bytes == 0 {
-        return vec![0];
+    let n = u64::from(num_parts.max(1));
+    if n > size_bytes {
+        return vec![size_bytes];
     }
-    let base = size_bytes / n;
-    let rem = size_bytes % n;
-    let mut parts: Vec<u64> = (0..n).map(|_| base).collect();
-    if let Some(last) = parts.last_mut() {
-        *last += rem;
-    }
-    // Degenerate: more parts than bytes → drop empty parts.
-    parts.retain(|&p| p > 0);
-    if parts.is_empty() {
-        parts.push(size_bytes);
-    }
+    let mut parts = vec![size_bytes / n; n as usize];
+    parts[n as usize - 1] += size_bytes % n;
     parts
 }
 
@@ -269,12 +262,18 @@ mod tests {
 
     #[test]
     fn split_parts_size_smaller_than_num_parts() {
-        // base = 0, remainder = size: everything lands in the last slot,
-        // empty slots are dropped, so the result is a single full part.
+        // More parts than bytes: a single full part.
         assert_eq!(split_parts(3, 16), vec![3]);
         assert_eq!(split_parts(1, 2), vec![1]);
         // Exactly one byte per part at the boundary.
         assert_eq!(split_parts(4, 4), vec![1, 1, 1, 1]);
+    }
+
+    /// The largest count `psim transfer --parts` takes, on a 1 MiB file:
+    /// one part, without a per-requested-part allocation (32 GiB here).
+    #[test]
+    fn split_parts_huge_count_is_one_part() {
+        assert_eq!(split_parts(1 << 20, u32::MAX), vec![1 << 20]);
     }
 
     #[test]

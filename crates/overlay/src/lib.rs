@@ -71,9 +71,7 @@ pub mod prelude {
         ChurnProfile, LifecycleConfig, LifecyclePeer, LifecycleScript, LifecycleState, SessionPlan,
     };
     pub use crate::message::OverlayMsg;
-    pub use crate::records::{
-        JobRecord, RecordSink, RunLog, StreamRecord, TaskRecord, TransferRecord,
-    };
+    pub use crate::records::{RecordSink, RunLog, StreamRecord, TaskRecord, TransferRecord};
     pub use crate::selector::{
         CandidateView, InteractionHistory, PeerSelector, Purpose, RandomSelector,
         RoundRobinSelector, SelectionOutcome, SelectionRequest,

@@ -1,8 +1,8 @@
 //! The overlay's wire protocol.
 //!
 //! One message enum covers all primitives: membership, statistics,
-//! liveness, file transfer, content requests, jobs, federation, streaming
-//! and task management.
+//! liveness, file transfer, content requests, federation, streaming and
+//! task management.
 //! Wire sizes approximate serialized JXTA messages; service classes encode
 //! which messages wake the destination application (see
 //! [`netsim::engine::ServiceClass`]).
@@ -137,20 +137,6 @@ pub enum OverlayMsg {
         bytes: u64,
     },
 
-    // ---- client-submitted jobs -------------------------------------------
-    /// Client → broker: run this job somewhere (the broker selects the
-    /// executor through its selection model).
-    JobSubmit(Box<JobSubmission>),
-    /// Broker → submitter: the job finished.
-    JobDone {
-        /// Job label (echoed).
-        label: String,
-        /// Whether execution succeeded.
-        success: bool,
-        /// Submission-to-result seconds.
-        total_secs: f64,
-    },
-
     // ---- broker federation ------------------------------------------------
     /// Broker → broker: periodic roster exchange so each governor can
     /// select among peers registered at other brokers (the platform has
@@ -220,21 +206,6 @@ pub enum OverlayMsg {
     },
 }
 
-/// What [`OverlayMsg::JobSubmit`] carries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSubmission {
-    /// The submitting peer (gets the result).
-    pub submitter: PeerId,
-    /// Compute demand, giga-ops.
-    pub work_gops: f64,
-    /// Input to ship to the executor first (0 = none).
-    pub input_bytes: u64,
-    /// Parts for the input shipment.
-    pub input_parts: u32,
-    /// Job label.
-    pub label: String,
-}
-
 /// What [`OverlayMsg::PetitionForward`] carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardedPetition {
@@ -276,8 +247,6 @@ impl Payload for OverlayMsg {
             OverlayMsg::FileRequest { name, .. } => 32 + name.len() as u64,
             OverlayMsg::TransferInstruction { file, .. } => 40 + file.wire_size(),
             OverlayMsg::TransferReport { .. } => 48,
-            OverlayMsg::JobSubmit(job) => 56 + job.label.len() as u64,
-            OverlayMsg::JobDone { label, .. } => 40 + label.len() as u64,
             OverlayMsg::BrokerGossip { roster, .. } => {
                 24 + roster
                     .iter()
@@ -312,8 +281,6 @@ impl Payload for OverlayMsg {
             OverlayMsg::FileRequest { .. } => "file-request",
             OverlayMsg::TransferInstruction { .. } => "instruct",
             OverlayMsg::TransferReport { .. } => "xfer-report",
-            OverlayMsg::JobSubmit(_) => "job-submit",
-            OverlayMsg::JobDone { .. } => "job-done",
             OverlayMsg::BrokerGossip { .. } => "gossip",
             OverlayMsg::PetitionForward(_) => "fwd-petition",
             OverlayMsg::PieceRequest { .. } => "piece-request",
@@ -346,8 +313,6 @@ impl Payload for OverlayMsg {
             | OverlayMsg::PublishContent(_)
             | OverlayMsg::FileRequest { .. }
             | OverlayMsg::TransferReport { .. }
-            | OverlayMsg::JobSubmit(_)
-            | OverlayMsg::JobDone { .. }
             | OverlayMsg::BrokerGossip { .. }
             | OverlayMsg::PetitionForward(_)
             | OverlayMsg::Piece { .. } => ServiceClass::Fast,
@@ -595,28 +560,6 @@ mod tests {
                 },
                 "xfer-report",
                 48,
-                Fast,
-            ),
-            (
-                OverlayMsg::JobSubmit(Box::new(JobSubmission {
-                    submitter: peer,
-                    work_gops: 1.0,
-                    input_bytes: 0,
-                    input_parts: 1,
-                    label: "job-1".into(),
-                })),
-                "job-submit",
-                61,
-                Fast,
-            ),
-            (
-                OverlayMsg::JobDone {
-                    label: "job-1".into(),
-                    success: true,
-                    total_secs: 1.0,
-                },
-                "job-done",
-                45,
                 Fast,
             ),
             (

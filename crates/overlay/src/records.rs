@@ -167,31 +167,6 @@ pub struct SelectionRecord {
     pub candidates: usize,
 }
 
-/// A client-submitted job routed through the broker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobRecord {
-    /// Job label.
-    pub label: String,
-    /// Host of the submitting peer.
-    pub submitter: NodeId,
-    /// Host of the executing peer.
-    pub executor: NodeId,
-    /// When the broker received the submission.
-    pub submitted_at: SimTime,
-    /// When the result was forwarded to the submitter.
-    pub done_at: Option<SimTime>,
-    /// Whether execution succeeded.
-    pub success: bool,
-}
-
-impl JobRecord {
-    /// Submission-to-result seconds, if finished.
-    pub fn total_secs(&self) -> Option<f64> {
-        self.done_at
-            .map(|t| t.duration_since(self.submitted_at).as_secs_f64())
-    }
-}
-
 /// Playback milestones of one streaming viewer (one stream per node).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamRecord {
@@ -232,8 +207,6 @@ pub struct RunLog {
     pub tasks: Vec<TaskRecord>,
     /// All selection decisions, in order.
     pub selections: Vec<SelectionRecord>,
-    /// All client-submitted jobs, in order.
-    pub jobs: Vec<JobRecord>,
     /// All streaming-viewer records, in stream-start order.
     pub streams: Vec<StreamRecord>,
 }
@@ -282,7 +255,6 @@ impl RunLog {
         self.transfers.extend(other.transfers);
         self.tasks.extend(other.tasks);
         self.selections.extend(other.selections);
-        self.jobs.extend(other.jobs);
         self.streams.extend(other.streams);
     }
 }

@@ -27,7 +27,7 @@ use netsim::engine::Context;
 use netsim::idmap::IdMap;
 use netsim::node::NodeId;
 use netsim::time::SimTime;
-use netsim::trace::{SpanKind, TraceEventKind};
+use netsim::trace::TraceEventKind;
 
 use crate::filetransfer::{OutboundTransfer, TransferPhase};
 use crate::id::TransferId;
@@ -126,10 +126,6 @@ impl SenderFlow {
             })
         });
         if ctx.trace_enabled() {
-            ctx.trace_event(TraceEventKind::SpanBegin {
-                span: SpanKind::Transfer,
-                key: id.raw(),
-            });
             if enqueued_at < now {
                 ctx.trace_event(TraceEventKind::TransferQueued {
                     transfer: id.raw(),
@@ -273,11 +269,6 @@ impl SenderFlow {
         if ctx.trace_enabled() {
             ctx.trace_event(TraceEventKind::TransferCompleted {
                 transfer: transfer.raw(),
-                ok: completed,
-            });
-            ctx.trace_event(TraceEventKind::SpanEnd {
-                span: SpanKind::Transfer,
-                key: transfer.raw(),
                 ok: completed,
             });
         }
@@ -497,10 +488,6 @@ mod tests {
         assert_eq!(
             rows,
             [
-                TraceEventKind::SpanBegin {
-                    span: SpanKind::Transfer,
-                    key: id().raw()
-                },
                 TraceEventKind::TransferQueued {
                     transfer: id().raw(),
                     enqueued_at: t(0.5)
@@ -618,20 +605,12 @@ mod tests {
             (3.0, complete),
         ]);
         assert_eq!(log.transfer(id()).unwrap().completed_at, Some(t(3.0)));
-        let tail = &rows[rows.len() - 2..];
         assert_eq!(
-            tail,
-            [
-                TraceEventKind::TransferCompleted {
-                    transfer: id().raw(),
-                    ok: true
-                },
-                TraceEventKind::SpanEnd {
-                    span: SpanKind::Transfer,
-                    key: id().raw(),
-                    ok: true
-                },
-            ]
+            rows.last(),
+            Some(&TraceEventKind::TransferCompleted {
+                transfer: id().raw(),
+                ok: true
+            })
         );
 
         let refuse: Call = Box::new(|flow, ctx| {

@@ -116,6 +116,7 @@ pub fn synthetic_profile(hostname: &str) -> NodeProfile {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in hostname.as_bytes() {
         h ^= *b as u64;
+        // Not FNV-1a's prime: this hash derives the testbed, so changing it moves every figure.
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     let unit = |h: u64, shift: u32| ((h >> shift) & 0xFFFF) as f64 / 65535.0;

@@ -42,7 +42,8 @@ impl TestRng {
         }
     }
 
-    /// Derives a stable seed from a test name (FNV-1a hash).
+    /// Derives a stable seed from a test name (an FNV-1a-shaped hash whose
+    /// multiplier is not FNV's prime; changing it changes every case).
     pub fn from_name(name: &str) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.as_bytes() {

@@ -57,8 +57,8 @@ pub struct ScenarioConfig {
     pub transfer_refuse_by_sc: [f64; 8],
     /// Scripted client commands: `(sc 1..=8, delay, command)`. A `Rejoin`
     /// must come strictly after a `Leave` of the same SC, and a command
-    /// that generates work the broker cannot see (`RequestFile`,
-    /// `SubmitJob`) needs `stop_when_idle` off.
+    /// that generates work the broker cannot see (`RequestFile`) needs
+    /// `stop_when_idle` off.
     pub client_commands_by_sc: Vec<(u8, SimDuration, ClientCommand)>,
     /// Files shared by clients at join: `(sc 1..=8, name, bytes)`.
     pub shared_files_by_sc: Vec<(u8, String, u64)>,
@@ -112,7 +112,7 @@ pub enum ScenarioError {
         value: f64,
     },
     /// `stop_when_idle` was left on while a scripted client generates its
-    /// own work (`RequestFile`/`SubmitJob`): the broker cannot see that
+    /// own work (`RequestFile`): the broker cannot see that
     /// work and would stop the run underneath it. Disable idle-stop and
     /// bound the run with the horizon instead.
     IdleStopWithScriptedClients {
@@ -273,9 +273,7 @@ impl ScenarioConfig {
             match cmd {
                 // Leave is passive; only client-initiated *work*
                 // is invisible to the broker's idle detector.
-                ClientCommand::RequestFile { .. } | ClientCommand::SubmitJob { .. }
-                    if self.stop_when_idle =>
-                {
+                ClientCommand::RequestFile { .. } if self.stop_when_idle => {
                     return Err(ScenarioError::IdleStopWithScriptedClients { sc });
                 }
                 ClientCommand::Rejoin if !leaves_before(sc, at) => {

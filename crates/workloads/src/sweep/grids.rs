@@ -110,6 +110,7 @@ pub fn named_grid(name: &str, campaign_seed: u64, replications: usize) -> Option
 mod tests {
     use super::super::run_campaign;
     use super::*;
+    use netsim::trace::fnv1a;
 
     #[test]
     fn fig345_covers_all_24_paper_cells() {
@@ -204,12 +205,6 @@ mod tests {
         );
     }
 
-    fn fnv1a(text: &str) -> u64 {
-        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     /// `(grid, FNV-1a of to_csv(), of to_json(), of render())` at the
     /// `psim sweep <grid> --quick --seed 1` settings, recorded on the
     /// ten-`Vec`-field `SweepSpec` with its hand-written `for` nest and
@@ -252,9 +247,9 @@ mod tests {
                 let spec = named_grid(name, 1, 2).expect("listed grid resolves");
                 let campaign = run_campaign(&spec, workers).expect("valid grid");
                 let rendered = [
-                    fnv1a(&campaign.to_csv()),
-                    fnv1a(&campaign.to_json()),
-                    fnv1a(&campaign.render()),
+                    fnv1a(campaign.to_csv().as_bytes()),
+                    fnv1a(campaign.to_json().as_bytes()),
+                    fnv1a(campaign.render().as_bytes()),
                 ];
                 assert_eq!(
                     rendered,

@@ -10,7 +10,7 @@ use netsim::node::{NodeId, NodeSpec};
 use netsim::rng::DelayDistribution;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::Topology;
-use netsim::trace::TraceEventKind;
+use netsim::trace::{fnv1a, TraceEventKind};
 use netsim::transport::TransportConfig;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::client::{ClientConfig, SimpleClient};
@@ -105,12 +105,6 @@ fn exports_are_byte_deterministic() {
     assert!(prom_a.contains("# TYPE psim_attr_all_transmission_seconds histogram"));
 }
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
-}
-
 /// The `psim attribute <name> --csv --prom` files of one run: the phase
 /// table by SC label, and the run's metrics plus the attribution
 /// histograms as Prometheus text.
@@ -130,14 +124,17 @@ fn attribute_exports(result: &ScenarioResult) -> (String, String) {
 
 /// The run log is the one account of a transfer: a run without a trace
 /// ring attributes exactly what the traced run does, and both match the
-/// bytes the trace replay this replaced produced (`psim attribute <name>
-/// --seed 7` CSV and Prometheus files, FNV-1a). The multi-region phase
-/// tail likewise equals the one in the traced golden.
+/// pinned `psim attribute <name> --seed 7` CSV and Prometheus files
+/// (FNV-1a). The pins were first taken from the trace replay the run log
+/// replaced, and re-blessed once when the digest took FNV-1a's published
+/// prime and the Prometheus text lost `overlay.jobs_unplaced`; no other
+/// byte moved. The multi-region phase tail likewise equals the one in
+/// the traced golden.
 #[test]
 fn attribution_does_not_depend_on_the_trace() {
     let pins = [
-        ("fig5", 0x3576_dc89_8fc7_36cc, 0x14d6_6fc5_e5be_124e),
-        ("fig5-lossy", 0xf4e1_1740_34af_3439, 0xa91b_d836_5e6b_38f3),
+        ("fig5", 0x011a_8f89_8fc7_36cc, 0xa0e7_8a2d_88fc_6e79),
+        ("fig5-lossy", 0x738d_2340_34af_3439, 0x48f4_a59a_9eef_77cc),
     ];
     for (name, csv_pin, prom_pin) in pins {
         let cfg = ScenarioConfig::named(name).expect("known scenario");
@@ -147,8 +144,8 @@ fn attribution_does_not_depend_on_the_trace() {
         assert!(plain.run.trace.is_empty() && !traced.run.trace.is_empty());
         assert_eq!(traced.run.trace.dropped(), 0);
         let (csv, prom) = attribute_exports(&plain);
-        assert_eq!(fnv1a(&csv), csv_pin, "{name} phase CSV");
-        assert_eq!(fnv1a(&prom), prom_pin, "{name} Prometheus text");
+        assert_eq!(fnv1a(csv.as_bytes()), csv_pin, "{name} phase CSV");
+        assert_eq!(fnv1a(prom.as_bytes()), prom_pin, "{name} Prometheus text");
         assert_eq!((csv, prom), attribute_exports(&traced), "{name} traced");
     }
 

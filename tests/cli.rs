@@ -3,6 +3,8 @@
 
 use std::process::{Command, Output};
 
+use netsim::trace::fnv1a;
+
 fn psim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_psim"))
         .args(args)
@@ -509,6 +511,16 @@ fn transfer_runs_a_fractional_size_in_whole_parts() {
     assert_eq!(ok_rows, 8, "one completed transfer per SC:\n{stdout}");
 }
 
+/// A part count above the byte count runs one part, as `--parts 1` does,
+/// even at the largest count the flag takes.
+#[test]
+fn transfer_with_more_parts_than_bytes_runs_one_part() {
+    let run = |parts: &str| psim(&["transfer", "--size-mb", "1", "--parts", parts]);
+    let (huge, one) = (run("4294967295"), run("1"));
+    assert!(huge.status.success(), "transfer failed: {huge:?}");
+    assert_eq!(huge.stdout, one.stdout);
+}
+
 /// `psim sweep` names every grid it knows when it is given none or a wrong
 /// one, and `psim help` lists the same names.
 #[test]
@@ -619,12 +631,6 @@ fn csv_to_an_unwritable_dir_exits_1() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error: cannot create"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// `psim ablation` is the one shipped command built from `TransportConfig`

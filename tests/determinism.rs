@@ -2,6 +2,7 @@
 //! function of its seed.
 
 use netsim::time::SimDuration;
+use netsim::trace::fnv1a;
 use overlay::broker::{BrokerCommand, TargetSpec};
 use workloads::harness::defaults::CLI_TRACE_CAPACITY;
 use workloads::scenario::{run_scenario, ScenarioConfig};
@@ -176,35 +177,33 @@ fn experiment_aggregates_are_reproducible() {
     }
 }
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
-}
-
 /// `(scenario, shards, trace digest, FNV-1a of metrics.render())` at seed
-/// 7, recorded on the hand-rolled `scenario.rs` pipeline (serial `Engine`
-/// at one shard, `ShardedEngine` at three) before it moved onto the
-/// harness. The digests are the ones `psim trace <scenario> --seed 7
-/// [--shards 3]` prints.
+/// 7; the trace digests are the ones `psim trace <scenario> --seed 7
+/// [--shards 3]` prints. First recorded on the hand-rolled pipeline that
+/// preceded the harness, then re-blessed once when the transfer span rows
+/// and the `overlay.jobs_unplaced` counter went and the digests took
+/// FNV-1a's published prime. That re-bless moved no simulated event: with
+/// those rows and that counter deleted, the old and new outputs are equal
+/// byte for byte.
 const NAMED_SCENARIO_PINS: [(&str, usize, u64, u64); 12] = [
-    ("smoke", 1, 0xa349f999ba740e36, 0x2f736de3615cde9d),
-    ("smoke", 3, 0x31c23715b42a6cc8, 0xc8269fecad38e0f6),
-    ("fig2", 1, 0x10422c7c46f7cb7e, 0x4906501af2daa808),
-    ("fig2", 3, 0x5b569ac7090725cf, 0x7caea02b51a78e80),
-    ("fig234", 1, 0xdef3536eb1a40eab, 0x1349914a756f8ac2),
-    ("fig234", 3, 0xb6a3e64dc317f404, 0x686bd5eb60710962),
-    ("fig5", 1, 0xcf5408eb7a2f6a67, 0x573d09b2ee16318e),
-    ("fig5", 3, 0x6e44c230c7f45e40, 0x96d79fdf5f453c0c),
-    ("fig5-lossy", 1, 0xbecf6fb7410d8854, 0x3215d4032b00bd21),
-    ("fig5-lossy", 3, 0x67150597c0b39446, 0x9c80ce63f5c9b60d),
-    ("churn", 1, 0x4ec2ad17558cc2df, 0xcc521550f89563fd),
-    ("churn", 3, 0xf79ac47fa00750b9, 0x3fac67677d360d0c),
+    ("smoke", 1, 0x6506005844c83860, 0x2dd60e0668e37465),
+    ("smoke", 3, 0x66e724a1dc09a8cf, 0x7f1b07ac19a7ba9e),
+    ("fig2", 1, 0x9f454305283341d8, 0x489fcb458bc5fe60),
+    ("fig2", 3, 0x3ee4a9bf7d9f1e37, 0x2cfb850517f0d698),
+    ("fig234", 1, 0x26780470baf251f3, 0xb8b374c65ba59a02),
+    ("fig234", 3, 0x2cb459558dbe1481, 0xc1ab0ec878f0fe0a),
+    ("fig5", 1, 0x3db116d0105b52c8, 0x338cd42f5c1cd636),
+    ("fig5", 3, 0x2b807bf1d6752adc, 0x76c2e8adbe3d9684),
+    ("fig5-lossy", 1, 0xa03c9b2d3ef511e0, 0xf52bc5f324278e61),
+    ("fig5-lossy", 3, 0xd38038f0f24c1155, 0x1e63708a82d88bb5),
+    ("churn", 1, 0x01e5624e30979450, 0x762028a3d41a630d),
+    ("churn", 3, 0xa153ae72db2df8f0, 0xcd084328268f9c1c),
 ];
 
 /// FNV-1a of the `overlay_series` CSV (60 s interval) of `smoke` at seed
-/// 7, by shard count; same provenance as [`NAMED_SCENARIO_PINS`].
-const SMOKE_SERIES_PINS: [(usize, u64); 2] = [(1, 0x760a52468eb01055), (3, 0x1f74857064a2b21f)];
+/// 7, by shard count. Re-blessed with [`NAMED_SCENARIO_PINS`] for the
+/// prime alone: the CSV bytes did not change.
+const SMOKE_SERIES_PINS: [(usize, u64); 2] = [(1, 0x563073468eb01055), (3, 0x4c49c17064a2b21f)];
 
 #[test]
 fn named_scenarios_match_their_pre_harness_digests() {
@@ -230,7 +229,7 @@ fn named_scenarios_match_their_pre_harness_digests() {
             "{name} trace at {shards} shard(s)"
         );
         assert_eq!(
-            fnv1a(&run.metrics.render()),
+            fnv1a(run.metrics.render().as_bytes()),
             metrics,
             "{name} metrics at {shards} shard(s)"
         );
@@ -249,6 +248,10 @@ fn smoke_series_matches_its_pre_harness_digest() {
             .series_interval(Some(SimDuration::from_secs(60)));
         let result = cfg.run_with(harness, 7).expect("smoke runs");
         let csv = result.run.series.expect("interval was set").to_csv();
-        assert_eq!(fnv1a(&csv), pinned, "smoke series at {shards} shard(s)");
+        assert_eq!(
+            fnv1a(csv.as_bytes()),
+            pinned,
+            "smoke series at {shards} shard(s)"
+        );
     }
 }

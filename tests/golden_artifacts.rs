@@ -1,9 +1,15 @@
-//! Pins the stdout artifacts of the harness-hosted drivers to goldens
-//! first captured from the pre-harness implementations.
+//! Pins the stdout artifacts of the harness-hosted workloads to goldens.
 //!
-//! Every refactor of the run pipeline since has had one contract: not
-//! one byte of the churn, multiregion, or federation determinism
-//! artifacts moves. These tests render each artifact with
+//! The goldens were first captured from the implementations that preceded
+//! the harness, and re-blessed once when the transfer `span_begin` /
+//! `span_end` rows and the `overlay.jobs_unplaced` counter were deleted
+//! and `trace_digest` took FNV-1a's published prime: with those rows and
+//! that counter filtered out, the old and new goldens differ only in
+//! their digests, so no simulated event moved.
+//!
+//! A refactor of the run pipeline has one contract: not one byte of the
+//! churn, multiregion, or federation determinism artifacts moves. These
+//! tests render each artifact with
 //! [`Harness::run_with_artifact`] — the function `psim churn` /
 //! `psim multiregion` / `psim federate` print the result of — under the
 //! same configs as the golden capture commands, and byte-compare against

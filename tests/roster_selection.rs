@@ -17,6 +17,7 @@ use netsim::engine::Actor;
 use netsim::node::NodeId;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
+use netsim::trace::fnv1a;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
 use overlay::lifecycle::{LifecycleConfig, LifecyclePeer, LifecycleScript, SessionPlan};
 use overlay::message::OverlayMsg;
@@ -144,12 +145,6 @@ impl Workload for ModelStorm {
             })
             .collect()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// `(selections, digest of the selection log, leaves, distinct roster
