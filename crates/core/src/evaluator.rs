@@ -15,13 +15,6 @@ use overlay::stats::Criterion;
 
 use crate::model::ScoringModel;
 
-const CRITERIA: usize = Criterion::ALL.len();
-
-/// Candidates scored per block: the scoring tile holds at most
-/// `BLOCK × CRITERIA` values (32 KiB). `tests/roster_selection.rs` pins
-/// rosters larger than this, so its digest covers a multi-block sweep.
-const BLOCK: usize = 256;
-
 /// A weighting of the §2.2 criteria.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightProfile {
@@ -104,10 +97,9 @@ pub struct DataEvaluatorModel {
     /// Goodness assumed for criteria a peer has no history on.
     neutral: f64,
     name: String,
-    /// Criterion-major scratch for one block of candidates, kept between
-    /// calls: column `k` holds criterion `k` of up to `min(n, BLOCK)`
-    /// candidates, with no history stored as NaN.
-    tile: Vec<f64>,
+    /// Where a roster that keeps no criterion columns gathers them (see
+    /// [`overlay::selector::Roster::criteria`]), kept between calls.
+    scratch: Vec<f64>,
 }
 
 impl DataEvaluatorModel {
@@ -125,7 +117,7 @@ impl DataEvaluatorModel {
             profile,
             neutral: 0.5,
             name: name.into(),
-            tile: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -140,70 +132,50 @@ impl ScoringModel for DataEvaluatorModel {
         &self.name
     }
 
-    /// Two sweeps over the roster. The first gathers every criterion's
-    /// finite minimum and maximum. The second copies `BLOCK` candidates at
-    /// a time into a criterion-major tile; then, for each profile
-    /// criterion, one tight loop over the block's column normalizes,
-    /// polarity-corrects, weights and adds into the block's scores. Each
-    /// candidate's score is still accumulated criterion by criterion in
-    /// profile order, so it is `to_bits`-equal to normalizing one column
-    /// per criterion over the whole roster.
+    /// Reads the roster's criterion columns once. For each profile
+    /// criterion, one pass finds the column's finite minimum and maximum
+    /// and one tight loop normalizes, polarity-corrects, weights and adds
+    /// the column into the scores. Each candidate's score is accumulated
+    /// criterion by criterion in profile order, so it is `to_bits`-equal
+    /// to normalizing one column per criterion with `min_max_normalize`.
     fn scores(&mut self, req: &SelectionRequest<'_>) -> Vec<f64> {
         let n = req.candidates.len();
         let total_weight = self.profile.total_weight();
         if n == 0 || total_weight <= 0.0 {
             return vec![0.0; n];
         }
-        let (mut lo, mut hi) = ([f64::INFINITY; CRITERIA], [f64::NEG_INFINITY; CRITERIA]);
-        for c in req.candidates.iter() {
-            for (k, v) in c.snapshot.values().into_iter().enumerate() {
-                if let Some(v) = v.filter(|v| v.is_finite()) {
-                    lo[k] = lo[k].min(v);
-                    hi[k] = hi[k].max(v);
-                }
-            }
-        }
-        let span: [f64; CRITERIA] = std::array::from_fn(|k| hi[k] - lo[k]);
-        let stride = n.min(BLOCK);
-        if self.tile.len() < stride * CRITERIA {
-            self.tile = vec![f64::NAN; stride * CRITERIA];
-        }
-        let mut views = req.candidates.iter();
+        let columns = req.candidates.criteria(&mut self.scratch);
         let mut scores = vec![0.0; n];
-        for block in scores.chunks_mut(stride) {
-            for (j, c) in views.by_ref().take(block.len()).enumerate() {
-                let columns = self.tile.chunks_exact_mut(stride);
-                for (column, v) in columns.zip(c.snapshot.values()) {
-                    column[j] = v.unwrap_or(f64::NAN);
-                }
+        for &(criterion, weight) in self.profile.weights() {
+            let column = &columns[criterion as usize * n..][..n];
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &v in column.iter().filter(|v| v.is_finite()) {
+                lo = lo.min(v);
+                hi = hi.max(v);
             }
-            for &(criterion, weight) in self.profile.weights() {
-                let k = criterion as usize;
-                let column = &self.tile[k * stride..][..block.len()];
-                let (lo, span, neutral) = (lo[k], span[k], self.neutral);
-                // Missing history is NaN: neutral, not zero. Other
-                // non-finite values pass through un-normalized.
-                let checked = move |raw: f64| {
-                    if !raw.is_finite() {
-                        raw
-                    } else if span <= 0.0 {
-                        0.5 // constant column: all equally good
-                    } else {
-                        (raw - lo) / span
-                    }
-                };
-                // With a finite positive span `lo` is finite too, and the
-                // formula maps NaN and ±inf onto themselves: no test needed.
-                let direct = move |raw: f64| (raw - lo) / span;
-                match (span > 0.0 && span.is_finite(), criterion.higher_is_better()) {
-                    (true, true) => add_column(block, column, weight, neutral, direct, |v| v),
-                    (true, false) => {
-                        add_column(block, column, weight, neutral, direct, |v| 1.0 - v)
-                    }
-                    (false, true) => add_column(block, column, weight, neutral, checked, |v| v),
-                    (false, false) => {
-                        add_column(block, column, weight, neutral, checked, |v| 1.0 - v)
-                    }
+            let (span, neutral) = (hi - lo, self.neutral);
+            // Missing history is NaN: neutral, not zero. Other non-finite
+            // values pass through un-normalized.
+            let checked = move |raw: f64| {
+                if !raw.is_finite() {
+                    raw
+                } else if span <= 0.0 {
+                    0.5 // constant column: all equally good
+                } else {
+                    (raw - lo) / span
+                }
+            };
+            // With a finite positive span `lo` is finite too, and the
+            // formula maps NaN and ±inf onto themselves: no test needed.
+            let direct = move |raw: f64| (raw - lo) / span;
+            match (span > 0.0 && span.is_finite(), criterion.higher_is_better()) {
+                (true, true) => add_column(&mut scores, column, weight, neutral, direct, |v| v),
+                (true, false) => {
+                    add_column(&mut scores, column, weight, neutral, direct, |v| 1.0 - v)
+                }
+                (false, true) => add_column(&mut scores, column, weight, neutral, checked, |v| v),
+                (false, false) => {
+                    add_column(&mut scores, column, weight, neutral, checked, |v| 1.0 - v)
                 }
             }
         }
@@ -214,10 +186,10 @@ impl ScoringModel for DataEvaluatorModel {
     }
 }
 
-/// Adds `weight × goodness` of one criterion's column into a block's
-/// scores: `normalize` maps a raw value into `[0, 1]`, a NaN result (no
-/// history) counts as `neutral`, and `polarity` turns any other into
-/// goodness. Each column class gets its own loop, with no branch per value.
+/// Adds `weight × goodness` of one criterion's column into the scores:
+/// `normalize` maps a raw value into `[0, 1]`, a NaN result (no history)
+/// counts as `neutral`, and `polarity` turns any other into goodness.
+/// Each column class gets its own loop, with no branch per value.
 #[inline(always)]
 fn add_column(
     scores: &mut [f64],
@@ -467,17 +439,9 @@ mod tests {
             DataEvaluatorModel::with_profile("none", WeightProfile::empty()),
         ];
         for round in 0..300 {
-            // A single candidate, a pair, rosters of up to 40, and rosters
-            // just short of, at and past one and two scoring blocks.
-            let n = [
-                1,
-                2,
-                1 + rng.below(40) as usize,
-                BLOCK - 1,
-                BLOCK,
-                BLOCK + 1,
-                2 * BLOCK + 3,
-            ][round % 7];
+            // A single candidate, a pair, rosters of up to 40, and a few
+            // hundred on either side of a power of two.
+            let n = [1, 2, 1 + rng.below(40) as usize, 255, 256, 257, 515][round % 7];
             let shape: [u64; 16] = std::array::from_fn(|_| rng.below(4));
             let roster: Vec<CandidateView> = (0..n)
                 .map(|i| cand(i as u32, random_snapshot(&mut rng, &shape)))
@@ -526,24 +490,6 @@ mod tests {
             got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             "{got:?} vs {want:?}"
-        );
-    }
-
-    #[test]
-    fn scoring_scratch_is_one_block_whatever_the_roster() {
-        let mut rng = netsim::rng::SimRng::new(0x711E);
-        let shape = [2; 16];
-        let roster: Vec<CandidateView> = (0..16_000)
-            .map(|i| cand(i, random_snapshot(&mut rng, &shape)))
-            .collect();
-        let mut model = DataEvaluatorModel::same_priority();
-        model.scores(&req(&roster[..40].to_vec()));
-        assert_eq!(model.scores(&req(&roster)).len(), roster.len());
-        assert!(
-            model.tile.capacity() <= BLOCK * CRITERIA,
-            "{} scratch values after scoring {} candidates",
-            model.tile.capacity(),
-            roster.len()
         );
     }
 }

@@ -28,9 +28,11 @@ pub trait ScoringModel: Send {
 /// Picks the argmax of a score vector with the standard tie-breaks:
 /// higher advertised CPU first, then lower node id. Non-finite scores are
 /// ineligible. One pass carries the incumbent's score, CPU and node, so a
-/// candidate is read from the roster only when its score reaches the
-/// incumbent's — on a roster where most peers share the priors, once per
-/// tied peer.
+/// candidate's keys ([`Roster::tiebreak`]) are read only when its score
+/// reaches the incumbent's — on a roster where most peers share the
+/// priors, once per tied peer.
+///
+/// [`Roster::tiebreak`]: overlay::selector::Roster::tiebreak
 pub fn argmax_with_tiebreak(req: &SelectionRequest<'_>, scores: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64, f64, NodeId)> = None;
     for (i, &s) in scores.iter().enumerate() {
@@ -42,14 +44,14 @@ pub fn argmax_with_tiebreak(req: &SelectionRequest<'_>, scores: &[f64]) -> Optio
             Some((_, top, cpu, node)) => {
                 s > top
                     || (s == top && {
-                        let c = &req.candidates[i];
-                        c.cpu_gops > cpu || (c.cpu_gops == cpu && c.node < node)
+                        let (c_cpu, c_node) = req.candidates.tiebreak(i);
+                        c_cpu > cpu || (c_cpu == cpu && c_node < node)
                     })
             }
         };
         if wins {
-            let c = &req.candidates[i];
-            best = Some((i, s, c.cpu_gops, c.node));
+            let (cpu, node) = req.candidates.tiebreak(i);
+            best = Some((i, s, cpu, node));
         }
     }
     best.map(|(i, ..)| i)

@@ -700,10 +700,96 @@ fn footprint_counts_the_read_index_and_the_in_place_views() {
         "16 B per order entry"
     );
     assert_eq!(read.total() - read.roster, unread.total() - unread.roster);
-    // A write empties the order (it pins no view it may no longer offer)
-    // and lists the slot again.
+    // Scoring builds the criterion columns with a row per slab slot, and
+    // the argmax the CPU rates.
+    let roster = reg.roster(SimTime::ZERO, 24, None);
+    roster.criteria(&mut Vec::new());
+    roster.tiebreak(0);
+    let scored = reg.memory_footprint();
+    assert_eq!(
+        scored.roster - read.roster,
+        3 * 16 * 8 + 2 * 4 + 3 * 8,
+        "16 cells and a CPU rate per candidate, a row index per slot"
+    );
+    // A write empties the order (it pins no view it may no longer offer),
+    // drops what was built over it, and lists the slot again.
     reg.expel(reg.peer_of(NodeId(1)).unwrap());
     assert_eq!(reg.read.heap_bytes(), 2, "only the per-slot flags are left");
+}
+
+/// A roster that only addresses its candidates, so every other read goes
+/// through the [`Roster`] trait's defaults.
+struct Plain<'a>(&'a dyn Roster);
+
+impl Roster for Plain<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, i: usize) -> &CandidateView {
+        self.0.get(i)
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn a_reread_serves_the_same_columns_and_a_write_patches_only_its_row() {
+    let mut ids = IdGenerator::new(67);
+    let mut reg = PeerRegistry::new();
+    let peers: Vec<PeerId> = (1..=4)
+        .map(|node| {
+            let a = adv(&mut ids, node, "p");
+            let peer = a.peer;
+            reg.admit(a, SimTime::ZERO);
+            peer
+        })
+        .collect();
+    assert!(learn(
+        &mut reg,
+        remote_view(PeerId::generate(&mut ids), 9, "r"),
+        SimTime::ZERO
+    ));
+    let now = SimTime::from_secs_f64(1.0);
+    let mut scratch = Vec::new();
+    let (at, first) = {
+        let roster = reg.roster(now, 24, None);
+        let columns = roster.criteria(&mut scratch);
+        (columns.as_ptr(), columns.to_vec())
+    };
+    assert_eq!(first.len(), 5 * 16);
+    // Nothing changed: the same allocation, and nothing gathered.
+    let roster = reg.roster(now, 24, None);
+    let columns = roster.criteria(&mut scratch);
+    assert_eq!(
+        columns.as_ptr(),
+        at,
+        "an unchanged roster is not re-gathered"
+    );
+    assert_eq!(bits(columns), bits(&first));
+    assert!(scratch.is_empty());
+    // One message to the third peer moves its message-success cells.
+    reg.entry_mut(peers[2])
+        .expect("registered")
+        .stats
+        .record_message(now, false);
+    let roster = reg.roster(now, 24, None);
+    let columns = roster.criteria(&mut scratch);
+    assert_eq!(columns.as_ptr(), at, "a stats write patches in place");
+    assert_eq!(
+        bits(columns),
+        bits(Plain(&roster).criteria(&mut Vec::new()))
+    );
+    let row = 2; // hosts 1..=4 are rows 0..=3, the remote view row 4
+    assert_eq!(roster.get(row).peer, peers[2]);
+    for (k, (was, is)) in first.chunks(5).zip(columns.chunks(5)).enumerate() {
+        for i in (0..5).filter(|&i| i != row) {
+            assert_eq!(was[i].to_bits(), is[i].to_bits(), "criterion {k}, row {i}");
+        }
+    }
+    assert_ne!(bits(&first), bits(columns), "the written row moved");
 }
 
 /// What `purge_remote` did before the claim index: one scan over every
@@ -836,6 +922,95 @@ proptest! {
                 .filter(|v| reg.peer_of(v.node).is_some())
                 .collect();
             prop_assert_eq!(local, occupied);
+        }
+    }
+
+    /// Random admits (re-admits on a new host with a new CPU among them),
+    /// expels, `entry_mut` stats writes and gossip absorbs, with clock
+    /// steps past the staleness bound and into another hour. After every
+    /// read, the criterion columns and tie-break keys the registry serves
+    /// are `to_bits`-equal to the trait defaults over the same roster and
+    /// to the defaults over an owned copy of it.
+    #[test]
+    fn cached_columns_and_tiebreaks_match_the_trait_defaults(
+        ops in prop::collection::vec((0u8..8, 0usize..6, 0u32..6, 0u64..40), 1..100),
+    ) {
+        let mut ids = IdGenerator::new(71);
+        let locals: Vec<PeerId> = (0..6).map(|_| PeerId::generate(&mut ids)).collect();
+        // A fellow broker's current view of six peers, on hosts 3..9, so
+        // some are shadowed by local peers.
+        let mut rumors: Vec<Arc<CandidateView>> = (0..6)
+            .map(|i| Arc::new(remote_view(PeerId::generate(&mut ids), 3 + i, "r")))
+            .collect();
+        let mut reg = PeerRegistry::new();
+        let bound = SimDuration::from_secs(30);
+        const K_HOURS: usize = 2;
+        // Starts short of an hour boundary, so plain steps cross it.
+        let mut now = SimTime::from_secs_f64(3590.0);
+        for (op, i, host, x) in ops {
+            now += SimDuration::from_secs(1);
+            match op {
+                0 | 1 => {
+                    reg.admit(
+                        PeerAdvertisement {
+                            peer: locals[i],
+                            node: NodeId(host),
+                            name: format!("p{i}"),
+                            cpu_gops: 1.0 + (x % 4) as f64,
+                        },
+                        now,
+                    );
+                }
+                2 => {
+                    reg.expel(locals[i]);
+                }
+                3 | 4 => {
+                    if let Some(entry) = reg.entry_mut(locals[i]) {
+                        match x % 4 {
+                            0 => entry.stats.record_message(now, host % 2 == 0),
+                            1 => entry.stats.record_file_send(host % 3 != 0),
+                            2 => {
+                                entry.stats.pending_transfers += 1;
+                                entry.stats.outbox.incr(now);
+                            }
+                            _ => entry.stats.inbox.set(now, host),
+                        }
+                    }
+                }
+                5 => {
+                    // A gossip round, sent `x` seconds ago; every other one
+                    // re-takes one view (a new allocation).
+                    if x % 2 == 0 {
+                        let mut view = CandidateView::clone(&rumors[i]);
+                        view.cpu_gops = 1.0 + x as f64;
+                        view.snapshot.msg_success_total = Some(x as f64);
+                        view.snapshot.outbox_now = host as f64;
+                        rumors[i] = Arc::new(view);
+                    }
+                    let roster: Arc<[Arc<CandidateView>]> = rumors
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| !(j as u32 + host).is_multiple_of(3))
+                        .map(|(_, view)| Arc::clone(view))
+                        .collect();
+                    reg.absorb(NodeId(100), roster, now - SimDuration::from_secs(x), 1);
+                }
+                6 => now += SimDuration::from_secs([31, 3600][host as usize % 2]),
+                _ => {}
+            }
+            let roster = reg.roster(now, K_HOURS, Some(bound));
+            let copy: Vec<CandidateView> = (&roster as &dyn Roster).iter().cloned().collect();
+            let plain = Plain(&roster);
+            let want = bits(plain.criteria(&mut Vec::new()));
+            prop_assert_eq!(&bits(roster.criteria(&mut Vec::new())), &want);
+            prop_assert_eq!(&bits(copy.criteria(&mut Vec::new())), &want);
+            for j in 0..roster.len() {
+                let (cpu, node) = roster.tiebreak(j);
+                let (want_cpu, want_node) = plain.tiebreak(j);
+                prop_assert_eq!((cpu.to_bits(), node), (want_cpu.to_bits(), want_node));
+                prop_assert_eq!(copy.tiebreak(j), (want_cpu, want_node));
+            }
+            reg.check_invariants();
         }
     }
 }

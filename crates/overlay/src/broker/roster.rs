@@ -19,6 +19,16 @@
 //!   follows a write is cheaper than a sorted insert per write. The
 //!   rebuild sweep is also where expired remote views are evicted.
 //!
+//! Two caches sit beside the order index. Each is built on the first read
+//! that asks for it and dropped whenever the order is rebuilt or outdated,
+//! so a round-robin broker never builds either:
+//!
+//! * the roster's **criterion columns** ([`Roster::criteria`]), with each
+//!   local slot's row; the first step above rewrites the 16 cells of every
+//!   slot it re-snapshots, and a remote view never changes in place;
+//! * the candidates' **advertised CPU** ([`Roster::tiebreak`]), which
+//!   only an admission changes, and an admission outdates the order.
+//!
 //! The roster a gossip round **publishes** ([`PeerRegistry::local_roster`])
 //! runs the first step and then hands out, per local peer, the shared copy
 //! of its view it handed out last round — unless that step rewrote the
@@ -27,14 +37,15 @@
 //!
 //! [`StatsSnapshot`]: crate::stats::StatsSnapshot
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::footprint::slots_estimate;
-use crate::selector::{CandidateView, Roster};
-use crate::stats::WindowedRatio;
+use crate::selector::{put_criteria, CandidateView, Roster};
+use crate::stats::{Criterion, WindowedRatio};
 
 use super::registry::{Membership, PeerEntry, PeerRegistry};
 
@@ -45,6 +56,14 @@ struct OrderEntry {
     /// Slab slot of a locally registered peer; unused for a remote view.
     slot: u32,
     remote: Option<Arc<CandidateView>>,
+}
+
+/// `order`'s criterion columns (the layout of [`Roster::criteria`]) and
+/// where each local slot's row is, so a re-snapshot patches its cells.
+struct Columns {
+    values: Vec<f64>,
+    /// Per slab slot: its row in `order`, or `u32::MAX` when unoccupied.
+    rows: Vec<u32>,
 }
 
 /// What the registry keeps between reads so that a read is a borrow.
@@ -66,6 +85,12 @@ pub(crate) struct ReadIndex {
     bound: Option<SimDuration>,
     /// The earliest instant a held remote view outlives `bound`.
     expires: Option<SimTime>,
+    /// `order`'s criterion columns: built on the first read that asks for
+    /// them, patched by `refresh`, dropped with the order.
+    columns: OnceCell<Columns>,
+    /// `order`'s advertised CPU rates: built on the first read that asks
+    /// for them, dropped with the order (a rate changes only on admit).
+    cpu: OnceCell<Vec<f64>>,
 }
 
 impl ReadIndex {
@@ -74,6 +99,13 @@ impl ReadIndex {
         slots_estimate::<OrderEntry>(self.order.len())
             + slots_estimate::<u32>(self.dirty.len())
             + slots_estimate::<bool>(self.queued.len())
+            + self.columns.get().map_or(0, |c| {
+                slots_estimate::<f64>(c.values.len()) + slots_estimate::<u32>(c.rows.len())
+            })
+            + self
+                .cpu
+                .get()
+                .map_or(0, |cpu| slots_estimate::<f64>(cpu.len()))
     }
 
     /// Lists `slot` for re-evaluation before the next read.
@@ -91,7 +123,14 @@ impl ReadIndex {
         if self.order_valid {
             self.order_valid = false;
             self.order.clear();
+            self.drop_caches();
         }
+    }
+
+    /// Lets go of what was built over `order`.
+    fn drop_caches(&mut self) {
+        self.columns.take();
+        self.cpu.take();
     }
 }
 
@@ -108,7 +147,14 @@ impl ReadIndex {
         assert_eq!(listed, flagged, "a slot is on the dirty list iff flagged");
         if !self.order_valid {
             assert!(self.order.is_empty(), "an outdated order holds nothing");
+            assert!(self.columns.get().is_none() && self.cpu.get().is_none());
             return;
+        }
+        if let Some(columns) = self.columns.get() {
+            assert_eq!(
+                columns.values.len(),
+                self.order.len() * Criterion::ALL.len()
+            );
         }
         assert!(
             self.order.windows(2).all(|w| w[0].node <= w[1].node),
@@ -147,7 +193,8 @@ impl PeerEntry {
 }
 
 impl PeerRegistry {
-    /// Brings every cached snapshot up to `now`.
+    /// Brings every cached snapshot up to `now`, and the criterion
+    /// columns with them when they are built.
     fn refresh(&mut self, now: SimTime, stats_k_hours: usize) {
         let read = &mut self.read;
         let window = Some((WindowedRatio::hour_of(now), stats_k_hours));
@@ -162,11 +209,18 @@ impl PeerRegistry {
             read.queued.resize(self.entries.len(), false);
         }
         let entries = &mut self.entries;
-        let queued = &mut read.queued;
+        let (queued, mut columns) = (&mut read.queued, read.columns.get_mut());
         read.dirty.retain(|&slot| {
-            let integrating = entries[slot as usize]
-                .as_mut()
-                .is_some_and(|entry| entry.resnapshot(now, stats_k_hours));
+            let integrating = entries[slot as usize].as_mut().is_some_and(|entry| {
+                let integrating = entry.resnapshot(now, stats_k_hours);
+                if let Some(columns) = columns.as_deref_mut() {
+                    // Every occupied slot has a row: admitting one
+                    // drops the columns.
+                    let row = columns.rows[slot as usize] as usize;
+                    put_criteria(&mut columns.values, row, &entry.view.snapshot);
+                }
+                integrating
+            });
             queued[slot as usize] = integrating;
             integrating
         });
@@ -181,6 +235,7 @@ impl PeerRegistry {
             return;
         }
         read.order.clear();
+        read.drop_caches();
         for (slot, entry) in self.entries.iter().enumerate() {
             if let Some(entry) = entry {
                 read.order.push(OrderEntry {
@@ -247,7 +302,7 @@ impl PeerRegistry {
         self.reorder(now, staleness);
         RosterView {
             entries: &self.entries,
-            order: &self.read.order,
+            read: &self.read,
         }
     }
 
@@ -278,7 +333,7 @@ impl PeerRegistry {
 /// place through the order index.
 pub(crate) struct RosterView<'a> {
     entries: &'a [Option<PeerEntry>],
-    order: &'a [OrderEntry],
+    read: &'a ReadIndex,
 }
 
 impl RosterView<'_> {
@@ -286,11 +341,9 @@ impl RosterView<'_> {
     pub(crate) fn restricted_to(&self, nodes: &[NodeId]) -> RosterSubset<'_> {
         let mut picks: Vec<u32> = Vec::with_capacity(nodes.len());
         for &node in nodes {
-            let first = self.order.partition_point(|e| e.node < node);
-            let claimants = self.order[first..]
-                .iter()
-                .take_while(|e| e.node == node)
-                .count();
+            let order = &self.read.order;
+            let first = order.partition_point(|e| e.node < node);
+            let claimants = order[first..].iter().take_while(|e| e.node == node).count();
             picks.extend(first as u32..(first + claimants) as u32);
         }
         picks.sort_unstable();
@@ -304,11 +357,11 @@ impl RosterView<'_> {
 
 impl Roster for RosterView<'_> {
     fn len(&self) -> usize {
-        self.order.len()
+        self.read.order.len()
     }
 
     fn get(&self, i: usize) -> &CandidateView {
-        let at = &self.order[i];
+        let at = &self.read.order[i];
         match &at.remote {
             Some(view) => view,
             None => {
@@ -318,6 +371,29 @@ impl Roster for RosterView<'_> {
                     .view
             }
         }
+    }
+
+    fn criteria<'s>(&'s self, _scratch: &'s mut Vec<f64>) -> &'s [f64] {
+        let columns = self.read.columns.get_or_init(|| {
+            let mut values = vec![f64::NAN; self.len() * Criterion::ALL.len()];
+            let mut rows = vec![u32::MAX; self.entries.len()];
+            for (i, at) in self.read.order.iter().enumerate() {
+                put_criteria(&mut values, i, &self.get(i).snapshot);
+                if at.remote.is_none() {
+                    rows[at.slot as usize] = i as u32;
+                }
+            }
+            Columns { values, rows }
+        });
+        &columns.values
+    }
+
+    fn tiebreak(&self, i: usize) -> (f64, NodeId) {
+        let cpu = self
+            .read
+            .cpu
+            .get_or_init(|| (0..self.len()).map(|i| self.get(i).cpu_gops).collect());
+        (cpu[i], self.read.order[i].node)
     }
 }
 

@@ -12,7 +12,7 @@ use netsim::node::NodeId;
 use netsim::time::SimTime;
 
 use crate::id::PeerId;
-use crate::stats::StatsSnapshot;
+use crate::stats::{Criterion, StatsSnapshot};
 
 /// What the broker has learned about one peer from past interactions.
 ///
@@ -128,6 +128,36 @@ pub trait Roster {
     /// Whether there is no candidate at all.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Every candidate's §2.2 criteria, criterion-major: column `k`,
+    /// `[k * len() .. (k + 1) * len()]`, holds [`Criterion::ALL`]`[k]` of
+    /// each candidate in index order, with no history as NaN. The default
+    /// gathers the columns from [`Roster::get`] into `scratch`; the
+    /// broker's registry serves them from a cache it keeps.
+    fn criteria<'a>(&'a self, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+        let n = self.len();
+        scratch.clear();
+        scratch.resize(n * Criterion::ALL.len(), f64::NAN);
+        for i in 0..n {
+            put_criteria(scratch, i, &self.get(i).snapshot);
+        }
+        scratch
+    }
+
+    /// The `i`-th candidate's tie-break keys: advertised CPU, then host.
+    fn tiebreak(&self, i: usize) -> (f64, NodeId) {
+        let c = self.get(i);
+        (c.cpu_gops, c.node)
+    }
+}
+
+/// Writes one snapshot's criteria into row `i` of criterion-major
+/// `columns` (the layout of [`Roster::criteria`]).
+pub(crate) fn put_criteria(columns: &mut [f64], i: usize, snapshot: &StatsSnapshot) {
+    let n = columns.len() / Criterion::ALL.len();
+    for (column, v) in columns.chunks_exact_mut(n).zip(snapshot.values()) {
+        column[i] = v.unwrap_or(f64::NAN);
     }
 }
 

@@ -11,7 +11,7 @@ use crate::{workload_artifact_or_exit, Flags};
 /// Builds the [`ChurnConfig`] `psim churn` and `psim profile churn` share
 /// from the common flag set (`--regions`, `--peers`, `--horizon-secs`)
 /// and the shard count each command reads from its own flag.
-pub(crate) fn churn_config(flags: &Flags, num_shards: usize) -> ChurnConfig {
+pub(crate) fn churn_config(flags: &Flags, shards_flag: &str) -> ChurnConfig {
     let regions = flags.at_least("regions", 1);
     ChurnConfig {
         topo: SynthTopoConfig {
@@ -20,7 +20,7 @@ pub(crate) fn churn_config(flags: &Flags, num_shards: usize) -> ChurnConfig {
             ..SynthTopoConfig::default()
         },
         horizon: netsim::time::SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
-        num_shards,
+        num_shards: flags.shards_over(shards_flag, regions),
         trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..ChurnConfig::default()
     }
@@ -28,7 +28,7 @@ pub(crate) fn churn_config(flags: &Flags, num_shards: usize) -> ChurnConfig {
 
 /// `psim churn`: one churn run, plus the population movement on stderr.
 pub(crate) fn cmd_churn(flags: &Flags) {
-    let cfg = churn_config(flags, flags.usize("num-shards"));
+    let cfg = churn_config(flags, "num-shards");
     let run = workload_artifact_or_exit(flags, cfg.harness(), &ChurnWorkload { cfg: &cfg });
     let swap = SwapDynamics::from_metrics(&run.metrics);
     eprintln!(

@@ -203,8 +203,8 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
             FlagDef {
                 name: "num-shards",
                 takes_value: true,
-                default: Some("4"),
-                help: "shard domains (fixed across worker counts)",
+                default: None,
+                help: "shard domains, fixed across worker counts (default: min(4, --regions))",
             },
             SEED,
             SHARD_WORKERS,
@@ -262,7 +262,7 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
                 name: "shards",
                 takes_value: true,
                 default: None,
-                help: "shard domains (default: 4 for churn, 1 for a scenario)",
+                help: "shard domains (default: min(4, --regions) for churn, 1 for a scenario)",
             },
             SHARD_WORKERS,
         ],
@@ -406,8 +406,8 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
             FlagDef {
                 name: "num-shards",
                 takes_value: true,
-                default: Some("4"),
-                help: "shard domains (at most --brokers)",
+                default: None,
+                help: "shard domains, at most --brokers (default: min(4, --brokers))",
             },
             SEED,
             SHARD_WORKERS,
@@ -463,8 +463,8 @@ pub(crate) static COMMANDS: &[CommandDef] = &[
             FlagDef {
                 name: "num-shards",
                 takes_value: true,
-                default: Some("4"),
-                help: "shard domains (at most --regions)",
+                default: None,
+                help: "shard domains, at most --regions (default: min(4, --regions))",
             },
             SEED,
             SHARD_WORKERS,

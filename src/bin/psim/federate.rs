@@ -56,7 +56,7 @@ fn federation_config(flags: &Flags) -> FederationConfig {
         staleness_bound: staleness,
         forward_hops: flags.u32_at_least("forward-hops", 0),
         horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
-        num_shards: flags.usize("num-shards"),
+        num_shards: flags.shards_over("num-shards", brokers),
         kill,
         trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
         ..FederationConfig::default()

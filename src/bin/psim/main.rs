@@ -95,6 +95,12 @@ impl Flags {
         }
     }
 
+    /// The shard count of a run over `domains` regions or brokers: the
+    /// value given, else four, or one per domain when there are fewer.
+    fn shards_over(&self, name: &str, domains: u64) -> usize {
+        self.usize_or(name, 4.min(domains as usize))
+    }
+
     /// A count or duration that must be at least `min`: anything smaller
     /// is a usage error, not a value to clamp into something the user did
     /// not ask for.

@@ -71,10 +71,7 @@ fn profile_churn(flags: &Flags, interval: SimDuration, seed: u64) -> ProfileRun 
         // The profiler measures the engine and the registry, not the
         // trace ring, so tracing stays off.
         trace_capacity: None,
-        ..churn_config(
-            flags,
-            flags.usize_or("shards", ChurnConfig::default().num_shards),
-        )
+        ..churn_config(flags, "shards")
     };
     let run = cfg
         .harness()

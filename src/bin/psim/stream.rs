@@ -50,7 +50,7 @@ fn streaming_config(flags: &Flags) -> StreamingConfig {
         window: flags.u32_at_least("window", 1),
         upload: upload_or_exit(flags),
         horizon: SimDuration::from_secs(flags.at_least("horizon-secs", 1)),
-        num_shards: flags.usize("num-shards"),
+        num_shards: flags.shards_over("num-shards", regions),
         total_pieces: flags.u32_at_least("pieces", 1),
         trace_capacity: Some(defaults::CLI_TRACE_CAPACITY),
     }

@@ -312,6 +312,22 @@ fn profile_churn_writes_a_sorted_chrome_trace_and_a_complete_summary() {
     }
 }
 
+/// A run over fewer than four regions or brokers shards one per domain
+/// unless `--num-shards` says otherwise.
+#[test]
+fn default_shard_count_fits_a_small_testbed() {
+    for args in [
+        &["federate", "--brokers", "2"][..],
+        &["churn", "--regions", "2", "--peers", "100"],
+    ] {
+        let out = psim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("\"num_shards\":2,"), "{args:?}");
+    }
+}
+
 /// The harness commands hand a bad `--num-shards` / `--shard-workers` to
 /// the harness's own validation instead of clamping it: exit 2, nothing
 /// on stdout, and the scenario commands follow the same rule.

@@ -11,7 +11,10 @@
 //! interleave with a petition every 3 s per broker. The digest of the
 //! merged selection log was recorded before the registry's read path
 //! borrowed the roster and must not move; it must also not depend on the
-//! shard-worker count.
+//! shard-worker count. The same-priority broker's model also checks each
+//! read of the registry's criterion columns against the trait defaults.
+
+use std::sync::{Arc, Mutex};
 
 use netsim::engine::Actor;
 use netsim::node::NodeId;
@@ -19,9 +22,14 @@ use netsim::rng::SimRng;
 use netsim::time::SimDuration;
 use netsim::trace::fnv1a;
 use overlay::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
+use overlay::id::PeerId;
 use overlay::lifecycle::{LifecycleConfig, LifecyclePeer, LifecycleScript, SessionPlan};
 use overlay::message::OverlayMsg;
-use overlay::selector::ModelKind;
+use overlay::selector::{
+    CandidateView, ModelKind, PeerSelector, Roster, SelectionOutcome, SelectionRequest,
+};
+use peer_selection::evaluator::DataEvaluatorModel;
+use peer_selection::model::{argmax_with_tiebreak, ScoringModel};
 use peer_selection::service::factory_for;
 use workloads::harness::{
     BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder,
@@ -49,6 +57,88 @@ const PINNED: (usize, u64) = (600, 0x2164_f9d0_1157_bd65);
 
 struct ModelStorm {
     topo: SynthTopoConfig,
+    reads: Arc<Mutex<Reads>>,
+}
+
+/// How the same-priority broker's roster changed from one read to the
+/// next, by what the model could see of it.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Reads {
+    /// Reads whose candidates are not the previous read's: the order was
+    /// rebuilt, so the columns were built afresh.
+    rebuilt: usize,
+    /// Reads with the previous read's candidates, but with criteria that
+    /// moved: what `refresh` patches in place, unless something else
+    /// outdated the order in between.
+    patched: usize,
+}
+
+/// A roster that only addresses its candidates, so every other read goes
+/// through the [`Roster`] trait's defaults.
+struct Plain<'a>(&'a dyn Roster);
+
+impl Roster for Plain<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, i: usize) -> &CandidateView {
+        self.0.get(i)
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The same-priority model, choosing as `factory_for` builds it, after
+/// checking the read: the registry serves the criterion columns without
+/// gathering them, `to_bits`-equal to the default gather, and the scores
+/// and the choice equal those over an owned copy of the roster.
+struct Probe {
+    model: DataEvaluatorModel,
+    reads: Arc<Mutex<Reads>>,
+    /// The candidates and criterion columns of the previous read.
+    keys: Vec<(NodeId, PeerId)>,
+    columns: Vec<u64>,
+}
+
+impl PeerSelector for Probe {
+    fn name(&self) -> &str {
+        self.model.name()
+    }
+
+    fn select(&mut self, req: &SelectionRequest<'_>) -> Option<usize> {
+        let roster = req.candidates;
+        let mut scratch = Vec::new();
+        let served = bits(roster.criteria(&mut scratch));
+        assert!(scratch.is_empty(), "the registry gathered its columns");
+        assert_eq!(served, bits(Plain(roster).criteria(&mut scratch)));
+        let copy: Vec<CandidateView> = roster.iter().cloned().collect();
+        let owned = SelectionRequest {
+            candidates: &copy,
+            ..req.clone()
+        };
+        let scores = self.model.scores(req);
+        let owned_scores = self.model.scores(&owned);
+        assert_eq!(bits(&scores), bits(&owned_scores));
+        let chosen = argmax_with_tiebreak(req, &scores);
+        assert_eq!(chosen, argmax_with_tiebreak(&owned, &owned_scores));
+
+        let keys: Vec<_> = copy.iter().map(|c| (c.node, c.peer)).collect();
+        let mut reads = self.reads.lock().expect("unpoisoned");
+        if self.keys != keys {
+            reads.rebuilt += 1;
+        } else if self.columns != served {
+            reads.patched += 1;
+        }
+        (self.keys, self.columns) = (keys, served);
+        chosen
+    }
+
+    fn on_outcome(&mut self, outcome: &SelectionOutcome) {
+        self.model.on_outcome(outcome);
+    }
 }
 
 impl Workload for ModelStorm {
@@ -78,8 +168,16 @@ impl Workload for ModelStorm {
         for (r, &broker) in cx.brokers.iter().enumerate() {
             let mut cfg = BrokerConfig::new(cx.seed ^ (0x5E1E_0000 + r as u64));
             cfg.stop_when_idle = false;
-            let factory = factory_for(MODELS[r], 0).expect("no blind model in MODELS");
-            cfg.selector = Some(factory(cx.seed));
+            cfg.selector = Some(if MODELS[r] == ModelKind::SamePriority {
+                Box::new(Probe {
+                    model: DataEvaluatorModel::same_priority(),
+                    reads: Arc::clone(&self.reads),
+                    keys: Vec::new(),
+                    columns: Vec::new(),
+                })
+            } else {
+                factory_for(MODELS[r], 0).expect("no blind model in MODELS")(cx.seed)
+            });
             cx.federation.configure(r, &mut cfg);
             for i in 0..PETITIONS_PER_BROKER {
                 cfg = cfg.at(
@@ -148,14 +246,15 @@ impl Workload for ModelStorm {
 }
 
 /// `(selections, digest of the selection log, leaves, distinct roster
-/// sizes, smallest roster)`.
-fn run(workers: usize) -> (usize, u64, u64, usize, usize) {
+/// sizes, the same-priority broker's reads)`.
+fn run(workers: usize) -> (usize, u64, u64, usize, Reads) {
     let workload = ModelStorm {
         topo: SynthTopoConfig {
             regions: MODELS.len(),
             peers: PEERS,
             ..SynthTopoConfig::default()
         },
+        reads: Arc::default(),
     };
     let harness = WorkloadBuilder::new()
         .horizon(HORIZON)
@@ -168,19 +267,20 @@ fn run(workers: usize) -> (usize, u64, u64, usize, usize) {
     let mut sizes: Vec<usize> = run.log.selections.iter().map(|s| s.candidates).collect();
     sizes.sort_unstable();
     sizes.dedup();
+    let reads = *workload.reads.lock().expect("unpoisoned");
     (
         run.log.selections.len(),
         fnv1a(log.as_bytes()),
         run.metrics.counter("churn.leaves"),
         sizes.len(),
-        sizes.first().copied().unwrap_or(0),
+        reads,
     )
 }
 
 #[test]
 fn model_choices_on_a_churning_federated_roster_are_pinned_at_any_worker_count() {
     let serial = run(1);
-    let (selections, digest, leaves, roster_sizes, smallest) = serial;
+    let (selections, digest, leaves, roster_sizes, reads) = serial;
     // Vacuity guards: petitions were placed, peers did leave, and the
     // roster the models saw kept changing size (joins, purges, expiries).
     assert!(selections > 500, "only {selections} selections");
@@ -189,12 +289,11 @@ fn model_choices_on_a_churning_federated_roster_are_pinned_at_any_worker_count()
         roster_sizes > 20,
         "only {roster_sizes} distinct roster sizes"
     );
-    // The data evaluator scores 256 candidates per block (`BLOCK` in
-    // `crates/core/src/evaluator.rs`). The block must stay below the
-    // smallest roster here (291), so the pin covers a multi-block sweep.
+    // The registry's criterion columns were both rebuilt and patched
+    // under the pin.
     assert!(
-        smallest > 256,
-        "smallest roster {smallest} fits in one scoring block"
+        reads.rebuilt > 20 && reads.patched > 20,
+        "{reads:?} same-priority reads"
     );
     assert_eq!(
         (selections, digest),
