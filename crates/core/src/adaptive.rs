@@ -72,8 +72,8 @@ impl PeerSelector for EpsilonGreedySelector {
         // One probe per arm: the first untried arm goes before anything
         // else; otherwise the sweep has already found the best mean.
         let mut best = (0, f64::NAN);
-        for (i, c) in req.candidates.iter().enumerate() {
-            match self.means.get(&c.node) {
+        for i in 0..n {
+            match self.means.get(&req.candidates.node(i)) {
                 None => return Some(i),
                 Some(&(mean, _)) => {
                     if !beats(best.1, mean) {
@@ -144,8 +144,8 @@ impl PeerSelector for Ucb1Selector {
         }
         let ln_pulls = self.ln_pulls();
         let mut best = (0, f64::NAN);
-        for (i, c) in req.candidates.iter().enumerate() {
-            let ucb = self.ucb(ln_pulls, c.node);
+        for i in 0..req.candidates.len() {
+            let ucb = self.ucb(ln_pulls, req.candidates.node(i));
             if !beats(best.1, ucb) {
                 best = (i, ucb);
             }

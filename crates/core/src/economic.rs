@@ -9,7 +9,7 @@
 //! by CPU speed — exactly the paper's "additional data and criteria such as
 //! CPU speed".
 
-use overlay::selector::{SelectionOutcome, SelectionRequest};
+use overlay::selector::{InteractionHistory, SelectionOutcome, SelectionRequest};
 
 use crate::estimate::{completion_secs, Priors};
 use crate::model::ScoringModel;
@@ -39,6 +39,8 @@ pub struct EconomicModel {
     cfg: EconomicConfig,
     /// Estimation priors for peers without history.
     priors: Priors,
+    /// Where a roster that keeps no history column gathers one.
+    scratch: Vec<InteractionHistory>,
 }
 
 impl EconomicModel {
@@ -52,19 +54,35 @@ impl EconomicModel {
         EconomicModel {
             cfg,
             priors: Priors::default(),
+            scratch: Vec::new(),
         }
     }
 
-    /// The economic cost of running `purpose` on candidate `i` of `req`
-    /// (lower is better). Exposed for tests and reports.
-    pub fn cost(&self, req: &SelectionRequest<'_>, i: usize) -> f64 {
+    /// Candidate `i`'s cost, read through [`Roster::get`]: the oracle
+    /// `scores` must match bit for bit.
+    ///
+    /// [`Roster::get`]: overlay::selector::Roster::get
+    #[cfg(test)]
+    fn cost(&self, req: &SelectionRequest<'_>, i: usize) -> f64 {
         let c = &req.candidates[i];
-        let completion = completion_secs(req.now, c, req.purpose, &self.priors);
-        let price = 1.0 + self.cfg.price_per_gops * c.cpu_gops;
-        // cost = time × (1 + pressure·(price − 1)): at zero pressure this is
-        // pure makespan; at pressure 1 it is the Ernemann-style time×price.
-        completion * (1.0 + self.cfg.budget_pressure * (price - 1.0))
+        cost(&self.cfg, &self.priors, req, &c.history, c.cpu_gops)
     }
+}
+
+/// The economic cost of running `req.purpose` on a peer with history `h`
+/// advertising `cpu_gops` (lower is better).
+fn cost(
+    cfg: &EconomicConfig,
+    priors: &Priors,
+    req: &SelectionRequest<'_>,
+    h: &InteractionHistory,
+    cpu_gops: f64,
+) -> f64 {
+    let completion = completion_secs(req.now, h, cpu_gops, req.purpose, priors);
+    let price = 1.0 + cfg.price_per_gops * cpu_gops;
+    // cost = time × (1 + pressure·(price − 1)): at zero pressure this is
+    // pure makespan; at pressure 1 it is the Ernemann-style time×price.
+    completion * (1.0 + cfg.budget_pressure * (price - 1.0))
 }
 
 impl Default for EconomicModel {
@@ -78,9 +96,13 @@ impl ScoringModel for EconomicModel {
         "economic"
     }
 
+    /// Reads the roster's history column once, and each candidate's CPU
+    /// through the tie-break keys the argmax reads anyway.
     fn scores(&mut self, req: &SelectionRequest<'_>) -> Vec<f64> {
-        (0..req.candidates.len())
-            .map(|i| -self.cost(req, i))
+        let roster = req.candidates;
+        let (cfg, priors) = (&self.cfg, &self.priors);
+        (roster.histories(&mut self.scratch).iter().enumerate())
+            .map(|(i, h)| -cost(cfg, priors, req, h, roster.tiebreak(i).0))
             .collect()
     }
 
@@ -228,5 +250,53 @@ mod tests {
         let large = m.cost(&file_req(&c, 100_000_000), 0);
         assert!(small > 0.0);
         assert!(large > small);
+    }
+
+    #[test]
+    fn column_scores_match_the_per_candidate_cost_bit_for_bit() {
+        let mut rng = netsim::rng::SimRng::new(0xEC0);
+        let now = SimTime::ZERO + SimDuration::from_secs(500);
+        for round in 0..200 {
+            let c: Vec<CandidateView> = (0..1 + rng.below(8) as u32)
+                .map(|node| {
+                    let mut h = InteractionHistory::empty();
+                    if rng.bernoulli(0.6) {
+                        h.observe_throughput(rng.uniform_range(0.0, 2e6), 1.0);
+                    }
+                    if rng.bernoulli(0.6) {
+                        h.observe_petition(rng.uniform_range(0.0, 30.0), 1.0);
+                    }
+                    if rng.bernoulli(0.5) {
+                        h.observe_exec_rate(rng.uniform_range(0.0, 2.0), 1.0);
+                    }
+                    h.queued_bytes = rng.below(1 << 26);
+                    h.busy_until = SimTime::ZERO + SimDuration::from_secs(rng.below(1000));
+                    let cpu = [1.0, 0.25, 3.5, f64::NAN][rng.below(4) as usize];
+                    cand(node, cpu, h)
+                })
+                .collect();
+            let purpose = if round % 2 == 0 {
+                Purpose::FileTransfer {
+                    bytes: rng.below(1 << 30),
+                }
+            } else {
+                Purpose::TaskExecution {
+                    work_gops: rng.below(500),
+                    input_bytes: rng.below(1 << 24),
+                }
+            };
+            let mut m = EconomicModel::with_config(EconomicConfig {
+                price_per_gops: 0.2,
+                budget_pressure: [0.0, 0.5, 1.0][round % 3],
+            });
+            let req = SelectionRequest {
+                now,
+                purpose,
+                candidates: &c,
+            };
+            let want: Vec<u64> = (0..c.len()).map(|i| (-m.cost(&req, i)).to_bits()).collect();
+            let got: Vec<u64> = m.scores(&req).iter().map(|s| s.to_bits()).collect();
+            assert_eq!(got, want, "round {round}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! user-preference models predict consistently.
 
 use netsim::time::SimTime;
-use overlay::selector::{CandidateView, InteractionHistory, Purpose};
+use overlay::selector::{InteractionHistory, Purpose};
 
 /// Fallback assumptions when a peer has no history yet.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,48 +61,45 @@ pub fn ready_secs(now: SimTime, h: &InteractionHistory, priors: &Priors) -> f64 
     busy + queue_drain
 }
 
-/// Predicted service time for the work described by `purpose` on this peer
-/// (excludes queueing; see [`ready_secs`]).
-pub fn service_secs(c: &CandidateView, purpose: Purpose, priors: &Priors) -> f64 {
+/// Predicted service time for the work described by `purpose` on a peer
+/// with history `h` advertising `cpu_gops` (excludes queueing; see
+/// [`ready_secs`]).
+pub fn service_secs(
+    h: &InteractionHistory,
+    cpu_gops: f64,
+    purpose: Purpose,
+    priors: &Priors,
+) -> f64 {
     match purpose {
-        Purpose::FileTransfer { bytes } => bytes as f64 / throughput_bps(&c.history, priors),
+        Purpose::FileTransfer { bytes } => bytes as f64 / throughput_bps(h, priors),
         Purpose::TaskExecution {
             work_gops,
             input_bytes,
         } => {
-            input_bytes as f64 / throughput_bps(&c.history, priors)
-                + work_gops as f64 / exec_rate_gops(&c.history, c.cpu_gops, priors)
+            input_bytes as f64 / throughput_bps(h, priors)
+                + work_gops as f64 / exec_rate_gops(h, cpu_gops, priors)
         }
     }
 }
 
-/// Predicted completion time (seconds from `now`) of `purpose` on this peer:
-/// ready + wake-up + service.
-pub fn completion_secs(now: SimTime, c: &CandidateView, purpose: Purpose, priors: &Priors) -> f64 {
-    ready_secs(now, &c.history, priors)
-        + petition_secs(&c.history, priors)
-        + service_secs(c, purpose, priors)
+/// Predicted completion time (seconds from `now`) of `purpose` on a peer
+/// with history `h` advertising `cpu_gops`: ready + wake-up + service.
+pub fn completion_secs(
+    now: SimTime,
+    h: &InteractionHistory,
+    cpu_gops: f64,
+    purpose: Purpose,
+    priors: &Priors,
+) -> f64 {
+    ready_secs(now, h, priors)
+        + petition_secs(h, priors)
+        + service_secs(h, cpu_gops, purpose, priors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::node::NodeId;
     use netsim::time::SimDuration;
-    use overlay::id::{IdGenerator, PeerId};
-    use overlay::stats::StatsSnapshot;
-
-    fn cand(history: InteractionHistory, cpu: f64) -> CandidateView {
-        let mut g = IdGenerator::new(1);
-        CandidateView {
-            peer: PeerId::generate(&mut g),
-            node: NodeId(0),
-            name: "p".into(),
-            cpu_gops: cpu,
-            snapshot: StatsSnapshot::empty(cpu),
-            history,
-        }
-    }
 
     #[test]
     fn priors_apply_when_no_history() {
@@ -144,9 +141,8 @@ mod tests {
         let mut h = InteractionHistory::empty();
         h.observe_throughput(1e6, 1.0);
         h.observe_petition(1.0, 1.0);
-        let c = cand(h, 2.0);
         let p = Priors::default();
-        let secs = completion_secs(now, &c, Purpose::FileTransfer { bytes: 3_000_000 }, &p);
+        let secs = completion_secs(now, &h, 2.0, Purpose::FileTransfer { bytes: 3_000_000 }, &p);
         // ready 0 + petition 1 + transfer 3 = 4.
         assert!((secs - 4.0).abs() < 1e-9);
     }
@@ -158,11 +154,11 @@ mod tests {
         h.observe_throughput(1e6, 1.0);
         h.observe_petition(0.0, 1.0);
         h.observe_exec_rate(2.0, 1.0);
-        let c = cand(h, 2.0);
         let p = Priors::default();
         let secs = completion_secs(
             now,
-            &c,
+            &h,
+            2.0,
             Purpose::TaskExecution {
                 work_gops: 10,
                 input_bytes: 1_000_000,

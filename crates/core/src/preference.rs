@@ -15,7 +15,7 @@
 //!   (queues, backlog, reservations). The staleness of that choice is
 //!   exactly what the paper's comparison exposes.
 
-use overlay::selector::SelectionRequest;
+use overlay::selector::{InteractionHistory, SelectionRequest};
 
 use crate::estimate::{petition_secs, throughput_bps, Priors};
 use crate::model::ScoringModel;
@@ -36,6 +36,8 @@ pub struct UserPreferenceModel {
     mode: PreferenceMode,
     priors: Priors,
     name: String,
+    /// Where a roster that keeps no history column gathers one.
+    scratch: Vec<InteractionHistory>,
 }
 
 impl UserPreferenceModel {
@@ -45,6 +47,7 @@ impl UserPreferenceModel {
             mode: PreferenceMode::Ranking(names.into_iter().map(Into::into).collect()),
             priors: Priors::default(),
             name: "user-preference(ranking)".into(),
+            scratch: Vec::new(),
         }
     }
 
@@ -54,6 +57,7 @@ impl UserPreferenceModel {
             mode: PreferenceMode::QuickPeer,
             priors: Priors::default(),
             name: "user-preference(quick-peer)".into(),
+            scratch: Vec::new(),
         }
     }
 
@@ -81,16 +85,14 @@ impl ScoringModel for UserPreferenceModel {
                     }
                 })
                 .collect(),
-            PreferenceMode::QuickPeer => req
-                .candidates
-                .iter()
-                .map(|c| {
+            PreferenceMode::QuickPeer => (req.candidates.histories(&mut self.scratch).iter())
+                .map(|h| {
                     // Historical speed only: observed throughput, with the
                     // observed wake-up latency as a mild penalty. Live state
                     // (queued_bytes, busy_until, queue gauges) is DELIBERATELY
                     // ignored — that is the model's defining property.
-                    let thr = throughput_bps(&c.history, &self.priors);
-                    let wake = petition_secs(&c.history, &self.priors);
+                    let thr = throughput_bps(h, &self.priors);
+                    let wake = petition_secs(h, &self.priors);
                     thr / (1.0 + wake)
                 })
                 .collect(),

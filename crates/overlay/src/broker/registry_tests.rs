@@ -711,6 +711,21 @@ fn footprint_counts_the_read_index_and_the_in_place_views() {
         3 * 16 * 8 + 2 * 4 + 3 * 8,
         "16 cells and a CPU rate per candidate, a row index per slot"
     );
+    // The history column shares that slot map, so it adds its rows alone.
+    assert_eq!(std::mem::size_of::<InteractionHistory>(), 80);
+    let roster = reg.roster(SimTime::ZERO, 24, None);
+    roster.histories(&mut Vec::new());
+    let histories = reg.memory_footprint();
+    assert_eq!(
+        histories.roster - scored.roster,
+        3 * 80,
+        "a history per candidate"
+    );
+    // Alone, the history column builds the slot map too.
+    reg.read.invalidate_order();
+    reg.roster(SimTime::ZERO, 24, None)
+        .histories(&mut Vec::new());
+    assert_eq!(reg.memory_footprint().roster - read.roster, 3 * 80 + 2 * 4);
     // A write empties the order (it pins no view it may no longer offer),
     // drops what was built over it, and lists the slot again.
     reg.expel(reg.peer_of(NodeId(1)).unwrap());
@@ -790,6 +805,63 @@ fn a_reread_serves_the_same_columns_and_a_write_patches_only_its_row() {
         }
     }
     assert_ne!(bits(&first), bits(columns), "the written row moved");
+}
+
+#[test]
+fn a_history_write_patches_only_its_row_and_rebuilds_nothing() {
+    let mut ids = IdGenerator::new(69);
+    let mut reg = PeerRegistry::new();
+    let peers: Vec<PeerId> = (1..=4)
+        .map(|node| {
+            let a = adv(&mut ids, node, "p");
+            let peer = a.peer;
+            reg.admit(a, SimTime::ZERO);
+            peer
+        })
+        .collect();
+    assert!(learn(
+        &mut reg,
+        remote_view(PeerId::generate(&mut ids), 9, "r"),
+        SimTime::ZERO
+    ));
+    let now = SimTime::from_secs_f64(1.0);
+    let mut scratch = Vec::new();
+    let (at, first) = {
+        let roster = reg.roster(now, 24, None);
+        let histories = roster.histories(&mut scratch);
+        (histories.as_ptr(), histories.to_vec())
+    };
+    assert_eq!(first.len(), 5);
+    assert!(scratch.is_empty(), "the registry gathered nothing");
+    // A completed transfer to the third peer, as the transfer path
+    // records it.
+    let history = &mut reg.entry_mut(peers[2]).expect("registered").view.history;
+    history.transfers_completed += 1;
+    history.observe_throughput(7e5, 0.3);
+    let written = history.clone();
+    reg.roster(now, 24, None);
+    let kept = reg
+        .read
+        .built_histories()
+        .expect("a read after a history write keeps the column");
+    assert_eq!(kept.as_ptr(), at, "patched in place");
+    let row = 2; // hosts 1..=4 are rows 0..=3, the remote view row 4
+    for (i, (was, is)) in first.iter().zip(kept).enumerate() {
+        if i == row {
+            assert_eq!(is, &written, "the written row reads the write");
+            assert_ne!(was, is);
+        } else {
+            assert_eq!(was, is, "row {i} is untouched");
+        }
+    }
+    let roster = reg.roster(now, 24, None);
+    assert_eq!(roster.histories(&mut scratch).as_ptr(), at);
+    assert!(scratch.is_empty());
+    assert_eq!(
+        roster.histories(&mut scratch).to_vec(),
+        Plain(&roster).histories(&mut Vec::new()).to_vec()
+    );
+    reg.check_invariants();
 }
 
 /// What `purge_remote` did before the claim index: one scan over every
@@ -926,11 +998,12 @@ proptest! {
     }
 
     /// Random admits (re-admits on a new host with a new CPU among them),
-    /// expels, `entry_mut` stats writes and gossip absorbs, with clock
-    /// steps past the staleness bound and into another hour. After every
-    /// read, the criterion columns and tie-break keys the registry serves
-    /// are `to_bits`-equal to the trait defaults over the same roster and
-    /// to the defaults over an owned copy of it.
+    /// expels, `entry_mut` stats and history writes and gossip absorbs,
+    /// with clock steps past the staleness bound and into another hour.
+    /// After every read, the criterion columns, tie-break keys, histories
+    /// and hosts the registry serves are `to_bits`-equal to the trait
+    /// defaults over the same roster and to the defaults over an owned
+    /// copy of it.
     #[test]
     fn cached_columns_and_tiebreaks_match_the_trait_defaults(
         ops in prop::collection::vec((0u8..8, 0usize..6, 0u32..6, 0u64..40), 1..100),
@@ -972,8 +1045,12 @@ proptest! {
                             2 => {
                                 entry.stats.pending_transfers += 1;
                                 entry.stats.outbox.incr(now);
+                                entry.view.history.queued_bytes += 1 << 20;
                             }
-                            _ => entry.stats.inbox.set(now, host),
+                            _ => {
+                                entry.stats.inbox.set(now, host);
+                                entry.view.history.observe_petition(0.1 * x as f64, 0.5);
+                            }
                         }
                     }
                 }
@@ -1004,11 +1081,15 @@ proptest! {
             let want = bits(plain.criteria(&mut Vec::new()));
             prop_assert_eq!(&bits(roster.criteria(&mut Vec::new())), &want);
             prop_assert_eq!(&bits(copy.criteria(&mut Vec::new())), &want);
+            let want = plain.histories(&mut Vec::new()).to_vec();
+            prop_assert_eq!(roster.histories(&mut Vec::new()), &want[..]);
+            prop_assert_eq!(copy.histories(&mut Vec::new()), &want[..]);
             for j in 0..roster.len() {
                 let (cpu, node) = roster.tiebreak(j);
                 let (want_cpu, want_node) = plain.tiebreak(j);
                 prop_assert_eq!((cpu.to_bits(), node), (want_cpu.to_bits(), want_node));
                 prop_assert_eq!(copy.tiebreak(j), (want_cpu, want_node));
+                prop_assert_eq!((roster.node(j), copy.node(j)), (want_node, want_node));
             }
             reg.check_invariants();
         }

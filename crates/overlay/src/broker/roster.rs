@@ -19,13 +19,16 @@
 //!   follows a write is cheaper than a sorted insert per write. The
 //!   rebuild sweep is also where expired remote views are evicted.
 //!
-//! Two caches sit beside the order index. Each is built on the first read
-//! that asks for it and dropped whenever the order is rebuilt or outdated,
-//! so a round-robin broker never builds either:
+//! Three caches sit beside the order index. Each is built on the first
+//! read that asks for it and dropped whenever the order is rebuilt or
+//! outdated, so a round-robin broker never builds any:
 //!
-//! * the roster's **criterion columns** ([`Roster::criteria`]), with each
-//!   local slot's row; the first step above rewrites the 16 cells of every
-//!   slot it re-snapshots, and a remote view never changes in place;
+//! * the roster's **criterion columns** ([`Roster::criteria`]) and its
+//!   **history column** ([`Roster::histories`]), with one map from each
+//!   local slot to its row that both share; the first step above rewrites
+//!   the row of every slot it re-snapshots (every history write goes
+//!   through `entry_mut`, which lists the slot), and a remote view never
+//!   changes in place;
 //! * the candidates' **advertised CPU** ([`Roster::tiebreak`]), which
 //!   only an admission changes, and an admission outdates the order.
 //!
@@ -44,7 +47,7 @@ use netsim::node::NodeId;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::footprint::slots_estimate;
-use crate::selector::{put_criteria, CandidateView, Roster};
+use crate::selector::{put_criteria, CandidateView, InteractionHistory, Roster};
 use crate::stats::{Criterion, WindowedRatio};
 
 use super::registry::{Membership, PeerEntry, PeerRegistry};
@@ -56,14 +59,6 @@ struct OrderEntry {
     /// Slab slot of a locally registered peer; unused for a remote view.
     slot: u32,
     remote: Option<Arc<CandidateView>>,
-}
-
-/// `order`'s criterion columns (the layout of [`Roster::criteria`]) and
-/// where each local slot's row is, so a re-snapshot patches its cells.
-struct Columns {
-    values: Vec<f64>,
-    /// Per slab slot: its row in `order`, or `u32::MAX` when unoccupied.
-    rows: Vec<u32>,
 }
 
 /// What the registry keeps between reads so that a read is a borrow.
@@ -85,9 +80,16 @@ pub(crate) struct ReadIndex {
     bound: Option<SimDuration>,
     /// The earliest instant a held remote view outlives `bound`.
     expires: Option<SimTime>,
-    /// `order`'s criterion columns: built on the first read that asks for
-    /// them, patched by `refresh`, dropped with the order.
-    columns: OnceCell<Columns>,
+    /// Per slab slot: its row in `order`, or `u32::MAX` when unoccupied.
+    /// Built with the first column over `order`, so `refresh` can patch a
+    /// re-snapshotted slot's row; dropped with the order.
+    rows: OnceCell<Vec<u32>>,
+    /// `order`'s criterion columns (the layout of [`Roster::criteria`]):
+    /// built on the first read that asks for them, patched by `refresh`,
+    /// dropped with the order.
+    columns: OnceCell<Vec<f64>>,
+    /// `order`'s interaction histories, kept like `columns`.
+    histories: OnceCell<Vec<InteractionHistory>>,
     /// `order`'s advertised CPU rates: built on the first read that asks
     /// for them, dropped with the order (a rate changes only on admit).
     cpu: OnceCell<Vec<f64>>,
@@ -96,16 +98,16 @@ pub(crate) struct ReadIndex {
 impl ReadIndex {
     /// Length-based heap estimate of the index itself.
     pub(crate) fn heap_bytes(&self) -> u64 {
+        fn built<T>(cache: &OnceCell<Vec<T>>) -> u64 {
+            cache.get().map_or(0, |v| slots_estimate::<T>(v.len()))
+        }
         slots_estimate::<OrderEntry>(self.order.len())
             + slots_estimate::<u32>(self.dirty.len())
             + slots_estimate::<bool>(self.queued.len())
-            + self.columns.get().map_or(0, |c| {
-                slots_estimate::<f64>(c.values.len()) + slots_estimate::<u32>(c.rows.len())
-            })
-            + self
-                .cpu
-                .get()
-                .map_or(0, |cpu| slots_estimate::<f64>(cpu.len()))
+            + built(&self.rows)
+            + built(&self.columns)
+            + built(&self.histories)
+            + built(&self.cpu)
     }
 
     /// Lists `slot` for re-evaluation before the next read.
@@ -129,15 +131,25 @@ impl ReadIndex {
 
     /// Lets go of what was built over `order`.
     fn drop_caches(&mut self) {
+        self.rows.take();
         self.columns.take();
+        self.histories.take();
         self.cpu.take();
     }
 }
 
 #[cfg(test)]
 impl ReadIndex {
+    /// The history column, when one is built.
+    pub(super) fn built_histories(&self) -> Option<&[InteractionHistory]> {
+        self.histories.get().map(Vec::as_slice)
+    }
+
     /// The index's own invariants: a slot is listed exactly when flagged,
-    /// and a valid order offers every local peer once, in node order.
+    /// a valid order offers every local peer once, in node order, and
+    /// every column built over it reads as a fresh gather would — the
+    /// history of a slot still listed excepted, which its next read
+    /// patches.
     pub(super) fn check(&self, entries: &[Option<PeerEntry>]) {
         let mut listed = self.dirty.clone();
         listed.sort_unstable();
@@ -147,14 +159,56 @@ impl ReadIndex {
         assert_eq!(listed, flagged, "a slot is on the dirty list iff flagged");
         if !self.order_valid {
             assert!(self.order.is_empty(), "an outdated order holds nothing");
-            assert!(self.columns.get().is_none() && self.cpu.get().is_none());
+            assert!(self.rows.get().is_none() && self.cpu.get().is_none());
+            assert!(self.columns.get().is_none() && self.histories.get().is_none());
             return;
         }
+        let roster = RosterView {
+            entries,
+            read: self,
+        };
+        let view = |i: usize| roster.get(i);
+        assert_eq!(
+            self.rows.get().is_some(),
+            self.columns.get().is_some() || self.histories.get().is_some(),
+            "the row map exists exactly when a column it patches does"
+        );
+        if let Some(rows) = self.rows.get() {
+            for (i, at) in self.order.iter().enumerate() {
+                if at.remote.is_none() {
+                    assert_eq!(
+                        rows[at.slot as usize], i as u32,
+                        "a slot's row is its place"
+                    );
+                }
+            }
+        }
         if let Some(columns) = self.columns.get() {
+            let mut fresh = vec![f64::NAN; self.order.len() * Criterion::ALL.len()];
+            for i in 0..self.order.len() {
+                put_criteria(&mut fresh, i, &view(i).snapshot);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                columns.values.len(),
-                self.order.len() * Criterion::ALL.len()
+                bits(columns),
+                bits(&fresh),
+                "the criterion columns are current"
             );
+        }
+        if let Some(histories) = self.histories.get() {
+            assert_eq!(histories.len(), self.order.len());
+            for (i, (at, kept)) in self.order.iter().zip(histories).enumerate() {
+                let listed = at.remote.is_none() && self.queued[at.slot as usize];
+                assert!(
+                    listed || *kept == view(i).history,
+                    "row {i}'s history is current"
+                );
+            }
+        }
+        if let Some(cpu) = self.cpu.get() {
+            for (i, &rate) in cpu.iter().enumerate() {
+                assert_eq!(rate.to_bits(), view(i).cpu_gops.to_bits(), "row {i}'s CPU");
+            }
         }
         assert!(
             self.order.windows(2).all(|w| w[0].node <= w[1].node),
@@ -193,8 +247,8 @@ impl PeerEntry {
 }
 
 impl PeerRegistry {
-    /// Brings every cached snapshot up to `now`, and the criterion
-    /// columns with them when they are built.
+    /// Brings every cached snapshot up to `now`, and the criterion and
+    /// history columns with them when they are built.
     fn refresh(&mut self, now: SimTime, stats_k_hours: usize) {
         let read = &mut self.read;
         let window = Some((WindowedRatio::hour_of(now), stats_k_hours));
@@ -209,15 +263,21 @@ impl PeerRegistry {
             read.queued.resize(self.entries.len(), false);
         }
         let entries = &mut self.entries;
-        let (queued, mut columns) = (&mut read.queued, read.columns.get_mut());
+        let (queued, rows) = (&mut read.queued, read.rows.get());
+        let (mut columns, mut histories) = (read.columns.get_mut(), read.histories.get_mut());
         read.dirty.retain(|&slot| {
             let integrating = entries[slot as usize].as_mut().is_some_and(|entry| {
                 let integrating = entry.resnapshot(now, stats_k_hours);
-                if let Some(columns) = columns.as_deref_mut() {
+                if let Some(rows) = rows {
                     // Every occupied slot has a row: admitting one
                     // drops the columns.
-                    let row = columns.rows[slot as usize] as usize;
-                    put_criteria(&mut columns.values, row, &entry.view.snapshot);
+                    let row = rows[slot as usize] as usize;
+                    if let Some(columns) = columns.as_deref_mut() {
+                        put_criteria(columns, row, &entry.view.snapshot);
+                    }
+                    if let Some(histories) = histories.as_deref_mut() {
+                        histories[row].clone_from(&entry.view.history);
+                    }
                 }
                 integrating
             });
@@ -337,6 +397,25 @@ pub(crate) struct RosterView<'a> {
 }
 
 impl RosterView<'_> {
+    /// A column `refresh` patches, built by `gather` on first demand, with
+    /// the slot → row map its patches go through.
+    fn patchable<'s, T>(
+        &'s self,
+        column: &'s OnceCell<Vec<T>>,
+        gather: impl FnOnce() -> Vec<T>,
+    ) -> &'s [T] {
+        self.read.rows.get_or_init(|| {
+            let mut rows = vec![u32::MAX; self.entries.len()];
+            for (i, at) in self.read.order.iter().enumerate() {
+                if at.remote.is_none() {
+                    rows[at.slot as usize] = i as u32;
+                }
+            }
+            rows
+        });
+        column.get_or_init(gather)
+    }
+
     /// The candidates living on one of `nodes`, still in node order.
     pub(crate) fn restricted_to(&self, nodes: &[NodeId]) -> RosterSubset<'_> {
         let mut picks: Vec<u32> = Vec::with_capacity(nodes.len());
@@ -374,18 +453,13 @@ impl Roster for RosterView<'_> {
     }
 
     fn criteria<'s>(&'s self, _scratch: &'s mut Vec<f64>) -> &'s [f64] {
-        let columns = self.read.columns.get_or_init(|| {
+        self.patchable(&self.read.columns, || {
             let mut values = vec![f64::NAN; self.len() * Criterion::ALL.len()];
-            let mut rows = vec![u32::MAX; self.entries.len()];
-            for (i, at) in self.read.order.iter().enumerate() {
+            for i in 0..self.len() {
                 put_criteria(&mut values, i, &self.get(i).snapshot);
-                if at.remote.is_none() {
-                    rows[at.slot as usize] = i as u32;
-                }
             }
-            Columns { values, rows }
-        });
-        &columns.values
+            values
+        })
     }
 
     fn tiebreak(&self, i: usize) -> (f64, NodeId) {
@@ -394,6 +468,21 @@ impl Roster for RosterView<'_> {
             .cpu
             .get_or_init(|| (0..self.len()).map(|i| self.get(i).cpu_gops).collect());
         (cpu[i], self.read.order[i].node)
+    }
+
+    fn histories<'s>(
+        &'s self,
+        _scratch: &'s mut Vec<InteractionHistory>,
+    ) -> &'s [InteractionHistory] {
+        self.patchable(&self.read.histories, || {
+            (0..self.len())
+                .map(|i| self.get(i).history.clone())
+                .collect()
+        })
+    }
+
+    fn node(&self, i: usize) -> NodeId {
+        self.read.order[i].node
     }
 }
 

@@ -150,6 +150,23 @@ pub trait Roster {
         let c = self.get(i);
         (c.cpu_gops, c.node)
     }
+
+    /// Every candidate's [`InteractionHistory`], in index order. The
+    /// default gathers copies from [`Roster::get`] into `scratch`; the
+    /// broker's registry serves them from a cache it keeps.
+    fn histories<'a>(
+        &'a self,
+        scratch: &'a mut Vec<InteractionHistory>,
+    ) -> &'a [InteractionHistory] {
+        scratch.clear();
+        scratch.extend((0..self.len()).map(|i| self.get(i).history.clone()));
+        scratch
+    }
+
+    /// The `i`-th candidate's host.
+    fn node(&self, i: usize) -> NodeId {
+        self.get(i).node
+    }
 }
 
 /// Writes one snapshot's criteria into row `i` of criterion-major

@@ -11,8 +11,9 @@
 //! interleave with a petition every 3 s per broker. The digest of the
 //! merged selection log was recorded before the registry's read path
 //! borrowed the roster and must not move; it must also not depend on the
-//! shard-worker count. The same-priority broker's model also checks each
-//! read of the registry's criterion columns against the trait defaults.
+//! shard-worker count. Every broker's model also checks each read: the
+//! registry's cached columns against the trait defaults, and every
+//! model's scores and choice on the live roster against an owned copy.
 
 use std::sync::{Arc, Mutex};
 
@@ -26,11 +27,15 @@ use overlay::id::PeerId;
 use overlay::lifecycle::{LifecycleConfig, LifecyclePeer, LifecycleScript, SessionPlan};
 use overlay::message::OverlayMsg;
 use overlay::selector::{
-    CandidateView, ModelKind, PeerSelector, Roster, SelectionOutcome, SelectionRequest,
+    CandidateView, InteractionHistory, ModelKind, PeerSelector, Purpose, Roster, SelectionOutcome,
+    SelectionRequest,
 };
+use peer_selection::adaptive::{EpsilonGreedySelector, Ucb1Selector};
+use peer_selection::economic::EconomicModel;
 use peer_selection::evaluator::DataEvaluatorModel;
 use peer_selection::model::{argmax_with_tiebreak, ScoringModel};
-use peer_selection::service::factory_for;
+use peer_selection::preference::UserPreferenceModel;
+use peer_selection::service::{factory_for, EPS_GREEDY_EPSILON, UCB1_EXPLORATION, UCB1_SCALE};
 use workloads::harness::{
     BuildCtx, FederationSpec, HarnessError, HarnessRun, TopologyPlan, Workload, WorkloadBuilder,
 };
@@ -60,8 +65,8 @@ struct ModelStorm {
     reads: Arc<Mutex<Reads>>,
 }
 
-/// How the same-priority broker's roster changed from one read to the
-/// next, by what the model could see of it.
+/// How each broker's roster changed from one of its reads to the next,
+/// by what the models could see of it, summed over the brokers.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct Reads {
     /// Reads whose candidates are not the previous read's: the order was
@@ -70,7 +75,9 @@ struct Reads {
     /// Reads with the previous read's candidates, but with criteria that
     /// moved: what `refresh` patches in place, unless something else
     /// outdated the order in between.
-    patched: usize,
+    criteria_patched: usize,
+    /// The same, for histories that moved.
+    histories_patched: usize,
 }
 
 /// A roster that only addresses its candidates, so every other read goes
@@ -91,16 +98,46 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The same-priority model, choosing as `factory_for` builds it, after
-/// checking the read: the registry serves the criterion columns without
-/// gathering them, `to_bits`-equal to the default gather, and the scores
-/// and the choice equal those over an owned copy of the roster.
+/// A broker's model, choosing as `factory_for` builds it, after checking
+/// the read. The registry serves the criterion and history columns
+/// without gathering them, and they, the tie-break keys and the hosts
+/// equal the trait defaults. Every scoring model's scores (economic for
+/// both purposes) and choice, and each bandit's choice, equal those over
+/// an owned copy of the roster.
 struct Probe {
-    model: DataEvaluatorModel,
+    /// The broker's own model: the one that chooses.
+    model: Box<dyn PeerSelector>,
+    scoring: [Box<dyn ScoringModel>; 3],
+    /// Fed the broker's outcomes, so its arms are the ones learnt here.
+    ucb1: Ucb1Selector,
+    /// One per roster, on one seed, so both draw the same stream.
+    eps_greedy: [EpsilonGreedySelector; 2],
     reads: Arc<Mutex<Reads>>,
-    /// The candidates and criterion columns of the previous read.
+    /// The candidates, criterion columns and histories of the previous
+    /// read.
     keys: Vec<(NodeId, PeerId)>,
     columns: Vec<u64>,
+    histories: Vec<InteractionHistory>,
+}
+
+impl Probe {
+    fn new(model: Box<dyn PeerSelector>, seed: u64, reads: Arc<Mutex<Reads>>) -> Self {
+        let eps_greedy = || EpsilonGreedySelector::new(EPS_GREEDY_EPSILON, seed);
+        Probe {
+            model,
+            scoring: [
+                Box::new(EconomicModel::new()),
+                Box::new(UserPreferenceModel::quick_peer()),
+                Box::new(DataEvaluatorModel::same_priority()),
+            ],
+            ucb1: Ucb1Selector::new(UCB1_EXPLORATION, UCB1_SCALE),
+            eps_greedy: [eps_greedy(), eps_greedy()],
+            reads,
+            keys: Vec::new(),
+            columns: Vec::new(),
+            histories: Vec::new(),
+        }
+    }
 }
 
 impl PeerSelector for Probe {
@@ -114,30 +151,70 @@ impl PeerSelector for Probe {
         let served = bits(roster.criteria(&mut scratch));
         assert!(scratch.is_empty(), "the registry gathered its columns");
         assert_eq!(served, bits(Plain(roster).criteria(&mut scratch)));
+        let mut scratch = Vec::new();
+        let histories = roster.histories(&mut scratch).to_vec();
+        assert!(scratch.is_empty(), "the registry gathered its histories");
+        assert_eq!(histories, Plain(roster).histories(&mut scratch));
+        for i in 0..roster.len() {
+            let (cpu, node) = roster.tiebreak(i);
+            let (want_cpu, want_node) = Plain(roster).tiebreak(i);
+            assert_eq!((cpu.to_bits(), node), (want_cpu.to_bits(), want_node));
+            assert_eq!(roster.node(i), want_node);
+        }
+
         let copy: Vec<CandidateView> = roster.iter().cloned().collect();
+        let task = Purpose::TaskExecution {
+            work_gops: 300,
+            input_bytes: 4 * 1024 * 1024,
+        };
+        for purpose in [req.purpose, task] {
+            let live = SelectionRequest {
+                purpose,
+                ..req.clone()
+            };
+            let owned = SelectionRequest {
+                candidates: &copy,
+                ..live.clone()
+            };
+            for model in &mut self.scoring {
+                let scores = model.scores(&live);
+                let owned_scores = model.scores(&owned);
+                assert_eq!(bits(&scores), bits(&owned_scores), "{}", model.name());
+                assert_eq!(
+                    argmax_with_tiebreak(&live, &scores),
+                    argmax_with_tiebreak(&owned, &owned_scores),
+                    "{}",
+                    model.name()
+                );
+            }
+        }
         let owned = SelectionRequest {
             candidates: &copy,
             ..req.clone()
         };
-        let scores = self.model.scores(req);
-        let owned_scores = self.model.scores(&owned);
-        assert_eq!(bits(&scores), bits(&owned_scores));
-        let chosen = argmax_with_tiebreak(req, &scores);
-        assert_eq!(chosen, argmax_with_tiebreak(&owned, &owned_scores));
+        assert_eq!(self.ucb1.select(req), self.ucb1.select(&owned));
+        let [live_eps, owned_eps] = &mut self.eps_greedy;
+        assert_eq!(live_eps.select(req), owned_eps.select(&owned));
+        let chosen = self.model.select(req);
 
         let keys: Vec<_> = copy.iter().map(|c| (c.node, c.peer)).collect();
         let mut reads = self.reads.lock().expect("unpoisoned");
         if self.keys != keys {
             reads.rebuilt += 1;
-        } else if self.columns != served {
-            reads.patched += 1;
+        } else {
+            reads.criteria_patched += usize::from(self.columns != served);
+            reads.histories_patched += usize::from(self.histories != histories);
         }
-        (self.keys, self.columns) = (keys, served);
+        (self.keys, self.columns, self.histories) = (keys, served, histories);
         chosen
     }
 
     fn on_outcome(&mut self, outcome: &SelectionOutcome) {
         self.model.on_outcome(outcome);
+        self.ucb1.on_outcome(outcome);
+        for eps_greedy in &mut self.eps_greedy {
+            eps_greedy.on_outcome(outcome);
+        }
     }
 }
 
@@ -168,16 +245,12 @@ impl Workload for ModelStorm {
         for (r, &broker) in cx.brokers.iter().enumerate() {
             let mut cfg = BrokerConfig::new(cx.seed ^ (0x5E1E_0000 + r as u64));
             cfg.stop_when_idle = false;
-            cfg.selector = Some(if MODELS[r] == ModelKind::SamePriority {
-                Box::new(Probe {
-                    model: DataEvaluatorModel::same_priority(),
-                    reads: Arc::clone(&self.reads),
-                    keys: Vec::new(),
-                    columns: Vec::new(),
-                })
-            } else {
-                factory_for(MODELS[r], 0).expect("no blind model in MODELS")(cx.seed)
-            });
+            let model = factory_for(MODELS[r], 0).expect("no blind model in MODELS")(cx.seed);
+            cfg.selector = Some(Box::new(Probe::new(
+                model,
+                cx.seed,
+                Arc::clone(&self.reads),
+            )));
             cx.federation.configure(r, &mut cfg);
             for i in 0..PETITIONS_PER_BROKER {
                 cfg = cfg.at(
@@ -246,7 +319,7 @@ impl Workload for ModelStorm {
 }
 
 /// `(selections, digest of the selection log, leaves, distinct roster
-/// sizes, the same-priority broker's reads)`.
+/// sizes, the brokers' reads)`.
 fn run(workers: usize) -> (usize, u64, u64, usize, Reads) {
     let workload = ModelStorm {
         topo: SynthTopoConfig {
@@ -289,11 +362,11 @@ fn model_choices_on_a_churning_federated_roster_are_pinned_at_any_worker_count()
         roster_sizes > 20,
         "only {roster_sizes} distinct roster sizes"
     );
-    // The registry's criterion columns were both rebuilt and patched
-    // under the pin.
+    // The registry's criterion and history columns were both rebuilt
+    // and patched under the pin.
     assert!(
-        reads.rebuilt > 20 && reads.patched > 20,
-        "{reads:?} same-priority reads"
+        reads.rebuilt > 20 && reads.criteria_patched > 20 && reads.histories_patched > 20,
+        "{reads:?}"
     );
     assert_eq!(
         (selections, digest),
