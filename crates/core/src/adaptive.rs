@@ -52,11 +52,6 @@ impl EpsilonGreedySelector {
             means: IdMap::default(),
         }
     }
-
-    /// Observed mean reward for a node (None = never tried).
-    pub fn mean_reward(&self, node: NodeId) -> Option<f64> {
-        self.means.get(&node).map(|(m, _)| *m)
-    }
 }
 
 impl PeerSelector for EpsilonGreedySelector {
@@ -220,7 +215,7 @@ mod tests {
         let picks = drive(&mut s, 400);
         let best_share = picks.iter().filter(|&&p| p == 2).count() as f64 / picks.len() as f64;
         assert!(best_share > 0.7, "best arm share {best_share}");
-        assert!(s.mean_reward(NodeId(2)).unwrap() > s.mean_reward(NodeId(0)).unwrap());
+        assert!(s.means[&NodeId(2)].0 > s.means[&NodeId(0)].0);
     }
 
     #[test]

@@ -16,12 +16,12 @@ use crate::model::ScoringModel;
 
 /// Economic model parameters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EconomicConfig {
+pub(crate) struct EconomicConfig {
     /// Price per advertised gops (machine hourly rate analogue). With
     /// `budget_pressure` = 0 the model is pure earliest-completion.
-    pub price_per_gops: f64,
+    pub(crate) price_per_gops: f64,
     /// How strongly price trades off against completion time, in `[0, 1]`.
-    pub budget_pressure: f64,
+    pub(crate) budget_pressure: f64,
 }
 
 impl Default for EconomicConfig {
@@ -50,7 +50,7 @@ impl EconomicModel {
     }
 
     /// Creates the model with explicit parameters.
-    pub fn with_config(cfg: EconomicConfig) -> Self {
+    pub(crate) fn with_config(cfg: EconomicConfig) -> Self {
         EconomicModel {
             cfg,
             priors: Priors::default(),

@@ -11,13 +11,13 @@ use overlay::selector::{InteractionHistory, Purpose};
 
 /// Fallback assumptions when a peer has no history yet.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Priors {
+pub(crate) struct Priors {
     /// Assumed transfer throughput, bytes/second.
-    pub throughput_bps: f64,
+    pub(crate) throughput_bps: f64,
     /// Assumed petition (wake-up) latency, seconds.
-    pub petition_secs: f64,
+    pub(crate) petition_secs: f64,
     /// Assumed fraction of advertised CPU actually available.
-    pub cpu_availability: f64,
+    pub(crate) cpu_availability: f64,
 }
 
 impl Default for Priors {
@@ -31,14 +31,14 @@ impl Default for Priors {
 }
 
 /// Best throughput estimate for a peer, falling back to the prior.
-pub fn throughput_bps(h: &InteractionHistory, priors: &Priors) -> f64 {
+pub(crate) fn throughput_bps(h: &InteractionHistory, priors: &Priors) -> f64 {
     h.ewma_throughput_bps
         .filter(|v| *v > 0.0)
         .unwrap_or(priors.throughput_bps)
 }
 
 /// Best petition-latency estimate for a peer, falling back to the prior.
-pub fn petition_secs(h: &InteractionHistory, priors: &Priors) -> f64 {
+pub(crate) fn petition_secs(h: &InteractionHistory, priors: &Priors) -> f64 {
     h.ewma_petition_secs
         .filter(|v| *v >= 0.0)
         .unwrap_or(priors.petition_secs)
@@ -46,7 +46,7 @@ pub fn petition_secs(h: &InteractionHistory, priors: &Priors) -> f64 {
 
 /// Best execution-rate estimate (gops/sec), falling back to a fraction of
 /// the advertised CPU.
-pub fn exec_rate_gops(h: &InteractionHistory, advertised_cpu: f64, priors: &Priors) -> f64 {
+pub(crate) fn exec_rate_gops(h: &InteractionHistory, advertised_cpu: f64, priors: &Priors) -> f64 {
     h.ewma_exec_gops_per_sec
         .filter(|v| *v > 0.0)
         .unwrap_or((advertised_cpu * priors.cpu_availability).max(1e-6))
@@ -55,7 +55,7 @@ pub fn exec_rate_gops(h: &InteractionHistory, advertised_cpu: f64, priors: &Prio
 /// Seconds until the peer has drained its current backlog and is *ready*
 /// for new work (paper §2.1: "crucial to this model is the ready time of
 /// peers in order to plan in advance").
-pub fn ready_secs(now: SimTime, h: &InteractionHistory, priors: &Priors) -> f64 {
+pub(crate) fn ready_secs(now: SimTime, h: &InteractionHistory, priors: &Priors) -> f64 {
     let busy = h.busy_until.duration_since(now).as_secs_f64();
     let queue_drain = h.queued_bytes as f64 / throughput_bps(h, priors);
     busy + queue_drain
@@ -64,7 +64,7 @@ pub fn ready_secs(now: SimTime, h: &InteractionHistory, priors: &Priors) -> f64 
 /// Predicted service time for the work described by `purpose` on a peer
 /// with history `h` advertising `cpu_gops` (excludes queueing; see
 /// [`ready_secs`]).
-pub fn service_secs(
+pub(crate) fn service_secs(
     h: &InteractionHistory,
     cpu_gops: f64,
     purpose: Purpose,
@@ -84,7 +84,7 @@ pub fn service_secs(
 
 /// Predicted completion time (seconds from `now`) of `purpose` on a peer
 /// with history `h` advertising `cpu_gops`: ready + wake-up + service.
-pub fn completion_secs(
+pub(crate) fn completion_secs(
     now: SimTime,
     h: &InteractionHistory,
     cpu_gops: f64,

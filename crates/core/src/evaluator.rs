@@ -85,7 +85,7 @@ impl WeightProfile {
     }
 
     /// Sum of all weights.
-    pub fn total_weight(&self) -> f64 {
+    pub(crate) fn total_weight(&self) -> f64 {
         self.weights.iter().map(|(_, w)| w.abs()).sum()
     }
 }
@@ -119,11 +119,6 @@ impl DataEvaluatorModel {
             name: name.into(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The active profile.
-    pub fn profile(&self) -> &WeightProfile {
-        &self.profile
     }
 }
 

@@ -45,15 +45,9 @@ pub mod service;
 
 /// Convenient re-exports of the model types and the overlay hook.
 pub mod prelude {
-    pub use crate::adaptive::{EpsilonGreedySelector, Ucb1Selector};
-    pub use crate::economic::{EconomicConfig, EconomicModel};
-    pub use crate::estimate::Priors;
-    pub use crate::evaluator::{DataEvaluatorModel, WeightProfile};
-    pub use crate::model::{Scored, ScoringModel};
-    pub use crate::preference::{PreferenceMode, UserPreferenceModel};
-    pub use crate::service::{factory_for, try_factory_for, UnknownModelError};
-    pub use overlay::selector::{
-        CandidateView, InteractionHistory, PeerSelector, Purpose, RandomSelector,
-        RoundRobinSelector, SelectionOutcome, SelectionRequest,
-    };
+    pub use crate::economic::EconomicModel;
+    pub use crate::evaluator::DataEvaluatorModel;
+    pub use crate::model::Scored;
+    pub use crate::preference::UserPreferenceModel;
+    pub use overlay::selector::PeerSelector;
 }

@@ -76,14 +76,7 @@ pub fn selectable_model_names() -> Vec<String> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownModelError {
     /// The name that failed to resolve.
-    pub model: String,
-}
-
-impl UnknownModelError {
-    /// The accepted model names, canonical order.
-    pub fn valid_models(&self) -> Vec<String> {
-        selectable_model_names()
-    }
+    pub(crate) model: String,
 }
 
 impl std::fmt::Display for UnknownModelError {
@@ -109,7 +102,7 @@ pub fn try_piece_policy_for(name: &str) -> Result<PiecePolicy, UnknownPiecePolic
 }
 
 /// Every piece-policy name, canonical ([`PiecePolicy::ALL`]) order.
-pub fn piece_policy_names() -> Vec<String> {
+pub(crate) fn piece_policy_names() -> Vec<String> {
     PiecePolicy::ALL
         .into_iter()
         .map(|p| p.name().to_string())
@@ -121,7 +114,7 @@ pub fn piece_policy_names() -> Vec<String> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownPiecePolicyError {
     /// The name that failed to resolve.
-    pub policy: String,
+    pub(crate) policy: String,
 }
 
 impl std::fmt::Display for UnknownPiecePolicyError {
@@ -188,7 +181,7 @@ mod tests {
         };
         assert_eq!(err.model, "psychic");
         let msg = err.to_string();
-        for m in err.valid_models() {
+        for m in selectable_model_names() {
             assert!(msg.contains(&m), "error lists valid model {m}");
         }
     }

@@ -32,7 +32,7 @@ pub enum ServiceClass {
     /// Wakes the application: full service-delay sample.
     Wakeup,
     /// Hot-path handling: service-delay sample scaled by
-    /// [`FAST_SERVICE_FACTOR`].
+    /// `FAST_SERVICE_FACTOR`.
     Fast,
 }
 
@@ -253,11 +253,6 @@ impl<'a, M: Payload> Context<'a, M> {
         &self.core.topo.node(id).name
     }
 
-    /// The topology (read-only).
-    pub fn topology(&self) -> &Topology {
-        &self.core.topo
-    }
-
     /// This node's private random stream.
     pub fn rng(&mut self) -> &mut SimRng {
         self.core.current_rng()
@@ -398,14 +393,6 @@ impl<'a, M: Payload> Context<'a, M> {
         cpu.execution_time(work_gops, self.core.current_rng())
     }
 
-    /// Uncontended estimate of shipping `bytes` from this node to `to`
-    /// (for planning; does not reserve capacity).
-    pub fn estimate_transfer(&self, to: NodeId, bytes: u64) -> SimDuration {
-        self.core
-            .planner
-            .estimate_uncontended(&self.core.topo, self.core.current, to, bytes)
-    }
-
     /// Mutable access to the run's metrics registry.
     pub fn metrics(&mut self) -> &mut Metrics {
         &mut self.core.metrics
@@ -453,7 +440,7 @@ impl<M: Payload> Engine<M> {
     /// Like [`Engine::new`], but shares an existing topology. A sharded run
     /// builds one engine per shard over the *same* million-node topology;
     /// sharing the `Arc` keeps that O(n) total instead of O(n × shards).
-    pub fn new_shared(topo: Arc<Topology>, config: TransportConfig, seed: u64) -> Self {
+    pub(crate) fn new_shared(topo: Arc<Topology>, config: TransportConfig, seed: u64) -> Self {
         let owners = Owners::single(topo.len());
         Self::for_shard(topo, config, seed, owners, 0)
     }
@@ -538,18 +525,6 @@ impl<M: Payload> Engine<M> {
         &self.core.trace
     }
 
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.core.topo
-    }
-
-    /// Applies `f` to the actor installed for `node`, if any (for post-run
-    /// inspection).
-    pub fn with_actor<R>(&self, node: NodeId, f: impl FnOnce(&dyn Actor<M>) -> R) -> Option<R> {
-        let slot = self.core.owned_slot(node)?;
-        self.actors[slot].as_deref().map(|a| f(a))
-    }
-
     /// Runs `on_start` hooks now (idempotent). A sharded run starts every
     /// shard before computing the first window from the seeded queues.
     pub(crate) fn start(&mut self) {
@@ -566,12 +541,6 @@ impl<M: Payload> Engine<M> {
                 });
             }
         }
-    }
-
-    /// Number of timers currently scheduled and neither fired nor
-    /// cancelled.
-    pub fn pending_timer_count(&self) -> usize {
-        self.core.timers_pending
     }
 
     /// Lengths of the per-node tables this engine holds: RNG streams and

@@ -233,8 +233,7 @@ fn cancel_after_fire_leaves_no_tombstone() {
     e.register(a, Box::new(LateCanceller { first: None }));
     e.run();
     assert_eq!(
-        e.pending_timer_count(),
-        0,
+        e.core.timers_pending, 0,
         "fired + cancelled timers must leave no bookkeeping behind"
     );
     assert_eq!(e.metrics().counter("engine.timers_pending_hwm"), 2);
@@ -262,7 +261,7 @@ fn cancelled_timer_does_not_fire_and_is_purged() {
     let mut e = Engine::new(t, TransportConfig::ideal(), 12);
     e.register(a, Box::new(CancelImmediately { fired: false }));
     e.run();
-    assert_eq!(e.pending_timer_count(), 0);
+    assert_eq!(e.core.timers_pending, 0);
     assert_eq!(
         e.metrics().counter("test.timer_fired"),
         0,
@@ -293,7 +292,7 @@ fn pending_timer_set_stays_bounded_under_churn() {
     let mut e = Engine::new(t, TransportConfig::ideal(), 13);
     e.register(a, Box::new(Chain { remaining: 10_000 }));
     e.run();
-    assert_eq!(e.pending_timer_count(), 0);
+    assert_eq!(e.core.timers_pending, 0);
     assert_eq!(
         e.metrics().counter("engine.timers_pending_hwm"),
         1,
@@ -364,7 +363,7 @@ fn stale_and_forged_handles_cancel_nothing_once_the_slot_is_reused() {
     e.run();
     assert_eq!(e.peak_queue_len(), 1, "the second timer reused the slot");
     assert_eq!(e.metrics().counter("test.timer_fired"), 2);
-    assert_eq!(e.pending_timer_count(), 0);
+    assert_eq!(e.core.timers_pending, 0);
     let cancels = (e.trace().events())
         .filter(|ev| matches!(ev.kind, TraceEventKind::TimerCancelled { .. }))
         .count();
@@ -397,7 +396,7 @@ fn cancelled_timer_pop_still_counts_and_advances_the_clock() {
     // Event limits and digests have always counted the dead pop.
     assert_eq!(e.events_processed(), 2);
     assert_eq!(e.now().as_secs_f64(), 2.0);
-    assert_eq!(e.pending_timer_count(), 0, "the second cancel was a no-op");
+    assert_eq!(e.core.timers_pending, 0, "the second cancel was a no-op");
     assert_eq!(e.metrics().counter("engine.timers_pending_hwm"), 2);
 }
 
@@ -444,21 +443,17 @@ fn messages_to_actorless_nodes_are_counted() {
 
 #[test]
 fn context_estimates_and_names() {
-    struct Probe {
-        peer: NodeId,
-        est: Option<SimDuration>,
-    }
+    struct Probe;
     impl Actor<Ping> for Probe {
         fn on_start(&mut self, ctx: &mut Context<Ping>) {
             assert_eq!(ctx.node_name(ctx.self_id()), "a");
             assert_eq!(ctx.num_nodes(), 2);
-            self.est = Some(ctx.estimate_transfer(self.peer, 1_000_000));
         }
         fn on_message(&mut self, _: &mut Context<Ping>, _: NodeId, _: Ping) {}
     }
-    let (t, a, b) = topo(10.0);
+    let (t, a, _b) = topo(10.0);
     let mut e = Engine::new(t, TransportConfig::ideal(), 10);
-    e.register(a, Box::new(Probe { peer: b, est: None }));
+    e.register(a, Box::new(Probe));
     e.run();
 }
 

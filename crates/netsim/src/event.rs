@@ -215,7 +215,7 @@ impl<E> EventQueue<E> {
 
     /// [`EventQueue::pop`], also returning the handle `schedule` gave the
     /// event.
-    pub fn pop_with_handle(&mut self) -> Option<(SimTime, EventHandle, E)> {
+    pub(crate) fn pop_with_handle(&mut self) -> Option<(SimTime, EventHandle, E)> {
         let key = self.heap.pop()?;
         let (time, order) = (key.time(), key.order());
         let slot = slot_of(order);

@@ -76,18 +76,13 @@ pub mod transport;
 
 /// Convenient re-exports of the types most callers need.
 pub mod prelude {
-    pub use crate::engine::{Actor, Context, Engine, Payload, RunOutcome, ServiceClass, TimerId};
+    pub use crate::engine::{Actor, Context, Engine, Payload, RunOutcome, TimerId};
     pub use crate::link::{AccessLink, PathSpec};
-    pub use crate::metrics::{Metrics, RunningStat};
-    pub use crate::node::{CpuModel, LoadModel, NodeId, NodeSpec};
-    pub use crate::parallel::{ParallelError, ShardedEngine};
-    pub use crate::profile::{ParallelProfile, ShardRound, ShardTotals};
-    pub use crate::rng::{DelayDistribution, SimRng};
-    pub use crate::shard::{shard_seed, LookaheadTable, ShardMap, ShardMapError};
+    pub use crate::node::{NodeId, NodeSpec};
+    pub use crate::parallel::ShardedEngine;
+    pub use crate::shard::ShardMap;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::timeseries::{
-        SeriesId, SeriesMode, SeriesRow, SeriesSource, TimeSeriesError, TimeSeriesRecorder,
-    };
+    pub use crate::timeseries::{SeriesMode, SeriesSource, TimeSeriesRecorder};
     pub use crate::topology::Topology;
-    pub use crate::transport::{TransferPlanner, TransportConfig};
+    pub use crate::transport::TransportConfig;
 }

@@ -70,12 +70,12 @@ impl PathSpec {
     }
 
     /// Round-trip time (twice the one-way delay, jitter excluded).
-    pub fn rtt(&self) -> SimDuration {
+    pub(crate) fn rtt(&self) -> SimDuration {
         self.one_way_delay * 2
     }
 
     /// Samples the actual one-way latency for one traversal.
-    pub fn sample_latency(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_latency(&self, rng: &mut SimRng) -> SimDuration {
         if self.jitter.is_zero() {
             return self.one_way_delay;
         }

@@ -110,7 +110,7 @@ impl RunningStat {
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.mean() * self.count as f64
     }
 }
@@ -172,19 +172,19 @@ impl Histogram {
     }
 
     /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
+    pub(crate) fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
     /// First value the histogram resolves (lower edge of bucket 0's nominal
     /// range; smaller values still land in bucket 0).
-    pub fn base(&self) -> f64 {
+    pub(crate) fn base(&self) -> f64 {
         self.base
     }
 
     /// Upper bound of bucket `i` (`[base·2^i, base·2^(i+1))`); the last
     /// bucket is a catch-all whose nominal bound this still reports.
-    pub fn bucket_upper_bound(&self, i: usize) -> f64 {
+    pub(crate) fn bucket_upper_bound(&self, i: usize) -> f64 {
         self.base * 2f64.powi(i as i32 + 1)
     }
 
@@ -208,7 +208,7 @@ impl Histogram {
     /// Merges another histogram into this one (parallel-reduction
     /// friendly). Panics when the bucket layouts differ — merging
     /// incompatible layouts would silently misplace mass.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.base, other.base, "histogram base mismatch");
         assert_eq!(
             self.buckets.len(),
@@ -378,20 +378,6 @@ impl Metrics {
         self.gauge_values[id.0 as usize] = value;
     }
 
-    /// Current value of the gauge behind `id`. O(1).
-    #[inline]
-    pub fn gauge_by_id(&self, id: GaugeId) -> f64 {
-        self.gauge_values[id.0 as usize]
-    }
-
-    /// Current gauge value (0 when absent).
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.gauge_index
-            .get(name)
-            .map(|&slot| self.gauge_values[slot as usize])
-            .unwrap_or(0.0)
-    }
-
     /// `(name, value)` pairs for all gauges, sorted by name.
     pub fn gauges_sorted(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauge_index
@@ -415,17 +401,11 @@ impl Metrics {
     /// Raises the counter behind `id` to `value` if it is currently lower
     /// (for high-water-mark style counters). O(1), allocation-free.
     #[inline]
-    pub fn set_max_id(&mut self, id: MetricId, value: u64) {
+    pub(crate) fn set_max_id(&mut self, id: MetricId, value: u64) {
         let slot = &mut self.counter_values[id.0 as usize];
         if value > *slot {
             *slot = value;
         }
-    }
-
-    /// Current value of the counter behind `id`. O(1).
-    #[inline]
-    pub fn counter_by_id(&self, id: MetricId) -> u64 {
-        self.counter_values[id.0 as usize]
     }
 
     /// Records an observation on the statistic behind `id`. O(1),
@@ -433,12 +413,6 @@ impl Metrics {
     #[inline]
     pub fn observe_id(&mut self, id: StatId, value: f64) {
         self.stat_values[id.0 as usize].record(value);
-    }
-
-    /// Reads the statistic behind `id`. O(1).
-    #[inline]
-    pub fn stat_by_id(&self, id: StatId) -> &RunningStat {
-        &self.stat_values[id.0 as usize]
     }
 
     /// Mutable access to the statistic behind `id`, e.g. to
@@ -496,7 +470,7 @@ impl Metrics {
     }
 
     /// `(name, histogram)` pairs for all histograms, sorted by name.
-    pub fn histograms_sorted(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub(crate) fn histograms_sorted(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histogram_index
             .iter()
             .map(|(name, &slot)| (name.as_str(), &self.histogram_values[slot as usize]))

@@ -56,7 +56,7 @@ pub enum LoadModel {
 impl LoadModel {
     /// Samples a load fraction, clamped into `[0, 0.99]` so progress is
     /// always possible.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         let raw = match *self {
             LoadModel::Constant(l) => l,
             LoadModel::Uniform { lo, hi } => rng.uniform_range(lo, hi),
@@ -84,22 +84,12 @@ impl CpuModel {
 
     /// Time to execute `work_gops` giga-operations, with the background load
     /// sampled once for the whole execution.
-    pub fn execution_time(&self, work_gops: f64, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn execution_time(&self, work_gops: f64, rng: &mut SimRng) -> SimDuration {
         if work_gops <= 0.0 || self.base_gops <= 0.0 {
             return SimDuration::ZERO;
         }
         let load = self.load.sample(rng);
         let effective = self.base_gops * (1.0 - load);
-        SimDuration::from_secs_f64(work_gops / effective)
-    }
-
-    /// Expected execution time at the mean load (no sampling); used by
-    /// schedulers that plan ahead, mirroring the paper's broker estimates.
-    pub fn expected_execution_time(&self, work_gops: f64) -> SimDuration {
-        if work_gops <= 0.0 || self.base_gops <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        let effective = self.base_gops * (1.0 - self.load.mean());
         SimDuration::from_secs_f64(work_gops / effective)
     }
 }
@@ -186,22 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn expected_time_uses_mean_load() {
-        let cpu = CpuModel {
-            base_gops: 1.0,
-            load: LoadModel::Uniform { lo: 0.2, hi: 0.6 },
-        };
-        let t = cpu.expected_execution_time(6.0);
-        // mean load 0.4 → effective 0.6 gops → 10 s
-        assert!((t.as_secs_f64() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_rate_cpu_yields_zero_not_panic() {
         let cpu = CpuModel::idle(0.0);
         let mut rng = SimRng::new(4);
         assert_eq!(cpu.execution_time(5.0, &mut rng), SimDuration::ZERO);
-        assert_eq!(cpu.expected_execution_time(5.0), SimDuration::ZERO);
     }
 
     #[test]

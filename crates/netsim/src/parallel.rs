@@ -2,7 +2,7 @@
 //!
 //! [`ShardedEngine`] partitions the topology into shard domains (a fixed
 //! [`ShardMap`]), gives each shard its own [`Engine`] — local event queue,
-//! clock, and RNG streams seeded per shard via [`shard_seed`] — and
+//! clock, and RNG streams seeded per shard via `shard_seed` — and
 //! advances all shards in bounded conservative-lookahead windows. Within a
 //! window a shard runs events below its safe horizon
 //! `min over other shards s of (clock(s) + min_owd(s → me))`; at the
@@ -289,7 +289,6 @@ struct Coordinator<M: Payload> {
 /// in shard order, deterministically.
 pub struct ShardedEngine<M: Payload + Send> {
     shards: Vec<Mutex<Engine<M>>>,
-    topo: Arc<Topology>,
     coord: Coordinator<M>,
 }
 
@@ -330,7 +329,6 @@ impl<M: Payload + Send> ShardedEngine<M> {
             .collect();
         Ok(ShardedEngine {
             shards,
-            topo,
             coord: Coordinator {
                 map,
                 table,
@@ -360,25 +358,6 @@ impl<M: Payload + Send> ShardedEngine<M> {
     /// Removes and returns the installed recorder, if any.
     pub fn take_recorder(&mut self) -> Option<TimeSeriesRecorder> {
         self.coord.recorder.take()
-    }
-
-    /// The shard map this engine runs over.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.coord.map
-    }
-
-    /// The topology every shard shares.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Number of worker threads a run will use.
-    pub fn workers(&self) -> usize {
-        self.coord.workers
-    }
-
-    fn engine(&self, shard: usize) -> MutexGuard<'_, Engine<M>> {
-        lock(&self.shards[shard])
     }
 
     fn engine_mut(&mut self, shard: usize) -> &mut Engine<M> {
@@ -447,12 +426,6 @@ impl<M: Payload + Send> ShardedEngine<M> {
         let engines: Vec<_> = self.shards.iter().map(lock).collect();
         let parts: Vec<&Trace> = engines.iter().map(|e| e.trace()).collect();
         Trace::merged(&parts)
-    }
-
-    /// Applies `f` to the actor installed for `node`, if any.
-    pub fn with_actor<R>(&self, node: NodeId, f: impl FnOnce(&dyn Actor<M>) -> R) -> Option<R> {
-        let shard = self.coord.map.shard_of(node);
-        self.engine(shard).with_actor(node, f)
     }
 
     /// Runs all shards until every clock reaches `horizon`, all queues

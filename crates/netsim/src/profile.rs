@@ -28,41 +28,41 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRound {
     /// Barrier round index (0-based).
-    pub round: u64,
+    pub(crate) round: u64,
     /// Shard that executed the window.
-    pub shard: u32,
+    pub(crate) shard: u32,
     /// Shard clock when the window opened.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Window end bound (the clock parks here in an exclusive window).
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Whether the window excluded events exactly at `end` (intermediate
     /// rounds) or included them (the final window up to the horizon).
-    pub exclusive: bool,
+    pub(crate) exclusive: bool,
     /// Events the shard processed inside the window.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Cross-shard envelopes this shard emitted during the window
     /// (counted at the barrier exchange that closes the round).
-    pub envelopes_out: u64,
+    pub(crate) envelopes_out: u64,
     /// Whether the shard had any queued event when the window opened.
-    pub pending: bool,
+    pub(crate) pending: bool,
 }
 
 impl ShardRound {
     /// Sim-time width of the window.
-    pub fn width(&self) -> SimDuration {
+    pub(crate) fn width(&self) -> SimDuration {
         self.end.duration_since(self.start)
     }
 
     /// An idle-window collapse: the shard had nothing queued and the
     /// round merely parked its clock forward.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.events == 0 && !self.pending
     }
 
     /// A lookahead stall: the shard had work queued but the conservative
     /// bound was too narrow to reach it, so the round advanced the clock
     /// without executing anything.
-    pub fn stalled(&self) -> bool {
+    pub(crate) fn stalled(&self) -> bool {
         self.events == 0 && self.pending
     }
 }
@@ -75,9 +75,9 @@ pub struct ShardTotals {
     /// Cross-shard envelopes emitted across all exchanges.
     pub envelopes_out: u64,
     /// Idle-window collapses (see [`ShardRound::idle`]).
-    pub idle_windows: u64,
+    pub(crate) idle_windows: u64,
     /// Lookahead stalls (see [`ShardRound::stalled`]).
-    pub stalls: u64,
+    pub(crate) stalls: u64,
 }
 
 /// How a sharded run went through its barrier rounds; see the module docs

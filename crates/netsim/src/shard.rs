@@ -27,7 +27,7 @@ use crate::topology::Topology;
 /// the label perturbs the state, which then steps twice and yields the
 /// second output, decorrelating adjacent shards. Deterministic and
 /// independent of worker count by construction.
-pub fn shard_seed(master: u64, shard: u64) -> u64 {
+pub(crate) fn shard_seed(master: u64, shard: u64) -> u64 {
     let state = master ^ shard.wrapping_mul(0xA24B_AED4_963E_E407);
     splitmix64(state.wrapping_add(GOLDEN_GAMMA))
 }
@@ -107,13 +107,8 @@ impl ShardMap {
     }
 
     /// Number of mapped nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// Whether the map covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
     }
 
     /// The shard that owns `node`.
@@ -122,7 +117,7 @@ impl ShardMap {
     }
 
     /// The raw node→shard assignment (index = node index).
-    pub fn assignment(&self) -> &[usize] {
+    pub(crate) fn assignment(&self) -> &[usize] {
         &self.assignment
     }
 
@@ -196,11 +191,6 @@ impl LookaheadTable {
         }
     }
 
-    /// Number of shards the table covers.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
     /// Minimum one-way delay from any node of `from` to any node of `to`
     /// (`from` ≠ `to`; the diagonal is meaningless and returns MAX).
     pub fn cross_delay(&self, from: usize, to: usize) -> SimDuration {
@@ -210,7 +200,7 @@ impl LookaheadTable {
     /// The global conservative lookahead: the smallest cross-shard delay
     /// over all ordered shard pairs. `None` for a single-shard table (no
     /// cross-shard constraint: the shard may run to the run horizon).
-    pub fn min_cross_delay(&self) -> Option<SimDuration> {
+    pub(crate) fn min_cross_delay(&self) -> Option<SimDuration> {
         if self.num_shards <= 1 {
             return None;
         }
@@ -235,7 +225,7 @@ impl LookaheadTable {
     ///
     /// [`SimTime::FAR_FUTURE`] for the single-shard degenerate case —
     /// nothing constrains a lone shard.
-    pub fn horizon_for(&self, shard: usize, clocks: &[SimTime]) -> SimTime {
+    pub(crate) fn horizon_for(&self, shard: usize, clocks: &[SimTime]) -> SimTime {
         assert_eq!(clocks.len(), self.num_shards, "one clock per shard");
         let mut horizon = SimTime::FAR_FUTURE;
         for (s, &clock) in clocks.iter().enumerate() {

@@ -80,12 +80,12 @@ impl SimDuration {
     }
 
     /// Total time as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
     /// Total time as fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
+    pub(crate) fn as_mins_f64(self) -> f64 {
         self.as_secs_f64() / 60.0
     }
 
@@ -94,40 +94,9 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Checked addition; `None` on overflow.
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        match self.0.checked_add(rhs.0) {
-            Some(n) => Some(SimDuration(n)),
-            None => None,
-        }
-    }
-
-    /// Saturating subtraction.
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
     /// Multiplies by a dimensionless factor, clamping at the representable range.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
+    pub(crate) fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -230,7 +199,7 @@ impl SimTime {
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -239,7 +208,7 @@ impl SimTime {
     }
 
     /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
         } else {
@@ -316,10 +285,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_secs(1) - SimDuration::from_secs(2),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimDuration::MAX.checked_add(SimDuration::from_nanos(1)),
-            None
         );
     }
 

@@ -60,7 +60,7 @@ pub enum SeriesSource {
 
 impl SeriesSource {
     /// Evaluates the expression against `metrics`.
-    pub fn eval(&self, metrics: &Metrics) -> f64 {
+    pub(crate) fn eval(&self, metrics: &Metrics) -> f64 {
         match self {
             SeriesSource::Counter(name) => metrics.counter(name) as f64,
             SeriesSource::GaugePrefix(prefix) => metrics
@@ -120,7 +120,7 @@ pub struct SeriesRow {
 ///
 /// Boundaries sit at `k * interval` for `k = 0, 1, 2, …`; the `t = 0` row
 /// captures post-`on_start` state. Engines drive the recorder through
-/// [`TimeSeriesRecorder::sample_before`] (while running) and
+/// `TimeSeriesRecorder::sample_before` (while running) and
 /// [`TimeSeriesRecorder::sample_up_to`] (at the end of a run, so the row
 /// exactly at the horizon is emitted). Rows are monotone in `t` and each
 /// boundary is emitted at most once, so repeated calls are idempotent.
@@ -166,11 +166,6 @@ impl TimeSeriesRecorder {
         SeriesId(id)
     }
 
-    /// The sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// Registered column names, in registration order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(|s| s.as_str())
@@ -178,7 +173,7 @@ impl TimeSeriesRecorder {
 
     /// Whether any boundary at or before `now` is still unemitted — the
     /// cheap guard callers check before paying for a metrics merge.
-    pub fn due(&self, now: SimTime) -> bool {
+    pub(crate) fn due(&self, now: SimTime) -> bool {
         self.next_boundary <= now
     }
 
@@ -188,7 +183,7 @@ impl TimeSeriesRecorder {
     /// (the next queued event time, or the minimum shard clock at a
     /// barrier): a boundary exactly at the frontier stays pending until
     /// the frontier passes it.
-    pub fn sample_before(&mut self, frontier: SimTime, metrics: &Metrics) {
+    pub(crate) fn sample_before(&mut self, frontier: SimTime, metrics: &Metrics) {
         while self.next_boundary < frontier {
             self.emit_row(metrics);
         }

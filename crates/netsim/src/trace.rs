@@ -197,7 +197,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Stable machine-readable label (the `"ev"` field of the JSONL form).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             TraceEventKind::MessageSent { .. } => "message_sent",
             TraceEventKind::MessageDelivered { .. } => "message_delivered",
@@ -263,7 +263,7 @@ impl TraceEvent {
     /// Renders the event as one deterministic JSON object (no trailing
     /// newline). Field order is fixed; 128-bit ids are emitted as strings
     /// so any JSON reader round-trips them exactly.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut o = String::with_capacity(96);
         let _ = write!(
             o,
@@ -456,7 +456,7 @@ pub struct Trace {
 
 impl Trace {
     /// A disabled trace (records nothing).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Trace {
             enabled: false,
             capacity: 0,
@@ -466,7 +466,7 @@ impl Trace {
     }
 
     /// An enabled trace keeping the most recent `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Trace {
             enabled: true,
             capacity,
@@ -476,12 +476,12 @@ impl Trace {
     }
 
     /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Records an event (no-op when disabled).
-    pub fn record(&mut self, time: SimTime, node: NodeId, kind: TraceEventKind) {
+    pub(crate) fn record(&mut self, time: SimTime, node: NodeId, kind: TraceEventKind) {
         if !self.enabled {
             return;
         }
@@ -529,7 +529,7 @@ impl Trace {
     /// keep the shard order of `parts` and same-shard events keep their
     /// within-shard order. A pure function of the inputs — two identical
     /// sets of shard traces merge to byte-identical JSONL.
-    pub fn merged(parts: &[&Trace]) -> Trace {
+    pub(crate) fn merged(parts: &[&Trace]) -> Trace {
         let mut events: Vec<TraceEvent> = Vec::with_capacity(parts.iter().map(|t| t.len()).sum());
         for part in parts {
             events.extend(part.events.iter().cloned());

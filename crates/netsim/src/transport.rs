@@ -28,21 +28,21 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
 /// TCP maximum segment size in bytes (Mathis model input).
-pub const MSS_BYTES: f64 = 1460.0;
+pub(crate) const MSS_BYTES: f64 = 1460.0;
 /// Mathis constant `C` (≈1.22 for periodic loss).
-pub const MATHIS_C: f64 = 1.22;
+pub(crate) const MATHIS_C: f64 = 1.22;
 /// Initial congestion window in bytes for the slow-start penalty.
-pub const INITIAL_WINDOW_BYTES: f64 = 4.0 * 1460.0;
+pub(crate) const INITIAL_WINDOW_BYTES: f64 = 4.0 * 1460.0;
 /// Message size above which the large-message penalty kicks in: JXTA
 /// pipes start degrading past ~8 MB payloads.
-pub const LARGE_MSG_THRESHOLD_BYTES: f64 = 8.0 * 1024.0 * 1024.0;
+pub(crate) const LARGE_MSG_THRESHOLD_BYTES: f64 = 8.0 * 1024.0 * 1024.0;
 /// Exponent of the large-message throughput divisor.
-pub const LARGE_MSG_ALPHA: f64 = 1.0;
+pub(crate) const LARGE_MSG_ALPHA: f64 = 1.0;
 /// Delivery delay for node-local (loopback) messages.
-pub const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(100);
+pub(crate) const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(100);
 /// Fraction of the full service delay charged to
 /// [`crate::engine::ServiceClass::Fast`] messages.
-pub const FAST_SERVICE_FACTOR: f64 = 0.02;
+pub(crate) const FAST_SERVICE_FACTOR: f64 = 0.02;
 
 /// The switchable parts of the transport model; its calibration
 /// constants (`MSS_BYTES`, `MATHIS_C`, …) are the module's constants.
@@ -92,18 +92,10 @@ impl TransportConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferTiming {
     /// When the sender's uplink actually started serializing the message.
-    pub tx_start: SimTime,
+    pub(crate) tx_start: SimTime,
     /// When the last byte is available at the receiving host (before any
     /// application service delay).
     pub deliver: SimTime,
-}
-
-impl TransferTiming {
-    /// End-to-end latency from the plan request to delivery.
-    #[inline]
-    pub fn total_from(&self, sent_at: SimTime) -> SimDuration {
-        self.deliver.duration_since(sent_at)
-    }
 }
 
 /// The sender-side half of a transfer plan (uplink FIFO, propagation,
@@ -111,14 +103,14 @@ impl TransferTiming {
 /// receiving shard turns it into a delivery time with
 /// [`TransferPlanner::admit_remote`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteSendPlan {
+pub(crate) struct RemoteSendPlan {
     /// When the sender's uplink started serializing the message.
-    pub tx_start: SimTime,
+    pub(crate) tx_start: SimTime,
     /// When the first byte reaches the destination host.
-    pub first_byte: SimTime,
+    pub(crate) first_byte: SimTime,
     /// Bottleneck service time (incl. slow-start penalty) still to be
     /// queued at the receiver's FIFO downlink.
-    pub service: SimDuration,
+    pub(crate) service: SimDuration,
 }
 
 /// Stateful planner: owns per-node uplink/downlink busy horizons.
@@ -149,7 +141,7 @@ impl TransferPlanner {
 
     /// The active configuration.
     #[inline]
-    pub fn config(&self) -> &TransportConfig {
+    pub(crate) fn config(&self) -> &TransportConfig {
         &self.config
     }
 
@@ -171,7 +163,7 @@ impl TransferPlanner {
 
     /// Effective path throughput for a message of `size` bytes.
     #[inline]
-    pub fn effective_throughput(
+    pub(crate) fn effective_throughput(
         &self,
         topo: &Topology,
         from: NodeId,
@@ -203,8 +195,8 @@ impl TransferPlanner {
     /// Plans a transfer of `payload_bytes` from `from` to `to`, mutating the
     /// uplink/downlink busy horizons. `now` must be monotone per sender.
     /// A remote transfer is its two halves back to back: the sending
-    /// shard's [`TransferPlanner::plan_remote_send`], then the receiving
-    /// shard's [`TransferPlanner::admit_remote`].
+    /// shard's `TransferPlanner::plan_remote_send`, then the receiving
+    /// shard's `TransferPlanner::admit_remote`.
     pub fn plan(
         &mut self,
         topo: &Topology,
@@ -231,7 +223,7 @@ impl TransferPlanner {
     /// Sender-side half of [`TransferPlanner::plan`]: uplink FIFO,
     /// propagation sample, and bottleneck/slow-start service — everything
     /// that depends only on sender-shard state and the sender's RNG stream.
-    pub fn plan_remote_send(
+    pub(crate) fn plan_remote_send(
         &mut self,
         topo: &Topology,
         now: SimTime,
@@ -272,7 +264,7 @@ impl TransferPlanner {
     /// Receiver-side half of [`TransferPlanner::plan`]: queues a
     /// sender-side plan at the destination's FIFO downlink and returns the
     /// delivery time of the last byte.
-    pub fn admit_remote(&mut self, to: NodeId, plan: RemoteSendPlan) -> SimTime {
+    pub(crate) fn admit_remote(&mut self, to: NodeId, plan: RemoteSendPlan) -> SimTime {
         let down_busy = &mut self.down_busy_until[to.index()];
         let deliver = plan.first_byte.max(SimTime::from_nanos(*down_busy)) + plan.service;
         *down_busy = deliver.as_nanos();
@@ -325,7 +317,7 @@ mod tests {
         let mut p = TransferPlanner::new(TransportConfig::ideal(), t.len());
         let mut rng = SimRng::new(1);
         let timing = p.plan(&t, SimTime::ZERO, a, b, 1_000_000, &mut rng);
-        let total = timing.total_from(SimTime::ZERO).as_secs_f64();
+        let total = timing.deliver.duration_since(SimTime::ZERO).as_secs_f64();
         // 0.1 s latency + 1.0 s transfer
         assert!((total - 1.1).abs() < 1e-6, "total {total}");
     }
@@ -440,7 +432,7 @@ mod tests {
         let est = p.estimate_uncontended(&t, a, b, 5_000_000);
         let mut rng = SimRng::new(5);
         let timing = p.plan(&t, SimTime::ZERO, a, b, 5_000_000, &mut rng);
-        let actual = timing.total_from(SimTime::ZERO);
+        let actual = timing.deliver.duration_since(SimTime::ZERO);
         let ratio = actual.as_secs_f64() / est.as_secs_f64();
         assert!((0.8..1.2).contains(&ratio), "ratio {ratio}");
     }

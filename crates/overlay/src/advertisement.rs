@@ -13,18 +13,18 @@ use crate::id::{ContentId, PeerId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeerAdvertisement {
     /// The advertised peer.
-    pub peer: PeerId,
+    pub(crate) peer: PeerId,
     /// The simulated host the peer runs on.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Human-readable peer name (hostname in our testbed).
-    pub name: String,
+    pub(crate) name: String,
     /// Advertised CPU rate in giga-ops/second.
-    pub cpu_gops: f64,
+    pub(crate) cpu_gops: f64,
 }
 
 impl PeerAdvertisement {
     /// Approximate serialized size in bytes.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         96 + self.name.len() as u64
     }
 }
@@ -33,18 +33,18 @@ impl PeerAdvertisement {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentAdvertisement {
     /// The advertised content item.
-    pub content: ContentId,
+    pub(crate) content: ContentId,
     /// The peer that holds it.
-    pub owner: PeerId,
+    pub(crate) owner: PeerId,
     /// File name.
-    pub name: String,
+    pub(crate) name: String,
     /// File size in bytes.
-    pub size_bytes: u64,
+    pub(crate) size_bytes: u64,
 }
 
 impl ContentAdvertisement {
     /// Approximate serialized size in bytes.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         88 + self.name.len() as u64
     }
 }

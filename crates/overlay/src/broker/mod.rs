@@ -145,7 +145,7 @@ pub struct BrokerConfig {
     /// Watchdog: cancel transfers that exceed this duration.
     pub transfer_timeout: SimDuration,
     /// Seed for id generation.
-    pub id_seed: u64,
+    pub(crate) id_seed: u64,
     /// Stop the whole simulation once all scripted work completes.
     pub stop_when_idle: bool,
     /// Fellow broker hosts to exchange rosters with. Crate-private: the
@@ -193,12 +193,6 @@ impl BrokerConfig {
         self.commands.push((delay, cmd));
         self
     }
-
-    /// Installs the selection model.
-    pub fn with_selector(mut self, s: Box<dyn PeerSelector>) -> Self {
-        self.selector = Some(s);
-        self
-    }
 }
 
 /// The broker actor: a thin dispatcher over the per-concern layers.
@@ -244,11 +238,6 @@ impl Broker {
             forward_rr: 0,
             cfg,
         }
-    }
-
-    /// Number of registered peers.
-    pub fn peer_count(&self) -> usize {
-        self.registry.peer_count()
     }
 
     fn execute_command(

@@ -8,6 +8,14 @@ use netsim::node::NodeSpec;
 use netsim::prelude::*;
 use std::sync::{Arc, Mutex};
 
+/// A broker config with the round-robin selection model installed.
+fn round_robin(id_seed: u64) -> BrokerConfig {
+    BrokerConfig {
+        selector: Some(Box::new(crate::selector::RoundRobinSelector::new())),
+        ..BrokerConfig::new(id_seed)
+    }
+}
+
 /// Builds a broker + `n` clients on a simple star topology.
 fn star(
     n: usize,
@@ -191,17 +199,15 @@ fn refusing_client_causes_cancel() {
 #[test]
 fn selected_target_uses_selector_and_records_decision() {
     let (mut engine, sink, _b, _c) = star(3, |_| {
-        BrokerConfig::new(12)
-            .with_selector(Box::new(crate::selector::RoundRobinSelector::new()))
-            .at(
-                SimDuration::from_secs(2),
-                BrokerCommand::DistributeFile {
-                    target: TargetSpec::Selected,
-                    size_bytes: 1 << 20,
-                    num_parts: 2,
-                    label: "sel".into(),
-                },
-            )
+        round_robin(12).at(
+            SimDuration::from_secs(2),
+            BrokerCommand::DistributeFile {
+                target: TargetSpec::Selected,
+                size_bytes: 1 << 20,
+                num_parts: 2,
+                label: "sel".into(),
+            },
+        )
     });
     engine.run_until(SimTime::from_secs_f64(3600.0));
     let log = sink.drain();
@@ -285,9 +291,10 @@ fn file_request_is_served_peer_to_peer() {
         2,
         bcfg,
         |i, broker| {
-            let cfg = ClientConfig::new(broker);
+            let mut cfg = ClientConfig::new(broker);
             if i == 0 {
-                cfg.sharing("dataset.bin", 2 << 20)
+                cfg.shared_files.push(("dataset.bin".into(), 2 << 20));
+                cfg
             } else {
                 cfg.at(
                     SimDuration::from_secs(5),
@@ -344,8 +351,7 @@ fn file_request_for_unknown_content_is_counted() {
 #[test]
 fn file_request_selects_among_multiple_owners() {
     let sink = RecordSink::new();
-    let mut broker_cfg =
-        BrokerConfig::new(23).with_selector(Box::new(crate::selector::RoundRobinSelector::new()));
+    let mut broker_cfg = round_robin(23);
     // The broker cannot see future client-scheduled commands, so don't
     // let it stop at the first idle moment.
     broker_cfg.stop_when_idle = false;
@@ -353,9 +359,10 @@ fn file_request_selects_among_multiple_owners() {
         3,
         broker_cfg,
         |i, broker| {
-            let cfg = ClientConfig::new(broker);
+            let mut cfg = ClientConfig::new(broker);
             if i < 2 {
-                cfg.sharing("replicated.iso", 1 << 20)
+                cfg.shared_files.push(("replicated.iso".into(), 1 << 20));
+                cfg
             } else {
                 cfg.at(
                     SimDuration::from_secs(5),
@@ -417,18 +424,16 @@ fn federated_brokers_select_across_domains() {
         clients.push(c);
     }
     let sink = RecordSink::new();
-    let mut cfg_a = BrokerConfig::new(31)
-        .with_selector(Box::new(crate::selector::RoundRobinSelector::new()))
-        .at(
-            // Well after the first gossip round (60 s).
-            SimDuration::from_secs(150),
-            BrokerCommand::DistributeFile {
-                target: TargetSpec::Selected,
-                size_bytes: 1 << 20,
-                num_parts: 2,
-                label: "federated".into(),
-            },
-        );
+    let mut cfg_a = round_robin(31).at(
+        // Well after the first gossip round (60 s).
+        SimDuration::from_secs(150),
+        BrokerCommand::DistributeFile {
+            target: TargetSpec::Selected,
+            size_bytes: 1 << 20,
+            num_parts: 2,
+            label: "federated".into(),
+        },
+    );
     cfg_a.peer_brokers = vec![broker_b];
     let mut cfg_b = BrokerConfig::new(32);
     cfg_b.peer_brokers = vec![broker_a];
@@ -517,8 +522,7 @@ fn departed_peer_is_never_selected() {
     // must see only the two remaining candidates and never choose the
     // departed host.
     let sink = RecordSink::new();
-    let mut bcfg =
-        BrokerConfig::new(61).with_selector(Box::new(crate::selector::RoundRobinSelector::new()));
+    let mut bcfg = round_robin(61);
     for k in 0..6u64 {
         bcfg = bcfg.at(
             SimDuration::from_secs(60 + 10 * k),
@@ -833,7 +837,7 @@ fn after_leave_and_rejoin_a_report_lands_on_the_rejoined_entry() {
         .at(SimDuration::from_secs(45), ClientCommand::Leave)
         .at(SimDuration::from_secs(50), ClientCommand::Rejoin);
     let client = SimpleClient::new(cfg, 78);
-    let peer = client.peer_id();
+    let peer = client.peer_id;
     engine.register(hosts[0], Box::new(client));
     // Reports leave at 30 s (before the leave), 60 s and 90 s.
     engine.run_until(SimTime::from_secs_f64(100.0));

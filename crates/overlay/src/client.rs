@@ -60,7 +60,7 @@ const STATS_INTERVAL: SimDuration = SimDuration::from_secs(30);
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// The broker's host.
-    pub broker: NodeId,
+    pub(crate) broker: NodeId,
     /// Probability of accepting an individual task offer.
     pub task_accept_probability: f64,
     /// Probability of refusing an individual petition (flaky-peer model;
@@ -84,12 +84,6 @@ impl ClientConfig {
         }
     }
 
-    /// Shares a file under `name`.
-    pub fn sharing(mut self, name: impl Into<String>, bytes: u64) -> Self {
-        self.shared_files.push((name.into(), bytes));
-        self
-    }
-
     /// Schedules a command `delay` after start.
     pub fn at(mut self, delay: SimDuration, cmd: ClientCommand) -> Self {
         self.commands.push((delay, cmd));
@@ -101,7 +95,7 @@ impl ClientConfig {
 pub struct SimpleClient {
     cfg: ClientConfig,
     ids: IdGenerator,
-    peer_id: PeerId,
+    pub(crate) peer_id: PeerId,
     joined: bool,
     /// Transfers and tasks this peer receives.
     receiver: Receiver,
@@ -135,11 +129,6 @@ impl SimpleClient {
         self.receiver = Receiver::new(TASK_TAG_BASE, Some(sink.clone()));
         self.outbound = SenderFlow::new(Some(sink));
         self
-    }
-
-    /// The client's overlay identity.
-    pub fn peer_id(&self) -> PeerId {
-        self.peer_id
     }
 
     /// The advertisement a Join (first or re-) publishes for this peer.
@@ -337,9 +326,9 @@ mod tests {
     fn unique_peer_ids_per_seed() {
         let a = SimpleClient::new(ClientConfig::new(NodeId(0)), 1);
         let b = SimpleClient::new(ClientConfig::new(NodeId(0)), 2);
-        assert_ne!(a.peer_id(), b.peer_id());
+        assert_ne!(a.peer_id, b.peer_id);
         let a2 = SimpleClient::new(ClientConfig::new(NodeId(0)), 1);
-        assert_eq!(a.peer_id(), a2.peer_id());
+        assert_eq!(a.peer_id, a2.peer_id);
     }
 
     #[test]
@@ -368,13 +357,10 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let cfg = ClientConfig::new(NodeId(0))
-            .sharing("lecture.mp4", 100 << 20)
-            .at(
-                SimDuration::from_secs(5),
-                ClientCommand::RequestFile { name: "x".into() },
-            );
-        assert_eq!(cfg.shared_files.len(), 1);
+        let cfg = ClientConfig::new(NodeId(0)).at(
+            SimDuration::from_secs(5),
+            ClientCommand::RequestFile { name: "x".into() },
+        );
         assert_eq!(cfg.commands.len(), 1);
     }
 }

@@ -44,8 +44,8 @@ pub enum HomingPolicy {
 pub const GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// Failover detection for a re-homing client: it probes its home every
-/// [`crate::lifecycle::PROBE_INTERVAL`] and re-homes after
-/// [`crate::lifecycle::PROBE_TIMEOUT`] of silence.
+/// `crate::lifecycle::PROBE_INTERVAL` and re-homes after
+/// `crate::lifecycle::PROBE_TIMEOUT` of silence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailoverPolicy;
 

@@ -24,7 +24,7 @@ pub struct FileMeta {
 
 impl FileMeta {
     /// Approximate wire size of the metadata itself.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         48 + self.name.len() as u64
     }
 }
@@ -47,19 +47,19 @@ pub fn split_parts(size_bytes: u64, num_parts: u32) -> Vec<u64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutboundTransfer {
     /// Transfer identity.
-    pub id: TransferId,
+    pub(crate) id: TransferId,
     /// What is being sent.
-    pub file: FileMeta,
+    pub(crate) file: FileMeta,
     /// Destination host.
-    pub to: netsim::node::NodeId,
+    pub(crate) to: netsim::node::NodeId,
     /// Part sizes (computed once, immutable).
-    pub parts: Vec<u64>,
+    pub(crate) parts: Vec<u64>,
     /// Index of the next part to send.
-    pub next_part: u32,
+    pub(crate) next_part: u32,
     /// Protocol phase.
     pub phase: TransferPhase,
     /// When the petition was sent.
-    pub petition_sent_at: SimTime,
+    pub(crate) petition_sent_at: SimTime,
 }
 
 /// Phase of an outbound transfer.
@@ -97,7 +97,7 @@ impl OutboundTransfer {
     }
 
     /// Number of parts in this transfer.
-    pub fn num_parts(&self) -> u32 {
+    pub(crate) fn num_parts(&self) -> u32 {
         self.parts.len() as u32
     }
 
@@ -119,7 +119,7 @@ impl OutboundTransfer {
     /// Whether a confirm for part `index` would advance the window right
     /// now. Record keepers use this to validate a confirm *before* mutating
     /// timing records: a stale or duplicate confirm must not touch them.
-    pub fn accepts_confirm(&self, index: u32) -> bool {
+    pub(crate) fn accepts_confirm(&self, index: u32) -> bool {
         self.phase == TransferPhase::Sending && index + 1 == self.next_part
     }
 
@@ -156,22 +156,22 @@ impl OutboundTransfer {
 
 /// Receiver-side state of one inbound transfer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InboundTransfer {
+pub(crate) struct InboundTransfer {
     /// Transfer identity.
-    pub id: TransferId,
+    pub(crate) id: TransferId,
     /// Expected number of parts.
-    pub expected_parts: u32,
+    pub(crate) expected_parts: u32,
     /// Parts received so far (distinct indices).
-    pub received: u32,
+    pub(crate) received: u32,
     /// Bytes received so far (duplicates excluded).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// When the petition was handled.
-    pub petition_handled_at: SimTime,
+    pub(crate) petition_handled_at: SimTime,
 }
 
 /// What a received part meant to the receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartReceipt {
+pub(crate) enum PartReceipt {
     /// A fresh part; more are expected.
     New,
     /// A fresh part, and it was the last one.
@@ -187,7 +187,7 @@ pub enum PartReceipt {
 
 impl InboundTransfer {
     /// Creates receiver state when the petition is accepted.
-    pub fn new(id: TransferId, expected_parts: u32, now: SimTime) -> Self {
+    pub(crate) fn new(id: TransferId, expected_parts: u32, now: SimTime) -> Self {
         InboundTransfer {
             id,
             expected_parts,
@@ -200,7 +200,7 @@ impl InboundTransfer {
     /// Records part `index`; stop-and-wait means parts arrive in order, so
     /// any index below the next expected one is a retransmission and any
     /// index above it is a gap (rejected without touching the tallies).
-    pub fn on_part(&mut self, index: u32, size: u64) -> PartReceipt {
+    pub(crate) fn on_part(&mut self, index: u32, size: u64) -> PartReceipt {
         if index < self.received {
             return PartReceipt::Duplicate;
         }

@@ -1,7 +1,7 @@
 //! Estimated heap accounting for overlay state.
 //!
 //! ROADMAP item 1 asks what a million-peer registry actually *costs*; the
-//! [`MemoryFootprint`] trait answers in estimated heap bytes, broken down
+//! `MemoryFootprint` trait answers in estimated heap bytes, broken down
 //! by component ([`FootprintBreakdown`]): roster bookkeeping, per-peer
 //! statistics windows, content holdings, gossip views, and lifecycle
 //! scripts.
@@ -50,20 +50,20 @@ use std::ops::{Add, AddAssign};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FootprintBreakdown {
     /// Roster bookkeeping: entry slots, id indexes, name interning.
-    pub roster: u64,
+    pub(crate) roster: u64,
     /// Per-peer statistics: windowed ratio rings, reported queue gauges.
-    pub stats: u64,
+    pub(crate) stats: u64,
     /// Content directory: published names and holdings, transfer state.
-    pub content: u64,
+    pub(crate) content: u64,
     /// Gossip state: remote candidate views learned from peer brokers.
-    pub gossip: u64,
+    pub(crate) gossip: u64,
     /// Lifecycle scripts: pre-sampled session plans.
-    pub scripts: u64,
+    pub(crate) scripts: u64,
 }
 
 impl FootprintBreakdown {
     /// Sum over all components.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.roster + self.stats + self.content + self.gossip + self.scripts
     }
 
@@ -99,7 +99,7 @@ impl AddAssign for FootprintBreakdown {
 }
 
 /// Reports an estimate of the heap bytes a value holds, by component.
-pub trait MemoryFootprint {
+pub(crate) trait MemoryFootprint {
     /// Estimated heap bytes, broken down per [`FootprintBreakdown`].
     fn memory_footprint(&self) -> FootprintBreakdown;
 }
@@ -109,13 +109,13 @@ pub trait MemoryFootprint {
 pub(crate) const ARC_HEADER_BYTES: u64 = 16;
 
 /// Length-based estimate of a slice-backed container's element storage.
-pub fn slots_estimate<T>(len: usize) -> u64 {
+pub(crate) fn slots_estimate<T>(len: usize) -> u64 {
     (len * std::mem::size_of::<T>()) as u64
 }
 
 /// Length-based estimate of a map's entry storage (key + value inline
 /// sizes per live entry; hash-table overhead and slack are ignored).
-pub fn map_estimate<K, V>(len: usize) -> u64 {
+pub(crate) fn map_estimate<K, V>(len: usize) -> u64 {
     (len * (std::mem::size_of::<K>() + std::mem::size_of::<V>())) as u64
 }
 

@@ -11,7 +11,7 @@ use netsim::rng::SimRng;
 
 /// Namespace of an identifier (JXTA calls these ID *types*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum IdKind {
+pub(crate) enum IdKind {
     /// A peer.
     Peer,
     /// A unicast pipe.

@@ -5,7 +5,7 @@
 //! **Client**. This crate rebuilds all three on top of the `netsim` actor
 //! engine:
 //!
-//! * [`id`], [`advertisement`] — JXTA plumbing: 128-bit ids, and the peer
+//! * [`id`], `advertisement` — JXTA plumbing: 128-bit ids, and the peer
 //!   and content advertisements a join and a shared file publish.
 //! * [`message`] — the wire protocol (membership, statistics, chunked file
 //!   transfer, content requests, federation, streaming, task management).
@@ -35,12 +35,12 @@
 //!   piece exchange, with sequential / windowed / rarest-within-window
 //!   [`streaming::PiecePolicy`] selection.
 //! * [`records`] — shared run log experiments read after a simulation.
-//! * [`footprint`] — estimated heap accounting ([`footprint::MemoryFootprint`])
+//! * [`footprint`] — estimated heap accounting (`footprint::MemoryFootprint`)
 //!   behind the `registry.bytes.*` gauges and `bytes_per_peer` curves.
 
 #![warn(missing_docs)]
 
-pub mod advertisement;
+mod advertisement;
 pub mod broker;
 pub mod client;
 pub mod federation;
@@ -56,27 +56,3 @@ mod sendflow;
 pub mod stats;
 pub mod streaming;
 pub mod task;
-
-/// Convenient re-exports of the types most callers need.
-pub mod prelude {
-    pub use crate::broker::{Broker, BrokerCommand, BrokerConfig, TargetSpec};
-    pub use crate::client::{ClientCommand, ClientConfig, SimpleClient};
-    pub use crate::federation::{
-        FailoverPolicy, Federation, FederationError, FederationSpec, HomingPolicy,
-    };
-    pub use crate::filetransfer::{split_parts, FileMeta};
-    pub use crate::footprint::{FootprintBreakdown, MemoryFootprint};
-    pub use crate::id::{PeerId, TaskId, TransferId};
-    pub use crate::lifecycle::{
-        ChurnProfile, LifecycleConfig, LifecyclePeer, LifecycleScript, LifecycleState, SessionPlan,
-    };
-    pub use crate::message::OverlayMsg;
-    pub use crate::records::{RecordSink, RunLog, StreamRecord, TaskRecord, TransferRecord};
-    pub use crate::selector::{
-        CandidateView, InteractionHistory, PeerSelector, Purpose, RandomSelector,
-        RoundRobinSelector, SelectionOutcome, SelectionRequest,
-    };
-    pub use crate::stats::{Criterion, PeerStats, StatsSnapshot};
-    pub use crate::streaming::{PiecePolicy, StreamConfig, StreamingClient};
-    pub use crate::task::TaskSpec;
-}

@@ -47,14 +47,14 @@ const TASK_TAG_BASE: u64 = SESSION_TAG_SPAN;
 /// tasks on one peer to collide).
 const PROBE_TAG_BASE: u64 = 1 << 33;
 /// How often a failover-enabled peer pings its home broker.
-pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(30);
+pub(crate) const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(30);
 /// Silence longer than this (no ack, pong, or data from the home)
 /// makes a failover-enabled peer declare its broker dead and re-home.
-pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(90);
+pub(crate) const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(90);
 
 /// Where a peer stands in its membership lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LifecycleState {
+pub(crate) enum LifecycleState {
     /// Not yet arrived: the overlay has never heard of this peer.
     Unknown,
     /// Join sent, acknowledgement outstanding.
@@ -153,7 +153,7 @@ impl LifecycleScript {
     }
 
     /// Absolute `(join, leave)` instants of session `i`, from run start.
-    pub fn session_bounds(&self, i: usize) -> (SimDuration, SimDuration) {
+    pub(crate) fn session_bounds(&self, i: usize) -> (SimDuration, SimDuration) {
         let mut start = self.arrival;
         for s in &self.sessions[..i] {
             start = start + s.length + s.off_time;
@@ -199,8 +199,8 @@ pub struct LifecycleConfig {
     pub script: LifecycleScript,
     /// Whether to accept executable tasks while connected.
     pub accepts_tasks: bool,
-    /// When set, the peer pings its home every [`PROBE_INTERVAL`] and
-    /// re-homes to the next broker on the list after [`PROBE_TIMEOUT`]
+    /// When set, the peer pings its home every `PROBE_INTERVAL` and
+    /// re-homes to the next broker on the list after `PROBE_TIMEOUT`
     /// of silence. `None` = trust the home forever (single-broker runs).
     pub failover: Option<FailoverPolicy>,
 }
@@ -245,18 +245,8 @@ impl LifecyclePeer {
         }
     }
 
-    /// This peer's stable identity.
-    pub fn peer_id(&self) -> PeerId {
-        self.peer_id
-    }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> LifecycleState {
-        self.state
-    }
-
     /// The broker this peer currently calls home.
-    pub fn broker(&self) -> NodeId {
+    pub(crate) fn broker(&self) -> NodeId {
         self.cfg.brokers[self.home_idx % self.cfg.brokers.len()]
     }
 
@@ -513,8 +503,8 @@ mod tests {
         };
         let p = LifecyclePeer::new(cfg.clone(), 7);
         let q = LifecyclePeer::new(cfg, 7);
-        assert_eq!(p.state(), LifecycleState::Unknown);
-        assert_eq!(p.peer_id(), q.peer_id(), "identity is seed-derived");
+        assert_eq!(p.state, LifecycleState::Unknown);
+        assert_eq!(p.peer_id, q.peer_id, "identity is seed-derived");
         assert_eq!(p.broker(), NodeId(0));
     }
 

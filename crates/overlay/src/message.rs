@@ -211,18 +211,18 @@ pub enum OverlayMsg {
 pub struct ForwardedPetition {
     /// The broker the petition originated at (excluded from further hops
     /// so forwards never boomerang).
-    pub origin: netsim::node::NodeId,
+    pub(crate) origin: netsim::node::NodeId,
     /// Remaining broker-to-broker hops, this delivery included.
-    pub hops_left: u32,
+    pub(crate) hops_left: u32,
     /// File size in bytes.
-    pub size_bytes: u64,
+    pub(crate) size_bytes: u64,
     /// Parts to split the file into.
-    pub num_parts: u32,
+    pub(crate) num_parts: u32,
     /// Label recorded with the transfer.
-    pub label: String,
+    pub(crate) label: String,
     /// When the command was first enqueued at the origin (petition latency
     /// is measured from here, hops included).
-    pub enqueued_at: SimTime,
+    pub(crate) enqueued_at: SimTime,
 }
 
 impl Payload for OverlayMsg {

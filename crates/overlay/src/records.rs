@@ -90,7 +90,7 @@ impl TransferRecord {
 
     /// Data-phase time only: first part sent → last confirm (excludes the
     /// petition handshake).
-    pub fn data_phase_secs(&self) -> Option<f64> {
+    pub(crate) fn data_phase_secs(&self) -> Option<f64> {
         let first = self.parts.first()?.sent_at;
         self.completed_at
             .map(|t| t.duration_since(first).as_secs_f64())
@@ -118,7 +118,7 @@ impl TransferRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     /// Task id.
-    pub id: TaskId,
+    pub(crate) id: TaskId,
     /// Executing host.
     pub on: NodeId,
     /// Executing hostname (interned — see [`TransferRecord::to_name`]).
@@ -128,13 +128,13 @@ pub struct TaskRecord {
     /// Input bytes shipped before execution (0 = none).
     pub input_bytes: u64,
     /// Compute demand, giga-ops.
-    pub work_gops: f64,
+    pub(crate) work_gops: f64,
     /// Submission (selection) instant.
     pub submitted_at: SimTime,
     /// When the input transfer finished, if any.
     pub input_done_at: Option<SimTime>,
     /// When the peer accepted the offer.
-    pub accepted_at: Option<SimTime>,
+    pub(crate) accepted_at: Option<SimTime>,
     /// When the result arrived at the broker.
     pub result_at: Option<SimTime>,
     /// Peer-reported pure execution time, seconds.
@@ -171,31 +171,23 @@ pub struct SelectionRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamRecord {
     /// The viewing host.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Its hostname (interned — see [`TransferRecord::to_name`]).
-    pub name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// Pieces the stream is divided into.
-    pub total_pieces: u32,
+    pub(crate) total_pieces: u32,
     /// When the viewer began requesting pieces.
-    pub began_at: SimTime,
+    pub(crate) began_at: SimTime,
     /// Request start → playback start (the startup buffer filled).
     pub startup_delay_secs: Option<f64>,
     /// Pieces received so far.
-    pub pieces_received: u32,
+    pub(crate) pieces_received: u32,
     /// Playback stalls on a missing piece.
     pub rebuffers: u32,
     /// Total virtual time spent stalled, seconds.
     pub rebuffer_secs: f64,
     /// When the final piece finished playing.
     pub completed_at: Option<SimTime>,
-}
-
-impl StreamRecord {
-    /// Request start → playback of the last piece done, if finished.
-    pub fn total_secs(&self) -> Option<f64> {
-        self.completed_at
-            .map(|t| t.duration_since(self.began_at).as_secs_f64())
-    }
 }
 
 /// The shared, append-mostly run log.
@@ -218,23 +210,18 @@ impl RunLog {
     }
 
     /// Finds a mutable transfer record by id.
-    pub fn transfer_mut(&mut self, id: TransferId) -> Option<&mut TransferRecord> {
+    pub(crate) fn transfer_mut(&mut self, id: TransferId) -> Option<&mut TransferRecord> {
         self.transfers.iter_mut().find(|t| t.id == id)
     }
 
-    /// Finds a task record by id.
-    pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
-        self.tasks.iter().find(|t| t.id == id)
-    }
-
     /// Finds a mutable task record by id.
-    pub fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRecord> {
+    pub(crate) fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRecord> {
         self.tasks.iter_mut().find(|t| t.id == id)
     }
 
     /// Finds a mutable stream record by viewing host (streams are
     /// per-node singletons).
-    pub fn stream_mut(&mut self, node: NodeId) -> Option<&mut StreamRecord> {
+    pub(crate) fn stream_mut(&mut self, node: NodeId) -> Option<&mut StreamRecord> {
         self.streams.iter_mut().find(|s| s.node == node)
     }
 
@@ -270,19 +257,13 @@ impl RecordSink {
     }
 
     /// Runs `f` with mutable access to the log.
-    pub fn with<R>(&self, f: impl FnOnce(&mut RunLog) -> R) -> R {
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut RunLog) -> R) -> R {
         f(&mut self.0.lock().expect("record sink poisoned"))
     }
 
     /// Takes the entire log, leaving it empty (post-run drain).
     pub fn drain(&self) -> RunLog {
         std::mem::take(&mut *self.0.lock().expect("record sink poisoned"))
-    }
-
-    /// Snapshot counts: (transfers, tasks, selections).
-    pub fn counts(&self) -> (usize, usize, usize) {
-        let log = self.0.lock().expect("record sink poisoned");
-        (log.transfers.len(), log.tasks.len(), log.selections.len())
     }
 }
 
@@ -357,10 +338,10 @@ mod tests {
         let sink = RecordSink::new();
         let clone = sink.clone();
         clone.with(|log| log.transfers.push(sample_transfer()));
-        assert_eq!(sink.counts().0, 1);
+        assert_eq!(sink.with(|log| log.transfers.len()), 1);
         let drained = sink.drain();
         assert_eq!(drained.transfers.len(), 1);
-        assert_eq!(sink.counts().0, 0);
+        assert_eq!(sink.with(|log| log.transfers.len()), 0);
     }
 
     #[test]

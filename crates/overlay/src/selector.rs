@@ -27,9 +27,9 @@ pub struct InteractionHistory {
     /// EWMA of observed pure execution rate, gops/second.
     pub ewma_exec_gops_per_sec: Option<f64>,
     /// Completed transfers to this peer.
-    pub transfers_completed: u64,
+    pub(crate) transfers_completed: u64,
     /// Cancelled transfers to this peer.
-    pub transfers_cancelled: u64,
+    pub(crate) transfers_cancelled: u64,
     /// Bytes currently queued (sent or scheduled) to this peer.
     pub queued_bytes: u64,
     /// Broker's estimate of when the peer finishes its current backlog.

@@ -18,9 +18,9 @@ use netsim::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RatioCounter {
     /// Attempts recorded.
-    pub attempts: u64,
+    pub(crate) attempts: u64,
     /// Successful attempts recorded.
-    pub successes: u64,
+    pub(crate) successes: u64,
 }
 
 impl RatioCounter {
@@ -82,19 +82,19 @@ impl QueueGauge {
     }
 
     /// Increments the length at time `now`.
-    pub fn incr(&mut self, now: SimTime) {
+    pub(crate) fn incr(&mut self, now: SimTime) {
         self.accumulate(now);
         self.current += 1;
     }
 
     /// Decrements the length at time `now` (saturating).
-    pub fn decr(&mut self, now: SimTime) {
+    pub(crate) fn decr(&mut self, now: SimTime) {
         self.accumulate(now);
         self.current = self.current.saturating_sub(1);
     }
 
     /// Current length.
-    pub fn current(&self) -> u32 {
+    pub(crate) fn current(&self) -> u32 {
         self.current
     }
 
@@ -200,37 +200,37 @@ impl WindowedRatio {
 
 /// The per-scope (session or all-time) counter block of §2.2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScopeCounters {
+pub(crate) struct ScopeCounters {
     /// Messages sent, and how many succeeded.
-    pub messages: RatioCounter,
+    pub(crate) messages: RatioCounter,
     /// Tasks offered, and how many the peer accepted.
-    pub tasks_accepted: RatioCounter,
+    pub(crate) tasks_accepted: RatioCounter,
     /// Tasks started, and how many executed successfully.
-    pub tasks_executed: RatioCounter,
+    pub(crate) tasks_executed: RatioCounter,
     /// File sends attempted, and how many completed.
-    pub files_sent: RatioCounter,
+    pub(crate) files_sent: RatioCounter,
     /// File transfers started, and how many were cancelled
     /// (successes here count *cancellations*, so lower is better).
-    pub transfers_cancelled: RatioCounter,
+    pub(crate) transfers_cancelled: RatioCounter,
 }
 
 /// Live statistics record the broker keeps for one peer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeerStats {
     /// Counters for the current session.
-    pub session: ScopeCounters,
+    pub(crate) session: ScopeCounters,
     /// Counters over all sessions.
-    pub total: ScopeCounters,
+    pub(crate) total: ScopeCounters,
     /// Hour-bucketed message-success window.
-    pub message_window: WindowedRatio,
+    pub(crate) message_window: WindowedRatio,
     /// Outbox queue gauge.
-    pub outbox: QueueGauge,
+    pub(crate) outbox: QueueGauge,
     /// Inbox queue gauge.
-    pub inbox: QueueGauge,
+    pub(crate) inbox: QueueGauge,
     /// File transfers currently in flight to/from this peer.
-    pub pending_transfers: u32,
+    pub(crate) pending_transfers: u32,
     /// Advertised CPU rate (gops), from the peer advertisement.
-    pub cpu_gops: f64,
+    pub(crate) cpu_gops: f64,
 }
 
 impl PeerStats {
@@ -247,12 +247,6 @@ impl PeerStats {
         }
     }
 
-    /// Starts a new session: session counters reset, totals persist
-    /// (the paper distinguishes "current session" from "all sessions").
-    pub fn begin_session(&mut self) {
-        self.session = ScopeCounters::default();
-    }
-
     /// Records a message send outcome at `now`.
     pub fn record_message(&mut self, now: SimTime, success: bool) {
         self.session.messages.record(success);
@@ -267,7 +261,7 @@ impl PeerStats {
     }
 
     /// Records a task-execution outcome.
-    pub fn record_task_execution(&mut self, success: bool) {
+    pub(crate) fn record_task_execution(&mut self, success: bool) {
         self.session.tasks_executed.record(success);
         self.total.tasks_executed.record(success);
     }
@@ -310,13 +304,13 @@ impl PeerStats {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueReport {
     /// Inbox length now.
-    pub inbox_now: f64,
+    pub(crate) inbox_now: f64,
     /// Time-weighted average inbox length.
-    pub inbox_avg: f64,
+    pub(crate) inbox_avg: f64,
     /// Outbox length now.
-    pub outbox_now: f64,
+    pub(crate) outbox_now: f64,
     /// Time-weighted average outbox length.
-    pub outbox_avg: f64,
+    pub(crate) outbox_avg: f64,
 }
 
 impl QueueReport {
@@ -332,7 +326,7 @@ impl QueueReport {
     }
 
     /// Overrides `snapshot`'s queue criteria with the reported ones.
-    pub fn apply_to(&self, snapshot: &mut StatsSnapshot) {
+    pub(crate) fn apply_to(&self, snapshot: &mut StatsSnapshot) {
         snapshot.inbox_now = self.inbox_now;
         snapshot.inbox_avg = self.inbox_avg;
         snapshot.outbox_now = self.outbox_now;
@@ -476,7 +470,7 @@ pub struct StatsSnapshot {
     /// File transfers currently pending.
     pub pending_transfers: f64,
     /// Advertised CPU rate, gops.
-    pub cpu_gops: f64,
+    pub(crate) cpu_gops: f64,
 }
 
 impl StatsSnapshot {
@@ -504,7 +498,7 @@ impl StatsSnapshot {
 
     /// Every criterion's value at once, indexed like [`Criterion::ALL`]
     /// (`values()[c as usize] == value(c)`).
-    pub fn values(&self) -> [Option<f64>; Criterion::ALL.len()] {
+    pub(crate) fn values(&self) -> [Option<f64>; Criterion::ALL.len()] {
         [
             self.msg_success_session,
             self.msg_success_total,
@@ -546,11 +540,6 @@ impl StatsSnapshot {
             pending_transfers: 0.0,
             cpu_gops,
         }
-    }
-
-    /// Approximate wire size of a snapshot when shipped in a stats report.
-    pub fn wire_size(&self) -> u64 {
-        17 * 8
     }
 }
 
@@ -680,12 +669,13 @@ mod tests {
         let mut s = PeerStats::new(t(0), 1.5);
         s.record_message(t(1), true);
         s.record_message(t(2), false);
-        s.begin_session();
         s.record_message(t(3), true);
         let snap = s.snapshot(t(4), 24);
-        assert_eq!(snap.msg_success_session, Some(100.0));
+        // No session ever restarts, so each session criterion equals its
+        // total (a registry entry lives for one session).
         let total = snap.msg_success_total.unwrap();
         assert!((total - 200.0 / 3.0).abs() < 1e-9);
+        assert_eq!(snap.msg_success_session, Some(total));
     }
 
     #[test]
@@ -742,7 +732,6 @@ mod tests {
         let snap = StatsSnapshot::empty(1.0);
         assert_eq!(snap.value(Criterion::MsgSuccessTotal), None);
         assert_eq!(snap.value(Criterion::OutboxNow), Some(0.0));
-        assert!(snap.wire_size() > 0);
     }
 
     #[test]

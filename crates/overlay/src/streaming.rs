@@ -2,8 +2,8 @@
 //!
 //! A [`StreamingClient`] joins its broker like any edge peer, then pulls
 //! a piece-divided media stream from seed peers: it keeps a bounded
-//! request window open, buffers [`STARTUP_PIECES`] pieces before
-//! starting playback, consumes one piece per [`PIECE_SECS`] of virtual
+//! request window open, buffers `STARTUP_PIECES` pieces before
+//! starting playback, consumes one piece per `PIECE_SECS` of virtual
 //! time, and stalls (a rebuffer
 //! event) whenever the playhead reaches a piece that has not arrived.
 //! Which piece to request next is the [`PiecePolicy`] — the axis the
@@ -47,10 +47,10 @@ const TAG_PLAY: u64 = 2;
 /// Payload bytes per piece.
 pub const PIECE_BYTES: u64 = 256 << 10;
 /// Playback duration of one piece.
-pub const PIECE_SECS: SimDuration = SimDuration::from_secs(2);
+pub(crate) const PIECE_SECS: SimDuration = SimDuration::from_secs(2);
 /// Contiguous pieces buffered before playback starts (fewer when the
 /// stream is shorter).
-pub const STARTUP_PIECES: u32 = 4;
+pub(crate) const STARTUP_PIECES: u32 = 4;
 
 /// How a viewer picks the next piece to request. The window below is
 /// [`StreamConfig::window`]; `Sequential` is the degenerate window of 1.
@@ -110,7 +110,7 @@ impl std::fmt::Display for PiecePolicy {
 /// Exogenous availability rank of a piece (lower = rarer). A determin-
 /// istic per-content hash, standing in for swarm-wide piece census the
 /// simulated viewers have no gossip channel for.
-pub fn availability_rank(content_seed: u64, piece: u32) -> u64 {
+pub(crate) fn availability_rank(content_seed: u64, piece: u32) -> u64 {
     splitmix64(content_seed ^ (AVAIL_SALT.wrapping_add(piece as u64))) % 16
 }
 
@@ -214,11 +214,6 @@ impl StreamingClient {
             cfg,
             sink,
         }
-    }
-
-    /// This viewer's stable identity.
-    pub fn peer_id(&self) -> PeerId {
-        self.peer_id
     }
 
     fn bump(&mut self, ctx: &mut Context<OverlayMsg>, which: fn(&StreamingCounters) -> MetricId) {
@@ -556,7 +551,8 @@ mod tests {
                 s.name
             );
             assert!(s.rebuffer_secs >= 0.0);
-            assert!(s.total_secs().unwrap() >= delay);
+            let total = s.completed_at.unwrap().duration_since(s.began_at);
+            assert!(total.as_secs_f64() >= delay);
         }
     }
 

@@ -10,27 +10,27 @@ use crate::id::{TaskId, TransferId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// Task identity.
-    pub id: TaskId,
+    pub(crate) id: TaskId,
     /// Human-readable label (used in experiment reports).
-    pub label: String,
+    pub(crate) label: String,
     /// Compute demand in giga-operations.
-    pub work_gops: f64,
+    pub(crate) work_gops: f64,
     /// Size of the input file that must be shipped to the executing peer
     /// before the task can run; 0 means the task carries its own tiny input.
-    pub input_bytes: u64,
+    pub(crate) input_bytes: u64,
 }
 
 impl TaskSpec {
     /// Approximate wire size of the task description itself (the input file
     /// travels separately through the file-transfer primitives).
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         64 + self.label.len() as u64
     }
 }
 
 /// Lifecycle state of a task as tracked by the broker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskPhase {
+pub(crate) enum TaskPhase {
     /// Waiting for its input file to reach the executing peer.
     ShippingInput,
     /// Offered to the peer; awaiting accept/reject.
@@ -45,32 +45,32 @@ pub enum TaskPhase {
 
 /// Broker-side tracking entry for one task.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TaskTracking {
+pub(crate) struct TaskTracking {
     /// The task.
-    pub spec: TaskSpec,
+    pub(crate) spec: TaskSpec,
     /// Executing peer's simulated host.
-    pub node: netsim::node::NodeId,
+    pub(crate) node: netsim::node::NodeId,
     /// Current phase.
-    pub phase: TaskPhase,
+    pub(crate) phase: TaskPhase,
     /// When the broker decided to run this task (selection instant).
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// Input transfer session, when the task ships an input file.
-    pub input_transfer: Option<TransferId>,
+    pub(crate) input_transfer: Option<TransferId>,
     /// When the input finished arriving at the peer.
-    pub input_done_at: Option<SimTime>,
+    pub(crate) input_done_at: Option<SimTime>,
     /// When the offer was sent.
-    pub offered_at: Option<SimTime>,
+    pub(crate) offered_at: Option<SimTime>,
     /// When the peer accepted.
-    pub accepted_at: Option<SimTime>,
+    pub(crate) accepted_at: Option<SimTime>,
     /// When the result arrived back at the broker.
-    pub result_at: Option<SimTime>,
+    pub(crate) result_at: Option<SimTime>,
     /// Pure execution time reported by the peer, seconds.
-    pub exec_secs: Option<f64>,
+    pub(crate) exec_secs: Option<f64>,
 }
 
 impl TaskTracking {
     /// Creates tracking for a freshly submitted task.
-    pub fn new(spec: TaskSpec, node: netsim::node::NodeId, now: SimTime) -> Self {
+    pub(crate) fn new(spec: TaskSpec, node: netsim::node::NodeId, now: SimTime) -> Self {
         let phase = if spec.input_bytes > 0 {
             TaskPhase::ShippingInput
         } else {
@@ -91,15 +91,9 @@ impl TaskTracking {
     }
 
     /// End-to-end makespan (submission → result), if finished.
-    pub fn total_secs(&self) -> Option<f64> {
+    pub(crate) fn total_secs(&self) -> Option<f64> {
         self.result_at
             .map(|r| r.duration_since(self.submitted_at).as_secs_f64())
-    }
-
-    /// Time spent shipping the input, if any.
-    pub fn transfer_secs(&self) -> Option<f64> {
-        self.input_done_at
-            .map(|d| d.duration_since(self.submitted_at).as_secs_f64())
     }
 }
 
@@ -138,7 +132,6 @@ mod tests {
         assert_eq!(tr.total_secs(), None);
         tr.input_done_at = Some(t(70));
         tr.result_at = Some(t(130));
-        assert_eq!(tr.transfer_secs(), Some(60.0));
         assert_eq!(tr.total_secs(), Some(120.0));
     }
 

@@ -16,7 +16,7 @@ pub struct TestbedConfig {
     /// How many non-SC slice members join the broker and the eight SC
     /// peers: 0 is the paper's measurement setup, 17 or more the full
     /// slice. Lets scaling experiments sweep the peer count.
-    pub others: usize,
+    pub(crate) others: usize,
 }
 
 impl TestbedConfig {
@@ -48,7 +48,7 @@ pub struct Testbed {
     pub broker: NodeId,
     /// SC1…SC8 node ids (index 0 is SC1).
     pub scs: [NodeId; 8],
-    /// The non-SC slice members [`TestbedConfig::others`] asked for.
+    /// The non-SC slice members `TestbedConfig::others` asked for.
     pub others: Vec<NodeId>,
 }
 

@@ -46,7 +46,7 @@ pub const SC_LABELS: [&str; 8] = ["SC1", "SC2", "SC3", "SC4", "SC5", "SC6", "SC7
 
 /// A lognormal whose **mean** is exactly `mean` with shape `sigma`
 /// (mean = median · e^{σ²/2} ⇒ median = mean · e^{−σ²/2}).
-pub fn lognormal_with_mean(mean: f64, sigma: f64) -> DelayDistribution {
+pub(crate) fn lognormal_with_mean(mean: f64, sigma: f64) -> DelayDistribution {
     DelayDistribution::Lognormal {
         median: mean * (-sigma * sigma / 2.0).exp(),
         sigma,
@@ -79,7 +79,7 @@ const SC_CPU_GOPS: [f64; 8] = [1.2, 1.6, 1.3, 1.5, 1.7, 1.4, 1.0, 1.5];
 const SC_LOAD_MEAN: [f64; 8] = [0.30, 0.15, 0.25, 0.15, 0.35, 0.20, 0.80, 0.15];
 
 /// The calibrated profile of SCn (n in 1..=8). Panics on out-of-range n.
-pub fn sc_profile(n: u8) -> NodeProfile {
+pub(crate) fn sc_profile(n: u8) -> NodeProfile {
     assert!((1..=8).contains(&n), "SC index {n} out of range");
     let i = (n - 1) as usize;
     let load_mean = SC_LOAD_MEAN[i];
@@ -107,7 +107,7 @@ pub fn sc_profiles() -> Vec<NodeProfile> {
 
 /// The broker's profile: the nozomi cluster head is a dedicated machine on
 /// a university LAN — fast, responsive, lightly loaded.
-pub fn broker_profile() -> NodeProfile {
+pub(crate) fn broker_profile() -> NodeProfile {
     NodeProfile::healthy()
         .with_bandwidth_mbps(80.0)
         .with_loss(0.0001)

@@ -8,8 +8,6 @@
 //! * [`rtt`] — great-circle RTT synthesis with path inflation and jitter.
 //! * [`profile`] — per-node performance profiles (bandwidth caps, loss,
 //!   responsiveness, CPU) convertible to `netsim` types.
-//! * [`sliver`] — the sliver-contention model mapping co-tenant population to
-//!   background load and wake-up delays.
 //! * [`calibration`] — SC profiles fitted to the paper's measured values,
 //!   plus the paper's published series as constants.
 //! * [`builder`] — assembles a ready-to-run [`netsim::topology::Topology`].
@@ -28,6 +26,5 @@ pub mod calibration;
 pub mod profile;
 pub mod rtt;
 pub mod sites;
-pub mod sliver;
 
 pub use builder::{build, Testbed, TestbedConfig};

@@ -16,15 +16,15 @@ pub struct NodeProfile {
     /// Uplink cap in Mbit/s (PlanetLab slivers are bandwidth-capped).
     pub up_mbps: f64,
     /// Downlink cap in Mbit/s.
-    pub down_mbps: f64,
+    pub(crate) down_mbps: f64,
     /// Per-packet loss probability on the access link.
     pub loss: f64,
     /// Application-level service delay (sliver scheduling + JXTA overhead).
-    pub responsiveness: DelayDistribution,
+    pub(crate) responsiveness: DelayDistribution,
     /// Effective idle compute rate in giga-ops/second.
     pub cpu_gops: f64,
     /// Background load stolen by co-resident slivers.
-    pub load: LoadModel,
+    pub(crate) load: LoadModel,
 }
 
 impl NodeProfile {
@@ -51,7 +51,7 @@ impl NodeProfile {
     }
 
     /// Builder-style responsiveness override.
-    pub fn with_responsiveness(mut self, d: DelayDistribution) -> Self {
+    pub(crate) fn with_responsiveness(mut self, d: DelayDistribution) -> Self {
         self.responsiveness = d;
         self
     }
@@ -63,7 +63,7 @@ impl NodeProfile {
     }
 
     /// Builder-style CPU override.
-    pub fn with_cpu(mut self, gops: f64, load: LoadModel) -> Self {
+    pub(crate) fn with_cpu(mut self, gops: f64, load: LoadModel) -> Self {
         self.cpu_gops = gops;
         self.load = load;
         self

@@ -54,7 +54,7 @@ pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
 
 impl RttModel {
     /// Synthesized one-way delay between two sites, in milliseconds.
-    pub fn one_way_ms(&self, a: &Site, b: &Site) -> f64 {
+    pub(crate) fn one_way_ms(&self, a: &Site, b: &Site) -> f64 {
         let km = haversine_km(a.lat, a.lon, b.lat, b.lon);
         self.floor_ms + km * self.path_inflation / FIBER_KM_PER_MS
     }
@@ -65,7 +65,7 @@ impl RttModel {
     }
 
     /// Builds the [`PathSpec`] for the a→b overlay path.
-    pub fn path(&self, a: &Site, b: &Site) -> PathSpec {
+    pub(crate) fn path(&self, a: &Site, b: &Site) -> PathSpec {
         PathSpec::from_owd_ms(self.one_way_ms(a, b), self.jitter_frac)
     }
 }

@@ -278,11 +278,6 @@ pub fn find(hostname: &str) -> Option<&'static Site> {
     TABLE1.iter().find(|s| s.hostname == hostname)
 }
 
-/// Looks up the SCn site (n in 1..=8).
-pub fn simple_client(n: u8) -> Option<&'static Site> {
-    TABLE1.iter().find(|s| s.role == Role::SimpleClient(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,15 +339,17 @@ mod tests {
     fn lookup_functions() {
         assert!(find("ait05.us.es").is_some());
         assert!(find("nonexistent.example").is_none());
-        assert_eq!(simple_client(7).unwrap().hostname, "planetlab1.itwm.fhg.de");
-        assert!(simple_client(0).is_none());
-        assert!(simple_client(9).is_none());
+        assert_eq!(
+            find("planetlab1.itwm.fhg.de").unwrap().role,
+            Role::SimpleClient(7)
+        );
     }
 
     #[test]
     fn labels_render() {
         assert_eq!(BROKER.label(), "broker");
-        assert_eq!(simple_client(3).unwrap().label(), "SC3");
+        let sc3 = TABLE1.iter().find(|s| s.role == Role::SimpleClient(3));
+        assert_eq!(sc3.unwrap().label(), "SC3");
         assert_eq!(
             find("ricepl1.cs.rice.edu").unwrap().label(),
             "ricepl1.cs.rice.edu"

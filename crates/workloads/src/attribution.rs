@@ -34,13 +34,13 @@ use netsim::time::{SimDuration, SimTime};
 use overlay::records::{RunLog, TransferRecord};
 
 /// Number of attribution phases.
-pub const PHASE_COUNT: usize = 5;
+pub(crate) const PHASE_COUNT: usize = 5;
 
 /// Histogram layout shared by every phase histogram: 1 ms base, 32
 /// doubling buckets (top bound ≈ 4.3 × 10⁶ s, far beyond any horizon).
-pub const PHASE_HISTOGRAM_BASE: f64 = 0.001;
+pub(crate) const PHASE_HISTOGRAM_BASE: f64 = 0.001;
 /// See [`PHASE_HISTOGRAM_BASE`].
-pub const PHASE_HISTOGRAM_BUCKETS: usize = 32;
+pub(crate) const PHASE_HISTOGRAM_BUCKETS: usize = 32;
 
 /// One attribution phase (see the module docs for definitions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +60,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical (rendering) order.
-    pub const ALL: [Phase; PHASE_COUNT] = [
+    pub(crate) const ALL: [Phase; PHASE_COUNT] = [
         Phase::BrokerQueue,
         Phase::Wakeup,
         Phase::Transmission,
@@ -69,7 +69,7 @@ impl Phase {
     ];
 
     /// Stable machine-readable label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Phase::BrokerQueue => "broker_queue",
             Phase::Wakeup => "wakeup",
@@ -80,7 +80,7 @@ impl Phase {
     }
 
     /// Index into a `[T; PHASE_COUNT]` phase array.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Phase::BrokerQueue => 0,
             Phase::Wakeup => 1,
@@ -97,23 +97,23 @@ pub struct TransferAttribution {
     /// Raw transfer id (matches the `xfer` JSONL field).
     pub transfer: u128,
     /// The sending node (broker or instructed client).
-    pub sender: NodeId,
+    pub(crate) sender: NodeId,
     /// The receiving node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Total file size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// When the transfer's command was first runnable (= `began_at`
     /// unless the broker deferred it).
-    pub enqueued_at: SimTime,
+    pub(crate) enqueued_at: SimTime,
     /// When the petition went out.
-    pub began_at: SimTime,
+    pub(crate) began_at: SimTime,
     /// When the transfer closed (complete or cancelled).
-    pub ended_at: SimTime,
+    pub(crate) ended_at: SimTime,
     /// Whether it completed successfully.
     pub ok: bool,
     /// Retransmissions attributed to this transfer.
-    pub retransmissions: u32,
-    /// Per-phase durations, indexed by [`Phase::index`]. Sums exactly to
+    pub(crate) retransmissions: u32,
+    /// Per-phase durations, indexed by `Phase::index`. Sums exactly to
     /// [`TransferAttribution::end_to_end`].
     pub phases: [SimDuration; PHASE_COUNT],
 }
@@ -125,7 +125,7 @@ impl TransferAttribution {
     }
 
     /// Duration of one phase in seconds.
-    pub fn phase_secs(&self, p: Phase) -> f64 {
+    pub(crate) fn phase_secs(&self, p: Phase) -> f64 {
         self.phase(p).as_secs_f64()
     }
 
@@ -136,7 +136,7 @@ impl TransferAttribution {
     }
 
     /// The phase that consumed the most time (ties go to the earlier
-    /// phase in [`Phase::ALL`] order, deterministically).
+    /// phase in `Phase::ALL` order, deterministically).
     pub fn dominant_phase(&self) -> Phase {
         let mut best = Phase::ALL[0];
         for p in Phase::ALL {
@@ -283,13 +283,13 @@ fn attribute(t: &TransferRecord) -> Option<TransferAttribution> {
 #[derive(Debug, Clone)]
 pub struct PhaseBreakdown {
     /// Peer label (e.g. `"SC7"`).
-    pub peer: String,
+    pub(crate) peer: String,
     /// Transfers attributed to this peer.
-    pub transfers: u64,
+    pub(crate) transfers: u64,
     /// Summed seconds per phase, indexed by [`Phase::index`].
-    pub total_secs: [f64; PHASE_COUNT],
+    pub(crate) total_secs: [f64; PHASE_COUNT],
     /// One histogram per phase (one sample per transfer).
-    pub histograms: [Histogram; PHASE_COUNT],
+    pub(crate) histograms: [Histogram; PHASE_COUNT],
 }
 
 impl PhaseBreakdown {
@@ -305,13 +305,13 @@ impl PhaseBreakdown {
     }
 
     /// Summed seconds across all phases (= summed end-to-end latency).
-    pub fn end_to_end_secs(&self) -> f64 {
+    pub(crate) fn end_to_end_secs(&self) -> f64 {
         self.total_secs.iter().sum()
     }
 
     /// The phase with the largest summed share (ties go to the earlier
     /// phase, deterministically).
-    pub fn dominant_phase(&self) -> Phase {
+    pub(crate) fn dominant_phase(&self) -> Phase {
         let mut best = Phase::ALL[0];
         for p in Phase::ALL {
             if self.total_secs[p.index()] > self.total_secs[best.index()] {

@@ -9,7 +9,7 @@
 //!
 //! The driver is a [`Workload`] on the [`harness`](crate::harness): this
 //! module contributes the testbed plan, the broker/peer fleet, the
-//! [`churn_series`] schema, and the summary JSON; engine assembly, the
+//! `churn_series` schema, and the summary JSON; engine assembly, the
 //! result ([`HarnessRun`]) and artifact plumbing are the harness's.
 //! [`SwapDynamics::from_metrics`] reads the population movement back out
 //! of a run.
@@ -120,7 +120,7 @@ impl SwapDynamics {
 
 /// The churn driver as a harness [`Workload`].
 pub struct ChurnWorkload<'a> {
-    /// The run parameters (shared with [`run_churn`]).
+    /// The run parameters.
     pub cfg: &'a ChurnConfig,
 }
 
@@ -228,15 +228,6 @@ impl Workload for ChurnWorkload<'_> {
     }
 }
 
-/// Runs one churn replication of `cfg` under `seed` on the harness at
-/// one worker; any worker count set on [`ChurnConfig::harness`] gives
-/// byte-identical output at fixed shards. Invalid
-/// shard counts and degenerate topologies surface as
-/// [`HarnessError`]s instead of panics.
-pub fn run_churn(cfg: &ChurnConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
-    cfg.harness().build()?.run(&ChurnWorkload { cfg }, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +260,11 @@ mod tests {
         }
     }
 
+    /// One replication of `cfg` under `seed`, at one worker.
+    fn run(cfg: &ChurnConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+        cfg.harness().build()?.run(&ChurnWorkload { cfg }, seed)
+    }
+
     #[test]
     fn churn_run_is_worker_count_invariant() {
         let runs: Vec<HarnessRun> = [1, 2, 4]
@@ -298,7 +294,7 @@ mod tests {
 
     #[test]
     fn population_actually_churns() {
-        let result = run_churn(&small(), 99).expect("small config is valid");
+        let result = run(&small(), 99).expect("small config is valid");
         let swap = SwapDynamics::from_metrics(&result.metrics);
         let peers = small().topo.peers as u64;
         // Arrivals are capped at half the horizon, so every peer joined.
@@ -319,7 +315,7 @@ mod tests {
     fn scripts_are_independent_of_sharding() {
         // The per-peer seed derives from the node id alone, so two runs
         // that shard differently sample identical lifecycles.
-        let one = run_churn(
+        let one = run(
             &ChurnConfig {
                 num_shards: 1,
                 ..small()
@@ -327,7 +323,7 @@ mod tests {
             7,
         )
         .expect("single-shard config is valid");
-        let four = run_churn(&small(), 7).expect("small config is valid");
+        let four = run(&small(), 7).expect("small config is valid");
         let (one, four) = (
             SwapDynamics::from_metrics(&one.metrics),
             SwapDynamics::from_metrics(&four.metrics),

@@ -16,7 +16,7 @@ use crate::scenario::{run_scenario, ScenarioConfig};
 use crate::spec::{ExperimentSpec, MB};
 
 /// The transport variants ablated.
-pub fn variants() -> Vec<(&'static str, TransportConfig)> {
+pub(crate) fn variants() -> Vec<(&'static str, TransportConfig)> {
     vec![
         ("full model", TransportConfig::default()),
         (
@@ -46,15 +46,15 @@ pub fn variants() -> Vec<(&'static str, TransportConfig)> {
 
 /// Per-variant headline metrics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AblationPoint {
+pub(crate) struct AblationPoint {
     /// Variant name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Mean blind 20 MB / 20-part transfer across the eight SCs, seconds.
-    pub chunked_secs: f64,
+    pub(crate) chunked_secs: f64,
     /// Whole-file 100 MB transfer to SC4, minutes.
-    pub whole_file_min: f64,
+    pub(crate) whole_file_min: f64,
     /// 16-part 100 MB transfer to SC4, minutes.
-    pub parts16_min: f64,
+    pub(crate) parts16_min: f64,
 }
 
 fn blind_mean_secs(transport: &TransportConfig, seed: u64) -> f64 {
@@ -105,7 +105,7 @@ fn sc4_transfer_min(transport: &TransportConfig, parts: u32, seed: u64) -> f64 {
 
 /// Measures every variant (single representative seed per point — the
 /// ablation compares model structure, not noise).
-pub fn run_experiment(seed: u64) -> Vec<AblationPoint> {
+pub(crate) fn run_experiment(seed: u64) -> Vec<AblationPoint> {
     variants()
         .into_iter()
         .map(|(name, transport)| AblationPoint {

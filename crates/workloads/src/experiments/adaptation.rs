@@ -22,18 +22,18 @@ use crate::scenario::{run_scenario, ScenarioConfig, SelectorFactory};
 use crate::spec::{ExperimentSpec, MB};
 
 /// Measured transfer rounds.
-pub const ROUNDS: u64 = 24;
+pub(crate) const ROUNDS: u64 = 24;
 /// Seconds between rounds.
-pub const ROUND_SPACING: u64 = 60;
+pub(crate) const ROUND_SPACING: u64 = 60;
 /// Size of each measured transfer.
-pub const MEASURED_SIZE: u64 = 5 * MB;
+pub(crate) const MEASURED_SIZE: u64 = 5 * MB;
 /// The congested phase: rounds `[8, 16)`.
-pub const SHIFT_START: u64 = 8;
+pub(crate) const SHIFT_START: u64 = 8;
 /// End of the congested phase.
-pub const SHIFT_END: u64 = 16;
+pub(crate) const SHIFT_END: u64 = 16;
 
 /// Models compared.
-pub fn model_names() -> Vec<&'static str> {
+pub(crate) fn model_names() -> Vec<&'static str> {
     vec!["economic", "ucb1", "eps-greedy", "quick-peer"]
 }
 
@@ -47,11 +47,11 @@ fn factory(model: &'static str) -> SelectorFactory {
 }
 
 /// Per-model mean transfer seconds in each phase window.
-pub struct AdaptationResult {
+pub(crate) struct AdaptationResult {
     /// Model names, report order.
-    pub models: Vec<&'static str>,
+    pub(crate) models: Vec<&'static str>,
     /// `[model]` → aggregate over (pre, congested, recovered).
-    pub windows: Vec<SeriesAggregate>,
+    pub(crate) windows: Vec<SeriesAggregate>,
 }
 
 fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
@@ -124,7 +124,7 @@ fn one_run(model: &'static str, seed: u64) -> Vec<f64> {
 }
 
 /// Runs the study.
-pub fn run_experiment(spec: &ExperimentSpec) -> AdaptationResult {
+pub(crate) fn run_experiment(spec: &ExperimentSpec) -> AdaptationResult {
     let models = model_names();
     let windows = models
         .iter()

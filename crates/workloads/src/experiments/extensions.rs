@@ -47,16 +47,16 @@ pub mod scaling {
     use super::*;
 
     /// Peer counts swept (SCs + capped others).
-    pub const OTHERS: [usize; 4] = [0, 5, 11, 17];
+    pub(crate) const OTHERS: [usize; 4] = [0, 5, 11, 17];
     /// Selected transfers measured per run.
-    pub const ROUNDS: u64 = 6;
+    pub(crate) const ROUNDS: u64 = 6;
 
     /// Typed result: `[models][sweep]` mean seconds.
-    pub struct ScalingResult {
+    pub(crate) struct ScalingResult {
         /// Model names.
-        pub models: Vec<&'static str>,
+        pub(crate) models: Vec<&'static str>,
         /// Per-model aggregate across the sweep points.
-        pub seconds: Vec<SeriesAggregate>,
+        pub(crate) seconds: Vec<SeriesAggregate>,
     }
 
     fn one_run(model: &'static str, others: usize, seed: u64) -> f64 {
@@ -90,7 +90,7 @@ pub mod scaling {
     }
 
     /// Runs the sweep.
-    pub fn run_experiment(spec: &ExperimentSpec) -> ScalingResult {
+    pub(crate) fn run_experiment(spec: &ExperimentSpec) -> ScalingResult {
         let models = vec!["economic", "random"];
         let seconds = models
             .iter()
@@ -202,14 +202,14 @@ pub mod request {
     use super::*;
 
     /// Requests issued per run.
-    pub const REQUESTS: u64 = 5;
+    pub(crate) const REQUESTS: u64 = 5;
 
     /// Typed result.
-    pub struct RequestResult {
+    pub(crate) struct RequestResult {
         /// Model names.
-        pub models: Vec<&'static str>,
+        pub(crate) models: Vec<&'static str>,
         /// Mean request-transfer seconds per model.
-        pub seconds: SeriesAggregate,
+        pub(crate) seconds: SeriesAggregate,
     }
 
     fn one_run(model: &'static str, seed: u64) -> f64 {
@@ -246,7 +246,7 @@ pub mod request {
     }
 
     /// Runs the study.
-    pub fn run_experiment(spec: &ExperimentSpec) -> RequestResult {
+    pub(crate) fn run_experiment(spec: &ExperimentSpec) -> RequestResult {
         let models = vec!["economic", "quick-peer", "random"];
         let rows: Vec<Vec<f64>> = run_replications(&spec.seeds, |seed| {
             models.iter().map(|m| one_run(m, seed)).collect()
@@ -295,15 +295,15 @@ pub mod profiles {
     use peer_selection::evaluator::WeightProfile;
 
     /// Work items per campaign.
-    pub const ROUNDS: u64 = 12;
+    pub(crate) const ROUNDS: u64 = 12;
 
     /// Petition-refusal rates: every peer is mildly flaky *except* SC6 and
     /// SC8, which are perfect receivers…
-    pub const REFUSE: [f64; 8] = [0.4, 0.4, 0.4, 0.4, 0.4, 0.0, 0.4, 0.0];
+    pub(crate) const REFUSE: [f64; 8] = [0.4, 0.4, 0.4, 0.4, 0.4, 0.0, 0.4, 0.0];
     /// …but those same two peers reject most task offers. The two failure
     /// modes live on disjoint peers, so a profile tuned to one statistics
     /// family actively walks into the other trap.
-    pub const ACCEPT: [f64; 8] = [1.0, 1.0, 1.0, 1.0, 1.0, 0.2, 1.0, 0.2];
+    pub(crate) const ACCEPT: [f64; 8] = [1.0, 1.0, 1.0, 1.0, 1.0, 0.2, 1.0, 0.2];
 
     fn profile_factory(which: &'static str) -> SelectorFactory {
         Box::new(move |_| -> Box<dyn PeerSelector> {
@@ -360,7 +360,7 @@ pub mod profiles {
     }
 
     /// Success rate of a selected-transfer campaign under `which` profile.
-    pub fn transfer_campaign(which: &'static str, seed: u64) -> f64 {
+    pub(crate) fn transfer_campaign(which: &'static str, seed: u64) -> f64 {
         let mut cfg = profiled_config(which);
         for r in 0..ROUNDS {
             cfg.commands.push((
@@ -385,7 +385,7 @@ pub mod profiles {
     }
 
     /// Success rate of a selected-task campaign under `which` profile.
-    pub fn task_campaign(which: &'static str, seed: u64) -> f64 {
+    pub(crate) fn task_campaign(which: &'static str, seed: u64) -> f64 {
         let mut cfg = profiled_config(which);
         for r in 0..ROUNDS {
             cfg.commands.push((

@@ -14,19 +14,19 @@ use crate::spec::{ExperimentSpec, MB, WARMUP};
 use crate::sweep::{fig345_grid, run_campaign, SeedScheme};
 
 /// The file size of the experiment.
-pub const FILE_SIZE: u64 = 100 * MB;
+pub(crate) const FILE_SIZE: u64 = 100 * MB;
 /// The granularities compared: whole, 4 parts, 16 parts.
-pub const GRANULARITIES: [u32; 3] = [1, 4, 16];
+pub(crate) const GRANULARITIES: [u32; 3] = [1, 4, 16];
 
 /// Typed result: per-granularity, per-SC minutes.
 pub struct Fig5Result {
-    /// One aggregate per granularity, ordered like [`GRANULARITIES`].
+    /// One aggregate per granularity, ordered like `GRANULARITIES`.
     pub per_granularity: Vec<SeriesAggregate>,
 }
 
 impl Fig5Result {
     /// Mean across SCs for granularity index `g`.
-    pub fn average_minutes(&self, g: usize) -> f64 {
+    pub(crate) fn average_minutes(&self, g: usize) -> f64 {
         let means = self.per_granularity[g].means();
         means.iter().sum::<f64>() / means.len() as f64
     }
@@ -60,7 +60,7 @@ pub fn run(spec: &ExperimentSpec) -> FigureReport {
 }
 
 /// Builds the Fig 5 report from a typed result.
-pub fn report(result: &Fig5Result) -> FigureReport {
+pub(crate) fn report(result: &Fig5Result) -> FigureReport {
     let mut f = FigureReport::new(
         "Figure 5",
         "File transmission time, 100 Mb whole vs 4 vs 16 parts",

@@ -9,7 +9,7 @@
 //! 1. **Warm-up** — a small file goes to every peer (throughput + petition
 //!    EWMAs for all), and five rounds of small tasks populate the §2.2 task
 //!    statistics; the well-connected peers decline offers more often
-//!    ([`WARMUP_TASK_ACCEPT`]), so their task statistics look worse.
+//!    (`WARMUP_TASK_ACCEPT`), so their task statistics look worse.
 //! 2. **Background load** — a 25 MB transfer is started to the historically
 //!    fastest peer (SC4 by calibration), creating a *current-state* backlog
 //!    that history alone cannot see.
@@ -33,26 +33,24 @@ use crate::spec::{ExperimentSpec, MB, WARMUP};
 use crate::sweep::{fig67_grid, run_campaign, SeedScheme};
 
 /// Size of the measured transfer.
-pub const MEASURED_SIZE: u64 = 10 * MB;
+pub(crate) const MEASURED_SIZE: u64 = 10 * MB;
 /// Size of the background transfer congesting the historically-fastest peer.
-pub const BACKGROUND_SIZE: u64 = 25 * MB;
+pub(crate) const BACKGROUND_SIZE: u64 = 25 * MB;
 /// Per-SC task-acceptance during warm-up: the well-connected peers (SC2,
 /// SC4, SC6, SC8) are popular and decline task offers more often, so their
 /// §2.2 task statistics look worse than the sluggish-but-willing peers'.
 /// This is the information asymmetry that separates the data evaluator
 /// (which weighs those statistics) from the economic model (which, for a
 /// pure file transfer, cares only about predicted completion).
-pub const WARMUP_TASK_ACCEPT: [f64; 8] = [1.0, 0.7, 1.0, 0.7, 1.0, 0.7, 1.0, 0.7];
+pub(crate) const WARMUP_TASK_ACCEPT: [f64; 8] = [1.0, 0.7, 1.0, 0.7, 1.0, 0.7, 1.0, 0.7];
 /// Node id of the historically-fastest peer (SC4; broker=0, SC1=1, …).
 const FASTEST_PEER_NODE: u32 = 4;
-/// Hostname of the historically-fastest peer.
-pub const FASTEST_PEER: &str = "planetlab1.csg.unizh.ch";
 /// Granularities compared, as in the paper.
-pub const GRANULARITIES: [u32; 2] = [4, 16];
+pub(crate) const GRANULARITIES: [u32; 2] = [4, 16];
 
 /// The models compared (paper's three plus a random baseline), in report
-/// order. The single source for [`model_names`] and the fig67 sweep grid.
-pub const MODELS: [ModelKind; 4] = [
+/// order. The single source for `model_names` and the fig67 sweep grid.
+pub(crate) const MODELS: [ModelKind; 4] = [
     ModelKind::Economic,
     ModelKind::SamePriority,
     ModelKind::QuickPeer,
@@ -66,7 +64,7 @@ pub(crate) fn fastest_peer_node() -> netsim::node::NodeId {
 }
 
 /// The models compared (paper's three plus a blind baseline).
-pub fn model_names() -> Vec<String> {
+pub(crate) fn model_names() -> Vec<String> {
     MODELS.iter().map(|m| m.name().to_string()).collect()
 }
 
@@ -76,25 +74,25 @@ const SEED_SALT: u64 = 0xF166;
 
 /// Builds the selector factory implementing `kind`, or `None` for
 /// [`ModelKind::Blind`] (blind mode installs no selector at all).
-pub fn factory_for_kind(kind: ModelKind) -> Option<SelectorFactory> {
+pub(crate) fn factory_for_kind(kind: ModelKind) -> Option<SelectorFactory> {
     peer_selection::service::factory_for(kind, SEED_SALT)
 }
 
 /// Typed result.
-pub struct Fig6Result {
+pub(crate) struct Fig6Result {
     /// Model names, report order.
-    pub models: Vec<String>,
+    pub(crate) models: Vec<String>,
     /// Measured transfer seconds: `[granularity][model]` aggregate.
-    pub seconds: Vec<SeriesAggregate>,
+    pub(crate) seconds: Vec<SeriesAggregate>,
     /// Which peers each model chose, `[granularity][model]` → names seen.
-    pub chosen: Vec<Vec<Vec<String>>>,
+    pub(crate) chosen: Vec<Vec<Vec<String>>>,
 }
 
 /// Runs the experiment as a fig67 sweep campaign with the spec's explicit
 /// seed list: each (model, granularity) grid cell replays exactly the seeds
 /// the classic harness used, so the statistics are unchanged — the sweep
 /// driver only changes who schedules the work.
-pub fn run_experiment(spec: &ExperimentSpec) -> Fig6Result {
+pub(crate) fn run_experiment(spec: &ExperimentSpec) -> Fig6Result {
     let grid = fig67_grid(SeedScheme::Explicit(spec.seeds.clone()), WARMUP);
     let campaign = run_campaign(&grid, default_workers()).expect("built-in fig67 grid is valid");
     let mut seconds = Vec::new();
@@ -131,7 +129,7 @@ pub fn run(spec: &ExperimentSpec) -> FigureReport {
 }
 
 /// Builds the Fig 6 report from a typed result.
-pub fn report(result: &Fig6Result) -> FigureReport {
+pub(crate) fn report(result: &Fig6Result) -> FigureReport {
     let mut f = FigureReport::new(
         "Figure 6",
         "File transmission time by peer selection model",
@@ -173,6 +171,10 @@ pub fn report(result: &Fig6Result) -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hostname of the historically-fastest peer (SC4, node
+    /// [`FASTEST_PEER_NODE`]).
+    const FASTEST_PEER: &str = "planetlab1.csg.unizh.ch";
 
     fn result() -> &'static Fig6Result {
         use std::sync::OnceLock;

@@ -15,18 +15,18 @@ use crate::spec::{ExperimentSpec, MB};
 
 /// Compute demand of the processing task, giga-ops (≈5 min on a healthy,
 /// lightly loaded 1-gops peer).
-pub const WORK_GOPS: f64 = 300.0;
+pub(crate) const WORK_GOPS: f64 = 300.0;
 /// Input file shipped in the transmission+execution variant.
-pub const INPUT_SIZE: u64 = 50 * MB;
+pub(crate) const INPUT_SIZE: u64 = 50 * MB;
 /// Parts used to ship the input (1 MB parts, as in the Fig 3 study).
-pub const INPUT_PARTS: u32 = 50;
+pub(crate) const INPUT_PARTS: u32 = 50;
 
 /// Typed result.
-pub struct Fig7Result {
+pub(crate) struct Fig7Result {
     /// Just-execution minutes per SC.
-    pub exec_only: SeriesAggregate,
+    pub(crate) exec_only: SeriesAggregate,
     /// Transmission+execution minutes per SC.
-    pub trans_exec: SeriesAggregate,
+    pub(crate) trans_exec: SeriesAggregate,
 }
 
 fn per_sc_task_minutes(result: &ScenarioResult, label: &str) -> Vec<f64> {
@@ -81,7 +81,7 @@ fn scenario(with_input: bool) -> ScenarioConfig {
 }
 
 /// Runs the experiment: exec-only and transmission+execution scenarios.
-pub fn run_experiment(spec: &ExperimentSpec) -> Fig7Result {
+pub(crate) fn run_experiment(spec: &ExperimentSpec) -> Fig7Result {
     let exec_rows = run_replications(&spec.seeds, |seed| {
         let result = run_scenario(&scenario(false), seed);
         per_sc_task_minutes(&result, "exec")
@@ -102,7 +102,7 @@ pub fn run(spec: &ExperimentSpec) -> FigureReport {
 }
 
 /// Builds the Fig 7 report from a typed result.
-pub fn report(result: &Fig7Result) -> FigureReport {
+pub(crate) fn report(result: &Fig7Result) -> FigureReport {
     let mut f = FigureReport::new(
         "Figure 7",
         "Just execution vs transmission & execution",

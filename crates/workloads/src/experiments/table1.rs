@@ -9,7 +9,7 @@ use planetlab::rtt::RttModel;
 use planetlab::sites::{simple_clients, BROKER, TABLE1};
 
 /// Renders the paper's Table 1 (the 25 slice nodes) with roles.
-pub fn render_roster() -> String {
+pub(crate) fn render_roster() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Table 1 — nodes added to the PlanetLab slice ==");
     let _ = writeln!(
@@ -36,7 +36,7 @@ pub fn render_roster() -> String {
 }
 
 /// Renders the calibrated SC profiles: the testbed's ground truth.
-pub fn render_testbed() -> String {
+pub(crate) fn render_testbed() -> String {
     let tb = build(&TestbedConfig::measurement_setup());
     let rtt = RttModel::default();
     let mut out = String::new();

@@ -26,22 +26,22 @@ use crate::spec::{ExperimentSpec, MB, WARMUP};
 
 const LABEL: &str = "fig234";
 /// File size of the paper's measured transfer.
-pub const FILE_SIZE: u64 = 50 * MB;
+pub(crate) const FILE_SIZE: u64 = 50 * MB;
 /// One part per megabyte so "the last Mb" is the last part.
-pub const NUM_PARTS: u32 = 50;
+pub(crate) const NUM_PARTS: u32 = 50;
 
 /// Aggregated outputs of the study.
 pub struct TransferStudy {
     /// Petition latency per SC, seconds (Fig 2).
-    pub petition: SeriesAggregate,
+    pub(crate) petition: SeriesAggregate,
     /// Total transmission time per SC, minutes (Fig 3).
-    pub total_min: SeriesAggregate,
+    pub(crate) total_min: SeriesAggregate,
     /// Last-Mb time per SC, seconds (Fig 4).
-    pub last_mb: SeriesAggregate,
+    pub(crate) last_mb: SeriesAggregate,
     /// Attributed wake-up phase per SC, seconds (record decomposition).
-    pub wakeup: SeriesAggregate,
+    pub(crate) wakeup: SeriesAggregate,
     /// Attributed transmission phase per SC, minutes.
-    pub transmission_min: SeriesAggregate,
+    pub(crate) transmission_min: SeriesAggregate,
 }
 
 /// Per-SC mean of an attributed phase over one replication's transfers.
@@ -165,11 +165,6 @@ pub mod fig2 {
 pub mod fig3 {
     use super::*;
 
-    /// Runs the experiment and builds the report.
-    pub fn run(spec: &ExperimentSpec) -> FigureReport {
-        report(&super::run(spec))
-    }
-
     /// Builds the Fig 3 report from an existing study.
     pub fn report(study: &TransferStudy) -> FigureReport {
         let mut f = FigureReport::new(
@@ -199,11 +194,6 @@ pub mod fig3 {
 /// Figure 4: transmission time of the last Mb, per SC peer.
 pub mod fig4 {
     use super::*;
-
-    /// Runs the experiment and builds the report.
-    pub fn run(spec: &ExperimentSpec) -> FigureReport {
-        report(&super::run(spec))
-    }
 
     /// Builds the Fig 4 report from an existing study.
     pub fn report(study: &TransferStudy) -> FigureReport {

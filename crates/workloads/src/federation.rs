@@ -13,7 +13,7 @@
 //! contributes the testbed plan, the full federation spec (homing,
 //! staleness, outage), the fleet, and the summary JSON. A run comes back
 //! as the harness's [`HarnessRun`]; [`FederationDynamics::from_metrics`],
-//! [`petition_latencies`] and [`recovery_summary`] read the federation's
+//! `petition_latencies` and [`recovery_summary`] read the federation's
 //! figures out of it.
 //!
 //! Determinism contract matches [`churn`](crate::churn): peer scripts and
@@ -126,7 +126,7 @@ pub struct FederationDynamics {
     /// Petitions a broker handed to a fellow broker.
     pub petitions_forwarded: u64,
     /// Forwarded petitions received from fellow brokers.
-    pub forwards_received: u64,
+    pub(crate) forwards_received: u64,
     /// Forwarded petitions placed on a local candidate.
     pub forwards_served: u64,
     /// Forwarded petitions dropped with an exhausted hop budget.
@@ -134,9 +134,9 @@ pub struct FederationDynamics {
     /// Gossiped candidate views rejected (tombstoned or conflicting).
     pub stale_views_dropped: u64,
     /// Roster gossip messages received.
-    pub gossip_received: u64,
+    pub(crate) gossip_received: u64,
     /// Transfers that completed.
-    pub transfers_completed: u64,
+    pub(crate) transfers_completed: u64,
 }
 
 impl FederationDynamics {
@@ -162,7 +162,7 @@ pub struct LatencySummary {
     /// Sample count.
     pub count: usize,
     /// Smallest sample.
-    pub min_s: f64,
+    pub(crate) min_s: f64,
     /// Arithmetic mean.
     pub mean_s: f64,
     /// Largest sample.
@@ -171,7 +171,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarises `samples`; `None` when empty.
-    pub fn from_samples(samples: &[f64]) -> Option<Self> {
+    pub(crate) fn from_samples(samples: &[f64]) -> Option<Self> {
         if samples.is_empty() {
             return None;
         }
@@ -194,7 +194,7 @@ impl LatencySummary {
 
 /// Receiver-observed petition latencies of every handled petition,
 /// seconds, in merged-log order.
-pub fn petition_latencies(log: &RunLog) -> Vec<f64> {
+pub(crate) fn petition_latencies(log: &RunLog) -> Vec<f64> {
     log.transfers
         .iter()
         .filter_map(|t| t.petition_latency_secs())
@@ -223,7 +223,7 @@ pub fn recovery_summary(trace: &Trace, kill: Option<BrokerOutage>) -> Option<Lat
 
 /// The federation driver as a harness [`Workload`].
 pub struct FederationWorkload<'a> {
-    /// The run parameters (shared with [`run_federation`]).
+    /// The run parameters (shared with `run_federation`).
     pub cfg: &'a FederationConfig,
 }
 
@@ -366,7 +366,10 @@ fn summary_fragment(summary: Option<LatencySummary>) -> String {
 /// gives byte-identical output at fixed shards. Invalid
 /// shard counts, degenerate topologies, and rejected federation
 /// parameters surface as [`HarnessError`]s instead of panics.
-pub fn run_federation(cfg: &FederationConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+pub(crate) fn run_federation(
+    cfg: &FederationConfig,
+    seed: u64,
+) -> Result<HarnessRun, HarnessError> {
     cfg.harness()
         .build()?
         .run(&FederationWorkload { cfg }, seed)

@@ -52,9 +52,9 @@ pub mod defaults {
 
     /// Gossip cadence for hour-scale churn soaks, where the overlay's
     /// 30 s cadence would dominate the event volume.
-    pub const SOAK_GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(60);
+    pub(crate) const SOAK_GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(60);
     /// Typed-trace ring capacity for library-level driver defaults.
-    pub const TRACE_CAPACITY: usize = 1 << 14;
+    pub(crate) const TRACE_CAPACITY: usize = 1 << 14;
     /// Typed-trace ring capacity for psim determinism artifacts, sized
     /// so CI-scale runs never drop events.
     pub const CLI_TRACE_CAPACITY: usize = 1 << 16;
@@ -64,7 +64,7 @@ pub mod defaults {
 ///
 /// Builder-checked variants (`NonPositiveHorizon`, `ZeroParallelism`,
 /// `ZeroSeriesInterval`) surface from [`WorkloadBuilder::build`];
-/// the wrapped variants surface from [`Harness::check`] and
+/// the wrapped variants surface from `Harness::check` and
 /// [`Harness::run`] when the workload's testbed, shard map, scenario or
 /// federation parameters are rejected by the layer that owns them.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +173,7 @@ pub struct BuildCtx<'a> {
     /// only, so they survive re-sharding unchanged).
     pub seed: u64,
     /// The planned topology (read-only; the engine takes it afterwards).
-    pub topo: &'a Topology,
+    pub(crate) topo: &'a Topology,
     /// The broker roster, region order.
     pub brokers: &'a [NodeId],
     /// The built federation (configure brokers, derive home lists).
@@ -258,7 +258,7 @@ impl HarnessRun {
     /// The worker-invariant stdout artifact: trace JSONL, then the
     /// metrics snapshot line, then `tail` (the workload's
     /// [`Workload::summarize`] output) verbatim.
-    pub fn artifact(&self, tail: &str) -> String {
+    pub(crate) fn artifact(&self, tail: &str) -> String {
         let mut out = self.trace.to_jsonl();
         out.push_str(&metrics_snapshot_json(&self.metrics));
         out.push('\n');
@@ -355,12 +355,12 @@ impl Harness {
     /// Plans `workload` under `seed` without running it — its testbed and
     /// shard map, and its federation wiring — so a caller about to fan
     /// many runs out (a sweep campaign) can refuse a malformed one first.
-    pub fn check(&self, workload: &dyn Workload, seed: u64) -> Result<(), HarnessError> {
+    pub(crate) fn check(&self, workload: &dyn Workload, seed: u64) -> Result<(), HarnessError> {
         Self::federate(workload, &workload.topology(seed)?.brokers).map(|_| ())
     }
 
     /// Runs `workload` under `seed`: plan the testbed, then
-    /// [`run_planned`](Self::run_planned) on it.
+    /// `run_planned` on it.
     pub fn run(&self, workload: &dyn Workload, seed: u64) -> Result<HarnessRun, HarnessError> {
         self.run_planned(workload, workload.topology(seed)?, seed)
     }
@@ -372,7 +372,7 @@ impl Harness {
     /// assemble the sharded engine with the requested telemetry, run to
     /// the horizon, and drain merged results. Byte-identical for any
     /// `shard_workers` at fixed shards.
-    pub fn run_planned(
+    pub(crate) fn run_planned(
         &self,
         workload: &dyn Workload,
         plan: TopologyPlan,

@@ -16,7 +16,7 @@
 //! The driver is a [`Workload`] on the [`harness`](crate::harness) and
 //! a run comes back as its [`HarnessRun`]; the stdout-artifact tail is
 //! the attribution phase CSV of the run log
-//! ([`MultiRegionConfig::phase_csv`]) rather than a summary JSON line.
+//! (`MultiRegionConfig::phase_csv`) rather than a summary JSON line.
 //!
 //! Used by `psim multiregion`, the worker-count-invariance property test,
 //! and the CI workload-determinism job.
@@ -97,18 +97,18 @@ impl MultiRegionConfig {
     }
 
     /// Total node count: `(1 broker + K clients) × R` regions.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.regions * (self.clients_per_region + 1)
     }
 
     /// The broker node of region `r` under region-major ordering.
-    pub fn broker_of(&self, r: usize) -> NodeId {
+    pub(crate) fn broker_of(&self, r: usize) -> NodeId {
         NodeId((r * (self.clients_per_region + 1)) as u32)
     }
 
     /// Region-major shard assignment: node → its region. Fails only for
     /// a degenerate zero-region config (the assignment would be empty).
-    pub fn shard_map(&self) -> Result<ShardMap, HarnessError> {
+    pub(crate) fn shard_map(&self) -> Result<ShardMap, HarnessError> {
         let per = self.clients_per_region + 1;
         let assignment: Vec<usize> = (0..self.num_nodes()).map(|i| i / per).collect();
         Ok(ShardMap::from_assignment(assignment)?)
@@ -116,7 +116,7 @@ impl MultiRegionConfig {
 
     /// A node's name under region-major ordering: `broker-r<R>` for a
     /// region's broker, `client-r<R>-<C>` for its clients. Names the
-    /// topology's hosts and labels the rows of [`Self::phase_csv`].
+    /// topology's hosts and labels the rows of `Self::phase_csv`.
     pub fn node_name(&self, node: NodeId) -> String {
         let per = self.clients_per_region + 1;
         match (node.index() / per, node.index() % per) {
@@ -127,7 +127,7 @@ impl MultiRegionConfig {
 
     /// Builds the full-mesh topology: flat access links, low intra-region
     /// one-way delay, high inter-region delay (the lookahead bound).
-    pub fn topology(&self) -> Topology {
+    pub(crate) fn topology(&self) -> Topology {
         let per = self.clients_per_region + 1;
         let mut topo = Topology::new();
         let ids: Vec<NodeId> = (0..self.num_nodes() as u32)
@@ -150,7 +150,7 @@ impl MultiRegionConfig {
     /// The per-peer attribution phase CSV of a run's log, rows labelled by
     /// [`Self::node_name`] — the worker-invariant tail of the
     /// `psim multiregion` stdout artifact.
-    pub fn phase_csv(&self, log: &RunLog) -> String {
+    pub(crate) fn phase_csv(&self, log: &RunLog) -> String {
         let attrs = attribute_log(log);
         phase_table_csv(&breakdown_by_peer(&attrs, |node| self.node_name(node)))
     }
@@ -158,7 +158,7 @@ impl MultiRegionConfig {
 
 /// The multi-region driver as a harness [`Workload`].
 pub struct MultiRegionWorkload<'a> {
-    /// The run parameters (shared with [`run_multiregion`]).
+    /// The run parameters.
     pub cfg: &'a MultiRegionConfig,
 }
 
@@ -236,18 +236,6 @@ impl Workload for MultiRegionWorkload<'_> {
     }
 }
 
-/// Runs one multi-region replication of `cfg` under `seed` on the harness
-/// (one shard per region, one worker). For a fixed config and seed the
-/// result is byte-identical at any worker count set on
-/// [`MultiRegionConfig::harness`].
-/// Degenerate configs (zero regions, zero inter-region delay) surface as
-/// [`HarnessError`]s from shard-map or engine construction.
-pub fn run_multiregion(cfg: &MultiRegionConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
-    cfg.harness()
-        .build()?
-        .run(&MultiRegionWorkload { cfg }, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +284,10 @@ mod tests {
 
     #[test]
     fn multiregion_produces_cross_shard_transfers() {
-        let result = run_multiregion(&small(), 5).expect("small config is valid");
+        let cfg = small();
+        let result = (cfg.harness().build())
+            .and_then(|h| h.run(&MultiRegionWorkload { cfg: &cfg }, 5))
+            .expect("small config is valid");
         // Every region distributed one round to its clients; remote joiners
         // mean some of those transfers crossed a region (= shard) boundary.
         assert!(!result.log.transfers.is_empty(), "no transfers recorded");

@@ -11,11 +11,11 @@ use overlay::records::RunLog;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesRow {
     /// Series name ("measured", "paper", "economic", …).
-    pub name: String,
+    pub(crate) name: String,
     /// One value per label.
     pub values: Vec<f64>,
     /// Optional per-label standard deviations (printed as ±).
-    pub std_devs: Option<Vec<f64>>,
+    pub(crate) std_devs: Option<Vec<f64>>,
 }
 
 impl SeriesRow {
@@ -42,17 +42,17 @@ impl SeriesRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureReport {
     /// Artifact id, e.g. `"Figure 2"`.
-    pub id: String,
+    pub(crate) id: String,
     /// Descriptive title.
-    pub title: String,
+    pub(crate) title: String,
     /// Unit of every value.
-    pub unit: String,
+    pub(crate) unit: String,
     /// Column labels (SC1…SC8, model names, …).
-    pub labels: Vec<String>,
+    pub(crate) labels: Vec<String>,
     /// The series (rows).
-    pub rows: Vec<SeriesRow>,
+    pub(crate) rows: Vec<SeriesRow>,
     /// Free-form notes appended to the rendering.
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl FigureReport {
@@ -80,13 +80,8 @@ impl FigureReport {
     }
 
     /// Appends a note line.
-    pub fn note(&mut self, s: impl Into<String>) {
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
-    }
-
-    /// Looks a row up by name.
-    pub fn row(&self, name: &str) -> Option<&SeriesRow> {
-        self.rows.iter().find(|r| r.name == name)
     }
 
     /// Renders an aligned text table.
@@ -370,8 +365,8 @@ mod tests {
     #[test]
     fn row_lookup() {
         let f = sample();
-        assert!(f.row("paper").is_some());
-        assert!(f.row("nope").is_none());
+        assert!(f.rows.iter().any(|r| r.name == "paper"));
+        assert!(!f.rows.iter().any(|r| r.name == "nope"));
     }
 
     #[test]

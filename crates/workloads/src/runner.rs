@@ -54,7 +54,7 @@ pub fn default_workers() -> usize {
 /// count and of scheduling. `workers` is clamped to `[1, count]`; with one
 /// worker (or at most one task) everything runs inline on the caller's
 /// thread.
-pub fn run_indexed<R, F>(count: usize, workers: usize, f: F) -> Vec<R>
+pub(crate) fn run_indexed<R, F>(count: usize, workers: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -100,7 +100,7 @@ where
 #[must_use = "an aggregate carries the replication statistics; dropping it discards the experiment's numbers"]
 pub struct SeriesAggregate {
     /// Per-label statistics, indexed like the input vectors.
-    pub stats: Vec<RunningStat>,
+    pub(crate) stats: Vec<RunningStat>,
 }
 
 impl SeriesAggregate {
@@ -140,7 +140,7 @@ impl SeriesAggregate {
     /// Standard deviation (Bessel-corrected, matching the paper's
     /// 5-repetition error bars) per label.
     #[must_use]
-    pub fn std_devs(&self) -> Vec<f64> {
+    pub(crate) fn std_devs(&self) -> Vec<f64> {
         self.stats.iter().map(|s| s.std_dev()).collect()
     }
 }

@@ -30,12 +30,11 @@ const TRANSFER_TIMEOUT: SimDuration = SimDuration::from_mins(6 * 60);
 /// parameters every workload shares — worker threads, the trace ring, a
 /// time series — live on the [`WorkloadBuilder`] that
 /// [`harness`](ScenarioConfig::harness) hands out, never here. Nothing is
-/// checked until the harness plans the run: [`Harness::check`] and
+/// checked until the harness plans the run: `Harness::check` and
 /// [`Harness::run`] reject a malformed scenario as a
 /// [`HarnessError::Scenario`] (or [`HarnessError::ZeroParallelism`] for
 /// zero shards), the same way they reject a malformed federation.
 ///
-/// [`Harness::check`]: crate::harness::Harness::check
 /// [`Harness::run`]: crate::harness::Harness::run
 pub struct ScenarioConfig {
     /// Which testbed to build.

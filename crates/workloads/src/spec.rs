@@ -16,7 +16,7 @@ pub const PAPER_REPETITIONS: usize = 5;
 
 /// Delay before the first measurement command (lets clients join and
 /// report statistics at least once).
-pub const WARMUP: SimDuration = SimDuration::from_secs(60);
+pub(crate) const WARMUP: SimDuration = SimDuration::from_secs(60);
 
 /// Common experiment parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,11 +37,6 @@ impl ExperimentSpec {
     pub fn quick() -> Self {
         ExperimentSpec { seeds: vec![1, 2] }
     }
-
-    /// Number of repetitions.
-    pub fn repetitions(&self) -> usize {
-        self.seeds.len()
-    }
 }
 
 impl Default for ExperimentSpec {
@@ -57,16 +52,14 @@ mod tests {
     #[test]
     fn paper_defaults_match_methodology() {
         let s = ExperimentSpec::paper_defaults();
-        assert_eq!(s.repetitions(), 5);
+        assert_eq!(s.seeds.len(), 5);
         assert_eq!(s.seeds, vec![1, 2, 3, 4, 5]);
         assert!(WARMUP > SimDuration::ZERO);
     }
 
     #[test]
     fn quick_is_smaller() {
-        assert!(
-            ExperimentSpec::quick().repetitions() < ExperimentSpec::paper_defaults().repetitions()
-        );
+        assert!(ExperimentSpec::quick().seeds.len() < ExperimentSpec::paper_defaults().seeds.len());
     }
 
     #[test]

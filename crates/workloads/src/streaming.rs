@@ -76,7 +76,7 @@ impl UploadProfile {
     }
 
     /// The `(scale Mbit/s, shape)` of the access-bandwidth Pareto draw.
-    pub fn pareto(self) -> (f64, f64) {
+    pub(crate) fn pareto(self) -> (f64, f64) {
         match self {
             UploadProfile::Home => (2.0, 1.5),
             UploadProfile::Mixed => (6.0, 1.4),
@@ -156,7 +156,7 @@ impl StreamingConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StartupQuantiles {
     /// Playbacks that started (the sample count).
-    pub count: usize,
+    pub(crate) count: usize,
     /// Median startup delay, seconds.
     pub p50_s: f64,
     /// 90th-percentile startup delay, seconds.
@@ -232,7 +232,7 @@ pub fn startup_delays(log: &RunLog) -> Vec<f64> {
 
 /// The streaming driver as a harness [`Workload`].
 pub struct StreamingWorkload<'a> {
-    /// The run parameters (shared with [`run_streaming`]).
+    /// The run parameters (shared with `run_streaming`).
     pub cfg: &'a StreamingConfig,
 }
 
@@ -348,7 +348,7 @@ fn quantiles_fragment(q: Option<StartupQuantiles>) -> String {
 /// gives byte-identical output at fixed shards. Invalid
 /// shard counts and degenerate parameters surface as [`HarnessError`]s
 /// instead of panics.
-pub fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
+pub(crate) fn run_streaming(cfg: &StreamingConfig, seed: u64) -> Result<HarnessRun, HarnessError> {
     cfg.harness().build()?.run(&StreamingWorkload { cfg }, seed)
 }
 

@@ -12,7 +12,7 @@
 //!
 //! Every cell is built and checked by the layer that will run it before
 //! any thread starts; execution then fans all cells × replications out
-//! over a bounded work-stealing pool ([`crate::runner::run_indexed`]) and
+//! over a bounded work-stealing pool (`crate::runner::run_indexed`) and
 //! folds the results back **in seed order**, so the worker count never
 //! changes a single digit of the output. [`CampaignResult`] renders
 //! deterministic CSV and JSON, and [`CampaignResult::merged_metrics`]
@@ -33,16 +33,15 @@ use crate::streaming::{PiecePolicy, UploadProfile};
 
 mod cells;
 mod grids;
-pub use cells::{CellWorkload, DISTRIBUTE_LABEL, MEASURED_LABEL};
-pub use grids::{
-    federation_grid, fig345_grid, fig67_grid, named_grid, named_grid_list, streaming_grid,
-};
+pub use cells::CellWorkload;
+pub(crate) use grids::{fig345_grid, fig67_grid};
+pub use grids::{named_grid, named_grid_list};
 
 /// Derives the seed for `(campaign_seed, cell, replication)` by chaining
 /// splitmix64 over the three coordinates. Stable across releases: changing
 /// it would silently change every derived campaign's numbers, so treat the
 /// constants as part of the output format.
-pub fn derive_seed(campaign_seed: u64, cell: u64, replication: u64) -> u64 {
+pub(crate) fn derive_seed(campaign_seed: u64, cell: u64, replication: u64) -> u64 {
     let a = splitmix64(campaign_seed);
     let b = splitmix64(a ^ cell.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     splitmix64(b ^ replication.wrapping_mul(0xBF58_476D_1CE4_E5B9))
@@ -51,7 +50,7 @@ pub fn derive_seed(campaign_seed: u64, cell: u64, replication: u64) -> u64 {
 /// How per-replication seeds are chosen.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedScheme {
-    /// Derive seeds from one campaign seed via [`derive_seed`] — every cell
+    /// Derive seeds from one campaign seed via `derive_seed` — every cell
     /// gets its own independent stream.
     Derived {
         /// The campaign master seed.
@@ -164,25 +163,25 @@ pub struct SweepSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Position in expansion order (also the seed-derivation coordinate).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Name of the workload's task-accept profile (not an axis).
-    pub accept: &'static str,
+    pub(crate) accept: &'static str,
     /// Model axis level.
-    pub model: ModelKind,
+    pub(crate) model: ModelKind,
     /// Drop-probability axis level.
-    pub drop_probability: f64,
+    pub(crate) drop_probability: f64,
     /// Broker-count axis level.
-    pub brokers: usize,
+    pub(crate) brokers: usize,
     /// Gossip/staleness cadence axis level (virtual seconds).
-    pub gossip_staleness: f64,
+    pub(crate) gossip_staleness: f64,
     /// Piece-policy axis level.
-    pub piece_policy: PiecePolicy,
+    pub(crate) piece_policy: PiecePolicy,
     /// Request-window axis level.
-    pub window: u32,
+    pub(crate) window: u32,
     /// Uplink-distribution axis level.
-    pub upload: UploadProfile,
+    pub(crate) upload: UploadProfile,
     /// Split-count axis level.
-    pub parts: u32,
+    pub(crate) parts: u32,
 }
 
 /// One printed column of a cell: its CSV header and JSON key, what
@@ -248,7 +247,7 @@ impl Cell {
 
     /// Human-readable cell id, e.g.
     /// `measurement/accept-all/blind/drop0/brokers1/stale0/sequential/w1/home/parts16`.
-    pub fn id_string(&self) -> String {
+    pub(crate) fn id_string(&self) -> String {
         let parts: Vec<String> = self
             .columns()
             .iter()
@@ -324,7 +323,7 @@ impl From<HarnessError> for SweepError {
 
 impl SweepSpec {
     /// Replications per cell under the seed scheme.
-    pub fn replications(&self) -> usize {
+    pub(crate) fn replications(&self) -> usize {
         match &self.seeds {
             SeedScheme::Derived { replications, .. } => *replications,
             SeedScheme::Explicit(seeds) => seeds.len(),
@@ -332,7 +331,7 @@ impl SweepSpec {
     }
 
     /// The seed of `(cell, replication)` under the seed scheme.
-    pub fn seed_for(&self, cell: usize, replication: usize) -> u64 {
+    pub(crate) fn seed_for(&self, cell: usize, replication: usize) -> u64 {
         match &self.seeds {
             SeedScheme::Derived { campaign_seed, .. } => {
                 derive_seed(*campaign_seed, cell as u64, replication as u64)
@@ -346,7 +345,7 @@ impl SweepSpec {
     /// no axis the workload does not read. Whether each *cell* is
     /// well-formed is the workload's to say, once the cells exist:
     /// [`run_campaign`] asks before it starts the pool.
-    pub fn validate(&self) -> Result<(), SweepError> {
+    pub(crate) fn validate(&self) -> Result<(), SweepError> {
         if self.replications() == 0 {
             return Err(SweepError::NoReplications);
         }
@@ -379,7 +378,7 @@ impl SweepSpec {
     /// brokers, staleness, policy, window, upload, and parts
     /// fastest-varying — with every unlisted axis at its neutral level.
     /// The order is part of the output contract: cell indices feed
-    /// [`derive_seed`], and neither listing order nor an axis left at its
+    /// `derive_seed`, and neither listing order nor an axis left at its
     /// neutral level moves them.
     pub fn expand(&self) -> Result<Vec<Cell>, SweepError> {
         self.validate()?;
@@ -404,14 +403,14 @@ impl SweepSpec {
 /// One cell's folded result.
 pub struct CellResult {
     /// The grid point.
-    pub cell: Cell,
+    pub(crate) cell: Cell,
     /// The unit of every row value.
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
     /// `(label, stat)` rows: per-label statistics over the replications,
     /// folded in seed order.
-    pub rows: Vec<(String, RunningStat)>,
+    pub(crate) rows: Vec<(String, RunningStat)>,
     /// Distinct selected-peer names, first-seen order over seed order.
-    pub chosen: Vec<String>,
+    pub(crate) chosen: Vec<String>,
     /// The cell's engine metrics, merged across replications in seed order.
     pub metrics: Metrics,
 }
@@ -419,11 +418,11 @@ pub struct CellResult {
 /// A finished campaign.
 pub struct CampaignResult {
     /// Grid name.
-    pub grid: String,
+    pub(crate) grid: String,
     /// Seed scheme, echoed for provenance ("derived" or "explicit").
-    pub scheme: &'static str,
+    pub(crate) scheme: &'static str,
     /// The campaign master seed (derived scheme only).
-    pub campaign_seed: Option<u64>,
+    pub(crate) campaign_seed: Option<u64>,
     /// Replications per cell.
     pub replications: usize,
     /// Per-cell results, in expansion order.

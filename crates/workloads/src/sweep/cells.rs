@@ -32,9 +32,9 @@ use crate::streaming::{
 use crate::synthtopo::SynthTopoConfig;
 
 /// Label of the broadcast transfer in [`CellWorkload::Distribute`] cells.
-pub const DISTRIBUTE_LABEL: &str = "sweep";
+pub(crate) const DISTRIBUTE_LABEL: &str = "sweep";
 /// Label of the measured transfer in [`CellWorkload::SelectedTransfer`].
-pub const MEASURED_LABEL: &str = "measured";
+pub(crate) const MEASURED_LABEL: &str = "measured";
 
 /// What each cell simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ pub enum CellWorkload {
 
 impl CellWorkload {
     /// The unit of this workload's rows.
-    pub fn unit(self) -> &'static str {
+    pub(crate) fn unit(self) -> &'static str {
         match self {
             CellWorkload::Distribute { .. } => "minutes",
             CellWorkload::SelectedTransfer { .. }

@@ -14,7 +14,7 @@ use crate::streaming::{PiecePolicy, UploadProfile};
 
 /// The Figs 3–5 grid: the 100 MB file broadcast whole vs 4 vs 16 parts —
 /// 3 cells × 8 SC rows = the paper's 24 transmission-time cells.
-pub fn fig345_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
+pub(crate) fn fig345_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
     SweepSpec {
         name: "fig345".into(),
         workload: CellWorkload::Distribute {
@@ -28,7 +28,7 @@ pub fn fig345_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
 
 /// The Figs 6–7 grid: the four selection models × {4, 16} parts over the
 /// warm-up/background/measured-transfer scenario.
-pub fn fig67_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
+pub(crate) fn fig67_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
     SweepSpec {
         name: "fig67".into(),
         workload: CellWorkload::SelectedTransfer {
@@ -47,7 +47,7 @@ pub fn fig67_grid(seeds: SeedScheme, warmup: SimDuration) -> SweepSpec {
 /// The federation grid: mean petition latency across broker count × the
 /// gossip/staleness cadence as a sweep campaign, so replications and
 /// CSV/JSON rendering come for free. Every round splits its file in 4.
-pub fn federation_grid(seeds: SeedScheme) -> SweepSpec {
+pub(crate) fn federation_grid(seeds: SeedScheme) -> SweepSpec {
     SweepSpec {
         name: "federation".into(),
         workload: CellWorkload::Federation { peers: 64 },
@@ -64,7 +64,7 @@ pub fn federation_grid(seeds: SeedScheme) -> SweepSpec {
 /// The streaming grid: median startup delay and fleet rebuffering across
 /// piece policy × request window × uplink distribution — the
 /// arXiv:1402.2187 selection axes as a sweep campaign.
-pub fn streaming_grid(seeds: SeedScheme) -> SweepSpec {
+pub(crate) fn streaming_grid(seeds: SeedScheme) -> SweepSpec {
     SweepSpec {
         name: "streaming".into(),
         workload: CellWorkload::Streaming { viewers: 16 },

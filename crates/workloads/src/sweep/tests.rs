@@ -1,6 +1,7 @@
 //! Unit tests of the sweep spec, its expansion and the campaign driver
 //! (the named grids test themselves in `grids.rs`).
 
+use super::grids::{federation_grid, streaming_grid};
 use super::*;
 use crate::spec::MB;
 

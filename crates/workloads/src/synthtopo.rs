@@ -67,24 +67,24 @@ impl Default for SynthTopoConfig {
 impl SynthTopoConfig {
     /// Peers hosted by region `r` (spread as evenly as division allows;
     /// the first `peers % regions` regions get one extra).
-    pub fn peers_of(&self, r: usize) -> usize {
+    pub(crate) fn peers_of(&self, r: usize) -> usize {
         self.peers / self.regions + usize::from(r < self.peers % self.regions)
     }
 
     /// First node id of region `r`'s block (the broker).
-    pub fn block_start(&self, r: usize) -> usize {
+    pub(crate) fn block_start(&self, r: usize) -> usize {
         let base = self.peers / self.regions;
         let extra = (self.peers % self.regions).min(r);
         r * (base + 1) + extra
     }
 
     /// The broker node of region `r`.
-    pub fn broker_of(&self, r: usize) -> NodeId {
+    pub(crate) fn broker_of(&self, r: usize) -> NodeId {
         NodeId(self.block_start(r) as u32)
     }
 
     /// Total node count: peers plus one broker per region.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.peers + self.regions
     }
 
@@ -95,7 +95,7 @@ impl SynthTopoConfig {
     }
 
     /// Region of a node, from the region-major layout.
-    pub fn region_of(&self, node: NodeId) -> usize {
+    pub(crate) fn region_of(&self, node: NodeId) -> usize {
         // Blocks differ in size by at most one; binary-search the starts.
         let i = node.index();
         let mut lo = 0usize;
@@ -165,8 +165,6 @@ pub(crate) mod salt {
 pub struct SynthTopo {
     /// The region-blocked topology, ready for `Engine` / `ShardedEngine`.
     pub topo: Topology,
-    /// `(lat, lon)` centroid of each region, degrees.
-    pub centroids: Vec<(f64, f64)>,
     /// The broker node of each region (block heads).
     pub brokers: Vec<NodeId>,
 }
@@ -181,19 +179,8 @@ pub fn build_synth_topo(cfg: &SynthTopoConfig, seed: u64) -> SynthTopo {
         cfg.peers >= cfg.regions,
         "need at least one peer per region"
     );
-    let mut geo = SimRng::new(seed).split(salt::GEOGRAPHY);
     let mut caps = SimRng::new(seed).split(salt::CAPACITY);
-
-    // Region centroids: latitudes clamped to the inhabited band so
-    // distances stay terrestrial-plausible.
-    let centroids: Vec<(f64, f64)> = (0..cfg.regions)
-        .map(|_| {
-            (
-                geo.uniform_range(-50.0, 65.0),
-                geo.uniform_range(-180.0, 180.0),
-            )
-        })
-        .collect();
+    let centroids = region_centroids(cfg.regions, seed);
 
     let rtt = RttModel::default();
     let mut topo = Topology::blocked(cfg.regions);
@@ -234,11 +221,22 @@ pub fn build_synth_topo(cfg: &SynthTopoConfig, seed: u64) -> SynthTopo {
     }
     debug_assert_eq!(topo.len(), cfg.num_nodes());
 
-    SynthTopo {
-        topo,
-        centroids,
-        brokers,
-    }
+    SynthTopo { topo, brokers }
+}
+
+/// `(lat, lon)` centroid of each region in degrees, drawn from `seed`'s
+/// geography stream. Latitudes are clamped to the inhabited band so
+/// distances stay terrestrial-plausible.
+fn region_centroids(regions: usize, seed: u64) -> Vec<(f64, f64)> {
+    let mut geo = SimRng::new(seed).split(salt::GEOGRAPHY);
+    (0..regions)
+        .map(|_| {
+            (
+                geo.uniform_range(-50.0, 65.0),
+                geo.uniform_range(-180.0, 180.0),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -281,8 +279,8 @@ mod tests {
         let a = build_synth_topo(&cfg, 7);
         let b = build_synth_topo(&cfg, 7);
         let c = build_synth_topo(&cfg, 8);
-        assert_eq!(a.centroids, b.centroids);
-        assert_ne!(a.centroids, c.centroids);
+        let (b0, b1) = (cfg.broker_of(0), cfg.broker_of(1));
+        assert_ne!(a.topo.path(b0, b1), c.topo.path(b0, b1));
         for i in 0..cfg.num_nodes() as u32 {
             assert_eq!(a.topo.node(NodeId(i)), b.topo.node(NodeId(i)));
             for j in 0..cfg.num_nodes() as u32 {
@@ -300,11 +298,12 @@ mod tests {
         let built = build_synth_topo(&cfg, 3);
         let rtt = RttModel::default();
         let b0 = cfg.broker_of(0);
+        let centroids = region_centroids(cfg.regions, 3);
         let intra = built.topo.path(b0, cfg.peer_nodes(0).next().unwrap());
         assert!((intra.one_way_delay.as_secs_f64() - 0.003).abs() < 1e-9);
         for r in 1..cfg.regions {
-            let (la, lo) = built.centroids[0];
-            let (lb, lob) = built.centroids[r];
+            let (la, lo) = centroids[0];
+            let (lb, lob) = centroids[r];
             let km = haversine_km(la, lo, lb, lob);
             let expect_ms = rtt.floor_ms + km * rtt.path_inflation / FIBER_KM_PER_MS;
             let got = built.topo.path(b0, cfg.broker_of(r)).one_way_delay;

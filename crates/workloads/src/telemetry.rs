@@ -22,7 +22,7 @@ use netsim::timeseries::{SeriesMode, SeriesSource, TimeSeriesError, TimeSeriesRe
 
 /// Columns for churn workloads: population movement, refusals, transfer
 /// progress, and registry memory accounting.
-pub fn churn_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
+pub(crate) fn churn_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
     let mut rec = TimeSeriesRecorder::new(interval)?;
     rec.register(
         "peers_connected",
@@ -76,7 +76,7 @@ pub fn churn_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSer
 
 /// Columns for multi-region overlay workloads: traffic and transfer
 /// rates plus the same registry memory accounting as [`churn_series`].
-pub fn overlay_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
+pub(crate) fn overlay_series(interval: SimDuration) -> Result<TimeSeriesRecorder, TimeSeriesError> {
     let mut rec = TimeSeriesRecorder::new(interval)?;
     rec.register(
         "messages_sent",

@@ -172,15 +172,3 @@ fn experiments_run_end_to_end_with_single_seed() {
     assert!(f7.render().contains("Figure 7"));
     assert!(workloads::experiments::table1::run().contains("Table 1"));
 }
-
-#[test]
-fn facade_crate_reexports_work() {
-    // The root crate exposes the whole stack.
-    use p2p_peer_selection::*;
-    let _ = netsim::time::SimDuration::from_secs(1);
-    let _ = planetlab::sites::BROKER.hostname;
-    let _ = overlay::filetransfer::split_parts(10, 2);
-    let m = peer_selection::prelude::EconomicModel::new();
-    let _ = m;
-    let _ = workloads::spec::MB;
-}
