@@ -3,8 +3,8 @@
 //! A host runs one locally registered peer at most, and is *claimed* by
 //! every federation view whose peer is said to live there. Both facts sit
 //! in one table, so the gossip write path asks "is this host occupied
-//! here?" and records "this view claims it" with a single entry probe, and
-//! a departure finds its host's rumors without scanning every remote view.
+//! here?" and records "this view claims it" by indexing one row, and a
+//! departure finds its host's rumors without scanning every remote view.
 //!
 //! A row names the host's **holder**: its local occupant, or else the
 //! first remote view claiming it — nearly every host has exactly one of
@@ -12,9 +12,14 @@
 //! second-hand view of a peer on a host another remote peer has since
 //! taken, or any rumor about a host a peer then registered on) spills into
 //! a side table that is empty unless hosts are contested. Each `(host,
-//! claimant)` pair is stored once, and a host nobody holds has no row.
-
-use std::collections::hash_map::{Entry, OccupiedEntry};
+//! claimant)` pair is stored once.
+//!
+//! Node ids are dense and a federated broker hears of nearly every host,
+//! so the rows are a vector indexed by node id rather than a hash table:
+//! it grows to a node on the first write concerning it, and a read past
+//! its end is "nobody holds it". The price is one row per node id up to
+//! the highest one written, held or not, which a broker that knows a few
+//! hosts of a large topology pays in full.
 
 use netsim::idmap::IdMap;
 use netsim::node::NodeId;
@@ -32,58 +37,66 @@ pub(super) enum Host {
     Claimed(PeerId),
 }
 
+/// One host's row: its holder, or `None` when nobody holds it.
+pub(super) type Row = Option<Host>;
+
 /// Claimants of a host beyond its holder.
 type Spill = IdMap<NodeId, Vec<PeerId>>;
-
-/// The holder of `row` is gone: hands the row to a spilled claimant, or
-/// removes it when there is none.
-fn vacate(row: OccupiedEntry<'_, NodeId, Host>, spill: &mut Spill) {
-    let next = match spill.entry(*row.key()) {
-        Entry::Occupied(mut rest) => {
-            let next = rest.get_mut().pop();
-            if rest.get().is_empty() {
-                rest.remove();
-            }
-            next
-        }
-        Entry::Vacant(_) => None,
-    };
-    match next {
-        Some(next) => *row.into_mut() = Host::Claimed(next),
-        None => {
-            row.remove();
-        }
-    }
-}
 
 /// Host → holder, plus the spilled claimants of contested hosts.
 #[derive(Default)]
 pub(super) struct HostTable {
-    rows: IdMap<NodeId, Host>,
+    /// Indexed by [`NodeId::index`]; grown to a node on the first write
+    /// that concerns it, so a node past the end has no row.
+    rows: Vec<Row>,
     spill: Spill,
 }
 
 impl HostTable {
+    /// The row of `node`, if the table has grown that far.
+    fn row(&self, node: NodeId) -> Row {
+        self.rows.get(node.index()).copied().flatten()
+    }
+
+    /// The row of `node` for a write, grown to it if need be.
+    fn row_mut(&mut self, node: NodeId) -> &mut Row {
+        if self.rows.len() <= node.index() {
+            self.rows.resize(node.index() + 1, None);
+        }
+        &mut self.rows[node.index()]
+    }
+
+    /// The holder of `node`'s row is gone: hands the row to a spilled
+    /// claimant, or empties it when there is none.
+    fn vacate(&mut self, node: NodeId) {
+        let mut next = None;
+        if let Some(rest) = self.spill.get_mut(&node) {
+            next = rest.pop();
+            if rest.is_empty() {
+                self.spill.remove(&node);
+            }
+        }
+        self.rows[node.index()] = next.map(Host::Claimed);
+    }
+
     /// The peer registered first-hand on `node`, if any.
     pub(super) fn local(&self, node: NodeId) -> Option<PeerId> {
-        match self.rows.get(&node) {
-            Some(&Host::Local(peer)) => Some(peer),
+        match self.row(node) {
+            Some(Host::Local(peer)) => Some(peer),
             _ => None,
         }
     }
 
-    /// The one probe `learn_remote` makes: `None` when `node` has a local
-    /// occupant (a relay never shadows first-hand knowledge), otherwise
-    /// the row, through which a new view's claim is recorded.
-    pub(super) fn unoccupied(&mut self, node: NodeId) -> Option<Unoccupied<'_>> {
-        let row = self.rows.entry(node);
-        if matches!(&row, Entry::Occupied(row) if matches!(row.get(), Host::Local(_))) {
-            return None;
+    /// Records that `peer`'s view claims `node`, which has no local
+    /// occupant; the pair must not be present.
+    pub(super) fn claim(&mut self, node: NodeId, peer: PeerId) {
+        let row = self.row_mut(node);
+        debug_assert!(!matches!(row, Some(Host::Local(_))), "{node} is occupied");
+        if row.is_none() {
+            *row = Some(Host::Claimed(peer));
+        } else {
+            self.spill.entry(node).or_default().push(peer);
         }
-        Some(Unoccupied {
-            row,
-            spill: &mut self.spill,
-        })
     }
 
     /// Records `peer` as the local occupant of `node`, in place of any
@@ -91,7 +104,7 @@ impl HostTable {
     /// Returns whether the host's claimants were unshadowed until now (a
     /// view held the row): they are [`HostTable::spilled`] from here on.
     pub(super) fn set_local(&mut self, node: NodeId, peer: PeerId) -> bool {
-        let Some(Host::Claimed(first)) = self.rows.insert(node, Host::Local(peer)) else {
+        let Some(Host::Claimed(first)) = self.row_mut(node).replace(Host::Local(peer)) else {
             return false;
         };
         self.spill.entry(node).or_default().push(first);
@@ -106,25 +119,20 @@ impl HostTable {
     /// Clears the local occupant of `node` if it is `peer`, handing the
     /// row to a claimant when there is one.
     pub(super) fn clear_local(&mut self, node: NodeId, peer: PeerId) {
-        if let Entry::Occupied(row) = self.rows.entry(node) {
-            if *row.get() == Host::Local(peer) {
-                vacate(row, &mut self.spill);
-            }
+        if self.row(node) == Some(Host::Local(peer)) {
+            self.vacate(node);
         }
     }
 
     /// Forgets that `peer` claims `node`, handing the row to a spilled
     /// claimant when it was the holder.
     pub(super) fn unclaim(&mut self, node: NodeId, peer: PeerId) {
-        let Entry::Occupied(row) = self.rows.entry(node) else {
-            return;
-        };
-        if *row.get() == Host::Claimed(peer) {
-            vacate(row, &mut self.spill);
-        } else if let Entry::Occupied(mut rest) = self.spill.entry(node) {
-            rest.get_mut().retain(|p| *p != peer);
-            if rest.get().is_empty() {
-                rest.remove();
+        if self.row(node) == Some(Host::Claimed(peer)) {
+            self.vacate(node);
+        } else if let Some(rest) = self.spill.get_mut(&node) {
+            rest.retain(|p| *p != peer);
+            if rest.is_empty() {
+                self.spill.remove(&node);
             }
         }
     }
@@ -132,19 +140,18 @@ impl HostTable {
     /// Removes and returns every claimant of `node`.
     pub(super) fn take_claims(&mut self, node: NodeId) -> impl Iterator<Item = PeerId> {
         let mut first = None;
-        if let Entry::Occupied(row) = self.rows.entry(node) {
-            if let Host::Claimed(peer) = *row.get() {
-                row.remove();
-                first = Some(peer);
-            }
+        if let Some(Host::Claimed(peer)) = self.row(node) {
+            self.rows[node.index()] = None;
+            first = Some(peer);
         }
         let rest = self.spill.remove(&node).unwrap_or_default();
         first.into_iter().chain(rest)
     }
 
-    /// Length-based heap estimate of the rows and the spill table.
+    /// Length-based heap estimate of the rows (one per node id up to the
+    /// highest written) and the spill table.
     pub(super) fn heap_bytes(&self) -> u64 {
-        map_estimate::<NodeId, Host>(self.rows.len())
+        slots_estimate::<Row>(self.rows.len())
             + map_estimate::<NodeId, Vec<PeerId>>(self.spill.len())
             + self
                 .spill
@@ -154,45 +161,31 @@ impl HostTable {
     }
 }
 
-/// The row of a host nobody is registered on, held from
-/// [`HostTable::unoccupied`].
-pub(super) struct Unoccupied<'a> {
-    row: Entry<'a, NodeId, Host>,
-    spill: &'a mut Spill,
-}
-
-impl Unoccupied<'_> {
-    /// Records that `peer`'s view claims this host; the pair must not be
-    /// present.
-    pub(super) fn claim(self, peer: PeerId) {
-        match self.row {
-            Entry::Vacant(row) => {
-                row.insert(Host::Claimed(peer));
-            }
-            Entry::Occupied(row) => self.spill.entry(*row.key()).or_default().push(peer),
-        }
-    }
-}
-
 #[cfg(test)]
 impl HostTable {
     /// Every `(host, occupant)` pair.
     pub(super) fn locals(&self) -> impl Iterator<Item = (NodeId, PeerId)> + '_ {
-        self.rows.iter().filter_map(|(&node, host)| match *host {
-            Host::Local(peer) => Some((node, peer)),
-            Host::Claimed(_) => None,
-        })
+        self.rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| match *row {
+                Some(Host::Local(peer)) => Some((NodeId(i as u32), peer)),
+                _ => None,
+            })
     }
 
     /// Number of `(host, claimant)` pairs.
     pub(super) fn claim_count(&self) -> usize {
-        let holders = self.rows.values().filter(|h| matches!(h, Host::Claimed(_)));
+        let holders = self
+            .rows
+            .iter()
+            .filter(|r| matches!(r, Some(Host::Claimed(_))));
         holders.count() + self.spill.values().map(Vec::len).sum::<usize>()
     }
 
     /// Whether `peer` is recorded as claiming `node`.
     pub(super) fn claims(&self, node: NodeId, peer: PeerId) -> bool {
-        self.rows.get(&node) == Some(&Host::Claimed(peer))
+        self.row(node) == Some(Host::Claimed(peer))
             || self.spill.get(&node).is_some_and(|r| r.contains(&peer))
     }
 
@@ -202,7 +195,7 @@ impl HostTable {
         assert!(
             self.spill
                 .iter()
-                .all(|(node, rest)| !rest.is_empty() && self.rows.contains_key(node)),
+                .all(|(&node, rest)| !rest.is_empty() && self.row(node).is_some()),
             "spill lists are non-empty and only follow a holder"
         );
     }

@@ -11,25 +11,27 @@
 //! Storage is a **slab**: entries live in one contiguous `Vec` and freed
 //! slots are recycled LIFO, so under churn a million-peer roster occupies
 //! memory proportional to the *concurrent* population, not the total
-//! number of joins. Each entry holds the [`CandidateView`] selection and
-//! gossip read **in place** — the live interaction history and a cached
+//! number of joins. Each entry points at the one [`CandidateView`]
+//! selection and gossip read — the live interaction history and a cached
 //! statistics snapshot — so a petition borrows the roster instead of
-//! copying it; [`PeerRegistry::entry_mut`] is the one way to change an
-//! entry and is what marks its cached snapshot for re-evaluation. The read
-//! side (cache refresh, node-sorted order index, the borrowed
+//! copying it, and a gossip round publishes the allocation itself;
+//! [`PeerRegistry::entry_mut`] is the one way to change an entry and is
+//! what marks its cached snapshot for re-evaluation. The read side (cache
+//! refresh, node-sorted order index, the borrowed
 //! [`super::roster::RosterView`], the roster a gossip round publishes)
 //! lives in [`super::roster`].
 //!
-//! Two id-hashed tables index all of it. **Membership** maps a peer id to
-//! the one thing this broker knows of it — [`Membership::Local`] (its slab
-//! slot), [`Membership::Remote`] (a view learnt from a fellow broker) or
-//! [`Membership::Departed`] (a tombstone) — so the three states exclude
-//! each other by construction. The **host table** ([`super::hosts`]) maps
-//! a host to its local occupant and the remote views claiming it. Learning
-//! a gossiped view is one probe into each.
+//! Two tables index all of it. **Membership**, hashed by peer id, maps a
+//! peer to the one thing this broker knows of it — [`Membership::Local`]
+//! (its slab slot), [`Membership::Remote`] (a view learnt from a fellow
+//! broker) or [`Membership::Departed`] (a tombstone) — so the three states
+//! exclude each other by construction. The **host table**
+//! ([`super::hosts`]), indexed by node id, maps a host to its local
+//! occupant and the remote views claiming it. Learning a gossiped view is
+//! one probe into each.
 //!
-//! The federation roster holds **shared** views: a sender publishes one
-//! `Arc<CandidateView>` per local peer and hands out the same allocation
+//! The federation roster holds **shared** views: a sender publishes each
+//! local peer's `Arc<CandidateView>` and hands out the same allocation
 //! every round until the entry changes, every fellow broker's message
 //! carries the same roster, and a receiver keeps the sender's pointer
 //! rather than a copy. A receiver keeps each sender's last roster in a
@@ -59,7 +61,7 @@ use crate::stats::{PeerStats, QueueReport, StatsSnapshot};
 
 use super::books::Books;
 use super::counters::FootprintGauges;
-use super::hosts::{Host, HostTable};
+use super::hosts::{HostTable, Row};
 use super::roster::ReadIndex;
 use super::{Broker, STATS_K_HOURS};
 
@@ -72,18 +74,16 @@ use super::{Broker, STATS_K_HOURS};
 pub(crate) struct PeerEntry {
     pub(crate) stats: PeerStats,
     pub(crate) reported: Option<Box<QueueReport>>,
-    /// What selection and gossip see of this peer, held in place, and the
-    /// one copy of what its advertisement said: `peer`, `node`, `name`
-    /// (interned at admission, so recording a selection clones a
-    /// refcount) and `cpu_gops` are refreshed by every (re-)join;
-    /// `history` is the live record the transfer and task paths update;
-    /// `snapshot` is a cache of [`PeerEntry::snapshot_at`], brought up to
-    /// date before any read.
-    pub(crate) view: CandidateView,
-    /// The copy of `view` the last gossip round published, handed out
-    /// again while it still reads the same; dropped whenever the cached
-    /// snapshot is rewritten (see [`super::roster`]).
-    pub(super) published: Option<Arc<CandidateView>>,
+    /// What selection and gossip see of this peer, and the one copy of
+    /// what its advertisement said: `peer`, `node`, `name` (interned at
+    /// admission, so recording a selection clones a refcount) and
+    /// `cpu_gops` are refreshed by every (re-)join; `history` is the live
+    /// record the transfer and task paths update; `snapshot` is a cache of
+    /// [`PeerEntry::snapshot_at`], brought up to date before any read.
+    /// Gossip publishes this allocation, so every write goes through
+    /// [`Arc::make_mut`]: a view a fellow broker still holds forks, and
+    /// the holder keeps reading what it was sent.
+    pub(crate) view: Arc<CandidateView>,
 }
 
 impl PeerEntry {
@@ -96,6 +96,11 @@ impl PeerEntry {
             reported.apply_to(&mut snapshot);
         }
         snapshot
+    }
+
+    /// The live interaction history, for a write (forks a shared view).
+    pub(crate) fn history_mut(&mut self) -> &mut InteractionHistory {
+        &mut Arc::make_mut(&mut self.view).history
     }
 }
 
@@ -132,6 +137,12 @@ fn view_alloc_bytes(view: &CandidateView) -> u64 {
     ARC_HEADER_BYTES + std::mem::size_of::<CandidateView>() as u64 + view.name.len() as u64
 }
 
+/// What each holder charges for a view its owner published to
+/// `recipients` fellow brokers (the once-only rule in [`crate::footprint`]).
+fn view_share(view: &CandidateView, recipients: u32) -> u64 {
+    view_alloc_bytes(view).div_ceil(u64::from(recipients) + 1)
+}
+
 /// The one thing a broker knows of a peer id.
 pub(super) enum Membership {
     /// Registered here; the slab slot of its entry.
@@ -160,6 +171,8 @@ pub(crate) struct PeerRegistry {
     /// stored, replaced and dropped so the per-tick footprint pass does
     /// not walk them.
     pub(super) remote_charge: u64,
+    /// Fellow brokers the last gossip round went to: fixes [`view_share`].
+    pub(super) published_to: u32,
     /// Read-side state: which cached snapshots are due, and the
     /// node-sorted order a petition reads the roster through.
     pub(super) read: ReadIndex,
@@ -307,24 +320,24 @@ impl PeerRegistry {
             if entry.view.node != adv.node {
                 self.hosts.clear_local(entry.view.node, peer);
             }
-            if &*entry.view.name != adv.name.as_str() {
-                entry.view.name = Arc::from(adv.name);
+            let view = Arc::make_mut(&mut entry.view);
+            if &*view.name != adv.name.as_str() {
+                view.name = Arc::from(adv.name);
             }
-            entry.view.node = adv.node;
-            entry.view.cpu_gops = cpu;
+            view.node = adv.node;
+            view.cpu_gops = cpu;
             entry.stats.cpu_gops = cpu;
             return superseded;
         }
         let entry = PeerEntry {
-            view: CandidateView {
+            view: Arc::new(CandidateView {
                 peer,
                 node: adv.node,
                 name: Arc::from(adv.name),
                 cpu_gops: cpu,
                 snapshot: StatsSnapshot::empty(cpu),
                 history: InteractionHistory::empty(),
-            },
-            published: None,
+            }),
             stats: PeerStats::new(now, cpu),
             reported: None,
         };
@@ -418,11 +431,11 @@ impl PeerRegistry {
                 }
             }
         }
-        let Some(host) = self.hosts.unoccupied(node) else {
+        if self.hosts.local(node).is_some() {
             return false;
-        };
+        }
         self.read.invalidate_order();
-        let charge = view_alloc_bytes(view).div_ceil(u64::from(recipients.max(1))) as u32;
+        let charge = view_share(view, recipients) as u32;
         self.remote_charge += u64::from(charge);
         let remote = Membership::Remote(RemoteView {
             view: Arc::clone(view),
@@ -441,11 +454,11 @@ impl PeerRegistry {
                 self.remote_charge -= u64::from(old_charge);
                 // A view that stayed on its host keeps the claim it has.
                 if old_node != node {
-                    host.claim(peer);
+                    self.hosts.claim(node, peer);
                     self.hosts.unclaim(old_node, peer);
                 }
             }
-            None => host.claim(peer),
+            None => self.hosts.claim(node, peer),
         }
         true
     }
@@ -618,21 +631,21 @@ impl PeerRegistry {
 }
 
 impl MemoryFootprint for PeerRegistry {
-    /// Length-based heap estimate (see [`crate::footprint`]): entry slots
-    /// (each with its in-place candidate view and the pointer to the copy
-    /// it last published), the membership and host rows of registered
-    /// peers, and the read index under `roster`; the windowed-ratio rings
-    /// and boxed queue reports that exist under `stats`; the content
-    /// directory under `content`; and federation state under `gossip`:
-    /// every other membership row (a remote view's key, pointer, timestamp,
-    /// share and book, or a tombstone — a row is as wide as its widest
-    /// state), every other host row, the spill lists, this holder's share
-    /// of each shared view allocation, and the books (the marks, and this
-    /// holder's share of each retained roster slice).
+    /// Length-based heap estimate (see [`crate::footprint`]): entry slots,
+    /// this owner's share of each local view allocation, the membership
+    /// and host rows of registered peers, and the read index under
+    /// `roster`; the windowed-ratio rings and boxed queue reports that
+    /// exist under `stats`; the content directory under `content`; and
+    /// federation state under `gossip`: every other membership row (a
+    /// remote view's key, pointer, timestamp, share and book, or a
+    /// tombstone — a row is as wide as its widest state), every other host
+    /// row (claimed, or unheld below the highest node id written), the
+    /// spill lists, this holder's share of each remote view allocation,
+    /// and the books (the marks, and this holder's share of each retained
+    /// roster slice).
     fn memory_footprint(&self) -> FootprintBreakdown {
         let local = self.peer_count();
-        let local_rows =
-            map_estimate::<PeerId, Membership>(local) + map_estimate::<NodeId, Host>(local);
+        let local_rows = map_estimate::<PeerId, Membership>(local) + slots_estimate::<Row>(local);
         let mut fp = FootprintBreakdown {
             roster: slots_estimate::<Option<PeerEntry>>(self.entries.len())
                 + slots_estimate::<u32>(self.free.len())
@@ -651,7 +664,7 @@ impl MemoryFootprint for PeerRegistry {
             fp.roster += name.len() as u64;
         }
         for entry in self.entries() {
-            fp.roster += entry.view.name.len() as u64;
+            fp.roster += view_share(&entry.view, self.published_to);
             fp.stats += entry.stats.message_window.heap_bytes();
             if entry.reported.is_some() {
                 fp.stats += std::mem::size_of::<QueueReport>() as u64;
@@ -752,9 +765,9 @@ impl Broker {
         let now = ctx.now();
         // Only locally-registered peers are gossiped (no relaying relays):
         // one roster, shared by every fellow broker's copy of the message.
-        let roster = self.registry.local_roster(now, STATS_K_HOURS);
-        let me = ctx.self_id();
         let recipients = self.cfg.peer_brokers.len() as u32;
+        let roster = self.registry.local_roster(now, STATS_K_HOURS, recipients);
+        let me = ctx.self_id();
         for &b in &self.cfg.peer_brokers {
             ctx.send(
                 b,

@@ -343,8 +343,8 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
         owner.admit(joining, t(0));
         peer
     });
-    let first = owner.local_roster(t(60), 24);
-    let again = owner.local_roster(t(120), 24);
+    let first = owner.local_roster(t(60), 24, 1);
+    let again = owner.local_roster(t(120), 24, 1);
     assert_eq!(first.len(), 3);
     for (old, new) in first.iter().zip(again.iter()) {
         assert!(Arc::ptr_eq(old, new), "no write, no new allocation");
@@ -355,9 +355,9 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
     assert_eq!(holder.absorb(NodeId(900), Arc::clone(&first), t(60), 1), 0);
     // One entry is touched; exactly that one is republished afresh.
     let entry = owner.entry_mut(b).unwrap();
-    entry.view.history.transfers_completed = 5;
+    entry.history_mut().transfers_completed = 5;
     entry.stats.pending_transfers = 2;
-    let third = owner.local_roster(t(180), 24);
+    let third = owner.local_roster(t(180), 24, 1);
     for (old, new) in first.iter().zip(third.iter()) {
         assert_eq!(old.peer, new.peer);
         assert_eq!(Arc::ptr_eq(old, new), old.peer != b, "{}", old.peer);
@@ -392,7 +392,7 @@ fn an_unchanged_peer_is_republished_as_the_same_allocation() {
         cpu_gops: view.cpu_gops,
     };
     owner.admit(rejoining, t(200));
-    let fourth = owner.local_roster(t(240), 24);
+    let fourth = owner.local_roster(t(240), 24, 1);
     assert!(!Arc::ptr_eq(&third[2], &fourth[2]));
     assert!(Arc::ptr_eq(&third[0], &fourth[0]) && Arc::ptr_eq(&third[1], &fourth[1]));
     owner.check_invariants();
@@ -416,7 +416,7 @@ fn arrival_order_across_senders_leaves_no_mark() {
             peers.push(joining.peer);
             owner.admit(joining, t(0));
         }
-        let first = owner.local_roster(t(60), 24);
+        let first = owner.local_roster(t(60), 24, 2);
         // A third of the peers change, a few leave, before the next round.
         for (k, &peer) in peers.iter().enumerate() {
             match k % 30 {
@@ -425,7 +425,7 @@ fn arrival_order_across_senders_leaves_no_mark() {
                 _ => {}
             }
         }
-        rounds.push([first, owner.local_roster(t(120), 24)]);
+        rounds.push([first, owner.local_roster(t(120), 24, 2)]);
     }
     // (sender, round) in arrival order; round `r` was sent at 60 (r + 1) s.
     let arrivals = [
@@ -483,13 +483,13 @@ fn a_roster_costs_only_its_changed_rows() {
         (holder.member_probes - before, dropped)
     };
 
-    let first = owner.local_roster(t(60), 24);
+    let first = owner.local_roster(t(60), 24, 2);
     assert_eq!(
         absorb(&mut holder, first, t(60)),
         (200, 0),
         "every row is new"
     );
-    let again = owner.local_roster(t(120), 24);
+    let again = owner.local_roster(t(120), 24, 2);
     assert_eq!(
         absorb(&mut holder, again, t(120)),
         (0, 0),
@@ -506,7 +506,7 @@ fn a_roster_costs_only_its_changed_rows() {
     }
     assert!(owner.expel(peers[20]) && owner.expel(peers[21]));
     owner.admit(adv(&mut ids, 500, "sc"), t(150));
-    let changed = owner.local_roster(t(180), 24);
+    let changed = owner.local_roster(t(180), 24, 2);
     let (probes, dropped) = absorb(&mut holder, changed, t(180));
     assert_eq!(dropped, 0);
     assert!(probes <= 8 + 7, "{probes} probes");
@@ -529,7 +529,7 @@ fn a_roster_costs_only_its_changed_rows() {
     let local = joining(peers[30], 30, "sc@30".to_string());
     holder.admit(local, t(200));
     holder.admit(adv(&mut ids, 40, "squatter"), t(200));
-    let unchanged = owner.local_roster(t(240), 24);
+    let unchanged = owner.local_roster(t(240), 24, 2);
     assert_eq!(absorb(&mut holder, unchanged, t(240)), (2, 2));
 
     // The book keeps one slice per sender: its share, and a mark per row.

@@ -157,8 +157,16 @@ fn memory_footprint_tracks_population() {
 #[test]
 fn peer_entry_stays_small() {
     assert!(
-        std::mem::size_of::<PeerEntry>() <= 656,
+        std::mem::size_of::<PeerEntry>() <= 296,
         "box per-peer history a quiet peer never writes: every registered peer holds a PeerEntry"
+    );
+}
+
+#[test]
+fn a_host_row_stays_small() {
+    assert!(
+        std::mem::size_of::<Row>() <= 32,
+        "a broker holds a host row per node id up to the highest it heard of"
     );
 }
 
@@ -173,8 +181,7 @@ fn readmission_keeps_the_original_entry() {
     reg.admit(a.clone(), SimTime::ZERO);
     reg.entry_mut(peer)
         .unwrap()
-        .view
-        .history
+        .history_mut()
         .transfers_completed = 7;
     reg.admit(a, SimTime::ZERO + SimDuration::from_secs(9));
     assert_eq!(
@@ -202,8 +209,7 @@ fn readmission_refreshes_advertisement_and_node_index() {
     reg.admit(first, SimTime::ZERO);
     reg.entry_mut(peer)
         .unwrap()
-        .view
-        .history
+        .history_mut()
         .transfers_completed = 3;
 
     let rejoin = PeerAdvertisement {
@@ -350,7 +356,7 @@ fn candidate_views_sorted_and_federation_merged() {
     assert_eq!(nodes, vec![2, 5, 9], "sorted by node, shadow dropped");
     reg.check_invariants();
     let gossiped: Vec<u32> = reg
-        .local_roster(SimTime::ZERO, 24)
+        .local_roster(SimTime::ZERO, 24, 1)
         .iter()
         .map(|v| v.node.0)
         .collect();
@@ -515,15 +521,24 @@ fn purge_forgets_the_peer_and_every_claimant_of_its_host() {
 
 #[test]
 fn shared_views_are_charged_once_across_their_holders() {
-    // The once-only rule of `crate::footprint`: two brokers that keep the
-    // same gossiped roster hold two sets of map and index slots but one
+    // The once-only rule of `crate::footprint`: an owner and the two
+    // brokers it gossips to hold three sets of map and index slots but one
     // copy of the views between them.
     let mut ids = IdGenerator::new(41);
     let mut owner = PeerRegistry::new();
     for (node, name) in [(1, "ab"), (2, "abcd"), (3, "abcdef")] {
         owner.admit(adv(&mut ids, node, name), SimTime::ZERO);
     }
-    let roster = owner.local_roster(SimTime::ZERO, 24);
+    let alone = owner.local_roster(SimTime::ZERO, 24, 0);
+    let unshared = owner.memory_footprint().roster;
+    let roster = owner.local_roster(SimTime::ZERO, 24, 2);
+    assert!(
+        roster
+            .iter()
+            .zip(alone.iter())
+            .all(|(a, b)| Arc::ptr_eq(a, b)),
+        "no write, no new allocation"
+    );
     let mut holders = [PeerRegistry::new(), PeerRegistry::new()];
     for reg in &mut holders {
         for view in roster.iter() {
@@ -544,16 +559,87 @@ fn shared_views_are_charged_once_across_their_holders() {
         3 * (16 + std::mem::size_of::<CandidateView>() as u64) + 12,
         "a view allocation is its Arc header, the view, and the name it pins"
     );
-    let slots = map_estimate::<PeerId, Membership>(3) + map_estimate::<NodeId, Host>(3);
+    let share: u64 = roster.iter().map(|v| view_alloc_bytes(v).div_ceil(3)).sum();
+    assert!(3 * share >= one_copy && 3 * share < one_copy + 3 * 3);
+    assert_eq!(
+        unshared - owner.memory_footprint().roster,
+        one_copy - share,
+        "alone, the owner charges the whole allocation; gossiping, its share"
+    );
+    // Hosts 1–3 grow a holder's table to four rows; host 0's is unheld.
+    let slots = map_estimate::<PeerId, Membership>(3) + slots_estimate::<Row>(4);
     let gossip: u64 = holders.iter().map(|r| r.memory_footprint().gossip).sum();
-    assert_eq!(gossip, one_copy + 2 * slots);
+    assert_eq!(gossip, 2 * (share + slots));
 
-    // Shares round up: seven holders never under-count an allocation.
+    // Shares round up: seven recipients never under-count an allocation.
     let mut seventh = PeerRegistry::new();
     assert!(seventh.learn_remote(&roster[0], SimTime::ZERO, 7, UNBOOKED));
-    let share = seventh.memory_footprint().gossip - slots / 3;
-    assert_eq!(share, view_alloc_bytes(&roster[0]).div_ceil(7));
-    assert!(7 * share >= view_alloc_bytes(&roster[0]));
+    let rows = map_estimate::<PeerId, Membership>(1) + slots_estimate::<Row>(2);
+    let share = seventh.memory_footprint().gossip - rows;
+    assert_eq!(share, view_alloc_bytes(&roster[0]).div_ceil(8));
+    assert!(8 * share >= view_alloc_bytes(&roster[0]));
+}
+
+#[test]
+fn a_published_view_is_the_entry_itself_until_a_write_forks_it() {
+    let mut ids = IdGenerator::new(67);
+    let mut owner = PeerRegistry::new();
+    let [a, b] = [(1, "a"), (2, "b")].map(|(node, name)| {
+        let adv = adv(&mut ids, node, name);
+        let peer = adv.peer;
+        owner.admit(adv, SimTime::ZERO);
+        peer
+    });
+    let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let sent = owner.local_roster(t(60), 24, 1);
+    for (row, peer) in sent.iter().zip([a, b]) {
+        assert!(
+            Arc::ptr_eq(row, &owner.entry(peer).unwrap().view),
+            "the published row is the entry's own allocation"
+        );
+    }
+    let mut holder = PeerRegistry::new();
+    assert_eq!(holder.absorb(NodeId(900), Arc::clone(&sent), t(60), 1), 0);
+
+    // A history write at the owner forks the shared view; the receiver
+    // keeps reading what it was sent.
+    owner
+        .entry_mut(a)
+        .unwrap()
+        .history_mut()
+        .transfers_completed = 4;
+    let forked = &owner.entry(a).unwrap().view;
+    assert!(
+        !Arc::ptr_eq(forked, &sent[0]),
+        "a write forks a shared view"
+    );
+    assert_eq!(forked.history.transfers_completed, 4);
+    {
+        let held = holder.roster(t(60), 24, None);
+        assert!(std::ptr::eq(held.get(0), &*sent[0]));
+        assert_eq!(held.get(0).history.transfers_completed, 0);
+    }
+
+    // The next round sends the written peer at its new address and the
+    // untouched one at its old.
+    let next = owner.local_roster(t(120), 24, 1);
+    assert!(Arc::ptr_eq(&next[0], &owner.entry(a).unwrap().view));
+    assert!(!Arc::ptr_eq(&next[0], &sent[0]));
+    assert!(
+        Arc::ptr_eq(&next[1], &sent[1]),
+        "an untouched peer is republished at the same address"
+    );
+    assert_eq!(holder.absorb(NodeId(900), next, t(120), 1), 0);
+    assert_eq!(
+        holder
+            .roster(t(120), 24, None)
+            .get(0)
+            .history
+            .transfers_completed,
+        4
+    );
+    owner.check_invariants();
+    holder.check_invariants();
 }
 
 #[test]
@@ -616,12 +702,12 @@ fn the_roster_is_read_in_place_and_follows_every_mutation() {
         assert_eq!(roster.get(1).peer, peer);
         assert_eq!(roster.get(1).snapshot, StatsSnapshot::empty(1.0));
     }
-    let in_place: *const CandidateView = &reg.entry(peer).unwrap().view;
+    let in_place: *const CandidateView = &*reg.entry(peer).unwrap().view;
     // Several writes, one read: the cache catches up with all of them.
     let entry = reg.entry_mut(peer).unwrap();
     entry.stats.outbox.incr(t(2));
     entry.stats.pending_transfers = 2;
-    reg.entry_mut(peer).unwrap().view.history.queued_bytes = 9;
+    reg.entry_mut(peer).unwrap().history_mut().queued_bytes = 9;
     {
         let roster = reg.roster(t(4), 24, None);
         let seen = roster.get(1);
@@ -688,8 +774,8 @@ fn footprint_counts_the_read_index_and_the_in_place_views() {
         "two listed slots and their flags"
     );
     assert!(
-        std::mem::size_of::<PeerEntry>() >= std::mem::size_of::<CandidateView>(),
-        "an entry slot holds the view itself"
+        std::mem::size_of::<PeerEntry>() < std::mem::size_of::<CandidateView>(),
+        "an entry slot points at its view, the allocation gossip publishes"
     );
     // A read settles the dirty list and builds a three-entry order.
     reg.roster(SimTime::ZERO, 24, None);
@@ -835,7 +921,7 @@ fn a_history_write_patches_only_its_row_and_rebuilds_nothing() {
     assert!(scratch.is_empty(), "the registry gathered nothing");
     // A completed transfer to the third peer, as the transfer path
     // records it.
-    let history = &mut reg.entry_mut(peers[2]).expect("registered").view.history;
+    let history = reg.entry_mut(peers[2]).expect("registered").history_mut();
     history.transfers_completed += 1;
     history.observe_throughput(7e5, 0.3);
     let written = history.clone();
@@ -937,17 +1023,17 @@ proptest! {
                             0 => {
                                 entry.stats.pending_transfers += 1;
                                 entry.stats.outbox.incr(now);
-                                entry.view.history.queued_bytes += 1 << 20;
+                                entry.history_mut().queued_bytes += 1 << 20;
                             }
                             1 => {
                                 entry.stats.outbox.decr(now);
                                 entry.stats.record_file_send(host % 2 == 0);
-                                entry.view.history.transfers_completed += 1;
-                                entry.view.history.observe_throughput(1e5 * (1 + host) as f64, 0.3);
+                                entry.history_mut().transfers_completed += 1;
+                                entry.history_mut().observe_throughput(1e5 * (1 + host) as f64, 0.3);
                             }
                             2 => entry.stats.record_message(now, host % 3 != 0),
                             3 => entry.stats.inbox.set(now, host),
-                            _ => entry.view.history.observe_petition(0.1 * age as f64, 0.5),
+                            _ => entry.history_mut().observe_petition(0.1 * age as f64, 0.5),
                         }
                     }
                 }
@@ -985,7 +1071,7 @@ proptest! {
             prop_assert_eq!(&roster, &expected);
 
             let local: Vec<CandidateView> = reg
-                .local_roster(now, K_HOURS)
+                .local_roster(now, K_HOURS, 1)
                 .iter()
                 .map(|v| CandidateView::clone(v))
                 .collect();
@@ -1045,11 +1131,11 @@ proptest! {
                             2 => {
                                 entry.stats.pending_transfers += 1;
                                 entry.stats.outbox.incr(now);
-                                entry.view.history.queued_bytes += 1 << 20;
+                                entry.history_mut().queued_bytes += 1 << 20;
                             }
                             _ => {
                                 entry.stats.inbox.set(now, host);
-                                entry.view.history.observe_petition(0.1 * x as f64, 0.5);
+                                entry.history_mut().observe_petition(0.1 * x as f64, 0.5);
                             }
                         }
                     }

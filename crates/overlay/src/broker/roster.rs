@@ -2,10 +2,10 @@
 //!
 //! Selection reads every known candidate — locally registered peers and
 //! fresh federation views — in ascending node order. Nothing is copied
-//! for that: each [`PeerEntry`] holds its [`CandidateView`] in place (the
-//! live interaction history plus a cached [`StatsSnapshot`]), remote views
-//! stay in the sender's shared allocation, and a [`RosterView`] addresses
-//! both through a node-sorted **order index**. Two lazy steps run before
+//! for that: each [`PeerEntry`] points at its [`CandidateView`] (the live
+//! interaction history plus a cached [`StatsSnapshot`]), remote views stay
+//! in the sender's shared allocation, and a [`RosterView`] addresses both
+//! through a node-sorted **order index**. Two lazy steps run before
 //! a read and do nothing when nothing changed:
 //!
 //! * [`PeerRegistry::refresh`] re-evaluates the cached snapshot of every
@@ -33,10 +33,16 @@
 //!   only an admission changes, and an admission outdates the order.
 //!
 //! The roster a gossip round **publishes** ([`PeerRegistry::local_roster`])
-//! runs the first step and then hands out, per local peer, the shared copy
-//! of its view it handed out last round — unless that step rewrote the
-//! snapshot, which is the one event that lets the copy go. A receiver
-//! recognises an unchanged view by its address.
+//! runs the first step and then hands out each local peer's view
+//! allocation itself, so a broker holds one copy of each view. Every write
+//! to a view — a history write through `entry_mut`, `admit`'s refresh, the
+//! first step's re-snapshot — goes through [`Arc::make_mut`]: a view a
+//! published roster still shares forks on its first write after the
+//! round, and a receiver keeps reading what it was sent. A view no one
+//! else holds is written in place, where no receiver can see its address.
+//! A receiver therefore recognises an unchanged view by its address: one
+//! it holds comes back at a new address exactly when the first step
+//! re-evaluated it since the round that sent it.
 //!
 //! [`StatsSnapshot`]: crate::stats::StatsSnapshot
 
@@ -237,10 +243,12 @@ impl PeerEntry {
     ///
     /// This is the one place a cached snapshot is rewritten, and every
     /// other write to the view (`entry_mut`, `admit`) lists the slot for
-    /// it, so it is also the one place the published copy is let go.
+    /// it. The write forks a view a published roster still shares, so a
+    /// re-evaluated view is never republished at the address it was sent
+    /// at, even when it reads the same.
     fn resnapshot(&mut self, now: SimTime, stats_k_hours: usize) -> bool {
-        self.view.snapshot = self.snapshot_at(now, stats_k_hours);
-        self.published = None;
+        let snapshot = self.snapshot_at(now, stats_k_hours);
+        Arc::make_mut(&mut self.view).snapshot = snapshot;
         self.reported.is_none()
             && (self.stats.outbox.is_integrating() || self.stats.inbox.is_integrating())
     }
@@ -366,26 +374,27 @@ impl PeerRegistry {
         }
     }
 
-    /// The roster a gossip round publishes: one shared copy of the cached
-    /// view per locally-registered peer, sorted by node. Federation-learnt
-    /// views are never relayed, so this is [`PeerRegistry::roster`]
-    /// restricted to occupied hosts, built without touching the remote
-    /// roster or its order. A peer whose view reads as it did last round
-    /// is published as the same allocation, which is how a receiver knows
-    /// it has nothing to learn; a changed view gets a fresh one, so a
-    /// receiver still holding the old copy keeps reading what it was sent.
+    /// The roster a gossip round publishes to `recipients` fellow brokers:
+    /// each locally-registered peer's view, the entry's own allocation,
+    /// sorted by node. Federation-learnt views are never relayed, so this
+    /// is [`PeerRegistry::roster`] restricted to occupied hosts, built
+    /// without touching the remote roster or its order. A peer whose view
+    /// was not written since last round is published as the same
+    /// allocation, which is how a receiver knows it has nothing to learn;
+    /// a written one was forked by the write, so a receiver still holding
+    /// the old copy keeps reading what it was sent.
     pub(crate) fn local_roster(
         &mut self,
         now: SimTime,
         stats_k_hours: usize,
+        recipients: u32,
     ) -> Arc<[Arc<CandidateView>]> {
         self.refresh(now, stats_k_hours);
-        let mut entries: Vec<&mut PeerEntry> = self.entries.iter_mut().flatten().collect();
-        entries.sort_by_key(|e| e.view.node);
-        entries
-            .into_iter()
-            .map(|e| Arc::clone(e.published.get_or_insert_with(|| Arc::new(e.view.clone()))))
-            .collect()
+        self.published_to = recipients;
+        let mut views: Vec<&Arc<CandidateView>> =
+            self.entries.iter().flatten().map(|e| &e.view).collect();
+        views.sort_by_key(|v| v.node);
+        views.into_iter().map(Arc::clone).collect()
     }
 }
 

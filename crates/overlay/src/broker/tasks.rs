@@ -187,8 +187,7 @@ impl Broker {
                     entry.stats.record_task_execution(success);
                     if success && exec_secs > 0.0 {
                         entry
-                            .view
-                            .history
+                            .history_mut()
                             .observe_exec_rate(work_gops / exec_secs, EWMA_ALPHA);
                     }
                 }

@@ -81,7 +81,7 @@ impl Broker {
             if let Some(entry) = self.registry.entry_mut(peer) {
                 entry.stats.pending_transfers += 1;
                 entry.stats.outbox.incr(now);
-                entry.view.history.queued_bytes += size_bytes;
+                entry.history_mut().queued_bytes += size_bytes;
             }
             // Open the transfer's data pipe; closed in finish_transfer.
             let pipe = PipeId::generate(&mut self.ids);
@@ -151,7 +151,7 @@ impl Broker {
                 entry.stats.pending_transfers = entry.stats.pending_transfers.saturating_sub(1);
                 entry.stats.outbox.decr(now);
                 entry.stats.record_file_send(completed);
-                let history = &mut entry.view.history;
+                let history = entry.history_mut();
                 history.queued_bytes = history.queued_bytes.saturating_sub(done.bytes);
                 if completed {
                     history.transfers_completed += 1;
@@ -206,8 +206,7 @@ impl Broker {
             if let Some(peer) = self.registry.peer_of(from) {
                 if let Some(entry) = self.registry.entry_mut(peer) {
                     entry
-                        .view
-                        .history
+                        .history_mut()
                         .observe_petition(petition_latency, EWMA_ALPHA);
                     entry.stats.record_message(ctx.now(), true);
                 }
@@ -288,7 +287,7 @@ impl Broker {
         if let Some(peer) = self.registry.peer_of(from) {
             if let Some(entry) = self.registry.entry_mut(peer) {
                 entry.stats.record_file_send(ok);
-                let history = &mut entry.view.history;
+                let history = entry.history_mut();
                 if ok && elapsed_secs > 0.0 {
                     history.observe_throughput(bytes as f64 / elapsed_secs, EWMA_ALPHA);
                     history.transfers_completed += 1;

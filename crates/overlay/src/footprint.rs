@@ -10,39 +10,42 @@
 //! elements times their inline size plus owned string bytes, so the
 //! number tracks the data a layout change could shrink rather than
 //! allocator slack (which `psim profile` reports separately as the
-//! process RSS proxy). Shared `Arc<str>` names are counted once per
-//! holder — a deliberate, slightly conservative overestimate that keeps
-//! the arithmetic local. Totals feed the `registry.bytes.*` gauges the
+//! process RSS proxy). Interned `Arc<str>` host names are counted once
+//! per holder — a deliberate, slightly conservative overestimate that
+//! keeps the arithmetic local; a view's name is part of its allocation. Totals feed the `registry.bytes.*` gauges the
 //! broker publishes on its gossip cadence, which the time-series layer
 //! turns into `registry_bytes` / `bytes_per_peer` curves.
 //!
-//! # Shared gossip views are charged once, fleet-wide
+//! # Shared views are charged once, fleet-wide
 //!
-//! A gossiped candidate view is one `Arc` allocation, made by the broker
-//! the peer is registered at and kept by every broker its roster went
-//! to. Counting it once per holder would report memory that does not
-//! exist; counting only pointers would hide memory that does. The rule:
-//! **each holder charges `ceil(allocation / recipients)` bytes**, where
-//! the allocation is the `Arc` header, the view and the name bytes it
-//! pins, and `recipients` is how many brokers the sender addressed that
-//! round (it travels with the roster). A receiver's own membership row
-//! (key, pointer, timestamp, share — or a tombstone; a row is as wide as
-//! its widest state) and its host-table row are charged in full, to that
-//! receiver, and the shares it holds are kept as a running sum, so the
-//! per-tick footprint pass walks no remote view. Summed over the fleet
-//! the shares make one copy of each view — rounded up, so never less —
-//! for as long as every recipient keeps it, including views of peers that
-//! have since left their broker, which a holder evicts at its first
-//! roster read after they outlive the staleness bound. A recipient that
-//! drops its pointer early (the peer registered there, a local departure
-//! purged the host, or it read its roster sooner than the others) or
-//! never stored it (it was down, or rejected the view) holds no share;
-//! the sum then reads low by that share until a later round stores the
-//! view there again. The sender charges nothing for the allocation: it keeps
-//! only the pointer to the copy it last published, in the entry slot,
-//! which — with each local peer's candidate view in place beside it, the
-//! peer's membership and host rows, and the read index — is charged to
-//! `roster`.
+//! A peer's candidate view is one `Arc` allocation: its home broker's
+//! registry entry points at it, and a gossip round publishes that same
+//! allocation to every fellow broker, each of which keeps the pointer.
+//! Counting it once per holder would report memory that does not exist;
+//! counting only pointers would hide memory that does. The rule: **every
+//! holder, the owner included, charges `ceil(allocation / (recipients +
+//! 1))` bytes**, where the allocation is the `Arc` header, the view and
+//! the name bytes it pins, and `recipients` is how many brokers the owner
+//! addressed in its last round (it travels with the roster). Summed over
+//! the fleet the shares make one copy of each view — rounded up, so never
+//! less — and a broker that gossips to nobody charges its views in full.
+//!
+//! The owner's share is charged to `roster`, beside the entry slot (which
+//! holds only the pointer), the peer's membership and host rows, and the
+//! read index. A receiver's share goes to `gossip`, with its own
+//! membership row (key, pointer, timestamp, share — or a tombstone; a row
+//! is as wide as its widest state) and host row, which are charged in
+//! full. A receiver fixes its share when it stores the view and keeps the
+//! shares it holds as a running sum, so the per-tick footprint pass walks
+//! no remote view. The sum is exact while every recipient holds the copy
+//! its owner holds. It drifts in both directions between rounds: a write
+//! forks the owner's view, so the owner's share moves to the new copy
+//! while the recipients still charge theirs on the old one, until the
+//! next round replaces it; a recipient that drops its pointer early (the
+//! peer registered there, a local departure purged the host, or it evicted
+//! the view as stale) or never stored it (it was down, or rejected the
+//! view) holds no share; and a receiver keeps charging a view of a peer
+//! that has left its broker until it outlives the staleness bound.
 
 use std::ops::{Add, AddAssign};
 

@@ -15,13 +15,6 @@ pub struct Error {
     msg: &'static str,
 }
 
-impl Error {
-    /// Creates an error with a static message.
-    pub fn new(msg: &'static str) -> Self {
-        Error { msg }
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.msg)
