@@ -250,7 +250,7 @@ mod tests {
     fn ucb1_probes_all_arms() {
         let mut s = Ucb1Selector::new(1.0, 1e6);
         let picks = drive(&mut s, 12);
-        let distinct: std::collections::HashSet<u32> = picks.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = picks.iter().copied().collect();
         assert_eq!(distinct.len(), 4);
     }
 

@@ -391,7 +391,8 @@ mod tests {
 
     /// A snapshot whose criteria are each, by `shape`: absent, the same
     /// for every candidate, or (mostly) random — with the odd non-finite
-    /// gauge thrown in.
+    /// gauge thrown in. A session criterion reads its total, so the
+    /// session slots of `shape` go unused.
     fn random_snapshot(rng: &mut netsim::rng::SimRng, shape: &[u64; 16]) -> StatsSnapshot {
         let mut pct = |k: usize| match shape[k] {
             0 => None,
@@ -400,16 +401,11 @@ mod tests {
             _ => Some(rng.uniform_range(0.0, 100.0)),
         };
         let mut snapshot = StatsSnapshot::empty(1.0);
-        snapshot.msg_success_session = pct(0);
         snapshot.msg_success_total = pct(1);
         snapshot.msg_success_last_k = pct(2);
-        snapshot.task_exec_session = pct(7);
         snapshot.task_exec_total = pct(8);
-        snapshot.task_accept_session = pct(9);
         snapshot.task_accept_total = pct(10);
-        snapshot.files_sent_session = pct(11);
         snapshot.files_sent_total = pct(12);
-        snapshot.cancel_session = pct(13);
         snapshot.cancel_total = pct(14);
         let mut gauge = |k: usize| match shape[k] {
             0 | 1 => 3.0,

@@ -69,7 +69,8 @@ impl<M: ScoringModel> Scored<M> {
     }
 
     /// Access to the wrapped model.
-    pub fn inner(&self) -> &M {
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &M {
         &self.model
     }
 }

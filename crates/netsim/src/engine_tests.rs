@@ -471,3 +471,23 @@ fn a_pending_delivery_of_a_48_byte_message_costs_at_most_88_bytes() {
     let bytes = EventQueue::<Ev<Wide>>::BYTES_PER_PENDING;
     assert!(bytes <= 88, "{bytes} B per pending delivery");
 }
+
+#[test]
+fn a_pending_delivery_of_a_40_byte_message_costs_at_most_72_bytes() {
+    /// The shape `OverlayMsg` has: 40 B at 8-byte alignment, a tag word
+    /// with spare values the event enum can share.
+    #[derive(Debug)]
+    #[allow(dead_code)]
+    enum Narrow {
+        Long([u64; 4]),
+        Short(u32),
+    }
+    impl Payload for Narrow {
+        fn wire_size(&self) -> u64 {
+            size_of::<Self>() as u64
+        }
+    }
+    assert_eq!((size_of::<Narrow>(), align_of::<Narrow>()), (40, 8));
+    let bytes = EventQueue::<Ev<Narrow>>::BYTES_PER_PENDING;
+    assert!(bytes <= 72, "{bytes} B per pending delivery");
+}

@@ -258,8 +258,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Largest number of events that were ever stored at once. Like
-    /// [`EventQueue::scheduled_total`], monotone over the queue's lifetime
-    /// and not reset by [`EventQueue::clear`].
+    /// [`EventQueue::scheduled_total`], monotone over the queue's lifetime.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
@@ -273,7 +272,8 @@ impl<E> EventQueue<E> {
     /// Drops all pending events. Lifetime counters
     /// ([`EventQueue::scheduled_total`], [`EventQueue::peak_len`]) are
     /// preserved, so handles issued before the call stay stale.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.heap.keys.clear();
         self.cells.clear();
         self.tags.clear();

@@ -14,7 +14,6 @@
 //! is a function of its insertion history; as with the default hasher,
 //! nothing may let that order reach an output without sorting first.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier with no short bit pattern (the one `rustc-hash` 2 uses).
@@ -92,7 +91,11 @@ impl Hasher for IdHasher {
 pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// A `HashMap` keyed by a simulator id. Construct with `IdMap::default()`.
-pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the sanctioned id-keyed table: the standard map over IdHasher"
+)]
+pub type IdMap<K, V> = std::collections::HashMap<K, V, IdBuildHasher>;
 
 #[cfg(test)]
 mod tests {

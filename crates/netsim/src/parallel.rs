@@ -378,7 +378,8 @@ impl<M: Payload + Send> ShardedEngine<M> {
     }
 
     /// Caps processed events *per shard* (runaway protection).
-    pub fn set_event_limit(&mut self, limit: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_event_limit(&mut self, limit: u64) {
         for s in 0..self.shards.len() {
             self.engine_mut(s).set_event_limit(limit);
         }

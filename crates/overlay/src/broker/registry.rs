@@ -42,7 +42,6 @@
 //! evicted once it outlives the staleness bound.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::engine::Context;
@@ -183,7 +182,8 @@ pub(crate) struct PeerRegistry {
     /// petitions): the heartbeat table failover liveness reads.
     broker_heartbeats: IdMap<NodeId, SimTime>,
     /// Published content by name → holders.
-    content: HashMap<String, Vec<Holding>>,
+    #[allow(clippy::disallowed_types, reason = "keyed by content names, text")]
+    content: std::collections::HashMap<String, Vec<Holding>>,
     /// Interned display names by host, so record keeping on the transfer
     /// and task hot paths clones an `Arc` instead of allocating a String.
     names: IdMap<NodeId, Arc<str>>,
@@ -326,7 +326,6 @@ impl PeerRegistry {
             }
             view.node = adv.node;
             view.cpu_gops = cpu;
-            entry.stats.cpu_gops = cpu;
             return superseded;
         }
         let entry = PeerEntry {
@@ -338,7 +337,7 @@ impl PeerRegistry {
                 snapshot: StatsSnapshot::empty(cpu),
                 history: InteractionHistory::empty(),
             }),
-            stats: PeerStats::new(now, cpu),
+            stats: PeerStats::new(now),
             reported: None,
         };
         let slot = match self.free.pop() {
@@ -577,7 +576,6 @@ impl PeerRegistry {
                         .as_ref()
                         .expect("a local member's slot is occupied");
                     assert_eq!(entry.view.peer, peer, "slab slot agrees with its key");
-                    assert_eq!(entry.view.cpu_gops, entry.stats.cpu_gops);
                     assert_eq!(
                         self.hosts.local(entry.view.node),
                         Some(peer),

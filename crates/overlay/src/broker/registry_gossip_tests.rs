@@ -3,8 +3,6 @@
 //! per-sender books, what a republished roster shares with the last one
 //! and what absorbing it costs, and independence from arrival order.
 
-use std::collections::HashMap;
-
 use super::*;
 
 /// The membership rules of the design the single table replaced, kept
@@ -15,10 +13,10 @@ use super::*;
 #[derive(Default)]
 struct ThreeMaps {
     /// Registered peer → its host (the slab entry's `adv.node`).
-    index: HashMap<PeerId, NodeId>,
-    by_node: HashMap<NodeId, PeerId>,
-    remote_peers: HashMap<PeerId, (Arc<CandidateView>, SimTime)>,
-    departed: HashMap<PeerId, SimTime>,
+    index: IdMap<PeerId, NodeId>,
+    by_node: IdMap<NodeId, PeerId>,
+    remote_peers: IdMap<PeerId, (Arc<CandidateView>, SimTime)>,
+    departed: IdMap<PeerId, SimTime>,
 }
 
 impl ThreeMaps {
@@ -99,7 +97,7 @@ impl ThreeMaps {
 
 impl PeerRegistry {
     /// The tombstones held.
-    fn tombstones(&self) -> HashMap<PeerId, SimTime> {
+    fn tombstones(&self) -> IdMap<PeerId, SimTime> {
         let departed = self
             .members
             .iter()
@@ -314,16 +312,15 @@ fn assert_agrees(
         .collect();
     assert_eq!(read, expected);
 
-    let local: HashMap<PeerId, NodeId> =
-        reg.entries().map(|e| (e.view.peer, e.view.node)).collect();
+    let local: IdMap<PeerId, NodeId> = reg.entries().map(|e| (e.view.peer, e.view.node)).collect();
     assert_eq!(&local, &oracle.index);
-    let occupied: HashMap<NodeId, PeerId> = reg.hosts.locals().collect();
+    let occupied: IdMap<NodeId, PeerId> = reg.hosts.locals().collect();
     assert_eq!(&occupied, &oracle.by_node);
-    let held: HashMap<PeerId, (*const CandidateView, SimTime)> = reg
+    let held: IdMap<PeerId, (*const CandidateView, SimTime)> = reg
         .remote_views()
         .map(|r| (r.view.peer, (Arc::as_ptr(&r.view), reg.books.as_of(r))))
         .collect();
-    let rumoured: HashMap<PeerId, (*const CandidateView, SimTime)> = oracle
+    let rumoured: IdMap<PeerId, (*const CandidateView, SimTime)> = oracle
         .remote_peers
         .iter()
         .map(|(&p, (view, as_of))| (p, (Arc::as_ptr(view), *as_of)))

@@ -19,7 +19,7 @@ impl PeerEntry {
             peer: self.view.peer,
             node: self.view.node,
             name: Arc::clone(&self.view.name),
-            cpu_gops: self.stats.cpu_gops,
+            cpu_gops: self.view.cpu_gops,
             snapshot: self.snapshot_at(now, stats_k_hours),
             history: self.view.history.clone(),
         }
@@ -157,7 +157,7 @@ fn memory_footprint_tracks_population() {
 #[test]
 fn peer_entry_stays_small() {
     assert!(
-        std::mem::size_of::<PeerEntry>() <= 296,
+        std::mem::size_of::<PeerEntry>() <= 208,
         "box per-peer history a quiet peer never writes: every registered peer holds a PeerEntry"
     );
 }
@@ -165,8 +165,18 @@ fn peer_entry_stays_small() {
 #[test]
 fn a_host_row_stays_small() {
     assert!(
-        std::mem::size_of::<Row>() <= 32,
+        std::mem::size_of::<Row>() <= 24,
         "a broker holds a host row per node id up to the highest it heard of"
+    );
+}
+
+#[test]
+fn a_candidate_view_stays_small() {
+    assert!(
+        std::mem::size_of::<CandidateView>() <= 264,
+        "every registered peer and every gossiped row is one CandidateView: \
+         store each fact once (a session criterion reads its total, the CPU \
+         rate lives in the view alone) and keep ids at 8-byte alignment"
     );
 }
 
@@ -224,7 +234,6 @@ fn readmission_refreshes_advertisement_and_node_index() {
     let entry = reg.entry(peer).unwrap();
     assert_eq!(entry.view.node, NodeId(9), "advertised host refreshed");
     assert_eq!(entry.view.cpu_gops, 2.5, "capacity refreshed");
-    assert_eq!(entry.stats.cpu_gops, 2.5, "stats see the new capacity");
     assert_eq!(&*entry.view.name, "gamma-prime", "interned name refreshed");
     assert_eq!(
         entry.view.history.transfers_completed, 3,
@@ -952,7 +961,7 @@ fn a_history_write_patches_only_its_row_and_rebuilds_nothing() {
 
 /// What `purge_remote` did before the claim index: one scan over every
 /// remote view. Kept here as the oracle the indexed purge must match.
-fn purge_by_scan(remote: &mut HashMap<PeerId, (NodeId, SimTime)>, peer: PeerId, node: NodeId) {
+fn purge_by_scan(remote: &mut IdMap<PeerId, (NodeId, SimTime)>, peer: PeerId, node: NodeId) {
     remote.remove(&peer);
     remote.retain(|_, (claimed, _)| *claimed != node);
 }
@@ -974,7 +983,7 @@ proptest! {
         let mut ids = IdGenerator::new(43);
         let pool: Vec<PeerId> = (0..8).map(|_| PeerId::generate(&mut ids)).collect();
         let mut reg = PeerRegistry::new();
-        let mut oracle: HashMap<PeerId, (NodeId, SimTime)> = HashMap::new();
+        let mut oracle: IdMap<PeerId, (NodeId, SimTime)> = IdMap::default();
         let bound = SimDuration::from_secs(10);
         // A two-hour window, so an hour roll or two ages records out.
         const K_HOURS: usize = 2;
@@ -1060,7 +1069,7 @@ proptest! {
             let roster = reg.roster_copy(now, K_HOURS, Some(bound));
             reg.check_invariants();
             oracle.retain(|_, (_, as_of)| now - *as_of <= bound);
-            let held: HashMap<PeerId, (NodeId, SimTime)> = reg
+            let held: IdMap<PeerId, (NodeId, SimTime)> = reg
                 .remote_views()
                 .map(|r| (r.view.peer, (r.view.node, reg.books.as_of(r))))
                 .collect();

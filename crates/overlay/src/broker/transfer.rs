@@ -229,7 +229,7 @@ impl Broker {
         &mut self,
         ctx: &mut Context<OverlayMsg>,
         requester: PeerId,
-        name: String,
+        name: Box<str>,
     ) {
         let Some(requester_node) = self.registry.node_of(requester) else {
             return;
@@ -265,7 +265,7 @@ impl Broker {
                 to_node: requester_node,
                 file: Box::new(FileMeta {
                     content: holding.content,
-                    name,
+                    name: name.into(),
                     size_bytes: holding.size,
                 }),
                 num_parts: REQUEST_PARTS,

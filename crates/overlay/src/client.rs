@@ -85,7 +85,8 @@ impl ClientConfig {
     }
 
     /// Schedules a command `delay` after start.
-    pub fn at(mut self, delay: SimDuration, cmd: ClientCommand) -> Self {
+    #[cfg(test)]
+    pub(crate) fn at(mut self, delay: SimDuration, cmd: ClientCommand) -> Self {
         self.commands.push((delay, cmd));
         self
     }
@@ -180,7 +181,7 @@ impl SimpleClient {
                     self.cfg.broker,
                     OverlayMsg::FileRequest {
                         requester: self.peer_id,
-                        name,
+                        name: name.into(),
                     },
                 );
             }

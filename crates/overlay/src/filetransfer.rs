@@ -142,7 +142,8 @@ impl OutboundTransfer {
     }
 
     /// Marks the transfer cancelled (watchdog timeout etc.).
-    pub fn cancel(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn cancel(&mut self) {
         if self.phase != TransferPhase::Complete {
             self.phase = TransferPhase::Cancelled;
         }

@@ -4,6 +4,10 @@
 //! IDs. We reproduce that scheme with a namespace byte folded into a 128-bit
 //! value, generated deterministically from a seeded generator so simulation
 //! runs are reproducible.
+//!
+//! An id is stored at 8-byte alignment, not a `u128`'s 16, so a record that
+//! holds one beside 8-byte fields (a host row, a candidate view, a queued
+//! message) carries no padding. It hashes, sorts and prints as its `u128`.
 
 use std::fmt;
 
@@ -50,6 +54,7 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $kind:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(C, packed(8))]
         pub struct $name(pub u128);
 
         impl $name {
@@ -132,7 +137,7 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         let mut g = IdGenerator::new(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..10_000 {
             assert!(seen.insert(PeerId::generate(&mut g)));
         }
@@ -220,6 +225,40 @@ mod tests {
         let t = TaskId::generate(&mut g);
         // Tag byte differs even if upper bits were equal.
         assert_ne!(p.raw() & 0xFF, t.raw() & 0xFF);
+    }
+
+    /// Each id is 16 B at 8-byte alignment, and hashes and sorts exactly
+    /// as its `u128` does, so an `IdMap`'s layout and every sorted output
+    /// are those of a plain `u128` key.
+    #[test]
+    fn ids_are_u128s_at_eight_byte_alignment() {
+        use netsim::idmap::IdBuildHasher;
+        use std::hash::BuildHasher;
+        use std::mem::{align_of, size_of};
+
+        fn check<T: Copy + Ord + std::hash::Hash>(
+            make: fn(&mut IdGenerator) -> T,
+            raw: fn(T) -> u128,
+        ) {
+            assert_eq!((size_of::<T>(), align_of::<T>()), (16, 8));
+            let build = IdBuildHasher::default();
+            let mut g = IdGenerator::new(11);
+            let mut ids: Vec<T> = (0..64).map(|_| make(&mut g)).collect();
+            for &id in &ids {
+                assert_eq!(build.hash_one(id), build.hash_one(raw(id)));
+            }
+            let mut raws: Vec<u128> = ids.iter().map(|&id| raw(id)).collect();
+            ids.sort();
+            raws.sort();
+            assert_eq!(ids.into_iter().map(raw).collect::<Vec<_>>(), raws);
+        }
+        check(PeerId::generate, PeerId::raw);
+        check(PipeId::generate, PipeId::raw);
+        check(TransferId::generate, TransferId::raw);
+        check(TaskId::generate, TaskId::raw);
+        check(ContentId::generate, ContentId::raw);
+        let p = PeerId(0x1234_5678_9abc_def0_0fed_cba9_8765_4321);
+        assert_eq!(format!("{p:?}"), format!("PeerId({})", p.raw()));
     }
 
     #[test]

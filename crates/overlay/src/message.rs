@@ -21,8 +21,9 @@ use crate::task::TaskSpec;
 /// Every message exchanged on the overlay.
 ///
 /// Every queued event carries one of these by value, so the enum is held
-/// to 48 B, the tag's word and 40 B: a variant's fields beyond 32 B and
-/// that word are boxed (`overlay_msg_stays_small` fails otherwise).
+/// to 40 B, the tag's word and 32 B at 8-byte alignment: a variant's
+/// fields beyond 32 B and that word are boxed, and text is a `Box<str>`
+/// (`overlay_msg_stays_small` fails otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OverlayMsg {
     // ---- membership & statistics --------------------------------------
@@ -114,7 +115,7 @@ pub enum OverlayMsg {
         /// The requesting peer.
         requester: PeerId,
         /// The requested file's name.
-        name: String,
+        name: Box<str>,
     },
     /// Broker → owner peer: send `file` to `to_node`.
     TransferInstruction {
@@ -329,7 +330,7 @@ mod tests {
     #[test]
     fn overlay_msg_stays_small() {
         assert!(
-            std::mem::size_of::<OverlayMsg>() <= 48,
+            std::mem::size_of::<OverlayMsg>() <= 40,
             "the 32-byte rule: box a variant's fields beyond 32 B and the word its tag \
              shares, since every queued event holds an OverlayMsg by value"
         );

@@ -205,7 +205,8 @@ pub struct RunLog {
 
 impl RunLog {
     /// Finds a transfer record by id.
-    pub fn transfer(&self, id: TransferId) -> Option<&TransferRecord> {
+    #[cfg(test)]
+    pub(crate) fn transfer(&self, id: TransferId) -> Option<&TransferRecord> {
         self.transfers.iter().find(|t| t.id == id)
     }
 

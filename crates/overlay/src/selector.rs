@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn model_kind_names_round_trip_and_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for kind in ModelKind::ALL {
             assert!(seen.insert(kind.name()), "duplicate name {}", kind.name());
             assert_eq!(ModelKind::parse(kind.name()), Some(kind));

@@ -9,6 +9,9 @@
 //! * task criteria — % successfully executed and % accepted (session / total);
 //! * file criteria — % sent files and % cancelled transfers (session /
 //!   total), number of pending transfers.
+//!
+//! A registry entry lives for one session (a leave drops it), so each
+//! session criterion reads its total, and only the totals are stored.
 
 use std::fmt;
 
@@ -198,7 +201,7 @@ impl WindowedRatio {
     }
 }
 
-/// The per-scope (session or all-time) counter block of §2.2.
+/// The counter block of §2.2, over the peer's one session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ScopeCounters {
     /// Messages sent, and how many succeeded.
@@ -217,9 +220,7 @@ pub(crate) struct ScopeCounters {
 /// Live statistics record the broker keeps for one peer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeerStats {
-    /// Counters for the current session.
-    pub(crate) session: ScopeCounters,
-    /// Counters over all sessions.
+    /// Counters over the peer's session, which are also its totals.
     pub(crate) total: ScopeCounters,
     /// Hour-bucketed message-success window.
     pub(crate) message_window: WindowedRatio,
@@ -229,71 +230,56 @@ pub struct PeerStats {
     pub(crate) inbox: QueueGauge,
     /// File transfers currently in flight to/from this peer.
     pub(crate) pending_transfers: u32,
-    /// Advertised CPU rate (gops), from the peer advertisement.
-    pub(crate) cpu_gops: f64,
 }
 
 impl PeerStats {
     /// Fresh stats for a peer first seen at `now`.
-    pub fn new(now: SimTime, cpu_gops: f64) -> Self {
+    pub fn new(now: SimTime) -> Self {
         PeerStats {
-            session: ScopeCounters::default(),
             total: ScopeCounters::default(),
             message_window: WindowedRatio::new(48),
             outbox: QueueGauge::new(now),
             inbox: QueueGauge::new(now),
             pending_transfers: 0,
-            cpu_gops,
         }
     }
 
     /// Records a message send outcome at `now`.
     pub fn record_message(&mut self, now: SimTime, success: bool) {
-        self.session.messages.record(success);
         self.total.messages.record(success);
         self.message_window.record(now, success);
     }
 
     /// Records a task-offer outcome.
     pub fn record_task_offer(&mut self, accepted: bool) {
-        self.session.tasks_accepted.record(accepted);
         self.total.tasks_accepted.record(accepted);
     }
 
     /// Records a task-execution outcome.
     pub(crate) fn record_task_execution(&mut self, success: bool) {
-        self.session.tasks_executed.record(success);
         self.total.tasks_executed.record(success);
     }
 
     /// Records a file-send outcome.
     pub fn record_file_send(&mut self, completed: bool) {
-        self.session.files_sent.record(completed);
         self.total.files_sent.record(completed);
-        self.session.transfers_cancelled.record(!completed);
         self.total.transfers_cancelled.record(!completed);
     }
 
     /// Takes a point-in-time snapshot with every §2.2 criterion evaluated.
     pub fn snapshot(&self, now: SimTime, k_hours: usize) -> StatsSnapshot {
         StatsSnapshot {
-            msg_success_session: self.session.messages.percent(),
             msg_success_total: self.total.messages.percent(),
             msg_success_last_k: self.message_window.percent_last_hours(now, k_hours),
             outbox_now: self.outbox.current() as f64,
             outbox_avg: self.outbox.average(now),
             inbox_now: self.inbox.current() as f64,
             inbox_avg: self.inbox.average(now),
-            task_exec_session: self.session.tasks_executed.percent(),
             task_exec_total: self.total.tasks_executed.percent(),
-            task_accept_session: self.session.tasks_accepted.percent(),
             task_accept_total: self.total.tasks_accepted.percent(),
-            files_sent_session: self.session.files_sent.percent(),
             files_sent_total: self.total.files_sent.percent(),
-            cancel_session: self.session.transfers_cancelled.percent(),
             cancel_total: self.total.transfers_cancelled.percent(),
             pending_transfers: self.pending_transfers as f64,
-            cpu_gops: self.cpu_gops,
         }
     }
 }
@@ -434,11 +420,10 @@ impl fmt::Display for Criterion {
 /// A point-in-time evaluation of every criterion for one peer.
 ///
 /// `None` means "no history for this criterion yet" — selection models treat
-/// missing data neutrally rather than as zero.
+/// missing data neutrally rather than as zero. Each session criterion
+/// reads its total, so only the totals are fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// % successfully sent messages, current session.
-    pub msg_success_session: Option<f64>,
     /// % successfully sent messages, all sessions.
     pub msg_success_total: Option<f64>,
     /// % successfully sent messages over the last k hours.
@@ -451,47 +436,33 @@ pub struct StatsSnapshot {
     pub inbox_now: f64,
     /// Time-weighted average inbox length.
     pub inbox_avg: f64,
-    /// % successfully executed tasks, current session.
-    pub task_exec_session: Option<f64>,
     /// % successfully executed tasks, all sessions.
     pub task_exec_total: Option<f64>,
-    /// % tasks accepted, current session.
-    pub task_accept_session: Option<f64>,
     /// % tasks accepted, all sessions.
     pub task_accept_total: Option<f64>,
-    /// % files sent, current session.
-    pub files_sent_session: Option<f64>,
     /// % files sent, all sessions.
     pub files_sent_total: Option<f64>,
-    /// % cancelled transfers, current session.
-    pub cancel_session: Option<f64>,
     /// % cancelled transfers, all sessions.
     pub cancel_total: Option<f64>,
     /// File transfers currently pending.
     pub pending_transfers: f64,
-    /// Advertised CPU rate, gops.
-    pub(crate) cpu_gops: f64,
 }
 
 impl StatsSnapshot {
-    /// The value of one criterion (`None` = no history).
+    /// The value of one criterion (`None` = no history); a session
+    /// criterion reads its total.
     pub fn value(&self, c: Criterion) -> Option<f64> {
         match c {
-            Criterion::MsgSuccessSession => self.msg_success_session,
-            Criterion::MsgSuccessTotal => self.msg_success_total,
+            Criterion::MsgSuccessSession | Criterion::MsgSuccessTotal => self.msg_success_total,
             Criterion::MsgSuccessLastK => self.msg_success_last_k,
             Criterion::OutboxNow => Some(self.outbox_now),
             Criterion::OutboxAvg => Some(self.outbox_avg),
             Criterion::InboxNow => Some(self.inbox_now),
             Criterion::InboxAvg => Some(self.inbox_avg),
-            Criterion::TaskExecSession => self.task_exec_session,
-            Criterion::TaskExecTotal => self.task_exec_total,
-            Criterion::TaskAcceptSession => self.task_accept_session,
-            Criterion::TaskAcceptTotal => self.task_accept_total,
-            Criterion::FilesSentSession => self.files_sent_session,
-            Criterion::FilesSentTotal => self.files_sent_total,
-            Criterion::CancelSession => self.cancel_session,
-            Criterion::CancelTotal => self.cancel_total,
+            Criterion::TaskExecSession | Criterion::TaskExecTotal => self.task_exec_total,
+            Criterion::TaskAcceptSession | Criterion::TaskAcceptTotal => self.task_accept_total,
+            Criterion::FilesSentSession | Criterion::FilesSentTotal => self.files_sent_total,
+            Criterion::CancelSession | Criterion::CancelTotal => self.cancel_total,
             Criterion::PendingTransfers => Some(self.pending_transfers),
         }
     }
@@ -500,45 +471,41 @@ impl StatsSnapshot {
     /// (`values()[c as usize] == value(c)`).
     pub(crate) fn values(&self) -> [Option<f64>; Criterion::ALL.len()] {
         [
-            self.msg_success_session,
+            self.msg_success_total,
             self.msg_success_total,
             self.msg_success_last_k,
             Some(self.outbox_now),
             Some(self.outbox_avg),
             Some(self.inbox_now),
             Some(self.inbox_avg),
-            self.task_exec_session,
             self.task_exec_total,
-            self.task_accept_session,
+            self.task_exec_total,
             self.task_accept_total,
-            self.files_sent_session,
+            self.task_accept_total,
             self.files_sent_total,
-            self.cancel_session,
+            self.files_sent_total,
+            self.cancel_total,
             self.cancel_total,
             Some(self.pending_transfers),
         ]
     }
 
-    /// A neutral snapshot for a peer with no history at all.
-    pub fn empty(cpu_gops: f64) -> Self {
+    /// A neutral snapshot for a peer with no history at all. The CPU rate
+    /// is no criterion (a [`CandidateView`](crate::selector::CandidateView)
+    /// carries it), so the argument is ignored.
+    pub fn empty(_cpu_gops: f64) -> Self {
         StatsSnapshot {
-            msg_success_session: None,
             msg_success_total: None,
             msg_success_last_k: None,
             outbox_now: 0.0,
             outbox_avg: 0.0,
             inbox_now: 0.0,
             inbox_avg: 0.0,
-            task_exec_session: None,
             task_exec_total: None,
-            task_accept_session: None,
             task_accept_total: None,
-            files_sent_session: None,
             files_sent_total: None,
-            cancel_session: None,
             cancel_total: None,
             pending_transfers: 0.0,
-            cpu_gops,
         }
     }
 }
@@ -628,7 +595,7 @@ mod tests {
     fn queue_report_is_the_snapshot_gauges_to_the_bit() {
         let mut rng = netsim::rng::SimRng::new(0x5EED_0042);
         for _ in 0..64 {
-            let mut stats = PeerStats::new(SimTime::from_secs_f64(rng.uniform() * 100.0), 1.0);
+            let mut stats = PeerStats::new(SimTime::from_secs_f64(rng.uniform() * 100.0));
             let mut now = SimTime::ZERO + SimDuration::from_secs(100);
             for _ in 0..rng.below(40) {
                 now += SimDuration::from_secs_f64(rng.uniform() * 90.0);
@@ -664,23 +631,47 @@ mod tests {
         }
     }
 
+    /// Nothing restarts a session (a registry entry lives for one), so
+    /// each session criterion reads its total, through either accessor,
+    /// with or without history.
     #[test]
     fn peer_stats_sessions_vs_totals() {
-        let mut s = PeerStats::new(t(0), 1.5);
+        use Criterion::*;
+        let pairs = [
+            (MsgSuccessSession, MsgSuccessTotal),
+            (TaskExecSession, TaskExecTotal),
+            (TaskAcceptSession, TaskAcceptTotal),
+            (FilesSentSession, FilesSentTotal),
+            (CancelSession, CancelTotal),
+        ];
+        let mut s = PeerStats::new(t(0));
+        let check = |snap: &StatsSnapshot| {
+            for (session, total) in pairs {
+                assert_eq!(snap.value(session), snap.value(total), "{session}");
+                assert_eq!(snap.values()[session as usize], snap.value(total));
+            }
+        };
+        check(&s.snapshot(t(1), 24));
         s.record_message(t(1), true);
         s.record_message(t(2), false);
         s.record_message(t(3), true);
+        s.record_task_offer(false);
+        s.record_task_execution(true);
+        s.record_file_send(true);
+        s.record_file_send(false);
+        s.record_file_send(true);
         let snap = s.snapshot(t(4), 24);
-        // No session ever restarts, so each session criterion equals its
-        // total (a registry entry lives for one session).
-        let total = snap.msg_success_total.unwrap();
+        check(&snap);
+        let total = snap.value(MsgSuccessSession).unwrap();
         assert!((total - 200.0 / 3.0).abs() < 1e-9);
-        assert_eq!(snap.msg_success_session, Some(total));
+        assert_eq!(snap.value(TaskAcceptSession), Some(0.0));
+        assert_eq!(snap.value(TaskExecSession), Some(100.0));
+        assert_eq!(snap.value(CancelSession), Some(100.0 / 3.0));
     }
 
     #[test]
     fn peer_stats_task_and_file_counters() {
-        let mut s = PeerStats::new(t(0), 1.0);
+        let mut s = PeerStats::new(t(0));
         s.record_task_offer(true);
         s.record_task_offer(false);
         s.record_task_execution(true);
@@ -695,7 +686,7 @@ mod tests {
 
     #[test]
     fn snapshot_value_accessor_covers_all_criteria() {
-        let mut s = PeerStats::new(t(0), 2.0);
+        let mut s = PeerStats::new(t(0));
         s.record_message(t(1), true);
         s.record_task_offer(true);
         s.record_task_execution(true);

@@ -531,7 +531,7 @@ mod tests {
             assert_eq!(availability_rank(7, p), availability_rank(7, p));
         }
         // Not constant: some pieces must be rarer than others.
-        let ranks: std::collections::HashSet<u64> =
+        let ranks: std::collections::BTreeSet<u64> =
             (0..64).map(|p| availability_rank(7, p)).collect();
         assert!(ranks.len() > 1);
     }

@@ -223,7 +223,7 @@ proptest! {
         offers in prop::collection::vec(any::<bool>(), 0..50),
         files in prop::collection::vec(any::<bool>(), 0..50),
     ) {
-        let mut s = PeerStats::new(SimTime::ZERO, 1.0);
+        let mut s = PeerStats::new(SimTime::ZERO);
         let mut t = SimTime::ZERO;
         for &m in &msgs {
             t += SimDuration::from_secs(30);

@@ -274,7 +274,8 @@ pub fn simple_clients() -> Vec<&'static Site> {
 }
 
 /// Looks up a Table-1 site by hostname.
-pub fn find(hostname: &str) -> Option<&'static Site> {
+#[cfg(test)]
+pub(crate) fn find(hostname: &str) -> Option<&'static Site> {
     TABLE1.iter().find(|s| s.hostname == hostname)
 }
 

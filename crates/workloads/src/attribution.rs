@@ -25,7 +25,6 @@
 //! That invariant is asserted by property tests over full runs and is a
 //! strong end-to-end check on the sender's record stamping.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use netsim::metrics::{Histogram, Metrics};
@@ -359,7 +358,12 @@ pub fn aggregate_metrics(
     let mut m = Metrics::new();
     let attributed = m.counter_id("attr.transfers_attributed");
     let failed = m.counter_id("attr.transfers_failed");
-    let mut ids: HashMap<(String, usize), netsim::metrics::HistogramId> = HashMap::new();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed by peer labels, text the caller renders"
+    )]
+    let mut ids: std::collections::HashMap<(String, usize), netsim::metrics::HistogramId> =
+        std::collections::HashMap::new();
     for a in attrs {
         m.incr_id(attributed, 1);
         if !a.ok {

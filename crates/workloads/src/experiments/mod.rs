@@ -1,7 +1,8 @@
 //! One module per paper artifact (Table 1, Figures 2–7).
 //!
 //! Every module exposes `run(&ExperimentSpec) -> FigureReport` (plus a typed
-//! result where useful). Reports carry the paper's published series next to
+//! result where useful), except Figures 2–4: they share one
+//! [`transfer_study::run`], and each builds its report from it. Reports carry the paper's published series next to
 //! the measured ones so EXPERIMENTS.md can be regenerated mechanically.
 
 pub mod ablation;

@@ -131,11 +131,6 @@ pub fn run(spec: &ExperimentSpec) -> TransferStudy {
 pub mod fig2 {
     use super::*;
 
-    /// Runs the experiment and builds the report.
-    pub fn run(spec: &ExperimentSpec) -> FigureReport {
-        report(&super::run(spec))
-    }
-
     /// Builds the Fig 2 report from an existing study.
     pub fn report(study: &TransferStudy) -> FigureReport {
         let mut f = FigureReport::new(

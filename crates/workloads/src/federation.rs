@@ -378,7 +378,7 @@ pub(crate) fn run_federation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     /// Small federation: three regions, one late region so its broker's
     /// scheduled rounds fire against an empty registry and forward. The
@@ -473,7 +473,7 @@ mod tests {
         // confirmed at most once, and never more parts than the file has.
         assert!(!result.log.transfers.is_empty());
         for t in &result.log.transfers {
-            let mut confirmed = HashSet::new();
+            let mut confirmed = BTreeSet::new();
             for p in t.parts.iter().filter(|p| p.confirmed_at.is_some()) {
                 assert!(
                     confirmed.insert(p.index),

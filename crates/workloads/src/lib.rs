@@ -27,11 +27,12 @@
 //! * [`experiments`] — one module per artifact: `table1`, `fig2`…`fig7`.
 //!
 //! ```no_run
-//! use workloads::experiments;
+//! use workloads::experiments::{fig2, transfer_study};
 //! use workloads::spec::ExperimentSpec;
 //!
 //! let spec = ExperimentSpec::paper_defaults();
-//! println!("{}", experiments::fig2::run(&spec).render());
+//! let study = transfer_study::run(&spec); // Figures 2–4 share one study
+//! println!("{}", fig2::report(&study).render());
 //! ```
 
 #![warn(missing_docs)]

@@ -26,8 +26,6 @@ mod federate;
 mod profile;
 mod stream;
 
-use std::collections::HashMap;
-
 use commands::{CommandDef, COMMANDS};
 
 use netsim::node::NodeId;
@@ -49,7 +47,8 @@ use workloads::sweep::{named_grid, named_grid_list, run_campaign};
 /// Parsed arguments for one subcommand: the table-validated flags plus the
 /// positional argument, with typed accessors that exit 2 on malformed input.
 struct Flags {
-    values: HashMap<&'static str, String>,
+    #[allow(clippy::disallowed_types, reason = "keyed by flag names, text")]
+    values: std::collections::HashMap<&'static str, String>,
     /// The flags the command line named (the rest hold table defaults).
     given: Vec<&'static str>,
     positional: Option<String>,
@@ -173,7 +172,8 @@ impl Flags {
 /// Parses `args` against the command's flag table. Unknown flags, missing
 /// values, and stray extra positionals are usage errors (exit 2).
 fn parse_flags(cmd: &CommandDef, args: &[String]) -> Flags {
-    let mut values: HashMap<&'static str, String> = HashMap::new();
+    #[allow(clippy::disallowed_types, reason = "keyed by flag names, text")]
+    let mut values = std::collections::HashMap::new();
     for f in cmd.flags {
         if let Some(d) = f.default {
             values.insert(f.name, d.to_string());

@@ -38,6 +38,11 @@
 //! UPDATE_API_SNAPSHOT=1 cargo test --test public_api
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "every set here is keyed by words of source text"
+)]
+
 use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
