@@ -28,7 +28,8 @@ use netsim::time::SimTime;
 use crate::footprint::{map_estimate, slots_estimate, ARC_HEADER_BYTES};
 use crate::selector::CandidateView;
 
-use super::registry::{Membership, PeerRegistry, RemoteView};
+use super::registry::{Membership, PeerRegistry};
+use super::remote::RemoteView;
 
 /// [`RemoteView::book`] of a view no book vouches for: its own `as_of`
 /// is the one that counts.
@@ -226,7 +227,8 @@ impl PeerRegistry {
             return;
         };
         self.count_probe();
-        if let Some(Membership::Remote(remote)) = self.members.get_mut(&was.peer) {
+        if let Some(&Membership::Remote(h)) = self.members.get(&was.peer) {
+            let remote = self.remote.get_mut(h);
             remote.as_of = sent_at;
             remote.book = UNBOOKED;
         }

@@ -32,6 +32,7 @@ pub(crate) mod books;
 pub(crate) mod counters;
 pub(crate) mod hosts;
 pub(crate) mod registry;
+pub(crate) mod remote;
 pub(crate) mod retry;
 pub(crate) mod roster;
 pub(crate) mod schedule;

@@ -21,14 +21,17 @@
 //! [`super::roster::RosterView`], the roster a gossip round publishes)
 //! lives in [`super::roster`].
 //!
-//! Two tables index all of it. **Membership**, hashed by peer id, maps a
-//! peer to the one thing this broker knows of it — [`Membership::Local`]
-//! (its slab slot), [`Membership::Remote`] (a view learnt from a fellow
-//! broker) or [`Membership::Departed`] (a tombstone) — so the three states
-//! exclude each other by construction. The **host table**
-//! ([`super::hosts`]), indexed by node id, maps a host to its local
-//! occupant and the remote views claiming it. Learning a gossiped view is
-//! one probe into each.
+//! Views learnt from fellow brokers, and tombstones, live in a second
+//! slab ([`super::remote`]). Two tables index all of it, and name a peer
+//! by its 4-byte slot or handle, never by a view or an id. **Membership**,
+//! hashed by peer id, maps a peer to the one thing this broker knows of
+//! it — [`Membership::Local`] (its entry slot), [`Membership::Remote`] (the
+//! handle of a view learnt from a fellow broker) or
+//! [`Membership::Departed`] (the handle of a tombstone) — so the three
+//! states exclude each other by construction, and a `(peer, state)` bucket
+//! is 24 B. The **host table** ([`super::hosts`]), indexed by node id,
+//! maps a host to its local occupant and the remote views claiming it.
+//! Learning a gossiped view is one probe into each.
 //!
 //! The federation roster holds **shared** views: a sender publishes each
 //! local peer's `Arc<CandidateView>` and hands out the same allocation
@@ -51,7 +54,7 @@ use netsim::time::{SimDuration, SimTime};
 
 use crate::advertisement::{ContentAdvertisement, PeerAdvertisement};
 use crate::footprint::{
-    map_estimate, slots_estimate, FootprintBreakdown, MemoryFootprint, ARC_HEADER_BYTES,
+    map_estimate, slots_estimate, view_share, FootprintBreakdown, MemoryFootprint,
 };
 use crate::id::PeerId;
 use crate::message::OverlayMsg;
@@ -61,6 +64,7 @@ use crate::stats::{PeerStats, QueueReport, StatsSnapshot};
 use super::books::Books;
 use super::counters::FootprintGauges;
 use super::hosts::{HostTable, Row};
+use super::remote::{RemoteSlab, RemoteView};
 use super::roster::ReadIndex;
 use super::{Broker, STATS_K_HOURS};
 
@@ -112,46 +116,19 @@ pub(crate) struct Holding {
     pub(crate) size: u64,
 }
 
-/// A gossiped candidate plus the virtual time its sending broker took
-/// the snapshot, so selection can apply a staleness window. The view is
-/// the sender's allocation, shared with every other broker the roster
-/// went to.
-pub(crate) struct RemoteView {
-    pub(crate) view: Arc<CandidateView>,
-    /// When the view was last vouched for — unless it is booked, in which
-    /// case its book's `sent_at` is (read through [`Books::as_of`]).
-    pub(super) as_of: SimTime,
-    /// This holder's share of the view allocation, in bytes (see the
-    /// once-only rule in [`crate::footprint`]). Fixed when the view is
-    /// learnt so the footprint pass never chases the pointer.
-    pub(super) charge: u32,
-    /// The book of the sender whose last roster carries this allocation
-    /// as a marked row, or [`UNBOOKED`](super::books::UNBOOKED).
-    pub(super) book: u32,
-}
-
-/// Estimated heap bytes of one shared view allocation: the refcounted
-/// view plus the name bytes it pins.
-fn view_alloc_bytes(view: &CandidateView) -> u64 {
-    ARC_HEADER_BYTES + std::mem::size_of::<CandidateView>() as u64 + view.name.len() as u64
-}
-
-/// What each holder charges for a view its owner published to
-/// `recipients` fellow brokers (the once-only rule in [`crate::footprint`]).
-fn view_share(view: &CandidateView, recipients: u32) -> u64 {
-    view_alloc_bytes(view).div_ceil(u64::from(recipients) + 1)
-}
-
 /// The one thing a broker knows of a peer id.
+#[derive(Clone, Copy)]
 pub(super) enum Membership {
     /// Registered here; the slab slot of its entry.
     Local(u32),
-    /// Known from a fellow broker's gossip.
-    Remote(RemoteView),
-    /// Seen to leave this broker, and when. A gossiped view older than the
-    /// tombstone is a stale echo and must not resurrect the peer; a newer
-    /// one proves it rejoined elsewhere and replaces the tombstone.
-    Departed(SimTime),
+    /// Known from a fellow broker's gossip; the remote-slab handle of the
+    /// view.
+    Remote(u32),
+    /// Seen to leave this broker; the remote-slab handle of the time it
+    /// left. A gossiped view older than the tombstone is a stale echo and
+    /// must not resurrect the peer; a newer one proves it rejoined
+    /// elsewhere and replaces the tombstone.
+    Departed(u32),
 }
 
 /// The membership layer: registered peers, their statistics, published
@@ -166,10 +143,8 @@ pub(crate) struct PeerRegistry {
     pub(super) members: IdMap<PeerId, Membership>,
     /// Host → its local occupant and the remote views claiming it.
     pub(super) hosts: HostTable,
-    /// Sum of `charge` over the remote views held, kept where views are
-    /// stored, replaced and dropped so the per-tick footprint pass does
-    /// not walk them.
-    pub(super) remote_charge: u64,
+    /// The views learnt from fellow brokers, and the tombstones.
+    pub(super) remote: RemoteSlab,
     /// Fellow brokers the last gossip round went to: fixes [`view_share`].
     pub(super) published_to: u32,
     /// Read-side state: which cached snapshots are due, and the
@@ -236,9 +211,15 @@ impl PeerRegistry {
         self.slot_of(peer).is_some()
     }
 
+    /// The peer registered in slab slot `slot`.
+    fn peer_at(&self, slot: u32) -> PeerId {
+        let entry = self.entries[slot as usize].as_ref();
+        entry.expect("a local member's slot is occupied").view.peer
+    }
+
     /// The registered peer living on `node`, if any.
     pub(crate) fn peer_of(&self, node: NodeId) -> Option<PeerId> {
-        self.hosts.local(node)
+        self.hosts.local(node).map(|slot| self.peer_at(slot))
     }
 
     /// Shared access to a registered peer's entry.
@@ -292,54 +273,62 @@ impl PeerRegistry {
     /// and returned. The views claiming the host are shadowed from now on,
     /// so each loses its book mark.
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
-        let peer = adv.peer;
-        let cpu = adv.cpu_gops;
+        let (peer, node, cpu) = (adv.peer, adv.node, adv.cpu_gops);
         self.read.invalidate_order();
         let known = self.slot_of(peer);
         if known.is_none() {
-            if let Some(Membership::Remote(rumor)) = self.members.remove(&peer) {
-                self.release(peer, &rumor);
+            match self.members.remove(&peer) {
+                Some(Membership::Remote(h)) => self.release(h),
+                Some(Membership::Departed(t)) => self.remote.exhume(t),
+                _ => {}
             }
         }
-        let superseded = self.hosts.local(adv.node).filter(|&p| p != peer);
+        let superseded = self.hosts.local(node).filter(|&s| Some(s) != known);
+        let superseded = superseded.map(|slot| self.peer_at(slot));
         if let Some(prev) = superseded {
             self.expel(prev);
         }
-        if self.hosts.set_local(adv.node, peer) {
-            for claimant in self.hosts.spilled(adv.node) {
-                if let Some(Membership::Remote(remote)) = self.members.get_mut(claimant) {
-                    self.books.revoke(remote);
+        let slot = match known {
+            Some(slot) => {
+                let entry = self.entries[slot as usize]
+                    .as_mut()
+                    .expect("a local member's slot is occupied");
+                if entry.view.node != node {
+                    self.hosts.clear_local(entry.view.node, slot);
                 }
+                let view = Arc::make_mut(&mut entry.view);
+                if &*view.name != adv.name.as_str() {
+                    view.name = Arc::from(adv.name);
+                }
+                view.node = node;
+                view.cpu_gops = cpu;
+                slot
             }
-        }
-        if let Some(slot) = known {
-            self.read.touch(slot);
-            let entry = self.entries[slot as usize]
-                .as_mut()
-                .expect("a local member's slot is occupied");
-            if entry.view.node != adv.node {
-                self.hosts.clear_local(entry.view.node, peer);
-            }
-            let view = Arc::make_mut(&mut entry.view);
-            if &*view.name != adv.name.as_str() {
-                view.name = Arc::from(adv.name);
-            }
-            view.node = adv.node;
-            view.cpu_gops = cpu;
-            return superseded;
-        }
-        let entry = PeerEntry {
-            view: Arc::new(CandidateView {
-                peer,
-                node: adv.node,
-                name: Arc::from(adv.name),
-                cpu_gops: cpu,
-                snapshot: StatsSnapshot::empty(cpu),
-                history: InteractionHistory::empty(),
+            None => self.hold(PeerEntry {
+                view: Arc::new(CandidateView {
+                    peer,
+                    node,
+                    name: Arc::from(adv.name),
+                    cpu_gops: cpu,
+                    snapshot: StatsSnapshot::empty(cpu),
+                    history: InteractionHistory::empty(),
+                }),
+                stats: PeerStats::new(now),
+                reported: None,
             }),
-            stats: PeerStats::new(now),
-            reported: None,
         };
+        self.read.touch(slot);
+        if self.hosts.set_local(node, slot) {
+            for &h in self.hosts.spilled(node) {
+                self.books.revoke(self.remote.get_mut(h));
+            }
+        }
+        superseded
+    }
+
+    /// Stores a new peer's entry in a free slab slot and registers it.
+    fn hold(&mut self, entry: PeerEntry) -> u32 {
+        let peer = entry.view.peer;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.entries[slot as usize] = Some(entry);
@@ -351,8 +340,7 @@ impl PeerRegistry {
             }
         };
         self.members.insert(peer, Membership::Local(slot));
-        self.read.touch(slot);
-        superseded
+        slot
     }
 
     /// Evicts a peer (voluntary leave), forgetting its entry and host
@@ -370,7 +358,7 @@ impl PeerRegistry {
         let entry = self.entries[slot as usize]
             .take()
             .expect("a local member's slot is occupied");
-        self.hosts.clear_local(entry.view.node, peer);
+        self.hosts.clear_local(entry.view.node, slot);
         self.free.push(slot);
         true
     }
@@ -406,27 +394,28 @@ impl PeerRegistry {
         let mut member = self.members.entry(peer);
         let mut held = None;
         if let Entry::Occupied(known) = &mut member {
-            match known.get_mut() {
+            match *known.get() {
                 Membership::Local(_) => return false,
-                Membership::Departed(left_at) if as_of <= *left_at => return false,
+                Membership::Departed(t) if as_of <= self.remote.left_at(t) => return false,
                 Membership::Departed(_) => {}
-                Membership::Remote(remote) if Arc::ptr_eq(&remote.view, view) => {
-                    if self.hosts.local(node).is_some() {
+                Membership::Remote(h) => {
+                    let remote = self.remote.get_mut(h);
+                    let same = Arc::ptr_eq(&remote.view, view);
+                    if same && self.hosts.local(node).is_some() {
                         return false;
                     }
                     self.books.revoke(remote);
-                    // A round overtaken on the way: the view now expires
-                    // sooner than the order index was told.
-                    if as_of < remote.as_of {
-                        self.read.invalidate_order();
+                    if same {
+                        // A round overtaken on the way: the view now
+                        // expires sooner than the order index was told.
+                        if as_of < remote.as_of {
+                            self.read.invalidate_order();
+                        }
+                        remote.as_of = as_of;
+                        remote.book = book;
+                        return true;
                     }
-                    remote.as_of = as_of;
-                    remote.book = book;
-                    return true;
-                }
-                Membership::Remote(remote) => {
-                    self.books.revoke(remote);
-                    held = Some((remote.view.node, remote.charge));
+                    held = Some(h);
                 }
             }
         }
@@ -434,49 +423,55 @@ impl PeerRegistry {
             return false;
         }
         self.read.invalidate_order();
-        let charge = view_share(view, recipients) as u32;
-        self.remote_charge += u64::from(charge);
-        let remote = Membership::Remote(RemoteView {
+        let remote = RemoteView {
             view: Arc::clone(view),
             as_of,
-            charge,
+            charge: view_share(view, recipients) as u32,
             book,
-        });
-        match member {
-            Entry::Occupied(mut known) => *known.get_mut() = remote,
-            Entry::Vacant(unknown) => {
-                unknown.insert(remote);
-            }
-        }
+        };
         match held {
-            Some((old_node, old_charge)) => {
-                self.remote_charge -= u64::from(old_charge);
+            Some(h) => {
+                let old_node = self.remote.replace(h, remote).view.node;
                 // A view that stayed on its host keeps the claim it has.
                 if old_node != node {
-                    self.hosts.claim(node, peer);
-                    self.hosts.unclaim(old_node, peer);
+                    self.hosts.claim(node, h);
+                    self.hosts.unclaim(old_node, h);
                 }
             }
-            None => self.hosts.claim(node, peer),
+            None => {
+                let h = self.remote.hold(remote);
+                match member {
+                    Entry::Occupied(mut known) => {
+                        if let Membership::Departed(t) = known.insert(Membership::Remote(h)) {
+                            self.remote.exhume(t);
+                        }
+                    }
+                    Entry::Vacant(unknown) => {
+                        unknown.insert(Membership::Remote(h));
+                    }
+                }
+                self.hosts.claim(node, h);
+            }
         }
         true
     }
 
-    /// Settles the books for a remote view that is no longer held: its
-    /// mark, its claim on its host, its share of the footprint, the order
+    /// Settles the books for the remote view under handle `h`, which is no
+    /// longer held: its mark, its claim on its host, its row, the order
     /// index.
-    fn release(&mut self, peer: PeerId, gone: &RemoteView) {
-        self.books.unmark(gone);
-        self.hosts.unclaim(gone.view.node, peer);
-        self.remote_charge -= u64::from(gone.charge);
+    fn release(&mut self, h: u32) {
+        let gone = self.remote.take(h);
+        self.books.unmark(&gone);
+        self.hosts.unclaim(gone.view.node, h);
         self.read.invalidate_order();
     }
 
     /// Drops the federation view of `peer`, if one is held.
     fn forget_remote(&mut self, peer: PeerId) {
-        if matches!(self.members.get(&peer), Some(Membership::Remote(_))) {
-            if let Some(Membership::Remote(rumor)) = self.members.remove(&peer) {
-                self.release(peer, &rumor);
+        if let Entry::Occupied(known) = self.members.entry(peer) {
+            if let Membership::Remote(h) = *known.get() {
+                known.remove();
+                self.release(h);
             }
         }
     }
@@ -485,11 +480,18 @@ impl PeerRegistry {
     /// snapshots taken before the departure cannot resurrect it. Called
     /// once the peer is neither registered nor rumoured here.
     pub(crate) fn note_departed(&mut self, peer: PeerId, now: SimTime) {
-        let known = self.members.insert(peer, Membership::Departed(now));
+        let known = self.members.get(&peer).copied();
         debug_assert!(
             matches!(known, None | Some(Membership::Departed(_))),
             "a tombstone replaces nothing but an older tombstone"
         );
+        match known {
+            Some(Membership::Departed(t)) => self.remote.rebury(t, now),
+            _ => {
+                let t = self.remote.bury(now);
+                self.members.insert(peer, Membership::Departed(t));
+            }
+        }
     }
 
     /// Records that fellow broker `node` was heard from at `now`.
@@ -511,11 +513,10 @@ impl PeerRegistry {
     /// live on `node` (a departed peer must not survive as a rumor).
     pub(crate) fn purge_remote(&mut self, peer: PeerId, node: NodeId) {
         self.forget_remote(peer);
-        for claimant in self.hosts.take_claims(node) {
-            if let Some(Membership::Remote(rumor)) = self.members.remove(&claimant) {
-                self.books.unmark(&rumor);
-                self.remote_charge -= u64::from(rumor.charge);
-            }
+        for h in self.hosts.take_claims(node) {
+            let rumor = self.remote.take(h);
+            self.members.remove(&rumor.view.peer);
+            self.books.unmark(&rumor);
             self.read.invalidate_order();
         }
     }
@@ -523,16 +524,13 @@ impl PeerRegistry {
     /// Number of federation-learnt (non-local) candidate views.
     #[cfg(test)]
     pub(crate) fn remote_count(&self) -> usize {
-        self.remote_views().count()
+        self.remote.len()
     }
 
     /// The federation views held, in no particular order.
     #[cfg(test)]
     pub(super) fn remote_views(&self) -> impl Iterator<Item = &RemoteView> {
-        self.members.values().filter_map(|known| match known {
-            Membership::Remote(remote) => Some(remote),
-            _ => None,
-        })
+        self.remote.iter().map(|(_, remote)| remote)
     }
 
     /// All registered hosts, in deterministic order.
@@ -553,10 +551,12 @@ impl PeerRegistry {
     }
 
     /// Structural invariants, checked by tests after every mutation:
-    /// membership↔slab agreement, the peers↔occupied-hosts bijection, one
-    /// claim per remote view, slot and charge accounting, booked views ↔
-    /// marked book rows. (That a peer is
-    /// at most one of registered, rumoured and departed is the membership
+    /// membership↔slab agreement (a slot's or a handle's row names the
+    /// peer it is keyed by; every live row of either slab has exactly one
+    /// member, and free lists are disjoint from live rows), the
+    /// peers↔occupied-hosts bijection, one claim per remote view, charge
+    /// accounting, booked views ↔ marked book rows. (That a peer is at
+    /// most one of registered, rumoured and departed is the membership
     /// table's shape, not a check.)
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
@@ -567,27 +567,27 @@ impl PeerRegistry {
             self.entries.len(),
             "every slot is occupied or free"
         );
-        let (mut local, mut remote, mut charge, mut booked) = (0, 0, 0, 0);
-        for (&peer, known) in &self.members {
+        let (mut local, mut views, mut tombstones, mut booked) = (0, Vec::new(), Vec::new(), 0);
+        for (&peer, &known) in &self.members {
             match known {
                 Membership::Local(slot) => {
                     local += 1;
-                    let entry = self.entries[*slot as usize]
+                    let entry = self.entries[slot as usize]
                         .as_ref()
                         .expect("a local member's slot is occupied");
                     assert_eq!(entry.view.peer, peer, "slab slot agrees with its key");
                     assert_eq!(
                         self.hosts.local(entry.view.node),
-                        Some(peer),
+                        Some(slot),
                         "registered peer's current node maps back to it"
                     );
                 }
-                Membership::Remote(held) => {
-                    remote += 1;
-                    charge += u64::from(held.charge);
+                Membership::Remote(h) => {
+                    views.push(h);
+                    let held = self.remote.get(h);
                     assert_eq!(held.view.peer, peer, "remote view keyed by its peer");
                     assert!(
-                        self.hosts.claims(held.view.node, peer),
+                        self.hosts.claims(held.view.node, h),
                         "every remote view is indexed under the host it claims"
                     );
                     if held.book != super::books::UNBOOKED {
@@ -598,33 +598,34 @@ impl PeerRegistry {
                         );
                     }
                 }
-                Membership::Departed(_) => {}
+                Membership::Departed(t) => tombstones.push(t),
             }
         }
         assert_eq!(local, occupied, "local members cover the slab");
-        for (node, peer) in self.hosts.locals() {
-            let entry = self.entry(peer).expect("a host's occupant is a member");
+        for (node, slot) in self.hosts.locals() {
+            let entry = self.entries[slot as usize].as_ref();
+            let entry = entry.expect("a host's occupant is a member");
             assert_eq!(entry.view.node, node, "no stale host mapping");
         }
         assert_eq!(
             self.hosts.claim_count(),
-            remote,
+            views.len(),
             "the host table holds no claim but the remote views'"
         );
-        assert_eq!(self.remote_charge, charge, "the running charge is the sum");
         let mut marked = 0;
         for (b, view) in self.books.marked() {
             marked += 1;
             assert!(
-                matches!(self.members.get(&view.peer),
-                    Some(Membership::Remote(held)) if held.book == b && Arc::ptr_eq(&held.view, view)),
+                matches!(self.members.get(&view.peer), Some(&Membership::Remote(h))
+                    if self.remote.get(h).book == b && Arc::ptr_eq(&self.remote.get(h).view, view)),
                 "a marked row's view is held here, booked to its book"
             );
         }
         assert_eq!(marked, booked, "every booked view is a marked row");
+        self.remote.check(views, tombstones);
         self.books.check();
         self.hosts.check();
-        self.read.check(&self.entries);
+        self.read.check(&self.entries, &self.remote);
     }
 }
 
@@ -635,12 +636,12 @@ impl MemoryFootprint for PeerRegistry {
     /// `roster`; the windowed-ratio rings and boxed queue reports that
     /// exist under `stats`; the content directory under `content`; and
     /// federation state under `gossip`: every other membership row (a
-    /// remote view's key, pointer, timestamp, share and book, or a
-    /// tombstone — a row is as wide as its widest state), every other host
-    /// row (claimed, or unheld below the highest node id written), the
-    /// spill lists, this holder's share of each remote view allocation,
-    /// and the books (the marks, and this holder's share of each retained
-    /// roster slice).
+    /// key and a handle), every other host row (claimed, or unheld below
+    /// the highest node id written), the spill lists, the remote slab (a
+    /// row per view — pointer, timestamp, share and book — and a
+    /// timestamp per tombstone) with this holder's share of each remote
+    /// view allocation, and the books (the marks, and this holder's share
+    /// of each retained roster slice).
     fn memory_footprint(&self) -> FootprintBreakdown {
         let local = self.peer_count();
         let local_rows = map_estimate::<PeerId, Membership>(local) + slots_estimate::<Row>(local);
@@ -653,7 +654,7 @@ impl MemoryFootprint for PeerRegistry {
             gossip: map_estimate::<PeerId, Membership>(self.members.len())
                 + self.hosts.heap_bytes()
                 - local_rows
-                + self.remote_charge
+                + self.remote.heap_bytes()
                 + self.books.heap_bytes()
                 + map_estimate::<NodeId, SimTime>(self.broker_heartbeats.len()),
             ..FootprintBreakdown::default()

@@ -102,7 +102,7 @@ impl PeerRegistry {
             .members
             .iter()
             .filter_map(|(&peer, known)| match known {
-                Membership::Departed(at) => Some((peer, *at)),
+                Membership::Departed(t) => Some((peer, self.remote.left_at(*t))),
                 _ => None,
             });
         departed.collect()
@@ -314,7 +314,9 @@ fn assert_agrees(
 
     let local: IdMap<PeerId, NodeId> = reg.entries().map(|e| (e.view.peer, e.view.node)).collect();
     assert_eq!(&local, &oracle.index);
-    let occupied: IdMap<NodeId, PeerId> = reg.hosts.locals().collect();
+    let occupied: IdMap<NodeId, PeerId> = (reg.hosts.locals())
+        .map(|(node, slot)| (node, reg.peer_at(slot)))
+        .collect();
     assert_eq!(&occupied, &oracle.by_node);
     let held: IdMap<PeerId, (*const CandidateView, SimTime)> = reg
         .remote_views()
@@ -543,5 +545,18 @@ fn a_roster_costs_only_its_changed_rows() {
 #[test]
 fn the_books_do_not_widen_a_row() {
     assert_eq!(std::mem::size_of::<RemoteView>(), 24);
-    assert_eq!(std::mem::size_of::<Membership>(), 32);
+    assert_eq!(std::mem::size_of::<Membership>(), 8);
+}
+
+#[test]
+fn a_membership_bucket_and_an_order_entry_hold_handles_not_views() {
+    assert_eq!(
+        std::mem::size_of::<(PeerId, Membership)>(),
+        24,
+        "a peer-keyed bucket is the id and an 8 B slot or handle"
+    );
+    assert!(
+        std::mem::size_of::<crate::broker::roster::OrderEntry>() <= 8,
+        "an order entry is a node and a slot or handle, no pointer"
+    );
 }

@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::broker::books::UNBOOKED;
+use crate::footprint::{view_alloc_bytes, ARC_HEADER_BYTES};
 use crate::id::IdGenerator;
 use crate::selector::Roster;
 use netsim::rng::SimRng;
@@ -165,7 +166,7 @@ fn peer_entry_stays_small() {
 #[test]
 fn a_host_row_stays_small() {
     assert!(
-        std::mem::size_of::<Row>() <= 24,
+        std::mem::size_of::<Row>() <= 8,
         "a broker holds a host row per node id up to the highest it heard of"
     );
 }
@@ -576,14 +577,18 @@ fn shared_views_are_charged_once_across_their_holders() {
         "alone, the owner charges the whole allocation; gossiping, its share"
     );
     // Hosts 1–3 grow a holder's table to four rows; host 0's is unheld.
-    let slots = map_estimate::<PeerId, Membership>(3) + slots_estimate::<Row>(4);
+    let slots = map_estimate::<PeerId, Membership>(3)
+        + slots_estimate::<Row>(4)
+        + slots_estimate::<Option<RemoteView>>(3);
     let gossip: u64 = holders.iter().map(|r| r.memory_footprint().gossip).sum();
     assert_eq!(gossip, 2 * (share + slots));
 
     // Shares round up: seven recipients never under-count an allocation.
     let mut seventh = PeerRegistry::new();
     assert!(seventh.learn_remote(&roster[0], SimTime::ZERO, 7, UNBOOKED));
-    let rows = map_estimate::<PeerId, Membership>(1) + slots_estimate::<Row>(2);
+    let rows = map_estimate::<PeerId, Membership>(1)
+        + slots_estimate::<Row>(2)
+        + slots_estimate::<Option<RemoteView>>(1);
     let share = seventh.memory_footprint().gossip - rows;
     assert_eq!(share, view_alloc_bytes(&roster[0]).div_ceil(8));
     assert!(8 * share >= view_alloc_bytes(&roster[0]));
@@ -791,8 +796,8 @@ fn footprint_counts_the_read_index_and_the_in_place_views() {
     let read = reg.memory_footprint();
     assert_eq!(
         read.roster - unread.roster,
-        3 * 16 - 2 * 4,
-        "16 B per order entry"
+        3 * 8 - 2 * 4,
+        "8 B per order entry"
     );
     assert_eq!(read.total() - read.roster, unread.total() - unread.roster);
     // Scoring builds the criterion columns with a row per slab slot, and

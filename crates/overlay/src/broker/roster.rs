@@ -5,8 +5,12 @@
 //! for that: each [`PeerEntry`] points at its [`CandidateView`] (the live
 //! interaction history plus a cached [`StatsSnapshot`]), remote views stay
 //! in the sender's shared allocation, and a [`RosterView`] addresses both
-//! through a node-sorted **order index**. Two lazy steps run before
-//! a read and do nothing when nothing changed:
+//! through a node-sorted **order index**. An order entry is 8 B: a node
+//! and a local slab slot or a remote-slab handle, never a pointer, so it
+//! holds no view alive; it is valid only while the order is, and every
+//! write that could change what a slot or handle names outdates the
+//! order. An outdated order lets go of its buffer. Two lazy steps run
+//! before a read and do nothing when nothing changed:
 //!
 //! * [`PeerRegistry::refresh`] re-evaluates the cached snapshot of every
 //!   slot `entry_mut` / `admit` touched since the last read, of every slot
@@ -17,7 +21,8 @@
 //!   maintained on the write path: a churn run absorbs millions of
 //!   roster rows for a few dozen reads, and one sort per read that
 //!   follows a write is cheaper than a sorted insert per write. The
-//!   rebuild sweep is also where expired remote views are evicted.
+//!   rebuild's pass over the remote slab is also where expired remote
+//!   views are evicted.
 //!
 //! Three caches sit beside the order index. Each is built on the first
 //! read that asks for it and dropped whenever the order is rebuilt or
@@ -56,15 +61,43 @@ use crate::footprint::slots_estimate;
 use crate::selector::{put_criteria, CandidateView, InteractionHistory, Roster};
 use crate::stats::{Criterion, WindowedRatio};
 
-use super::registry::{Membership, PeerEntry, PeerRegistry};
+use super::registry::{PeerEntry, PeerRegistry};
+use super::remote::RemoteSlab;
 
-/// One candidate's place in the node-sorted order: a local slab slot, or
-/// a remote view's shared allocation.
-struct OrderEntry {
+/// One candidate's place in the node-sorted order: the slab slot of a
+/// local peer, or the remote-slab handle of a view with [`REMOTE`] set.
+#[derive(Clone, Copy)]
+pub(super) struct OrderEntry {
     node: NodeId,
-    /// Slab slot of a locally registered peer; unused for a remote view.
-    slot: u32,
-    remote: Option<Arc<CandidateView>>,
+    at: u32,
+}
+
+/// The bit of [`OrderEntry::at`] that marks a remote-slab handle.
+const REMOTE: u32 = 1 << 31;
+
+impl OrderEntry {
+    fn local(node: NodeId, slot: u32) -> Self {
+        debug_assert!(slot < REMOTE);
+        OrderEntry { node, at: slot }
+    }
+
+    fn remote(node: NodeId, h: u32) -> Self {
+        debug_assert!(h < REMOTE);
+        OrderEntry {
+            node,
+            at: h | REMOTE,
+        }
+    }
+
+    /// The slab slot of a local peer, or `None` for a remote view.
+    fn slot(self) -> Option<u32> {
+        (self.at & REMOTE == 0).then_some(self.at)
+    }
+
+    /// The remote-slab handle of a remote view, or `None` for a local peer.
+    fn handle(self) -> Option<u32> {
+        (self.at & REMOTE != 0).then_some(self.at & !REMOTE)
+    }
 }
 
 /// What the registry keeps between reads so that a read is a borrow.
@@ -77,8 +110,8 @@ pub(crate) struct ReadIndex {
     queued: Vec<bool>,
     /// The hour index and `k` the cached k-hour ratios were evaluated for.
     window: Option<(u64, usize)>,
-    /// Every candidate on offer, by ascending `(node, peer)`. Emptied as
-    /// soon as it goes out of date, so it pins no replaced remote view.
+    /// Every candidate on offer, by ascending `(node, peer)`. Dropped as
+    /// soon as it goes out of date, buffer and all.
     order: Vec<OrderEntry>,
     /// Whether `order` reflects the current membership and remote set.
     order_valid: bool,
@@ -126,11 +159,12 @@ impl ReadIndex {
         }
     }
 
-    /// Marks the order index out of date and lets go of what it holds.
+    /// Marks the order index out of date and lets go of what it holds,
+    /// its buffer included.
     pub(super) fn invalidate_order(&mut self) {
         if self.order_valid {
             self.order_valid = false;
-            self.order.clear();
+            self.order = Vec::new();
             self.drop_caches();
         }
     }
@@ -156,7 +190,7 @@ impl ReadIndex {
     /// every column built over it reads as a fresh gather would — the
     /// history of a slot still listed excepted, which its next read
     /// patches.
-    pub(super) fn check(&self, entries: &[Option<PeerEntry>]) {
+    pub(super) fn check(&self, entries: &[Option<PeerEntry>], remote: &RemoteSlab) {
         let mut listed = self.dirty.clone();
         listed.sort_unstable();
         let flagged: Vec<u32> = (0..self.queued.len() as u32)
@@ -164,13 +198,17 @@ impl ReadIndex {
             .collect();
         assert_eq!(listed, flagged, "a slot is on the dirty list iff flagged");
         if !self.order_valid {
-            assert!(self.order.is_empty(), "an outdated order holds nothing");
+            assert!(
+                self.order.capacity() == 0,
+                "an outdated order holds nothing"
+            );
             assert!(self.rows.get().is_none() && self.cpu.get().is_none());
             assert!(self.columns.get().is_none() && self.histories.get().is_none());
             return;
         }
         let roster = RosterView {
             entries,
+            remote,
             read: self,
         };
         let view = |i: usize| roster.get(i);
@@ -181,11 +219,8 @@ impl ReadIndex {
         );
         if let Some(rows) = self.rows.get() {
             for (i, at) in self.order.iter().enumerate() {
-                if at.remote.is_none() {
-                    assert_eq!(
-                        rows[at.slot as usize], i as u32,
-                        "a slot's row is its place"
-                    );
+                if let Some(slot) = at.slot() {
+                    assert_eq!(rows[slot as usize], i as u32, "a slot's row is its place");
                 }
             }
         }
@@ -204,7 +239,7 @@ impl ReadIndex {
         if let Some(histories) = self.histories.get() {
             assert_eq!(histories.len(), self.order.len());
             for (i, (at, kept)) in self.order.iter().zip(histories).enumerate() {
-                let listed = at.remote.is_none() && self.queued[at.slot as usize];
+                let listed = at.slot().is_some_and(|slot| self.queued[slot as usize]);
                 assert!(
                     listed || *kept == view(i).history,
                     "row {i}'s history is current"
@@ -220,12 +255,7 @@ impl ReadIndex {
             self.order.windows(2).all(|w| w[0].node <= w[1].node),
             "the order is sorted by node"
         );
-        let local: Vec<u32> = self
-            .order
-            .iter()
-            .filter(|e| e.remote.is_none())
-            .map(|e| e.slot)
-            .collect();
+        let local: Vec<u32> = self.order.iter().filter_map(|e| e.slot()).collect();
         let mut occupied: Vec<u32> = (0..entries.len() as u32)
             .filter(|&s| entries[s as usize].is_some())
             .collect();
@@ -297,28 +327,22 @@ impl PeerRegistry {
     /// Rebuilds the order index if a write or the clock outdated it,
     /// evicting the remote views that outlived `staleness` on the way.
     fn reorder(&mut self, now: SimTime, staleness: Option<SimDuration>) {
+        let offered = self.peer_count() + self.remote.len();
         let read = &mut self.read;
         let expired = read.expires.is_some_and(|at| now > at);
         if read.order_valid && read.bound == staleness && !expired {
             return;
         }
-        read.order.clear();
         read.drop_caches();
+        let mut order = Vec::with_capacity(offered);
         for (slot, entry) in self.entries.iter().enumerate() {
             if let Some(entry) = entry {
-                read.order.push(OrderEntry {
-                    node: entry.view.node,
-                    slot: slot as u32,
-                    remote: None,
-                });
+                order.push(OrderEntry::local(entry.view.node, slot as u32));
             }
         }
         read.expires = None;
-        let (hosts, books, charge) = (&mut self.hosts, &mut self.books, &mut self.remote_charge);
-        self.members.retain(|&peer, known| {
-            let Membership::Remote(remote) = known else {
-                return true;
-            };
+        let (hosts, books, members) = (&mut self.hosts, &mut self.books, &mut self.members);
+        self.remote.retain(|h, remote| {
             let node = remote.view.node;
             if let Some(bound) = staleness {
                 // The stale-stat tolerance window: a view its sender
@@ -326,8 +350,8 @@ impl PeerRegistry {
                 let as_of = books.as_of(remote);
                 if now - as_of > bound {
                     books.unmark(remote);
-                    hosts.unclaim(node, peer);
-                    *charge -= u64::from(remote.charge);
+                    hosts.unclaim(node, h);
+                    members.remove(&remote.view.peer);
                     return false;
                 }
                 let at = as_of + bound;
@@ -335,24 +359,22 @@ impl PeerRegistry {
             }
             // Never offer a relay over first-hand knowledge of the host.
             if hosts.local(node).is_none() {
-                read.order.push(OrderEntry {
-                    node,
-                    slot: 0,
-                    remote: Some(Arc::clone(&remote.view)),
-                });
+                order.push(OrderEntry::remote(node, h));
             }
             true
         });
         // Hosts are unique among local peers and never shared between a
         // local peer and an offered view; two views may claim one host.
-        read.order.sort_unstable_by(|a, b| {
+        let remote = &self.remote;
+        order.sort_unstable_by(|a, b| {
             a.node
                 .cmp(&b.node)
-                .then_with(|| match (&a.remote, &b.remote) {
-                    (Some(a), Some(b)) => a.peer.cmp(&b.peer),
+                .then_with(|| match (a.handle(), b.handle()) {
+                    (Some(a), Some(b)) => remote.get(a).view.peer.cmp(&remote.get(b).view.peer),
                     _ => std::cmp::Ordering::Equal,
                 })
         });
+        read.order = order;
         read.order_valid = true;
         read.bound = staleness;
     }
@@ -370,6 +392,7 @@ impl PeerRegistry {
         self.reorder(now, staleness);
         RosterView {
             entries: &self.entries,
+            remote: &self.remote,
             read: &self.read,
         }
     }
@@ -402,6 +425,7 @@ impl PeerRegistry {
 /// place through the order index.
 pub(crate) struct RosterView<'a> {
     entries: &'a [Option<PeerEntry>],
+    remote: &'a RemoteSlab,
     read: &'a ReadIndex,
 }
 
@@ -416,8 +440,8 @@ impl RosterView<'_> {
         self.read.rows.get_or_init(|| {
             let mut rows = vec![u32::MAX; self.entries.len()];
             for (i, at) in self.read.order.iter().enumerate() {
-                if at.remote.is_none() {
-                    rows[at.slot as usize] = i as u32;
+                if let Some(slot) = at.slot() {
+                    rows[slot as usize] = i as u32;
                 }
             }
             rows
@@ -449,11 +473,11 @@ impl Roster for RosterView<'_> {
     }
 
     fn get(&self, i: usize) -> &CandidateView {
-        let at = &self.read.order[i];
-        match &at.remote {
-            Some(view) => view,
+        let at = self.read.order[i];
+        match at.handle() {
+            Some(h) => &self.remote.get(h).view,
             None => {
-                &self.entries[at.slot as usize]
+                &self.entries[at.at as usize]
                     .as_ref()
                     .expect("ordered slot is occupied")
                     .view

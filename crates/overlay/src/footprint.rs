@@ -33,11 +33,13 @@
 //! The owner's share is charged to `roster`, beside the entry slot (which
 //! holds only the pointer), the peer's membership and host rows, and the
 //! read index. A receiver's share goes to `gossip`, with its own
-//! membership row (key, pointer, timestamp, share — or a tombstone; a row
-//! is as wide as its widest state) and host row, which are charged in
-//! full. A receiver fixes its share when it stores the view and keeps the
-//! shares it holds as a running sum, so the per-tick footprint pass walks
-//! no remote view. The sum is exact while every recipient holds the copy
+//! membership row (the key and a slot or handle), host row and row in the
+//! remote slab (pointer, timestamp, share, book), which are charged in
+//! full; a tombstone is a membership row and a time. Every index row
+//! names its peer by a 4-byte slot or handle, so it is as narrow as that
+//! whatever the state. A receiver fixes its share when it stores the view
+//! and keeps the shares it holds as a running sum, so the per-tick
+//! footprint pass walks no remote view. The sum is exact while every recipient holds the copy
 //! its owner holds. It drifts in both directions between rounds: a write
 //! forks the owner's view, so the owner's share moves to the new copy
 //! while the recipients still charge theirs on the old one, until the
@@ -48,6 +50,8 @@
 //! that has left its broker until it outlives the staleness bound.
 
 use std::ops::{Add, AddAssign};
+
+use crate::selector::CandidateView;
 
 /// Estimated heap bytes of one overlay actor, by component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,6 +114,18 @@ pub(crate) trait MemoryFootprint {
 /// Heap bytes an `Arc` allocation carries besides its payload (the strong
 /// and weak counts).
 pub(crate) const ARC_HEADER_BYTES: u64 = 16;
+
+/// Estimated heap bytes of one shared view allocation: the refcounted
+/// view plus the name bytes it pins.
+pub(crate) fn view_alloc_bytes(view: &CandidateView) -> u64 {
+    ARC_HEADER_BYTES + std::mem::size_of::<CandidateView>() as u64 + view.name.len() as u64
+}
+
+/// What each holder charges for a view its owner published to
+/// `recipients` fellow brokers (the once-only rule above).
+pub(crate) fn view_share(view: &CandidateView, recipients: u32) -> u64 {
+    view_alloc_bytes(view).div_ceil(u64::from(recipients) + 1)
+}
 
 /// Length-based estimate of a slice-backed container's element storage.
 pub(crate) fn slots_estimate<T>(len: usize) -> u64 {
