@@ -6,6 +6,7 @@
 //! randomness flows through per-node split streams of one master seed, so a
 //! run is a pure function of `(topology, config, seed, actors)`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::event::{EventHandle, EventQueue};
@@ -53,7 +54,8 @@ pub trait Payload: std::fmt::Debug {
 }
 
 /// Handle identifying a scheduled timer, for cancellation: the counter
-/// value traces print, plus where the timer sits in the event queue.
+/// value traces print, plus where the timer sits in the event queue
+/// (a sentinel for a timer due after the cutoff, which is not stored).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId {
     id: u64,
@@ -147,9 +149,12 @@ struct EngineCore<M> {
     /// The RNG stream of each owned node, by slot.
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
-    /// Timers scheduled but not yet fired or cancelled; its high-water mark
-    /// is the `engine.timers_pending_hwm` counter.
+    /// Timers scheduled but not yet fired or cancelled, stored or not; its
+    /// high-water mark is the `engine.timers_pending_hwm` counter.
     timers_pending: usize,
+    /// Ids of the unstored timers (due after `cutoff`) cancelled so far,
+    /// so a second cancel of one is a no-op.
+    cancelled_unstored: BTreeSet<u64>,
     next_timer: u64,
     metrics: Metrics,
     ids: HotIds,
@@ -159,13 +164,14 @@ struct EngineCore<M> {
     /// Boundary-crossing messages produced since the last drain; always
     /// empty on an engine that owns every node.
     outbox: Vec<RemoteEnvelope<M>>,
-    /// Deliveries due after this instant are never stored, since nothing
-    /// past it ever pops: a sharded run's horizon, `FAR_FUTURE` on the
-    /// serial engine (which may be run again, further). Timers are always
-    /// stored — cancelling one must find it.
+    /// Events due after this instant are never stored, since nothing past
+    /// it ever pops: a sharded run's horizon, `FAR_FUTURE` on the serial
+    /// engine (which may be run again, further). A timer left unstored is
+    /// still armed — it has its id, counts as pending and is traced — and
+    /// cancelling it is recorded in `cancelled_unstored`.
     cutoff: SimTime,
-    /// The earliest delivery left unstored by `cutoff`: where the queue
-    /// head would be had it been stored.
+    /// The earliest event left unstored by `cutoff`: where the queue head
+    /// would be had it been stored.
     beyond: Option<SimTime>,
 }
 
@@ -219,11 +225,19 @@ impl<M: Payload> EngineCore<M> {
     /// cutoff, keeps only its time in `beyond`. Every send-side effect
     /// (FIFO state, RNG draws, metrics, trace) has happened by now.
     fn schedule_delivery(&mut self, at: SimTime, to: NodeId, from: NodeId, msg: M) {
-        if at > self.cutoff {
-            self.beyond = Some(self.beyond.map_or(at, |b| b.min(at)));
-        } else {
+        if !self.left_beyond(at) {
             self.queue.schedule(at, Ev::Deliver { to, from, msg });
         }
+    }
+
+    /// Whether an event due `at` is past the cutoff; if so, its time is
+    /// folded into `beyond` and the caller stores nothing.
+    fn left_beyond(&mut self, at: SimTime) -> bool {
+        let past = at > self.cutoff;
+        if past {
+            self.beyond = Some(self.beyond.map_or(at, |b| b.min(at)));
+        }
+        past
     }
 }
 
@@ -337,6 +351,7 @@ impl<'a, M: Payload> Context<'a, M> {
     }
 
     /// Schedules a timer on the current node after `delay`, carrying `tag`.
+    /// One due after the cutoff is armed like any other but not stored.
     pub fn schedule_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         let id = self.core.next_timer;
         self.core.next_timer += 1;
@@ -358,22 +373,28 @@ impl<'a, M: Payload> Context<'a, M> {
                 },
             );
         }
-        let handle = self
-            .core
-            .queue
-            .schedule(fire_at, Ev::Timer { node, id, tag });
+        let handle = if self.core.left_beyond(fire_at) {
+            EventHandle::UNSTORED
+        } else {
+            let timer = Ev::Timer { node, id, tag };
+            self.core.queue.schedule(fire_at, timer)
+        };
         TimerId { id, handle }
     }
 
     /// Cancels a previously scheduled timer where it sits in the queue. A
     /// no-op when the timer already fired, was already cancelled or was
     /// never scheduled — a stale handle matches nothing, so cancelling one
-    /// cannot touch a later event or grow engine state.
+    /// cannot touch a later event. An unstored timer's first cancel is
+    /// recorded by id, so only that one counts.
     pub fn cancel_timer(&mut self, timer: TimerId) {
-        match self.core.queue.get_mut(timer.handle) {
+        let core = &mut *self.core;
+        match core.queue.get_mut(timer.handle) {
             Some(ev) if matches!(*ev, Ev::Timer { id, .. } if id == timer.id) => {
                 *ev = Ev::Cancelled;
             }
+            None if timer.handle == EventHandle::UNSTORED
+                && core.cancelled_unstored.insert(timer.id) => {}
             _ => return,
         }
         self.core.timers_pending -= 1;
@@ -474,6 +495,7 @@ impl<M: Payload> Engine<M> {
                 node_rngs,
                 net_rng,
                 timers_pending: 0,
+                cancelled_unstored: BTreeSet::new(),
                 next_timer: u64::from(shard) << 48,
                 ids,
                 metrics,
@@ -556,7 +578,7 @@ impl<M: Payload> Engine<M> {
     }
 
     /// Largest number of events ever stored at once in the queue (a shard
-    /// of a sharded run stores no delivery due after its horizon).
+    /// of a sharded run stores no delivery or timer due after its horizon).
     pub fn peak_queue_len(&self) -> usize {
         self.core.queue.peak_len()
     }
@@ -587,9 +609,9 @@ impl<M: Payload> Engine<M> {
         outcome
     }
 
-    /// Makes the first run's `horizon` the cutoff: no delivery due after
-    /// it is stored. Panics if a later run would pass it, since the
-    /// deliveries left unstored would be missing.
+    /// Makes the first run's `horizon` the cutoff: no delivery or timer
+    /// due after it is stored. Panics if a later run would pass it, since
+    /// the events left unstored would be missing.
     pub(crate) fn set_cutoff(&mut self, horizon: SimTime) {
         if self.core.cutoff == SimTime::FAR_FUTURE {
             self.core.cutoff = horizon;
@@ -611,7 +633,7 @@ impl<M: Payload> Engine<M> {
         self.core.stop_requested
     }
 
-    /// Timestamp of the earliest pending local event, an unstored delivery
+    /// Timestamp of the earliest pending local event, an unstored one
     /// included: the head the queue would show had it stored everything.
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
         let core = &self.core;
@@ -659,7 +681,7 @@ impl<M: Payload> Engine<M> {
             }
             let next_time = match self.core.queue.peek_time() {
                 Some(t) if t <= horizon => t,
-                // Nothing stored inside the window: an unstored delivery
+                // Nothing stored inside the window: an unstored event
                 // may be the true head (outcome, clock and sampling read it).
                 _ => match self.next_event_time() {
                     Some(t) => t,

@@ -140,6 +140,14 @@ impl QuadHeap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle(u64);
 
+impl EventHandle {
+    /// Names no stored event: the engine's handle for a timer it left
+    /// unstored. Its bits would pack the last sequence number a queue may
+    /// issue into its last slot, so no live event has it short of both
+    /// lifetime limits at once.
+    pub(crate) const UNSTORED: EventHandle = EventHandle(u64::MAX);
+}
+
 /// A deterministic min-priority queue of timestamped events.
 pub struct EventQueue<E> {
     heap: QuadHeap,

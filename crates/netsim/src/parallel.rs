@@ -59,7 +59,7 @@
 //! are sampled inside that event loop. Trace, metrics, outcome and series
 //! are bit-identical to a plain [`Engine`], so no caller ever picks between
 //! two engine types. Only its queue is smaller: like every shard, it stores
-//! no delivery due after the horizon of its one run.
+//! no event — delivery or timer — due after the horizon of its one run.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -401,8 +401,9 @@ impl<M: Payload + Send> ShardedEngine<M> {
     }
 
     /// Largest number of events one shard ever stored at once. No shard
-    /// stores a delivery due after the run's horizon (see
-    /// [`ShardedEngine::run_until`]), so this counts events that could pop.
+    /// stores a delivery or a timer due after the run's horizon (see
+    /// [`ShardedEngine::run_until`]), so this counts events that could pop;
+    /// a timer armed past it still counts in `engine.timers_pending_hwm`.
     pub fn peak_queue_len(&self) -> usize {
         self.shards
             .iter()
@@ -434,8 +435,9 @@ impl<M: Payload + Send> ShardedEngine<M> {
     /// Precedence at the barrier mirrors the serial engine: stop, then
     /// event limit, then queue-empty, then horizon.
     ///
-    /// A sharded engine runs once: no shard stores a delivery due after
-    /// `horizon`, as none could pop, so a later call past it panics. A
+    /// A sharded engine runs once: no shard stores a delivery or a timer
+    /// due after `horizon`, as none could pop, so a later call past it
+    /// panics. A
     /// window that panics fails this call with the window's panic.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         for s in 0..self.shards.len() {

@@ -1,10 +1,11 @@
 //! Unit tests for [`super`] (the sharded engine), kept in a child module.
 
 use super::*;
-use crate::engine::{Context, ServiceClass};
+use crate::engine::{Context, ServiceClass, TimerId};
 use crate::link::{AccessLink, PathSpec};
 use crate::node::NodeSpec;
 use crate::rng::SimRng;
+use crate::trace::TraceEventKind;
 
 #[derive(Debug, Clone)]
 struct Token(u32);
@@ -292,6 +293,50 @@ fn a_shard_holding_only_post_horizon_deliveries_reaches_the_horizon() {
         e.peak_queue_len() < burst as usize,
         "late deliveries unstored"
     );
+}
+
+#[test]
+fn a_timer_past_the_horizon_is_armed_but_not_stored() {
+    // Node 0 arms a timer inside the horizon and two past it, and cancels
+    // the first of those twice when the inner one fires.
+    struct Armer {
+        late: Option<TimerId>,
+    }
+    impl Actor<Token> for Armer {
+        fn on_start(&mut self, ctx: &mut Context<Token>) {
+            ctx.schedule_timer(SimDuration::from_millis(500), 1);
+            self.late = Some(ctx.schedule_timer(SimDuration::from_secs(5), 2));
+            ctx.schedule_timer(SimDuration::from_secs(6), 3);
+        }
+        fn on_message(&mut self, _: &mut Context<Token>, _: NodeId, _: Token) {}
+        fn on_timer(&mut self, ctx: &mut Context<Token>, _: TimerId, tag: u64) {
+            assert_eq!(tag, 1, "only the timer inside the horizon fires");
+            let late = self.late.expect("armed at start");
+            ctx.cancel_timer(late);
+            ctx.cancel_timer(late);
+        }
+    }
+    let map = ShardMap::from_assignment(vec![0, 0, 0, 1, 1, 1]).unwrap();
+    let mut e = ShardedEngine::new(two_region_topo(), TransportConfig::default(), 5, map, 1)
+        .expect("positive cross-shard lookahead");
+    e.enable_trace(64);
+    e.register(NodeId(0), Box::new(Armer { late: None }));
+    let horizon = SimTime::from_secs_f64(1.0);
+    assert_eq!(e.run_until(horizon), RunOutcome::HorizonReached);
+    assert_eq!(e.metrics().counter("engine.timers_pending_hwm"), 3);
+    assert_eq!(e.peak_queue_len(), 1, "only the inner timer was stored");
+    let count =
+        |kind: fn(&TraceEventKind) -> bool| e.trace().events().filter(|ev| kind(&ev.kind)).count();
+    assert_eq!(count(|k| matches!(k, TraceEventKind::TimerArmed { .. })), 3);
+    assert_eq!(count(|k| matches!(k, TraceEventKind::TimerFired { .. })), 1);
+    assert_eq!(
+        count(|k| matches!(k, TraceEventKind::TimerCancelled { .. })),
+        1,
+        "the second cancel is a no-op"
+    );
+    // The head is where a stored, cancelled timer would have held it.
+    let head = lock(&e.shards[0]).next_event_time();
+    assert_eq!(head, Some(SimTime::from_secs_f64(5.0)));
 }
 
 #[test]

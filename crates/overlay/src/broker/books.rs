@@ -28,7 +28,8 @@ use netsim::time::SimTime;
 use crate::footprint::{map_estimate, slots_estimate, ARC_HEADER_BYTES};
 use crate::selector::CandidateView;
 
-use super::registry::{Membership, PeerRegistry};
+use super::members::Membership;
+use super::registry::PeerRegistry;
 use super::remote::RemoteView;
 
 /// [`RemoteView::book`] of a view no book vouches for: its own `as_of`
@@ -227,7 +228,7 @@ impl PeerRegistry {
             return;
         };
         self.count_probe();
-        if let Some(&Membership::Remote(h)) = self.members.get(&was.peer) {
+        if let Some((_, Membership::Remote(h))) = self.member(was.peer) {
             let remote = self.remote.get_mut(h);
             remote.as_of = sent_at;
             remote.book = UNBOOKED;

@@ -31,6 +31,7 @@
 pub(crate) mod books;
 pub(crate) mod counters;
 pub(crate) mod hosts;
+pub(crate) mod members;
 pub(crate) mod registry;
 pub(crate) mod remote;
 pub(crate) mod retry;

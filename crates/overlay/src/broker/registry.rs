@@ -15,7 +15,7 @@
 //! selection and gossip read — the live interaction history and a cached
 //! statistics snapshot — so a petition borrows the roster instead of
 //! copying it, and a gossip round publishes the allocation itself;
-//! [`PeerRegistry::entry_mut`] is the one way to change an entry and is
+//! [`PeerRegistry::occupant_mut`] is the one way to change an entry and is
 //! what marks its cached snapshot for re-evaluation. The read side (cache
 //! refresh, node-sorted order index, the borrowed
 //! [`super::roster::RosterView`], the roster a gossip round publishes)
@@ -23,15 +23,16 @@
 //!
 //! Views learnt from fellow brokers, and tombstones, live in a second
 //! slab ([`super::remote`]). Two tables index all of it, and name a peer
-//! by its 4-byte slot or handle, never by a view or an id. **Membership**,
-//! hashed by peer id, maps a peer to the one thing this broker knows of
-//! it — [`Membership::Local`] (its entry slot), [`Membership::Remote`] (the
-//! handle of a view learnt from a fellow broker) or
-//! [`Membership::Departed`] (the handle of a tombstone) — so the three
-//! states exclude each other by construction, and a `(peer, state)` bucket
-//! is 24 B. The **host table** ([`super::hosts`]), indexed by node id,
-//! maps a host to its local occupant and the remote views claiming it.
-//! Learning a gossiped view is one probe into each.
+//! by its 4-byte slot or handle, never by a view or an id. **Membership**
+//! ([`super::members`]), hashed by peer id, maps a peer to the one thing
+//! this broker knows of it — [`Membership::Local`] (its entry slot),
+//! [`Membership::Remote`] (the handle of a view learnt from a fellow
+//! broker) or [`Membership::Departed`] (the handle of a tombstone) — so
+//! the three states exclude each other by construction; a slot is 8 B, a
+//! hash tag and the state, and the id is read from the row it names. The
+//! **host table** ([`super::hosts`]), indexed by node id, maps a host to
+//! its local occupant and the remote views claiming it. Learning a
+//! gossiped view is one probe into each.
 //!
 //! The federation roster holds **shared** views: a sender publishes each
 //! local peer's `Arc<CandidateView>` and hands out the same allocation
@@ -44,7 +45,6 @@
 //! [`PeerRegistry::learn_remote`]. A view its sender stopped refreshing is
 //! evicted once it outlives the staleness bound.
 
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use netsim::engine::Context;
@@ -64,6 +64,7 @@ use crate::stats::{PeerStats, QueueReport, StatsSnapshot};
 use super::books::Books;
 use super::counters::FootprintGauges;
 use super::hosts::{HostTable, Row};
+use super::members::{MemberSlot, Members, Membership};
 use super::remote::{RemoteSlab, RemoteView};
 use super::roster::ReadIndex;
 use super::{Broker, STATS_K_HOURS};
@@ -116,21 +117,6 @@ pub(crate) struct Holding {
     pub(crate) size: u64,
 }
 
-/// The one thing a broker knows of a peer id.
-#[derive(Clone, Copy)]
-pub(super) enum Membership {
-    /// Registered here; the slab slot of its entry.
-    Local(u32),
-    /// Known from a fellow broker's gossip; the remote-slab handle of the
-    /// view.
-    Remote(u32),
-    /// Seen to leave this broker; the remote-slab handle of the time it
-    /// left. A gossiped view older than the tombstone is a stale echo and
-    /// must not resurrect the peer; a newer one proves it rejoined
-    /// elsewhere and replaces the tombstone.
-    Departed(u32),
-}
-
 /// The membership layer: registered peers, their statistics, published
 /// content, and the federation roster.
 #[derive(Default)]
@@ -140,7 +126,7 @@ pub(crate) struct PeerRegistry {
     /// Free slot indices, reused LIFO so churn does not grow the slab.
     free: Vec<u32>,
     /// Peer → what is known of it: registered, rumoured, or departed.
-    pub(super) members: IdMap<PeerId, Membership>,
+    pub(super) members: Members,
     /// Host → its local occupant and the remote views claiming it.
     pub(super) hosts: HostTable,
     /// The views learnt from fellow brokers, and the tombstones.
@@ -200,8 +186,8 @@ impl PeerRegistry {
 
     /// The slab slot of `peer`, if it is registered here.
     fn slot_of(&self, peer: PeerId) -> Option<u32> {
-        match self.members.get(&peer) {
-            Some(&Membership::Local(slot)) => Some(slot),
+        match self.member(peer) {
+            Some((_, Membership::Local(slot))) => Some(slot),
             _ => None,
         }
     }
@@ -218,6 +204,7 @@ impl PeerRegistry {
     }
 
     /// The registered peer living on `node`, if any.
+    #[cfg(test)]
     pub(crate) fn peer_of(&self, node: NodeId) -> Option<PeerId> {
         self.hosts.local(node).map(|slot| self.peer_at(slot))
     }
@@ -228,10 +215,19 @@ impl PeerRegistry {
             .and_then(|slot| self.entries[slot as usize].as_ref())
     }
 
-    /// Mutable access to a registered peer's entry — the only way to
-    /// change one, so its cached snapshot is listed for re-evaluation.
+    /// [`PeerRegistry::occupant_mut`] by peer id.
+    #[cfg(test)]
     pub(crate) fn entry_mut(&mut self, peer: PeerId) -> Option<&mut PeerEntry> {
         let slot = self.slot_of(peer)?;
+        self.read.touch(slot);
+        self.entries[slot as usize].as_mut()
+    }
+
+    /// Mutable access to the entry of the peer registered on `node`, read
+    /// through its host row — the only way to change an entry, so its
+    /// cached snapshot is listed for re-evaluation.
+    pub(crate) fn occupant_mut(&mut self, node: NodeId) -> Option<&mut PeerEntry> {
+        let slot = self.hosts.local(node)?;
         self.read.touch(slot);
         self.entries[slot as usize].as_mut()
     }
@@ -275,13 +271,18 @@ impl PeerRegistry {
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let (peer, node, cpu) = (adv.peer, adv.node, adv.cpu_gops);
         self.read.invalidate_order();
-        let known = self.slot_of(peer);
-        if known.is_none() {
-            match self.members.remove(&peer) {
-                Some(Membership::Remote(h)) => self.release(h),
-                Some(Membership::Departed(t)) => self.remote.exhume(t),
-                _ => {}
+        let mut known = None;
+        match self.member(peer) {
+            Some((_, Membership::Local(slot))) => known = Some(slot),
+            Some((i, Membership::Remote(h))) => {
+                self.members.remove_at(i);
+                self.release(h);
             }
+            Some((i, Membership::Departed(t))) => {
+                self.members.remove_at(i);
+                self.remote.exhume(t);
+            }
+            None => {}
         }
         let superseded = self.hosts.local(node).filter(|&s| Some(s) != known);
         let superseded = superseded.map(|slot| self.peer_at(slot));
@@ -339,7 +340,7 @@ impl PeerRegistry {
                 (self.entries.len() - 1) as u32
             }
         };
-        self.members.insert(peer, Membership::Local(slot));
+        self.members.insert_new(peer, Membership::Local(slot));
         slot
     }
 
@@ -347,13 +348,10 @@ impl PeerRegistry {
     /// mapping and recycling its slab slot. Content holdings are filtered
     /// lazily at discovery/serve time via [`PeerRegistry::has_peer`].
     pub(crate) fn expel(&mut self, peer: PeerId) -> bool {
-        let Entry::Occupied(held) = self.members.entry(peer) else {
+        let Some((i, Membership::Local(slot))) = self.member(peer) else {
             return false;
         };
-        let Membership::Local(slot) = *held.get() else {
-            return false;
-        };
-        held.remove();
+        self.members.remove_at(i);
         self.read.invalidate_order();
         let entry = self.entries[slot as usize]
             .take()
@@ -391,10 +389,10 @@ impl PeerRegistry {
     ) -> bool {
         let (peer, node) = (view.peer, view.node);
         self.count_probe();
-        let mut member = self.members.entry(peer);
+        let member = self.member(peer);
         let mut held = None;
-        if let Entry::Occupied(known) = &mut member {
-            match *known.get() {
+        if let Some((_, known)) = member {
+            match known {
                 Membership::Local(_) => return false,
                 Membership::Departed(t) if as_of <= self.remote.left_at(t) => return false,
                 Membership::Departed(_) => {}
@@ -441,14 +439,11 @@ impl PeerRegistry {
             None => {
                 let h = self.remote.hold(remote);
                 match member {
-                    Entry::Occupied(mut known) => {
-                        if let Membership::Departed(t) = known.insert(Membership::Remote(h)) {
-                            self.remote.exhume(t);
-                        }
+                    Some((i, Membership::Departed(t))) => {
+                        self.members.set(i, Membership::Remote(h));
+                        self.remote.exhume(t);
                     }
-                    Entry::Vacant(unknown) => {
-                        unknown.insert(Membership::Remote(h));
-                    }
+                    _ => self.members.insert_new(peer, Membership::Remote(h)),
                 }
                 self.hosts.claim(node, h);
             }
@@ -468,11 +463,9 @@ impl PeerRegistry {
 
     /// Drops the federation view of `peer`, if one is held.
     fn forget_remote(&mut self, peer: PeerId) {
-        if let Entry::Occupied(known) = self.members.entry(peer) {
-            if let Membership::Remote(h) = *known.get() {
-                known.remove();
-                self.release(h);
-            }
+        if let Some((i, Membership::Remote(h))) = self.member(peer) {
+            self.members.remove_at(i);
+            self.release(h);
         }
     }
 
@@ -480,7 +473,7 @@ impl PeerRegistry {
     /// snapshots taken before the departure cannot resurrect it. Called
     /// once the peer is neither registered nor rumoured here.
     pub(crate) fn note_departed(&mut self, peer: PeerId, now: SimTime) {
-        let known = self.members.get(&peer).copied();
+        let known = self.member(peer).map(|(_, known)| known);
         debug_assert!(
             matches!(known, None | Some(Membership::Departed(_))),
             "a tombstone replaces nothing but an older tombstone"
@@ -488,8 +481,8 @@ impl PeerRegistry {
         match known {
             Some(Membership::Departed(t)) => self.remote.rebury(t, now),
             _ => {
-                let t = self.remote.bury(now);
-                self.members.insert(peer, Membership::Departed(t));
+                let t = self.remote.bury(peer, now);
+                self.members.insert_new(peer, Membership::Departed(t));
             }
         }
     }
@@ -515,7 +508,8 @@ impl PeerRegistry {
         self.forget_remote(peer);
         for h in self.hosts.take_claims(node) {
             let rumor = self.remote.take(h);
-            self.members.remove(&rumor.view.peer);
+            self.members
+                .remove_known(rumor.view.peer, Membership::Remote(h));
             self.books.unmark(&rumor);
             self.read.invalidate_order();
         }
@@ -568,14 +562,18 @@ impl PeerRegistry {
             "every slot is occupied or free"
         );
         let (mut local, mut views, mut tombstones, mut booked) = (0, Vec::new(), Vec::new(), 0);
-        for (&peer, &known) in &self.members {
+        for known in self.members.iter() {
+            let peer = super::members::key_of(&self.entries, &self.remote, known);
+            assert!(
+                matches!(self.member(peer), Some((_, found)) if found == known),
+                "every member is found under the key its row names"
+            );
             match known {
                 Membership::Local(slot) => {
                     local += 1;
                     let entry = self.entries[slot as usize]
                         .as_ref()
                         .expect("a local member's slot is occupied");
-                    assert_eq!(entry.view.peer, peer, "slab slot agrees with its key");
                     assert_eq!(
                         self.hosts.local(entry.view.node),
                         Some(slot),
@@ -585,7 +583,6 @@ impl PeerRegistry {
                 Membership::Remote(h) => {
                     views.push(h);
                     let held = self.remote.get(h);
-                    assert_eq!(held.view.peer, peer, "remote view keyed by its peer");
                     assert!(
                         self.hosts.claims(held.view.node, h),
                         "every remote view is indexed under the host it claims"
@@ -616,7 +613,7 @@ impl PeerRegistry {
         for (b, view) in self.books.marked() {
             marked += 1;
             assert!(
-                matches!(self.members.get(&view.peer), Some(&Membership::Remote(h))
+                matches!(self.member(view.peer), Some((_, Membership::Remote(h)))
                     if self.remote.get(h).book == b && Arc::ptr_eq(&self.remote.get(h).view, view)),
                 "a marked row's view is held here, booked to its book"
             );
@@ -635,24 +632,23 @@ impl MemoryFootprint for PeerRegistry {
     /// and host rows of registered peers, and the read index under
     /// `roster`; the windowed-ratio rings and boxed queue reports that
     /// exist under `stats`; the content directory under `content`; and
-    /// federation state under `gossip`: every other membership row (a
-    /// key and a handle), every other host row (claimed, or unheld below
+    /// federation state under `gossip`: every other membership slot (a
+    /// tag and a handle), every other host row (claimed, or unheld below
     /// the highest node id written), the spill lists, the remote slab (a
-    /// row per view — pointer, timestamp, share and book — and a
-    /// timestamp per tombstone) with this holder's share of each remote
+    /// row per view — pointer, timestamp, share and book — and a time and
+    /// a peer id per tombstone) with this holder's share of each remote
     /// view allocation, and the books (the marks, and this holder's share
     /// of each retained roster slice).
     fn memory_footprint(&self) -> FootprintBreakdown {
         let local = self.peer_count();
-        let local_rows = map_estimate::<PeerId, Membership>(local) + slots_estimate::<Row>(local);
+        let local_rows = slots_estimate::<MemberSlot>(local) + slots_estimate::<Row>(local);
         let mut fp = FootprintBreakdown {
             roster: slots_estimate::<Option<PeerEntry>>(self.entries.len())
                 + slots_estimate::<u32>(self.free.len())
                 + local_rows
                 + map_estimate::<NodeId, Arc<str>>(self.names.len())
                 + self.read.heap_bytes(),
-            gossip: map_estimate::<PeerId, Membership>(self.members.len())
-                + self.hosts.heap_bytes()
+            gossip: slots_estimate::<MemberSlot>(self.members.len()) + self.hosts.heap_bytes()
                 - local_rows
                 + self.remote.heap_bytes()
                 + self.books.heap_bytes()
@@ -714,10 +710,7 @@ impl Broker {
         report: QueueReport,
     ) {
         let now = ctx.now();
-        let Some(peer) = self.registry.peer_of(from) else {
-            return;
-        };
-        if let Some(entry) = self.registry.entry_mut(peer) {
+        if let Some(entry) = self.registry.occupant_mut(from) {
             match &mut entry.reported {
                 Some(held) => **held = report,
                 None => entry.reported = Some(Box::new(report)),

@@ -98,13 +98,10 @@ impl ThreeMaps {
 impl PeerRegistry {
     /// The tombstones held.
     fn tombstones(&self) -> IdMap<PeerId, SimTime> {
-        let departed = self
-            .members
-            .iter()
-            .filter_map(|(&peer, known)| match known {
-                Membership::Departed(t) => Some((peer, self.remote.left_at(*t))),
-                _ => None,
-            });
+        let departed = self.members.iter().filter_map(|known| match known {
+            Membership::Departed(t) => Some((self.remote.departed(t), self.remote.left_at(t))),
+            _ => None,
+        });
         departed.collect()
     }
 }
@@ -549,11 +546,11 @@ fn the_books_do_not_widen_a_row() {
 }
 
 #[test]
-fn a_membership_bucket_and_an_order_entry_hold_handles_not_views() {
+fn a_member_slot_and_an_order_entry_hold_handles_not_views() {
     assert_eq!(
-        std::mem::size_of::<(PeerId, Membership)>(),
-        24,
-        "a peer-keyed bucket is the id and an 8 B slot or handle"
+        std::mem::size_of::<MemberSlot>(),
+        8,
+        "a member slot is a hash tag and a slot or handle, no id"
     );
     assert!(
         std::mem::size_of::<crate::broker::roster::OrderEntry>() <= 8,

@@ -577,7 +577,7 @@ fn shared_views_are_charged_once_across_their_holders() {
         "alone, the owner charges the whole allocation; gossiping, its share"
     );
     // Hosts 1–3 grow a holder's table to four rows; host 0's is unheld.
-    let slots = map_estimate::<PeerId, Membership>(3)
+    let slots = slots_estimate::<MemberSlot>(3)
         + slots_estimate::<Row>(4)
         + slots_estimate::<Option<RemoteView>>(3);
     let gossip: u64 = holders.iter().map(|r| r.memory_footprint().gossip).sum();
@@ -586,7 +586,7 @@ fn shared_views_are_charged_once_across_their_holders() {
     // Shares round up: seven recipients never under-count an allocation.
     let mut seventh = PeerRegistry::new();
     assert!(seventh.learn_remote(&roster[0], SimTime::ZERO, 7, UNBOOKED));
-    let rows = map_estimate::<PeerId, Membership>(1)
+    let rows = slots_estimate::<MemberSlot>(1)
         + slots_estimate::<Row>(2)
         + slots_estimate::<Option<RemoteView>>(1);
     let share = seventh.memory_footprint().gossip - rows;

@@ -11,14 +11,17 @@
 //! recycled LIFO, like the entry slab's, so the slab grows to the
 //! high-water mark of views held at once, not the number ever learnt.
 //!
-//! A tombstone is one departure time in a column of its own, addressed
-//! the same way by the membership table's `Departed(handle)`.
+//! A tombstone is a departure time and the peer that left, each in a
+//! column of its own, addressed the same way by the membership table's
+//! `Departed(handle)`: the table keeps no ids, so it reads a tombstone's
+//! peer from here.
 
 use std::sync::Arc;
 
 use netsim::time::SimTime;
 
 use crate::footprint::slots_estimate;
+use crate::id::PeerId;
 use crate::selector::CandidateView;
 
 /// A gossiped candidate plus the virtual time its sending broker took
@@ -52,6 +55,8 @@ pub(super) struct RemoteSlab {
     charge: u64,
     /// Departure times, indexed by tombstone handle.
     left_at: Vec<SimTime>,
+    /// Who left, indexed by tombstone handle.
+    left_peer: Vec<PeerId>,
     /// Free tombstone handles, reused LIFO.
     left_free: Vec<u32>,
 }
@@ -125,18 +130,26 @@ impl RemoteSlab {
         self.views.len() - self.free.len()
     }
 
-    /// Records a departure at `at` and returns its tombstone handle.
-    pub(super) fn bury(&mut self, at: SimTime) -> u32 {
+    /// Records that `peer` departed at `at` and returns the tombstone
+    /// handle.
+    pub(super) fn bury(&mut self, peer: PeerId, at: SimTime) -> u32 {
         match self.left_free.pop() {
             Some(t) => {
                 self.left_at[t as usize] = at;
+                self.left_peer[t as usize] = peer;
                 t
             }
             None => {
                 self.left_at.push(at);
+                self.left_peer.push(peer);
                 (self.left_at.len() - 1) as u32
             }
         }
+    }
+
+    /// The peer whose departure tombstone handle `t` records.
+    pub(super) fn departed(&self, t: u32) -> PeerId {
+        self.left_peer[t as usize]
     }
 
     /// When the departure under tombstone handle `t` was seen.
@@ -154,13 +167,14 @@ impl RemoteSlab {
         self.left_free.push(t);
     }
 
-    /// Length-based heap estimate: the view rows and the tombstone column
-    /// with their free lists, and this holder's share of each view
-    /// allocation.
+    /// Length-based heap estimate: the view rows and the tombstone
+    /// columns with their free lists, and this holder's share of each
+    /// view allocation.
     pub(super) fn heap_bytes(&self) -> u64 {
         slots_estimate::<Option<RemoteView>>(self.views.len())
             + slots_estimate::<u32>(self.free.len())
             + slots_estimate::<SimTime>(self.left_at.len())
+            + slots_estimate::<PeerId>(self.left_peer.len())
             + slots_estimate::<u32>(self.left_free.len())
             + self.charge
     }

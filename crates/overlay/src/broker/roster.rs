@@ -13,7 +13,7 @@
 //! before a read and do nothing when nothing changed:
 //!
 //! * [`PeerRegistry::refresh`] re-evaluates the cached snapshot of every
-//!   slot `entry_mut` / `admit` touched since the last read, of every slot
+//!   slot `occupant_mut` / `admit` touched since the last read, of every slot
 //!   whose queue gauges are still integrating over time, and of all slots
 //!   when the k-hour window moved to another hour;
 //! * the order index is rebuilt when membership or the remote set changed
@@ -32,7 +32,7 @@
 //!   **history column** ([`Roster::histories`]), with one map from each
 //!   local slot to its row that both share; the first step above rewrites
 //!   the row of every slot it re-snapshots (every history write goes
-//!   through `entry_mut`, which lists the slot), and a remote view never
+//!   through `occupant_mut`, which lists the slot), and a remote view never
 //!   changes in place;
 //! * the candidates' **advertised CPU** ([`Roster::tiebreak`]), which
 //!   only an admission changes, and an admission outdates the order.
@@ -40,7 +40,7 @@
 //! The roster a gossip round **publishes** ([`PeerRegistry::local_roster`])
 //! runs the first step and then hands out each local peer's view
 //! allocation itself, so a broker holds one copy of each view. Every write
-//! to a view — a history write through `entry_mut`, `admit`'s refresh, the
+//! to a view — a history write through `occupant_mut`, `admit`'s refresh, the
 //! first step's re-snapshot — goes through [`Arc::make_mut`]: a view a
 //! published roster still shares forks on its first write after the
 //! round, and a receiver keeps reading what it was sent. A view no one
@@ -61,6 +61,7 @@ use crate::footprint::slots_estimate;
 use crate::selector::{put_criteria, CandidateView, InteractionHistory, Roster};
 use crate::stats::{Criterion, WindowedRatio};
 
+use super::members::Membership;
 use super::registry::{PeerEntry, PeerRegistry};
 use super::remote::RemoteSlab;
 
@@ -272,7 +273,7 @@ impl PeerEntry {
     /// that holds, or ever held, a message moves with the clock.
     ///
     /// This is the one place a cached snapshot is rewritten, and every
-    /// other write to the view (`entry_mut`, `admit`) lists the slot for
+    /// other write to the view (`occupant_mut`, `admit`) lists the slot for
     /// it. The write forks a view a published roster still shares, so a
     /// re-evaluated view is never republished at the address it was sent
     /// at, even when it reads the same.
@@ -351,7 +352,7 @@ impl PeerRegistry {
                 if now - as_of > bound {
                     books.unmark(remote);
                     hosts.unclaim(node, h);
-                    members.remove(&remote.view.peer);
+                    members.remove_known(remote.view.peer, Membership::Remote(h));
                     return false;
                 }
                 let at = as_of + bound;

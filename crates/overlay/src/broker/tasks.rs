@@ -143,10 +143,8 @@ impl Broker {
                     rec.accepted_at = Some(now);
                 }
             });
-            if let Some(peer) = self.registry.peer_of(node) {
-                if let Some(entry) = self.registry.entry_mut(peer) {
-                    entry.stats.record_task_offer(true);
-                }
+            if let Some(entry) = self.registry.occupant_mut(node) {
+                entry.stats.record_task_offer(true);
             }
         }
     }
@@ -154,10 +152,8 @@ impl Broker {
     pub(crate) fn on_task_reject(&mut self, ctx: &mut Context<OverlayMsg>, task: TaskId) {
         if let Some(tracking) = self.tasks.tasks.get(&task) {
             let node = tracking.node;
-            if let Some(peer) = self.registry.peer_of(node) {
-                if let Some(entry) = self.registry.entry_mut(peer) {
-                    entry.stats.record_task_offer(false);
-                }
+            if let Some(entry) = self.registry.occupant_mut(node) {
+                entry.stats.record_task_offer(false);
             }
         }
         self.fail_task(ctx, task);
@@ -182,14 +178,12 @@ impl Broker {
             tracking.exec_secs = Some(exec_secs);
             work_gops = tracking.spec.work_gops;
             let node = tracking.node;
-            if let Some(peer) = self.registry.peer_of(node) {
-                if let Some(entry) = self.registry.entry_mut(peer) {
-                    entry.stats.record_task_execution(success);
-                    if success && exec_secs > 0.0 {
-                        entry
-                            .history_mut()
-                            .observe_exec_rate(work_gops / exec_secs, EWMA_ALPHA);
-                    }
+            if let Some(entry) = self.registry.occupant_mut(node) {
+                entry.stats.record_task_execution(success);
+                if success && exec_secs > 0.0 {
+                    entry
+                        .history_mut()
+                        .observe_exec_rate(work_gops / exec_secs, EWMA_ALPHA);
                 }
             }
         }

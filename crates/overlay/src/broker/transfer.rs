@@ -77,12 +77,10 @@ impl Broker {
             size_bytes,
         };
         let to_name = self.registry.display_name(ctx, to);
-        if let Some(peer) = self.registry.peer_of(to) {
-            if let Some(entry) = self.registry.entry_mut(peer) {
-                entry.stats.pending_transfers += 1;
-                entry.stats.outbox.incr(now);
-                entry.history_mut().queued_bytes += size_bytes;
-            }
+        if let Some(entry) = self.registry.occupant_mut(to) {
+            entry.stats.pending_transfers += 1;
+            entry.stats.outbox.incr(now);
+            entry.history_mut().queued_bytes += size_bytes;
             // Open the transfer's data pipe; closed in finish_transfer.
             let pipe = PipeId::generate(&mut self.ids);
             self.transfers.pipes.insert(
@@ -146,21 +144,19 @@ impl Broker {
         let Some(done) = self.transfers.flows.finish(ctx, transfer, completed) else {
             return;
         };
-        if let Some(peer) = self.registry.peer_of(done.to) {
-            if let Some(entry) = self.registry.entry_mut(peer) {
-                entry.stats.pending_transfers = entry.stats.pending_transfers.saturating_sub(1);
-                entry.stats.outbox.decr(now);
-                entry.stats.record_file_send(completed);
-                let history = entry.history_mut();
-                history.queued_bytes = history.queued_bytes.saturating_sub(done.bytes);
-                if completed {
-                    history.transfers_completed += 1;
-                    if let Some(bps) = done.throughput {
-                        history.observe_throughput(bps, EWMA_ALPHA);
-                    }
-                } else {
-                    history.transfers_cancelled += 1;
+        if let Some(entry) = self.registry.occupant_mut(done.to) {
+            entry.stats.pending_transfers = entry.stats.pending_transfers.saturating_sub(1);
+            entry.stats.outbox.decr(now);
+            entry.stats.record_file_send(completed);
+            let history = entry.history_mut();
+            history.queued_bytes = history.queued_bytes.saturating_sub(done.bytes);
+            if completed {
+                history.transfers_completed += 1;
+                if let Some(bps) = done.throughput {
+                    history.observe_throughput(bps, EWMA_ALPHA);
                 }
+            } else {
+                history.transfers_cancelled += 1;
             }
         }
         self.selection.on_outcome(&SelectionOutcome {
@@ -203,13 +199,11 @@ impl Broker {
         // latency history.
         if first_ack {
             let petition_latency = handled_at.duration_since(petition_sent_at).as_secs_f64();
-            if let Some(peer) = self.registry.peer_of(from) {
-                if let Some(entry) = self.registry.entry_mut(peer) {
-                    entry
-                        .history_mut()
-                        .observe_petition(petition_latency, EWMA_ALPHA);
-                    entry.stats.record_message(ctx.now(), true);
-                }
+            if let Some(entry) = self.registry.occupant_mut(from) {
+                entry
+                    .history_mut()
+                    .observe_petition(petition_latency, EWMA_ALPHA);
+                entry.stats.record_message(ctx.now(), true);
             }
         }
         self.after_step(ctx, transfer, step);
@@ -284,16 +278,14 @@ impl Broker {
         bytes: u64,
     ) {
         self.transfers.instructed_pending = self.transfers.instructed_pending.saturating_sub(1);
-        if let Some(peer) = self.registry.peer_of(from) {
-            if let Some(entry) = self.registry.entry_mut(peer) {
-                entry.stats.record_file_send(ok);
-                let history = entry.history_mut();
-                if ok && elapsed_secs > 0.0 {
-                    history.observe_throughput(bytes as f64 / elapsed_secs, EWMA_ALPHA);
-                    history.transfers_completed += 1;
-                } else if !ok {
-                    history.transfers_cancelled += 1;
-                }
+        if let Some(entry) = self.registry.occupant_mut(from) {
+            entry.stats.record_file_send(ok);
+            let history = entry.history_mut();
+            if ok && elapsed_secs > 0.0 {
+                history.observe_throughput(bytes as f64 / elapsed_secs, EWMA_ALPHA);
+                history.transfers_completed += 1;
+            } else if !ok {
+                history.transfers_cancelled += 1;
             }
         }
         self.selection.on_outcome(&SelectionOutcome {

@@ -245,7 +245,7 @@ pub struct HarnessRun {
     pub events_processed: u64,
     /// Most events one shard ever stored at once (worker-invariant: each
     /// shard's queue follows the window schedule, not the threads). No
-    /// delivery due after the horizon is stored.
+    /// delivery or timer due after the horizon is stored.
     pub peak_queue_len: usize,
     /// Barrier rounds, per-shard totals and the wall-clock busy total;
     /// with a series interval set, also the whole round schedule.

@@ -49,20 +49,22 @@ fn gauge_prefix_sum(m: &Metrics, prefix: &str) -> f64 {
         .fold(0.0, |sum, (_, v)| sum + v)
 }
 
-/// Resident set size in bytes; 0 when the proc filesystem is unavailable
-/// (non-Linux hosts).
-fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| vm_rss_bytes(&status))
-        .unwrap_or(0)
+/// The resident set size now (`VmRSS`) and at its peak so far (`VmHWM`),
+/// in bytes; 0 when the proc filesystem is unavailable (non-Linux hosts).
+fn rss_bytes() -> (u64, u64) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let read = |field| status_bytes(&status, field).unwrap_or(0);
+    (read("VmRSS"), read("VmHWM"))
 }
 
-/// The `VmRSS` line of a `/proc/<pid>/status` text, in bytes. The kernel
-/// writes it in kB whatever its page size, so no page size is assumed.
-fn vm_rss_bytes(status: &str) -> Option<u64> {
-    let field = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
-    let kb: u64 = field.trim().strip_suffix("kB")?.trim().parse().ok()?;
+/// A `/proc/<pid>/status` memory line, such as `VmRSS`, in bytes. The
+/// kernel writes it in kB whatever its page size, so no page size is
+/// assumed.
+fn status_bytes(status: &str, field: &str) -> Option<u64> {
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+    let kb: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
     Some(kb * 1024)
 }
 
@@ -151,11 +153,13 @@ pub(crate) fn cmd_profile(flags: &Flags) {
             )
         })
         .collect();
+    let (rss, peak_rss) = rss_bytes();
     let json = format!(
         "{{\n  \"bench\": \"profile\",\n  \"workload\": \"{}\",\n  \"peers\": {},\n  \
          \"regions\": {},\n  \"num_shards\": {},\n  \"shard_workers\": {},\n  \
          \"horizon_secs\": {},\n  \"interval_secs\": {},\n  \"seed\": {},\n  \
          \"events\": {},\n  \"elapsed_secs\": {},\n  \"rss_bytes\": {},\n  \
+         \"peak_rss_bytes\": {},\n  \
          \"registry\": {{\"bytes\": {}, \"peers\": {}, \"bytes_per_peer\": {}, \
          \"components\": {{{}}}}},\n  \"series_rows\": {},\n  \"profiler\": {}\n}}\n",
         profiled.workload,
@@ -168,7 +172,8 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         seed,
         run.events_processed,
         run.elapsed.as_secs_f64(),
-        rss_bytes(),
+        rss,
+        peak_rss,
         registry_bytes,
         registry_peers,
         bytes_per_peer,
@@ -182,7 +187,7 @@ pub(crate) fn cmd_profile(flags: &Flags) {
 
     eprintln!(
         "profile: {} — {} events to t={:.1}s, {} series rows, registry {:.0} bytes \
-         over {:.0} peers ({:.1} B/peer), rss {} MiB",
+         over {:.0} peers ({:.1} B/peer), rss {} MiB (peak {} MiB)",
         profiled.workload,
         run.events_processed,
         run.elapsed.as_secs_f64(),
@@ -190,18 +195,27 @@ pub(crate) fn cmd_profile(flags: &Flags) {
         registry_bytes,
         registry_peers,
         bytes_per_peer,
-        rss_bytes() >> 20,
+        rss >> 20,
+        peak_rss >> 20,
     );
 }
 
 #[cfg(test)]
 mod tests {
-    use super::vm_rss_bytes;
+    use super::status_bytes;
 
     #[test]
     fn rss_is_read_from_vm_rss_in_kilobytes() {
         let status = "Name:\tpsim\nVmPeak:\t  9000 kB\nVmRSS:\t    1664 kB\nThreads:\t1\n";
-        assert_eq!(vm_rss_bytes(status), Some(1664 * 1024));
-        assert_eq!(vm_rss_bytes("Name:\tpsim\n"), None);
+        assert_eq!(status_bytes(status, "VmRSS"), Some(1664 * 1024));
+        assert_eq!(status_bytes("Name:\tpsim\n", "VmRSS"), None);
+    }
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm_in_kilobytes() {
+        let status = "VmPeak:\t  9000 kB\nVmHWM:\t    2048 kB\nVmRSS:\t    1664 kB\n";
+        assert_eq!(status_bytes(status, "VmHWM"), Some(2048 * 1024));
+        // `VmHWM` is neither `VmPeak` (virtual) nor a prefix match.
+        assert_eq!(status_bytes("VmHWMx:\t 1 kB\n", "VmHWM"), None);
     }
 }

@@ -249,6 +249,7 @@ fn profile_churn_writes_a_sorted_chrome_trace_and_a_complete_summary() {
         "events",
         "elapsed_secs",
         "rss_bytes",
+        "peak_rss_bytes",
         "registry",
         "series_rows",
         "profiler",
@@ -302,6 +303,10 @@ fn profile_churn_writes_a_sorted_chrome_trace_and_a_complete_summary() {
     assert!(
         json_number(&summary, "rss_bytes") > 0.0,
         "RSS proxy must be readable on Linux"
+    );
+    assert!(
+        json_number(&summary, "peak_rss_bytes") >= json_number(&summary, "rss_bytes"),
+        "the peak is at least the end-of-run reading"
     );
     let registry = &summary[summary.find("\"registry\": ").expect("registry")..];
     assert!(json_number(registry, "bytes") > 0.0 && json_number(registry, "peers") > 0.0);

@@ -25,20 +25,23 @@ fn registry_bytes_per_peer(metrics: &Metrics, peers: usize) -> f64 {
     bytes / peers as f64
 }
 
-/// Bytes per peer the quick churn below may hold. The run reads 943 B:
+/// Bytes per peer the quick churn below may hold. The run reads 816 B:
 /// each broker keeps one copy of each local peer's view (the allocation
 /// its gossip publishes) and each statistic once (a session criterion
 /// reads its total; the CPU rate lives in the view alone; ids sit at
 /// 8-byte alignment), and its per-peer indexes name a peer by a 4-byte
-/// slot or handle: a membership bucket is 24 B, a host row and an order
-/// entry 8 B, and a remote view is one 24 B row of the remote slab. The
-/// budget leaves 5 % for a change that adds a field, and catches indexes
-/// that hold views and ids again: a registry whose membership values held
-/// the remote view (32 B), whose host rows held a peer id (24 B) and
-/// whose order held a pointer (16 B) read 1 095 B here; one that also
-/// stored a session block beside the totals, a second CPU rate and
+/// slot or handle and hold no id: a membership slot is 8 B (a hash tag
+/// and the state; the id is read from the row it names), a host row and
+/// an order entry 8 B, a remote view one 24 B row of the remote slab and
+/// a tombstone a time and the departed id. The budget leaves 5 % for a
+/// change that adds a field, and catches an index that holds ids again:
+/// a registry whose membership buckets held the peer id beside the state
+/// (24 B) read 943 B here; one whose membership values also held the
+/// remote view (32 B), whose host rows held a peer id (24 B) and whose
+/// order held a pointer (16 B) read 1 095 B; one that also stored a
+/// session block beside the totals, a second CPU rate and
 /// 16-byte-aligned ids read 1 334 B.
-const CHURN_BYTES_PER_PEER: f64 = 990.0;
+const CHURN_BYTES_PER_PEER: f64 = 860.0;
 
 #[test]
 fn a_quick_churn_keeps_its_registry_within_the_bytes_per_peer_budget() {
@@ -64,11 +67,12 @@ fn a_quick_churn_keeps_its_registry_within_the_bytes_per_peer_budget() {
 }
 
 /// Bytes per peer the quick failover below may hold. The run reads
-/// 725 B: with four brokers to the churn's eight, a peer is a remote view
+/// 674 B: with four brokers to the churn's eight, a peer is a remote view
 /// at three brokers rather than seven. The budget leaves 5 %; a registry
-/// whose indexes held views and ids (see [`CHURN_BYTES_PER_PEER`]) read
-/// 817 B.
-const FAILOVER_BYTES_PER_PEER: f64 = 760.0;
+/// whose membership buckets held the peer id (see
+/// [`CHURN_BYTES_PER_PEER`]) read 725 B, and one whose indexes held views
+/// and ids 817 B.
+const FAILOVER_BYTES_PER_PEER: f64 = 710.0;
 
 #[test]
 fn a_quick_failover_keeps_its_registry_within_the_bytes_per_peer_budget() {
