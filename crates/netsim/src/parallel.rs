@@ -437,8 +437,8 @@ impl<M: Payload + Send> ShardedEngine<M> {
     ///
     /// A sharded engine runs once: no shard stores a delivery or a timer
     /// due after `horizon`, as none could pop, so a later call past it
-    /// panics. A
-    /// window that panics fails this call with the window's panic.
+    /// panics. A window that panics fails this call with the window's
+    /// panic.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         for s in 0..self.shards.len() {
             self.engine_mut(s).set_cutoff(horizon);

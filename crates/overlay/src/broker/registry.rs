@@ -271,19 +271,20 @@ impl PeerRegistry {
     pub(crate) fn admit(&mut self, adv: PeerAdvertisement, now: SimTime) -> Option<PeerId> {
         let (peer, node, cpu) = (adv.peer, adv.node, adv.cpu_gops);
         self.read.invalidate_order();
-        let mut known = None;
-        match self.member(peer) {
-            Some((_, Membership::Local(slot))) => known = Some(slot),
+        let known = match self.member(peer) {
+            Some((_, Membership::Local(slot))) => Some(slot),
             Some((i, Membership::Remote(h))) => {
                 self.members.remove_at(i);
                 self.release(h);
+                None
             }
             Some((i, Membership::Departed(t))) => {
                 self.members.remove_at(i);
                 self.remote.exhume(t);
+                None
             }
-            None => {}
-        }
+            None => None,
+        };
         let superseded = self.hosts.local(node).filter(|&s| Some(s) != known);
         let superseded = superseded.map(|slot| self.peer_at(slot));
         if let Some(prev) = superseded {
